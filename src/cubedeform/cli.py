@@ -8,8 +8,10 @@ Commands:
 * ``sweep``     emit the deformation pairing sweep as CSV
 
 Exit codes: 0 on success, 1 when validation or a check suite fails, 2 on
-usage errors.  All output is deterministic: the same command, seed, and
-input produce byte-identical bytes.
+usage errors, 3 when a check suite breaks down numerically (a matrix
+singular to working precision at an extreme t).  All output is
+deterministic: the same command, seed, and input produce byte-identical
+bytes.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from .differential import (
 )
 from .fredholm import (
     assemble_D,
+    base_neighbor,
     base_projection,
     format_t,
     fredholm_residual,
@@ -452,14 +455,6 @@ def _random_loop_residual(cplx, rng, t, loops=20, walk_length=8):
     return worst
 
 
-def _base_neighbor(cplx):
-    for h in range(cplx.n_hyperplanes):
-        v = cplx.base_vertex ^ cplx.mask(h)
-        if cplx.contains_vertex(v):
-            return v
-    return None
-
-
 def _suite_field(cplx, cfg, rng, tols):
     dim = cplx.dimension
     grid = cfg.t_grid or (0.1, 0.5, 1.0, 2.0, INF)
@@ -509,7 +504,7 @@ def _suite_field(cplx, cfg, rng, tols):
     checks.append(_check("d_t_adjoint", r, tols))
 
     r = 0.0
-    neighbor = _base_neighbor(cplx)
+    neighbor = base_neighbor(cplx)
     if neighbor is not None:
         for q in range(dim + 1):
             what = w_hat_matrix(cplx, q, neighbor, cplx.base_vertex, t=1.0)
@@ -570,7 +565,11 @@ _SUITES = {
 def _cmd_check(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
     cplx = _load_complex(cfg.input, parser)
     rng = np.random.default_rng(cfg.seed)
-    checks, extra = _SUITES[cfg.suite](cplx, cfg, rng, cfg.tolerances)
+    try:
+        checks, extra = _SUITES[cfg.suite](cplx, cfg, rng, cfg.tolerances)
+    except np.linalg.LinAlgError as exc:
+        sys.stderr.write("check %s: numerical breakdown: %s\n" % (cfg.suite, exc))
+        return 3
     report = {
         "schema": 1,
         "suite": cfg.suite,
@@ -609,6 +608,7 @@ def _cmd_sweep(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
     writer.writerow(["t", "row_key", "col_key", "value"])
 
     def rows_at(t):
+        label = format_t(t)
         for key1, q1, _ in entries:
             pair1, o1 = reps[key1]
             for key2, q2, _ in entries:
@@ -619,7 +619,7 @@ def _cmd_sweep(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
                     value = float(pairing_limit(cplx, pair1, o1, pair2, o2))
                 else:
                     value = float(pairing_value(cplx, pair1, o1, pair2, o2, t))
-                writer.writerow([format_t(t), key1, key2, repr(value)])
+                writer.writerow([label, key1, key2, repr(value)])
 
     rows_at(0.0)
     for t in grid:

@@ -441,52 +441,144 @@ def symbol_representative(cplx: CubeComplex, sym: PSSymbol) -> tuple[CubePair, O
     return cube_pair(cplx, c, d), OrientedCube(d, sgn)
 
 
+def _basic_section(cplx: CubeComplex, pair: CubePair,
+                   orientation: OrientedCube) -> tuple:
+    """Cached (face cutting, terms, type |S|) of one basic cochain.
+
+    Terms are the (anchor, coefficient) items of ``basic_cochain`` in its
+    order.  Nothing here depends on the base vertex, so rebased copies
+    may share the entries.
+    """
+    cache = cplx._shared.setdefault("basic_section", {})
+    key = (pair, orientation)
+    got = cache.get(key)
+    if got is None:
+        terms = tuple((c.anchor, a) for c, a in
+                      basic_cochain(cplx, pair, orientation).items())
+        got = cache[key] = (pair.d.cutting, terms, len(pair.complementary))
+    return got
+
+
+def _pair_symbol(cplx: CubeComplex, pair: CubePair,
+                 orientation: OrientedCube) -> PSSymbol:
+    """``symbol_of_pair``, cached per complex like ``_basic_section``."""
+    cache = cplx._shared.setdefault("pair_symbol", {})
+    key = (pair, orientation)
+    got = cache.get(key)
+    if got is None:
+        got = cache[key] = symbol_of_pair(cplx, pair, orientation)
+    return got
+
+
 def pairing_polynomial(cplx: CubeComplex, pair1: CubePair, o1: OrientedCube,
                        pair2: CubePair, o2: OrientedCube) -> tuple[int, dict[int, int]]:
     """Exact form of the scaled pairing of two basic cochains.
 
     Returns (P, coeffs) encoding t^(-P) * sum_d coeffs[d] * x^d with
-    x = exp(-t^2/2); P is the sum of the two types.
+    x = exp(-t^2/2); P is the sum of the two types.  The coefficients are
+    accumulated term by term, so their order (which fixes the summation
+    order of ``pairing_value``) is that of the two cochains.
     """
-    f1 = basic_cochain(cplx, pair1, o1)
-    f2 = basic_cochain(cplx, pair2, o2)
+    cut1, terms1, type1 = _basic_section(cplx, pair1, o1)
+    cut2, terms2, type2 = _basic_section(cplx, pair2, o2)
     coeffs: dict[int, int] = {}
-    for c1, a1 in f1.items():
-        for c2, a2 in f2.items():
-            if c1.cutting != c2.cutting:
-                continue
-            d = (c1.anchor ^ c2.anchor).bit_count()
-            total = coeffs.get(d, 0) + a1 * a2
-            if total:
-                coeffs[d] = total
-            else:
-                coeffs.pop(d, None)
-    power = len(pair1.complementary) + len(pair2.complementary)
-    return power, coeffs
+    if cut1 == cut2:
+        for anchor1, a1 in terms1:
+            for anchor2, a2 in terms2:
+                d = (anchor1 ^ anchor2).bit_count()
+                total = coeffs.get(d, 0) + a1 * a2
+                if total:
+                    coeffs[d] = total
+                else:
+                    coeffs.pop(d, None)
+    return type1 + type2, coeffs
+
+
+# Working precision of the pairing sum, and the significant digits that
+# must survive its cancellation before a value is accepted.
+PAIRING_DPS = 50
+_MIN_DIGITS = 8
+_LOG2_10 = math.log2(10)
+# Per-t constants kept per complex, oldest evicted first.
+_T_CACHE_SIZE = 16
+
+
+def _t_constants(cplx: CubeComplex, t: float, dps: int) -> tuple:
+    """(t, x = e^(-t^2/2), {d: (x^d, float)}, {P: t^-P}) at ``dps`` digits.
+
+    Call inside ``mp.workdps(dps)``; the powers fill in as they are used.
+    """
+    cache = cplx._shared.setdefault("pairing_t", {})
+    key = (t, dps)
+    got = cache.get(key)
+    if got is None:
+        if len(cache) >= _T_CACHE_SIZE:
+            del cache[next(iter(cache))]
+        tt = mp.mpf(t)
+        got = cache[key] = (tt, mp.e ** (-tt * tt / 2), {}, {})
+    return got
+
+
+def _pairing_at(cplx: CubeComplex, coeffs: dict[int, int], power: int,
+                t: float, dps: int) -> tuple[float, float]:
+    """The scaled pairing at ``dps`` digits, and the digits it lost.
+
+    The loss is that of sum c x^d against sum |c| x^d; a sum that cancels
+    to zero lost every digit.
+    """
+    with mp.workdps(dps):
+        tt, x, x_pow, t_pow = _t_constants(cplx, t, dps)
+        total = mp.mpf(0)
+        size = 0.0
+        for d, c in coeffs.items():
+            xd = x_pow.get(d)
+            if xd is None:
+                xd = x ** d
+                xd = x_pow[d] = (xd, float(xd))
+            total += c * xd[0]
+            size += abs(c) * xd[1]
+        scale = t_pow.get(power)
+        if scale is None:
+            scale = t_pow[power] = tt ** (-power)
+        value = float(total * scale)
+    if not total:
+        return value, math.inf
+    if not size:
+        return value, 0.0  # every x^d underflows a double: nothing cancels
+    return value, (math.log2(size) - mp.mag(total)) / _LOG2_10
 
 
 def pairing_value(cplx: CubeComplex, pair1: CubePair, o1: OrientedCube,
                   pair2: CubePair, o2: OrientedCube, t: float) -> float:
-    """The scaled pairing at one t, evaluated in extended precision."""
+    """The scaled pairing at one t, evaluated in extended precision.
+
+    The sum runs at ``PAIRING_DPS`` digits.  When fewer than
+    ``_MIN_DIGITS`` significant digits survive its cancellation (small t,
+    where every x^d is close to 1), the same sum is redone with the
+    precision raised by the digits lost, until enough survive.  Raised
+    precisions are ``PAIRING_DPS`` times a power of two, so the per-t
+    constants at each one are reused across pairs.
+    """
     _check_t(t)
     power, coeffs = pairing_polynomial(cplx, pair1, o1, pair2, o2)
     if t == INF:
         return float(coeffs.get(0, 0)) if power == 0 else 0.0
-    with mp.workdps(50):
-        tt = mp.mpf(t)
-        x = mp.e ** (-tt * tt / 2)
-        total = mp.mpf(0)
-        for d, c in coeffs.items():
-            total += c * x ** d
-        return float(total * tt ** (-power))
+    if not coeffs:
+        return 0.0  # exactly zero; a zero sum would otherwise never be accepted
+    dps = PAIRING_DPS
+    while True:
+        value, lost = _pairing_at(cplx, coeffs, power, t, dps)
+        if dps - lost >= _MIN_DIGITS:
+            return value
+        need = dps + min(lost, dps)  # a sum cancelled to zero doubles dps
+        while dps < need:
+            dps *= 2
 
 
 def pairing_limit(cplx: CubeComplex, pair1: CubePair, o1: OrientedCube,
                   pair2: CubePair, o2: OrientedCube) -> int:
     """The declared small-t limit: the inner product of the two symbols."""
-    s1 = symbol_of_pair(cplx, pair1, o1)
-    s2 = symbol_of_pair(cplx, pair2, o2)
-    return symbol_inner(s1, s2)
+    return symbol_inner(_pair_symbol(cplx, pair1, o1), _pair_symbol(cplx, pair2, o2))
 
 
 def pairing_sweep(cplx: CubeComplex, pair1: CubePair, o1: OrientedCube,
@@ -569,8 +661,8 @@ def d_t_pairing(cplx: CubeComplex, pair1: CubePair, o1: OrientedCube,
 def d_t_pairing_limit(cplx: CubeComplex, pair1: CubePair, o1: OrientedCube,
                       pair2: CubePair, o2: OrientedCube) -> int:
     """The declared limit of ``d_t_pairing``: pair the symbol differential."""
-    s1 = symbol_of_pair(cplx, pair1, o1)
-    s2 = symbol_of_pair(cplx, pair2, o2)
+    s1 = _pair_symbol(cplx, pair1, o1)
+    s2 = _pair_symbol(cplx, pair2, o2)
     image = ps_d_symbol(cplx, s1)
     return image.get(s2.key, 0) * s2.sign
 

@@ -34,6 +34,7 @@ __all__ = [
     "assemble_D",
     "assemble_laplacian",
     "assemble_raising",
+    "base_neighbor",
     "base_projection",
     "basepoint_decay_sweep",
     "f_t_family",
@@ -116,6 +117,15 @@ def base_projection(cplx: CubeComplex) -> np.ndarray:
     i = cplx.vertex_index(cplx.base_vertex)
     out[i, i] = 1
     return out
+
+
+def base_neighbor(cplx: CubeComplex) -> int | None:
+    """The base vertex's neighbour across the lowest hyperplane, if any."""
+    for h in range(cplx.n_hyperplanes):
+        v = cplx.base_vertex ^ cplx.mask(h)
+        if cplx.contains_vertex(v):
+            return v
+    return None
 
 
 def resolvent(matrix: np.ndarray, z: complex) -> np.ndarray:
@@ -269,13 +279,8 @@ def fredholm_report(cplx: CubeComplex, t_grid: Iterable[float],
                     lambdas: Iterable[float] = (0.0, 1.0, 10.0)) -> dict:
     """JSON-ready summary of the spectral identities over a t grid."""
     lambdas = list(lambdas)
-    neighbor = None
     base = cplx.base_vertex
-    for h in range(cplx.n_hyperplanes):
-        v = base ^ cplx.mask(h)
-        if cplx.contains_vertex(v):
-            neighbor = v
-            break
+    neighbor = base_neighbor(cplx)
     per_t = []
     for t in t_grid:
         w = deformation_weights(cplx, t) if weighted else None

@@ -7,18 +7,30 @@ checking.
 
 from __future__ import annotations
 
+import csv
+import io
+import math
 from collections import deque
 from functools import lru_cache
 from itertools import combinations
 
+import mpmath as mp
 import numpy as np
 
 from cubedeform import CubeComplex, grid_complex, hypercube, random_median_complex, star_tree
 from cubedeform.core import Cube
-from cubedeform.deformation import w_path_matrix, w_step_matrix
+from cubedeform.deformation import (
+    basic_cochain,
+    symbol_representative,
+    w_path_matrix,
+    w_step_matrix,
+)
+from cubedeform.fredholm import format_t
 from cubedeform.parallelism import enumerate_classes
+from cubedeform.symbols import ps_basis, symbol_inner, symbol_key, symbol_of_pair
 
 FIXTURE_NAMES = ("point", "square", "tripod", "cube3", "grid12")
+MORE_FIXTURE_NAMES = ("grid22", "path3", "path4")
 TEST_T_GRID = (0.1, 0.5, 1.0, 2.0, float("inf"))
 
 
@@ -138,3 +150,69 @@ def adjacent_vertex_pairs(cplx: CubeComplex) -> list[tuple[int, int]]:
             if cplx.contains_vertex(u) and v < u:
                 out.append((v, u))
     return out
+
+
+# -- pairing oracles: nothing cached, every constant recomputed per call ---------
+
+
+def oracle_pairing_polynomial(cplx, pair1, o1, pair2, o2):
+    """(P, coeffs) of the scaled pairing, rebuilt from both cochains."""
+    f1 = basic_cochain(cplx, pair1, o1)
+    f2 = basic_cochain(cplx, pair2, o2)
+    coeffs = {}
+    for c1, a1 in f1.items():
+        for c2, a2 in f2.items():
+            if c1.cutting != c2.cutting:
+                continue
+            d = (c1.anchor ^ c2.anchor).bit_count()
+            total = coeffs.get(d, 0) + a1 * a2
+            if total:
+                coeffs[d] = total
+            else:
+                coeffs.pop(d, None)
+    power = len(pair1.complementary) + len(pair2.complementary)
+    return power, coeffs
+
+
+def oracle_pairing_value(cplx, pair1, o1, pair2, o2, t):
+    """t^(-P) sum_d coeffs[d] x^d at 50 digits, x = e^(-t^2/2) made afresh."""
+    power, coeffs = oracle_pairing_polynomial(cplx, pair1, o1, pair2, o2)
+    if t == math.inf:
+        return float(coeffs.get(0, 0)) if power == 0 else 0.0
+    with mp.workdps(50):
+        tt = mp.mpf(t)
+        x = mp.e ** (-tt * tt / 2)
+        total = mp.mpf(0)
+        for d, c in coeffs.items():
+            total += c * x ** d
+        return float(total * tt ** (-power))
+
+
+def oracle_pairing_limit(cplx, pair1, o1, pair2, o2):
+    return symbol_inner(symbol_of_pair(cplx, pair1, o1), symbol_of_pair(cplx, pair2, o2))
+
+
+def symbol_pairs(cplx):
+    """Every same-degree pair of symbol representatives, as two (key, pair, o)."""
+    out = []
+    for q in range(cplx.dimension + 1):
+        reps = [(symbol_key(sym, cplx),) + symbol_representative(cplx, sym)
+                for sym in ps_basis(cplx, q)]
+        out.extend((r1, r2) for r1 in reps for r2 in reps)
+    return out
+
+
+def oracle_sweep_csv(cplx, t_grid):
+    """The ``sweep`` CSV built from the oracles: limit rows, then each t."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", "row_key", "col_key", "value"])
+    pairs = symbol_pairs(cplx)
+    for (key1, p1, o1), (key2, p2, o2) in pairs:
+        value = float(oracle_pairing_limit(cplx, p1, o1, p2, o2))
+        writer.writerow([format_t(0.0), key1, key2, repr(value)])
+    for t in sorted(set(t_grid)):
+        for (key1, p1, o1), (key2, p2, o2) in pairs:
+            value = oracle_pairing_value(cplx, p1, o1, p2, o2, t)
+            writer.writerow([format_t(t), key1, key2, repr(value)])
+    return buf.getvalue()

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import helpers
 from cubedeform.cli import DEFAULT_TOLERANCES, main
 from cubedeform.core import write_cxc
 from cubedeform.generate import (
@@ -179,6 +180,21 @@ def test_check_usage_errors(grid_file):
     usage_error(["check", "jv", "--input", "/nonexistent/nope.cxc"])
 
 
+@pytest.mark.parametrize("t", ("1e-10", "1e-200"))
+def test_check_numerical_breakdown_exit_code(grid_file, t):
+    # U_t is singular to working precision at these t: a clean exit 3
+    # with one line on stderr, never a traceback or a half report
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubedeform.cli", "check", "field",
+         "--input", grid_file, "--t", t],
+        capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("check field: numerical breakdown:")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_default_tolerances_table():
     assert len(DEFAULT_TOLERANCES) == 30
     assert all(isinstance(v, float) and v >= 0 for v in DEFAULT_TOLERANCES.values())
@@ -252,6 +268,16 @@ def test_sweep_deterministic(square_file, capsys):
     _, first = run(argv, capsys)
     _, second = run(argv, capsys)
     assert first == second
+
+
+def test_sweep_matches_the_oracle_csv(tmp_path, capsys):
+    # every row is bit for bit the uncached pairing evaluation
+    cplx = helpers.fixture("cube3")
+    path = tmp_path / "c3.cxc"
+    path.write_text(write_cxc(cplx))
+    code, out = run(["sweep", "--input", str(path), "--t", "0.001,0.1,1,inf"], capsys)
+    assert code == 0
+    assert out == helpers.oracle_sweep_csv(cplx, (0.001, 0.1, 1.0, float("inf")))
 
 
 def test_sweep_out_file(square_file, tmp_path, capsys):

@@ -35,6 +35,7 @@ from cubedeform.deformation import (
     w_step_matrix,
 )
 from cubedeform.differential import OrientedCube, d_matrix, delta_matrix, wedge_matrix
+from cubedeform.generate import hypercube
 from cubedeform.parallelism import class_of, enumerate_classes, pair_distance
 from cubedeform.symbols import canonical_symbol_vertex, cube_pair, symbol_from_raw
 
@@ -374,6 +375,56 @@ def test_pairing_converges_to_symbol_inner(name):
             limit = pairing_limit(cplx, p1, o1, p2, o2)
             _fit_and_check(
                 limit, lambda t: pairing_value(cplx, p1, o1, p2, o2, t))
+
+
+ORACLE_T = (0.001, 0.1, 1.0, INF)
+
+
+@pytest.mark.parametrize(
+    "name", helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES + (0, 1, 2, 3))
+def test_pairings_are_bit_identical_to_the_oracle(name):
+    # the cached cochains and per-t constants change no bit of any value;
+    # integer names are the seeds of random_complexes(4)
+    cplx = helpers.random_complex(name) if isinstance(name, int) else helpers.fixture(name)
+    for (_, p1, o1), (_, p2, o2) in helpers.symbol_pairs(cplx):
+        assert pairing_polynomial(cplx, p1, o1, p2, o2) == \
+            helpers.oracle_pairing_polynomial(cplx, p1, o1, p2, o2)
+        assert pairing_limit(cplx, p1, o1, p2, o2) == \
+            helpers.oracle_pairing_limit(cplx, p1, o1, p2, o2)
+        for t in ORACLE_T:
+            assert pairing_value(cplx, p1, o1, p2, o2, t) == \
+                helpers.oracle_pairing_value(cplx, p1, o1, p2, o2, t)
+
+
+def test_pairing_caches_stay_with_their_complex(square, cube3):
+    # the same pair keys name different cochains under 2 and 3 hyperplanes:
+    # the copy of the face across hyperplane 1 is anchored at 01 or at 010
+    x = cube_pair(square, Cube(0, (0, 1)), Cube(0, (0,)))
+    e = cube_pair(square, Cube(1, (0,)), Cube(1, (0,)))
+    ox, oe = OrientedCube(x.d, 1), OrientedCube(e.d, 1)
+    want = {square: (1, {1: 1, 0: -1}), cube3: (1, {1: 1, 2: -1})}
+    for cplx in (square, cube3, square, cube3.rebased(0b111)):
+        base = cube3 if cplx.n_hyperplanes == 3 else square
+        assert pairing_polynomial(cplx, x, ox, e, oe) == want[base]
+        assert helpers.oracle_pairing_polynomial(cplx, x, ox, e, oe) == want[base]
+        assert pairing_limit(cplx, x, ox, e, oe) == \
+            helpers.oracle_pairing_limit(cplx, x, ox, e, oe)
+        for t in ORACLE_T:
+            assert pairing_value(cplx, x, ox, e, oe, t) == \
+                helpers.oracle_pairing_value(cplx, x, ox, e, oe, t)
+    # rebased copies share the per-complex cache; nothing in it depends on
+    # the base vertex
+    assert cube3.rebased(0b111)._shared is cube3._shared
+
+
+@pytest.mark.parametrize("t", (1e-5, 1e-200))
+def test_pairing_survives_cancellation_at_tiny_t(t):
+    # at 50 digits the sum keeps no significant digit here; the value is
+    # recomputed at a higher precision and lands on its limit
+    cube5 = hypercube(5)
+    for (_, p1, o1), (_, p2, o2) in helpers.symbol_pairs(cube5):
+        limit = pairing_limit(cube5, p1, o1, p2, o2)
+        assert abs(pairing_value(cube5, p1, o1, p2, o2, t) - limit) <= 1e-4
 
 
 # -- conjugated differentials ---------------------------------------------------------------
