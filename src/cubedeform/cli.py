@@ -9,9 +9,11 @@ Commands:
 
 Exit codes: 0 on success, 1 when validation or a check suite fails, 2 on
 usage errors, 3 when a check suite breaks down numerically (a matrix
-singular to working precision at an extreme t).  All output is
-deterministic: the same command, seed, and input produce byte-identical
-bytes.
+singular to working precision at an extreme t).  ``check field`` holds
+only for t >= FIELD_T_FLOOR (1e-6): below it ``U_t`` is too ill-conditioned
+for float64 and its identities fail by rounding alone, so a smaller t
+exits 3 before any computation.  All output is deterministic: the same
+command, seed, and input produce byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -54,14 +56,12 @@ from .differential import (
 from .fredholm import (
     assemble_D,
     base_neighbor,
-    base_projection,
     format_t,
-    fredholm_residual,
-    homotopy_residual,
     inv_sqrt_integral,
     inv_sqrt_spectral,
+    norm2_bound,
     normalized_d,
-    resolvent_bounds,
+    spectral_residuals,
 )
 from .generate import grid_complex, hypercube, random_median_complex, star_tree
 from .parallelism import (
@@ -81,7 +81,11 @@ from .symbols import (
     symbol_key,
 )
 
-__all__ = ["DEFAULT_TOLERANCES", "RunConfig", "build_parser", "main"]
+__all__ = ["DEFAULT_TOLERANCES", "FIELD_T_FLOOR", "RunConfig", "build_parser", "main"]
+
+# Smallest t at which the field suite's identities hold in float64 on the
+# test complexes; from 1e-7 down, d_t_adjoint fails by rounding alone.
+FIELD_T_FLOOR = 1e-6
 
 # Module-stated thresholds, overridable per name with --tol name=value.
 DEFAULT_TOLERANCES: dict[str, float] = {
@@ -520,26 +524,25 @@ def _suite_fredholm(cplx, cfg, rng, tols):
     d_full = assemble_D(cplx).matrix
     checks.append(_check("d_symmetric", _max_abs(d_full - d_full.T), tols))
 
-    proj = base_projection(cplx)
-    r = max(_max_abs(d_full @ proj), _max_abs(proj @ d_full),
-            _max_abs(proj @ proj - proj))
+    # D P and P D keep only the base column and row of D; P^2 = P exactly
+    base = cplx.vertex_index(cplx.base_vertex)
+    r = max(_max_abs(d_full[:, base]), _max_abs(d_full[base]))
     checks.append(_check("projection_commutes", r, tols))
 
-    checks.append(_check(
-        "fredholm_identity",
-        max(fredholm_residual(cplx, t, weighted=True) for t in grid), tols))
-    checks.append(_check(
-        "homotopy_identity",
-        max(homotopy_residual(cplx, t, weighted=True) for t in grid), tols))
-
-    r = 0.0
+    fred = homo = res = 0.0
     for t in grid:
-        for entry in resolvent_bounds(cplx, t, (0.0, 1.0, 10.0), weighted=True):
-            r = max(r, max(0.0, entry["norm"] - entry["bound"]))
-    checks.append(_check("resolvent_bound", r, tols))
+        per_t = spectral_residuals(cplx, t, (0.0, 1.0, 10.0), weighted=True)
+        fred = max(fred, per_t["fredholm_residual"])
+        homo = max(homo, per_t["homotopy_residual"])
+        for entry in per_t["resolvent_bounds"]:
+            res = max(res, max(0.0, entry["norm"] - entry["bound"]))
+    checks.append(_check("fredholm_identity", fred, tols))
+    checks.append(_check("homotopy_identity", homo, tols))
+    checks.append(_check("resolvent_bound", res, tols))
 
     d_float = d_full.astype(np.float64)
-    shifted = proj.astype(np.float64) + d_float @ d_float
+    shifted = d_float @ d_float
+    shifted[base, base] += 1.0
     reference = inv_sqrt_spectral(shifted)
     quad = inv_sqrt_integral(shifted, nodes=200)
     rel = float(np.linalg.norm(quad - reference, 2) / np.linalg.norm(reference, 2))
@@ -548,7 +551,7 @@ def _suite_fredholm(cplx, cfg, rng, tols):
     dprime = normalized_d(cplx)
     eye = np.eye(d_float.shape[0])
     target = eye - np.linalg.solve(eye + d_float @ d_float, eye)
-    r = float(np.linalg.norm(dprime @ dprime.T + dprime.T @ dprime - target, 2))
+    r = norm2_bound(dprime @ dprime.T + dprime.T @ dprime - target)
     checks.append(_check("normalized_d_identity", r, tols))
     return checks, {}
 
@@ -564,6 +567,11 @@ _SUITES = {
 
 def _cmd_check(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
     cplx = _load_complex(cfg.input, parser)
+    if cfg.suite == "field" and cfg.t_grid and min(cfg.t_grid) < FIELD_T_FLOOR:
+        sys.stderr.write(
+            "check field: numerical breakdown: t=%s below the float64 floor %r\n"
+            % (format_t(min(cfg.t_grid)), FIELD_T_FLOOR))
+        return 3
     rng = np.random.default_rng(cfg.seed)
     try:
         checks, extra = _SUITES[cfg.suite](cplx, cfg, rng, cfg.tolerances)

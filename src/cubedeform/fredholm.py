@@ -12,10 +12,16 @@ whole analysis runs on the plain symmetric matrices: the bounded
 transform F = D (P + D^2)^(-1/2), its Fredholm identity
 F^2 = I - P (P + D^2)^(-1), the normalized differential
 d' = d (I + Lap)^(-1/2) with its anticommutator identity, resolvent
-bounds of the shifted operator, and the base-point decay sweep.  Inverse
-square roots come from an eigendecomposition; the integral formula
-(2/pi) int (lambda^2 + T)^(-1) d lambda is kept alongside as a verified
-quadrature alternative.
+bounds of the shifted operator, and the base-point decay sweep.
+
+Each t takes one eigendecomposition of P + D^2 (``spectral_frame``), and
+(P + D^2)^(-1/2) and (P + D^2)^(-1) both come from it.  D + P is
+symmetric, so its resolvent norms come from one ``eigvalsh`` of D + P.
+Residuals are reported as the upper bound sqrt(|R|_1 |R|_inf) on the
+spectral norm |R|_2, which can only make a threshold stricter.  The
+integral formula (2/pi) int (lambda^2 + T)^(-1) d lambda is kept
+alongside as a verified quadrature alternative; on a diagonal T it runs
+entry by entry.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .differential import Weights, d_matrix, delta_matrix, laplacian_matrix
 
 __all__ = [
     "GradedOperator",
+    "SpectralFrame",
     "assemble_D",
     "assemble_laplacian",
     "assemble_raising",
@@ -46,9 +53,12 @@ __all__ = [
     "fredholm_residual",
     "inv_sqrt_integral",
     "inv_sqrt_spectral",
+    "norm2_bound",
     "normalized_d",
     "resolvent",
     "resolvent_bounds",
+    "spectral_frame",
+    "spectral_residuals",
 ]
 
 
@@ -128,24 +138,41 @@ def base_neighbor(cplx: CubeComplex) -> int | None:
     return None
 
 
+def _singular_guard(z: complex, smallest: float, largest: float) -> None:
+    if smallest <= 1e-13 * largest:
+        raise ValueError(
+            "matrix + %r is singular to working precision "
+            "(smallest singular value %.3e)" % (z, float(smallest)))
+
+
 def resolvent(matrix: np.ndarray, z: complex) -> np.ndarray:
     """Dense inverse of matrix + z, guarding against near-singularity."""
     a = np.asarray(matrix, dtype=np.complex128) + z * np.eye(matrix.shape[0])
     sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] <= 1e-13 * sv[0]:
-        raise ValueError(
-            "matrix + %r is singular to working precision "
-            "(smallest singular value %.3e)" % (z, float(sv[-1])))
+    _singular_guard(z, sv[-1], sv[0])
     return np.linalg.solve(a, np.eye(matrix.shape[0], dtype=np.complex128))
 
 
-def inv_sqrt_spectral(matrix: np.ndarray) -> np.ndarray:
-    """Inverse square root of a symmetric positive definite matrix."""
+def norm2_bound(matrix: np.ndarray) -> float:
+    """The upper bound sqrt(|M|_1 |M|_inf) on the spectral norm |M|_2."""
+    if not matrix.size:
+        return 0.0
+    a = np.abs(matrix)
+    return math.sqrt(float(a.sum(axis=0).max()) * float(a.sum(axis=1).max()))
+
+
+def _eigh_positive(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(np.asarray(matrix, dtype=np.float64))
     if vals[0] <= 0:
         raise ValueError(
             "matrix is not positive definite (smallest eigenvalue %.3e)"
             % float(vals[0]))
+    return vals, vecs
+
+
+def inv_sqrt_spectral(matrix: np.ndarray) -> np.ndarray:
+    """Inverse square root of a symmetric positive definite matrix."""
+    vals, vecs = _eigh_positive(matrix)
     return (vecs * (vals ** -0.5)) @ vecs.T
 
 
@@ -155,44 +182,113 @@ def inv_sqrt_integral(matrix: np.ndarray, nodes: int = 200) -> np.ndarray:
     The half-line is mapped to (0,1) by s = u/(1-u) and the integral
     evaluated by Gauss-Legendre quadrature.  Requires the spectrum to be
     bounded below by 1, which keeps the integrand tame and the node count
-    modest.
+    modest.  A matrix with no nonzero off-diagonal entry is integrated
+    entry by entry on its diagonal: LU of a diagonal matrix is exact
+    division, so the result is bit for bit that of the dense solves.
     """
     t = np.asarray(matrix, dtype=np.float64)
-    vals = np.linalg.eigvalsh(t)
-    if vals[0] < 1.0 - 1e-9:
+    diag = np.diag(t)
+    diagonal = np.count_nonzero(t) == np.count_nonzero(diag)
+    low = float(diag.min()) if diagonal else float(np.linalg.eigvalsh(t)[0])
+    if low < 1.0 - 1e-9:
         raise ValueError(
             "spectrum must be bounded below by 1 (smallest eigenvalue %.6f)"
-            % float(vals[0]))
+            % low)
     xs, ws = np.polynomial.legendre.leggauss(nodes)
     eye = np.eye(t.shape[0])
-    acc = np.zeros_like(t)
+    acc = np.zeros_like(diag) if diagonal else np.zeros_like(t)
     for x, w in zip(xs, ws):
         u = (x + 1.0) / 2.0
         s = u / (1.0 - u)
         jac = 1.0 / (1.0 - u) ** 2
-        acc += (w / 2.0) * jac * np.linalg.solve(s * s * eye + t, eye)
-    return (2.0 / math.pi) * acc
+        if diagonal:
+            acc += (w / 2.0) * jac * (1.0 / (s * s + diag))
+        else:
+            acc += (w / 2.0) * jac * np.linalg.solve(s * s * eye + t, eye)
+    return (2.0 / math.pi) * (np.diag(acc) if diagonal else acc)
 
 
 def normalized_d(cplx: CubeComplex, weights: Weights = None) -> np.ndarray:
     """The normalized differential d (I + Laplacian)^(-1/2), graded."""
-    raising = assemble_raising(cplx, weights).matrix.astype(np.float64)
     full = assemble_D(cplx, weights).matrix.astype(np.float64)
     t = np.eye(full.shape[0]) + full @ full
-    return raising @ inv_sqrt_spectral(t)
+    return np.tril(full) @ inv_sqrt_spectral(t)
 
 
-def _shifted_square(cplx: CubeComplex, t: float, weighted: bool):
+class SpectralFrame(NamedTuple):
+    """One t's graded operator S = D_w and one eigendecomposition.
+
+    ``vals`` and ``vecs`` are the eigenpairs of P + S^2, where P projects
+    onto the base vertex at graded index ``base``; ``root`` is
+    (P + S^2)^(-1/2) and ``raising`` the degree-raising half of S.
+    """
+
+    s: np.ndarray
+    raising: np.ndarray
+    base: int
+    vals: np.ndarray
+    vecs: np.ndarray
+    root: np.ndarray
+
+    def target(self) -> np.ndarray:
+        """I - P (P + S^2)^(-1): the identity but for the base row."""
+        out = np.eye(self.s.shape[0])
+        out[self.base] -= (self.vecs[self.base] / self.vals) @ self.vecs.T
+        return out
+
+    def fredholm_defect(self) -> np.ndarray:
+        """F^2 - (I - P (P + S^2)^(-1)) for F = S (P + S^2)^(-1/2)."""
+        f = self.s @ self.root
+        return f @ f - self.target()
+
+    def homotopy_defect(self) -> np.ndarray:
+        """h d' + d' h - (I - P (P + S^2)^(-1)), d' = raising (P + S^2)^(-1/2)."""
+        dprime = self.raising @ self.root
+        return dprime.T @ dprime + dprime @ dprime.T - self.target()
+
+    def resolvent_bounds(self, lambdas: Iterable[float]) -> list[dict]:
+        """Norms of (S + P + i lambda)^(-1) against |1 + i lambda|^(-1).
+
+        A symmetric S + P has singular values |mu + i lambda| over its
+        eigenvalues mu, so one ``eigvalsh`` serves every lambda; any other
+        matrix takes the dense ``resolvent``.
+        """
+        a = self.s.copy()
+        a[self.base, self.base] += 1.0
+        mu = np.linalg.eigvalsh(a) if np.array_equal(a, a.T) else None
+        out = []
+        for lam in lambdas:
+            if mu is None:
+                norm = float(np.linalg.norm(resolvent(a, 1j * lam), 2))
+            else:
+                sv = np.hypot(mu, lam)
+                _singular_guard(1j * lam, sv.min(), sv.max())
+                norm = 1.0 / float(sv.min())
+            out.append({
+                "lambda": lam,
+                "norm": norm,
+                "bound": 1.0 / abs(1 + 1j * lam),
+            })
+        return out
+
+
+def spectral_frame(cplx: CubeComplex, t: float, weighted: bool = False) -> SpectralFrame:
+    """The frame at t: D with deformation weights if ``weighted``, one ``eigh``."""
     w = deformation_weights(cplx, t) if weighted else None
     s = assemble_D(cplx, w).matrix.astype(np.float64)
-    p = base_projection(cplx).astype(np.float64)
-    return s, p, p + s @ s
+    base = cplx.vertex_index(cplx.base_vertex)
+    shifted = s @ s
+    shifted[base, base] += 1.0
+    vals, vecs = _eigh_positive(shifted)
+    # the degree-raising blocks of D are exactly its strictly lower triangle
+    return SpectralFrame(s, np.tril(s), base, vals, vecs,
+                         (vecs * vals ** -0.5) @ vecs.T)
 
 
 def f_t_operator(cplx: CubeComplex, t: float, weighted: bool = False) -> np.ndarray:
     """The bounded transform D (P + D^2)^(-1/2) in the t-frame."""
-    s, _, shifted = _shifted_square(cplx, t, weighted)
-    return s @ inv_sqrt_spectral(shifted)
+    frame = spectral_frame(cplx, t, weighted)
+    return frame.s @ frame.root
 
 
 def f_t_family(cplx: CubeComplex, t_grid: Iterable[float],
@@ -201,28 +297,21 @@ def f_t_family(cplx: CubeComplex, t_grid: Iterable[float],
 
 
 def fredholm_residual(cplx: CubeComplex, t: float, weighted: bool = False) -> float:
-    """Deviation of F^2 from I - P (P + D^2)^(-1)."""
-    s, p, shifted = _shifted_square(cplx, t, weighted)
-    f = s @ inv_sqrt_spectral(shifted)
-    eye = np.eye(s.shape[0])
-    target = eye - p @ np.linalg.solve(shifted, eye)
-    return float(np.linalg.norm(f @ f - target, 2))
+    """Upper bound ``norm2_bound`` on |F^2 - (I - P (P + D^2)^(-1))|_2.
+
+    Takes one eigendecomposition of P + D^2 at t.
+    """
+    return norm2_bound(spectral_frame(cplx, t, weighted).fredholm_defect())
 
 
 def homotopy_residual(cplx: CubeComplex, t: float, weighted: bool = False) -> float:
-    """Deviation of h d' + d' h from I - P (P + D^2)^(-1).
+    """Upper bound ``norm2_bound`` on |h d' + d' h - (I - P (P + D^2)^(-1))|_2.
 
     d' is the degree-raising block normalized by (P + D^2)^(-1/2) and h is
-    its adjoint; in this frame adjoint means plain transpose.
+    its adjoint; in this frame adjoint means plain transpose.  Takes one
+    eigendecomposition of P + D^2 at t.
     """
-    w = deformation_weights(cplx, t) if weighted else None
-    s, p, shifted = _shifted_square(cplx, t, weighted)
-    raising = assemble_raising(cplx, w).matrix.astype(np.float64)
-    dprime = raising @ inv_sqrt_spectral(shifted)
-    h = dprime.T
-    eye = np.eye(s.shape[0])
-    target = eye - p @ np.linalg.solve(shifted, eye)
-    return float(np.linalg.norm(h @ dprime + dprime @ h - target, 2))
+    return norm2_bound(spectral_frame(cplx, t, weighted).homotopy_defect())
 
 
 def resolvent_bounds(cplx: CubeComplex, t: float, lambdas: Iterable[float],
@@ -230,19 +319,22 @@ def resolvent_bounds(cplx: CubeComplex, t: float, lambdas: Iterable[float],
     """Resolvent norms of the shifted operator against the exact bound.
 
     The bound |1 + i lambda|^(-1) holds because (D + P)^2 is at least the
-    identity once the projection closes the kernel.
+    identity once the projection closes the kernel.  The norms come from
+    the eigenvalues of the symmetric D + P, one ``eigvalsh`` at t for all
+    lambdas (see ``SpectralFrame.resolvent_bounds``).
     """
-    s, p, _ = _shifted_square(cplx, t, weighted)
-    out = []
-    for lam in lambdas:
-        res = resolvent(s + p, 1j * lam)
-        norm = float(np.linalg.norm(res, 2))
-        out.append({
-            "lambda": lam,
-            "norm": norm,
-            "bound": 1.0 / abs(1 + 1j * lam),
-        })
-    return out
+    return spectral_frame(cplx, t, weighted).resolvent_bounds(lambdas)
+
+
+def spectral_residuals(cplx: CubeComplex, t: float, lambdas: Iterable[float],
+                       weighted: bool = False) -> dict:
+    """The Fredholm, homotopy and resolvent checks at t from one frame."""
+    frame = spectral_frame(cplx, t, weighted)
+    return {
+        "fredholm_residual": norm2_bound(frame.fredholm_defect()),
+        "homotopy_residual": norm2_bound(frame.homotopy_defect()),
+        "resolvent_bounds": frame.resolvent_bounds(lambdas),
+    }
 
 
 def basepoint_decay_sweep(cplx: CubeComplex, p_vertex: int, q_vertex: int,
@@ -290,9 +382,7 @@ def fredholm_report(cplx: CubeComplex, t_grid: Iterable[float],
             spectra.append(sorted(float(x) for x in np.linalg.eigvalsh(lap)))
         entry = {
             "t": format_t(t),
-            "fredholm_residual": fredholm_residual(cplx, t, weighted),
-            "homotopy_residual": homotopy_residual(cplx, t, weighted),
-            "resolvent_bounds": resolvent_bounds(cplx, t, lambdas, weighted),
+            **spectral_residuals(cplx, t, lambdas, weighted),
             "basepoint_norms": [],
             "spectra": spectra,
         }

@@ -21,11 +21,19 @@ from cubedeform import CubeComplex, grid_complex, hypercube, random_median_compl
 from cubedeform.core import Cube
 from cubedeform.deformation import (
     basic_cochain,
+    deformation_weights,
     symbol_representative,
     w_path_matrix,
     w_step_matrix,
 )
-from cubedeform.fredholm import format_t
+from cubedeform.fredholm import (
+    assemble_D,
+    assemble_raising,
+    base_projection,
+    format_t,
+    inv_sqrt_spectral,
+    resolvent,
+)
 from cubedeform.parallelism import enumerate_classes
 from cubedeform.symbols import ps_basis, symbol_inner, symbol_key, symbol_of_pair
 
@@ -216,3 +224,57 @@ def oracle_sweep_csv(cplx, t_grid):
             value = oracle_pairing_value(cplx, p1, o1, p2, o2, t)
             writer.writerow([format_t(t), key1, key2, repr(value)])
     return buf.getvalue()
+
+
+# -- spectral oracles: dense solves, SVDs and exact 2-norms per call ------------
+
+
+def _oracle_shifted_square(cplx, t, weighted):
+    w = deformation_weights(cplx, t) if weighted else None
+    s = assemble_D(cplx, w).matrix.astype(np.float64)
+    p = base_projection(cplx).astype(np.float64)
+    return w, s, p, p + s @ s
+
+
+def oracle_fredholm_residual(cplx, t, weighted=False):
+    """|F^2 - (I - P (P + D^2)^(-1))|_2 exactly, the inverse by a solve."""
+    _, s, p, shifted = _oracle_shifted_square(cplx, t, weighted)
+    f = s @ inv_sqrt_spectral(shifted)
+    eye = np.eye(s.shape[0])
+    target = eye - p @ np.linalg.solve(shifted, eye)
+    return float(np.linalg.norm(f @ f - target, 2))
+
+
+def oracle_homotopy_residual(cplx, t, weighted=False):
+    """|h d' + d' h - (I - P (P + D^2)^(-1))|_2 exactly, d' from ``assemble_raising``."""
+    w, s, p, shifted = _oracle_shifted_square(cplx, t, weighted)
+    raising = assemble_raising(cplx, w).matrix.astype(np.float64)
+    dprime = raising @ inv_sqrt_spectral(shifted)
+    h = dprime.T
+    eye = np.eye(s.shape[0])
+    target = eye - p @ np.linalg.solve(shifted, eye)
+    return float(np.linalg.norm(h @ dprime + dprime @ h - target, 2))
+
+
+def oracle_resolvent_bounds(cplx, t, lambdas, weighted=False):
+    """Resolvent norms by a dense SVD-guarded solve and an SVD 2-norm."""
+    _, s, p, _ = _oracle_shifted_square(cplx, t, weighted)
+    return [{
+        "lambda": lam,
+        "norm": float(np.linalg.norm(resolvent(s + p, 1j * lam), 2)),
+        "bound": 1.0 / abs(1 + 1j * lam),
+    } for lam in lambdas]
+
+
+def oracle_inv_sqrt_integral(matrix, nodes=200):
+    """The quadrature (2/pi) int (s^2 + T)^(-1) ds by one dense solve per node."""
+    t = np.asarray(matrix, dtype=np.float64)
+    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    eye = np.eye(t.shape[0])
+    acc = np.zeros_like(t)
+    for x, w in zip(xs, ws):
+        u = (x + 1.0) / 2.0
+        s = u / (1.0 - u)
+        jac = 1.0 / (1.0 - u) ** 2
+        acc += (w / 2.0) * jac * np.linalg.solve(s * s * eye + t, eye)
+    return (2.0 / math.pi) * acc

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import helpers
-from cubedeform.cli import DEFAULT_TOLERANCES, main
+from cubedeform.cli import DEFAULT_TOLERANCES, FIELD_T_FLOOR, main
 from cubedeform.core import write_cxc
 from cubedeform.generate import (
     grid_complex,
@@ -193,6 +193,24 @@ def test_check_numerical_breakdown_exit_code(grid_file, t):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("check field: numerical breakdown:")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("grid, low", (
+    ("1e-7", "1e-07"), ("0.5,1e-7,inf", "1e-07"), ("1e-300", "1e-300")))
+def test_check_field_t_floor(grid_file, grid, low, capsys):
+    code = main(["check", "field", "--input", grid_file, "--t", grid])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "check field: numerical breakdown: t=%s below the float64 floor 1e-06\n" % low)
+
+
+def test_check_field_at_the_t_floor(grid_file, capsys):
+    assert FIELD_T_FLOOR == 1e-6
+    code, out = run(["check", "field", "--input", grid_file, "--t", "1e-6"], capsys)
+    assert code == 0
+    assert json.loads(out)["pass"] is True
 
 
 def test_default_tolerances_table():

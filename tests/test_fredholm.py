@@ -23,14 +23,24 @@ from cubedeform.fredholm import (
     homotopy_residual,
     inv_sqrt_integral,
     inv_sqrt_spectral,
+    norm2_bound,
     normalized_d,
     resolvent,
     resolvent_bounds,
+    spectral_frame,
+    spectral_residuals,
 )
 from cubedeform.deformation import deformation_weights
 
 INF = float("inf")
 FIXED = ("square", "tripod", "cube3", "grid12")
+LAMBDAS = (0.0, 1.0, 10.0)
+
+
+def oracle_cases():
+    """Every named fixture and eight random median complexes."""
+    names = helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES
+    return [helpers.fixture(n) for n in names] + helpers.random_complexes(8)
 
 
 # -- assembly ----------------------------------------------------------------------
@@ -143,6 +153,40 @@ def test_inv_sqrt_quadrature_basics():
         inv_sqrt_integral(0.5 * np.eye(2))
 
 
+def _no_dense(*args, **kwargs):
+    raise AssertionError("dense linear algebra on a structured fast path")
+
+
+def test_inv_sqrt_integral_diagonal_is_the_dense_loop(monkeypatch):
+    # P + D^2 is exactly diagonal for unit weights: the entrywise path must
+    # reproduce the 200 dense solves bit for bit, without solving
+    cases = []
+    for name in helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES:
+        cplx = helpers.fixture(name)
+        d = assemble_D(cplx).matrix.astype(float)
+        m = base_projection(cplx) + d @ d
+        assert np.count_nonzero(m - np.diag(np.diag(m))) == 0
+        cases.append((m, 200))
+    rng = np.random.default_rng(11)
+    cases.append((np.diag(1.0 + 50.0 * rng.random(9)), 37))
+    expected = [helpers.oracle_inv_sqrt_integral(m, nodes) for m, nodes in cases]
+    monkeypatch.setattr(np.linalg, "solve", _no_dense)
+    for (m, nodes), want in zip(cases, expected):
+        assert np.array_equal(inv_sqrt_integral(m, nodes), want)
+
+
+def test_inv_sqrt_integral_dense_fallback():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((7, 7))
+    m = a @ a.T + np.eye(7)
+    got = inv_sqrt_integral(m)
+    assert np.array_equal(got, helpers.oracle_inv_sqrt_integral(m))
+    spec = inv_sqrt_spectral(m)
+    assert np.linalg.norm(got - spec, 2) <= 1e-6 * np.linalg.norm(spec, 2)
+    with pytest.raises(ValueError, match="bounded below by 1"):
+        inv_sqrt_integral(m - 0.5 * np.eye(7))
+
+
 @pytest.mark.parametrize("name", FIXED)
 def test_inv_sqrt_quadrature_matches_spectral(name):
     # the integral formula reproduces the eigendecomposition answer on the
@@ -213,6 +257,87 @@ def test_resolvent_bounds_hold(t):
         for entry in resolvent_bounds(cplx, t, (0.0, 1.0, 10.0)):
             assert entry["bound"] == 1.0 / abs(1 + 1j * entry["lambda"])
             assert entry["norm"] <= entry["bound"] + 1e-12
+
+
+# -- one spectral frame per t against the dense oracles ----------------------------------
+
+
+@pytest.mark.parametrize("weighted", (False, True))
+@pytest.mark.parametrize("t", (0.1, 1.0, INF))
+def test_spectral_frame_structure(t, weighted):
+    for name in FIXED:
+        cplx = helpers.fixture(name)
+        frame = spectral_frame(cplx, t, weighted)
+        w = deformation_weights(cplx, t) if weighted else None
+        assert np.array_equal(frame.raising, assemble_raising(cplx, w).matrix)
+        p = base_projection(cplx)
+        shifted = p + frame.s @ frame.s
+        eye = np.eye(shifted.shape[0])
+        assert np.abs(frame.target() - (eye - p @ np.linalg.solve(shifted, eye))).max() <= 1e-12
+        assert np.abs(frame.root @ shifted @ frame.root - eye).max() <= 1e-12
+        assert spectral_residuals(cplx, t, LAMBDAS, weighted) == {
+            "fredholm_residual": fredholm_residual(cplx, t, weighted),
+            "homotopy_residual": homotopy_residual(cplx, t, weighted),
+            "resolvent_bounds": resolvent_bounds(cplx, t, LAMBDAS, weighted),
+        }
+
+
+@pytest.mark.parametrize("weighted", (False, True))
+@pytest.mark.parametrize("t", (0.1, 1.0, INF))
+def test_resolvent_norms_match_dense_oracle(t, weighted):
+    for cplx in oracle_cases():
+        dense = helpers.oracle_resolvent_bounds(cplx, t, LAMBDAS, weighted)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "svd", _no_dense)
+            mp.setattr(np.linalg, "solve", _no_dense)
+            fast = resolvent_bounds(cplx, t, LAMBDAS, weighted)
+        for got, want in zip(fast, dense):
+            assert got["lambda"] == want["lambda"]
+            assert got["bound"] == want["bound"]
+            assert abs(got["norm"] - want["norm"]) <= 1e-12 * want["norm"]
+
+
+@pytest.mark.parametrize("weighted", (False, True))
+@pytest.mark.parametrize("t", (0.1, 1.0, INF))
+def test_bounded_residuals_dominate_exact(t, weighted):
+    for cplx in oracle_cases():
+        frame = spectral_frame(cplx, t, weighted)
+        for defect, bounded, exact in (
+                (frame.fredholm_defect(), fredholm_residual(cplx, t, weighted),
+                 helpers.oracle_fredholm_residual(cplx, t, weighted)),
+                (frame.homotopy_defect(), homotopy_residual(cplx, t, weighted),
+                 helpers.oracle_homotopy_residual(cplx, t, weighted))):
+            assert bounded == norm2_bound(defect)
+            # sqrt(|R|_1 |R|_inf) >= |R|_2, up to the SVD's own rounding
+            assert bounded >= np.linalg.norm(defect, 2) * (1 - 1e-12)
+            # the oracle's residual matrix differs from this one by rounding
+            assert bounded >= exact - 1e-14
+
+
+def test_norm2_bound():
+    assert norm2_bound(np.zeros((0, 0))) == 0.0
+    m = np.array([[1.0, -2.0], [3.0, 0.5]])
+    assert norm2_bound(m) == np.sqrt(4.0 * 3.5)
+    assert norm2_bound(m) >= np.linalg.norm(m, 2)
+
+
+def test_frame_resolvent_dense_fallback(square):
+    # a non-symmetric S + P is not normal: its eigenvalues (1 and 2 here)
+    # would give norm 1 at lambda = 0, the dense path gives 1/sigma_min
+    frame = spectral_frame(square, 1.0)._replace(
+        s=np.array([[0.0, 5.0], [0.0, 2.0]]), base=0)
+    a = np.array([[1.0, 5.0], [0.0, 2.0]])
+    for entry in frame.resolvent_bounds(LAMBDAS):
+        want = float(np.linalg.norm(resolvent(a, 1j * entry["lambda"]), 2))
+        assert entry["norm"] == want
+    assert frame.resolvent_bounds((0.0,))[0]["norm"] > 2.0
+
+
+def test_frame_resolvent_singular_guard(square):
+    frame = spectral_frame(square, 1.0)._replace(s=np.zeros((2, 2)), base=0)
+    with pytest.raises(ValueError, match="singular to working precision"):
+        frame.resolvent_bounds((0.0,))
+    assert frame.resolvent_bounds((1.0,))[0]["norm"] == 1.0
 
 
 # -- base-point decay and reporting -------------------------------------------------------
