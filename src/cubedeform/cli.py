@@ -22,9 +22,7 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -81,7 +79,7 @@ from .symbols import (
     symbol_key,
 )
 
-__all__ = ["DEFAULT_TOLERANCES", "FIELD_T_FLOOR", "RunConfig", "build_parser", "main"]
+__all__ = ["DEFAULT_TOLERANCES", "FIELD_T_FLOOR", "build_parser", "main"]
 
 # Smallest t at which the field suite's identities hold in float64 on the
 # test complexes; from 1e-7 down, d_t_adjoint fails by rounding alone.
@@ -125,22 +123,6 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "inv_sqrt_quadrature": 1e-6,
     "normalized_d_identity": 1e-9,
 }
-
-
-@dataclass
-class RunConfig:
-    """One resolved command invocation."""
-
-    command: str
-    input: str | None = None
-    out: str | None = None
-    kind: str | None = None
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-    t_grid: tuple[float, ...] | None = None
-    tolerances: dict[str, float] = field(default_factory=dict)
-    select: tuple[str, ...] | None = None
-    suite: str | None = None
 
 
 # -- argument handling -----------------------------------------------------------
@@ -211,36 +193,35 @@ def _emit(text: str, out: str | None) -> None:
 # -- gen / validate --------------------------------------------------------------
 
 
-def _cmd_gen(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
-    p = cfg.params
+def _cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     try:
-        if cfg.kind == "tree":
-            cplx = star_tree(p["leaves"])
-        elif cfg.kind == "grid":
-            cplx = grid_complex(p["dims"])
-        elif cfg.kind == "cube":
-            cplx = hypercube(p["dim"])
+        if args.kind == "tree":
+            cplx = star_tree(args.leaves)
+        elif args.kind == "grid":
+            cplx = grid_complex(_parse_dims(args.dims, parser))
+        elif args.kind == "cube":
+            cplx = hypercube(args.dim)
         else:
-            cplx = random_median_complex(p["n"], p["k"], cfg.seed)
+            cplx = random_median_complex(args.n, args.k, args.seed)
     except (ValueError, InvalidComplex) as exc:
         parser.error(str(exc))
     try:
         text = write_cxc(cplx)
     except ValueError:
         parser.error("generated complex has no hyperplanes; increase --n or --k")
-    _emit(text, cfg.out)
+    _emit(text, args.out)
     return 0
 
 
-def _cmd_validate(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
+def _cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     try:
-        text = Path(cfg.input).read_text()
+        text = Path(args.input).read_text()
     except OSError as exc:
         parser.error(str(exc))
     try:
         cplx = parse_cxc(text)
     except (CxcParseError, InvalidComplex) as exc:
-        _emit("result invalid\nreason %s\n" % exc, cfg.out)
+        _emit("result invalid\nreason %s\n" % exc, args.out)
         return 1
     lines = [
         "vertices %d" % cplx.n_vertices,
@@ -253,7 +234,7 @@ def _cmd_validate(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
         "connected ok",
         "result valid",
     ]
-    _emit("\n".join(lines) + "\n", cfg.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -274,7 +255,7 @@ def _max_abs(m: np.ndarray) -> float:
     return float(np.abs(m).max()) if m.size else 0.0
 
 
-def _suite_jv(cplx, cfg, rng, tols):
+def _suite_jv(cplx, args, rng, tols):
     dim = cplx.dimension
     checks = []
 
@@ -337,7 +318,7 @@ def _suite_jv(cplx, cfg, rng, tols):
     return checks, {}
 
 
-def _suite_ps(cplx, cfg, rng, tols):
+def _suite_ps(cplx, args, rng, tols):
     dim = cplx.dimension
     checks = []
 
@@ -402,7 +383,7 @@ def _suite_ps(cplx, cfg, rng, tols):
     return checks, {}
 
 
-def _suite_parallel(cplx, cfg, rng, tols):
+def _suite_parallel(cplx, args, rng, tols):
     checks = []
     classes = enumerate_classes(cplx)
     checks.append(_check("class_count", abs(len(classes) - cplx.n_vertices), tols))
@@ -459,12 +440,12 @@ def _random_loop_residual(cplx, rng, t, loops=20, walk_length=8):
     return worst
 
 
-def _suite_field(cplx, cfg, rng, tols):
+def _suite_field(cplx, args, rng, tols):
     dim = cplx.dimension
-    grid = cfg.t_grid or (0.1, 0.5, 1.0, 2.0, INF)
-    loop_grid = cfg.t_grid or (0.3, 1.0)
-    dt_grid = cfg.t_grid or (0.1, 1.0)
-    adj_grid = cfg.t_grid or (0.5, 2.0)
+    grid = args.t_grid or (0.1, 0.5, 1.0, 2.0, INF)
+    loop_grid = args.t_grid or (0.3, 1.0)
+    dt_grid = args.t_grid or (0.1, 1.0)
+    adj_grid = args.t_grid or (0.5, 2.0)
     checks = []
 
     r = 0.0
@@ -517,8 +498,8 @@ def _suite_field(cplx, cfg, rng, tols):
     return checks, {}
 
 
-def _suite_fredholm(cplx, cfg, rng, tols):
-    grid = cfg.t_grid or (0.1, 1.0, INF)
+def _suite_fredholm(cplx, args, rng, tols):
+    grid = args.t_grid or (0.1, 1.0, INF)
     checks = []
 
     d_full = assemble_D(cplx).matrix
@@ -565,44 +546,44 @@ _SUITES = {
 }
 
 
-def _cmd_check(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
-    cplx = _load_complex(cfg.input, parser)
-    if cfg.suite == "field" and cfg.t_grid and min(cfg.t_grid) < FIELD_T_FLOOR:
+def _cmd_check(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    cplx = _load_complex(args.input, parser)
+    if args.suite == "field" and args.t_grid and min(args.t_grid) < FIELD_T_FLOOR:
         sys.stderr.write(
             "check field: numerical breakdown: t=%s below the float64 floor %r\n"
-            % (format_t(min(cfg.t_grid)), FIELD_T_FLOOR))
+            % (format_t(min(args.t_grid)), FIELD_T_FLOOR))
         return 3
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     try:
-        checks, extra = _SUITES[cfg.suite](cplx, cfg, rng, cfg.tolerances)
+        checks, extra = _SUITES[args.suite](cplx, args, rng, args.tolerances)
     except np.linalg.LinAlgError as exc:
-        sys.stderr.write("check %s: numerical breakdown: %s\n" % (cfg.suite, exc))
+        sys.stderr.write("check %s: numerical breakdown: %s\n" % (args.suite, exc))
         return 3
     report = {
         "schema": 1,
-        "suite": cfg.suite,
-        "input": cfg.input,
+        "suite": args.suite,
+        "input": args.input,
         **({"counts": extra} if extra else {}),
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
     }
-    _emit(json.dumps(report, indent=2) + "\n", cfg.out)
+    _emit(json.dumps(report, indent=2) + "\n", args.out)
     return 0 if report["pass"] else 1
 
 
 # -- sweep -----------------------------------------------------------------------
 
 
-def _cmd_sweep(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
-    cplx = _load_complex(cfg.input, parser)
-    grid = sorted(set(cfg.t_grid or (0.1, 1.0, INF)))
+def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    cplx = _load_complex(args.input, parser)
+    grid = sorted(set(args.t_grid or (0.1, 1.0, INF)))
 
     entries = []
     for q in range(cplx.dimension + 1):
         for sym in ps_basis(cplx, q):
             entries.append((symbol_key(sym, cplx), q, sym))
-    if cfg.select is not None:
-        wanted = [s for s in cfg.select if s]
+    if args.select is not None:
+        wanted = [s for s in args.select if s]
         known = {key for key, _, _ in entries}
         for s in wanted:
             if s not in known:
@@ -632,7 +613,7 @@ def _cmd_sweep(cfg: RunConfig, parser: argparse.ArgumentParser) -> int:
     rows_at(0.0)
     for t in grid:
         rows_at(t)
-    _emit(buf.getvalue(), cfg.out)
+    _emit(buf.getvalue(), args.out)
     return 0
 
 
@@ -683,32 +664,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace,
-                      parser: argparse.ArgumentParser) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.input = getattr(args, "input", None)
-    cfg.out = getattr(args, "out", None)
-    cfg.seed = getattr(args, "seed", 0)
-    cfg.suite = getattr(args, "suite", None)
-    if args.command == "gen":
-        cfg.kind = args.kind
-        if args.kind == "tree":
-            cfg.params = {"leaves": args.leaves}
-        elif args.kind == "grid":
-            cfg.params = {"dims": _parse_dims(args.dims, parser)}
-        elif args.kind == "cube":
-            cfg.params = {"dim": args.dim}
-        else:
-            cfg.params = {"n": args.n, "k": args.k}
-    if getattr(args, "t", None):
-        cfg.t_grid = _parse_t_grid(args.t, parser)
-    cfg.tolerances = dict(DEFAULT_TOLERANCES)
-    cfg.tolerances.update(_parse_tols(getattr(args, "tol", []) or [], parser))
-    if getattr(args, "select", None) is not None:
-        cfg.select = tuple(args.select)
-    return cfg
-
-
 _COMMANDS = {
     "gen": _cmd_gen,
     "validate": _cmd_validate,
@@ -720,8 +675,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args, parser)
-    return _COMMANDS[cfg.command](cfg, parser)
+    t = getattr(args, "t", None)
+    args.t_grid = _parse_t_grid(t, parser) if t else None
+    args.tolerances = {**DEFAULT_TOLERANCES,
+                       **_parse_tols(getattr(args, "tol", []), parser)}
+    return _COMMANDS[args.command](args, parser)
 
 
 if __name__ == "__main__":

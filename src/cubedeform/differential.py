@@ -19,11 +19,18 @@ over hyperplanes (with optional positive weights) gives the differential
 ``d`` and its formal adjoint ``delta``; their anticommutator is diagonal
 with entry q_w(C) + p_w(C) on each cube, which pins the spectral gap and
 makes the cohomology computation a rank count.
+
+Every dense operator matrix is one scatter of a cached term table.  Per
+complex, degree and base vertex, the wedge and hook terms are derived once
+from ``_wedge_term`` and ``_hook_term`` and kept unweighted as int64 rows
+(target, source, hyperplane, sign); a weighted matrix multiplies each sign
+by its hyperplane's weight at scatter time, so nothing is kept per weight.
+The cochain functions keep the per-term path and serve as its oracle.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -243,15 +250,38 @@ def delta_cochain(cplx: CubeComplex, f, weights: Weights = None) -> Cochain:
     return out
 
 
-def _matrix(cplx, rows_q: int, cols_q: int, weights: Weights, term_fn) -> np.ndarray:
-    rows = cplx.cube_index(rows_q)
-    cols = cplx.cubes(cols_q)
-    w = weight_vector(cplx, weights)
-    dtype = np.int64 if weights is None else np.float64
-    out = np.zeros((len(rows), len(cols)), dtype=dtype)
-    for j, cube in enumerate(cols):
-        for h, term in term_fn(cube):
-            out[rows[term.cube], j] += term.sign * w[h]
+def _matrix(cplx: CubeComplex, q: int, raising: bool, weights: Weights,
+            h: int | None = None) -> np.ndarray:
+    """Dense d (raising) or delta on degree q, or hyperplane h's wedge or hook.
+
+    Scatters the degree's cached term table: one int64 row (target index,
+    source index, hyperplane, sign) per nonzero term, unweighted.  Terms
+    move with the base vertex, and ``rebased`` copies share ``_shared``, so
+    the base vertex is part of the key.  A source and a target cube fix the
+    hyperplane between them, so each entry receives at most one term.
+    """
+    rows_q = q + 1 if raising else q - 1
+    key = ("terms", raising, q, cplx.base_vertex)
+    terms = cplx._shared.get(key)
+    if terms is None:
+        rows = cplx.cube_index(rows_q)
+        term_fn = _wedge_term if raising else _hook_term
+        found = []
+        for j, cube in enumerate(cplx.cubes(q)):
+            for k in range(cplx.n_hyperplanes) if raising else cube.cutting:
+                term = term_fn(cplx, k, cube)
+                if term is not None:
+                    found.append((rows[term.cube], j, k, term.sign))
+        terms = np.array(found, dtype=np.int64).reshape(-1, 4)
+        cplx._shared[key] = terms
+    if h is not None:
+        terms = terms[terms[:, 2] == h]
+    values = terms[:, 3]
+    if weights is not None:
+        w = np.asarray(weight_vector(cplx, weights), dtype=np.float64)
+        values = values * w[terms[:, 2]]
+    out = np.zeros((len(cplx.cubes(rows_q)), len(cplx.cubes(q))), dtype=values.dtype)
+    out[terms[:, 0], terms[:, 1]] = values
     return out
 
 
@@ -261,13 +291,7 @@ def d_matrix(cplx: CubeComplex, q: int, weights: Weights = None) -> np.ndarray:
     Columns follow the canonical cube order of degree q, rows of degree q+1.
     Integer dtype for unit weights.
     """
-    def terms(cube):
-        for h in range(cplx.n_hyperplanes):
-            term = _wedge_term(cplx, h, cube)
-            if term is not None:
-                yield h, term
-
-    return _matrix(cplx, q + 1, q, weights, terms)
+    return _matrix(cplx, q, True, weights)
 
 
 def delta_matrix(cplx: CubeComplex, q: int, weights: Weights = None) -> np.ndarray:
@@ -276,33 +300,17 @@ def delta_matrix(cplx: CubeComplex, q: int, weights: Weights = None) -> np.ndarr
     Assembled from hook terms directly, not by transposing ``d_matrix``;
     the transpose identity is a checkable theorem, not a definition.
     """
-    def terms(cube):
-        for h in cube.cutting:
-            term = _hook_term(cplx, h, cube)
-            if term is not None:
-                yield h, term
-
-    return _matrix(cplx, q - 1, q, weights, terms)
+    return _matrix(cplx, q, False, weights)
 
 
 def wedge_matrix(cplx: CubeComplex, h: int, q: int) -> np.ndarray:
     """Matrix of wedge(h, .) from degree q to q+1, integer entries."""
-    def terms(cube):
-        term = _wedge_term(cplx, h, cube)
-        if term is not None:
-            yield h, term
-
-    return _matrix(cplx, q + 1, q, None, terms)
+    return _matrix(cplx, q, True, None, h)
 
 
 def hook_matrix(cplx: CubeComplex, h: int, q: int) -> np.ndarray:
     """Matrix of hook(h, .) from degree q to q-1, integer entries."""
-    def terms(cube):
-        term = _hook_term(cplx, h, cube)
-        if term is not None:
-            yield h, term
-
-    return _matrix(cplx, q - 1, q, None, terms)
+    return _matrix(cplx, q, False, None, h)
 
 
 def jv_inner(f: Cochain, g: Cochain):

@@ -79,45 +79,40 @@ def graded_offsets(cplx: CubeComplex) -> tuple[int, ...]:
     return tuple(offs)
 
 
+def _graded_zeros(cplx: CubeComplex, weights: Weights) -> GradedOperator:
+    """Zero graded matrix: integer for unit weights, float otherwise."""
+    offs = graded_offsets(cplx)
+    dtype = np.int64 if weights is None else np.float64
+    return GradedOperator(np.zeros((offs[-1], offs[-1]), dtype=dtype), offs)
+
+
+def assemble_raising(cplx: CubeComplex, weights: Weights = None) -> GradedOperator:
+    """Only the degree-raising half of ``assemble_D``."""
+    out = _graded_zeros(cplx, weights)
+    for q in range(cplx.dimension):
+        out.matrix[out.degree_slice(q + 1), out.degree_slice(q)] = d_matrix(cplx, q, weights)
+    return out
+
+
 def assemble_D(cplx: CubeComplex, weights: Weights = None) -> GradedOperator:
     """The symmetric operator d + delta over the graded basis.
 
     Both triangles are assembled from their own formulas; the symmetry of
     the result is a theorem about the two, not a construction.
     """
-    offs = graded_offsets(cplx)
-    dim = cplx.dimension
-    dtype = np.int64 if weights is None else np.float64
-    out = np.zeros((offs[-1], offs[-1]), dtype=dtype)
-    for q in range(dim + 1):
-        if q < dim:
-            up = d_matrix(cplx, q, weights)
-            out[offs[q + 1]:offs[q + 2], offs[q]:offs[q + 1]] = up
-        if q > 0:
-            down = delta_matrix(cplx, q, weights)
-            out[offs[q - 1]:offs[q], offs[q]:offs[q + 1]] = down
-    return GradedOperator(out, offs)
-
-
-def assemble_raising(cplx: CubeComplex, weights: Weights = None) -> GradedOperator:
-    """Only the degree-raising half of ``assemble_D``."""
-    offs = graded_offsets(cplx)
-    dim = cplx.dimension
-    dtype = np.int64 if weights is None else np.float64
-    out = np.zeros((offs[-1], offs[-1]), dtype=dtype)
-    for q in range(dim):
-        out[offs[q + 1]:offs[q + 2], offs[q]:offs[q + 1]] = d_matrix(cplx, q, weights)
-    return GradedOperator(out, offs)
+    out = assemble_raising(cplx, weights)
+    for q in range(1, cplx.dimension + 1):
+        out.matrix[out.degree_slice(q - 1), out.degree_slice(q)] = delta_matrix(cplx, q, weights)
+    return out
 
 
 def assemble_laplacian(cplx: CubeComplex, weights: Weights = None) -> GradedOperator:
     """Block-diagonal Laplacian, degree by degree."""
-    offs = graded_offsets(cplx)
-    dtype = np.int64 if weights is None else np.float64
-    out = np.zeros((offs[-1], offs[-1]), dtype=dtype)
+    out = _graded_zeros(cplx, weights)
     for q in range(cplx.dimension + 1):
-        out[offs[q]:offs[q + 1], offs[q]:offs[q + 1]] = laplacian_matrix(cplx, q, weights)
-    return GradedOperator(out, offs)
+        block = out.degree_slice(q)
+        out.matrix[block, block] = laplacian_matrix(cplx, q, weights)
+    return out
 
 
 def base_projection(cplx: CubeComplex) -> np.ndarray:

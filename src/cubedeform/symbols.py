@@ -235,25 +235,35 @@ def ps_delta_symbol(cplx: CubeComplex, sym: PSSymbol) -> dict[tuple, int]:
     return out
 
 
-def _symbol_matrix(cplx, rows_q: int, cols_q: int, image_fn) -> np.ndarray:
-    rows = ps_index(cplx, rows_q)
-    cols = ps_basis(cplx, cols_q)
-    out = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for j, sym in enumerate(cols):
-        for key, coeff in image_fn(cplx, sym).items():
-            out[rows[key], j] += coeff
+def _symbol_matrix(cplx: CubeComplex, q: int, raising: bool) -> np.ndarray:
+    """Dense symbol d (raising) or delta on degree q: a scatter of the
+    cached ``(row, col, coeff)`` table of the per-symbol images."""
+    rows_q = q + 1 if raising else q - 1
+    key = ("ps_terms", raising, q)
+    terms = cplx._shared.get(key)
+    if terms is None:
+        rows = ps_index(cplx, rows_q)
+        image_fn = ps_d_symbol if raising else ps_delta_symbol
+        terms = np.array(
+            [(rows[k], j, coeff)
+             for j, sym in enumerate(ps_basis(cplx, q))
+             for k, coeff in image_fn(cplx, sym).items()],
+            dtype=np.int64).reshape(-1, 3)
+        cplx._shared[key] = terms
+    out = np.zeros((ps_dimension(cplx, rows_q), ps_dimension(cplx, q)), dtype=np.int64)
+    out[terms[:, 0], terms[:, 1]] = terms[:, 2]
     return out
 
 
 def ps_d_matrix(cplx: CubeComplex, q: int) -> np.ndarray:
     """Integer matrix of the symbol differential from degree q to q+1."""
-    return _symbol_matrix(cplx, q + 1, q, ps_d_symbol)
+    return _symbol_matrix(cplx, q, True)
 
 
 def ps_delta_matrix(cplx: CubeComplex, q: int) -> np.ndarray:
     """Integer matrix of the adjoint from degree q to q-1, built from its
     own formula rather than by transposition."""
-    return _symbol_matrix(cplx, q - 1, q, ps_delta_symbol)
+    return _symbol_matrix(cplx, q, False)
 
 
 def ps_laplacian(cplx: CubeComplex, q: int) -> np.ndarray:

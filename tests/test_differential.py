@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
 from cubedeform.core import Cube
+from cubedeform.generate import random_median_complex
 from cubedeform.differential import (
     OrientedCube,
     canonicalize,
@@ -215,25 +216,60 @@ def test_delta_is_transpose_of_d(name):
             delta_matrix(cplx, q + 1, w), d_matrix(cplx, q, w).T)
 
 
-@pytest.mark.parametrize("name", FIXED)
-def test_cochain_operators_match_matrices(name):
-    cplx = helpers.fixture(name)
+def _operator_case(name, data):
+    if name.startswith("random"):
+        return helpers.random_complexes(4)[int(name[len("random"):])]
+    if name == "drawn":
+        return random_median_complex(
+            data.draw(st.integers(1, 7), label="n"),
+            data.draw(st.integers(1, 6), label="k"),
+            data.draw(st.integers(0, 2 ** 16), label="seed"))
+    if name == "rebased":
+        # the original's term tables are cached before the rebased copy,
+        # which shares them, is built
+        cplx = helpers.fixture("grid12")
+        for q in range(cplx.dimension + 1):
+            d_matrix(cplx, q), delta_matrix(cplx, q)
+        flipped = cplx.rebased(max(cplx.vertices))
+        assert flipped.base_vertex != cplx.base_vertex
+        return flipped
+    return helpers.fixture(name)
+
+
+def _assert_column(matrix, j, image, index):
+    col = np.zeros(len(index))
+    for c, coeff in image.items():
+        col[index[c]] = coeff
+    assert np.array_equal(matrix[:, j], col)
+
+
+@pytest.mark.parametrize(
+    "name", FIXED + tuple("random%d" % s for s in range(4)) + ("rebased", "drawn"))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_cochain_operators_match_matrices(name, data):
+    # the cochain functions apply one term at a time: the oracle for the
+    # cached term tables behind every matrix
+    cplx = _operator_case(name, data)
     w = _weights(cplx)
+    hyperplanes = range(cplx.n_hyperplanes)
     for q in range(cplx.dimension + 1):
-        cubes_q = cplx.cubes(q)
         up_index = cplx.cube_index(q + 1)
-        down_index = cplx.cube_index(q - 1) if q else {}
-        dmat = d_matrix(cplx, q, w)
-        deltamat = delta_matrix(cplx, q, w)
-        for j, cube in enumerate(cubes_q):
-            col = np.zeros(len(up_index))
-            for c, coeff in d_cochain(cplx, cube, w).items():
-                col[up_index[c]] = coeff
-            assert np.array_equal(dmat[:, j], col)
-            col = np.zeros(len(down_index))
-            for c, coeff in delta_cochain(cplx, cube, w).items():
-                col[down_index[c]] = coeff
-            assert np.array_equal(deltamat[:, j], col)
+        down_index = cplx.cube_index(q - 1)
+        dmat, deltamat = d_matrix(cplx, q), delta_matrix(cplx, q)
+        dmat_w, deltamat_w = d_matrix(cplx, q, w), delta_matrix(cplx, q, w)
+        wedges = [wedge_matrix(cplx, h, q) for h in hyperplanes]
+        hooks = [hook_matrix(cplx, h, q) for h in hyperplanes]
+        for m in (dmat, deltamat, *wedges, *hooks):
+            assert m.dtype == np.int64
+        for j, cube in enumerate(cplx.cubes(q)):
+            _assert_column(dmat, j, d_cochain(cplx, cube), up_index)
+            _assert_column(deltamat, j, delta_cochain(cplx, cube), down_index)
+            _assert_column(dmat_w, j, d_cochain(cplx, cube, w), up_index)
+            _assert_column(deltamat_w, j, delta_cochain(cplx, cube, w), down_index)
+            for h in hyperplanes:
+                _assert_column(wedges[h], j, wedge(cplx, h, cube), up_index)
+                _assert_column(hooks[h], j, hook(cplx, h, cube), down_index)
 
 
 def test_base_vertex_moves_the_operators(square):

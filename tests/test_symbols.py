@@ -262,6 +262,28 @@ def test_symbol_cohomology_is_a_point_random(seed):
     assert ps_cohomology_ranks(cplx) == (1,) + (0,) * cplx.dimension
 
 
+@pytest.mark.parametrize(
+    "name", FIXED + ("grid22",) + tuple("random%d" % s for s in range(4)))
+def test_symbol_matrices_match_symbol_images(name):
+    # every column is the per-symbol image under the unsigned-key index
+    if name.startswith("random"):
+        cplx = helpers.random_complexes(4)[int(name[len("random"):])]
+    else:
+        cplx = helpers.fixture(name)
+    index = {q: {s.key: i for i, s in enumerate(ps_basis(cplx, q))}
+             for q in range(-1, cplx.dimension + 2)}
+    for q in range(cplx.dimension + 1):
+        for matrix, image_fn, rows in (
+                (ps_d_matrix(cplx, q), ps_d_symbol, index[q + 1]),
+                (ps_delta_matrix(cplx, q), ps_delta_symbol, index[q - 1])):
+            assert matrix.dtype == np.int64
+            for j, sym in enumerate(ps_basis(cplx, q)):
+                col = np.zeros(len(rows), dtype=np.int64)
+                for key, coeff in image_fn(cplx, sym).items():
+                    col[rows[key]] = coeff
+                assert np.array_equal(matrix[:, j], col)
+
+
 def test_symbol_data_ignores_the_base_vertex(grid12):
     # rebuilt from scratch at another base so no caches are shared
     other = CubeComplex(grid12.n_hyperplanes, grid12.vertices, 0b111)
