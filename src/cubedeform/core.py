@@ -7,7 +7,10 @@ contains the vertex, so a vertex printed as a bitstring reads hyperplane
 order on the integers.  A vertex family is the 0-skeleton of a finite
 CAT(0) cube complex exactly when it is connected in the Hamming-1 graph
 and closed under coordinatewise majorities of triples (a median graph);
-:class:`CubeComplex` validates both at construction.
+:class:`CubeComplex` validates both at construction.  Closure is certified
+by :func:`median_hull`, in O(n^2) bitset operations plus O(V n) steps for
+V vertices; the O(V^3) scan over triples runs only on a failure, to name
+the first violating triple.
 
 Cubes are encoded by their smallest vertex (the anchor) together with
 the sorted tuple of hyperplanes cutting them.  Every geometric predicate
@@ -23,6 +26,8 @@ complex shares every base-independent cache with the original.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_, or_
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -34,12 +39,13 @@ __all__ = [
     "InvalidComplex",
     "NormalCubePath",
     "median_closure",
+    "median_hull",
     "median_of",
     "parse_cxc",
     "write_cxc",
 ]
 
-# int64-safe coordinate width; wider complexes fall back to pure-python paths
+# int64-safe coordinate width; the triple scan falls back to pure Python beyond it
 _NUMPY_BIT_LIMIT = 62
 
 
@@ -82,58 +88,54 @@ def median_of(u: int, v: int, w: int) -> int:
     return (u & v) | (w & (u ^ v))
 
 
-def _median_closure_py(seed: set[int]) -> frozenset[int]:
-    # plain fixpoint; used for coordinate widths beyond the int64-safe range
-    closed = set(seed)
-    frontier = list(closed)
-    while frontier:
-        current = list(closed)
-        fresh = set()
-        for a in frontier:
-            for i, b in enumerate(current):
-                ab_and = a & b
-                ab_xor = a ^ b
-                for c in current[i:]:
-                    m = ab_and | (c & ab_xor)
-                    if m not in closed:
-                        fresh.add(m)
-        closed |= fresh
-        frontier = list(fresh)
-    return frozenset(closed)
+def median_hull(n: int, verts: Iterable[int], limit: int | None = None) -> list[int]:
+    """Smallest median-closed set of ``n``-bit vectors containing ``verts``, ascending.
+
+    A median-closed set is the solution set of its projections onto pairs of
+    coordinates (a 2-SAT relation; Schaefer 1978), and every subset of
+    {0,1}^2 is median-closed, so the hull is the solution set of the pair
+    patterns ``verts`` takes.  These come from one majority-closed relation,
+    so every prefix satisfying them extends (Baker & Pixley 1975): the
+    depth-first walk over hyperplanes 0..n-1 never backtracks.  Cost: O(n^2)
+    operations on ``len(verts)``-bit bitsets plus O(|hull| n) steps.  With a
+    ``limit``, it stops once ``limit + 1`` members are found.
+    """
+    rows = [format(v | 1 << n, "b")[1:] for v in verts]  # n characters, also for n = 0
+    if not rows:
+        return []
+    full = (1 << len(rows)) - 1
+    # cols[k][b]: bitset over ``verts`` of the members with bit b at hyperplane k
+    cols = [(full ^ c, c) for c in (int("".join(col), 2) for col in zip(*rows))]
+    # step[k]: per bit b that some member has at hyperplane k, the prefix bits
+    # that must be 1 and must be 0, and b in place; bit 1 first, so 0 pops first
+    step = []
+    for k in range(n):
+        opts = []
+        for b in (1, 0):
+            if cb := cols[k][b]:
+                must1 = sum(1 << (n - 1 - j) for j in range(k) if not cols[j][0] & cb)
+                must0 = sum(1 << (n - 1 - j) for j in range(k) if not cols[j][1] & cb)
+                opts.append((must1, must0, b << (n - 1 - k)))
+        step.append(opts)
+    out: list[int] = []
+    stack = [(0, 0)]
+    while stack and (limit is None or len(out) <= limit):
+        k, x = stack.pop()
+        if k == n:
+            out.append(x)
+            continue
+        for must1, must0, bit in step[k]:
+            if x & must1 == must1 and not x & must0:
+                stack.append((k + 1, x | bit))
+    return out
 
 
 def median_closure(seeds: Iterable[int]) -> frozenset[int]:
-    """Smallest median-closed superset of ``seeds``.
-
-    Semi-naive fixpoint: each round only forms majorities that involve at
-    least one vertex added in the previous round.
-    """
+    """Smallest median-closed superset of ``seeds`` (see :func:`median_hull`)."""
     seed = {int(v) for v in seeds}
-    if not seed:
-        return frozenset()
     if any(v < 0 for v in seed):
         raise ValueError("vertex encodings must be non-negative")
-    if max(seed).bit_length() > _NUMPY_BIT_LIMIT:
-        return _median_closure_py(seed)
-
-    closed = set(seed)
-    frontier = sorted(closed)
-    while frontier:
-        cur = np.array(sorted(closed), dtype=np.int64)
-        fresh: set[int] = set()
-        for a in frontier:
-            ab_and = a & cur
-            ab_xor = a ^ cur
-            meds = ab_and[:, None] | (cur[None, :] & ab_xor[:, None])
-            pos = np.searchsorted(cur, meds.ravel())
-            pos[pos == cur.size] = 0
-            missing = cur[pos] != meds.ravel()
-            if missing.any():
-                fresh.update(int(m) for m in np.unique(meds.ravel()[missing]))
-        fresh -= closed
-        closed |= fresh
-        frontier = sorted(fresh)
-    return frozenset(closed)
+    return frozenset(median_hull(max(seed, default=0).bit_length(), seed))
 
 
 class CubeComplex:
@@ -167,13 +169,7 @@ class CubeComplex:
 
     def _validate(self) -> None:
         n, verts = self.n_hyperplanes, self._verts
-        all_and = verts[0]
-        all_or = verts[0]
-        for v in verts[1:]:
-            all_and &= v
-            all_or |= v
-        full = (1 << n) - 1
-        constant = (all_and | (full & ~all_or)) & full
+        constant = ((1 << n) - 1) & ~(reduce(or_, verts) & ~reduce(and_, verts))
         if constant:
             h = n - constant.bit_length()
             raise InvalidComplex(
@@ -195,8 +191,12 @@ class CubeComplex:
                 "connectivity failure: no edge path from %s to %s"
                 % (self.vertex_bits(verts[0]), self.vertex_bits(missing)))
 
-        bad = self._median_violation()
-        if bad is not None:
+        # The hull contains ``verts``, so it equals them exactly when it has no
+        # more members; only a failure pays for the triple scan and its message.
+        if median_hull(n, verts, limit=len(verts)) != list(verts):
+            bad = self._median_violation()
+            if bad is None:
+                raise AssertionError("median hull exceeds a vertex set the triple scan accepts")
             u, v, w = bad
             raise InvalidComplex(
                 "median-closure failure: majority(%s, %s, %s) = %s is not a vertex"
@@ -371,13 +371,14 @@ class CubeComplex:
         return self.is_cube(anchor, hs) if hs else True
 
     def cube_vertices(self, cube: Cube) -> Iterator[int]:
-        masks = [self._masks[h] for h in cube.cutting]
-        for bits in range(1 << len(masks)):
-            v = cube.anchor
-            for i, m in enumerate(masks):
-                if bits >> i & 1:
-                    v ^= m
-            yield v
+        """The corners of ``cube`` in ascending order."""
+        m = self.mask_of(cube.cutting)
+        sub = 0
+        while True:
+            yield cube.anchor | sub
+            sub = (sub - m) & m  # next submask of m
+            if not sub:
+                return
 
     def cube_side(self, cube: Cube, h: int) -> int:
         """Half-space bit of hyperplane ``h`` on a cube it does not cut."""
@@ -492,21 +493,20 @@ class CubeComplex:
     # -- reporting ----------------------------------------------------------------
 
     def bounded_geometry_statistic(self) -> int:
-        """Largest number of cubes meeting any single cube (shared vertex)."""
-        incident: dict[int, list[tuple[int, int]]] = {v: [] for v in self._verts}
-        levels = self._levels()
-        for q, level in enumerate(levels):
-            for i, cube in enumerate(level):
-                for v in self.cube_vertices(cube):
-                    incident[v].append((q, i))
-        best = 0
-        for level in levels:
-            for cube in level:
-                met: set[tuple[int, int]] = set()
-                for v in self.cube_vertices(cube):
-                    met.update(incident[v])
-                best = max(best, len(met))
-        return best
+        """Largest number of cubes meeting any single cube (shared vertex).
+
+        Each vertex carries the bitset of the cubes containing it (bit ``g``
+        for the ``g``-th cube over all degrees); the cubes meeting a cube are
+        the union of its corners' bitsets.
+        """
+        cube_corners = [tuple(self.cube_vertices(c)) for level in self._levels() for c in level]
+        incident = {v: bytearray(len(cube_corners) // 8 + 1) for v in self._verts}
+        for g, corners in enumerate(cube_corners):
+            for v in corners:
+                incident[v][g >> 3] |= 1 << (g & 7)
+        bits = {v: int.from_bytes(b, "little") for v, b in incident.items()}
+        return max(reduce(or_, map(bits.__getitem__, corners)).bit_count()
+                   for corners in cube_corners)
 
 
 # -- cxc text format ------------------------------------------------------------

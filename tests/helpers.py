@@ -160,6 +160,65 @@ def adjacent_vertex_pairs(cplx: CubeComplex) -> list[tuple[int, int]]:
     return out
 
 
+# -- ingest oracles: the cubic scans that validation used before the hull ------
+
+
+def oracle_median_violation(vertices) -> tuple[int, int, int] | None:
+    """First triple, in scan order, whose majority is not in ``vertices``.
+
+    Scans u <= v <= w over the sorted vertices, so it names the same triple
+    as the int64 scan in ``CubeComplex._median_violation`` at any width.
+    """
+    verts = sorted(vertices)
+    vset = set(verts)
+    for i, u in enumerate(verts):
+        for j in range(i, len(verts)):
+            v = verts[j]
+            uv_and, uv_xor = u & v, u ^ v
+            for w in verts[j:]:
+                if (uv_and | (w & uv_xor)) not in vset:
+                    return u, v, w
+    return None
+
+
+def oracle_median_closure(seeds) -> frozenset[int]:
+    """Semi-naive fixpoint: each round forms majorities with a fresh vertex."""
+    closed = set(seeds)
+    frontier = list(closed)
+    while frontier:
+        current = list(closed)
+        fresh = set()
+        for a in frontier:
+            for i, b in enumerate(current):
+                ab_and = a & b
+                ab_xor = a ^ b
+                for c in current[i:]:
+                    m = ab_and | (c & ab_xor)
+                    if m not in closed:
+                        fresh.add(m)
+        closed |= fresh
+        frontier = list(fresh)
+    return frozenset(closed)
+
+
+def oracle_bounded_geometry(cplx: CubeComplex) -> int:
+    """Largest number of cubes meeting one cube, by unions of incidence sets."""
+    incident: dict[int, list[tuple[int, int]]] = {v: [] for v in cplx.vertices}
+    levels = [cplx.cubes(q) for q in range(cplx.dimension + 1)]
+    for q, level in enumerate(levels):
+        for i, cube in enumerate(level):
+            for v in cplx.cube_vertices(cube):
+                incident[v].append((q, i))
+    best = 0
+    for level in levels:
+        for cube in level:
+            met: set[tuple[int, int]] = set()
+            for v in cplx.cube_vertices(cube):
+                met.update(incident[v])
+            best = max(best, len(met))
+    return best
+
+
 # -- pairing oracles: nothing cached, every constant recomputed per call ---------
 
 

@@ -5,14 +5,19 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cubedeform.core as core
 import helpers
+from cubedeform import grid_complex, star_tree
 from cubedeform.core import (
     Cube,
     CubeComplex,
     CxcParseError,
     InvalidComplex,
     median_closure,
+    median_hull,
     median_of,
     parse_cxc,
     write_cxc,
@@ -53,7 +58,7 @@ def test_median_closure_is_closed_and_contains_seeds():
 
 
 def test_median_closure_wide_coordinates():
-    # beyond the int64-safe width the pure-python fixpoint takes over
+    # coordinates wider than int64 take the same enumerator as narrow ones
     a, b, c = (1 << 70) | 1, (1 << 70) | 2, 3
     closed = median_closure({a, b, c})
     for u, v, w in itertools.combinations(sorted(closed), 3):
@@ -67,6 +72,34 @@ def test_median_closure_edge_cases():
         median_closure([-1])
 
 
+def _subsets(max_n=7, max_size=24):
+    # random subsets of {0,1}^n: most are invalid, some are median-closed
+    return st.integers(1, max_n).flatmap(lambda n: st.tuples(
+        st.just(n), st.frozensets(st.integers(0, (1 << n) - 1), min_size=1, max_size=max_size)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_subsets())
+def test_median_hull_equals_the_oracle_closure(case):
+    n, seeds = case
+    closed = helpers.oracle_median_closure(seeds)
+    hull = median_hull(n, seeds)
+    assert hull == sorted(closed)
+    assert median_closure(seeds) == closed
+    # a limit cuts the same ascending enumeration after limit + 1 members
+    assert median_hull(n, seeds, limit=len(seeds)) == hull[:len(seeds) + 1]
+
+
+def test_median_hull_edge_cases():
+    assert median_hull(3, []) == []
+    assert median_hull(0, [0]) == [0]
+    assert median_hull(4, [0b0110]) == [0b0110]
+    assert median_hull(2, [0b00, 0b11]) == [0b00, 0b11]
+    assert median_hull(3, [0b110, 0b101, 0b011]) == [0b011, 0b101, 0b110, 0b111]
+    assert median_hull(3, [0b110, 0b101, 0b011], limit=3) == [0b011, 0b101, 0b110, 0b111]
+    assert median_hull(3, [0b110, 0b101, 0b011], limit=1) == [0b011, 0b101]
+
+
 # -- construction and validation --------------------------------------------------
 
 
@@ -77,8 +110,101 @@ def test_validation_rejects_disconnected_vertex_set():
 
 def test_validation_rejects_median_violation():
     verts = [0b000, 0b100, 0b010, 0b001, 0b110, 0b101, 0b011]
-    with pytest.raises(InvalidComplex, match="median-closure failure"):
+    with pytest.raises(InvalidComplex) as info:
         CubeComplex(3, verts, 0b000)
+    assert str(info.value) == (
+        "median-closure failure: majority(011, 101, 110) = 111 is not a vertex")
+
+
+def _oracle_outcome(n, verts):
+    """The validation message the oracles predict for ``verts``, or None."""
+    def bits(v):
+        return format(v, "0%db" % n)
+
+    if any(len({v >> h & 1 for v in verts}) == 1 for h in range(n)):
+        return "constant"
+    seen, stack = {min(verts)}, [min(verts)]
+    while stack:
+        v = stack.pop()
+        for h in range(n):
+            u = v ^ 1 << h
+            if u in verts and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    if len(seen) != len(verts):
+        return "connectivity"
+    bad = helpers.oracle_median_violation(verts)
+    if bad is None:
+        return None
+    return "median-closure failure: majority(%s, %s, %s) = %s is not a vertex" % (
+        *map(bits, bad), bits(median_of(*bad)))
+
+
+def _validation_outcome(n, verts):
+    try:
+        CubeComplex(n, verts, min(verts))
+    except InvalidComplex as exc:
+        message = str(exc)
+        if "constant coordinate" in message:
+            return "constant"
+        if message.startswith("connectivity failure"):
+            return "connectivity"
+        return message
+    return None
+
+
+@st.composite
+def _vertex_sets(draw):
+    # raw subsets, median hulls (valid when connected), hulls with a vertex
+    # removed, and whole cubes with a few vertices removed
+    n, seeds = draw(_subsets(max_n=6, max_size=12))
+    kind = draw(st.sampled_from(("subset", "hull", "hull-minus", "cube-minus")))
+    if kind == "subset":
+        return n, seeds
+    if kind == "cube-minus":
+        return n, frozenset(range(1 << n)) - seeds or seeds
+    hull = median_closure(seeds)
+    if kind == "hull-minus":
+        hull = hull - {draw(st.sampled_from(sorted(hull)))} or hull
+    return n, hull
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_vertex_sets())
+def test_validation_agrees_with_the_oracle_scan(case):
+    # a connected set with no constant coordinate is accepted exactly when
+    # the triple scan finds no violation, and a rejection names its triple
+    n, verts = case
+    assert _validation_outcome(n, verts) == _oracle_outcome(n, verts)
+
+
+@pytest.mark.parametrize("leaves", (59, 60, 61, 64, 120))
+def test_wide_median_violation_names_the_oracle_triple(leaves):
+    # the 7-vertex example on hyperplanes 0-2, with a star of edges at 000 on
+    # the others: 62 hyperplanes and beyond take the pure-Python scan
+    n = 3 + leaves
+    verts = [v << leaves for v in (0b000, 0b100, 0b010, 0b001, 0b110, 0b101, 0b011)]
+    verts += [1 << i for i in range(leaves)]
+    expected = _oracle_outcome(n, frozenset(verts))
+    assert expected.startswith("median-closure failure: majority(011")
+    assert _validation_outcome(n, verts) == expected
+
+
+@pytest.mark.parametrize("cplx", (star_tree(200), grid_complex([70]), grid_complex([60, 3])),
+                         ids=("star200", "path70", "grid60x3"))
+def test_wide_valid_complexes_are_their_own_hull(cplx):
+    n, verts = cplx.n_hyperplanes, cplx.vertices
+    assert n > 62
+    assert median_hull(n, verts) == list(verts)
+    assert median_closure(verts) == frozenset(verts)
+    assert helpers.oracle_median_violation(verts) is None
+
+
+def test_hull_disagreeing_with_the_scan_is_an_error(monkeypatch):
+    # a certificate that contradicts the triple scan never passes as valid
+    monkeypatch.setattr(core, "median_hull", lambda n, verts, limit=None: [])
+    with pytest.raises(AssertionError, match="median hull"):
+        CubeComplex(2, [0b00, 0b01, 0b10, 0b11], 0b00)
 
 
 def test_validation_rejects_constant_coordinate():
@@ -397,6 +523,22 @@ def test_bounded_geometry_statistic_small_cases(square, tripod):
     # tripod edge meets its two endpoint vertices and all three edges
     assert tripod.bounded_geometry_statistic() == 5
     assert CubeComplex(0, [0], 0).bounded_geometry_statistic() == 1
+
+
+@pytest.mark.parametrize("cplx", [helpers.fixture(name) for name in ALL]
+                         + helpers.random_complexes(8) + [star_tree(70)],
+                         ids=list(ALL) + ["random%d" % s for s in range(8)] + ["star70"])
+def test_bounded_geometry_matches_the_oracle(cplx):
+    assert cplx.bounded_geometry_statistic() == helpers.oracle_bounded_geometry(cplx)
+
+
+def test_cube_vertices_ascend(cube3, grid12):
+    for cplx in (cube3, grid12):
+        for q in range(cplx.dimension + 1):
+            for cube in cplx.cubes(q):
+                corners = list(cplx.cube_vertices(cube))
+                assert corners == sorted(set(corners))
+                assert len(corners) == 1 << cube.dim
 
 
 # -- cxc serialization -----------------------------------------------------------------------
