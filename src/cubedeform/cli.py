@@ -30,17 +30,14 @@ import numpy as np
 from .core import CubeComplex, CxcParseError, InvalidComplex, parse_cxc, write_cxc
 from .deformation import (
     INF,
-    d_t_matrix,
+    class_blocks,
+    conjugated,
     deformation_weights,
-    delta_t_matrix,
-    gram_matrix,
     pairing_limit,
     pairing_value,
+    random_loop_residual,
     symbol_representative,
-    u_t_matrix,
-    w_hat_matrix,
-    w_path_matrix,
-    w_step_matrix,
+    w_hat_blocks,
 )
 from .differential import (
     cohomology_ranks,
@@ -423,87 +420,70 @@ def _suite_parallel(cplx, args, rng, tols):
     return checks, {"vertices": cplx.n_vertices, "classes": len(classes)}
 
 
-def _random_loop_residual(cplx, rng, t, loops=20, walk_length=8):
-    """Worst loop deviation from the identity among random class walks."""
-    worst = 0.0
-    for klass in enumerate_classes(cplx):
-        members = klass.members
-        if len(members) < 2:
-            continue
-        for _ in range(loops):
-            start = members[int(rng.integers(len(members)))]
-            cur = start
-            prod = np.eye(len(members))
-            for _step in range(walk_length):
-                nbrs = [m for m in members
-                        if (m.anchor ^ cur.anchor).bit_count() == 1]
-                if not nbrs:
-                    break
-                nxt = nbrs[int(rng.integers(len(nbrs)))]
-                h = cplx.hyperplane_of_mask(cur.anchor ^ nxt.anchor)
-                prod = w_step_matrix(cplx, cur, h, t) @ prod
-                cur = nxt
-            prod = w_path_matrix(cplx, start, cur, t) @ prod
-            worst = max(worst, float(np.linalg.norm(prod - np.eye(len(members)), 2)))
-    return worst
-
-
 def _suite_field(cplx, args, rng, tols):
     dim = cplx.dimension
     grid = args.t_grid or (0.1, 0.5, 1.0, 2.0, INF)
     loop_grid = args.t_grid or (0.3, 1.0)
     dt_grid = args.t_grid or (0.1, 1.0)
     adj_grid = args.t_grid or (0.5, 2.0)
-    checks = []
+    d = [d_matrix(cplx, q).astype(np.float64) for q in range(dim)]
 
-    r = 0.0
-    for t in grid:
-        for q in range(dim + 1):
-            g = gram_matrix(cplx, q, t)
-            if g.size:
-                r = max(r, max(0.0, -float(np.linalg.eigvalsh(g)[0])))
-    checks.append(_check("gram_psd", r, tols))
-
-    r = 0.0
-    for t in grid:
-        for q in range(dim + 1):
-            u = u_t_matrix(cplx, q, t)
-            r = max(r, _max_abs(u.T @ u - gram_matrix(cplx, q, t)))
-    checks.append(_check("unitarity_bridge", r, tols))
-
-    r = 0.0
-    for t in loop_grid:
-        if t == INF:
+    # Gram and U_t are block diagonal by parallelism class: every check
+    # but the loops runs on stacks of same-size class blocks, built once
+    # per (q, t).
+    psd = bridge = square = adjoint = 0.0
+    for t in sorted(set(grid) | set(dt_grid) | set(adj_grid)):
+        blocks = [class_blocks(cplx, q, t) for q in range(dim + 1)]
+        if t in grid:
+            for blks in (blks for per_q in blocks for blks in per_q):
+                psd = max(psd, -float(np.linalg.eigvalsh(blks.gram)[:, 0].min()))
+                bridge = max(bridge, _max_abs(
+                    blks.frame.transpose(0, 2, 1) @ blks.frame - blks.gram))
+        if t not in dt_grid and t not in adj_grid:
             continue
-        r = max(r, _random_loop_residual(cplx, rng, t))
-    checks.append(_check("path_independence", r, tols))
-
-    r = 0.0
-    for t in dt_grid:
+        below = None
         for q in range(dim):
-            r = max(r, _max_abs(
-                np.asarray(d_t_matrix(cplx, q + 1, t), dtype=np.float64)
-                @ np.asarray(d_t_matrix(cplx, q, t), dtype=np.float64)))
-    checks.append(_check("d_t_squared", r, tols))
+            d_t = d[q] if t == INF else conjugated(blocks[q + 1], d[q], blocks[q])
+            if t in dt_grid and below is not None:
+                # d_t(q) d_t(q-1) by row block, over the block's nonzero columns
+                for blks in blocks[q + 1]:
+                    part = d_t[blks.cols]
+                    cols = np.flatnonzero(part.any(axis=(0, 1)))
+                    square = max(square, _max_abs(part[:, :, cols] @ below[cols]))
+            below = d_t
+            if t in adj_grid:
+                # d_t^T G_(q+1) = G_q delta_t, compared as G_(q+1) d_t
+                # against the transpose: every product is a row block
+                g_d = np.empty(d_t.shape)
+                for blks in blocks[q + 1]:
+                    g_d[blks.cols] = blks.gram @ d_t[blks.cols]
+                g_delta = delta_matrix(cplx, q + 1).astype(np.float64)
+                if t != INF:
+                    g_delta = conjugated(blocks[q], g_delta, blocks[q + 1])
+                for blks in blocks[q]:
+                    g_delta[blks.cols] = blks.gram @ g_delta[blks.cols]
+                adjoint = max(adjoint, _max_abs(g_d.T - g_delta))
 
-    r = 0.0
-    for t in adj_grid:
-        for q in range(dim):
-            lhs = np.asarray(d_t_matrix(cplx, q, t), dtype=np.float64).T \
-                @ gram_matrix(cplx, q + 1, t)
-            rhs = gram_matrix(cplx, q, t) \
-                @ np.asarray(delta_t_matrix(cplx, q + 1, t), dtype=np.float64)
-            r = max(r, _max_abs(lhs - rhs))
-    checks.append(_check("d_t_adjoint", r, tols))
+    loops = 0.0
+    for t in loop_grid:
+        if t != INF:
+            loops = max(loops, random_loop_residual(cplx, rng, t))
 
-    r = 0.0
+    unitary = 0.0
     neighbor = base_neighbor(cplx)
     if neighbor is not None:
         for q in range(dim + 1):
-            what = w_hat_matrix(cplx, q, neighbor, cplx.base_vertex, t=1.0)
-            r = max(r, _max_abs(what.T @ what - np.eye(what.shape[0])))
-    checks.append(_check("w_hat_unitary", r, tols))
-    return checks, {}
+            for _, block in w_hat_blocks(cplx, q, neighbor, cplx.base_vertex, t=1.0):
+                unitary = max(unitary, _max_abs(block.T @ block - np.eye(len(block))))
+
+    return [
+        _check("gram_psd", psd, tols),
+        _check("unitarity_bridge", bridge, tols),
+        _check("path_independence", loops, tols),
+        _check("d_t_squared", square, tols),
+        _check("d_t_adjoint", adjoint, tols),
+        _check("w_hat_unitary", unitary, tols),
+    ], {}
 
 
 def _suite_fredholm(cplx, args, rng, tols):

@@ -16,6 +16,22 @@ composing the moves from each member to the member nearest the base vertex
 gives the change-of-basis U_t whose columns realize the deformed Gram
 matrix as transpose(U_t) U_t.
 
+Every move stays inside one class, so U_t, the Gram matrix, the
+base-point change and every loop product are block diagonal by class, and
+nothing here builds a matrix over all cubes of a degree except to hand one
+out.  The block store is one record per class (member order, positions
+among the degree's cubes, neighbors, breadth-first trees) whose crossing
+moves are cached as a row permutation and a sign vector per (H, source
+side): the move is X -> B X + A X[perm], B = b on paired rows and 1
+elsewhere, A = a * sign, which in IEEE arithmetic is the 2x2 block form
+exactly.  Classes of one size are stacked, so one gather runs a move step
+for all of them at once: ``class_blocks`` gives the Gram blocks (powers
+of x indexed by member separations) and the U_t blocks per stack, and
+``conjugated`` applies U^-1 per row block.  ``random_loop_residual`` goes
+one level further down: a loop's product is block diagonal on the member
+sets its moves mix, so those blocks, stacked by size over all loops, are
+what it rotates and hands to batched singular values.
+
 On top of that sit the basic cochains (alternating sums over the parallel
 copies of a face inside an ambient cube), their t-scaled pairings with
 exact small-t limits given by symbol inner products, the conjugated
@@ -31,7 +47,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -54,10 +70,13 @@ from .symbols import (
 )
 
 __all__ = [
+    "ClassBlocks",
     "basepoint_commutator_norm",
     "basic_cochain",
     "basic_cochain_vector",
     "basic_section_frame",
+    "class_blocks",
+    "conjugated",
     "d_t_matrix",
     "d_t_pairing",
     "d_t_pairing_limit",
@@ -69,10 +88,12 @@ __all__ = [
     "pairing_polynomial",
     "pairing_sweep",
     "pairing_value",
+    "random_loop_residual",
     "step_coefficients",
     "symbol_representative",
     "u_t_apply",
     "u_t_matrix",
+    "w_hat_blocks",
     "w_hat_matrix",
     "w_path_matrix",
     "w_step_matrix",
@@ -128,48 +149,71 @@ def oriented_pair_distance(d1: OrientedCube, d2: OrientedCube) -> int | float:
 
 
 class _ClassGeom:
-    """Adjacency structure of one parallelism class.
+    """Adjacency structure and crossing moves of one parallelism class.
 
-    Members are indexed in canonical (anchor) order.  Two members are
-    adjacent across H when they are opposite faces of a cube cut by H
-    together with the determining set; distance one is checked to imply
-    that, never assumed.
+    Members are indexed in canonical (anchor) order; ``cols`` holds their
+    positions among the degree's cubes.  Two members are adjacent across H
+    when they are opposite faces of a cube cut by H together with the
+    determining set; distance one is checked to imply that, never assumed.
+
+    Each crossing move, keyed by (H, source side) in ``move_key``, is row k
+    of ``perm`` and ``sign``: on rows indexed by members it maps X to
+    B X + A X[perm[k]], with B = b where ``sign[k]`` is nonzero and 1
+    elsewhere, and A = a sign[k].  Row 0 is the identity move.  ``adj[i]``
+    lists (neighbor j, key of the move from i to j, key of the move back)
+    in ascending neighbor order.
     """
 
-    __slots__ = ("members", "index", "adj", "pairs_by_h", "_trees")
+    __slots__ = ("members", "index", "cols", "adj", "pairs_by_h",
+                 "move_key", "perm", "sign", "_trees", "_paths")
 
     def __init__(self, cplx: CubeComplex, klass: ParallelClass):
         self.members = klass.members
-        self.index = {m.anchor: i for i, m in enumerate(self.members)}
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in self.members]
+        m = len(self.members)
+        self.index = {c.anchor: i for i, c in enumerate(self.members)}
+        cube_index = cplx.cube_index(klass.dim)
+        self.cols = np.fromiter((cube_index[c] for c in self.members), np.intp, m)
         self.pairs_by_h: dict[int, list[tuple[int, int]]] = {}
         for i, member in enumerate(self.members):
             for h in range(cplx.n_hyperplanes):
                 if h in member.cutting:
                     continue
-                m = cplx.mask(h)
-                if member.anchor & m:
+                mask = cplx.mask(h)
+                if member.anchor & mask:
                     continue  # handle each pair from its 0-side
-                j = self.index.get(member.anchor ^ m)
+                j = self.index.get(member.anchor ^ mask)
                 if j is None:
                     continue
                 if not cplx.adjacent_cube(member, h):
                     raise AssertionError(
                         "class members at distance one across %d span no cube" % h)
                 self.pairs_by_h.setdefault(h, []).append((i, j))
-                self.adj[i].append((j, h))
-                self.adj[j].append((i, h))
+        self.move_key: dict[tuple[int, int], int] = {}
+        self.perm = np.tile(np.arange(m), (2 * len(self.pairs_by_h) + 1, 1))
+        self.sign = np.zeros(self.perm.shape, dtype=np.int8)
+        self.adj: list[list[tuple[int, int, int]]] = [[] for _ in self.members]
+        for h, pairs in self.pairs_by_h.items():
+            lo, hi = np.array(pairs).T
+            for side, (u, v) in enumerate(((lo, hi), (hi, lo))):
+                k = self.move_key[h, side] = len(self.move_key) + 1
+                self.perm[k, u], self.perm[k, v] = v, u
+                self.sign[k, u], self.sign[k, v] = -1, 1
+            up, down = self.move_key[h, 0], self.move_key[h, 1]
+            for i, j in pairs:
+                self.adj[i].append((j, up, down))
+                self.adj[j].append((i, down, up))
         for lst in self.adj:
-            lst.sort(key=lambda e: self.members[e[0]].anchor)
+            lst.sort()
         self._trees: dict[int, list] = {}
+        self._paths: dict[int, np.ndarray] = {}
 
     def tree(self, root: int) -> list:
         """Breadth-first parent table rooted at ``root``.
 
-        Entry i is (parent index, crossing hyperplane, side of member i
-        under that hyperplane) or None at the root.  Neighbors are taken
-        first-in-first-out in ascending anchor order, so the table and
-        every path drawn from it are deterministic.
+        Entry i is (parent index, key of the move from member i to its
+        parent) or None at the root.  Neighbors are taken first-in-first-out
+        in ascending anchor order, so the table and every path drawn from it
+        are deterministic.
         """
         got = self._trees.get(root)
         if got is None:
@@ -177,17 +221,67 @@ class _ClassGeom:
             seen = {root}
             queue = [root]
             for i in queue:
-                for j, h in self.adj[i]:
+                for j, _, back in self.adj[i]:
                     if j not in seen:
                         seen.add(j)
-                        diff = self.members[i].anchor ^ self.members[j].anchor
-                        side = 1 if self.members[j].anchor & diff else 0
-                        got[j] = (i, h, side)
+                        got[j] = (i, back)
                         queue.append(j)
             if len(seen) != len(self.members):
                 raise AssertionError("parallelism class is not connected")
             self._trees[root] = got
         return got
+
+    def path_keys(self, root: int, start: int) -> list[int]:
+        """Move keys of the tree path from ``start`` up to ``root``."""
+        parents = self.tree(root)
+        keys = []
+        while start != root:
+            start, key = parents[start]
+            keys.append(key)
+        return keys
+
+    def root_paths(self, root: int) -> np.ndarray:
+        """Row i: the move keys from member i up to ``root``, padded with 0."""
+        got = self._paths.get(root)
+        if got is None:
+            parents = self.tree(root)
+            paths: list = [None] * len(self.members)
+            paths[root] = []
+            for start in range(len(self.members)):
+                chain = []
+                node = start
+                while paths[node] is None:
+                    chain.append(node)
+                    node = parents[node][0]
+                for node in reversed(chain):
+                    parent, key = parents[node]
+                    paths[node] = [key] + paths[parent]
+            got = self._paths[root] = _padded(paths)
+        return got
+
+
+def _padded(rows: list[list[int]]) -> np.ndarray:
+    """Key lists as one matrix, padded with the identity key 0."""
+    out = np.zeros((len(rows), max(map(len, rows))), dtype=np.intp)
+    for row, keys in zip(out, rows):
+        row[:len(keys)] = keys
+    return out
+
+
+def _member_distances(cplx: CubeComplex, members) -> np.ndarray:
+    """Pairwise separations s_i + s_j - 2 B B^T from the members' 0/1 bits.
+
+    B has one column per hyperplane, taken from the anchors' big-endian
+    bytes, so no anchor width limit applies; sums are exact in float64.
+    """
+    width = (cplx.n_hyperplanes + 7) // 8
+    raw = b"".join(c.anchor.to_bytes(width, "big") for c in members)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(members), width),
+                         axis=1)
+    bits = bits[:, bits.min(axis=0) != bits.max(axis=0)].astype(np.float64)
+    ones = bits.sum(axis=1)
+    dist = ones[:, None] + ones[None, :] - 2.0 * (bits @ bits.T)
+    return dist.astype(np.min_scalar_type(cplx.n_hyperplanes))
 
 
 def _class_geom(cplx: CubeComplex, klass: ParallelClass) -> _ClassGeom:
@@ -199,33 +293,77 @@ def _class_geom(cplx: CubeComplex, klass: ParallelClass) -> _ClassGeom:
     return got
 
 
-def _apply_step(vec, pairs, src_side: int, a, b) -> None:
-    """One crossing move on a coefficient vector; pairs are (0-side, 1-side)."""
-    for i0, i1 in pairs:
-        u, v = (i0, i1) if src_side == 0 else (i1, i0)
-        xu, xv = vec[u], vec[v]
-        vec[u] = b * xu - a * xv
-        vec[v] = a * xu + b * xv
+def _degree_geoms(cplx: CubeComplex, q: int):
+    """(class, geometry) for every degree-q parallelism class."""
+    for klass in enumerate_classes(cplx):
+        if klass.dim == q:
+            yield klass, _class_geom(cplx, klass)
 
 
-def _apply_step_rows(mat: np.ndarray, pairs, src_side: int, a, b) -> None:
-    """Left-multiply a matrix by one crossing move, row combinations in place."""
-    for i0, i1 in pairs:
-        u, v = (i0, i1) if src_side == 0 else (i1, i0)
-        ru = b * mat[u] - a * mat[v]
-        rv = a * mat[u] + b * mat[v]
-        mat[u] = ru
-        mat[v] = rv
+def _by_size(items) -> list[list]:
+    """Group (class geometry, payload) items by class size, in first-seen order."""
+    groups: dict[int, list] = {}
+    for item in items:
+        groups.setdefault(len(item[0].members), []).append(item)
+    return list(groups.values())
 
 
-def _path_to_root(geom: _ClassGeom, root: int, start: int):
-    """Yield (hyperplane, source side) moves walking from start up to root."""
-    parents = geom.tree(root)
-    i = start
-    while i != root:
-        j, h, side = parents[i]
-        yield h, side
-        i = j
+def _stacked_moves(items: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One move table for classes of one size, and every slice's keys in it.
+
+    ``items`` pairs class geometries with key matrices, one row of move
+    keys per slice (0, the identity, pads).  Returns the stacked ``perm``
+    and ``sign`` tables and the slices' keys shifted into them, padded
+    with each class's own identity row.
+    """
+    perm = np.concatenate([geom.perm for geom, _ in items])
+    sign = np.concatenate([geom.sign for geom, _ in items])
+    keys = np.zeros((sum(len(k) for _, k in items),
+                     max(k.shape[1] for _, k in items)), dtype=np.intp)
+    row = base = 0
+    for geom, k in items:
+        keys[row:row + len(k)] = base
+        keys[row:row + len(k), :k.shape[1]] += k
+        row += len(k)
+        base += len(geom.perm)
+    return perm, sign, keys
+
+
+def _rotate(stack: np.ndarray, perm: np.ndarray, sign: np.ndarray, ab: tuple,
+            keys: np.ndarray | None = None) -> None:
+    """Run each slice of ``stack`` through its own crossing moves, in place.
+
+    At step s slice l takes the move (perm[l, s], sign[l, s]), or with
+    ``keys`` the table rows (perm[k], sign[k]) for k = keys[l, s]; one
+    step of every slice is one gather and two scalings.  Row u of a slice
+    becomes b X[u] - a X[v] and its partner v becomes a X[u] + b X[v],
+    each product rounded once as in the 2x2 block form; rows outside the
+    move's pairs are kept.
+    """
+    a, b = ab
+    moving = sign.any(axis=-1)
+    if not isinstance(a, float):
+        sign = sign.astype(object)
+    scale_b, scale_a = np.where(sign != 0, b, 1), a * sign
+    if keys is None:
+        def at(table, s, end):
+            return table[:end, s]
+    else:
+        moving = moving[keys]
+
+        def at(table, s, end):
+            return table[keys[:end, s]]
+    # at each step, slices past the last one still moving are left alone
+    ends = len(moving) - np.argmax(moving[::-1], axis=0)
+    ends[~moving.any(axis=0)] = 0
+    rows = np.arange(len(stack))[:, None]
+    tail = (...,) + (None,) * (stack.ndim - 2)
+    for s, end in enumerate(ends):
+        part = stack[:end]
+        moved = part[rows[:end], at(perm, s, end)]
+        part *= at(scale_b, s, end)[tail]
+        moved *= at(scale_a, s, end)[tail]
+        part += moved
 
 
 def _resolve_ab(t: float | None, ab: tuple | None) -> tuple:
@@ -236,6 +374,22 @@ def _resolve_ab(t: float | None, ab: tuple | None) -> tuple:
 
 def _is_exact(ab: tuple | None) -> bool:
     return ab is not None and not isinstance(ab[0], float)
+
+
+def _path_block(geom: _ClassGeom, root: int, start: int, ab: tuple,
+                exact: bool) -> np.ndarray:
+    """The composite move from member ``start`` to member ``root``."""
+    out = np.identity(len(geom.members), dtype=object if exact else np.float64)
+    keys = np.array([geom.path_keys(root, start)], dtype=np.intp)
+    _rotate(out[None], geom.perm, geom.sign, ab, keys)
+    return out
+
+
+def _scatter(out: np.ndarray, pieces) -> np.ndarray:
+    """Write each block, or stack of blocks, onto its rows and columns."""
+    for cols, block in pieces:
+        out[cols[..., :, None], cols[..., None, :]] = block
+    return out
 
 
 def w_step_matrix(cplx: CubeComplex, cube: Cube, h: int, t: float | None = None,
@@ -272,14 +426,104 @@ def w_path_matrix(cplx: CubeComplex, target: Cube, source: Cube,
     """
     if target.cutting != source.cutting:
         raise ValueError("cubes %r and %r are not parallel" % (target, source))
-    a, b = _resolve_ab(t, ab)
     geom = _class_geom(cplx, class_of(cplx, target.cutting))
-    m = len(geom.members)
-    out = np.identity(m, dtype=object if _is_exact(ab) else np.float64)
-    root = geom.index[target.anchor]
-    for h, side in _path_to_root(geom, root, geom.index[source.anchor]):
-        _apply_step_rows(out, geom.pairs_by_h.get(h, ()), side, a, b)
-    return out
+    return _path_block(geom, geom.index[target.anchor], geom.index[source.anchor],
+                       _resolve_ab(t, ab), _is_exact(ab))
+
+
+def _loop_blocks(moves: tuple):
+    """Cut loops into the member sets their moves mix.
+
+    ``moves`` is a ``_stacked_moves`` triple for classes of one size m,
+    one loop per row of keys.  A loop's moves only mix members joined
+    through the pairs the moves make, so its product is block diagonal on
+    those sets and the identity on untouched members.  Yields, per set
+    size c >= 2, every such set's moves in local member order: (perm,
+    sign), each (sets, steps, c).  Members keep their class order, so the
+    block products are bit for bit those of the whole class.
+    """
+    perm, sign, keys = moves
+    perm, sign = perm[keys], sign[keys]
+    n_loops, n_steps, m = perm.shape
+    loops = np.arange(n_loops)[:, None]
+    label = np.tile(np.arange(m), (n_loops, 1))
+    while True:  # smallest member of each set, propagated along the pairs
+        before = label
+        for step in range(n_steps):
+            label = np.minimum(label, label[loops, perm[:, step]])
+        if np.array_equal(label, before):
+            break
+    flat = (label + loops * m).ravel()
+    order = np.argsort(flat, kind="stable")
+    _, start, size = np.unique(flat[order], return_index=True, return_counts=True)
+    local = np.empty(flat.size, dtype=np.intp)
+    local[order] = np.arange(flat.size) - np.repeat(start, size)
+    local = local.reshape(n_loops, m)
+    for c in np.unique(size[size > 1]):
+        loop, member = np.divmod(order[start[size == c, None] + np.arange(c)], m)
+        at = (loop[:, :1, None], np.arange(n_steps)[:, None], member[:, None, :])
+        yield int(c), local[loop[:, :1, None], perm[at]], sign[at]
+
+
+def random_loop_residual(cplx: CubeComplex, rng, t: float,
+                         loops: int = 20, walk_length: int = 8) -> float:
+    """Worst deviation from the identity over random closed member walks.
+
+    In every class of two or more members, each loop starts at a random
+    member, takes ``walk_length`` steps to random neighbors and returns to
+    the start along the tree path.  All walks are drawn first, class by
+    class in the order of the dense product they replace (start, then each
+    neighbor), so a seed picks the same loops.  A loop's product is block
+    diagonal on the member sets its moves mix, and its deviation is the
+    largest over those blocks: the blocks of all loops are stacked by size,
+    rotated move by move (longest first, so finished blocks drop out) and
+    share one batched singular-value call per size.
+    """
+    draw = rng.integers
+    walks = []
+    for klass in enumerate_classes(cplx):
+        m = len(klass.members)
+        if m < 2:
+            continue
+        geom = _class_geom(cplx, klass)
+        adj = geom.adj
+        rows = []
+        for _ in range(loops):
+            start = cur = int(draw(m))
+            keys = []
+            for _step in range(walk_length):
+                nbrs = adj[cur]
+                if not nbrs:
+                    break
+                cur, key, _ = nbrs[draw(len(nbrs))]
+                keys.append(key)
+            rows.append(keys + geom.path_keys(start, cur))
+        walks.append((geom, _padded(rows)))
+    blocks: dict[int, list] = {}
+    for same in _by_size(walks):
+        for c, perm, sign in _loop_blocks(_stacked_moves(same)):
+            blocks.setdefault(c, []).append((perm, sign))
+    ab = step_coefficients(t)
+    worst = 0.0
+    for c, parts in blocks.items():
+        n = sum(len(p) for p, _ in parts)
+        width = max(p.shape[1] for p, _ in parts)
+        perm = np.tile(np.arange(c), (n, width, 1))  # padded with the identity
+        sign = np.zeros((n, width, c), dtype=np.int8)
+        row = 0
+        for p, g in parts:
+            perm[row:row + len(p), :p.shape[1]] = p
+            sign[row:row + len(p), :g.shape[1]] = g
+            row += len(p)
+        moving = sign.any(axis=2)
+        longest_first = np.argsort(np.argmax(moving[:, ::-1], axis=1), kind="stable")
+        perm, sign = perm[longest_first], sign[longest_first]
+        stack = np.tile(np.identity(c), (n, 1, 1))
+        _rotate(stack, perm, sign, ab)
+        diag = np.arange(c)
+        stack[:, diag, diag] -= 1.0
+        worst = max(worst, float(np.linalg.svd(stack, compute_uv=False).max()))
+    return worst
 
 
 def _class_root(cplx: CubeComplex, klass: ParallelClass,
@@ -294,6 +538,81 @@ def _class_root(cplx: CubeComplex, klass: ParallelClass,
     return geom.index[home.anchor]
 
 
+class _FrameGroup(NamedTuple):
+    """The t-independent data of the degree-q classes of one size m.
+
+    Stacked over those k classes: member positions among the degree-q
+    cubes (k, m), pairwise member separations (k, m, m), and the moves
+    that carry every member to its class root (``_stacked_moves`` tables
+    and keys, one slice per member).
+    """
+
+    cols: np.ndarray
+    dist: np.ndarray
+    perm: np.ndarray
+    sign: np.ndarray
+    keys: np.ndarray
+
+
+def _frame_groups(cplx: CubeComplex, q: int,
+                  class_bases: dict | None = None) -> list[_FrameGroup]:
+    """Degree-q classes grouped by size; kept per base vertex unless rerooted."""
+    key = ("frame_groups", q, cplx.base_vertex)
+    got = None if class_bases else cplx._shared.get(key)
+    if got is None:
+        got = [
+            _FrameGroup(np.array([geom.cols for geom, _ in same]),
+                        np.array([_member_distances(cplx, geom.members)
+                                  for geom, _ in same]),
+                        *_stacked_moves(same))
+            for same in _by_size(
+                (geom, geom.root_paths(_class_root(cplx, klass, class_bases)))
+                for klass, geom in _degree_geoms(cplx, q))]
+        if not class_bases:
+            cplx._shared[key] = got
+    return got
+
+
+class ClassBlocks(NamedTuple):
+    """The deformed frame on the degree-q classes of one size m, at one t.
+
+    Stacked over those k classes: ``cols`` (k, m) holds each class's member
+    positions among the degree-q cubes, ``gram`` and ``frame`` (k, m, m)
+    its blocks of the Gram matrix and of U_t.
+    """
+
+    cols: np.ndarray
+    gram: np.ndarray
+    frame: np.ndarray
+
+
+def _gram_powers(cplx: CubeComplex, t: float) -> np.ndarray:
+    _check_t(t)
+    x = math.exp(-t * t / 2.0)
+    return np.array([x ** d for d in range(cplx.n_hyperplanes + 1)])
+
+
+def class_blocks(cplx: CubeComplex, q: int, t: float,
+                 class_bases: dict | None = None) -> tuple[ClassBlocks, ...]:
+    """The Gram and U_t blocks of every degree-q parallelism class.
+
+    Both matrices are block diagonal by class, so this is all of them;
+    ``class_bases`` overrides roots as in ``u_t_matrix``.  A frame column
+    is the move from its member to the root: the columns are rotated as
+    the rows of the transpose, each along its own path, all at once.
+    """
+    powers = _gram_powers(cplx, t)
+    ab = step_coefficients(t)
+    out = []
+    for group in _frame_groups(cplx, q, class_bases):
+        k, m = group.cols.shape
+        columns = np.tile(np.identity(m), (k, 1))
+        _rotate(columns, group.perm, group.sign, ab, group.keys)
+        out.append(ClassBlocks(group.cols, powers[group.dist],
+                               columns.reshape(k, m, m).transpose(0, 2, 1)))
+    return tuple(out)
+
+
 def u_t_matrix(cplx: CubeComplex, q: int, t: float,
                class_bases: dict | None = None) -> np.ndarray:
     """Change of basis carrying degree-q cochains into the t-frame.
@@ -303,24 +622,9 @@ def u_t_matrix(cplx: CubeComplex, q: int, t: float,
     applied to the member itself.  ``class_bases`` optionally overrides
     that root cube per determining set.
     """
-    a, b = step_coefficients(t)
-    index = cplx.cube_index(q)
-    out = np.zeros((len(index), len(index)), dtype=np.float64)
-    for klass in enumerate_classes(cplx):
-        if klass.dim != q:
-            continue
-        geom = _class_geom(cplx, klass)
-        root = _class_root(cplx, klass, class_bases)
-        cols = [index[member] for member in geom.members]
-        for i in range(len(geom.members)):
-            vec = [0.0] * len(geom.members)
-            vec[i] = 1.0
-            for h, side in _path_to_root(geom, root, i):
-                _apply_step(vec, geom.pairs_by_h.get(h, ()), side, a, b)
-            for j, value in enumerate(vec):
-                if value:
-                    out[cols[j], cols[i]] = value
-    return out
+    n = len(cplx.cubes(q))
+    return _scatter(np.zeros((n, n)), (
+        (blks.cols, blks.frame) for blks in class_blocks(cplx, q, t, class_bases)))
 
 
 def u_t_apply(cplx: CubeComplex, cochain: dict, t: float | None = None,
@@ -339,13 +643,12 @@ def u_t_apply(cplx: CubeComplex, cochain: dict, t: float | None = None,
         geom = _class_geom(cplx, klass)
         root = _class_root(cplx, klass, class_bases)
         start = geom.index[cube.anchor]
-        vec = [zero] * len(geom.members)
-        vec[start] = coeff + zero
-        for h, side in _path_to_root(geom, root, start):
-            _apply_step(vec, geom.pairs_by_h.get(h, ()), side, a, b)
-        for j, value in enumerate(vec):
+        vec = np.full((1, len(geom.members)), zero, dtype=object)
+        vec[0, start] = coeff + zero
+        keys = np.array([geom.path_keys(root, start)], dtype=np.intp)
+        _rotate(vec, geom.perm, geom.sign, (a, b), keys)
+        for member, value in zip(geom.members, vec[0]):
             if value:
-                member = geom.members[j]
                 acc = out.get(member, zero) + value
                 if acc:
                     out[member] = acc
@@ -360,18 +663,10 @@ def gram_matrix(cplx: CubeComplex, q: int, t: float) -> np.ndarray:
     Entry exp(-t^2 d / 2) between parallel members at separation d, zero
     across classes; the identity at t = infinity.
     """
-    _check_t(t)
-    x = math.exp(-t * t / 2.0)
-    index = cplx.cube_index(q)
-    out = np.zeros((len(index), len(index)), dtype=np.float64)
-    for klass in enumerate_classes(cplx):
-        if klass.dim != q:
-            continue
-        cols = [index[m] for m in klass.members]
-        for i, m1 in enumerate(klass.members):
-            for j, m2 in enumerate(klass.members):
-                out[cols[i], cols[j]] = x ** (m1.anchor ^ m2.anchor).bit_count()
-    return out
+    powers = _gram_powers(cplx, t)
+    n = len(cplx.cubes(q))
+    return _scatter(np.zeros((n, n)), (
+        (group.cols, powers[group.dist]) for group in _frame_groups(cplx, q)))
 
 
 # -- basic cochains and their pairings -----------------------------------------------
@@ -595,6 +890,29 @@ def pairing_sweep(cplx: CubeComplex, pair1: CubePair, o1: OrientedCube,
 # -- conjugated differentials --------------------------------------------------------
 
 
+def conjugated(hi: tuple[ClassBlocks, ...], mat: np.ndarray,
+               lo: tuple[ClassBlocks, ...]) -> np.ndarray:
+    """U_hi^(-1) mat U_lo, each frame given by its class blocks.
+
+    U_lo multiplies column blocks and U_hi^(-1) solves row blocks, one
+    stack of same-size classes at a time.  Each stack works on the rows
+    (or columns) where its block of the matrix has a nonzero entry; the
+    others stay exactly zero.
+    """
+    mat = np.asarray(mat, dtype=np.float64)
+    out = np.zeros(mat.shape)
+    for blks in lo:
+        part = mat[:, blks.cols]
+        rows = np.flatnonzero(part.any(axis=(1, 2)))
+        out[rows[:, None, None], blks.cols] = (
+            part[rows].transpose(1, 0, 2) @ blks.frame).transpose(1, 0, 2)
+    for blks in hi:
+        part = out[blks.cols]
+        cols = np.flatnonzero(part.any(axis=(0, 1)))
+        out[blks.cols[:, :, None], cols] = np.linalg.solve(blks.frame, part[:, :, cols])
+    return out
+
+
 def d_t_matrix(cplx: CubeComplex, q: int, t: float, weighted: bool = False) -> np.ndarray:
     """The differential seen through the t-frame on degree q.
 
@@ -606,10 +924,8 @@ def d_t_matrix(cplx: CubeComplex, q: int, t: float, weighted: bool = False) -> n
     w = deformation_weights(cplx, t) if weighted else None
     if t == INF:
         return d_matrix(cplx, q, w)
-    hi = u_t_matrix(cplx, q + 1, t)
-    lo = u_t_matrix(cplx, q, t)
-    img = d_matrix(cplx, q, w).astype(np.float64)
-    return np.linalg.solve(hi, img.dot(lo))
+    return conjugated(class_blocks(cplx, q + 1, t), d_matrix(cplx, q, w),
+                      class_blocks(cplx, q, t))
 
 
 def delta_t_matrix(cplx: CubeComplex, q: int, t: float, weighted: bool = False) -> np.ndarray:
@@ -618,10 +934,8 @@ def delta_t_matrix(cplx: CubeComplex, q: int, t: float, weighted: bool = False) 
     w = deformation_weights(cplx, t) if weighted else None
     if t == INF:
         return delta_matrix(cplx, q, w)
-    hi = u_t_matrix(cplx, q, t)
-    lo = u_t_matrix(cplx, q - 1, t)
-    img = delta_matrix(cplx, q, w).astype(np.float64)
-    return np.linalg.solve(lo, img.dot(hi))
+    return conjugated(class_blocks(cplx, q - 1, t), delta_matrix(cplx, q, w),
+                      class_blocks(cplx, q, t))
 
 
 def d_t_pairing(cplx: CubeComplex, pair1: CubePair, o1: OrientedCube,
@@ -670,6 +984,26 @@ def d_t_pairing_limit(cplx: CubeComplex, pair1: CubePair, o1: OrientedCube,
 # -- base-point change ----------------------------------------------------------------
 
 
+def w_hat_blocks(cplx: CubeComplex, q: int, target_vertex: int, source_vertex: int,
+                 t: float | None = None, ab: tuple | None = None) -> list:
+    """The blocks of ``w_hat_matrix`` that differ from the identity.
+
+    One (cols, block) per degree-q class whose member nearest
+    ``source_vertex`` is not the one nearest ``target_vertex``; the block
+    is the composite crossing move from the first to the second.
+    """
+    exact = _is_exact(ab)
+    ab = _resolve_ab(t, ab)
+    out = []
+    for klass, geom in _degree_geoms(cplx, q):
+        near_t = nearest_in_class(cplx, target_vertex, klass)
+        near_s = nearest_in_class(cplx, source_vertex, klass)
+        if near_t != near_s:
+            out.append((geom.cols, _path_block(
+                geom, geom.index[near_t.anchor], geom.index[near_s.anchor], ab, exact)))
+    return out
+
+
 def w_hat_matrix(cplx: CubeComplex, q: int, target_vertex: int, source_vertex: int,
                  t: float | None = None, ab: tuple | None = None) -> np.ndarray:
     """Base-point-change operator on degree-q cochains.
@@ -678,22 +1012,9 @@ def w_hat_matrix(cplx: CubeComplex, q: int, target_vertex: int, source_vertex: i
     crossing move from the member nearest ``source_vertex`` to the member
     nearest ``target_vertex``.
     """
-    a, b = _resolve_ab(t, ab)
-    index = cplx.cube_index(q)
-    out = np.identity(len(index), dtype=object if _is_exact(ab) else np.float64)
-    for klass in enumerate_classes(cplx):
-        if klass.dim != q:
-            continue
-        near_t = nearest_in_class(cplx, target_vertex, klass)
-        near_s = nearest_in_class(cplx, source_vertex, klass)
-        if near_t == near_s:
-            continue
-        block = w_path_matrix(cplx, near_t, near_s, ab=(a, b))
-        cols = [index[m] for m in klass.members]
-        for i, gi in enumerate(cols):
-            for j, gj in enumerate(cols):
-                out[gi, gj] = block[i, j]
-    return out
+    n = len(cplx.cubes(q))
+    out = np.identity(n, dtype=object if _is_exact(ab) else np.float64)
+    return _scatter(out, w_hat_blocks(cplx, q, target_vertex, source_vertex, t, ab))
 
 
 def basepoint_commutator_norm(cplx: CubeComplex, p_vertex: int, q_vertex: int,

@@ -22,6 +22,7 @@ from cubedeform.core import Cube
 from cubedeform.deformation import (
     basic_cochain,
     deformation_weights,
+    step_coefficients,
     symbol_representative,
     w_path_matrix,
     w_step_matrix,
@@ -34,7 +35,7 @@ from cubedeform.fredholm import (
     inv_sqrt_spectral,
     resolvent,
 )
-from cubedeform.parallelism import enumerate_classes
+from cubedeform.parallelism import class_of, enumerate_classes, nearest_in_class
 from cubedeform.symbols import ps_basis, symbol_inner, symbol_key, symbol_of_pair
 
 FIXTURE_NAMES = ("point", "square", "tripod", "cube3", "grid12")
@@ -157,6 +158,111 @@ def adjacent_vertex_pairs(cplx: CubeComplex) -> list[tuple[int, int]]:
             u = v ^ cplx.mask(h)
             if cplx.contains_vertex(u) and v < u:
                 out.append((v, u))
+    return out
+
+
+# -- frame oracles: per-entry assembly and row-pair moves, nothing cached -------
+
+
+def oracle_gram_matrix(cplx: CubeComplex, q: int, t: float) -> np.ndarray:
+    """exp(-t^2 d / 2) written entry by entry, d the popcount of the anchors' xor."""
+    x = math.exp(-t * t / 2.0)
+    index = cplx.cube_index(q)
+    out = np.zeros((len(index), len(index)))
+    for klass in enumerate_classes(cplx):
+        if klass.dim != q:
+            continue
+        cols = [index[m] for m in klass.members]
+        for i, m1 in enumerate(klass.members):
+            for j, m2 in enumerate(klass.members):
+                out[cols[i], cols[j]] = x ** (m1.anchor ^ m2.anchor).bit_count()
+    return out
+
+
+def oracle_u_t_matrix(cplx: CubeComplex, q: int, t: float,
+                      class_bases: dict | None = None) -> np.ndarray:
+    """U_t entry by entry: column c is the row-pair move from c to its root."""
+    index = cplx.cube_index(q)
+    out = np.zeros((len(index), len(index)))
+    for klass in enumerate_classes(cplx):
+        if klass.dim != q:
+            continue
+        root = (class_bases or {}).get(klass.determining) or \
+            nearest_in_class(cplx, cplx.base_vertex, klass)
+        for j, member in enumerate(klass.members):
+            column = oracle_w_path_matrix(cplx, root, member, t)[:, j]
+            for i, other in enumerate(klass.members):
+                if column[i]:
+                    out[index[other], index[member]] = column[i]
+    return out
+
+
+def _oracle_tree_path(cplx: CubeComplex, members, root: int, start: int) -> list:
+    """(hyperplane, side of the moving member) steps from start up to root.
+
+    The breadth-first tree takes neighbors (members at distance one)
+    first-in-first-out in ascending anchor order.
+    """
+    anchors = [m.anchor for m in members]
+    parent = {root: None}
+    queue = deque([root])
+    while queue:
+        i = queue.popleft()
+        for j, anchor in enumerate(anchors):
+            if j not in parent and (anchors[i] ^ anchor).bit_count() == 1:
+                parent[j] = i
+                queue.append(j)
+    steps = []
+    i = start
+    while i != root:
+        j = parent[i]
+        h = cplx.hyperplane_of_mask(anchors[i] ^ anchors[j])
+        steps.append((h, 1 if anchors[i] & cplx.mask(h) else 0))
+        i = j
+    return steps
+
+
+def oracle_w_path_matrix(cplx: CubeComplex, target: Cube, source: Cube,
+                         t: float | None = None, ab: tuple | None = None) -> np.ndarray:
+    """The composite move applied one row pair at a time, in the 2x2 block form."""
+    a, b = ab if ab is not None else step_coefficients(t)
+    exact = ab is not None and not isinstance(a, float)
+    members = class_of(cplx, target.cutting).members
+    index = {m.anchor: i for i, m in enumerate(members)}
+    out = np.identity(len(members), dtype=object if exact else np.float64)
+    for h, side in _oracle_tree_path(cplx, members, index[target.anchor],
+                                     index[source.anchor]):
+        mask = cplx.mask(h)
+        for u, member in enumerate(members):
+            v = index.get(member.anchor ^ mask)
+            if v is None or (1 if member.anchor & mask else 0) != side:
+                continue
+            ru = b * out[u] - a * out[v]
+            rv = a * out[u] + b * out[v]
+            out[u] = ru
+            out[v] = rv
+    return out
+
+
+def oracle_w_hat_matrix(cplx: CubeComplex, q: int, target_vertex: int,
+                        source_vertex: int, t: float | None = None,
+                        ab: tuple | None = None) -> np.ndarray:
+    """Base-point change with each class block copied entry by entry."""
+    exact = ab is not None and not isinstance(ab[0], float)
+    index = cplx.cube_index(q)
+    out = np.identity(len(index), dtype=object if exact else np.float64)
+    for klass in enumerate_classes(cplx):
+        if klass.dim != q:
+            continue
+        near_t = nearest_in_class(cplx, target_vertex, klass)
+        near_s = nearest_in_class(cplx, source_vertex, klass)
+        if near_t == near_s:
+            continue
+        block = oracle_w_path_matrix(cplx, near_t, near_s, t, ab)
+        cols = [index[m] for m in klass.members]
+        for i, gi in enumerate(cols):
+            for j, gj in enumerate(cols):
+                out[gi, gj] = block[i, j]
     return out
 
 

@@ -6,9 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 import helpers
+from cubedeform import deformation
 from cubedeform.core import Cube
 from cubedeform.deformation import (
     basepoint_commutator_norm,
@@ -26,6 +29,7 @@ from cubedeform.deformation import (
     pairing_polynomial,
     pairing_sweep,
     pairing_value,
+    random_loop_residual,
     step_coefficients,
     symbol_representative,
     u_t_apply,
@@ -35,7 +39,7 @@ from cubedeform.deformation import (
     w_step_matrix,
 )
 from cubedeform.differential import OrientedCube, d_matrix, delta_matrix, wedge_matrix
-from cubedeform.generate import hypercube
+from cubedeform.generate import hypercube, random_median_complex, star_tree
 from cubedeform.parallelism import class_of, enumerate_classes, pair_distance
 from cubedeform.symbols import canonical_symbol_vertex, cube_pair, symbol_from_raw
 
@@ -552,3 +556,121 @@ def test_basepoint_commutator_decays(square, grid12):
             assert math.isfinite(basepoint_commutator_norm(cplx, p, q, t))
     with pytest.raises(ValueError, match="adjacent"):
         basepoint_commutator_norm(square, 0b00, 0b11, 1.0)
+
+
+# -- the class-block store ------------------------------------------------------------------
+
+
+def _block_complexes():
+    names = helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES
+    wide = star_tree(70)
+    assert wide.n_hyperplanes > 62  # anchors wider than an int64
+    return [helpers.fixture(n) for n in names] + helpers.random_complexes(8) + [wide]
+
+
+def test_gram_blocks_match_entrywise_oracle():
+    for cplx in _block_complexes():
+        for q in range(cplx.dimension + 1):
+            for t in (0.1, 0.9, INF):
+                assert np.array_equal(gram_matrix(cplx, q, t),
+                                      helpers.oracle_gram_matrix(cplx, q, t))
+
+
+def test_class_blocks_partition_each_degree():
+    for cplx in _block_complexes():
+        for q in range(cplx.dimension + 1):
+            blocks = deformation.class_blocks(cplx, q, 0.7)
+            cols = np.concatenate([blks.cols.ravel() for blks in blocks])
+            assert sorted(cols) == list(range(len(cplx.cubes(q))))
+            for blks in blocks:
+                k, m = blks.cols.shape
+                assert blks.gram.shape == blks.frame.shape == (k, m, m)
+
+
+def test_u_t_matrix_matches_columnwise_oracle(square):
+    for cplx in _block_complexes()[:-1]:
+        for q in range(cplx.dimension + 1):
+            for t in (0.3, 1.0, INF):
+                assert np.array_equal(u_t_matrix(cplx, q, t),
+                                      helpers.oracle_u_t_matrix(cplx, q, t))
+    bases = {(0,): class_of(square, (0,)).members[-1]}
+    assert np.array_equal(u_t_matrix(square, 1, 0.5, class_bases=bases),
+                          helpers.oracle_u_t_matrix(square, 1, 0.5, class_bases=bases))
+
+
+@pytest.mark.parametrize("ab", (None, (Fraction(3, 5), Fraction(4, 5)), (1, 0)))
+def test_w_path_matches_row_pair_oracle(ab):
+    # the cached permutation-and-scale move equals the 2x2 block form,
+    # exactly in IEEE arithmetic and in exact scalars
+    for name in ("square", "tripod", "cube3", "grid12", "grid22", "path4"):
+        cplx = helpers.fixture(name)
+        for klass in enumerate_classes(cplx):
+            for target in klass.members:
+                for source in klass.members:
+                    got = w_path_matrix(cplx, target, source, 0.7, ab)
+                    want = helpers.oracle_w_path_matrix(cplx, target, source, 0.7, ab)
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("ab", (None, (Fraction(3, 5), Fraction(4, 5))))
+def test_w_hat_matches_entrywise_oracle(ab):
+    for cplx in _block_complexes()[:-1]:
+        far = cplx.vertices[-1]
+        pairs = helpers.adjacent_vertex_pairs(cplx) + [(cplx.base_vertex, far)]
+        for p, r in pairs:
+            for q in range(cplx.dimension + 1):
+                got = w_hat_matrix(cplx, q, r, p, 1.0, ab)
+                want = helpers.oracle_w_hat_matrix(cplx, q, r, p, 1.0, ab)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("t", (0.3, 1.0))
+def test_conjugated_matches_dense_solve(t):
+    for cplx in _block_complexes()[:-1]:
+        for q in range(cplx.dimension):
+            lo, hi = u_t_matrix(cplx, q, t), u_t_matrix(cplx, q + 1, t)
+            dense = np.linalg.solve(hi, d_matrix(cplx, q) @ lo)
+            assert np.abs(d_t_matrix(cplx, q, t) - dense).max() <= 1e-12
+            dense = np.linalg.solve(lo, delta_matrix(cplx, q + 1) @ hi)
+            assert np.abs(delta_t_matrix(cplx, q + 1, t) - dense).max() <= 1e-12
+
+
+def _loop_residuals(cplx, seed, t):
+    """(block residual, dense residual, next draw after each) from one seed."""
+    out = []
+    for residual in (random_loop_residual, helpers.random_loop_residual):
+        rng = np.random.default_rng(seed)
+        out.append((residual(cplx, rng, t), int(rng.integers(1 << 30))))
+    return out
+
+
+@pytest.mark.parametrize("t", (0.3, 1.0))
+def test_random_loop_residual_matches_dense_oracle(t):
+    for i, cplx in enumerate(_block_complexes()[:-1]):
+        (got, next_got), (want, next_want) = _loop_residuals(cplx, 1000 + i, t)
+        assert abs(got - want) <= 1e-15
+        assert next_got == next_want  # the same number of draws
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 7), k=st.integers(2, 6), seed=st.integers(0, 1 << 16),
+       t=st.sampled_from((0.3, 1.0)))
+def test_random_loop_residual_matches_dense_oracle_hypothesis(n, k, seed, t):
+    cplx = random_median_complex(n, k, seed)
+    (got, next_got), (want, next_want) = _loop_residuals(cplx, seed, t)
+    assert abs(got - want) <= 1e-15
+    assert next_got == next_want
+
+
+@pytest.mark.parametrize("determining", ((), (0,), (2,), (0, 1), (1, 2)))
+def test_random_loop_residual_sees_a_sabotaged_move(determining):
+    # one move of one class rotates the wrong way: whichever class it is,
+    # and wherever its loops sit in the stack of that class size
+    cplx = hypercube(3)  # a fresh complex: the cached moves are its own
+    assert random_loop_residual(cplx, np.random.default_rng(5), 1.0) <= 1e-10
+    geom = deformation._class_geom(cplx, class_of(cplx, determining))
+    k = min(geom.move_key.values())
+    geom.sign[k] = -geom.sign[k]
+    assert random_loop_residual(cplx, np.random.default_rng(5), 1.0) > 1e-10
