@@ -16,7 +16,7 @@ Layout:
 * :mod:`cubedeform.parallelism` - parallelism classes and their complexes
 * :mod:`cubedeform.symbols` - symbol calculus at the t = 0 end
 * :mod:`cubedeform.deformation` - W/U operators, Gram deformation, sweeps
-* :mod:`cubedeform.fredholm` - graded operator, bounded transform, reports
+* :mod:`cubedeform.fredholm` - graded operator, bounded transform, resolvent
 * :mod:`cubedeform.cli` - command-line front end
 """
 

@@ -3,24 +3,25 @@
 All degrees are stacked into one basis, degree blocks in order, and the
 differential plus its adjoint assemble into a single symmetric operator D
 whose square is the block-diagonal Laplacian.  Shifting by the rank-one
-projection onto the base-vertex line closes the spectral gap from below:
+projection P onto the base-vertex line closes the spectral gap from below:
 (D + P)^2 = D^2 + P is at least the identity, which makes every identity
 here quantitative.
 
-Operators conjugated into the t-frame keep their norms there, so the
-whole analysis runs on the plain symmetric matrices: the bounded
-transform F = D (P + D^2)^(-1/2), its Fredholm identity
-F^2 = I - P (P + D^2)^(-1), the normalized differential
-d' = d (I + Lap)^(-1/2) with its anticommutator identity, resolvent
-bounds of the shifted operator, and the base-point decay sweep.
-
-Each t takes one eigendecomposition of P + D^2 (``spectral_frame``), and
-(P + D^2)^(-1/2) and (P + D^2)^(-1) both come from it.  D + P is
-symmetric, so its resolvent norms come from one ``eigvalsh`` of D + P.
-Residuals are reported as the upper bound sqrt(|R|_1 |R|_inf) on the
-spectral norm |R|_2, which can only make a threshold stricter.  The
+The Laplacian is diagonal, d delta + delta d = diag(q + p(C)), and so is
+its weighted form in the t-frame: P + D^2 is a diagonal Lambda, and no
+identity here needs a spectrum.  Per t, ``spectral_frame`` forms A = D + P
+and G = A^T A with one product; G is P + D^2 when D is symmetric with a
+zero base row and column.  The frame keeps Lambda = diag(G), the
+Gershgorin radii of G, and r = Lambda^(-1/2).  From these come the bounded
+transform F = D r with its Fredholm identity F^2 = I - P Lambda^(-1), the
+normalized differential d' = tril(D) r with d'^T d' + d' d'^T equal to
+the same target, and upper bounds on the resolvent norms of D + P.  The
+targets are diagonal, but the defects are computed in floating point:
+off-diagonal mass in G, or a D that fails to commute with Lambda, shows in
+them.  Residuals are reported as the upper bound sqrt(|R|_1 |R|_inf) on
+the spectral norm |R|_2, which can only make a threshold stricter.  The
 integral formula (2/pi) int (lambda^2 + T)^(-1) d lambda is kept
-alongside as a verified quadrature alternative; on a diagonal T it runs
+alongside as a verified quadrature of T^(-1/2); on a diagonal T it runs
 entry by entry.
 """
 
@@ -44,10 +45,8 @@ __all__ = [
     "base_neighbor",
     "base_projection",
     "basepoint_decay_sweep",
-    "f_t_family",
     "f_t_operator",
     "format_t",
-    "fredholm_report",
     "graded_offsets",
     "homotopy_residual",
     "fredholm_residual",
@@ -55,7 +54,6 @@ __all__ = [
     "inv_sqrt_spectral",
     "norm2_bound",
     "normalized_d",
-    "resolvent",
     "resolvent_bounds",
     "spectral_frame",
     "spectral_residuals",
@@ -134,18 +132,10 @@ def base_neighbor(cplx: CubeComplex) -> int | None:
 
 
 def _singular_guard(z: complex, smallest: float, largest: float) -> None:
-    if smallest <= 1e-13 * largest:
+    if not smallest > 1e-13 * largest:
         raise ValueError(
             "matrix + %r is singular to working precision "
             "(smallest singular value %.3e)" % (z, float(smallest)))
-
-
-def resolvent(matrix: np.ndarray, z: complex) -> np.ndarray:
-    """Dense inverse of matrix + z, guarding against near-singularity."""
-    a = np.asarray(matrix, dtype=np.complex128) + z * np.eye(matrix.shape[0])
-    sv = np.linalg.svd(a, compute_uv=False)
-    _singular_guard(z, sv[-1], sv[0])
-    return np.linalg.solve(a, np.eye(matrix.shape[0], dtype=np.complex128))
 
 
 def norm2_bound(matrix: np.ndarray) -> float:
@@ -156,18 +146,13 @@ def norm2_bound(matrix: np.ndarray) -> float:
     return math.sqrt(float(a.sum(axis=0).max()) * float(a.sum(axis=1).max()))
 
 
-def _eigh_positive(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def inv_sqrt_spectral(matrix: np.ndarray) -> np.ndarray:
+    """Inverse square root of a symmetric positive definite matrix."""
     vals, vecs = np.linalg.eigh(np.asarray(matrix, dtype=np.float64))
     if vals[0] <= 0:
         raise ValueError(
             "matrix is not positive definite (smallest eigenvalue %.3e)"
             % float(vals[0]))
-    return vals, vecs
-
-
-def inv_sqrt_spectral(matrix: np.ndarray) -> np.ndarray:
-    """Inverse square root of a symmetric positive definite matrix."""
-    vals, vecs = _eigh_positive(matrix)
     return (vecs * (vals ** -0.5)) @ vecs.T
 
 
@@ -204,98 +189,99 @@ def inv_sqrt_integral(matrix: np.ndarray, nodes: int = 200) -> np.ndarray:
 
 
 def normalized_d(cplx: CubeComplex, weights: Weights = None) -> np.ndarray:
-    """The normalized differential d (I + Laplacian)^(-1/2), graded."""
+    """The normalized differential d (I + Laplacian)^(-1/2), graded.
+
+    The Laplacian D^2 is diagonal, so this is tril(D) scaled by column.
+    """
     full = assemble_D(cplx, weights).matrix.astype(np.float64)
-    t = np.eye(full.shape[0]) + full @ full
-    return np.tril(full) @ inv_sqrt_spectral(t)
+    return np.tril(full) * (1.0 + np.einsum("ij,ji->i", full, full)) ** -0.5
 
 
 class SpectralFrame(NamedTuple):
-    """One t's graded operator S = D_w and one eigendecomposition.
+    """One t's graded operator S = D_w and the diagonal of P + S^2.
 
-    ``vals`` and ``vecs`` are the eigenpairs of P + S^2, where P projects
-    onto the base vertex at graded index ``base``; ``root`` is
-    (P + S^2)^(-1/2) and ``raising`` the degree-raising half of S.
+    ``lam`` is the diagonal of G = A^T A for A = S + P, where P projects
+    onto the base vertex at graded index ``base``; ``rho`` holds the
+    off-diagonal absolute row sums of G, and ``root`` is ``lam ** -0.5``.
+    The degree-raising half of S is its strictly lower triangle.
     """
 
     s: np.ndarray
-    raising: np.ndarray
     base: int
-    vals: np.ndarray
-    vecs: np.ndarray
+    lam: np.ndarray
+    rho: np.ndarray
     root: np.ndarray
 
+    @classmethod
+    def of(cls, s: np.ndarray, base: int) -> "SpectralFrame":
+        """The frame of any square S: one product A^T A."""
+        a = s.copy()
+        a[base, base] += 1.0
+        g = a.T @ a
+        lam = np.diag(g).copy()
+        np.fill_diagonal(g, 0.0)
+        return cls(s, base, lam, np.abs(g).sum(axis=1), lam ** -0.5)
+
     def target(self) -> np.ndarray:
-        """I - P (P + S^2)^(-1): the identity but for the base row."""
-        out = np.eye(self.s.shape[0])
-        out[self.base] -= (self.vecs[self.base] / self.vals) @ self.vecs.T
+        """The diagonal of I - P Lambda^(-1): 1 but for the base entry."""
+        out = np.ones(len(self.lam))
+        out[self.base] -= 1.0 / self.lam[self.base]
         return out
 
+    def _less_target(self, m: np.ndarray) -> np.ndarray:
+        m[np.diag_indices_from(m)] -= self.target()
+        return m
+
     def fredholm_defect(self) -> np.ndarray:
-        """F^2 - (I - P (P + S^2)^(-1)) for F = S (P + S^2)^(-1/2)."""
-        f = self.s @ self.root
-        return f @ f - self.target()
+        """F^2 - (I - P Lambda^(-1)) for F = S Lambda^(-1/2)."""
+        f = self.s * self.root
+        return self._less_target(f @ f)
 
     def homotopy_defect(self) -> np.ndarray:
-        """h d' + d' h - (I - P (P + S^2)^(-1)), d' = raising (P + S^2)^(-1/2)."""
-        dprime = self.raising @ self.root
-        return dprime.T @ dprime + dprime @ dprime.T - self.target()
+        """h d' + d' h - (I - P Lambda^(-1)), d' = tril(S) Lambda^(-1/2), h = d'^T."""
+        dprime = np.tril(self.s) * self.root
+        out = dprime.T @ dprime
+        out += dprime @ dprime.T
+        return self._less_target(out)
 
     def resolvent_bounds(self, lambdas: Iterable[float]) -> list[dict]:
-        """Norms of (S + P + i lambda)^(-1) against |1 + i lambda|^(-1).
+        """Upper bounds on |(A + i lambda)^(-1)|_2 against |1 + i lambda|^(-1).
 
-        A symmetric S + P has singular values |mu + i lambda| over its
-        eigenvalues mu, so one ``eigvalsh`` serves every lambda; any other
-        matrix takes the dense ``resolvent``.
+        (A + i lambda)^* (A + i lambda) = G + lambda^2 + i lambda (A^T - A),
+        so by Gershgorin the squared singular values of A + i lambda lie
+        within rho_j + |lambda| sum_k |A - A^T|_jk of lam_j + lambda^2.  The
+        smallest lower end bounds sigma_min^2 from below for any A.
         """
-        a = self.s.copy()
-        a[self.base, self.base] += 1.0
-        mu = np.linalg.eigvalsh(a) if np.array_equal(a, a.T) else None
+        skew = np.abs(self.s - self.s.T).sum(axis=1)
         out = []
-        for lam in lambdas:
-            if mu is None:
-                norm = float(np.linalg.norm(resolvent(a, 1j * lam), 2))
-            else:
-                sv = np.hypot(mu, lam)
-                _singular_guard(1j * lam, sv.min(), sv.max())
-                norm = 1.0 / float(sv.min())
+        for mu in lambdas:
+            radius = self.rho + abs(mu) * skew
+            low = float((self.lam - radius).min()) + mu * mu
+            high = float((self.lam + radius).max()) + mu * mu
+            _singular_guard(1j * mu, math.sqrt(max(low, 0.0)), math.sqrt(high))
             out.append({
-                "lambda": lam,
-                "norm": norm,
-                "bound": 1.0 / abs(1 + 1j * lam),
+                "lambda": mu,
+                "norm": 1.0 / math.sqrt(low),
+                "bound": 1.0 / abs(1 + 1j * mu),
             })
         return out
 
 
 def spectral_frame(cplx: CubeComplex, t: float, weighted: bool = False) -> SpectralFrame:
-    """The frame at t: D with deformation weights if ``weighted``, one ``eigh``."""
+    """The frame at t: D with deformation weights if ``weighted``."""
     w = deformation_weights(cplx, t) if weighted else None
     s = assemble_D(cplx, w).matrix.astype(np.float64)
-    base = cplx.vertex_index(cplx.base_vertex)
-    shifted = s @ s
-    shifted[base, base] += 1.0
-    vals, vecs = _eigh_positive(shifted)
-    # the degree-raising blocks of D are exactly its strictly lower triangle
-    return SpectralFrame(s, np.tril(s), base, vals, vecs,
-                         (vecs * vals ** -0.5) @ vecs.T)
+    return SpectralFrame.of(s, cplx.vertex_index(cplx.base_vertex))
 
 
 def f_t_operator(cplx: CubeComplex, t: float, weighted: bool = False) -> np.ndarray:
     """The bounded transform D (P + D^2)^(-1/2) in the t-frame."""
     frame = spectral_frame(cplx, t, weighted)
-    return frame.s @ frame.root
-
-
-def f_t_family(cplx: CubeComplex, t_grid: Iterable[float],
-               weighted: bool = False) -> list[tuple[float, np.ndarray]]:
-    return [(t, f_t_operator(cplx, t, weighted)) for t in t_grid]
+    return frame.s * frame.root
 
 
 def fredholm_residual(cplx: CubeComplex, t: float, weighted: bool = False) -> float:
-    """Upper bound ``norm2_bound`` on |F^2 - (I - P (P + D^2)^(-1))|_2.
-
-    Takes one eigendecomposition of P + D^2 at t.
-    """
+    """Upper bound ``norm2_bound`` on |F^2 - (I - P (P + D^2)^(-1))|_2."""
     return norm2_bound(spectral_frame(cplx, t, weighted).fredholm_defect())
 
 
@@ -303,8 +289,7 @@ def homotopy_residual(cplx: CubeComplex, t: float, weighted: bool = False) -> fl
     """Upper bound ``norm2_bound`` on |h d' + d' h - (I - P (P + D^2)^(-1))|_2.
 
     d' is the degree-raising block normalized by (P + D^2)^(-1/2) and h is
-    its adjoint; in this frame adjoint means plain transpose.  Takes one
-    eigendecomposition of P + D^2 at t.
+    its adjoint; in this frame adjoint means plain transpose.
     """
     return norm2_bound(spectral_frame(cplx, t, weighted).homotopy_defect())
 
@@ -314,9 +299,8 @@ def resolvent_bounds(cplx: CubeComplex, t: float, lambdas: Iterable[float],
     """Resolvent norms of the shifted operator against the exact bound.
 
     The bound |1 + i lambda|^(-1) holds because (D + P)^2 is at least the
-    identity once the projection closes the kernel.  The norms come from
-    the eigenvalues of the symmetric D + P, one ``eigvalsh`` at t for all
-    lambdas (see ``SpectralFrame.resolvent_bounds``).
+    identity once the projection closes the kernel.  The norms reported
+    are Gershgorin upper bounds (see ``SpectralFrame.resolvent_bounds``).
     """
     return spectral_frame(cplx, t, weighted).resolvent_bounds(lambdas)
 
@@ -359,38 +343,3 @@ def format_t(t: float) -> str:
     if t == math.inf:
         return "inf"
     return repr(float(t))
-
-
-def fredholm_report(cplx: CubeComplex, t_grid: Iterable[float],
-                    weighted: bool = False,
-                    lambdas: Iterable[float] = (0.0, 1.0, 10.0)) -> dict:
-    """JSON-ready summary of the spectral identities over a t grid."""
-    lambdas = list(lambdas)
-    base = cplx.base_vertex
-    neighbor = base_neighbor(cplx)
-    per_t = []
-    for t in t_grid:
-        w = deformation_weights(cplx, t) if weighted else None
-        spectra = []
-        for q in range(cplx.dimension + 1):
-            lap = laplacian_matrix(cplx, q, w).astype(np.float64)
-            spectra.append(sorted(float(x) for x in np.linalg.eigvalsh(lap)))
-        entry = {
-            "t": format_t(t),
-            **spectral_residuals(cplx, t, lambdas, weighted),
-            "basepoint_norms": [],
-            "spectra": spectra,
-        }
-        if neighbor is not None:
-            entry["basepoint_norms"].append({
-                "pair": [cplx.vertex_bits(base), cplx.vertex_bits(neighbor)],
-                "norm": basepoint_commutator_norm(cplx, base, neighbor, t),
-            })
-        per_t.append(entry)
-    return {
-        "schema": 1,
-        "n_hyperplanes": cplx.n_hyperplanes,
-        "n_vertices": cplx.n_vertices,
-        "weighted": bool(weighted),
-        "per_t": per_t,
-    }

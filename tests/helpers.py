@@ -33,7 +33,6 @@ from cubedeform.fredholm import (
     base_projection,
     format_t,
     inv_sqrt_spectral,
-    resolvent,
 )
 from cubedeform.parallelism import class_of, enumerate_classes, nearest_in_class
 from cubedeform.symbols import ps_basis, symbol_inner, symbol_key, symbol_of_pair
@@ -419,6 +418,17 @@ def oracle_homotopy_residual(cplx, t, weighted=False):
     eye = np.eye(s.shape[0])
     target = eye - p @ np.linalg.solve(shifted, eye)
     return float(np.linalg.norm(h @ dprime + dprime @ h - target, 2))
+
+
+def resolvent(matrix, z):
+    """Dense inverse of matrix + z, guarding against near-singularity."""
+    a = np.asarray(matrix, dtype=np.complex128) + z * np.eye(matrix.shape[0])
+    sv = np.linalg.svd(a, compute_uv=False)
+    if sv[-1] <= 1e-13 * sv[0]:
+        raise ValueError(
+            "matrix + %r is singular to working precision "
+            "(smallest singular value %.3e)" % (z, float(sv[-1])))
+    return np.linalg.solve(a, np.eye(matrix.shape[0], dtype=np.complex128))
 
 
 def oracle_resolvent_bounds(cplx, t, lambdas, weighted=False):

@@ -6,9 +6,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import helpers
+from cubedeform import cli
 from cubedeform.cli import DEFAULT_TOLERANCES, FIELD_T_FLOOR, main
 from cubedeform.core import write_cxc
 from cubedeform.generate import (
@@ -193,6 +195,64 @@ def test_check_numerical_breakdown_exit_code(grid_file, t):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("check field: numerical breakdown:")
     assert proc.stderr.count("\n") == 1
+
+
+def _no_spectrum(*args, **kwargs):
+    raise AssertionError("spectral factorisation on the diagonal harness")
+
+
+def test_check_fredholm_needs_no_spectrum(tmp_path, monkeypatch, capsys):
+    # P + D^2 is diagonal: the suite takes no eigendecomposition, SVD or
+    # exact 2-norm, and its one solve is against a single vector
+    paths = []
+    for name in helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES:
+        cplx = helpers.fixture(name)
+        if cplx.n_hyperplanes:
+            paths.append(tmp_path / ("%s.cxc" % name))
+            paths[-1].write_text(write_cxc(cplx))
+    norm, solve, solves = np.linalg.norm, np.linalg.solve, []
+
+    def norm_no_2(x, ord=None, *args, **kwargs):
+        if ord in (2, -2):
+            _no_spectrum()
+        return norm(x, ord, *args, **kwargs)
+
+    def solve_vector(a, b):
+        assert np.ndim(b) == 1
+        solves.append(len(b))
+        return solve(a, b)
+
+    # numpy computes the Gauss-Legendre rule of the quadrature check from
+    # one eigvalsh of its fixed 200 x 200 Jacobi matrix; that rule does not
+    # depend on the complex, so it is made before the patches
+    rule = np.polynomial.legendre.leggauss(200)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda deg: rule if deg == 200 else _no_spectrum())
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, _no_spectrum)
+    monkeypatch.setattr(np.linalg, "norm", norm_no_2)
+    monkeypatch.setattr(np.linalg, "solve", solve_vector)
+    for path in paths:
+        code, out = run(["check", "fredholm", "--input", str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+    assert len(solves) == len(paths)
+
+
+def test_check_memory_error_exit_code(grid_file, monkeypatch, capsys):
+    # an allocation the machine cannot meet is a breakdown, not a failed
+    # check: exit 3 with one stderr line and no traceback
+    def too_big(*args, **kwargs):
+        raise MemoryError("Unable to allocate 36.6 GiB for an array")
+
+    monkeypatch.setattr(cli, "assemble_D", too_big)
+    code = main(["check", "fredholm", "--input", grid_file])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err == (
+        "check fredholm: out of memory: Unable to allocate 36.6 GiB for an array\n")
 
 
 @pytest.mark.parametrize("grid, low", (

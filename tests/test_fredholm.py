@@ -1,23 +1,22 @@
 """Graded spectral harness: bounded transform, homotopy, resolvent bounds."""
 
-import json
-import math
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
+from cubedeform import random_median_complex
 from cubedeform.differential import laplacian_matrix
 from cubedeform.fredholm import (
+    SpectralFrame,
     assemble_D,
     assemble_laplacian,
     assemble_raising,
     base_projection,
     basepoint_decay_sweep,
-    f_t_family,
     f_t_operator,
     format_t,
-    fredholm_report,
     fredholm_residual,
     graded_offsets,
     homotopy_residual,
@@ -25,7 +24,6 @@ from cubedeform.fredholm import (
     inv_sqrt_spectral,
     norm2_bound,
     normalized_d,
-    resolvent,
     resolvent_bounds,
     spectral_frame,
     spectral_residuals,
@@ -119,7 +117,7 @@ def test_base_projection(cube3):
 
 def test_resolvent_inverts(square):
     s = assemble_D(square).matrix.astype(float) + base_projection(square)
-    res = resolvent(s, 1j)
+    res = helpers.resolvent(s, 1j)
     eye = np.eye(s.shape[0])
     assert np.abs(res @ (s + 1j * eye) - eye).max() <= 1e-12
 
@@ -127,7 +125,7 @@ def test_resolvent_inverts(square):
 def test_resolvent_rejects_singular(square):
     # d + delta alone has the harmonic line in its kernel
     with pytest.raises(ValueError, match="singular to working precision"):
-        resolvent(assemble_D(square).matrix.astype(float), 0.0)
+        helpers.resolvent(assemble_D(square).matrix.astype(float), 0.0)
 
 
 def test_inv_sqrt_spectral():
@@ -244,12 +242,6 @@ def test_homotopy_identity(t, weighted):
         assert homotopy_residual(cplx, t, weighted) <= 1e-8
 
 
-def test_f_t_family_order(square):
-    fam = f_t_family(square, (0.5, 2.0))
-    assert [t for t, _ in fam] == [0.5, 2.0]
-    assert np.array_equal(fam[0][1], f_t_operator(square, 0.5))
-
-
 @pytest.mark.parametrize("t", (0.1, 1.0, INF))
 def test_resolvent_bounds_hold(t):
     for name in FIXED:
@@ -269,12 +261,22 @@ def test_spectral_frame_structure(t, weighted):
         cplx = helpers.fixture(name)
         frame = spectral_frame(cplx, t, weighted)
         w = deformation_weights(cplx, t) if weighted else None
-        assert np.array_equal(frame.raising, assemble_raising(cplx, w).matrix)
+        # the degree-raising half of S is its strictly lower triangle
+        assert np.array_equal(np.tril(frame.s), assemble_raising(cplx, w).matrix)
         p = base_projection(cplx)
         shifted = p + frame.s @ frame.s
         eye = np.eye(shifted.shape[0])
-        assert np.abs(frame.target() - (eye - p @ np.linalg.solve(shifted, eye))).max() <= 1e-12
-        assert np.abs(frame.root @ shifted @ frame.root - eye).max() <= 1e-12
+        assert np.array_equal(frame.lam, np.diag(shifted))
+        assert frame.rho.shape == frame.lam.shape
+        assert frame.rho.max() <= 1e-15 * frame.lam.max()
+        if not weighted:
+            # integer entries: P + D^2 is exactly diagonal
+            assert not frame.rho.any()
+        assert np.array_equal(frame.root, frame.lam ** -0.5)
+        target = eye - p @ np.linalg.solve(shifted, eye)
+        assert np.abs(np.diag(frame.target()) - target).max() <= 1e-12
+        root = np.diag(frame.root)
+        assert np.abs(root @ shifted @ root - eye).max() <= 1e-12
         assert spectral_residuals(cplx, t, LAMBDAS, weighted) == {
             "fredholm_residual": fredholm_residual(cplx, t, weighted),
             "homotopy_residual": homotopy_residual(cplx, t, weighted),
@@ -314,6 +316,40 @@ def test_bounded_residuals_dominate_exact(t, weighted):
             assert bounded >= exact - 1e-14
 
 
+@pytest.mark.parametrize("weighted", (False, True))
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 7), k=st.integers(1, 7), seed=st.integers(0, 2**16))
+def test_diagonal_frame_against_dense_oracles(weighted, n, k, seed):
+    cplx = random_median_complex(n, k, seed)
+    for t in (0.1, 1.0, INF):
+        fast = spectral_residuals(cplx, t, LAMBDAS, weighted)
+        assert fast["fredholm_residual"] >= (
+            helpers.oracle_fredholm_residual(cplx, t, weighted) - 1e-14)
+        assert fast["homotopy_residual"] >= (
+            helpers.oracle_homotopy_residual(cplx, t, weighted) - 1e-14)
+        dense = helpers.oracle_resolvent_bounds(cplx, t, LAMBDAS, weighted)
+        for got, want in zip(fast["resolvent_bounds"], dense):
+            assert got["lambda"] == want["lambda"]
+            assert got["bound"] == want["bound"]
+            # an upper bound, up to the rounding of the two computations
+            assert got["norm"] >= want["norm"] * (1 - 1e-14)
+            assert got["norm"] - want["norm"] <= 1e-12 * want["norm"]
+
+
+@pytest.mark.parametrize("weighted", (False, True))
+def test_sabotaged_frame_shows_in_the_residuals(weighted, cube3):
+    # the targets are diagonal, but the defects are computed: scale one
+    # raising entry of S and S no longer squares to the frame's Lambda - P
+    frame = spectral_frame(cube3, 1.0, weighted)
+    assert norm2_bound(frame.fredholm_defect()) <= 1e-9
+    j, k = np.argwhere(np.tril(frame.s))[0]
+    s = frame.s.copy()
+    s[j, k] *= 1.5
+    broken = frame._replace(s=s)
+    assert norm2_bound(broken.fredholm_defect()) > 1e-9
+    assert norm2_bound(broken.homotopy_defect()) > 1e-8
+
+
 def test_norm2_bound():
     assert norm2_bound(np.zeros((0, 0))) == 0.0
     m = np.array([[1.0, -2.0], [3.0, 0.5]])
@@ -321,20 +357,34 @@ def test_norm2_bound():
     assert norm2_bound(m) >= np.linalg.norm(m, 2)
 
 
-def test_frame_resolvent_dense_fallback(square):
-    # a non-symmetric S + P is not normal: its eigenvalues (1 and 2 here)
-    # would give norm 1 at lambda = 0, the dense path gives 1/sigma_min
-    frame = spectral_frame(square, 1.0)._replace(
-        s=np.array([[0.0, 5.0], [0.0, 2.0]]), base=0)
-    a = np.array([[1.0, 5.0], [0.0, 2.0]])
-    for entry in frame.resolvent_bounds(LAMBDAS):
-        want = float(np.linalg.norm(resolvent(a, 1j * entry["lambda"]), 2))
-        assert entry["norm"] == want
-    assert frame.resolvent_bounds((0.0,))[0]["norm"] > 2.0
+def test_frame_resolvent_bounds_nonsymmetric_s():
+    # a non-symmetric S + P is not normal, and its Gram matrix is not
+    # diagonal: the Gershgorin norm still bounds the dense one from above,
+    # or the guard refuses when the discs reach zero
+    rng = np.random.default_rng(17)
+    cases = [np.array([[0.0, 5.0], [0.0, 2.0]])]
+    cases += [rng.standard_normal((5, 5)) * scale for scale in (0.05, 0.3, 2.0)]
+    checked = refused = 0
+    for s in cases:
+        frame = SpectralFrame.of(s, 0)
+        a = s.copy()
+        a[0, 0] += 1.0
+        for lam in LAMBDAS + (100.0,):
+            try:
+                (entry,) = frame.resolvent_bounds((lam,))
+            except ValueError as exc:
+                assert "singular to working precision" in str(exc)
+                refused += 1
+                continue
+            want = float(np.linalg.norm(helpers.resolvent(a, 1j * lam), 2))
+            assert entry["norm"] >= want
+            checked += 1
+    assert checked and refused
 
 
-def test_frame_resolvent_singular_guard(square):
-    frame = spectral_frame(square, 1.0)._replace(s=np.zeros((2, 2)), base=0)
+def test_frame_resolvent_singular_guard():
+    with np.errstate(divide="ignore"):
+        frame = SpectralFrame.of(np.zeros((2, 2)), 0)
     with pytest.raises(ValueError, match="singular to working precision"):
         frame.resolvent_bounds((0.0,))
     assert frame.resolvent_bounds((1.0,))[0]["norm"] == 1.0
@@ -359,24 +409,3 @@ def test_format_t():
     assert format_t(INF) == "inf"
     assert format_t(1) == "1.0"
     assert format_t(0.5) == "0.5"
-
-
-def test_fredholm_report(grid12):
-    report = fredholm_report(grid12, (0.5, INF))
-    assert report["schema"] == 1
-    assert report["n_hyperplanes"] == 3
-    assert report["n_vertices"] == 6
-    assert report["weighted"] is False
-    assert [e["t"] for e in report["per_t"]] == ["0.5", "inf"]
-    entry = report["per_t"][0]
-    assert entry["fredholm_residual"] <= 1e-9
-    assert entry["homotopy_residual"] <= 1e-8
-    assert len(entry["resolvent_bounds"]) == 3
-    assert len(entry["spectra"]) == grid12.dimension + 1
-    assert entry["basepoint_norms"] and "norm" in entry["basepoint_norms"][0]
-    # deterministic and JSON-serializable
-    again = fredholm_report(grid12, (0.5, INF))
-    assert json.dumps(report, sort_keys=True) == json.dumps(again, sort_keys=True)
-    weighted = fredholm_report(grid12, (0.5,), weighted=True)
-    assert weighted["weighted"] is True
-    assert math.isfinite(weighted["per_t"][0]["fredholm_residual"])
