@@ -8,10 +8,11 @@ Commands:
 * ``sweep``     emit the deformation pairing sweep as CSV
 
 Exit codes: 0 on success, 1 when validation or a check suite fails, 2 on
-usage errors, 3 when a check suite breaks down: a matrix singular to
-working precision at an extreme t, or an allocation the machine cannot
-meet (``MemoryError``).  Exit 3 writes one line to stderr and nothing to
-stdout.  ``check field`` holds only for t >= FIELD_T_FLOOR (1e-6): below
+usage errors (an ``--out`` that cannot be opened among them: it is opened
+before any work starts), 3 when a check suite breaks down: a matrix
+singular to working precision at an extreme t, or an allocation the
+machine cannot meet (``MemoryError``).  Exit 3 writes one line to stderr
+and nothing to stdout.  ``check field`` holds only for t >= FIELD_T_FLOOR (1e-6): below
 it ``U_t`` is too ill-conditioned for float64 and its identities fail by
 rounding alone, so a smaller t exits 3 before any computation.  All
 output is deterministic: the same command, seed, and input produce
@@ -21,6 +22,7 @@ byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -35,7 +37,7 @@ from .deformation import (
     class_blocks,
     conjugated,
     deformation_weights,
-    pairing_limit,
+    pairing_table,
     pairing_value,
     random_loop_residual,
     symbol_representative,
@@ -180,17 +182,20 @@ def _load_complex(path: str, parser: argparse.ArgumentParser) -> CubeComplex:
         parser.error("%s: %s" % (path, exc))
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _open_out(path: str | None, parser: argparse.ArgumentParser):
+    """The command's output stream: ``--out`` opened for writing, or stdout."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        parser.error(str(exc))
 
 
 # -- gen / validate --------------------------------------------------------------
 
 
-def _cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser, out) -> int:
     try:
         if args.kind == "tree":
             cplx = star_tree(args.leaves)
@@ -206,11 +211,11 @@ def _cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         text = write_cxc(cplx)
     except ValueError:
         parser.error("generated complex has no hyperplanes; increase --n or --k")
-    _emit(text, args.out)
+    out.write(text)
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser, out) -> int:
     try:
         text = Path(args.input).read_text()
     except OSError as exc:
@@ -218,7 +223,7 @@ def _cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     try:
         cplx = parse_cxc(text)
     except (CxcParseError, InvalidComplex) as exc:
-        _emit("result invalid\nreason %s\n" % exc, args.out)
+        out.write("result invalid\nreason %s\n" % exc)
         return 1
     lines = [
         "vertices %d" % cplx.n_vertices,
@@ -231,7 +236,7 @@ def _cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         "connected ok",
         "result valid",
     ]
-    _emit("\n".join(lines) + "\n", args.out)
+    out.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -542,7 +547,7 @@ _SUITES = {
 }
 
 
-def _cmd_check(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_check(args: argparse.Namespace, parser: argparse.ArgumentParser, out) -> int:
     cplx = _load_complex(args.input, parser)
     if args.suite == "field" and args.t_grid and min(args.t_grid) < FIELD_T_FLOOR:
         sys.stderr.write(
@@ -567,14 +572,21 @@ def _cmd_check(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
     }
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
+    out.write(json.dumps(report, indent=2) + "\n")
     return 0 if report["pass"] else 1
 
 
 # -- sweep -----------------------------------------------------------------------
 
 
-def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes one field: symbol keys hold commas, so quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([text])
+    return buf.getvalue()
+
+
+def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser, out) -> int:
     cplx = _load_complex(args.input, parser)
     grid = sorted(set(args.t_grid or (0.1, 1.0, INF)))
 
@@ -591,29 +603,29 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         keep = set(wanted)
         entries = [e for e in entries if e[0] in keep]
 
-    reps = {key: symbol_representative(cplx, sym) for key, _, sym in entries}
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "row_key", "col_key", "value"])
+    # A pair whose faces have different cutting sets is 0.0 at every t and
+    # in the limit; every other pair takes its value from its polynomial,
+    # summed once per t on the table's witness pair.  Labels, quoted keys
+    # and float reprs joined by commas are the bytes csv.writer gives, and
+    # the lines of each row key go out as soon as they are made.
+    table = pairing_table(cplx, [symbol_representative(cplx, sym) for _, _, sym in entries])
+    keys = [_csv_field(key) for key, _, _ in entries]
+    first, zeros = {}, {}
+    for j, (_, q, _) in enumerate(entries):
+        first.setdefault(q, j)
+        zeros.setdefault(q, []).append(keys[j] + ",0.0")
 
-    def rows_at(t):
+    out.write("t,row_key,col_key,value\n")
+    for t in [0.0] + grid:
         label = format_t(t)
-        for key1, q1, _ in entries:
-            pair1, o1 = reps[key1]
-            for key2, q2, _ in entries:
-                if q1 != q2:
-                    continue
-                pair2, o2 = reps[key2]
-                if t == 0.0:
-                    value = float(pairing_limit(cplx, pair1, o1, pair2, o2))
-                else:
-                    value = float(pairing_value(cplx, pair1, o1, pair2, o2, t))
-                writer.writerow([label, key1, key2, repr(value)])
-
-    rows_at(0.0)
-    for t in grid:
-        rows_at(t)
-    _emit(buf.getvalue(), args.out)
+        if t:
+            values = [repr(pairing_value(cplx, *w, t)) for w in table.witnesses]
+        for (_, q, _), key, row in zip(entries, keys, table.rows):
+            cells = zeros[q].copy()
+            for j, k, limit in row:
+                cells[j - first[q]] = keys[j] + "," + (values[k] if t else repr(float(limit)))
+            prefix = label + "," + key + ","
+            out.write(prefix + ("\n" + prefix).join(cells) + "\n")
     return 0
 
 
@@ -679,7 +691,8 @@ def main(argv: list[str] | None = None) -> int:
     args.t_grid = _parse_t_grid(t, parser) if t else None
     args.tolerances = {**DEFAULT_TOLERANCES,
                        **_parse_tols(getattr(args, "tol", []), parser)}
-    return _COMMANDS[args.command](args, parser)
+    with _open_out(args.out, parser) as out:
+        return _COMMANDS[args.command](args, parser, out)
 
 
 if __name__ == "__main__":

@@ -40,7 +40,13 @@ base-point-change operator built from nearest-cube moves per class.
 
 Scalars are pluggable: the default is float64, while tests drive the same
 code with exact rationals, and pairing values are always evaluated in
-extended precision because t^(-p) amplifies round-off near t = 0.
+extended precision because t^(-p) amplifies round-off near t = 0.  A
+pairing is a polynomial t^(-P) sum_d c_d x^d, x = exp(-t^2/2), and its
+value depends on nothing else, so ``pairing_table`` serves whole bases:
+sections whose faces have different cutting sets pair to zero at every t
+and in the limit and are left out, and the remaining pairs share one
+witness pair per distinct polynomial (on the 3x3x2 grid, 3,971 pairs and
+190 polynomials), so a sweep sums each polynomial once per t.
 """
 
 from __future__ import annotations
@@ -71,6 +77,7 @@ from .symbols import (
 
 __all__ = [
     "ClassBlocks",
+    "PairingTable",
     "basepoint_commutator_norm",
     "basic_cochain",
     "basic_cochain_vector",
@@ -87,6 +94,7 @@ __all__ = [
     "pairing_limit",
     "pairing_polynomial",
     "pairing_sweep",
+    "pairing_table",
     "pairing_value",
     "random_loop_residual",
     "step_coefficients",
@@ -845,17 +853,22 @@ def _pairing_at(cplx: CubeComplex, coeffs: dict[int, int], power: int,
 
 def pairing_value(cplx: CubeComplex, pair1: CubePair, o1: OrientedCube,
                   pair2: CubePair, o2: OrientedCube, t: float) -> float:
-    """The scaled pairing at one t, evaluated in extended precision.
+    """The scaled pairing at one t, evaluated in extended precision."""
+    _check_t(t)
+    return _polynomial_value(cplx, *pairing_polynomial(cplx, pair1, o1, pair2, o2), t)
+
+
+def _polynomial_value(cplx: CubeComplex, power: int, coeffs: dict[int, int],
+                      t: float) -> float:
+    """t^(-power) sum_d coeffs[d] x^d, x = e^(-t^2/2), rounded to a double.
 
     The sum runs at ``PAIRING_DPS`` digits.  When fewer than
     ``_MIN_DIGITS`` significant digits survive its cancellation (small t,
     where every x^d is close to 1), the same sum is redone with the
     precision raised by the digits lost, until enough survive.  Raised
     precisions are ``PAIRING_DPS`` times a power of two, so the per-t
-    constants at each one are reused across pairs.
+    constants at each one are reused across polynomials.
     """
-    _check_t(t)
-    power, coeffs = pairing_polynomial(cplx, pair1, o1, pair2, o2)
     if t == INF:
         return float(coeffs.get(0, 0)) if power == 0 else 0.0
     if not coeffs:
@@ -874,6 +887,51 @@ def pairing_limit(cplx: CubeComplex, pair1: CubePair, o1: OrientedCube,
                   pair2: CubePair, o2: OrientedCube) -> int:
     """The declared small-t limit: the inner product of the two symbols."""
     return symbol_inner(_pair_symbol(cplx, pair1, o1), _pair_symbol(cplx, pair2, o2))
+
+
+class PairingTable(NamedTuple):
+    """The same-degree pairings of a list of basic sections, by polynomial.
+
+    ``witnesses[k]`` is the first (pair1, o1, pair2, o2) whose pairing
+    polynomial is the k-th distinct one, distinct meaning (P, ordered
+    coefficient items): a value is a function of that and t alone.
+    ``rows[i]`` holds (j, k, limit) for each section j whose face has the
+    cutting set of section i's face, ascending in j, with k the id of the
+    pair's polynomial and ``limit`` its ``pairing_limit``.  Every other
+    same-degree pair is zero at every t and in the limit.
+    """
+
+    witnesses: tuple
+    rows: tuple
+
+
+def pairing_table(cplx: CubeComplex, sections) -> PairingTable:
+    """The ``PairingTable`` of a sequence of (pair, orientation) sections.
+
+    Pairs whose faces have different cutting sets are left out:
+    ``pairing_polynomial`` gives them no coefficient, and their symbols
+    differ in the key, which holds the face cutting set, so their
+    ``pairing_limit`` is 0.  Equal cutting sets mean equal degrees.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, (pair, _) in enumerate(sections):
+        groups.setdefault(pair.d.cutting, []).append(i)
+    ids: dict[tuple, int] = {}
+    witnesses = []
+    rows = []
+    for pair1, o1 in sections:
+        row = []
+        for j in groups[pair1.d.cutting]:
+            pair2, o2 = sections[j]
+            power, coeffs = pairing_polynomial(cplx, pair1, o1, pair2, o2)
+            key = (power, tuple(coeffs.items()))
+            k = ids.get(key)
+            if k is None:
+                k = ids[key] = len(witnesses)
+                witnesses.append((pair1, o1, pair2, o2))
+            row.append((j, k, pairing_limit(cplx, pair1, o1, pair2, o2)))
+        rows.append(tuple(row))
+    return PairingTable(tuple(witnesses), tuple(rows))
 
 
 def pairing_sweep(cplx: CubeComplex, pair1: CubePair, o1: OrientedCube,

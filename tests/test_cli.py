@@ -1,5 +1,7 @@
 """Command line: generation, validation, check suites, sweep CSV."""
 
+import collections
+import contextlib
 import csv
 import io
 import json
@@ -8,17 +10,22 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import helpers
-from cubedeform import cli
+from cubedeform import cli, deformation
 from cubedeform.cli import DEFAULT_TOLERANCES, FIELD_T_FLOOR, main
 from cubedeform.core import write_cxc
+from cubedeform.deformation import pairing_limit, pairing_value
+from cubedeform.fredholm import format_t
 from cubedeform.generate import (
     grid_complex,
     hypercube,
     random_median_complex,
     star_tree,
 )
+from cubedeform.symbols import ps_basis, symbol_key
 
 DISCONNECTED = "cxc 1\nhyperplanes 2\nbasepoint 00\nvertices 2\n00\n11\n"
 
@@ -367,7 +374,110 @@ def test_sweep_out_file(square_file, tmp_path, capsys):
     assert target.read_text().startswith("t,row_key,col_key,value\n")
 
 
+# every row against pairing_value and pairing_limit, one pair at a time
+
+SWEEP_T = (1e-5, 0.001, 0.1, 1.0, float("inf"))
+
+
+def per_pair_sweep_csv(cplx, t_grid, keys=None):
+    """The sweep CSV written row by row with ``csv.writer``, one call per pair."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t", "row_key", "col_key", "value"])
+    pairs = [(r1, r2) for r1, r2 in helpers.symbol_pairs(cplx)
+             if keys is None or (r1[0] in keys and r2[0] in keys)]
+    for t in [0.0] + sorted(set(t_grid)):
+        for (key1, p1, o1), (key2, p2, o2) in pairs:
+            if t:
+                value = pairing_value(cplx, p1, o1, p2, o2, t)
+            else:
+                value = pairing_limit(cplx, p1, o1, p2, o2)
+            writer.writerow([format_t(t), key1, key2, repr(float(value))])
+    return buf.getvalue()
+
+
+def sweep_stdout_and_file(cplx, directory, argv):
+    """The ``sweep`` CSV of ``cplx``, checked equal on stdout and under --out."""
+    doc, target = directory / "in.cxc", directory / "out.csv"
+    doc.write_text(write_cxc(cplx))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["sweep", "--input", str(doc), *argv]) == 0
+        assert main(["sweep", "--input", str(doc), *argv, "--out", str(target)]) == 0
+    assert target.read_text() == buf.getvalue()
+    return buf.getvalue()
+
+
+def _check_sweep_per_pair(cplx, directory, select):
+    grid = ["--t", ",".join(format_t(t) for t in SWEEP_T)]
+    keys = None
+    if select:
+        every = [symbol_key(sym, cplx)
+                 for q in range(cplx.dimension + 1) for sym in ps_basis(cplx, q)]
+        keys = set(every[::2])
+        grid += [arg for key in every[::2] for arg in ("--select", key)]
+    assert sweep_stdout_and_file(cplx, directory, grid) == \
+        per_pair_sweep_csv(cplx, SWEEP_T, keys)
+
+
+@pytest.mark.parametrize("select", (False, True))
+@pytest.mark.parametrize(
+    "name", [n for n in helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES if n != "point"])
+def test_sweep_matches_the_per_pair_path(name, select, tmp_path):
+    _check_sweep_per_pair(helpers.fixture(name), tmp_path, select)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 6), k=st.integers(2, 5), seed=st.integers(0, 1 << 16),
+       select=st.booleans())
+def test_sweep_matches_the_per_pair_path_hypothesis(n, k, seed, select, tmp_path_factory):
+    cplx = random_median_complex(n, k, seed)
+    assume(cplx.n_hyperplanes > 0)
+    _check_sweep_per_pair(cplx, tmp_path_factory.mktemp("sweep"), select)
+
+
+def test_sweep_sums_each_distinct_polynomial_once_per_t(tmp_path, monkeypatch):
+    # the 3x3x2 grid's 3,971 same-cutting-set pairs have 190 distinct
+    # polynomials: one extended-precision sum each per finite t
+    sums = collections.Counter()
+    inner = deformation._pairing_at
+
+    def counted(cplx, coeffs, power, t, dps):
+        sums[power, tuple(coeffs.items()), t] += 1
+        return inner(cplx, coeffs, power, t, dps)
+
+    monkeypatch.setattr(deformation, "_pairing_at", counted)
+    doc = tmp_path / "g332.cxc"
+    doc.write_text(write_cxc(grid_complex([3, 3, 2])))
+    code = main(["sweep", "--input", str(doc), "--t", "0.001,0.1,1,inf",
+                 "--out", str(tmp_path / "g332.csv")])
+    assert code == 0
+    assert len(sums) == 190 * 3
+    assert set(sums.values()) == {1}
+
+
 # -- wiring ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", (
+    ["gen", "cube", "--dim", "2"],
+    ["validate", "--input", "{doc}"],
+    ["check", "jv", "--input", "{doc}"],
+    ["sweep", "--input", "{doc}"],
+))
+def test_unwritable_out_is_a_usage_error_before_any_work(argv, tmp_path, capsys, monkeypatch):
+    doc = tmp_path / "c2.cxc"
+    doc.write_text(write_cxc(hypercube(2)))
+    argv = [arg.format(doc=doc) for arg in argv]
+    monkeypatch.setitem(cli._SUITES, "jv", lambda *a: pytest.fail("the suite ran"))
+    target = tmp_path / "missing" / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(target)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == "cubedeform: error: [Errno 2] No such file or directory: %r" % str(target)
+    assert not target.parent.exists()
 
 
 def test_no_command_is_usage_error():

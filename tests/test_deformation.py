@@ -28,6 +28,7 @@ from cubedeform.deformation import (
     pairing_limit,
     pairing_polynomial,
     pairing_sweep,
+    pairing_table,
     pairing_value,
     random_loop_residual,
     step_coefficients,
@@ -41,7 +42,7 @@ from cubedeform.deformation import (
 from cubedeform.differential import OrientedCube, d_matrix, delta_matrix, wedge_matrix
 from cubedeform.generate import hypercube, random_median_complex, star_tree
 from cubedeform.parallelism import class_of, enumerate_classes, pair_distance
-from cubedeform.symbols import canonical_symbol_vertex, cube_pair, symbol_from_raw
+from cubedeform.symbols import canonical_symbol_vertex, cube_pair, ps_basis, symbol_from_raw
 
 INF = float("inf")
 FIXED = ("square", "tripod", "cube3", "grid12")
@@ -419,6 +420,51 @@ def test_pairing_caches_stay_with_their_complex(square, cube3):
     # rebased copies share the per-complex cache; nothing in it depends on
     # the base vertex
     assert cube3.rebased(0b111)._shared is cube3._shared
+
+
+def _check_cross_cutting_pairs_vanish(cplx):
+    # the premise of pairing_table: faces with different cutting sets
+    # give no coefficient and symbols of different keys
+    for (_, p1, o1), (_, p2, o2) in helpers.symbol_pairs(cplx):
+        if p1.d.cutting != p2.d.cutting:
+            assert pairing_polynomial(cplx, p1, o1, p2, o2)[1] == {}
+            assert pairing_limit(cplx, p1, o1, p2, o2) == 0
+
+
+def _check_pairing_table(cplx):
+    # every same-cutting-set pair appears once, in order, with its own
+    # polynomial's id and its own limit
+    sections = [symbol_representative(cplx, sym)
+                for q in range(cplx.dimension + 1) for sym in ps_basis(cplx, q)]
+    table = pairing_table(cplx, sections)
+    assert len(table.rows) == len(sections)
+    polys = [pairing_polynomial(cplx, *w) for w in table.witnesses]
+    keys = [(power, tuple(coeffs.items())) for power, coeffs in polys]
+    assert len(set(keys)) == len(keys)
+    for i, (p1, o1) in enumerate(sections):
+        row = table.rows[i]
+        assert [j for j, _, _ in row] == [
+            j for j, (p2, _) in enumerate(sections) if p2.d.cutting == p1.d.cutting]
+        for j, k, limit in row:
+            power, coeffs = pairing_polynomial(cplx, p1, o1, *sections[j])
+            assert keys[k] == (power, tuple(coeffs.items()))
+            assert limit == pairing_limit(cplx, p1, o1, *sections[j])
+
+
+@pytest.mark.parametrize(
+    "name", helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES + (0, 1, 2, 3))
+def test_pairing_table_against_the_per_pair_path(name):
+    cplx = helpers.random_complex(name) if isinstance(name, int) else helpers.fixture(name)
+    _check_cross_cutting_pairs_vanish(cplx)
+    _check_pairing_table(cplx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 7), k=st.integers(1, 6), seed=st.integers(0, 1 << 16))
+def test_pairing_table_against_the_per_pair_path_hypothesis(n, k, seed):
+    cplx = random_median_complex(n, k, seed)
+    _check_cross_cutting_pairs_vanish(cplx)
+    _check_pairing_table(cplx)
 
 
 @pytest.mark.parametrize("t", (1e-5, 1e-200))
