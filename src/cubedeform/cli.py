@@ -8,15 +8,16 @@ Commands:
 * ``sweep``     emit the deformation pairing sweep as CSV
 
 Exit codes: 0 on success, 1 when validation or a check suite fails, 2 on
-usage errors (an ``--out`` that cannot be opened among them: it is opened
-before any work starts), 3 when a check suite breaks down: a matrix
-singular to working precision at an extreme t, or an allocation the
-machine cannot meet (``MemoryError``).  Exit 3 writes one line to stderr
-and nothing to stdout.  ``check field`` holds only for t >= FIELD_T_FLOOR (1e-6): below
-it ``U_t`` is too ill-conditioned for float64 and its identities fail by
-rounding alone, so a smaller t exits 3 before any computation.  All
-output is deterministic: the same command, seed, and input produce
-byte-identical bytes.
+usage errors (an ``--out`` that cannot be opened, a negative ``--seed``,
+a ``--tol`` name outside the suite's table or a NaN threshold among
+them: all are caught before any work starts), 3 when a check suite
+breaks down: a matrix singular to working precision at an extreme t, or
+an allocation the machine cannot meet (``MemoryError``). Exit 3 writes
+one line to stderr and nothing to stdout. ``check field`` holds only for
+t >= FIELD_T_FLOOR (1e-6): below it ``U_t`` is too ill-conditioned for
+float64 and its identities fail by rounding alone, so a smaller t exits
+3 before any computation. All output is deterministic: the same command,
+seed, and input produce byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ import contextlib
 import csv
 import io
 import json
+import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +61,8 @@ from .fredholm import (
     format_t,
     inv_sqrt_integral,
     norm2_bound,
-    spectral_residuals,
+    normalized_d,
+    spectral_frame,
 )
 from .generate import grid_complex, hypercube, random_median_complex, star_tree
 from .parallelism import (
@@ -84,43 +88,48 @@ __all__ = ["DEFAULT_TOLERANCES", "FIELD_T_FLOOR", "build_parser", "main"]
 # test complexes; from 1e-7 down, d_t_adjoint fails by rounding alone.
 FIELD_T_FLOOR = 1e-6
 
-# Module-stated thresholds, overridable per name with --tol name=value.
-DEFAULT_TOLERANCES: dict[str, float] = {
-    # jv
-    "d_squared": 0.0,
-    "delta_transpose": 0.0,
-    "laplacian_diagonal": 0.0,
-    "laplacian_weighted": 1e-12,
-    "wedge_hook_antisymmetry": 0.0,
-    "cohomology_ranks": 0.0,
-    # ps
-    "ps_d_squared": 0.0,
-    "ps_delta_squared": 0.0,
-    "ps_delta_transpose": 0.0,
-    "ps_laplacian_scalar": 0.0,
-    "ps_homotopy": 1e-12,
-    "ps_dimension_count": 0.0,
-    "ps_cohomology_ranks": 0.0,
-    # parallel
-    "class_count": 0.0,
-    "vertex_class_bijection": 0.0,
-    "nearest_verified": 0.0,
-    "class_complex_valid": 0.0,
-    # field
-    "gram_psd": 1e-10,
-    "unitarity_bridge": 1e-9,
-    "path_independence": 1e-10,
-    "d_t_squared": 1e-10,
-    "d_t_adjoint": 1e-9,
-    "w_hat_unitary": 1e-12,
-    # fredholm
-    "d_symmetric": 0.0,
-    "projection_commutes": 0.0,
-    "fredholm_identity": 1e-9,
-    "homotopy_identity": 1e-8,
-    "resolvent_bound": 1e-12,
-    "inv_sqrt_quadrature": 1e-6,
-    "normalized_d_identity": 1e-9,
+# Module-stated thresholds per suite, overridable per name with --tol name=value.
+DEFAULT_TOLERANCES: dict[str, dict[str, float]] = {
+    "jv": {
+        "d_squared": 0.0,
+        "delta_transpose": 0.0,
+        "laplacian_diagonal": 0.0,
+        "laplacian_weighted": 1e-12,
+        "wedge_hook_antisymmetry": 0.0,
+        "cohomology_ranks": 0.0,
+    },
+    "ps": {
+        "ps_d_squared": 0.0,
+        "ps_delta_squared": 0.0,
+        "ps_delta_transpose": 0.0,
+        "ps_laplacian_scalar": 0.0,
+        "ps_homotopy": 1e-12,
+        "ps_dimension_count": 0.0,
+        "ps_cohomology_ranks": 0.0,
+    },
+    "parallel": {
+        "class_count": 0.0,
+        "vertex_class_bijection": 0.0,
+        "nearest_verified": 0.0,
+        "class_complex_valid": 0.0,
+    },
+    "field": {
+        "gram_psd": 1e-10,
+        "unitarity_bridge": 1e-9,
+        "path_independence": 1e-10,
+        "d_t_squared": 1e-10,
+        "d_t_adjoint": 1e-9,
+        "w_hat_unitary": 1e-12,
+    },
+    "fredholm": {
+        "d_symmetric": 0.0,
+        "projection_commutes": 0.0,
+        "fredholm_identity": 1e-9,
+        "homotopy_identity": 1e-8,
+        "resolvent_bound": 1e-12,
+        "inv_sqrt_quadrature": 1e-6,
+        "normalized_d_identity": 1e-9,
+    },
 }
 
 
@@ -146,18 +155,23 @@ def _parse_t_grid(text: str, parser: argparse.ArgumentParser) -> tuple[float, ..
     return tuple(out)
 
 
-def _parse_tols(items: list[str], parser: argparse.ArgumentParser) -> dict[str, float]:
-    out = {}
+def _parse_tols(suite: str, items: list[str],
+                parser: argparse.ArgumentParser) -> dict[str, float]:
+    """The suite's thresholds with the ``--tol`` overrides applied."""
+    out = dict(DEFAULT_TOLERANCES[suite])
     for item in items:
         name, sep, value = item.partition("=")
         if not sep:
             parser.error("--tol expects name=value, got %r" % item)
-        if name not in DEFAULT_TOLERANCES:
-            parser.error("unknown tolerance name %r" % name)
+        if name not in out:
+            parser.error("unknown tolerance name %r for suite %s (known: %s)"
+                         % (name, suite, ", ".join(out)))
         try:
             out[name] = float(value)
         except ValueError:
             parser.error("bad tolerance value %r" % value)
+        if math.isnan(out[name]):
+            parser.error("bad tolerance value %r (NaN)" % value)
     return out
 
 
@@ -257,29 +271,30 @@ def _max_abs(m: np.ndarray) -> float:
     return float(np.abs(m).max()) if m.size else 0.0
 
 
+def _complex_checks(names, d, delta, laplacian, diagonal, dim, tols) -> list[dict]:
+    """The checks ``d^2 = 0``, ``delta = d^T`` and ``L = diag``, named in that order.
+
+    ``d``, ``delta`` and ``laplacian`` map a degree to its matrix, and
+    ``diagonal`` maps it to the Laplacian's expected diagonal.
+    """
+    square = transpose = lap = 0.0
+    for q in range(dim):
+        square = max(square, _max_abs(d(q + 1) @ d(q)))
+        transpose = max(transpose, _max_abs(delta(q + 1) - d(q).T))
+    for q in range(dim + 1):
+        lap = max(lap, _max_abs(laplacian(q) - np.diag(diagonal(q))))
+    return [_check(name, r, tols) for name, r in zip(names, (square, transpose, lap))]
+
+
 def _suite_jv(cplx, args, rng, tols):
     dim = cplx.dimension
-    checks = []
-
-    r = 0.0
-    for q in range(dim):
-        r = max(r, _max_abs(d_matrix(cplx, q + 1) @ d_matrix(cplx, q)))
-    checks.append(_check("d_squared", r, tols))
-
-    r = 0.0
-    for q in range(dim):
-        r = max(r, _max_abs(delta_matrix(cplx, q + 1) - d_matrix(cplx, q).T))
-    checks.append(_check("delta_transpose", r, tols))
-
-    r = 0.0
-    for q in range(dim + 1):
-        lap = laplacian_matrix(cplx, q)
-        expected = np.diag([
-            prof.q + prof.p
-            for prof in (spectral_profile(cplx, c) for c in cplx.cubes(q))
-        ]) if cplx.cubes(q) else np.zeros((0, 0), dtype=np.int64)
-        r = max(r, _max_abs(lap - expected))
-    checks.append(_check("laplacian_diagonal", r, tols))
+    checks = _complex_checks(
+        ("d_squared", "delta_transpose", "laplacian_diagonal"),
+        partial(d_matrix, cplx), partial(delta_matrix, cplx),
+        partial(laplacian_matrix, cplx),
+        lambda q: [prof.q + prof.p
+                   for prof in (spectral_profile(cplx, c) for c in cplx.cubes(q))],
+        dim, tols)
 
     w = deformation_weights(cplx, 1.0)
     r = 0.0
@@ -330,31 +345,16 @@ def _suite_jv(cplx, args, rng, tols):
 
 def _suite_ps(cplx, args, rng, tols):
     dim = cplx.dimension
-    checks = []
-
-    r = 0.0
-    for q in range(dim):
-        r = max(r, _max_abs(ps_d_matrix(cplx, q + 1) @ ps_d_matrix(cplx, q)))
-    checks.append(_check("ps_d_squared", r, tols))
+    checks = _complex_checks(
+        ("ps_d_squared", "ps_delta_transpose", "ps_laplacian_scalar"),
+        partial(ps_d_matrix, cplx), partial(ps_delta_matrix, cplx),
+        partial(ps_laplacian, cplx), lambda q: ps_type_of_index(cplx, q) + q,
+        dim, tols)
 
     r = 0.0
     for q in range(2, dim + 1):
         r = max(r, _max_abs(ps_delta_matrix(cplx, q - 1) @ ps_delta_matrix(cplx, q)))
-    checks.append(_check("ps_delta_squared", r, tols))
-
-    r = 0.0
-    for q in range(dim):
-        r = max(r, _max_abs(ps_delta_matrix(cplx, q + 1) - ps_d_matrix(cplx, q).T))
-    checks.append(_check("ps_delta_transpose", r, tols))
-
-    r = 0.0
-    for q in range(dim + 1):
-        lap = ps_laplacian(cplx, q)
-        if not lap.size:
-            continue
-        expected = np.diag(ps_type_of_index(cplx, q) + q)
-        r = max(r, _max_abs(lap - expected))
-    checks.append(_check("ps_laplacian_scalar", r, tols))
+    checks.insert(1, _check("ps_delta_squared", r, tols))
 
     # h = delta / (p + q) column-wise; p + q is constant along d, so
     # h d + d h telescopes to the identity off the type-(0, 0) line.
@@ -503,13 +503,15 @@ def _suite_fredholm(cplx, args, rng, tols):
     r = max(_max_abs(d_full[:, base]), _max_abs(d_full[base]))
     checks.append(_check("projection_commutes", r, tols))
 
+    # one dense frame at a time: each is dropped before the next is built
     fred = homo = res = 0.0
     for t in grid:
-        per_t = spectral_residuals(cplx, t, (0.0, 1.0, 10.0), weighted=True)
-        fred = max(fred, per_t["fredholm_residual"])
-        homo = max(homo, per_t["homotopy_residual"])
-        for entry in per_t["resolvent_bounds"]:
+        frame = spectral_frame(cplx, t, weighted=True)
+        fred = max(fred, norm2_bound(frame.fredholm_defect()))
+        homo = max(homo, norm2_bound(frame.homotopy_defect()))
+        for entry in frame.resolvent_bounds((0.0, 1.0, 10.0)):
             res = max(res, max(0.0, entry["norm"] - entry["bound"]))
+        del frame
     checks.append(_check("fredholm_identity", fred, tols))
     checks.append(_check("homotopy_identity", homo, tols))
     checks.append(_check("resolvent_bound", res, tols))
@@ -530,7 +532,7 @@ def _suite_fredholm(cplx, args, rng, tols):
     # that is exact division, 1 / (1 + lam) bit for bit
     shifted[np.diag_indices_from(shifted)] = 1.0 + lam
     inverse = np.linalg.solve(shifted, np.ones(len(lam)))
-    dprime = np.tril(d_float) * (1.0 + lam) ** -0.5
+    dprime = normalized_d(cplx)
     defect = dprime @ dprime.T
     defect += dprime.T @ dprime
     defect[np.diag_indices_from(defect)] -= 1.0 - inverse
@@ -689,8 +691,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     t = getattr(args, "t", None)
     args.t_grid = _parse_t_grid(t, parser) if t else None
-    args.tolerances = {**DEFAULT_TOLERANCES,
-                       **_parse_tols(getattr(args, "tol", []), parser)}
+    if args.command == "check":
+        if args.seed < 0:
+            parser.error("--seed must be a non-negative integer, got %d" % args.seed)
+        args.tolerances = _parse_tols(args.suite, args.tol, parser)
     with _open_out(args.out, parser) as out:
         return _COMMANDS[args.command](args, parser, out)
 

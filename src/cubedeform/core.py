@@ -42,6 +42,7 @@ __all__ = [
     "median_hull",
     "median_of",
     "parse_cxc",
+    "project_bits",
     "write_cxc",
 ]
 
@@ -86,6 +87,14 @@ class NormalCubePath(NamedTuple):
 def median_of(u: int, v: int, w: int) -> int:
     """Coordinatewise majority of three bit vectors."""
     return (u & v) | (w & (u ^ v))
+
+
+def project_bits(v: int, masks: Iterable[int]) -> int:
+    """The bits of ``v`` under ``masks``, packed with the first mask highest."""
+    out = 0
+    for m in masks:
+        out = out << 1 | (1 if v & m else 0)
+    return out
 
 
 def median_hull(n: int, verts: Iterable[int], limit: int | None = None) -> list[int]:
@@ -479,16 +488,9 @@ class CubeComplex:
             h for h in range(self.n_hyperplanes)
             if self.dist_hyperplane_to_base(h) >= radius)
         base = self.base_vertex
-
-        def project(v: int) -> int:
-            out = 0
-            for j, h in enumerate(keep):
-                if v & self._masks[h]:
-                    out |= 1 << (len(keep) - 1 - j)
-            return out
-
-        verts = [project(v) for v in self._verts if not ((v ^ base) & far_mask)]
-        return CubeComplex(len(keep), verts, project(base))
+        masks = [self._masks[h] for h in keep]
+        verts = [project_bits(v, masks) for v in self._verts if not ((v ^ base) & far_mask)]
+        return CubeComplex(len(keep), verts, project_bits(base, masks))
 
     # -- reporting ----------------------------------------------------------------
 

@@ -172,8 +172,8 @@ class _ClassGeom:
     in ascending neighbor order.
     """
 
-    __slots__ = ("members", "index", "cols", "adj", "pairs_by_h",
-                 "move_key", "perm", "sign", "_trees", "_paths")
+    __slots__ = ("members", "index", "cols", "adj", "move_key", "perm", "sign",
+                 "_trees")
 
     def __init__(self, cplx: CubeComplex, klass: ParallelClass):
         self.members = klass.members
@@ -181,7 +181,7 @@ class _ClassGeom:
         self.index = {c.anchor: i for i, c in enumerate(self.members)}
         cube_index = cplx.cube_index(klass.dim)
         self.cols = np.fromiter((cube_index[c] for c in self.members), np.intp, m)
-        self.pairs_by_h: dict[int, list[tuple[int, int]]] = {}
+        pairs_by_h: dict[int, list[tuple[int, int]]] = {}
         for i, member in enumerate(self.members):
             for h in range(cplx.n_hyperplanes):
                 if h in member.cutting:
@@ -195,12 +195,12 @@ class _ClassGeom:
                 if not cplx.adjacent_cube(member, h):
                     raise AssertionError(
                         "class members at distance one across %d span no cube" % h)
-                self.pairs_by_h.setdefault(h, []).append((i, j))
+                pairs_by_h.setdefault(h, []).append((i, j))
         self.move_key: dict[tuple[int, int], int] = {}
-        self.perm = np.tile(np.arange(m), (2 * len(self.pairs_by_h) + 1, 1))
+        self.perm = np.tile(np.arange(m), (2 * len(pairs_by_h) + 1, 1))
         self.sign = np.zeros(self.perm.shape, dtype=np.int8)
         self.adj: list[list[tuple[int, int, int]]] = [[] for _ in self.members]
-        for h, pairs in self.pairs_by_h.items():
+        for h, pairs in pairs_by_h.items():
             lo, hi = np.array(pairs).T
             for side, (u, v) in enumerate(((lo, hi), (hi, lo))):
                 k = self.move_key[h, side] = len(self.move_key) + 1
@@ -213,7 +213,6 @@ class _ClassGeom:
         for lst in self.adj:
             lst.sort()
         self._trees: dict[int, list] = {}
-        self._paths: dict[int, np.ndarray] = {}
 
     def tree(self, root: int) -> list:
         """Breadth-first parent table rooted at ``root``.
@@ -250,22 +249,7 @@ class _ClassGeom:
 
     def root_paths(self, root: int) -> np.ndarray:
         """Row i: the move keys from member i up to ``root``, padded with 0."""
-        got = self._paths.get(root)
-        if got is None:
-            parents = self.tree(root)
-            paths: list = [None] * len(self.members)
-            paths[root] = []
-            for start in range(len(self.members)):
-                chain = []
-                node = start
-                while paths[node] is None:
-                    chain.append(node)
-                    node = parents[node][0]
-                for node in reversed(chain):
-                    parent, key = parents[node]
-                    paths[node] = [key] + paths[parent]
-            got = self._paths[root] = _padded(paths)
-        return got
+        return _padded([self.path_keys(root, i) for i in range(len(self.members))])
 
 
 def _padded(rows: list[list[int]]) -> np.ndarray:
@@ -384,12 +368,11 @@ def _is_exact(ab: tuple | None) -> bool:
     return ab is not None and not isinstance(ab[0], float)
 
 
-def _path_block(geom: _ClassGeom, root: int, start: int, ab: tuple,
-                exact: bool) -> np.ndarray:
-    """The composite move from member ``start`` to member ``root``."""
+def _moves_block(geom: _ClassGeom, keys: list[int], ab: tuple,
+                 exact: bool) -> np.ndarray:
+    """The class's moves ``keys``, in order, applied to the identity."""
     out = np.identity(len(geom.members), dtype=object if exact else np.float64)
-    keys = np.array([geom.path_keys(root, start)], dtype=np.intp)
-    _rotate(out[None], geom.perm, geom.sign, ab, keys)
+    _rotate(out[None], geom.perm, geom.sign, ab, np.array([keys], dtype=np.intp))
     return out
 
 
@@ -406,23 +389,15 @@ def w_step_matrix(cplx: CubeComplex, cube: Cube, h: int, t: float | None = None,
 
     A square matrix over the members of the cube's parallelism class in
     canonical member order: the stated 2x2 block on every pair adjacent
-    across ``h``, the identity elsewhere.  ``ab`` overrides the mixing
+    across ``h``, the identity elsewhere; the cached move of ``h`` from the
+    cube's side, applied to the identity.  ``ab`` overrides the mixing
     coefficients (exact scalars allowed); otherwise they come from ``t``.
     """
     if not cplx.adjacent_cube(cube, h):
         raise ValueError("cube %r is not adjacent to hyperplane %d" % (cube, h))
-    a, b = _resolve_ab(t, ab)
     geom = _class_geom(cplx, class_of(cplx, cube.cutting))
-    src_side = 1 if cube.anchor & cplx.mask(h) else 0
-    m = len(geom.members)
-    out = np.identity(m, dtype=object if _is_exact(ab) else np.float64)
-    for i0, i1 in geom.pairs_by_h.get(h, ()):
-        u, v = (i0, i1) if src_side == 0 else (i1, i0)
-        out[u, u] = b
-        out[v, u] = a
-        out[u, v] = -a
-        out[v, v] = b
-    return out
+    key = geom.move_key[h, 1 if cube.anchor & cplx.mask(h) else 0]
+    return _moves_block(geom, [key], _resolve_ab(t, ab), _is_exact(ab))
 
 
 def w_path_matrix(cplx: CubeComplex, target: Cube, source: Cube,
@@ -435,8 +410,8 @@ def w_path_matrix(cplx: CubeComplex, target: Cube, source: Cube,
     if target.cutting != source.cutting:
         raise ValueError("cubes %r and %r are not parallel" % (target, source))
     geom = _class_geom(cplx, class_of(cplx, target.cutting))
-    return _path_block(geom, geom.index[target.anchor], geom.index[source.anchor],
-                       _resolve_ab(t, ab), _is_exact(ab))
+    keys = geom.path_keys(geom.index[target.anchor], geom.index[source.anchor])
+    return _moves_block(geom, keys, _resolve_ab(t, ab), _is_exact(ab))
 
 
 def _loop_blocks(moves: tuple):
@@ -1014,11 +989,7 @@ def d_t_pairing(cplx: CubeComplex, pair1: CubePair, o1: OrientedCube,
         return float(total) if power == 0 else 0.0
     with mp.workdps(50):
         ab = _step_coefficients_mp(t)
-        w = None
-        if weighted:
-            slope = min(mp.mpf(t), mp.mpf(1))
-            w = [1 + slope * cplx.dist_hyperplane_to_base(h)
-                 for h in range(cplx.n_hyperplanes)]
+        w = deformation_weights(cplx, mp.mpf(t)) if weighted else None
         uf1 = u_t_apply(cplx, basic_cochain(cplx, pair1, o1), ab=ab)
         duf1 = d_cochain(cplx, uf1, w)
         uf2 = u_t_apply(cplx, basic_cochain(cplx, pair2, o2), ab=ab)
@@ -1057,8 +1028,8 @@ def w_hat_blocks(cplx: CubeComplex, q: int, target_vertex: int, source_vertex: i
         near_t = nearest_in_class(cplx, target_vertex, klass)
         near_s = nearest_in_class(cplx, source_vertex, klass)
         if near_t != near_s:
-            out.append((geom.cols, _path_block(
-                geom, geom.index[near_t.anchor], geom.index[near_s.anchor], ab, exact)))
+            keys = geom.path_keys(geom.index[near_t.anchor], geom.index[near_s.anchor])
+            out.append((geom.cols, _moves_block(geom, keys, ab, exact)))
     return out
 
 

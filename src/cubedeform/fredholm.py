@@ -34,14 +34,12 @@ import numpy as np
 
 from .core import CubeComplex
 from .deformation import basepoint_commutator_norm, deformation_weights
-from .differential import Weights, d_matrix, delta_matrix, laplacian_matrix
+from .differential import Weights, d_matrix, delta_matrix
 
 __all__ = [
     "GradedOperator",
     "SpectralFrame",
     "assemble_D",
-    "assemble_laplacian",
-    "assemble_raising",
     "base_neighbor",
     "base_projection",
     "basepoint_decay_sweep",
@@ -56,7 +54,6 @@ __all__ = [
     "normalized_d",
     "resolvent_bounds",
     "spectral_frame",
-    "spectral_residuals",
 ]
 
 
@@ -77,39 +74,21 @@ def graded_offsets(cplx: CubeComplex) -> tuple[int, ...]:
     return tuple(offs)
 
 
-def _graded_zeros(cplx: CubeComplex, weights: Weights) -> GradedOperator:
-    """Zero graded matrix: integer for unit weights, float otherwise."""
-    offs = graded_offsets(cplx)
-    dtype = np.int64 if weights is None else np.float64
-    return GradedOperator(np.zeros((offs[-1], offs[-1]), dtype=dtype), offs)
-
-
-def assemble_raising(cplx: CubeComplex, weights: Weights = None) -> GradedOperator:
-    """Only the degree-raising half of ``assemble_D``."""
-    out = _graded_zeros(cplx, weights)
-    for q in range(cplx.dimension):
-        out.matrix[out.degree_slice(q + 1), out.degree_slice(q)] = d_matrix(cplx, q, weights)
-    return out
-
-
 def assemble_D(cplx: CubeComplex, weights: Weights = None) -> GradedOperator:
     """The symmetric operator d + delta over the graded basis.
 
-    Both triangles are assembled from their own formulas; the symmetry of
-    the result is a theorem about the two, not a construction.
+    Integer for unit weights, float otherwise.  Both triangles are
+    assembled from their own formulas; the symmetry of the result is a
+    theorem about the two, not a construction.  The degree-raising half d
+    is the strictly lower triangle.
     """
-    out = assemble_raising(cplx, weights)
-    for q in range(1, cplx.dimension + 1):
-        out.matrix[out.degree_slice(q - 1), out.degree_slice(q)] = delta_matrix(cplx, q, weights)
-    return out
-
-
-def assemble_laplacian(cplx: CubeComplex, weights: Weights = None) -> GradedOperator:
-    """Block-diagonal Laplacian, degree by degree."""
-    out = _graded_zeros(cplx, weights)
-    for q in range(cplx.dimension + 1):
-        block = out.degree_slice(q)
-        out.matrix[block, block] = laplacian_matrix(cplx, q, weights)
+    offs = graded_offsets(cplx)
+    dtype = np.int64 if weights is None else np.float64
+    out = GradedOperator(np.zeros((offs[-1], offs[-1]), dtype=dtype), offs)
+    for q in range(cplx.dimension):
+        lo, hi = out.degree_slice(q), out.degree_slice(q + 1)
+        out.matrix[hi, lo] = d_matrix(cplx, q, weights)
+        out.matrix[lo, hi] = delta_matrix(cplx, q + 1, weights)
     return out
 
 
@@ -303,17 +282,6 @@ def resolvent_bounds(cplx: CubeComplex, t: float, lambdas: Iterable[float],
     are Gershgorin upper bounds (see ``SpectralFrame.resolvent_bounds``).
     """
     return spectral_frame(cplx, t, weighted).resolvent_bounds(lambdas)
-
-
-def spectral_residuals(cplx: CubeComplex, t: float, lambdas: Iterable[float],
-                       weighted: bool = False) -> dict:
-    """The Fredholm, homotopy and resolvent checks at t from one frame."""
-    frame = spectral_frame(cplx, t, weighted)
-    return {
-        "fredholm_residual": norm2_bound(frame.fredholm_defect()),
-        "homotopy_residual": norm2_bound(frame.homotopy_defect()),
-        "resolvent_bounds": frame.resolvent_bounds(lambdas),
-    }
 
 
 def basepoint_decay_sweep(cplx: CubeComplex, p_vertex: int, q_vertex: int,

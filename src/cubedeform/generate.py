@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .core import CubeComplex, median_closure
+from .core import CubeComplex, median_closure, project_bits
 
 __all__ = ["grid_complex", "hypercube", "random_median_complex", "star_tree"]
 
@@ -57,17 +57,10 @@ def _prune_constant(n: int, verts: list[int]) -> tuple[int, list[int], int]:
     for v in verts:
         all_and &= v
         all_or |= v
-    keep = [h for h in range(n) if (all_or & ~all_and) & (1 << (n - 1 - h))]
-
-    def project(v: int) -> int:
-        out = 0
-        for j, h in enumerate(keep):
-            if v & (1 << (n - 1 - h)):
-                out |= 1 << (len(keep) - 1 - j)
-        return out
-
-    projected = sorted(project(v) for v in verts)
-    return len(keep), projected, projected[0]
+    varying = all_or & ~all_and
+    masks = [1 << (n - 1 - h) for h in range(n) if varying & 1 << (n - 1 - h)]
+    projected = sorted(project_bits(v, masks) for v in verts)
+    return len(masks), projected, projected[0]
 
 
 def random_median_complex(n: int, k: int, seed: int) -> CubeComplex:

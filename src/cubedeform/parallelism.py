@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
-from .core import Cube, CubeComplex, InvalidComplex
+from .core import Cube, CubeComplex, InvalidComplex, project_bits
 
 __all__ = [
     "ClassComplex",
@@ -189,22 +189,14 @@ def class_complex(cplx: CubeComplex, klass: ParallelClass) -> ClassComplex:
         h for h in range(cplx.n_hyperplanes)
         if h not in klass.determining
         and all(cross[h, k] for k in klass.determining))
-    width = len(frame)
-
-    def project(anchor: int) -> int:
-        bits = 0
-        for i, h in enumerate(frame):
-            if anchor & cplx.mask(h):
-                bits |= 1 << (width - 1 - i)
-        return bits
-
-    to_vertex = {member: project(member.anchor) for member in klass.members}
+    masks = [cplx.mask(h) for h in frame]
+    to_vertex = {member: project_bits(member.anchor, masks) for member in klass.members}
     if len(set(to_vertex.values())) != len(to_vertex):
         raise InvalidComplex(
             "frame coordinates do not separate the members of class %s"
             % (list(klass.determining),))
     home = nearest_in_class(cplx, cplx.base_vertex, klass)
-    derived = CubeComplex(width, to_vertex.values(), to_vertex[home])
+    derived = CubeComplex(len(frame), to_vertex.values(), to_vertex[home])
     from_vertex = {v: member for member, v in to_vertex.items()}
     return ClassComplex(derived, frame, klass.members, to_vertex, from_vertex)
 

@@ -25,11 +25,10 @@ from cubedeform.deformation import (
     step_coefficients,
     symbol_representative,
     w_path_matrix,
-    w_step_matrix,
 )
+from cubedeform.differential import d_matrix
 from cubedeform.fredholm import (
     assemble_D,
-    assemble_raising,
     base_projection,
     format_t,
     inv_sqrt_spectral,
@@ -142,7 +141,7 @@ def random_loop_residual(cplx: CubeComplex, rng, t: float,
                     break
                 nxt = nbrs[int(rng.integers(len(nbrs)))]
                 h = cplx.hyperplane_of_mask(cur.anchor ^ nxt.anchor)
-                prod = w_step_matrix(cplx, cur, h, t) @ prod
+                prod = oracle_w_step_matrix(cplx, cur, h, t) @ prod
                 cur = nxt
             prod = w_path_matrix(cplx, start, cur, t) @ prod
             worst = max(worst,
@@ -161,6 +160,30 @@ def adjacent_vertex_pairs(cplx: CubeComplex) -> list[tuple[int, int]]:
 
 
 # -- frame oracles: per-entry assembly and row-pair moves, nothing cached -------
+
+
+def oracle_w_step_matrix(cplx: CubeComplex, cube: Cube, h: int,
+                         t: float | None = None, ab: tuple | None = None) -> np.ndarray:
+    """The crossing move of ``h`` away from ``cube``, written entry by entry.
+
+    The 2x2 block on every pair of class members across ``h``, with u on
+    the cube's side: W e_u = b e_u + a e_v, W e_v = -a e_u + b e_v.
+    """
+    a, b = ab if ab is not None else step_coefficients(t)
+    exact = ab is not None and not isinstance(a, float)
+    members = class_of(cplx, cube.cutting).members
+    index = {m.anchor: i for i, m in enumerate(members)}
+    mask = cplx.mask(h)
+    out = np.identity(len(members), dtype=object if exact else np.float64)
+    for u, member in enumerate(members):
+        v = index.get(member.anchor ^ mask)
+        if v is None or member.anchor & mask != cube.anchor & mask:
+            continue
+        out[u, u] = b
+        out[v, u] = a
+        out[u, v] = -a
+        out[v, v] = b
+    return out
 
 
 def oracle_gram_matrix(cplx: CubeComplex, q: int, t: float) -> np.ndarray:
@@ -393,6 +416,15 @@ def oracle_sweep_csv(cplx, t_grid):
 # -- spectral oracles: dense solves, SVDs and exact 2-norms per call ------------
 
 
+def oracle_raising(cplx, weights=None):
+    """The graded d, its blocks ``d_matrix`` below the diagonal, as floats."""
+    offs = np.cumsum([0] + [len(cplx.cubes(q)) for q in range(cplx.dimension + 1)])
+    out = np.zeros((offs[-1], offs[-1]))
+    for q in range(cplx.dimension):
+        out[offs[q + 1]:offs[q + 2], offs[q]:offs[q + 1]] = d_matrix(cplx, q, weights)
+    return out
+
+
 def _oracle_shifted_square(cplx, t, weighted):
     w = deformation_weights(cplx, t) if weighted else None
     s = assemble_D(cplx, w).matrix.astype(np.float64)
@@ -410,9 +442,9 @@ def oracle_fredholm_residual(cplx, t, weighted=False):
 
 
 def oracle_homotopy_residual(cplx, t, weighted=False):
-    """|h d' + d' h - (I - P (P + D^2)^(-1))|_2 exactly, d' from ``assemble_raising``."""
+    """|h d' + d' h - (I - P (P + D^2)^(-1))|_2 exactly, d' from the blocks ``d_matrix``."""
     w, s, p, shifted = _oracle_shifted_square(cplx, t, weighted)
-    raising = assemble_raising(cplx, w).matrix.astype(np.float64)
+    raising = oracle_raising(cplx, w)
     dprime = raising @ inv_sqrt_spectral(shifted)
     h = dprime.T
     eye = np.eye(s.shape[0])

@@ -139,12 +139,13 @@ def test_check_suites_pass(suite, grid_file, capsys):
     assert report["schema"] == 1
     assert report["suite"] == suite
     assert report["pass"] is True
-    assert report["checks"]
+    # every check of the suite's table, in table order, at its threshold
+    table = DEFAULT_TOLERANCES[suite]
+    assert [check["name"] for check in report["checks"]] == list(table)
     for check in report["checks"]:
         assert set(check) == {"name", "residual", "threshold", "pass"}
         assert check["pass"] is True
-        assert check["residual"] <= check["threshold"]
-        assert check["name"] in DEFAULT_TOLERANCES
+        assert check["residual"] <= check["threshold"] == table[check["name"]]
 
 
 def test_check_parallel_counts(grid_file, capsys):
@@ -170,6 +171,52 @@ def test_check_tol_override_forces_failure(grid_file, capsys):
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["d_squared"]["pass"] is False
     assert by_name["d_squared"]["threshold"] == -1.0
+
+
+def test_check_tol_names_belong_to_the_suite(grid_file, capsys):
+    # a name from another suite's table would be accepted and then ignored
+    usage_error(["check", "jv", "--input", grid_file, "--tol", "gram_psd=-1"])
+    usage_error(["check", "fredholm", "--input", grid_file, "--tol", "d_squared=-1"])
+    for suite, table in DEFAULT_TOLERANCES.items():
+        for other, names in DEFAULT_TOLERANCES.items():
+            if other != suite:
+                usage_error(["check", suite, "--input", grid_file,
+                             "--tol", "%s=1" % next(iter(names))])
+        name = list(table)[-1]
+        code, out = run(["check", suite, "--input", grid_file, "--tol", name + "=-1"],
+                        capsys)
+        assert code == 1
+        failed = [c["name"] for c in json.loads(out)["checks"] if not c["pass"]]
+        assert failed == [name]
+
+
+@pytest.mark.parametrize("value", ("nan", "NaN", "-nan"))
+def test_check_tol_rejects_nan(grid_file, value):
+    usage_error(["check", "jv", "--input", grid_file, "--tol", "d_squared=" + value])
+
+
+def test_check_tol_accepts_infinity(grid_file, capsys):
+    code, out = run(["check", "jv", "--input", grid_file, "--tol", "d_squared=inf"], capsys)
+    assert code == 0
+    by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert by_name["d_squared"]["threshold"] == float("inf")
+
+
+@pytest.mark.parametrize("seed", ("-1", "-7", "abc", "1.5"))
+def test_check_bad_seed_is_a_usage_error(grid_file, tmp_path, seed):
+    usage_error(["check", "field", "--input", grid_file, "--seed", seed])
+    # exit 2 with one usage message, before --out is opened or any work starts
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "cubedeform.cli", "check", "field", "--input", grid_file,
+         "--seed=" + seed, "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr.splitlines()[-1]
+    assert "--seed" in proc.stderr.splitlines()[-1]
+    assert not out.exists()
 
 
 def test_check_t_grid_override(grid_file, capsys):
@@ -281,13 +328,18 @@ def test_check_field_at_the_t_floor(grid_file, capsys):
 
 
 def test_default_tolerances_table():
-    assert len(DEFAULT_TOLERANCES) == 30
-    assert all(isinstance(v, float) and v >= 0 for v in DEFAULT_TOLERANCES.values())
-    for name in ("d_squared", "cohomology_ranks", "ps_homotopy", "class_count",
-                 "gram_psd", "unitarity_bridge", "path_independence",
-                 "fredholm_identity", "homotopy_identity", "resolvent_bound",
-                 "inv_sqrt_quadrature"):
-        assert name in DEFAULT_TOLERANCES
+    assert set(DEFAULT_TOLERANCES) == set(cli._SUITES)
+    names = [name for table in DEFAULT_TOLERANCES.values() for name in table]
+    assert len(names) == len(set(names)) == 30
+    assert all(isinstance(v, float) and v >= 0
+               for table in DEFAULT_TOLERANCES.values() for v in table.values())
+    for suite, name in (("jv", "d_squared"), ("jv", "cohomology_ranks"),
+                        ("ps", "ps_homotopy"), ("parallel", "class_count"),
+                        ("field", "gram_psd"), ("field", "unitarity_bridge"),
+                        ("field", "path_independence"), ("fredholm", "fredholm_identity"),
+                        ("fredholm", "homotopy_identity"), ("fredholm", "resolvent_bound"),
+                        ("fredholm", "inv_sqrt_quadrature")):
+        assert name in DEFAULT_TOLERANCES[suite]
 
 
 # -- sweep -------------------------------------------------------------------------

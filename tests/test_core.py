@@ -20,6 +20,7 @@ from cubedeform.core import (
     median_hull,
     median_of,
     parse_cxc,
+    project_bits,
     write_cxc,
 )
 
@@ -43,6 +44,24 @@ def test_median_of_is_symmetric_and_absorbing():
         assert len(vals) == 1
         assert median_of(u, u, w) == u
         assert median_of(u, v, v) == v
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=st.integers(0, (1 << 80) - 1),
+       positions=st.lists(st.integers(0, 79), max_size=20))
+def test_project_bits_matches_a_per_bit_reference(v, positions):
+    masks = [1 << i for i in positions]
+    want = "".join("1" if v >> i & 1 else "0" for i in positions)
+    assert project_bits(v, masks) == int(want or "0", 2)
+    assert project_bits(v, iter(masks)) == project_bits(v, masks)
+
+
+def test_project_bits_hand_values():
+    assert project_bits(0b1011, [0b1000, 0b0100, 0b0001]) == 0b101
+    assert project_bits(0b1011, [0b0001, 0b1000]) == 0b11
+    assert project_bits(0b1011, []) == 0
+    # a mask with several bits reads as one: any of them set
+    assert project_bits(0b0100, [0b0110, 0b1001]) == 0b10
 
 
 def test_median_closure_is_closed_and_contains_seeds():

@@ -659,6 +659,45 @@ def test_w_path_matches_row_pair_oracle(ab):
                     assert np.array_equal(got, want)
 
 
+def _step_cases(cplx):
+    """Every (member, hyperplane) that has a crossing move, over all classes."""
+    for klass in enumerate_classes(cplx):
+        for member in klass.members:
+            for h in range(cplx.n_hyperplanes):
+                if h not in member.cutting and cplx.adjacent_cube(member, h):
+                    yield member, h
+
+
+@pytest.mark.parametrize("t, ab", (
+    (0.3, None), (1.0, None), (2.5, None), (INF, None),
+    (None, (Fraction(3, 5), Fraction(4, 5))), (None, (1, 0))))
+def test_w_step_matches_entrywise_oracle(t, ab):
+    # the cached move applied to the identity is the 2x2 block form written
+    # entry by entry: equal up to the sign of zeros in IEEE arithmetic
+    cases = 0
+    for cplx in _block_complexes():
+        for member, h in _step_cases(cplx):
+            got = w_step_matrix(cplx, member, h, t, ab)
+            want = helpers.oracle_w_step_matrix(cplx, member, h, t, ab)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            cases += 1
+    assert cases > 300
+
+
+def test_root_paths_rows_are_the_tree_paths():
+    for cplx in _block_complexes():
+        for klass in enumerate_classes(cplx):
+            geom = deformation._class_geom(cplx, klass)
+            for root in range(len(klass.members)):
+                paths = geom.root_paths(root)
+                keys = [geom.path_keys(root, i) for i in range(len(klass.members))]
+                assert paths.shape == (len(keys), max(map(len, keys)))
+                for row, path in zip(paths, keys):
+                    assert list(row[:len(path)]) == path
+                    assert not row[len(path):].any()
+
+
 @pytest.mark.parametrize("ab", (None, (Fraction(3, 5), Fraction(4, 5))))
 def test_w_hat_matches_entrywise_oracle(ab):
     for cplx in _block_complexes()[:-1]:
