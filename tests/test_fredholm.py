@@ -77,6 +77,19 @@ def test_assemble_D_squares_to_laplacian(name):
     assert np.abs(gap).max() <= 1e-12 * max(np.abs(dw @ dw).max(), 1.0)
 
 
+def test_assemble_laplacian_blocks(grid12):
+    """The graded Laplacian D @ D is block diagonal, one Delta_q per degree."""
+    op = assemble_D(grid12)
+    lap = op.matrix @ op.matrix
+    for q in range(grid12.dimension + 1):
+        block = op.degree_slice(q)
+        assert (lap[block, block] == laplacian_matrix(grid12, q)).all()
+    # off-diagonal blocks vanish
+    assert np.count_nonzero(lap) == sum(
+        np.count_nonzero(laplacian_matrix(grid12, q))
+        for q in range(grid12.dimension + 1))
+
+
 def test_degree_slices(square):
     op = assemble_D(square)
     assert op.offsets == (0, 4, 8, 9)
