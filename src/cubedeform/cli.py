@@ -29,7 +29,6 @@ import io
 import json
 import math
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -255,46 +254,43 @@ def _cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser, out
 
 
 # -- check suites ----------------------------------------------------------------
-
-
-def _check(name: str, residual: float, tols: dict[str, float]) -> dict:
-    threshold = tols[name]
-    return {
-        "name": name,
-        "residual": float(residual),
-        "threshold": float(threshold),
-        "pass": bool(float(residual) <= float(threshold)),
-    }
+#
+# Each suite maps (complex, arguments) to its residuals keyed by check name,
+# plus counts to report; the names, their order and their thresholds come
+# from DEFAULT_TOLERANCES alone.
 
 
 def _max_abs(m: np.ndarray) -> float:
     return float(np.abs(m).max()) if m.size else 0.0
 
 
-def _complex_checks(names, d, delta, laplacian, diagonal, dim, tols) -> list[dict]:
-    """The checks ``d^2 = 0``, ``delta = d^T`` and ``L = diag``, named in that order.
+def _complex_checks(cplx, names, d, delta, laplacian, diagonal, ranks) -> dict:
+    """Residuals of ``d^2 = 0``, ``delta = d^T``, ``L = diag`` and the
+    cohomology ranks ``(1, 0, ..., 0)``, keyed by ``names`` in that order.
 
-    ``d``, ``delta`` and ``laplacian`` map a degree to its matrix, and
-    ``diagonal`` maps it to the Laplacian's expected diagonal.
+    ``d``, ``delta`` and ``laplacian`` take the complex and a degree, as
+    ``d_matrix`` does, ``ranks`` takes the complex, and ``diagonal`` maps a
+    degree to the Laplacian's expected diagonal.
     """
+    dim = cplx.dimension
     square = transpose = lap = 0.0
     for q in range(dim):
-        square = max(square, _max_abs(d(q + 1) @ d(q)))
-        transpose = max(transpose, _max_abs(delta(q + 1) - d(q).T))
+        square = max(square, _max_abs(d(cplx, q + 1) @ d(cplx, q)))
+        transpose = max(transpose, _max_abs(delta(cplx, q + 1) - d(cplx, q).T))
     for q in range(dim + 1):
-        lap = max(lap, _max_abs(laplacian(q) - np.diag(diagonal(q))))
-    return [_check(name, r, tols) for name, r in zip(names, (square, transpose, lap))]
+        lap = max(lap, _max_abs(laplacian(cplx, q) - np.diag(diagonal(q))))
+    rank = sum(abs(a - b) for a, b in zip(ranks(cplx), (1,) + (0,) * dim))
+    return dict(zip(names, (square, transpose, lap, rank)))
 
 
-def _suite_jv(cplx, args, rng, tols):
+def _suite_jv(cplx, args):
     dim = cplx.dimension
-    checks = _complex_checks(
-        ("d_squared", "delta_transpose", "laplacian_diagonal"),
-        partial(d_matrix, cplx), partial(delta_matrix, cplx),
-        partial(laplacian_matrix, cplx),
+    res = _complex_checks(
+        cplx, ("d_squared", "delta_transpose", "laplacian_diagonal", "cohomology_ranks"),
+        d_matrix, delta_matrix, laplacian_matrix,
         lambda q: [prof.q + prof.p
                    for prof in (spectral_profile(cplx, c) for c in cplx.cubes(q))],
-        dim, tols)
+        cohomology_ranks)
 
     w = deformation_weights(cplx, 1.0)
     r = 0.0
@@ -308,7 +304,7 @@ def _suite_jv(cplx, args, rng, tols):
         ])
         scale = max(1.0, _max_abs(expected))
         r = max(r, _max_abs(lap - expected) / scale)
-    checks.append(_check("laplacian_weighted", r, tols))
+    res["laplacian_weighted"] = r
 
     # Products in float64 go through BLAS and stay exact: entries are in
     # {-1, 0, 1} and every sum is far below 2^53.
@@ -333,28 +329,22 @@ def _suite_jv(cplx, args, rng, tols):
                     if q >= 1:
                         a = a + wedge(h2, q - 1) @ hook(h1, q)
                     r = max(r, _max_abs(a))
-    checks.append(_check("wedge_hook_antisymmetry", r, tols))
-
-    got = cohomology_ranks(cplx)
-    expected_ranks = (1,) + (0,) * dim
-    checks.append(_check(
-        "cohomology_ranks",
-        sum(abs(a - b) for a, b in zip(got, expected_ranks)), tols))
-    return checks, {}
+    res["wedge_hook_antisymmetry"] = r
+    return res, {}
 
 
-def _suite_ps(cplx, args, rng, tols):
+def _suite_ps(cplx, args):
     dim = cplx.dimension
-    checks = _complex_checks(
-        ("ps_d_squared", "ps_delta_transpose", "ps_laplacian_scalar"),
-        partial(ps_d_matrix, cplx), partial(ps_delta_matrix, cplx),
-        partial(ps_laplacian, cplx), lambda q: ps_type_of_index(cplx, q) + q,
-        dim, tols)
+    res = _complex_checks(
+        cplx, ("ps_d_squared", "ps_delta_transpose", "ps_laplacian_scalar",
+               "ps_cohomology_ranks"),
+        ps_d_matrix, ps_delta_matrix, ps_laplacian,
+        lambda q: ps_type_of_index(cplx, q) + q, ps_cohomology_ranks)
 
     r = 0.0
     for q in range(2, dim + 1):
         r = max(r, _max_abs(ps_delta_matrix(cplx, q - 1) @ ps_delta_matrix(cplx, q)))
-    checks.insert(1, _check("ps_delta_squared", r, tols))
+    res["ps_delta_squared"] = r
 
     # h = delta / (p + q) column-wise; p + q is constant along d, so
     # h d + d h telescopes to the identity off the type-(0, 0) line.
@@ -378,32 +368,22 @@ def _suite_ps(cplx, args, rng, tols):
             for j in np.flatnonzero(types == 0):
                 target[j, j] = 0.0
         r = max(r, _max_abs(total - target))
-    checks.append(_check("ps_homotopy", r, tols))
+    res["ps_homotopy"] = r
 
     total_dim = sum(ps_dimension(cplx, q) for q in range(dim + 1))
     expected_dim = sum(
         2 ** len(klass.determining) for klass in enumerate_classes(cplx))
-    checks.append(_check("ps_dimension_count", abs(total_dim - expected_dim), tols))
-
-    got = ps_cohomology_ranks(cplx)
-    expected_ranks = (1,) + (0,) * dim
-    checks.append(_check(
-        "ps_cohomology_ranks",
-        sum(abs(a - b) for a, b in zip(got, expected_ranks)), tols))
-    return checks, {}
+    res["ps_dimension_count"] = abs(total_dim - expected_dim)
+    return res, {}
 
 
-def _suite_parallel(cplx, args, rng, tols):
-    checks = []
+def _suite_parallel(cplx, args):
     classes = enumerate_classes(cplx)
-    checks.append(_check("class_count", abs(len(classes) - cplx.n_vertices), tols))
-
     try:
         mapping = vertex_to_class_bijection(cplx)
         bad = 0 if len(set(mapping.values())) == cplx.n_vertices else 1
     except AssertionError:
         bad = 1
-    checks.append(_check("vertex_class_bijection", bad, tols))
 
     pairs = [(v, klass) for v in cplx.vertices for klass in classes]
     stride = max(1, len(pairs) // 4096)
@@ -413,7 +393,6 @@ def _suite_parallel(cplx, args, rng, tols):
             nearest_in_class(cplx, v, klass, verify=True)
         except AssertionError:
             failures += 1
-    checks.append(_check("nearest_verified", failures, tols))
 
     invalid = 0
     for klass in classes:
@@ -421,11 +400,18 @@ def _suite_parallel(cplx, args, rng, tols):
             class_complex(cplx, klass)
         except InvalidComplex:
             invalid += 1
-    checks.append(_check("class_complex_valid", invalid, tols))
-    return checks, {"vertices": cplx.n_vertices, "classes": len(classes)}
+    return {
+        "class_count": abs(len(classes) - cplx.n_vertices),
+        "vertex_class_bijection": bad,
+        "nearest_verified": failures,
+        "class_complex_valid": invalid,
+    }, {"vertices": cplx.n_vertices, "classes": len(classes)}
 
 
-def _suite_field(cplx, args, rng, tols):
+def _suite_field(cplx, args):
+    if args.t_grid and min(args.t_grid) < FIELD_T_FLOOR:
+        raise np.linalg.LinAlgError("t=%s below the float64 floor %r"
+                                    % (format_t(min(args.t_grid)), FIELD_T_FLOOR))
     dim = cplx.dimension
     grid = args.t_grid or (0.1, 0.5, 1.0, 2.0, INF)
     loop_grid = args.t_grid or (0.3, 1.0)
@@ -469,6 +455,7 @@ def _suite_field(cplx, args, rng, tols):
                     g_delta[blks.cols] = blks.gram @ g_delta[blks.cols]
                 adjoint = max(adjoint, _max_abs(g_d.T - g_delta))
 
+    rng = np.random.default_rng(args.seed)
     loops = 0.0
     for t in loop_grid:
         if t != INF:
@@ -481,40 +468,39 @@ def _suite_field(cplx, args, rng, tols):
             for _, block in w_hat_blocks(cplx, q, neighbor, cplx.base_vertex, t=1.0):
                 unitary = max(unitary, _max_abs(block.T @ block - np.eye(len(block))))
 
-    return [
-        _check("gram_psd", psd, tols),
-        _check("unitarity_bridge", bridge, tols),
-        _check("path_independence", loops, tols),
-        _check("d_t_squared", square, tols),
-        _check("d_t_adjoint", adjoint, tols),
-        _check("w_hat_unitary", unitary, tols),
-    ], {}
+    return {
+        "gram_psd": psd,
+        "unitarity_bridge": bridge,
+        "path_independence": loops,
+        "d_t_squared": square,
+        "d_t_adjoint": adjoint,
+        "w_hat_unitary": unitary,
+    }, {}
 
 
-def _suite_fredholm(cplx, args, rng, tols):
+def _suite_fredholm(cplx, args):
     grid = args.t_grid or (0.1, 1.0, INF)
-    checks = []
+    res = {}
 
-    d_full = assemble_D(cplx).matrix
-    checks.append(_check("d_symmetric", _max_abs(d_full - d_full.T), tols))
+    d_full = assemble_D(cplx)
+    res["d_symmetric"] = _max_abs(d_full - d_full.T)
 
     # D P and P D keep only the base column and row of D; P^2 = P exactly
     base = cplx.vertex_index(cplx.base_vertex)
-    r = max(_max_abs(d_full[:, base]), _max_abs(d_full[base]))
-    checks.append(_check("projection_commutes", r, tols))
+    res["projection_commutes"] = max(_max_abs(d_full[:, base]), _max_abs(d_full[base]))
 
     # one dense frame at a time: each is dropped before the next is built
-    fred = homo = res = 0.0
+    fred = homo = resolvent = 0.0
     for t in grid:
         frame = spectral_frame(cplx, t, weighted=True)
         fred = max(fred, norm2_bound(frame.fredholm_defect()))
         homo = max(homo, norm2_bound(frame.homotopy_defect()))
         for entry in frame.resolvent_bounds((0.0, 1.0, 10.0)):
-            res = max(res, max(0.0, entry["norm"] - entry["bound"]))
+            resolvent = max(resolvent, max(0.0, entry["norm"] - entry["bound"]))
         del frame
-    checks.append(_check("fredholm_identity", fred, tols))
-    checks.append(_check("homotopy_identity", homo, tols))
-    checks.append(_check("resolvent_bound", res, tols))
+    res["fredholm_identity"] = fred
+    res["homotopy_identity"] = homo
+    res["resolvent_bound"] = resolvent
 
     # D^2 is diagonal: the quadrature runs on the whole of P + D^2, so any
     # off-diagonal mass shows against the diagonal's inverse square root
@@ -525,7 +511,7 @@ def _suite_fredholm(cplx, args, rng, tols):
     want = np.diag(shifted) ** -0.5
     quad = inv_sqrt_integral(shifted, nodes=200)
     quad[np.diag_indices_from(quad)] -= want
-    checks.append(_check("inv_sqrt_quadrature", _max_abs(quad) / want.max(), tols))
+    res["inv_sqrt_quadrature"] = _max_abs(quad) / want.max()
 
     # the target I - (I + D^2)^(-1) is read from I + D^2 by one LU solve
     # against the ones vector, not from its diagonal: on a diagonal matrix
@@ -536,8 +522,8 @@ def _suite_fredholm(cplx, args, rng, tols):
     defect = dprime @ dprime.T
     defect += dprime.T @ dprime
     defect[np.diag_indices_from(defect)] -= 1.0 - inverse
-    checks.append(_check("normalized_d_identity", norm2_bound(defect), tols))
-    return checks, {}
+    res["normalized_d_identity"] = norm2_bound(defect)
+    return res, {}
 
 
 _SUITES = {
@@ -551,14 +537,8 @@ _SUITES = {
 
 def _cmd_check(args: argparse.Namespace, parser: argparse.ArgumentParser, out) -> int:
     cplx = _load_complex(args.input, parser)
-    if args.suite == "field" and args.t_grid and min(args.t_grid) < FIELD_T_FLOOR:
-        sys.stderr.write(
-            "check field: numerical breakdown: t=%s below the float64 floor %r\n"
-            % (format_t(min(args.t_grid)), FIELD_T_FLOOR))
-        return 3
-    rng = np.random.default_rng(args.seed)
     try:
-        checks, extra = _SUITES[args.suite](cplx, args, rng, args.tolerances)
+        residuals, counts = _SUITES[args.suite](cplx, args)
     except np.linalg.LinAlgError as exc:
         sys.stderr.write("check %s: numerical breakdown: %s\n" % (args.suite, exc))
         return 3
@@ -566,11 +546,19 @@ def _cmd_check(args: argparse.Namespace, parser: argparse.ArgumentParser, out) -
         sys.stderr.write("check %s: out of memory: %s\n"
                          % (args.suite, str(exc) or "allocation failed"))
         return 3
+    if residuals.keys() != args.tolerances.keys():
+        raise RuntimeError("check %s computed %s, but its table names %s" % (
+            args.suite, ", ".join(sorted(residuals)), ", ".join(args.tolerances)))
+    checks = []
+    for name, threshold in args.tolerances.items():
+        residual = float(residuals[name])
+        checks.append({"name": name, "residual": residual, "threshold": threshold,
+                       "pass": residual <= threshold})
     report = {
         "schema": 1,
         "suite": args.suite,
         "input": args.input,
-        **({"counts": extra} if extra else {}),
+        **({"counts": counts} if counts else {}),
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
     }
@@ -675,6 +663,9 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--select", action="append",
                      help="restrict to these symbol keys; repeatable")
 
+    # usage errors found after parsing go through the subcommand's own parser
+    for p in (tree, grid, cube, rmed, val, chk, swp):
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -687,8 +678,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    parser = args.parser
     t = getattr(args, "t", None)
     args.t_grid = _parse_t_grid(t, parser) if t else None
     if args.command == "check":

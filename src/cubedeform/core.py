@@ -261,6 +261,13 @@ class CubeComplex:
         other._hdist = None
         return other
 
+    def cached(self, key, build):
+        """The shared cache's entry for ``key``, made by ``build()`` on first use."""
+        got = self._shared.get(key)
+        if got is None:
+            got = self._shared[key] = build()
+        return got
+
     # -- vertex level ----------------------------------------------------------
 
     @property
@@ -311,22 +318,14 @@ class CubeComplex:
         return (v ^ self._masks[h]) in self._vset
 
     def vertices_adjacent_to(self, h: int) -> tuple[int, ...]:
-        key = ("adj", h)
-        got = self._shared.get(key)
-        if got is None:
-            m = self._masks[h]
-            got = tuple(v for v in self._verts if (v ^ m) in self._vset)
-            self._shared[key] = got
-        return got
+        m = self._masks[h]
+        return self.cached(
+            ("adj", h), lambda: tuple(v for v in self._verts if (v ^ m) in self._vset))
 
     # -- cube level --------------------------------------------------------------
 
     def _levels(self) -> tuple[tuple[Cube, ...], ...]:
-        got = self._shared.get("levels")
-        if got is None:
-            got = self._build_levels()
-            self._shared["levels"] = got
-        return got
+        return self.cached("levels", self._build_levels)
 
     def _build_levels(self) -> tuple[tuple[Cube, ...], ...]:
         n = self.n_hyperplanes
@@ -358,12 +357,8 @@ class CubeComplex:
         return levels[q] if 0 <= q < len(levels) else ()
 
     def cube_index(self, q: int) -> dict[Cube, int]:
-        key = ("cube_index", q)
-        got = self._shared.get(key)
-        if got is None:
-            got = {c: i for i, c in enumerate(self.cubes(q))}
-            self._shared[key] = got
-        return got
+        return self.cached(("cube_index", q),
+                           lambda: {c: i for i, c in enumerate(self.cubes(q))})
 
     def n_cubes(self) -> int:
         return sum(len(level) for level in self._levels())
@@ -400,16 +395,16 @@ class CubeComplex:
         return bool(self.crossing_matrix()[h, k])
 
     def crossing_matrix(self) -> np.ndarray:
-        got = self._shared.get("crossing")
-        if got is None:
-            n = self.n_hyperplanes
-            got = np.zeros((n, n), dtype=bool)
-            for sq in self.cubes(2):
-                a, b = sq.cutting
-                got[a, b] = got[b, a] = True
-            got.setflags(write=False)
-            self._shared["crossing"] = got
-        return got
+        return self.cached("crossing", self._build_crossing)
+
+    def _build_crossing(self) -> np.ndarray:
+        n = self.n_hyperplanes
+        out = np.zeros((n, n), dtype=bool)
+        for sq in self.cubes(2):
+            a, b = sq.cutting
+            out[a, b] = out[b, a] = True
+        out.setflags(write=False)
+        return out
 
     def helly_check(self, hyperplanes: Iterable[int]) -> bool:
         """Pairwise-crossing hyperplanes cut a common cube (Helly property)."""

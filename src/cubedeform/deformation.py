@@ -277,12 +277,7 @@ def _member_distances(cplx: CubeComplex, members) -> np.ndarray:
 
 
 def _class_geom(cplx: CubeComplex, klass: ParallelClass) -> _ClassGeom:
-    key = ("class_geom", klass.determining)
-    got = cplx._shared.get(key)
-    if got is None:
-        got = _ClassGeom(cplx, klass)
-        cplx._shared[key] = got
-    return got
+    return cplx.cached(("class_geom", klass.determining), lambda: _ClassGeom(cplx, klass))
 
 
 def _degree_geoms(cplx: CubeComplex, q: int):
@@ -540,10 +535,8 @@ class _FrameGroup(NamedTuple):
 def _frame_groups(cplx: CubeComplex, q: int,
                   class_bases: dict | None = None) -> list[_FrameGroup]:
     """Degree-q classes grouped by size; kept per base vertex unless rerooted."""
-    key = ("frame_groups", q, cplx.base_vertex)
-    got = None if class_bases else cplx._shared.get(key)
-    if got is None:
-        got = [
+    def build():
+        return [
             _FrameGroup(np.array([geom.cols for geom, _ in same]),
                         np.array([_member_distances(cplx, geom.members)
                                   for geom, _ in same]),
@@ -551,9 +544,8 @@ def _frame_groups(cplx: CubeComplex, q: int,
             for same in _by_size(
                 (geom, geom.root_paths(_class_root(cplx, klass, class_bases)))
                 for klass, geom in _degree_geoms(cplx, q))]
-        if not class_bases:
-            cplx._shared[key] = got
-    return got
+
+    return build() if class_bases else cplx.cached(("frame_groups", q, cplx.base_vertex), build)
 
 
 class ClassBlocks(NamedTuple):

@@ -261,9 +261,8 @@ def _matrix(cplx: CubeComplex, q: int, raising: bool, weights: Weights,
     hyperplane between them, so each entry receives at most one term.
     """
     rows_q = q + 1 if raising else q - 1
-    key = ("terms", raising, q, cplx.base_vertex)
-    terms = cplx._shared.get(key)
-    if terms is None:
+
+    def build():
         rows = cplx.cube_index(rows_q)
         term_fn = _wedge_term if raising else _hook_term
         found = []
@@ -272,8 +271,9 @@ def _matrix(cplx: CubeComplex, q: int, raising: bool, weights: Weights,
                 term = term_fn(cplx, k, cube)
                 if term is not None:
                     found.append((rows[term.cube], j, k, term.sign))
-        terms = np.array(found, dtype=np.int64).reshape(-1, 4)
-        cplx._shared[key] = terms
+        return np.array(found, dtype=np.int64).reshape(-1, 4)
+
+    terms = cplx.cached(("terms", raising, q, cplx.base_vertex), build)
     if h is not None:
         terms = terms[terms[:, 2] == h]
     values = terms[:, 3]

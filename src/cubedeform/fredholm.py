@@ -37,7 +37,6 @@ from .deformation import basepoint_commutator_norm, deformation_weights
 from .differential import Weights, d_matrix, delta_matrix
 
 __all__ = [
-    "GradedOperator",
     "SpectralFrame",
     "assemble_D",
     "base_neighbor",
@@ -57,16 +56,6 @@ __all__ = [
 ]
 
 
-class GradedOperator(NamedTuple):
-    """A matrix over the stacked degree blocks, with the block offsets."""
-
-    matrix: np.ndarray
-    offsets: tuple[int, ...]
-
-    def degree_slice(self, q: int) -> slice:
-        return slice(self.offsets[q], self.offsets[q + 1])
-
-
 def graded_offsets(cplx: CubeComplex) -> tuple[int, ...]:
     offs = [0]
     for q in range(cplx.dimension + 1):
@@ -74,21 +63,21 @@ def graded_offsets(cplx: CubeComplex) -> tuple[int, ...]:
     return tuple(offs)
 
 
-def assemble_D(cplx: CubeComplex, weights: Weights = None) -> GradedOperator:
+def assemble_D(cplx: CubeComplex, weights: Weights = None) -> np.ndarray:
     """The symmetric operator d + delta over the graded basis.
 
-    Integer for unit weights, float otherwise.  Both triangles are
-    assembled from their own formulas; the symmetry of the result is a
-    theorem about the two, not a construction.  The degree-raising half d
-    is the strictly lower triangle.
+    Integer for unit weights, float otherwise; degree q occupies
+    ``graded_offsets(cplx)[q:q + 2]``.  Both triangles are assembled from
+    their own formulas; the symmetry of the result is a theorem about the
+    two, not a construction.  The degree-raising half d is the strictly
+    lower triangle.
     """
     offs = graded_offsets(cplx)
-    dtype = np.int64 if weights is None else np.float64
-    out = GradedOperator(np.zeros((offs[-1], offs[-1]), dtype=dtype), offs)
+    out = np.zeros((offs[-1], offs[-1]), dtype=np.int64 if weights is None else np.float64)
     for q in range(cplx.dimension):
-        lo, hi = out.degree_slice(q), out.degree_slice(q + 1)
-        out.matrix[hi, lo] = d_matrix(cplx, q, weights)
-        out.matrix[lo, hi] = delta_matrix(cplx, q + 1, weights)
+        lo, mid, hi = offs[q:q + 3]
+        out[mid:hi, lo:mid] = d_matrix(cplx, q, weights)
+        out[lo:mid, mid:hi] = delta_matrix(cplx, q + 1, weights)
     return out
 
 
@@ -172,7 +161,7 @@ def normalized_d(cplx: CubeComplex, weights: Weights = None) -> np.ndarray:
 
     The Laplacian D^2 is diagonal, so this is tril(D) scaled by column.
     """
-    full = assemble_D(cplx, weights).matrix.astype(np.float64)
+    full = assemble_D(cplx, weights).astype(np.float64)
     return np.tril(full) * (1.0 + np.einsum("ij,ji->i", full, full)) ** -0.5
 
 
@@ -249,7 +238,7 @@ class SpectralFrame(NamedTuple):
 def spectral_frame(cplx: CubeComplex, t: float, weighted: bool = False) -> SpectralFrame:
     """The frame at t: D with deformation weights if ``weighted``."""
     w = deformation_weights(cplx, t) if weighted else None
-    s = assemble_D(cplx, w).matrix.astype(np.float64)
+    s = assemble_D(cplx, w).astype(np.float64)
     return SpectralFrame.of(s, cplx.vertex_index(cplx.base_vertex))
 
 

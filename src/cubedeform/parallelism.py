@@ -60,27 +60,23 @@ class ClassComplex(NamedTuple):
 
 def enumerate_classes(cplx: CubeComplex) -> tuple[ParallelClass, ...]:
     """All parallelism classes, sorted by (dimension, determining set)."""
-    got = cplx._shared.get("parallel_classes")
-    if got is None:
+    def build():
         groups: dict[tuple[int, ...], list[Cube]] = {}
         for q in range(cplx.dimension + 1):
             for cube in cplx.cubes(q):
                 groups.setdefault(cube.cutting, []).append(cube)
-        got = tuple(
+        return tuple(
             ParallelClass(key, tuple(sorted(groups[key])))
             for key in sorted(groups, key=lambda k: (len(k), k)))
-        cplx._shared["parallel_classes"] = got
-    return got
+
+    return cplx.cached("parallel_classes", build)
 
 
 def class_of(cplx: CubeComplex, determining: Iterable[int]) -> ParallelClass:
     """The class with the given determining set; KeyError if unrealized."""
-    key = tuple(sorted(determining))
-    index = cplx._shared.get("parallel_class_index")
-    if index is None:
-        index = {k.determining: k for k in enumerate_classes(cplx)}
-        cplx._shared["parallel_class_index"] = index
-    return index[key]
+    index = cplx.cached("parallel_class_index",
+                        lambda: {k.determining: k for k in enumerate_classes(cplx)})
+    return index[tuple(sorted(determining))]
 
 
 def class_count_theorem(cplx: CubeComplex) -> tuple[int, int]:

@@ -170,9 +170,8 @@ def ps_basis(cplx: CubeComplex, q: int) -> tuple[PSSymbol, ...]:
     """Canonical degree-q symbols, type-p blocks contiguous and ascending."""
     if q < 0:
         return ()
-    key = ("ps_basis", q)
-    got = cplx._shared.get(key)
-    if got is None:
+
+    def build():
         syms = []
         for klass in enumerate_classes(cplx):
             t = klass.determining
@@ -182,10 +181,9 @@ def ps_basis(cplx: CubeComplex, q: int) -> tuple[PSSymbol, ...]:
             for k in combinations(t, q):
                 h = tuple(x for x in t if x not in k)
                 syms.append(PSSymbol(h, k, r, 1))
-        syms.sort(key=lambda s: (len(s.h_set), s.h_set, s.k_list))
-        got = tuple(syms)
-        cplx._shared[key] = got
-    return got
+        return tuple(sorted(syms, key=lambda s: (len(s.h_set), s.h_set, s.k_list)))
+
+    return cplx.cached(("ps_basis", q), build)
 
 
 def ps_dimension(cplx: CubeComplex, q: int) -> int:
@@ -194,12 +192,8 @@ def ps_dimension(cplx: CubeComplex, q: int) -> int:
 
 def ps_index(cplx: CubeComplex, q: int) -> dict[tuple, int]:
     """Index of unsigned symbol keys into the degree-q basis."""
-    key = ("ps_index", q)
-    got = cplx._shared.get(key)
-    if got is None:
-        got = {sym.key: i for i, sym in enumerate(ps_basis(cplx, q))}
-        cplx._shared[key] = got
-    return got
+    return cplx.cached(("ps_index", q),
+                       lambda: {sym.key: i for i, sym in enumerate(ps_basis(cplx, q))})
 
 
 def ps_type_of_index(cplx: CubeComplex, q: int) -> np.ndarray:
@@ -239,17 +233,17 @@ def _symbol_matrix(cplx: CubeComplex, q: int, raising: bool) -> np.ndarray:
     """Dense symbol d (raising) or delta on degree q: a scatter of the
     cached ``(row, col, coeff)`` table of the per-symbol images."""
     rows_q = q + 1 if raising else q - 1
-    key = ("ps_terms", raising, q)
-    terms = cplx._shared.get(key)
-    if terms is None:
+
+    def build():
         rows = ps_index(cplx, rows_q)
         image_fn = ps_d_symbol if raising else ps_delta_symbol
-        terms = np.array(
+        return np.array(
             [(rows[k], j, coeff)
              for j, sym in enumerate(ps_basis(cplx, q))
              for k, coeff in image_fn(cplx, sym).items()],
             dtype=np.int64).reshape(-1, 3)
-        cplx._shared[key] = terms
+
+    terms = cplx.cached(("ps_terms", raising, q), build)
     out = np.zeros((ps_dimension(cplx, rows_q), ps_dimension(cplx, q)), dtype=np.int64)
     out[terms[:, 0], terms[:, 1]] = terms[:, 2]
     return out

@@ -427,7 +427,7 @@ def oracle_raising(cplx, weights=None):
 
 def _oracle_shifted_square(cplx, t, weighted):
     w = deformation_weights(cplx, t) if weighted else None
-    s = assemble_D(cplx, w).matrix.astype(np.float64)
+    s = assemble_D(cplx, w).astype(np.float64)
     p = base_projection(cplx).astype(np.float64)
     return w, s, p, p + s @ s
 

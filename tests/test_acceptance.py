@@ -380,14 +380,14 @@ def test_acceptance_12_fredholm_identity_and_quadrature():
     for cplx in helpers.all_fixtures():
         for w in (None, deformation_weights(cplx, 1.0)):
             dp = normalized_d(cplx, w)
-            d = assemble_D(cplx, w).matrix.astype(np.float64)
+            d = assemble_D(cplx, w).astype(np.float64)
             eye = np.eye(d.shape[0])
             target = eye - np.linalg.solve(eye + d @ d, eye)
             residual = float(np.linalg.norm(dp @ dp.T + dp.T @ dp - target, 2))
             if residual > 1e-9:
                 failures.append("identity residual %.2e (weighted=%s)"
                                 % (residual, w is not None))
-        d = assemble_D(cplx).matrix.astype(np.float64)
+        d = assemble_D(cplx).astype(np.float64)
         shifted = base_projection(cplx) + d @ d
         quad = inv_sqrt_integral(shifted, nodes=200)
         spec = inv_sqrt_spectral(shifted)

@@ -7,6 +7,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,6 +328,40 @@ def test_check_field_at_the_t_floor(grid_file, capsys):
     assert json.loads(out)["pass"] is True
 
 
+@pytest.mark.parametrize("change", ("drop", "add"))
+def test_check_residuals_must_match_the_table(grid_file, monkeypatch, capsys, change):
+    # a suite that computes one name too few or one too many is a defect of
+    # the suite: no report is written from it
+    suite = cli._SUITES["jv"]
+
+    def miscounted(cplx, args):
+        residuals, counts = suite(cplx, args)
+        if change == "drop":
+            del residuals["wedge_hook_antisymmetry"]
+        else:
+            residuals["gram_psd"] = 0.0
+        return residuals, counts
+
+    monkeypatch.setitem(cli._SUITES, "jv", miscounted)
+    with pytest.raises(RuntimeError, match="its table names d_squared, delta_transpose"):
+        main(["check", "jv", "--input", grid_file])
+    assert capsys.readouterr().out == ""
+
+
+def test_readme_suite_table_is_the_tolerance_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = [line for line in readme.splitlines() if line.startswith("| `")]
+    table = {}
+    for row in rows:
+        suite, checks = (cell.strip() for cell in row.strip("|").split("|"))
+        table[suite.strip("`")] = [
+            (name.strip("` "), float(value))
+            for name, value in (entry.strip().rsplit(" ", 1) for entry in checks.split(","))]
+    assert list(table) == list(DEFAULT_TOLERANCES)
+    for suite, thresholds in DEFAULT_TOLERANCES.items():
+        assert table[suite] == list(thresholds.items())
+
+
 def test_default_tolerances_table():
     assert set(DEFAULT_TOLERANCES) == set(cli._SUITES)
     names = [name for table in DEFAULT_TOLERANCES.values() for name in table]
@@ -528,8 +563,30 @@ def test_unwritable_out_is_a_usage_error_before_any_work(argv, tmp_path, capsys,
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.splitlines()[-1] == "cubedeform: error: [Errno 2] No such file or directory: %r" % str(target)
+    prog = " ".join(["cubedeform"] + argv[:2 if argv[0] == "gen" else 1])
+    assert err.splitlines()[-1] == "%s: error: [Errno 2] No such file or directory: %r" % (
+        prog, str(target))
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("argv, usage", (
+    (["check", "jv", "--input", "{doc}", "--tol", "gram_psd=1"], "cubedeform check"),
+    (["check", "field", "--input", "{doc}", "--t", "0,1"], "cubedeform check"),
+    (["check", "field", "--input", "{doc}", "--seed=-1"], "cubedeform check"),
+    (["check", "jv", "--input", "{doc}.missing"], "cubedeform check"),
+    (["sweep", "--input", "{doc}", "--t", "0,1"], "cubedeform sweep"),
+    (["validate", "--input", "{doc}.missing"], "cubedeform validate"),
+    (["gen", "grid", "--dims", "2x0"], "cubedeform gen grid"),
+))
+def test_usage_errors_name_the_subcommand(argv, usage, tmp_path, capsys):
+    doc = tmp_path / "c2.cxc"
+    doc.write_text(write_cxc(hypercube(2)))
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(doc=doc) for arg in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: %s [-h]" % usage)
+    assert err[-1].startswith("%s: error: " % usage)
 
 
 def test_no_command_is_usage_error():

@@ -56,9 +56,10 @@ def _square_less_laplacian(cplx, weights=None):
     The Laplacian is block diagonal, so the result vanishes.
     """
     op = assemble_D(cplx, weights)
-    gap = op.matrix @ op.matrix
+    gap = op @ op
+    offs = graded_offsets(cplx)
     for q in range(cplx.dimension + 1):
-        block = op.degree_slice(q)
+        block = slice(offs[q], offs[q + 1])
         gap[block, block] -= laplacian_matrix(cplx, q, weights)
     return op, gap
 
@@ -67,12 +68,12 @@ def _square_less_laplacian(cplx, weights=None):
 def test_assemble_D_squares_to_laplacian(name):
     cplx = helpers.fixture(name)
     op, gap = _square_less_laplacian(cplx)
-    assert op.matrix.dtype == np.int64
-    assert (op.matrix == op.matrix.T).all()
+    assert op.dtype == np.int64
+    assert (op == op.T).all()
     assert not gap.any()
     # weighted version, to rounding
     op, gap = _square_less_laplacian(cplx, deformation_weights(cplx, 0.7))
-    dw = op.matrix
+    dw = op
     assert np.abs(dw - dw.T).max() == 0
     assert np.abs(gap).max() <= 1e-12 * max(np.abs(dw @ dw).max(), 1.0)
 
@@ -80,9 +81,10 @@ def test_assemble_D_squares_to_laplacian(name):
 def test_assemble_laplacian_blocks(grid12):
     """The graded Laplacian D @ D is block diagonal, one Delta_q per degree."""
     op = assemble_D(grid12)
-    lap = op.matrix @ op.matrix
+    lap = op @ op
+    offs = graded_offsets(grid12)
     for q in range(grid12.dimension + 1):
-        block = op.degree_slice(q)
+        block = slice(offs[q], offs[q + 1])
         assert (lap[block, block] == laplacian_matrix(grid12, q)).all()
     # off-diagonal blocks vanish
     assert np.count_nonzero(lap) == sum(
@@ -91,18 +93,18 @@ def test_assemble_laplacian_blocks(grid12):
 
 
 def test_degree_slices(square):
+    offs = graded_offsets(square)
+    assert offs == (0, 4, 8, 9)
     op = assemble_D(square)
-    assert op.offsets == (0, 4, 8, 9)
-    assert op.degree_slice(0) == slice(0, 4)
-    assert op.degree_slice(2) == slice(8, 9)
-    sub = op.matrix[op.degree_slice(1), op.degree_slice(0)]
+    assert op.shape == (9, 9)
+    sub = op[offs[1]:offs[2], offs[0]:offs[1]]
     assert sub.shape == (4, 4)
 
 
 @pytest.mark.parametrize("name", FIXED)
 def test_assemble_raising_halves(name):
     cplx = helpers.fixture(name)
-    full = assemble_D(cplx).matrix
+    full = assemble_D(cplx)
     r = np.tril(full)
     assert np.array_equal(r, helpers.oracle_raising(cplx))
     assert (r @ r == 0).all()
@@ -128,7 +130,7 @@ def test_base_projection(cube3):
 
 
 def test_resolvent_inverts(square):
-    s = assemble_D(square).matrix.astype(float) + base_projection(square)
+    s = assemble_D(square).astype(float) + base_projection(square)
     res = helpers.resolvent(s, 1j)
     eye = np.eye(s.shape[0])
     assert np.abs(res @ (s + 1j * eye) - eye).max() <= 1e-12
@@ -137,7 +139,7 @@ def test_resolvent_inverts(square):
 def test_resolvent_rejects_singular(square):
     # d + delta alone has the harmonic line in its kernel
     with pytest.raises(ValueError, match="singular to working precision"):
-        helpers.resolvent(assemble_D(square).matrix.astype(float), 0.0)
+        helpers.resolvent(assemble_D(square).astype(float), 0.0)
 
 
 def test_inv_sqrt_spectral():
@@ -173,7 +175,7 @@ def test_inv_sqrt_integral_diagonal_is_the_dense_loop(monkeypatch):
     cases = []
     for name in helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES:
         cplx = helpers.fixture(name)
-        d = assemble_D(cplx).matrix.astype(float)
+        d = assemble_D(cplx).astype(float)
         m = base_projection(cplx) + d @ d
         assert np.count_nonzero(m - np.diag(np.diag(m))) == 0
         cases.append((m, 200))
@@ -202,7 +204,7 @@ def test_inv_sqrt_quadrature_matches_spectral(name):
     # the integral formula reproduces the eigendecomposition answer on the
     # shifted squares that actually arise
     cplx = helpers.fixture(name)
-    d = assemble_D(cplx).matrix.astype(float)
+    d = assemble_D(cplx).astype(float)
     m = base_projection(cplx) + d @ d
     quad = inv_sqrt_integral(m, nodes=200)
     spec = inv_sqrt_spectral(m)
@@ -220,7 +222,7 @@ def test_normalized_d_identities(name, weighted):
     w = deformation_weights(cplx, 1.0) if weighted else None
     dp = normalized_d(cplx, w)
     assert np.abs(dp @ dp).max() <= 1e-12
-    d = assemble_D(cplx, w).matrix.astype(float)
+    d = assemble_D(cplx, w).astype(float)
     eye = np.eye(d.shape[0])
     target = eye - np.linalg.solve(eye + d @ d, eye)
     residual = np.linalg.norm(dp @ dp.T + dp.T @ dp - target, 2)
