@@ -45,15 +45,7 @@ from .deformation import (
     symbol_representative,
     w_hat_blocks,
 )
-from .differential import (
-    cohomology_ranks,
-    d_matrix,
-    delta_matrix,
-    hook_matrix,
-    laplacian_matrix,
-    spectral_profile,
-    wedge_matrix,
-)
+from .differential import cohomology_ranks, d_matrix, delta_matrix, spectral_profile, term_table
 from .fredholm import (
     assemble_D,
     base_neighbor,
@@ -73,10 +65,7 @@ from .parallelism import (
 from .symbols import (
     ps_basis,
     ps_cohomology_ranks,
-    ps_d_matrix,
-    ps_delta_matrix,
-    ps_dimension,
-    ps_laplacian,
+    ps_term_table,
     ps_type_of_index,
     symbol_key,
 )
@@ -264,116 +253,132 @@ def _max_abs(m: np.ndarray) -> float:
     return float(np.abs(m).max()) if m.size else 0.0
 
 
-def _complex_checks(cplx, names, d, delta, laplacian, diagonal, ranks) -> dict:
+# The jv and ps suites never form an operator.  A product A @ B of two term
+# tables is the list of its term pairs, and each identity is a grouped sum
+# over pairs keyed by matrix entry, ``target * n + source``, and for the
+# wedge and hook relations by the hyperplane pair as well.
+
+
+def _product(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """The term pairs of A @ B, a's source being b's target: their entry
+    keys, values and the two terms' labels.  Tables list terms by
+    ascending source, so each entry meets its terms in a dense product's
+    order."""
+    order = np.argsort(b[:, 0], kind="stable")
+    targets = b[order, 0]
+    start = np.searchsorted(targets, a[:, 1])
+    count = np.searchsorted(targets, a[:, 1], "right") - start
+    i = np.repeat(np.arange(len(a)), count)
+    a, b = a[i], b[order[np.arange(len(i)) + np.repeat(start - np.cumsum(count) + count, count)]]
+    return a[:, 0] * n + b[:, 1], a[:, 3] * b[:, 3], a[:, 2], b[:, 2]
+
+
+def _max_sum(*parts: tuple[np.ndarray, np.ndarray]) -> float:
+    """The largest |sum| over the terms that share one integer key.
+
+    Each part, a (keys, values) pair, is summed in term order on its own,
+    and the parts are then added key by key: the order in which a dense
+    ``A @ B + C @ D - E`` rounds.
+    """
+    keys = np.concatenate([k for k, _ in parts])
+    if not keys.size:
+        return 0.0
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    total = np.zeros(len(uniq))
+    for part, (_, values) in zip(np.split(inverse, np.cumsum([len(k) for k, _ in parts])), parts):
+        total += np.bincount(part, values, len(uniq))
+    return float(np.abs(total).max())
+
+
+def _hodge_ranks(diagonals: list[np.ndarray]) -> tuple[int, ...]:
+    """dim H^q as the count of zeros on L_q's diagonal: by Hodge theory
+    (Eckmann, 1944), dim H^q = dim ker L_q once d^2 = 0 and delta = d^T."""
+    return tuple(int(np.count_nonzero(diag == 0)) for diag in diagonals)
+
+
+def _complex_checks(cplx, names, table, diagonals, ranks, more) -> dict:
     """Residuals of ``d^2 = 0``, ``delta = d^T``, ``L = diag`` and the
     cohomology ranks ``(1, 0, ..., 0)``, keyed by ``names`` in that order.
 
-    ``d``, ``delta`` and ``laplacian`` take the complex and a degree, as
-    ``d_matrix`` does, ``ranks`` takes the complex, and ``diagonal`` maps a
-    degree to the Laplacian's expected diagonal.
+    ``table(q, raising)`` is degree q's term table of d or delta,
+    ``diagonals[q]`` L_q's expected diagonal, and ``ranks`` the SVD oracle,
+    called only when an identity fails.  Per degree q, ``more(q, n, d_d,
+    delta_d, d_delta)`` gets the ``_product`` pairs of d d from q and of
+    delta d and d delta on q, and returns further residuals, maxed by name.
     """
-    dim = cplx.dimension
-    square = transpose = lap = 0.0
-    for q in range(dim):
-        square = max(square, _max_abs(d(cplx, q + 1) @ d(cplx, q)))
-        transpose = max(transpose, _max_abs(delta(cplx, q + 1) - d(cplx, q).T))
-    for q in range(dim + 1):
-        lap = max(lap, _max_abs(laplacian(cplx, q) - np.diag(diagonal(q))))
-    rank = sum(abs(a - b) for a, b in zip(ranks(cplx), (1,) + (0,) * dim))
-    return dict(zip(names, (square, transpose, lap, rank)))
+    n = max(map(len, diagonals))
+    res = dict.fromkeys(names[:3], 0.0)
+    for q, diag in enumerate(diagonals):
+        d_q, delta_q, up = table(q, True), table(q, False), table(q + 1, False)
+        d_d = _product(table(q + 1, True), d_q, n)
+        delta_d, d_delta = _product(up, d_q, n), _product(table(q - 1, True), delta_q, n)
+        found = {names[0]: _max_sum(d_d[:2]),
+                 names[1]: _max_sum((up[:, 0] * n + up[:, 1], up[:, 3]),
+                                    (d_q[:, 1] * n + d_q[:, 0], -d_q[:, 3])),
+                 names[2]: _max_sum(delta_d[:2], d_delta[:2],
+                                    (np.arange(len(diag)) * (n + 1), -diag)),
+                 **more(q, n, d_d, delta_d, d_delta)}
+        for name, r in found.items():
+            res[name] = max(res.get(name, 0.0), r)
+    got = ranks(cplx) if any(res[name] for name in names[:3]) else _hodge_ranks(diagonals)
+    res[names[3]] = sum(abs(a - b) for a, b in zip(got, (1,) + (0,) * cplx.dimension))
+    return res
 
 
 def _suite_jv(cplx, args):
-    dim = cplx.dimension
-    res = _complex_checks(
-        cplx, ("d_squared", "delta_transpose", "laplacian_diagonal", "cohomology_ranks"),
-        d_matrix, delta_matrix, laplacian_matrix,
-        lambda q: [prof.q + prof.p
-                   for prof in (spectral_profile(cplx, c) for c in cplx.cubes(q))],
-        cohomology_ranks)
-
+    dim, n_h = cplx.dimension, cplx.n_hyperplanes
     w = deformation_weights(cplx, 1.0)
-    r = 0.0
-    for q in range(dim + 1):
-        lap = laplacian_matrix(cplx, q, w)
-        if not lap.size:
-            continue
-        expected = np.diag([
-            prof.q_w + prof.p_w
-            for prof in (spectral_profile(cplx, c, w) for c in cplx.cubes(q))
-        ])
-        scale = max(1.0, _max_abs(expected))
-        r = max(r, _max_abs(lap - expected) / scale)
-    res["laplacian_weighted"] = r
+    profiles = [[spectral_profile(cplx, c, w) for c in cplx.cubes(q)] for q in range(dim + 1)]
+    w = np.asarray(w)
 
-    # Products in float64 go through BLAS and stay exact: entries are in
-    # {-1, 0, 1} and every sum is far below 2^53.
-    def wedge(h, q):
-        return wedge_matrix(cplx, h, q).astype(np.float64)
+    def more(q, n, d_d, delta_d, d_delta):
+        # wedge(h1) wedge(h2) + wedge(h2) wedge(h1) for every pair, and for
+        # every h1 != h2, hook(h1) wedge(h2) + wedge(h2) hook(h1) below the top
+        key, value, h1, h2 = d_d
+        pair = np.minimum(h1, h2) * n_h + np.maximum(h1, h2)
+        antisymmetry = _max_sum((key * n_h * n_h + pair, value))
+        if q < dim:
+            (k1, v1, hook1, wedge1), (k2, v2, wedge2, hook2) = delta_d, d_delta
+            keep1, keep2 = hook1 != wedge1, hook2 != wedge2
+            antisymmetry = max(antisymmetry, _max_sum(
+                (((k1 * n_h + hook1) * n_h + wedge1)[keep1], v1[keep1]),
+                (((k2 * n_h + hook2) * n_h + wedge2)[keep2], v2[keep2])))
+        # the Laplacian with weights w against diag(q_w + p_w), relative
+        expected = np.array([prof.q_w + prof.p_w for prof in profiles[q]])
+        weighted = _max_sum(*((k, v * w[h1] * w[h2]) for k, v, h1, h2 in (delta_d, d_delta)),
+                            (np.arange(len(expected)) * (n + 1), -expected))
+        return {"laplacian_weighted": weighted / max(1.0, _max_abs(expected)),
+                "wedge_hook_antisymmetry": antisymmetry}
 
-    def hook(h, q):
-        return hook_matrix(cplx, h, q).astype(np.float64)
-
-    r = 0.0
-    for h1 in range(min(cplx.n_hyperplanes, 6)):
-        for h2 in range(min(cplx.n_hyperplanes, 6)):
-            if h1 == h2:
-                continue
-            for q in range(dim + 1):
-                if q + 2 <= dim:
-                    a = wedge(h1, q + 1) @ wedge(h2, q)
-                    b = wedge(h2, q + 1) @ wedge(h1, q)
-                    r = max(r, _max_abs(a + b))
-                if q + 1 <= dim:
-                    a = hook(h1, q + 1) @ wedge(h2, q)
-                    if q >= 1:
-                        a = a + wedge(h2, q - 1) @ hook(h1, q)
-                    r = max(r, _max_abs(a))
-    res["wedge_hook_antisymmetry"] = r
-    return res, {}
+    return _complex_checks(
+        cplx, ("d_squared", "delta_transpose", "laplacian_diagonal", "cohomology_ranks"),
+        lambda q, raising: term_table(cplx, q, raising),
+        [np.array([prof.q + prof.p for prof in per_q]) for per_q in profiles],
+        cohomology_ranks, more), {}
 
 
 def _suite_ps(cplx, args):
     dim = cplx.dimension
+    diagonals = [ps_type_of_index(cplx, q) + q for q in range(dim + 1)]
+
+    def more(q, n, d_d, delta_d, d_delta):
+        delta_delta = _product(ps_term_table(cplx, q - 1, False), ps_term_table(cplx, q, False), n)
+        # h = delta / (p + q), the label of delta's term; p + q is constant along
+        # d, so h d + d h telescopes to the identity off the type-(0, 0) line
+        (k1, v1, label, _), (k2, v2, _, label2) = delta_d, d_delta
+        diag = diagonals[q]
+        homotopy = _max_sum((k1, v1 / label), (k2, v2 / label2),
+                            (np.arange(len(diag)) * (n + 1), -(diag > 0).astype(np.float64)))
+        return {"ps_delta_squared": _max_sum(delta_delta[:2]), "ps_homotopy": homotopy}
+
     res = _complex_checks(
         cplx, ("ps_d_squared", "ps_delta_transpose", "ps_laplacian_scalar",
                "ps_cohomology_ranks"),
-        ps_d_matrix, ps_delta_matrix, ps_laplacian,
-        lambda q: ps_type_of_index(cplx, q) + q, ps_cohomology_ranks)
+        lambda q, raising: ps_term_table(cplx, q, raising), diagonals,
+        ps_cohomology_ranks, more)
 
-    r = 0.0
-    for q in range(2, dim + 1):
-        r = max(r, _max_abs(ps_delta_matrix(cplx, q - 1) @ ps_delta_matrix(cplx, q)))
-    res["ps_delta_squared"] = r
-
-    # h = delta / (p + q) column-wise; p + q is constant along d, so
-    # h d + d h telescopes to the identity off the type-(0, 0) line.
-    def hmat(q):
-        divisors = np.maximum(ps_type_of_index(cplx, q) + q, 1).astype(np.float64)
-        return ps_delta_matrix(cplx, q).astype(np.float64) / divisors[None, :]
-
-    r = 0.0
-    for q in range(dim + 1):
-        n_q = ps_dimension(cplx, q)
-        if n_q == 0:
-            continue
-        total = np.zeros((n_q, n_q))
-        if q < dim:
-            total += hmat(q + 1) @ ps_d_matrix(cplx, q)
-        if q >= 1:
-            total += ps_d_matrix(cplx, q - 1) @ hmat(q)
-        target = np.eye(n_q)
-        if q == 0:
-            types = ps_type_of_index(cplx, 0)
-            for j in np.flatnonzero(types == 0):
-                target[j, j] = 0.0
-        r = max(r, _max_abs(total - target))
-    res["ps_homotopy"] = r
-
-    total_dim = sum(ps_dimension(cplx, q) for q in range(dim + 1))
-    expected_dim = sum(
-        2 ** len(klass.determining) for klass in enumerate_classes(cplx))
-    res["ps_dimension_count"] = abs(total_dim - expected_dim)
+    expected_dim = sum(2 ** len(klass.determining) for klass in enumerate_classes(cplx))
+    res["ps_dimension_count"] = abs(sum(map(len, diagonals)) - expected_dim)
     return res, {}
 
 

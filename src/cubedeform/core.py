@@ -357,8 +357,10 @@ class CubeComplex:
         return levels[q] if 0 <= q < len(levels) else ()
 
     def cube_index(self, q: int) -> dict[Cube, int]:
-        return self.cached(("cube_index", q),
-                           lambda: {c: i for i, c in enumerate(self.cubes(q))})
+        # a hot lookup: the cache is read before any closure is made
+        got = self._shared.get(("cube_index", q))
+        return got if got is not None else self.cached(
+            ("cube_index", q), lambda: {c: i for i, c in enumerate(self.cubes(q))})
 
     def n_cubes(self) -> int:
         return sum(len(level) for level in self._levels())

@@ -18,12 +18,12 @@ the codimension-one face of C on the far side of H when H cuts C.  Summing
 over hyperplanes (with optional positive weights) gives the differential
 ``d`` and its formal adjoint ``delta``; their anticommutator is diagonal
 with entry q_w(C) + p_w(C) on each cube, which pins the spectral gap and
-makes the cohomology computation a rank count.
+makes each cohomology dimension a count of zeros on that diagonal.
 
-Every dense operator matrix is one scatter of a cached term table.  Per
-complex, degree and base vertex, the wedge and hook terms are derived once
-from ``_wedge_term`` and ``_hook_term`` and kept unweighted as int64 rows
-(target, source, hyperplane, sign); a weighted matrix multiplies each sign
+Every dense operator matrix is one scatter of ``term_table``: per complex,
+degree and base vertex, the wedge and hook terms are derived once from
+``_wedge_term`` and ``_hook_term`` and kept unweighted as int64 rows
+(target, source, hyperplane, sign).  A weighted matrix multiplies each sign
 by its hyperplane's weight at scatter time, so nothing is kept per weight.
 The cochain functions keep the per-term path and serve as its oracle.
 """
@@ -49,10 +49,10 @@ __all__ = [
     "delta_matrix",
     "hook",
     "hook_matrix",
-    "jv_inner",
     "laplacian_matrix",
     "numerical_rank",
     "spectral_profile",
+    "term_table",
     "wedge",
     "wedge_matrix",
     "weight_vector",
@@ -250,15 +250,14 @@ def delta_cochain(cplx: CubeComplex, f, weights: Weights = None) -> Cochain:
     return out
 
 
-def _matrix(cplx: CubeComplex, q: int, raising: bool, weights: Weights,
-            h: int | None = None) -> np.ndarray:
-    """Dense d (raising) or delta on degree q, or hyperplane h's wedge or hook.
+def term_table(cplx: CubeComplex, q: int, raising: bool = True) -> np.ndarray:
+    """The cached terms of d (raising) or delta on degree q.
 
-    Scatters the degree's cached term table: one int64 row (target index,
-    source index, hyperplane, sign) per nonzero term, unweighted.  Terms
-    move with the base vertex, and ``rebased`` copies share ``_shared``, so
-    the base vertex is part of the key.  A source and a target cube fix the
-    hyperplane between them, so each entry receives at most one term.
+    One read-only int64 row (target index, source index, hyperplane, sign)
+    per nonzero term, unweighted, by ascending source.  Terms move with the
+    base vertex, and ``rebased`` copies share ``_shared``, so the base
+    vertex is part of the key.  A source and a target fix the hyperplane
+    between them, so each matrix entry receives at most one term.
     """
     rows_q = q + 1 if raising else q - 1
 
@@ -271,9 +270,19 @@ def _matrix(cplx: CubeComplex, q: int, raising: bool, weights: Weights,
                 term = term_fn(cplx, k, cube)
                 if term is not None:
                     found.append((rows[term.cube], j, k, term.sign))
-        return np.array(found, dtype=np.int64).reshape(-1, 4)
+        out = np.array(found, dtype=np.int64).reshape(-1, 4)
+        out.flags.writeable = False
+        return out
 
-    terms = cplx.cached(("terms", raising, q, cplx.base_vertex), build)
+    return cplx.cached(("terms", raising, q, cplx.base_vertex), build)
+
+
+def _matrix(cplx: CubeComplex, q: int, raising: bool, weights: Weights,
+            h: int | None = None) -> np.ndarray:
+    """Dense d (raising) or delta on degree q, or hyperplane h's wedge or
+    hook: a scatter of ``term_table``, each sign times its weight."""
+    rows_q = q + 1 if raising else q - 1
+    terms = term_table(cplx, q, raising)
     if h is not None:
         terms = terms[terms[:, 2] == h]
     values = terms[:, 3]
@@ -311,22 +320,6 @@ def wedge_matrix(cplx: CubeComplex, h: int, q: int) -> np.ndarray:
 def hook_matrix(cplx: CubeComplex, h: int, q: int) -> np.ndarray:
     """Matrix of hook(h, .) from degree q to q-1, integer entries."""
     return _matrix(cplx, q, False, None, h)
-
-
-def jv_inner(f: Cochain, g: Cochain):
-    """Inner product in which the canonical signed cubes are orthonormal.
-
-    Plain Dirac cubes (single unsigned basis elements of the full space)
-    then have squared norm 1/2; callers that need that normalization halve
-    the values themselves.
-    """
-    f, g = _as_cochain(f), _as_cochain(g)
-    df, dg = cochain_degree(f), cochain_degree(g)
-    if df is not None and dg is not None and df != dg:
-        raise ValueError("degree mismatch: %d vs %d" % (df, dg))
-    if len(g) < len(f):
-        f, g = g, f
-    return sum(coeff * g.get(cube, 0) for cube, coeff in f.items())
 
 
 def spectral_profile(cplx: CubeComplex, cube: Cube, weights: Weights = None) -> SpectralProfile:

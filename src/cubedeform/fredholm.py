@@ -42,11 +42,9 @@ __all__ = [
     "base_neighbor",
     "base_projection",
     "basepoint_decay_sweep",
-    "f_t_operator",
     "format_t",
     "graded_offsets",
     "homotopy_residual",
-    "fredholm_residual",
     "inv_sqrt_integral",
     "inv_sqrt_spectral",
     "norm2_bound",
@@ -240,17 +238,6 @@ def spectral_frame(cplx: CubeComplex, t: float, weighted: bool = False) -> Spect
     w = deformation_weights(cplx, t) if weighted else None
     s = assemble_D(cplx, w).astype(np.float64)
     return SpectralFrame.of(s, cplx.vertex_index(cplx.base_vertex))
-
-
-def f_t_operator(cplx: CubeComplex, t: float, weighted: bool = False) -> np.ndarray:
-    """The bounded transform D (P + D^2)^(-1/2) in the t-frame."""
-    frame = spectral_frame(cplx, t, weighted)
-    return frame.s * frame.root
-
-
-def fredholm_residual(cplx: CubeComplex, t: float, weighted: bool = False) -> float:
-    """Upper bound ``norm2_bound`` on |F^2 - (I - P (P + D^2)^(-1))|_2."""
-    return norm2_bound(spectral_frame(cplx, t, weighted).fredholm_defect())
 
 
 def homotopy_residual(cplx: CubeComplex, t: float, weighted: bool = False) -> float:

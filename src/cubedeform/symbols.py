@@ -41,6 +41,7 @@ __all__ = [
     "ps_delta_symbol",
     "ps_dimension",
     "ps_laplacian",
+    "ps_term_table",
     "ps_type_of_index",
     "symbol_from_raw",
     "symbol_inner",
@@ -229,23 +230,35 @@ def ps_delta_symbol(cplx: CubeComplex, sym: PSSymbol) -> dict[tuple, int]:
     return out
 
 
-def _symbol_matrix(cplx: CubeComplex, q: int, raising: bool) -> np.ndarray:
-    """Dense symbol d (raising) or delta on degree q: a scatter of the
-    cached ``(row, col, coeff)`` table of the per-symbol images."""
+def ps_term_table(cplx: CubeComplex, q: int, raising: bool = True) -> np.ndarray:
+    """The cached terms of the symbol d (raising) or delta on degree q.
+
+    The layout of ``differential.term_table`` with the source's p + q as
+    the label, which both operators keep.  Read-only, by ascending source.
+    """
     rows_q = q + 1 if raising else q - 1
 
     def build():
         rows = ps_index(cplx, rows_q)
         image_fn = ps_d_symbol if raising else ps_delta_symbol
-        return np.array(
-            [(rows[k], j, coeff)
+        out = np.array(
+            [(rows[k], j, sym.p + q, coeff)
              for j, sym in enumerate(ps_basis(cplx, q))
              for k, coeff in image_fn(cplx, sym).items()],
-            dtype=np.int64).reshape(-1, 3)
+            dtype=np.int64).reshape(-1, 4)
+        out.flags.writeable = False
+        return out
 
-    terms = cplx.cached(("ps_terms", raising, q), build)
+    return cplx.cached(("ps_terms", raising, q), build)
+
+
+def _symbol_matrix(cplx: CubeComplex, q: int, raising: bool) -> np.ndarray:
+    """Dense symbol d (raising) or delta on degree q: one scatter of
+    ``ps_term_table``."""
+    rows_q = q + 1 if raising else q - 1
+    terms = ps_term_table(cplx, q, raising)
     out = np.zeros((ps_dimension(cplx, rows_q), ps_dimension(cplx, q)), dtype=np.int64)
-    out[terms[:, 0], terms[:, 1]] = terms[:, 2]
+    out[terms[:, 0], terms[:, 1]] = terms[:, 3]
     return out
 
 

@@ -12,7 +12,6 @@ import numpy as np
 from mpmath import mp
 
 import helpers
-from cubedeform.core import Cube
 from cubedeform.deformation import (
     basic_cochain,
     basic_section_frame,

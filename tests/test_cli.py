@@ -4,6 +4,7 @@ import collections
 import contextlib
 import csv
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -15,10 +16,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from cubedeform import cli, deformation
+from cubedeform import cli, deformation, differential, symbols
 from cubedeform.cli import DEFAULT_TOLERANCES, FIELD_T_FLOOR, main
 from cubedeform.core import write_cxc
-from cubedeform.deformation import pairing_limit, pairing_value
+from cubedeform.deformation import deformation_weights, pairing_limit, pairing_value
+from cubedeform.differential import (
+    cohomology_ranks,
+    d_matrix,
+    delta_matrix,
+    hook_matrix,
+    laplacian_matrix,
+    spectral_profile,
+    term_table,
+    wedge_matrix,
+)
 from cubedeform.fredholm import format_t
 from cubedeform.generate import (
     grid_complex,
@@ -26,7 +37,17 @@ from cubedeform.generate import (
     random_median_complex,
     star_tree,
 )
-from cubedeform.symbols import ps_basis, symbol_key
+from cubedeform.parallelism import enumerate_classes
+from cubedeform.symbols import (
+    ps_basis,
+    ps_cohomology_ranks,
+    ps_d_matrix,
+    ps_delta_matrix,
+    ps_laplacian,
+    ps_term_table,
+    ps_type_of_index,
+    symbol_key,
+)
 
 DISCONNECTED = "cxc 1\nhyperplanes 2\nbasepoint 00\nvertices 2\n00\n11\n"
 
@@ -375,6 +396,201 @@ def test_default_tolerances_table():
                         ("fredholm", "homotopy_identity"), ("fredholm", "resolvent_bound"),
                         ("fredholm", "inv_sqrt_quadrature")):
         assert name in DEFAULT_TOLERANCES[suite]
+
+
+# -- jv and ps: joins of the term tables against dense products ------------------
+
+
+def _dense_max(m):
+    return float(np.abs(m).max()) if m.size else 0.0
+
+
+def dense_jv(cplx, hyperplanes=None):
+    """The jv residuals from dense products, as the suite once computed them;
+    ``hyperplanes`` caps the wedge and hook pairs, as it once did at 6."""
+    dim = cplx.dimension
+    res = dict.fromkeys(DEFAULT_TOLERANCES["jv"], 0.0)
+    for q in range(dim):
+        res["d_squared"] = max(res["d_squared"],
+                               _dense_max(d_matrix(cplx, q + 1) @ d_matrix(cplx, q)))
+        res["delta_transpose"] = max(res["delta_transpose"],
+                                     _dense_max(delta_matrix(cplx, q + 1) - d_matrix(cplx, q).T))
+    w = deformation_weights(cplx, 1.0)
+    for q in range(dim + 1):
+        profiles = [spectral_profile(cplx, c, w) for c in cplx.cubes(q)]
+        diag = np.diag([prof.q + prof.p for prof in profiles])
+        res["laplacian_diagonal"] = max(res["laplacian_diagonal"],
+                                        _dense_max(laplacian_matrix(cplx, q) - diag))
+        expected = np.diag([prof.q_w + prof.p_w for prof in profiles])
+        res["laplacian_weighted"] = max(
+            res["laplacian_weighted"],
+            _dense_max(laplacian_matrix(cplx, q, w) - expected) / max(1.0, _dense_max(expected)))
+    n_h = min(cplx.n_hyperplanes, hyperplanes or cplx.n_hyperplanes)
+    for h1, h2 in itertools.permutations(range(n_h), 2):
+        for q in range(dim):
+            wedges = (wedge_matrix(cplx, h1, q + 1) @ wedge_matrix(cplx, h2, q)
+                      + wedge_matrix(cplx, h2, q + 1) @ wedge_matrix(cplx, h1, q))
+            hooks = hook_matrix(cplx, h1, q + 1) @ wedge_matrix(cplx, h2, q)
+            if q:
+                hooks = hooks + wedge_matrix(cplx, h2, q - 1) @ hook_matrix(cplx, h1, q)
+            res["wedge_hook_antisymmetry"] = max(
+                res["wedge_hook_antisymmetry"], _dense_max(wedges), _dense_max(hooks))
+    res["cohomology_ranks"] = sum(
+        abs(a - b) for a, b in zip(cohomology_ranks(cplx), (1,) + (0,) * dim))
+    return res
+
+
+def dense_ps(cplx):
+    """The ps residuals from dense products, as the suite once computed them."""
+    dim = cplx.dimension
+    res = dict.fromkeys(DEFAULT_TOLERANCES["ps"], 0.0)
+
+    def hmat(q):
+        labels = np.maximum(ps_type_of_index(cplx, q) + q, 1).astype(np.float64)
+        return ps_delta_matrix(cplx, q).astype(np.float64) / labels[None, :]
+
+    for q in range(dim + 1):
+        d, delta = ps_d_matrix(cplx, q), ps_delta_matrix(cplx, q + 1)
+        labels = ps_type_of_index(cplx, q) + q
+        for name, m in (("ps_d_squared", ps_d_matrix(cplx, q + 1) @ d),
+                        ("ps_delta_squared", ps_delta_matrix(cplx, q) @ delta),
+                        ("ps_delta_transpose", delta - d.T),
+                        ("ps_laplacian_scalar", ps_laplacian(cplx, q) - np.diag(labels))):
+            res[name] = max(res[name], _dense_max(m))
+        total = np.zeros((len(labels), len(labels)))
+        total += hmat(q + 1) @ d
+        total += ps_d_matrix(cplx, q - 1) @ hmat(q)
+        res["ps_homotopy"] = max(res["ps_homotopy"],
+                                 _dense_max(total - np.diag((labels > 0).astype(np.float64))))
+    res["ps_cohomology_ranks"] = sum(
+        abs(a - b) for a, b in zip(ps_cohomology_ranks(cplx), (1,) + (0,) * dim))
+    res["ps_dimension_count"] = abs(
+        sum(len(ps_basis(cplx, q)) for q in range(dim + 1))
+        - sum(2 ** len(klass.determining) for klass in enumerate_classes(cplx)))
+    return res
+
+
+DENSE = {"jv": dense_jv, "ps": dense_ps}
+SVD_RANKS = {"jv": cohomology_ranks, "ps": ps_cohomology_ranks}
+FLOAT_CHECKS = ("laplacian_weighted", "ps_homotopy")
+
+
+def joined(cplx, suite):
+    """The suite's residuals, and the Hodge ranks it took without an SVD."""
+    hodge, seen = cli._hodge_ranks, []
+
+    def recorded(diagonals):
+        seen.append(hodge(diagonals))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_hodge_ranks", recorded)
+        residuals, counts = cli._SUITES[suite](cplx, None)
+    assert counts == {}
+    return residuals, seen
+
+
+def assert_joins_match_dense(cplx, suite, **dense_args):
+    got, hodge = joined(cplx, suite)
+    want = DENSE[suite](cplx, **dense_args)
+    assert set(got) == set(want) == set(DEFAULT_TOLERANCES[suite])
+    for name, value in want.items():
+        if name in FLOAT_CHECKS:
+            assert abs(got[name] - value) <= 1e-14, name
+        else:
+            assert got[name] == value, name
+    # with the identities exact, the Hodge zero counts are the SVD ranks
+    assert hodge in ([], [SVD_RANKS[suite](cplx)])
+    return got, hodge
+
+
+@pytest.mark.parametrize("suite", ("jv", "ps"))
+@pytest.mark.parametrize("name", helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES)
+def test_joins_match_dense_products(name, suite):
+    got, hodge = assert_joins_match_dense(helpers.fixture(name), suite)
+    assert not any(got.values())
+    assert len(hodge) == 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 6), k=st.integers(1, 6), seed=st.integers(0, 1 << 16))
+def test_joins_match_dense_products_hypothesis(n, k, seed):
+    cplx = random_median_complex(n, k, seed)
+    for suite in ("jv", "ps"):
+        assert len(assert_joins_match_dense(cplx, suite)[1]) == 1
+
+
+def negate_one_term(monkeypatch, module, name, q, raising, row):
+    """Every path, dense and joined, reads the table with one term negated."""
+    table = getattr(module, name)
+
+    def sabotaged(cplx, degree, up=True):
+        out = table(cplx, degree, up)
+        if (degree, up) == (q, raising):
+            out = out.copy()
+            out[row, 3] *= -1
+        return out
+
+    monkeypatch.setattr(module, name, sabotaged)
+    monkeypatch.setattr(cli, name, sabotaged)
+
+
+@pytest.mark.parametrize("q, raising", ((0, True), (1, True), (1, False), (2, False)))
+@pytest.mark.parametrize("suite", ("jv", "ps"))
+@pytest.mark.parametrize("name", ("cube3", "grid12"))
+def test_a_negated_term_shows(name, suite, q, raising, monkeypatch):
+    cplx = helpers.fixture(name)
+    module, table = (differential, "term_table") if suite == "jv" else (symbols, "ps_term_table")
+    size = len(getattr(module, table)(cplx, q, raising))
+    assert size
+    for row in sorted({0, size // 2, size - 1}):
+        with monkeypatch.context() as mp:
+            negate_one_term(mp, module, table, q, raising, row)
+            got, hodge = assert_joins_match_dense(cplx, suite)
+        assert hodge == []  # a broken identity falls back to the SVD
+        # delta and d^T now differ in that entry, and the diagonal of L
+        # at the source reads one less than q + p
+        prefix = "" if suite == "jv" else "ps_"
+        assert got[prefix + "delta_transpose"] == 2
+        assert got["laplacian_diagonal" if suite == "jv" else "ps_laplacian_scalar"] > 0
+
+
+@pytest.mark.parametrize("q, raising", ((1, True), (2, False)))
+def test_a_negated_term_on_a_late_hyperplane_shows(q, raising, monkeypatch):
+    # the dense suite once looked at the wedge and hook pairs of the first
+    # six hyperplanes only, and missed a wedge or hook term on the seventh
+    cplx = grid_complex([5, 4])
+    assert cplx.n_hyperplanes >= 8
+    terms = term_table(cplx, q, raising)
+    row = int(np.flatnonzero(terms[:, 2] >= 6)[0])
+    negate_one_term(monkeypatch, differential, "term_table", q, raising, row)
+    got, _ = assert_joins_match_dense(cplx, "jv")
+    assert got["wedge_hook_antisymmetry"] == 2
+    assert dense_jv(cplx, hyperplanes=6)["wedge_hook_antisymmetry"] == 0
+
+
+def _no_dense(*args, **kwargs):
+    raise AssertionError("dense operator or numpy.linalg in check jv or ps")
+
+
+def test_check_jv_and_ps_form_no_dense_operator(tmp_path, monkeypatch, capsys):
+    paths = []
+    for name in helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES:
+        cplx = helpers.fixture(name)
+        if cplx.n_hyperplanes:
+            paths.append(tmp_path / ("%s.cxc" % name))
+            paths[-1].write_text(write_cxc(cplx))
+    for module, name in ((differential, "_matrix"), (symbols, "_symbol_matrix"),
+                         (cli, "cohomology_ranks"), (cli, "ps_cohomology_ranks"),
+                         (cli, "d_matrix"), (cli, "delta_matrix")):
+        monkeypatch.setattr(module, name, _no_dense)
+    for name in ("eigh", "eigvalsh", "svd", "solve", "norm", "matrix_rank"):
+        monkeypatch.setattr(np.linalg, name, _no_dense)
+    for path in paths:
+        for suite in ("jv", "ps"):
+            code, out = run(["check", suite, "--input", str(path)], capsys)
+            assert code == 0
+            assert json.loads(out)["pass"] is True
 
 
 # -- sweep -------------------------------------------------------------------------

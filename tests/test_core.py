@@ -1,7 +1,6 @@
 """Vertex-model geometry: medians, cubes, paths, and the cxc format."""
 
 import itertools
-import math
 import random
 
 import pytest

@@ -1,7 +1,6 @@
 """Signed cube calculus: orientation gauge, wedge/hook, diagonal Laplacian."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from cubedeform.differential import (
     delta_matrix,
     hook,
     hook_matrix,
-    jv_inner,
     laplacian_matrix,
     numerical_rank,
     spectral_profile,
@@ -342,19 +340,7 @@ def test_square_laplacian_diag_values(square):
     assert np.diag(laplacian_matrix(rebased, 0)).tolist() == [2, 1, 1, 0]
 
 
-# -- inner product, weights, ranks ---------------------------------------------
-
-
-def test_jv_inner_orthonormal_and_symmetric(square):
-    e1, e2 = Cube(0b00, (0,)), Cube(0b00, (1,))
-    assert jv_inner(e1, e1) == 1
-    assert jv_inner(e1, e2) == 0
-    f = {e1: 2, e2: -1}
-    g = {e1: 3}
-    assert jv_inner(f, g) == jv_inner(g, f) == 6
-    assert jv_inner({}, f) == 0
-    with pytest.raises(ValueError, match="degree mismatch"):
-        jv_inner({e1: 1}, {Cube(0b00, ()): 1})
+# -- weights, ranks ---------------------------------------------
 
 
 def test_weight_vector_forms(square):

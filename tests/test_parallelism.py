@@ -5,7 +5,7 @@ import math
 import pytest
 
 import helpers
-from cubedeform.core import Cube, InvalidComplex
+from cubedeform.core import Cube
 from cubedeform.parallelism import (
     class_complex,
     class_count_theorem,
