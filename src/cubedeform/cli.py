@@ -45,14 +45,25 @@ from .deformation import (
     symbol_representative,
     w_hat_blocks,
 )
-from .differential import cohomology_ranks, d_matrix, delta_matrix, spectral_profile, term_table
+from .differential import (
+    cohomology_ranks,
+    d_matrix,
+    delta_matrix,
+    grouped_sum,
+    max_sum,
+    norm2_bound_sums,
+    spectral_profile,
+    term_product,
+    term_table,
+)
 from .fredholm import (
-    assemble_D,
     base_neighbor,
     format_t,
+    graded_offsets,
+    graded_terms,
+    homotopy_sums,
+    inv_sqrt_diagonal,
     inv_sqrt_integral,
-    norm2_bound,
-    normalized_d,
     spectral_frame,
 )
 from .generate import grid_complex, hypercube, random_median_complex, star_tree
@@ -253,41 +264,9 @@ def _max_abs(m: np.ndarray) -> float:
     return float(np.abs(m).max()) if m.size else 0.0
 
 
-# The jv and ps suites never form an operator.  A product A @ B of two term
-# tables is the list of its term pairs, and each identity is a grouped sum
-# over pairs keyed by matrix entry, ``target * n + source``, and for the
-# wedge and hook relations by the hyperplane pair as well.
-
-
-def _product(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """The term pairs of A @ B, a's source being b's target: their entry
-    keys, values and the two terms' labels.  Tables list terms by
-    ascending source, so each entry meets its terms in a dense product's
-    order."""
-    order = np.argsort(b[:, 0], kind="stable")
-    targets = b[order, 0]
-    start = np.searchsorted(targets, a[:, 1])
-    count = np.searchsorted(targets, a[:, 1], "right") - start
-    i = np.repeat(np.arange(len(a)), count)
-    a, b = a[i], b[order[np.arange(len(i)) + np.repeat(start - np.cumsum(count) + count, count)]]
-    return a[:, 0] * n + b[:, 1], a[:, 3] * b[:, 3], a[:, 2], b[:, 2]
-
-
-def _max_sum(*parts: tuple[np.ndarray, np.ndarray]) -> float:
-    """The largest |sum| over the terms that share one integer key.
-
-    Each part, a (keys, values) pair, is summed in term order on its own,
-    and the parts are then added key by key: the order in which a dense
-    ``A @ B + C @ D - E`` rounds.
-    """
-    keys = np.concatenate([k for k, _ in parts])
-    if not keys.size:
-        return 0.0
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    total = np.zeros(len(uniq))
-    for part, (_, values) in zip(np.split(inverse, np.cumsum([len(k) for k, _ in parts])), parts):
-        total += np.bincount(part, values, len(uniq))
-    return float(np.abs(total).max())
+# The jv and ps suites never form an operator.  Each identity is a grouped
+# sum over the term pairs of products of term tables, keyed by matrix entry
+# and, for the wedge and hook relations, by the hyperplane pair as well.
 
 
 def _hodge_ranks(diagonals: list[np.ndarray]) -> tuple[int, ...]:
@@ -303,20 +282,20 @@ def _complex_checks(cplx, names, table, diagonals, ranks, more) -> dict:
     ``table(q, raising)`` is degree q's term table of d or delta,
     ``diagonals[q]`` L_q's expected diagonal, and ``ranks`` the SVD oracle,
     called only when an identity fails.  Per degree q, ``more(q, n, d_d,
-    delta_d, d_delta)`` gets the ``_product`` pairs of d d from q and of
+    delta_d, d_delta)`` gets the ``term_product`` pairs of d d from q and of
     delta d and d delta on q, and returns further residuals, maxed by name.
     """
     n = max(map(len, diagonals))
     res = dict.fromkeys(names[:3], 0.0)
     for q, diag in enumerate(diagonals):
         d_q, delta_q, up = table(q, True), table(q, False), table(q + 1, False)
-        d_d = _product(table(q + 1, True), d_q, n)
-        delta_d, d_delta = _product(up, d_q, n), _product(table(q - 1, True), delta_q, n)
-        found = {names[0]: _max_sum(d_d[:2]),
-                 names[1]: _max_sum((up[:, 0] * n + up[:, 1], up[:, 3]),
-                                    (d_q[:, 1] * n + d_q[:, 0], -d_q[:, 3])),
-                 names[2]: _max_sum(delta_d[:2], d_delta[:2],
-                                    (np.arange(len(diag)) * (n + 1), -diag)),
+        d_d = term_product(table(q + 1, True), d_q, n)
+        delta_d, d_delta = term_product(up, d_q, n), term_product(table(q - 1, True), delta_q, n)
+        found = {names[0]: max_sum(d_d[:2]),
+                 names[1]: max_sum((up[:, 0] * n + up[:, 1], up[:, 3]),
+                                   (d_q[:, 1] * n + d_q[:, 0], -d_q[:, 3])),
+                 names[2]: max_sum(delta_d[:2], d_delta[:2],
+                                   (np.arange(len(diag)) * (n + 1), -diag)),
                  **more(q, n, d_d, delta_d, d_delta)}
         for name, r in found.items():
             res[name] = max(res.get(name, 0.0), r)
@@ -336,17 +315,17 @@ def _suite_jv(cplx, args):
         # every h1 != h2, hook(h1) wedge(h2) + wedge(h2) hook(h1) below the top
         key, value, h1, h2 = d_d
         pair = np.minimum(h1, h2) * n_h + np.maximum(h1, h2)
-        antisymmetry = _max_sum((key * n_h * n_h + pair, value))
+        antisymmetry = max_sum((key * n_h * n_h + pair, value))
         if q < dim:
             (k1, v1, hook1, wedge1), (k2, v2, wedge2, hook2) = delta_d, d_delta
             keep1, keep2 = hook1 != wedge1, hook2 != wedge2
-            antisymmetry = max(antisymmetry, _max_sum(
+            antisymmetry = max(antisymmetry, max_sum(
                 (((k1 * n_h + hook1) * n_h + wedge1)[keep1], v1[keep1]),
                 (((k2 * n_h + hook2) * n_h + wedge2)[keep2], v2[keep2])))
         # the Laplacian with weights w against diag(q_w + p_w), relative
         expected = np.array([prof.q_w + prof.p_w for prof in profiles[q]])
-        weighted = _max_sum(*((k, v * w[h1] * w[h2]) for k, v, h1, h2 in (delta_d, d_delta)),
-                            (np.arange(len(expected)) * (n + 1), -expected))
+        weighted = max_sum(*((k, v * w[h1] * w[h2]) for k, v, h1, h2 in (delta_d, d_delta)),
+                           (np.arange(len(expected)) * (n + 1), -expected))
         return {"laplacian_weighted": weighted / max(1.0, _max_abs(expected)),
                 "wedge_hook_antisymmetry": antisymmetry}
 
@@ -362,14 +341,15 @@ def _suite_ps(cplx, args):
     diagonals = [ps_type_of_index(cplx, q) + q for q in range(dim + 1)]
 
     def more(q, n, d_d, delta_d, d_delta):
-        delta_delta = _product(ps_term_table(cplx, q - 1, False), ps_term_table(cplx, q, False), n)
+        delta_delta = term_product(ps_term_table(cplx, q - 1, False),
+                                   ps_term_table(cplx, q, False), n)
         # h = delta / (p + q), the label of delta's term; p + q is constant along
         # d, so h d + d h telescopes to the identity off the type-(0, 0) line
         (k1, v1, label, _), (k2, v2, _, label2) = delta_d, d_delta
         diag = diagonals[q]
-        homotopy = _max_sum((k1, v1 / label), (k2, v2 / label2),
-                            (np.arange(len(diag)) * (n + 1), -(diag > 0).astype(np.float64)))
-        return {"ps_delta_squared": _max_sum(delta_delta[:2]), "ps_homotopy": homotopy}
+        homotopy = max_sum((k1, v1 / label), (k2, v2 / label2),
+                           (np.arange(len(diag)) * (n + 1), -(diag > 0).astype(np.float64)))
+        return {"ps_delta_squared": max_sum(delta_delta[:2]), "ps_homotopy": homotopy}
 
     res = _complex_checks(
         cplx, ("ps_d_squared", "ps_delta_transpose", "ps_laplacian_scalar",
@@ -484,50 +464,47 @@ def _suite_field(cplx, args):
 
 
 def _suite_fredholm(cplx, args):
-    grid = args.t_grid or (0.1, 1.0, INF)
-    res = {}
-
-    d_full = assemble_D(cplx)
-    res["d_symmetric"] = _max_abs(d_full - d_full.T)
-
-    # D P and P D keep only the base column and row of D; P^2 = P exactly
-    base = cplx.vertex_index(cplx.base_vertex)
-    res["projection_commutes"] = max(_max_abs(d_full[:, base]), _max_abs(d_full[base]))
-
-    # one dense frame at a time: each is dropped before the next is built
-    fred = homo = resolvent = 0.0
-    for t in grid:
+    n, base = graded_offsets(cplx)[-1], cplx.vertex_index(cplx.base_vertex)
+    # P + D^2, the suite's one dense array, comes first: a complex too large
+    # for it stops before any other work
+    shifted = np.zeros((n, n))
+    terms, values = graded_terms(cplx)
+    rows, cols = terms[:, 0], terms[:, 1]
+    res = {"d_symmetric": max_sum((rows * n + cols, values), (cols * n + rows, -values)),
+           # D P and P D keep only the base column and row of D; P^2 = P exactly
+           "projection_commutes": _max_abs(values[(rows == base) | (cols == base)]),
+           "fredholm_identity": 0.0, "homotopy_identity": 0.0, "resolvent_bound": 0.0}
+    for t in args.t_grid or (0.1, 1.0, INF):
         frame = spectral_frame(cplx, t, weighted=True)
-        fred = max(fred, norm2_bound(frame.fredholm_defect()))
-        homo = max(homo, norm2_bound(frame.homotopy_defect()))
+        for name, defect in (("fredholm_identity", frame.fredholm_defect()),
+                             ("homotopy_identity", frame.homotopy_defect())):
+            res[name] = max(res[name], norm2_bound_sums(n, *defect))
         for entry in frame.resolvent_bounds((0.0, 1.0, 10.0)):
-            resolvent = max(resolvent, max(0.0, entry["norm"] - entry["bound"]))
-        del frame
-    res["fredholm_identity"] = fred
-    res["homotopy_identity"] = homo
-    res["resolvent_bound"] = resolvent
+            res["resolvent_bound"] = max(res["resolvent_bound"], entry["norm"] - entry["bound"])
 
-    # D^2 is diagonal: the quadrature runs on the whole of P + D^2, so any
-    # off-diagonal mass shows against the diagonal's inverse square root
-    d_float = d_full.astype(np.float64)
-    shifted = d_float @ d_float
+    # D^2 is diagonal: the quadrature runs on P + D^2's diagonal, or on the
+    # whole matrix if it has off-diagonal mass, which then shows against the
+    # diagonal's inverse square root
+    keys, square = grouped_sum(term_product(terms, terms, n)[:2])  # unit weights: values are signs
+    row, col = np.divmod(keys, n)
+    shifted[row, col] = square
     lam = np.diag(shifted).copy()
     shifted[base, base] += 1.0
     want = np.diag(shifted) ** -0.5
-    quad = inv_sqrt_integral(shifted, nodes=200)
-    quad[np.diag_indices_from(quad)] -= want
+    if square[row != col].any():
+        quad = inv_sqrt_integral(shifted, nodes=200)
+        quad[np.diag_indices_from(quad)] -= want
+    else:
+        quad = inv_sqrt_diagonal(np.diag(shifted), nodes=200) - want
     res["inv_sqrt_quadrature"] = _max_abs(quad) / want.max()
 
     # the target I - (I + D^2)^(-1) is read from I + D^2 by one LU solve
     # against the ones vector, not from its diagonal: on a diagonal matrix
     # that is exact division, 1 / (1 + lam) bit for bit
     shifted[np.diag_indices_from(shifted)] = 1.0 + lam
-    inverse = np.linalg.solve(shifted, np.ones(len(lam)))
-    dprime = normalized_d(cplx)
-    defect = dprime @ dprime.T
-    defect += dprime.T @ dprime
-    defect[np.diag_indices_from(defect)] -= 1.0 - inverse
-    res["normalized_d_identity"] = norm2_bound(defect)
+    inverse = np.linalg.solve(shifted, np.ones(n))
+    res["normalized_d_identity"] = norm2_bound_sums(
+        n, *homotopy_sums(terms, values, (1.0 + lam) ** -0.5, 1.0 - inverse))
     return res, {}
 
 

@@ -59,7 +59,7 @@ import mpmath as mp
 import numpy as np
 
 from .core import Cube, CubeComplex
-from .differential import OrientedCube, d_cochain, d_matrix, delta_matrix
+from .differential import OrientedCube, d_cochain, d_matrix
 from .parallelism import (
     ParallelClass,
     class_of,
@@ -84,11 +84,9 @@ __all__ = [
     "basic_section_frame",
     "class_blocks",
     "conjugated",
-    "d_t_matrix",
     "d_t_pairing",
     "d_t_pairing_limit",
     "deformation_weights",
-    "delta_t_matrix",
     "gram_matrix",
     "oriented_pair_distance",
     "pairing_limit",
@@ -104,7 +102,6 @@ __all__ = [
     "w_hat_blocks",
     "w_hat_matrix",
     "w_path_matrix",
-    "w_step_matrix",
 ]
 
 INF = math.inf
@@ -376,23 +373,6 @@ def _scatter(out: np.ndarray, pieces) -> np.ndarray:
     for cols, block in pieces:
         out[cols[..., :, None], cols[..., None, :]] = block
     return out
-
-
-def w_step_matrix(cplx: CubeComplex, cube: Cube, h: int, t: float | None = None,
-                  ab: tuple | None = None) -> np.ndarray:
-    """The crossing move of hyperplane ``h`` away from ``cube``.
-
-    A square matrix over the members of the cube's parallelism class in
-    canonical member order: the stated 2x2 block on every pair adjacent
-    across ``h``, the identity elsewhere; the cached move of ``h`` from the
-    cube's side, applied to the identity.  ``ab`` overrides the mixing
-    coefficients (exact scalars allowed); otherwise they come from ``t``.
-    """
-    if not cplx.adjacent_cube(cube, h):
-        raise ValueError("cube %r is not adjacent to hyperplane %d" % (cube, h))
-    geom = _class_geom(cplx, class_of(cplx, cube.cutting))
-    key = geom.move_key[h, 1 if cube.anchor & cplx.mask(h) else 0]
-    return _moves_block(geom, [key], _resolve_ab(t, ab), _is_exact(ab))
 
 
 def w_path_matrix(cplx: CubeComplex, target: Cube, source: Cube,
@@ -936,31 +916,6 @@ def conjugated(hi: tuple[ClassBlocks, ...], mat: np.ndarray,
         cols = np.flatnonzero(part.any(axis=(0, 1)))
         out[blks.cols[:, :, None], cols] = np.linalg.solve(blks.frame, part[:, :, cols])
     return out
-
-
-def d_t_matrix(cplx: CubeComplex, q: int, t: float, weighted: bool = False) -> np.ndarray:
-    """The differential seen through the t-frame on degree q.
-
-    At t = infinity this is exactly the (weighted) differential matrix;
-    otherwise U^(-1) d U, with the distance-graded weights when
-    ``weighted``.
-    """
-    _check_t(t)
-    w = deformation_weights(cplx, t) if weighted else None
-    if t == INF:
-        return d_matrix(cplx, q, w)
-    return conjugated(class_blocks(cplx, q + 1, t), d_matrix(cplx, q, w),
-                      class_blocks(cplx, q, t))
-
-
-def delta_t_matrix(cplx: CubeComplex, q: int, t: float, weighted: bool = False) -> np.ndarray:
-    """The adjoint differential through the t-frame on degree q."""
-    _check_t(t)
-    w = deformation_weights(cplx, t) if weighted else None
-    if t == INF:
-        return delta_matrix(cplx, q, w)
-    return conjugated(class_blocks(cplx, q - 1, t), delta_matrix(cplx, q, w),
-                      class_blocks(cplx, q, t))
 
 
 def d_t_pairing(cplx: CubeComplex, pair1: CubePair, o1: OrientedCube,

@@ -26,10 +26,13 @@ degree and base vertex, the wedge and hook terms are derived once from
 (target, source, hyperplane, sign).  A weighted matrix multiplies each sign
 by its hyperplane's weight at scatter time, so nothing is kept per weight.
 The cochain functions keep the per-term path and serve as its oracle.
+The check suites form no operator: ``term_product`` lists the term pairs
+of a product of two tables, and ``grouped_sum`` sums them by matrix entry.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -47,11 +50,15 @@ __all__ = [
     "d_matrix",
     "delta_cochain",
     "delta_matrix",
+    "grouped_sum",
     "hook",
     "hook_matrix",
     "laplacian_matrix",
+    "max_sum",
+    "norm2_bound_sums",
     "numerical_rank",
     "spectral_profile",
+    "term_product",
     "term_table",
     "wedge",
     "wedge_matrix",
@@ -275,6 +282,48 @@ def term_table(cplx: CubeComplex, q: int, raising: bool = True) -> np.ndarray:
         return out
 
     return cplx.cached(("terms", raising, q, cplx.base_vertex), build)
+
+
+def term_product(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """The term pairs of A @ B, a's source being b's target: their entry
+    keys ``target * n + source``, values and the two terms' labels.
+    Tables list terms by ascending source, so each entry meets its terms
+    in a dense product's order."""
+    order = np.argsort(b[:, 0], kind="stable")
+    targets = b[order, 0]
+    start = np.searchsorted(targets, a[:, 1])
+    count = np.searchsorted(targets, a[:, 1], "right") - start
+    i = np.repeat(np.arange(len(a)), count)
+    a, b = a[i], b[order[np.arange(len(i)) + np.repeat(start - np.cumsum(count) + count, count)]]
+    return a[:, 0] * n + b[:, 1], a[:, 3] * b[:, 3], a[:, 2], b[:, 2]
+
+
+def grouped_sum(*parts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct integer keys and the sum of the terms that share each.
+
+    Each part, a (keys, values) pair, is summed in term order on its own,
+    and the parts are then added key by key: the order in which a dense
+    ``A @ B + C @ D - E`` rounds.
+    """
+    uniq, inverse = np.unique(np.concatenate([k for k, _ in parts]), return_inverse=True)
+    total = np.zeros(len(uniq))
+    for part, (_, values) in zip(np.split(inverse, np.cumsum([len(k) for k, _ in parts])), parts):
+        total += np.bincount(part, values, len(uniq))
+    return uniq, total
+
+
+def max_sum(*parts: tuple[np.ndarray, np.ndarray]) -> float:
+    """The largest |sum| of ``grouped_sum``, 0.0 when there is no term."""
+    total = grouped_sum(*parts)[1]
+    return float(np.abs(total).max()) if total.size else 0.0
+
+
+def norm2_bound_sums(n: int, keys: np.ndarray, sums: np.ndarray) -> float:
+    """The upper bound sqrt(|R|_1 |R|_inf) on the spectral norm |R|_2 of
+    the n x n matrix R whose entry ``keys // n, keys % n`` is ``sums``."""
+    a = np.abs(sums)
+    return math.sqrt(float(np.bincount(keys % n, a, n).max())
+                     * float(np.bincount(keys // n, a, n).max()))
 
 
 def _matrix(cplx: CubeComplex, q: int, raising: bool, weights: Weights,

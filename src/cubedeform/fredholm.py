@@ -9,20 +9,21 @@ here quantitative.
 
 The Laplacian is diagonal, d delta + delta d = diag(q + p(C)), and so is
 its weighted form in the t-frame: P + D^2 is a diagonal Lambda, and no
-identity here needs a spectrum.  Per t, ``spectral_frame`` forms A = D + P
-and G = A^T A with one product; G is P + D^2 when D is symmetric with a
-zero base row and column.  The frame keeps Lambda = diag(G), the
-Gershgorin radii of G, and r = Lambda^(-1/2).  From these come the bounded
-transform F = D r with its Fredholm identity F^2 = I - P Lambda^(-1), the
-normalized differential d' = tril(D) r with d'^T d' + d' d'^T equal to
-the same target, and upper bounds on the resolvent norms of D + P.  The
-targets are diagonal, but the defects are computed in floating point:
-off-diagonal mass in G, or a D that fails to commute with Lambda, shows in
-them.  Residuals are reported as the upper bound sqrt(|R|_1 |R|_inf) on
-the spectral norm |R|_2, which can only make a threshold stricter.  The
-integral formula (2/pi) int (lambda^2 + T)^(-1) d lambda is kept
-alongside as a verified quadrature of T^(-1/2); on a diagonal T it runs
-entry by entry.
+identity here needs a spectrum or a dense operator.  ``graded_terms``
+lists S = D_w from the cached term tables, and every product is a join of
+that listing summed by matrix entry (``differential.term_product``).  Per
+t, ``spectral_frame`` joins A = S + P into G = A^T A and keeps Lambda =
+diag(G), the Gershgorin radii of G, and r = Lambda^(-1/2).  From these
+come the bounded transform F = S r with its Fredholm identity F^2 = I -
+P Lambda^(-1), the normalized differential d' = tril(S) r with d'^T d' +
+d' d'^T equal to the same target, and upper bounds on the resolvent norms
+of S + P.  The defects keep every term pair of the dense products, so
+off-diagonal mass in G, or an S that fails to commute with Lambda, shows
+in them; they are reported as the bound sqrt(|R|_1 |R|_inf) >= |R|_2.
+The integral (2/pi) int (s^2 + T)^(-1) ds is kept alongside as a verified
+quadrature of T^(-1/2); on a diagonal T it runs on the diagonal's vector.
+``assemble_D``, ``base_projection`` and ``normalized_d`` keep the dense
+operators for the acceptance tests and the oracles.
 """
 
 from __future__ import annotations
@@ -34,7 +35,16 @@ import numpy as np
 
 from .core import CubeComplex
 from .deformation import basepoint_commutator_norm, deformation_weights
-from .differential import Weights, d_matrix, delta_matrix
+from .differential import (
+    Weights,
+    d_matrix,
+    delta_matrix,
+    grouped_sum,
+    norm2_bound_sums,
+    term_product,
+    term_table,
+    weight_vector,
+)
 
 __all__ = [
     "SpectralFrame",
@@ -44,10 +54,12 @@ __all__ = [
     "basepoint_decay_sweep",
     "format_t",
     "graded_offsets",
+    "graded_terms",
     "homotopy_residual",
+    "homotopy_sums",
+    "inv_sqrt_diagonal",
     "inv_sqrt_integral",
     "inv_sqrt_spectral",
-    "norm2_bound",
     "normalized_d",
     "resolvent_bounds",
     "spectral_frame",
@@ -104,14 +116,6 @@ def _singular_guard(z: complex, smallest: float, largest: float) -> None:
             "(smallest singular value %.3e)" % (z, float(smallest)))
 
 
-def norm2_bound(matrix: np.ndarray) -> float:
-    """The upper bound sqrt(|M|_1 |M|_inf) on the spectral norm |M|_2."""
-    if not matrix.size:
-        return 0.0
-    a = np.abs(matrix)
-    return math.sqrt(float(a.sum(axis=0).max()) * float(a.sum(axis=1).max()))
-
-
 def inv_sqrt_spectral(matrix: np.ndarray) -> np.ndarray:
     """Inverse square root of a symmetric positive definite matrix."""
     vals, vecs = np.linalg.eigh(np.asarray(matrix, dtype=np.float64))
@@ -122,36 +126,44 @@ def inv_sqrt_spectral(matrix: np.ndarray) -> np.ndarray:
     return (vecs * (vals ** -0.5)) @ vecs.T
 
 
-def inv_sqrt_integral(matrix: np.ndarray, nodes: int = 200) -> np.ndarray:
-    """Inverse square root by the integral (2/pi) int (s^2 + T)^(-1) ds.
-
-    The half-line is mapped to (0,1) by s = u/(1-u) and the integral
-    evaluated by Gauss-Legendre quadrature.  Requires the spectrum to be
-    bounded below by 1, which keeps the integrand tame and the node count
-    modest.  A matrix with no nonzero off-diagonal entry is integrated
-    entry by entry on its diagonal: LU of a diagonal matrix is exact
-    division, so the result is bit for bit that of the dense solves.
-    """
-    t = np.asarray(matrix, dtype=np.float64)
-    diag = np.diag(t)
-    diagonal = np.count_nonzero(t) == np.count_nonzero(diag)
-    low = float(diag.min()) if diagonal else float(np.linalg.eigvalsh(t)[0])
+def _integral(low: float, nodes: int, resolvent):
+    """(2/pi) int (s^2 + T)^(-1) ds, given ``resolvent(s^2)`` and T's
+    smallest eigenvalue ``low``: Gauss-Legendre on s = u/(1-u), u in (0,1).
+    T's spectrum bounded below by 1 keeps the integrand tame."""
     if low < 1.0 - 1e-9:
         raise ValueError(
             "spectrum must be bounded below by 1 (smallest eigenvalue %.6f)"
             % low)
     xs, ws = np.polynomial.legendre.leggauss(nodes)
-    eye = np.eye(t.shape[0])
-    acc = np.zeros_like(diag) if diagonal else np.zeros_like(t)
+    acc = 0.0
     for x, w in zip(xs, ws):
         u = (x + 1.0) / 2.0
         s = u / (1.0 - u)
         jac = 1.0 / (1.0 - u) ** 2
-        if diagonal:
-            acc += (w / 2.0) * jac * (1.0 / (s * s + diag))
-        else:
-            acc += (w / 2.0) * jac * np.linalg.solve(s * s * eye + t, eye)
-    return (2.0 / math.pi) * (np.diag(acc) if diagonal else acc)
+        acc += (w / 2.0) * jac * resolvent(s * s)
+    return (2.0 / math.pi) * acc
+
+
+def inv_sqrt_diagonal(diag: np.ndarray, nodes: int = 200) -> np.ndarray:
+    """``inv_sqrt_integral`` of diag(diag), as the vector of its diagonal."""
+    diag = np.asarray(diag, dtype=np.float64)
+    return _integral(float(diag.min()), nodes, lambda s2: 1.0 / (s2 + diag))
+
+
+def inv_sqrt_integral(matrix: np.ndarray, nodes: int = 200) -> np.ndarray:
+    """Inverse square root by the integral (2/pi) int (s^2 + T)^(-1) ds.
+
+    One dense solve per node; a matrix with no nonzero off-diagonal entry
+    is integrated by ``inv_sqrt_diagonal`` on its diagonal instead: LU of
+    a diagonal matrix is exact division, so that is bit for bit the same.
+    """
+    t = np.asarray(matrix, dtype=np.float64)
+    diag = np.diag(t)
+    if np.count_nonzero(t) == np.count_nonzero(diag):
+        return np.diag(inv_sqrt_diagonal(diag, nodes))
+    eye = np.eye(t.shape[0])
+    return _integral(float(np.linalg.eigvalsh(t)[0]), nodes,
+                     lambda s2: np.linalg.solve(s2 * eye + t, eye))
 
 
 def normalized_d(cplx: CubeComplex, weights: Weights = None) -> np.ndarray:
@@ -163,30 +175,73 @@ def normalized_d(cplx: CubeComplex, weights: Weights = None) -> np.ndarray:
     return np.tril(full) * (1.0 + np.einsum("ij,ji->i", full, full)) ** -0.5
 
 
+def graded_terms(cplx: CubeComplex, weights: Weights = None) -> tuple[np.ndarray, np.ndarray]:
+    """S = D_w as int64 rows (target, source, term id, sign) in graded
+    indices by ascending source, and each term's value sign * w(h), integer
+    for unit weights, by term id.  Raising terms have target > source."""
+    offs = graded_offsets(cplx)
+    terms = np.concatenate([
+        term_table(cplx, q, raising) + (offs[q + 1 if raising else q - 1], offs[q], 0, 0)
+        for q in range(cplx.dimension + 1) for raising in (True, False)])
+    terms = terms[np.argsort(terms[:, 1], kind="stable")]
+    w = np.asarray(weight_vector(cplx, weights), dtype=np.int64 if weights is None else float)
+    values = terms[:, 3] * w[terms[:, 2]]
+    terms[:, 2] = np.arange(len(terms))
+    return terms, values
+
+
+def _transposed(terms: np.ndarray) -> np.ndarray:
+    """The listing of the transpose, by ascending source."""
+    return terms[np.argsort(terms[:, 0], kind="stable")][:, [1, 0, 2, 3]]
+
+
+def _pairs(a: np.ndarray, b: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Keys and values of the term pairs of A @ B, values by term id."""
+    keys, _, i, j = term_product(a, b, n)
+    return keys, values[i] * values[j]
+
+
+def homotopy_sums(terms: np.ndarray, values: np.ndarray, scale: np.ndarray,
+                  target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d'^T d' + d' d'^T - diag(target) as ``grouped_sum`` keys and sums,
+    d' the raising terms of a ``graded_terms`` listing scaled by column."""
+    n = len(target)
+    up = terms[terms[:, 0] > terms[:, 1]]
+    down = _transposed(up)
+    scaled = values * scale[terms[:, 1]]
+    return grouped_sum(_pairs(down, up, scaled, n), _pairs(up, down, scaled, n),
+                       (np.arange(n) * (n + 1), -target))
+
+
 class SpectralFrame(NamedTuple):
-    """One t's graded operator S = D_w and the diagonal of P + S^2.
+    """One t's graded operator S = D_w, listed as by ``graded_terms``.
 
     ``lam`` is the diagonal of G = A^T A for A = S + P, where P projects
-    onto the base vertex at graded index ``base``; ``rho`` holds the
-    off-diagonal absolute row sums of G, and ``root`` is ``lam ** -0.5``.
-    The degree-raising half of S is its strictly lower triangle.
+    onto the base vertex at graded index ``base``; ``rho`` and ``skew``
+    hold the off-diagonal absolute row sums of G and of S - S^T, and
+    ``root`` is ``lam ** -0.5``.  Defects are ``grouped_sum`` keys and sums.
     """
 
-    s: np.ndarray
+    terms: np.ndarray
+    values: np.ndarray
     base: int
     lam: np.ndarray
     rho: np.ndarray
+    skew: np.ndarray
     root: np.ndarray
 
     @classmethod
-    def of(cls, s: np.ndarray, base: int) -> "SpectralFrame":
-        """The frame of any square S: one product A^T A."""
-        a = s.copy()
-        a[base, base] += 1.0
-        g = a.T @ a
-        lam = np.diag(g).copy()
-        np.fill_diagonal(g, 0.0)
-        return cls(s, base, lam, np.abs(g).sum(axis=1), lam ** -0.5)
+    def of(cls, terms: np.ndarray, values: np.ndarray, n: int, base: int) -> "SpectralFrame":
+        """The frame of any n x n listing: one join A^T A."""
+        a = np.vstack([terms, (base, base, len(terms), 1)])
+        keys, g = grouped_sum(_pairs(_transposed(a), a, np.append(values, 1.0), n))
+        row, col = np.divmod(keys, n)
+        lam = np.bincount(row[row == col], g[row == col], n)
+        rho = np.bincount(row[row != col], np.abs(g[row != col]), n)
+        rows, cols = terms[:, 0], terms[:, 1]
+        keys, skew = grouped_sum((rows * n + cols, values), (cols * n + rows, -values))
+        skew = np.bincount(keys // n, np.abs(skew), n)
+        return cls(terms, values, base, lam, rho, skew, lam ** -0.5)
 
     def target(self) -> np.ndarray:
         """The diagonal of I - P Lambda^(-1): 1 but for the base entry."""
@@ -194,21 +249,16 @@ class SpectralFrame(NamedTuple):
         out[self.base] -= 1.0 / self.lam[self.base]
         return out
 
-    def _less_target(self, m: np.ndarray) -> np.ndarray:
-        m[np.diag_indices_from(m)] -= self.target()
-        return m
-
-    def fredholm_defect(self) -> np.ndarray:
+    def fredholm_defect(self) -> tuple[np.ndarray, np.ndarray]:
         """F^2 - (I - P Lambda^(-1)) for F = S Lambda^(-1/2)."""
-        f = self.s * self.root
-        return self._less_target(f @ f)
+        n = len(self.lam)
+        f = self.values * self.root[self.terms[:, 1]]
+        return grouped_sum(_pairs(self.terms, self.terms, f, n),
+                           (np.arange(n) * (n + 1), -self.target()))
 
-    def homotopy_defect(self) -> np.ndarray:
+    def homotopy_defect(self) -> tuple[np.ndarray, np.ndarray]:
         """h d' + d' h - (I - P Lambda^(-1)), d' = tril(S) Lambda^(-1/2), h = d'^T."""
-        dprime = np.tril(self.s) * self.root
-        out = dprime.T @ dprime
-        out += dprime @ dprime.T
-        return self._less_target(out)
+        return homotopy_sums(self.terms, self.values, self.root, self.target())
 
     def resolvent_bounds(self, lambdas: Iterable[float]) -> list[dict]:
         """Upper bounds on |(A + i lambda)^(-1)|_2 against |1 + i lambda|^(-1).
@@ -218,10 +268,9 @@ class SpectralFrame(NamedTuple):
         within rho_j + |lambda| sum_k |A - A^T|_jk of lam_j + lambda^2.  The
         smallest lower end bounds sigma_min^2 from below for any A.
         """
-        skew = np.abs(self.s - self.s.T).sum(axis=1)
         out = []
         for mu in lambdas:
-            radius = self.rho + abs(mu) * skew
+            radius = self.rho + abs(mu) * self.skew
             low = float((self.lam - radius).min()) + mu * mu
             high = float((self.lam + radius).max()) + mu * mu
             _singular_guard(1j * mu, math.sqrt(max(low, 0.0)), math.sqrt(high))
@@ -236,17 +285,18 @@ class SpectralFrame(NamedTuple):
 def spectral_frame(cplx: CubeComplex, t: float, weighted: bool = False) -> SpectralFrame:
     """The frame at t: D with deformation weights if ``weighted``."""
     w = deformation_weights(cplx, t) if weighted else None
-    s = assemble_D(cplx, w).astype(np.float64)
-    return SpectralFrame.of(s, cplx.vertex_index(cplx.base_vertex))
+    return SpectralFrame.of(*graded_terms(cplx, w), graded_offsets(cplx)[-1],
+                            cplx.vertex_index(cplx.base_vertex))
 
 
 def homotopy_residual(cplx: CubeComplex, t: float, weighted: bool = False) -> float:
-    """Upper bound ``norm2_bound`` on |h d' + d' h - (I - P (P + D^2)^(-1))|_2.
+    """Upper bound ``norm2_bound_sums`` on |h d' + d' h - (I - P (P + D^2)^(-1))|_2.
 
     d' is the degree-raising block normalized by (P + D^2)^(-1/2) and h is
     its adjoint; in this frame adjoint means plain transpose.
     """
-    return norm2_bound(spectral_frame(cplx, t, weighted).homotopy_defect())
+    frame = spectral_frame(cplx, t, weighted)
+    return norm2_bound_sums(len(frame.lam), *frame.homotopy_defect())
 
 
 def resolvent_bounds(cplx: CubeComplex, t: float, lambdas: Iterable[float],

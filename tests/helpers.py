@@ -10,23 +10,36 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from collections import deque
 from functools import lru_cache
 from itertools import combinations
+from typing import Iterable, NamedTuple
 
 import mpmath as mp
 import numpy as np
+import pytest
 
-from cubedeform import CubeComplex, grid_complex, hypercube, random_median_complex, star_tree
+from cubedeform import (
+    CubeComplex,
+    deformation,
+    grid_complex,
+    hypercube,
+    random_median_complex,
+    star_tree,
+)
 from cubedeform.core import Cube
 from cubedeform.deformation import (
+    INF,
     basic_cochain,
+    class_blocks,
+    conjugated,
     deformation_weights,
     step_coefficients,
     symbol_representative,
     w_path_matrix,
 )
-from cubedeform.differential import d_matrix
+from cubedeform.differential import d_matrix, delta_matrix, norm2_bound_sums
 from cubedeform.fredholm import (
     assemble_D,
     base_projection,
@@ -157,6 +170,46 @@ def adjacent_vertex_pairs(cplx: CubeComplex) -> list[tuple[int, int]]:
             if cplx.contains_vertex(u) and v < u:
                 out.append((v, u))
     return out
+
+
+# -- dense frame operators: the deformation's blocks handed out whole ----------
+
+
+def w_step_matrix(cplx: CubeComplex, cube: Cube, h: int, t: float | None = None,
+                  ab: tuple | None = None) -> np.ndarray:
+    """The crossing move of hyperplane ``h`` away from ``cube``.
+
+    A square matrix over the members of the cube's parallelism class in
+    canonical member order: the cached move of ``h`` from the cube's side,
+    applied to the identity.  ``ab`` overrides the mixing coefficients
+    (exact scalars allowed); otherwise they come from ``t``.
+    """
+    if not cplx.adjacent_cube(cube, h):
+        raise ValueError("cube %r is not adjacent to hyperplane %d" % (cube, h))
+    geom = deformation._class_geom(cplx, class_of(cplx, cube.cutting))
+    key = geom.move_key[h, 1 if cube.anchor & cplx.mask(h) else 0]
+    return deformation._moves_block(geom, [key], deformation._resolve_ab(t, ab),
+                                     deformation._is_exact(ab))
+
+
+def d_t_matrix(cplx: CubeComplex, q: int, t: float, weighted: bool = False) -> np.ndarray:
+    """The differential seen through the t-frame on degree q: at t =
+    infinity the (weighted) differential matrix, otherwise U^(-1) d U, with
+    the distance-graded weights when ``weighted``."""
+    w = deformation_weights(cplx, t) if weighted else None
+    if t == INF:
+        return d_matrix(cplx, q, w)
+    return conjugated(class_blocks(cplx, q + 1, t), d_matrix(cplx, q, w),
+                      class_blocks(cplx, q, t))
+
+
+def delta_t_matrix(cplx: CubeComplex, q: int, t: float, weighted: bool = False) -> np.ndarray:
+    """The adjoint differential through the t-frame on degree q."""
+    w = deformation_weights(cplx, t) if weighted else None
+    if t == INF:
+        return delta_matrix(cplx, q, w)
+    return conjugated(class_blocks(cplx, q - 1, t), delta_matrix(cplx, q, w),
+                      class_blocks(cplx, q, t))
 
 
 # -- frame oracles: per-entry assembly and row-pair moves, nothing cached -------
@@ -423,6 +476,119 @@ def oracle_raising(cplx, weights=None):
     for q in range(cplx.dimension):
         out[offs[q + 1]:offs[q + 2], offs[q]:offs[q + 1]] = d_matrix(cplx, q, weights)
     return out
+
+
+def scatter(n: int, keys: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """The n x n matrix whose entry ``keys // n, keys % n`` is ``sums``:
+    a grouped sum of the joins as a dense array."""
+    out = np.zeros((n, n))
+    out[keys // n, keys % n] = sums
+    return out
+
+
+def norm2_bound(matrix: np.ndarray) -> float:
+    """The upper bound sqrt(|M|_1 |M|_inf) on the spectral norm |M|_2."""
+    if not matrix.size:
+        return 0.0
+    a = np.abs(matrix)
+    return math.sqrt(float(a.sum(axis=0).max()) * float(a.sum(axis=1).max()))
+
+
+class DenseFrame(NamedTuple):
+    """The spectral frame of ``fredholm.SpectralFrame`` from dense products.
+
+    ``s`` is the graded S = D_w as an N x N array; ``lam`` the diagonal of
+    G = A^T A for A = S + P, P the projection onto graded index ``base``;
+    ``rho`` the off-diagonal absolute row sums of G; ``root`` is
+    ``lam ** -0.5``.  The degree-raising half of S is its strictly lower
+    triangle.  Defects are dense N x N arrays.
+    """
+
+    s: np.ndarray
+    base: int
+    lam: np.ndarray
+    rho: np.ndarray
+    root: np.ndarray
+
+    @classmethod
+    def of(cls, s: np.ndarray, base: int) -> "DenseFrame":
+        """The frame of any square S: one product A^T A."""
+        a = s.copy()
+        a[base, base] += 1.0
+        g = a.T @ a
+        lam = np.diag(g).copy()
+        np.fill_diagonal(g, 0.0)
+        return cls(s, base, lam, np.abs(g).sum(axis=1), lam ** -0.5)
+
+    def target(self) -> np.ndarray:
+        """The diagonal of I - P Lambda^(-1): 1 but for the base entry."""
+        out = np.ones(len(self.lam))
+        out[self.base] -= 1.0 / self.lam[self.base]
+        return out
+
+    def _less_target(self, m: np.ndarray) -> np.ndarray:
+        m[np.diag_indices_from(m)] -= self.target()
+        return m
+
+    def fredholm_defect(self) -> np.ndarray:
+        """F^2 - (I - P Lambda^(-1)) for F = S Lambda^(-1/2)."""
+        f = self.s * self.root
+        return self._less_target(f @ f)
+
+    def homotopy_defect(self) -> np.ndarray:
+        """h d' + d' h - (I - P Lambda^(-1)), d' = tril(S) Lambda^(-1/2), h = d'^T."""
+        dprime = np.tril(self.s, -1) * self.root
+        out = dprime.T @ dprime
+        out += dprime @ dprime.T
+        return self._less_target(out)
+
+    def resolvent_bounds(self, lambdas: Iterable[float]) -> list[dict]:
+        """Gershgorin upper bounds on |(A + i lambda)^(-1)|_2."""
+        skew = np.abs(self.s - self.s.T).sum(axis=1)
+        out = []
+        for mu in lambdas:
+            radius = self.rho + abs(mu) * skew
+            low = float((self.lam - radius).min()) + mu * mu
+            high = float((self.lam + radius).max()) + mu * mu
+            smallest = math.sqrt(max(low, 0.0))
+            if not smallest > 1e-13 * math.sqrt(high):
+                raise ValueError("matrix + %r is singular to working precision "
+                                 "(smallest singular value %.3e)" % (1j * mu, smallest))
+            out.append({"lambda": mu, "norm": 1.0 / math.sqrt(low),
+                        "bound": 1.0 / abs(1 + 1j * mu)})
+        return out
+
+
+def assert_frames_agree(frame, dense: DenseFrame, lambdas=(0.0, 1.0, 10.0)) -> None:
+    """A joined ``fredholm.SpectralFrame`` against the dense frame of the
+    same S: lam, rho, root and skew, both defects entry by entry and their
+    bounds, and the resolvent norms or the same refusal, within 1e-14
+    (relative to the largest entry, which may exceed 1, for the vectors)."""
+    n = len(dense.lam)
+    for got, want in ((frame.lam, dense.lam), (frame.rho, dense.rho), (frame.root, dense.root),
+                      (frame.skew, np.abs(dense.s - dense.s.T).sum(axis=1))):
+        assert np.abs(got - want).max() <= 1e-14 * max(1.0, want.max())
+    for got, want in ((frame.fredholm_defect(), dense.fredholm_defect()),
+                      (frame.homotopy_defect(), dense.homotopy_defect())):
+        assert np.abs(scatter(n, *got) - want).max() <= 1e-14
+        assert abs(norm2_bound_sums(n, *got) - norm2_bound(want)) <= 1e-14
+    for mu in lambdas:
+        try:
+            (want,) = dense.resolvent_bounds((mu,))
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                frame.resolvent_bounds((mu,))
+            continue
+        (got,) = frame.resolvent_bounds((mu,))
+        assert got["lambda"] == want["lambda"] and got["bound"] == want["bound"]
+        assert abs(got["norm"] - want["norm"]) <= 1e-14
+
+
+def dense_frame(cplx, t, weighted=False) -> DenseFrame:
+    """The frame at t from ``assemble_D``, with deformation weights if ``weighted``."""
+    w = deformation_weights(cplx, t) if weighted else None
+    return DenseFrame.of(assemble_D(cplx, w).astype(np.float64),
+                         cplx.vertex_index(cplx.base_vertex))
 
 
 def _oracle_shifted_square(cplx, t, weighted):

@@ -1,5 +1,6 @@
 """Command line: generation, validation, check suites, sweep CSV."""
 
+import argparse
 import collections
 import contextlib
 import csv
@@ -16,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from cubedeform import cli, deformation, differential, symbols
+from cubedeform import cli, deformation, differential, fredholm, symbols
 from cubedeform.cli import DEFAULT_TOLERANCES, FIELD_T_FLOOR, main
 from cubedeform.core import write_cxc
 from cubedeform.deformation import deformation_weights, pairing_limit, pairing_value
@@ -30,7 +31,7 @@ from cubedeform.differential import (
     term_table,
     wedge_matrix,
 )
-from cubedeform.fredholm import format_t
+from cubedeform.fredholm import assemble_D, format_t, normalized_d
 from cubedeform.generate import (
     grid_complex,
     hypercube,
@@ -277,9 +278,14 @@ def _no_spectrum(*args, **kwargs):
     raise AssertionError("spectral factorisation on the diagonal harness")
 
 
+def _no_dense(*args, **kwargs):
+    raise AssertionError("dense operator or numpy.linalg on a joined path")
+
+
 def test_check_fredholm_needs_no_spectrum(tmp_path, monkeypatch, capsys):
     # P + D^2 is diagonal: the suite takes no eigendecomposition, SVD or
-    # exact 2-norm, and its one solve is against a single vector
+    # exact 2-norm, and its one solve is against a single vector; it forms
+    # no dense operator but P + D^2, which it scatters from the joins
     paths = []
     for name in helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES:
         cplx = helpers.fixture(name)
@@ -306,6 +312,11 @@ def test_check_fredholm_needs_no_spectrum(tmp_path, monkeypatch, capsys):
                         lambda deg: rule if deg == 200 else _no_spectrum())
     for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, _no_spectrum)
+    for module, name in ((fredholm, "assemble_D"), (fredholm, "normalized_d"),
+                         (differential, "_matrix"), (differential, "d_matrix"),
+                         (differential, "delta_matrix"), (cli, "d_matrix"),
+                         (cli, "delta_matrix")):
+        monkeypatch.setattr(module, name, _no_dense)
     monkeypatch.setattr(np.linalg, "norm", norm_no_2)
     monkeypatch.setattr(np.linalg, "solve", solve_vector)
     for path in paths:
@@ -318,10 +329,15 @@ def test_check_fredholm_needs_no_spectrum(tmp_path, monkeypatch, capsys):
 def test_check_memory_error_exit_code(grid_file, monkeypatch, capsys):
     # an allocation the machine cannot meet is a breakdown, not a failed
     # check: exit 3 with one stderr line and no traceback
-    def too_big(*args, **kwargs):
-        raise MemoryError("Unable to allocate 36.6 GiB for an array")
+    zeros = np.zeros
 
-    monkeypatch.setattr(cli, "assemble_D", too_big)
+    def too_big(shape, *args, **kwargs):
+        # the suite's one dense array, P + D^2, is its only 2-d allocation
+        if np.ndim(shape) and len(shape) == 2:
+            raise MemoryError("Unable to allocate 36.6 GiB for an array")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", too_big)
     code = main(["check", "fredholm", "--input", grid_file])
     captured = capsys.readouterr()
     assert code == 3
@@ -532,7 +548,9 @@ def negate_one_term(monkeypatch, module, name, q, raising, row):
         return out
 
     monkeypatch.setattr(module, name, sabotaged)
-    monkeypatch.setattr(cli, name, sabotaged)
+    for reader in (cli, fredholm):
+        if hasattr(reader, name):
+            monkeypatch.setattr(reader, name, sabotaged)
 
 
 @pytest.mark.parametrize("q, raising", ((0, True), (1, True), (1, False), (2, False)))
@@ -569,10 +587,6 @@ def test_a_negated_term_on_a_late_hyperplane_shows(q, raising, monkeypatch):
     assert dense_jv(cplx, hyperplanes=6)["wedge_hook_antisymmetry"] == 0
 
 
-def _no_dense(*args, **kwargs):
-    raise AssertionError("dense operator or numpy.linalg in check jv or ps")
-
-
 def test_check_jv_and_ps_form_no_dense_operator(tmp_path, monkeypatch, capsys):
     paths = []
     for name in helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES:
@@ -591,6 +605,106 @@ def test_check_jv_and_ps_form_no_dense_operator(tmp_path, monkeypatch, capsys):
             code, out = run(["check", suite, "--input", str(path)], capsys)
             assert code == 0
             assert json.loads(out)["pass"] is True
+
+
+# -- fredholm: joins of the graded listing against the dense suite ---------------
+
+
+def dense_fredholm(cplx):
+    """The fredholm residuals from dense operators, as the suite once computed them."""
+    d_full = assemble_D(cplx)
+    base = cplx.vertex_index(cplx.base_vertex)
+    res = {"d_symmetric": _dense_max(d_full - d_full.T),
+           "projection_commutes": max(_dense_max(d_full[:, base]), _dense_max(d_full[base])),
+           "fredholm_identity": 0.0, "homotopy_identity": 0.0, "resolvent_bound": 0.0}
+    for t in (0.1, 1.0, float("inf")):
+        frame = helpers.dense_frame(cplx, t, weighted=True)
+        for name, defect in (("fredholm_identity", frame.fredholm_defect()),
+                             ("homotopy_identity", frame.homotopy_defect())):
+            res[name] = max(res[name], helpers.norm2_bound(defect))
+        for entry in frame.resolvent_bounds((0.0, 1.0, 10.0)):
+            res["resolvent_bound"] = max(res["resolvent_bound"], entry["norm"] - entry["bound"])
+    d_float = d_full.astype(np.float64)
+    shifted = d_float @ d_float
+    lam = np.diag(shifted).copy()
+    shifted[base, base] += 1.0
+    want = np.diag(shifted) ** -0.5
+    quad = fredholm.inv_sqrt_integral(shifted)
+    quad[np.diag_indices_from(quad)] -= want
+    res["inv_sqrt_quadrature"] = _dense_max(quad) / want.max()
+    shifted[np.diag_indices_from(shifted)] = 1.0 + lam
+    inverse = np.linalg.solve(shifted, np.ones(len(lam)))
+    dprime = normalized_d(cplx)
+    defect = dprime @ dprime.T
+    defect += dprime.T @ dprime
+    defect[np.diag_indices_from(defect)] -= 1.0 - inverse
+    res["normalized_d_identity"] = helpers.norm2_bound(defect)
+    return res
+
+
+def joined_fredholm(cplx):
+    """The residuals of ``check fredholm`` at its default t grid."""
+    residuals, counts = cli._SUITES["fredholm"](cplx, argparse.Namespace(t_grid=None))
+    assert counts == {}
+    return residuals
+
+
+def _outcome(suite, cplx):
+    """A suite's residuals, or the error it stops on."""
+    try:
+        return suite(cplx)
+    except ValueError as exc:
+        return exc
+
+
+def assert_fredholm_joins_match_dense(cplx):
+    """The joined suite against ``dense_fredholm``: the same seven residuals
+    within 1e-14 and the same pass flags, or the same error."""
+    got = _outcome(joined_fredholm, cplx)
+    want = _outcome(dense_fredholm, cplx)
+    if isinstance(want, ValueError):
+        assert type(got) is type(want) and str(got) == str(want)
+        return got
+    assert list(got) == list(want) == list(DEFAULT_TOLERANCES["fredholm"])
+    for name, threshold in DEFAULT_TOLERANCES["fredholm"].items():
+        assert abs(got[name] - want[name]) <= 1e-14, name
+        assert (got[name] <= threshold) == (want[name] <= threshold), name
+    # the same integral of the same P + D^2: bit for bit
+    assert got["inv_sqrt_quadrature"] == want["inv_sqrt_quadrature"]
+    return got
+
+
+@pytest.mark.parametrize("name", helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES)
+def test_fredholm_joins_match_the_dense_suite(name):
+    got = assert_fredholm_joins_match_dense(helpers.fixture(name))
+    assert got["d_symmetric"] == got["projection_commutes"] == got["resolvent_bound"] == 0.0
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 6), k=st.integers(1, 6), seed=st.integers(0, 1 << 16))
+def test_fredholm_joins_match_the_dense_suite_hypothesis(n, k, seed):
+    assert_fredholm_joins_match_dense(random_median_complex(n, k, seed))
+
+
+@pytest.mark.parametrize("q, raising", ((0, True), (1, True), (1, False), (2, False)))
+@pytest.mark.parametrize("name", ("cube3", "grid12"))
+def test_a_negated_term_shows_in_fredholm(name, q, raising, monkeypatch):
+    # S = d + delta is no longer symmetric.  Its weighted frames match the
+    # dense frames, off-diagonal mass in G and every defect entry included.
+    # Then the Gershgorin discs of G reach zero, or P + D^2 is no longer at
+    # least the identity, and the joined suite stops where the dense one does
+    cplx = helpers.fixture(name)
+    size = len(term_table(cplx, q, raising))
+    for row in sorted({0, size // 2, size - 1}):
+        with monkeypatch.context() as mp:
+            negate_one_term(mp, differential, "term_table", q, raising, row)
+            for t in (0.1, 1.0, float("inf")):
+                frame = fredholm.spectral_frame(cplx, t, weighted=True)
+                assert frame.skew.max() >= 2.0  # twice a weight, each at least 1
+                helpers.assert_frames_agree(frame, helpers.dense_frame(cplx, t, weighted=True))
+            with np.errstate(invalid="ignore"):  # P + D^2 has negative entries
+                got = assert_fredholm_joins_match_dense(cplx)
+        assert isinstance(got, ValueError)
 
 
 # -- sweep -------------------------------------------------------------------------

@@ -18,11 +18,9 @@ from cubedeform.deformation import (
     basic_cochain,
     basic_cochain_vector,
     basic_section_frame,
-    d_t_matrix,
     d_t_pairing,
     d_t_pairing_limit,
     deformation_weights,
-    delta_t_matrix,
     gram_matrix,
     oriented_pair_distance,
     pairing_limit,
@@ -37,7 +35,6 @@ from cubedeform.deformation import (
     u_t_matrix,
     w_hat_matrix,
     w_path_matrix,
-    w_step_matrix,
 )
 from cubedeform.differential import OrientedCube, d_matrix, delta_matrix, wedge_matrix
 from cubedeform.generate import hypercube, random_median_complex, star_tree
@@ -108,7 +105,7 @@ def test_w_step_is_orthogonal():
                 if h in klass.determining or not cplx.adjacent_cube(member, h):
                     continue
                 for t in (0.3, 1.0):
-                    w = w_step_matrix(cplx, member, h, t)
+                    w = helpers.w_step_matrix(cplx, member, h, t)
                     assert np.abs(w.T @ w - np.eye(len(w))).max() <= 1e-15
 
 
@@ -117,21 +114,21 @@ def test_w_step_exact_swap(square):
     # face and returns with a sign
     klass = class_of(square, (1,))
     src, far = klass.members
-    w = w_step_matrix(square, src, 0, ab=(1, 0))
+    w = helpers.w_step_matrix(square, src, 0, ab=(1, 0))
     assert w.dtype == object
     e_src, e_far = np.eye(2, dtype=int)
     assert (w @ e_src == e_far).all()
     assert (w @ e_far == -e_src).all()
     # and from the far side the roles flip
-    w_back = w_step_matrix(square, far, 0, ab=(1, 0))
+    w_back = helpers.w_step_matrix(square, far, 0, ab=(1, 0))
     assert (w_back @ e_far == e_src).all()
 
 
 def test_w_step_rejects_non_adjacent(square, tripod):
     with pytest.raises(ValueError, match="not adjacent"):
-        w_step_matrix(square, Cube(0b00, (0, 1)), 0, 1.0)
+        helpers.w_step_matrix(square, Cube(0b00, (0, 1)), 0, 1.0)
     with pytest.raises(ValueError, match="not adjacent"):
-        w_step_matrix(tripod, Cube(0b000, (0,)), 1, 1.0)
+        helpers.w_step_matrix(tripod, Cube(0b000, (0,)), 1, 1.0)
 
 
 def test_w_path_identity_and_inverse(cube3):
@@ -486,11 +483,11 @@ def test_d_t_squares_to_zero(t, weighted):
     for name in FIXED:
         cplx = helpers.fixture(name)
         for q in range(cplx.dimension - 1):
-            hi = d_t_matrix(cplx, q + 1, t, weighted)
-            lo = d_t_matrix(cplx, q, t, weighted)
+            hi = helpers.d_t_matrix(cplx, q + 1, t, weighted)
+            lo = helpers.d_t_matrix(cplx, q, t, weighted)
             assert np.abs(hi @ lo).max() <= 1e-10
-            dhi = delta_t_matrix(cplx, q + 1, t, weighted)
-            dlo = delta_t_matrix(cplx, q + 2, t, weighted)
+            dhi = helpers.delta_t_matrix(cplx, q + 1, t, weighted)
+            dlo = helpers.delta_t_matrix(cplx, q + 2, t, weighted)
             assert np.abs(dhi @ dlo).max() <= 1e-10
 
 
@@ -500,8 +497,8 @@ def test_d_t_adjoint_under_gram(t):
     for name in FIXED:
         cplx = helpers.fixture(name)
         for q in range(cplx.dimension):
-            lhs = d_t_matrix(cplx, q, t).T @ gram_matrix(cplx, q + 1, t)
-            rhs = gram_matrix(cplx, q, t) @ delta_t_matrix(cplx, q + 1, t)
+            lhs = helpers.d_t_matrix(cplx, q, t).T @ gram_matrix(cplx, q + 1, t)
+            rhs = gram_matrix(cplx, q, t) @ helpers.delta_t_matrix(cplx, q + 1, t)
             assert np.abs(lhs - rhs).max() <= 1e-9
 
 
@@ -510,11 +507,11 @@ def test_d_t_at_infinity_is_the_plain_differential(name):
     cplx = helpers.fixture(name)
     w = deformation_weights(cplx, INF)
     for q in range(cplx.dimension):
-        assert np.array_equal(d_t_matrix(cplx, q, INF), d_matrix(cplx, q))
+        assert np.array_equal(helpers.d_t_matrix(cplx, q, INF), d_matrix(cplx, q))
         assert np.array_equal(
-            d_t_matrix(cplx, q, INF, weighted=True), d_matrix(cplx, q, w))
+            helpers.d_t_matrix(cplx, q, INF, weighted=True), d_matrix(cplx, q, w))
         assert np.array_equal(
-            delta_t_matrix(cplx, q + 1, INF), delta_matrix(cplx, q + 1))
+            helpers.delta_t_matrix(cplx, q + 1, INF), delta_matrix(cplx, q + 1))
 
 
 def test_d_t_pairing_hand_case(square):
@@ -677,7 +674,7 @@ def test_w_step_matches_entrywise_oracle(t, ab):
     cases = 0
     for cplx in _block_complexes():
         for member, h in _step_cases(cplx):
-            got = w_step_matrix(cplx, member, h, t, ab)
+            got = helpers.w_step_matrix(cplx, member, h, t, ab)
             want = helpers.oracle_w_step_matrix(cplx, member, h, t, ab)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
@@ -717,9 +714,9 @@ def test_conjugated_matches_dense_solve(t):
         for q in range(cplx.dimension):
             lo, hi = u_t_matrix(cplx, q, t), u_t_matrix(cplx, q + 1, t)
             dense = np.linalg.solve(hi, d_matrix(cplx, q) @ lo)
-            assert np.abs(d_t_matrix(cplx, q, t) - dense).max() <= 1e-12
+            assert np.abs(helpers.d_t_matrix(cplx, q, t) - dense).max() <= 1e-12
             dense = np.linalg.solve(lo, delta_matrix(cplx, q + 1) @ hi)
-            assert np.abs(delta_t_matrix(cplx, q + 1, t) - dense).max() <= 1e-12
+            assert np.abs(helpers.delta_t_matrix(cplx, q + 1, t) - dense).max() <= 1e-12
 
 
 def _loop_residuals(cplx, seed, t):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import helpers
 from cubedeform import random_median_complex
-from cubedeform.differential import laplacian_matrix
+from cubedeform.differential import laplacian_matrix, norm2_bound_sums
 from cubedeform.fredholm import (
     SpectralFrame,
     assemble_D,
@@ -16,9 +16,9 @@ from cubedeform.fredholm import (
     format_t,
     graded_offsets,
     homotopy_residual,
+    inv_sqrt_diagonal,
     inv_sqrt_integral,
     inv_sqrt_spectral,
-    norm2_bound,
     normalized_d,
     resolvent_bounds,
     spectral_frame,
@@ -34,6 +34,24 @@ def oracle_cases():
     """Every named fixture and eight random median complexes."""
     names = helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES
     return [helpers.fixture(n) for n in names] + helpers.random_complexes(8)
+
+
+def dense_s(frame):
+    """The frame's S scattered from its term listing."""
+    n = len(frame.lam)
+    return helpers.scatter(n, frame.terms[:, 0] * n + frame.terms[:, 1], frame.values)
+
+
+def bound(frame, defect):
+    return norm2_bound_sums(len(frame.lam), *defect)
+
+
+def listing(s):
+    """A dense square S as a term listing: (target, source, term id, sign)
+    rows by ascending source, and the values."""
+    cols, rows = np.nonzero(s.T)
+    terms = np.stack([rows, cols, np.arange(len(rows)), np.ones_like(rows)], axis=1)
+    return terms, s[rows, cols]
 
 
 # -- assembly ----------------------------------------------------------------------
@@ -183,6 +201,9 @@ def test_inv_sqrt_integral_diagonal_is_the_dense_loop(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", _no_dense)
     for (m, nodes), want in zip(cases, expected):
         assert np.array_equal(inv_sqrt_integral(m, nodes), want)
+        assert np.array_equal(inv_sqrt_diagonal(np.diag(m), nodes), np.diag(want))
+    with pytest.raises(ValueError, match="bounded below by 1"):
+        inv_sqrt_diagonal(np.array([1.0, 0.5]))
 
 
 def test_inv_sqrt_integral_dense_fallback():
@@ -234,7 +255,7 @@ def test_normalized_d_identities(name, weighted):
 @pytest.mark.parametrize("name", FIXED)
 def test_f_t_is_a_contraction(name, t):
     cplx = helpers.fixture(name)
-    frame = spectral_frame(cplx, t)
+    frame = helpers.dense_frame(cplx, t)
     f = frame.s * frame.root
     assert np.linalg.norm(f, 2) <= 1.0 + 1e-12
 
@@ -244,7 +265,8 @@ def test_f_t_is_a_contraction(name, t):
 def test_fredholm_identity(t, weighted):
     for name in FIXED:
         cplx = helpers.fixture(name)
-        assert norm2_bound(spectral_frame(cplx, t, weighted).fredholm_defect()) <= 1e-9
+        frame = spectral_frame(cplx, t, weighted)
+        assert bound(frame, frame.fredholm_defect()) <= 1e-9
 
 
 @pytest.mark.parametrize("weighted", (False, True))
@@ -274,13 +296,24 @@ def test_spectral_frame_structure(t, weighted):
         cplx = helpers.fixture(name)
         frame = spectral_frame(cplx, t, weighted)
         w = deformation_weights(cplx, t) if weighted else None
-        # the degree-raising half of S is its strictly lower triangle
-        assert np.array_equal(np.tril(frame.s), helpers.oracle_raising(cplx, w))
+        s = dense_s(frame)
+        assert np.array_equal(s, assemble_D(cplx, w))
+        # the degree-raising terms of S, target after source, are its
+        # strictly lower triangle
+        up = frame.terms[:, 0] > frame.terms[:, 1]
+        assert np.array_equal(dense_s(frame._replace(values=frame.values * up)),
+                              helpers.oracle_raising(cplx, w))
+        assert np.array_equal(frame.terms[:, 1], np.sort(frame.terms[:, 1]))
         p = base_projection(cplx)
-        shifted = p + frame.s @ frame.s
+        shifted = p + s @ s
         eye = np.eye(shifted.shape[0])
-        assert np.array_equal(frame.lam, np.diag(shifted))
+        # summed in another order than the dense product: equal to rounding,
+        # exactly so for integer entries
+        assert np.abs(frame.lam - np.diag(shifted)).max() <= 1e-15 * frame.lam.max()
+        if not weighted:
+            assert np.array_equal(frame.lam, np.diag(shifted))
         assert frame.rho.shape == frame.lam.shape
+        assert not frame.skew.any()
         assert frame.rho.max() <= 1e-15 * frame.lam.max()
         if not weighted:
             # integer entries: P + D^2 is exactly diagonal
@@ -290,6 +323,14 @@ def test_spectral_frame_structure(t, weighted):
         assert np.abs(np.diag(frame.target()) - target).max() <= 1e-12
         root = np.diag(frame.root)
         assert np.abs(root @ shifted @ root - eye).max() <= 1e-12
+
+
+@pytest.mark.parametrize("weighted", (False, True))
+@pytest.mark.parametrize("t", (0.1, 1.0, INF))
+def test_join_frame_is_the_dense_frame(t, weighted):
+    for cplx in oracle_cases():
+        helpers.assert_frames_agree(spectral_frame(cplx, t, weighted),
+                                    helpers.dense_frame(cplx, t, weighted))
 
 
 @pytest.mark.parametrize("weighted", (False, True))
@@ -312,13 +353,14 @@ def test_resolvent_norms_match_dense_oracle(t, weighted):
 def test_bounded_residuals_dominate_exact(t, weighted):
     for cplx in oracle_cases():
         frame = spectral_frame(cplx, t, weighted)
+        n = len(frame.lam)
         for defect, bounded, exact in (
-                (frame.fredholm_defect(),
-                 norm2_bound(spectral_frame(cplx, t, weighted).fredholm_defect()),
+                (frame.fredholm_defect(), bound(frame, frame.fredholm_defect()),
                  helpers.oracle_fredholm_residual(cplx, t, weighted)),
                 (frame.homotopy_defect(), homotopy_residual(cplx, t, weighted),
                  helpers.oracle_homotopy_residual(cplx, t, weighted))):
-            assert bounded == norm2_bound(defect)
+            defect = helpers.scatter(n, *defect)
+            assert bounded == pytest.approx(helpers.norm2_bound(defect), rel=1e-15, abs=0)
             # sqrt(|R|_1 |R|_inf) >= |R|_2, up to the SVD's own rounding
             assert bounded >= np.linalg.norm(defect, 2) * (1 - 1e-12)
             # the oracle's residual matrix differs from this one by rounding
@@ -332,9 +374,10 @@ def test_diagonal_frame_against_dense_oracles(weighted, n, k, seed):
     cplx = random_median_complex(n, k, seed)
     for t in (0.1, 1.0, INF):
         frame = spectral_frame(cplx, t, weighted)
-        assert norm2_bound(frame.fredholm_defect()) >= (
+        helpers.assert_frames_agree(frame, helpers.dense_frame(cplx, t, weighted))
+        assert bound(frame, frame.fredholm_defect()) >= (
             helpers.oracle_fredholm_residual(cplx, t, weighted) - 1e-14)
-        assert norm2_bound(frame.homotopy_defect()) >= (
+        assert bound(frame, frame.homotopy_defect()) >= (
             helpers.oracle_homotopy_residual(cplx, t, weighted) - 1e-14)
         dense = helpers.oracle_resolvent_bounds(cplx, t, LAMBDAS, weighted)
         for got, want in zip(frame.resolvent_bounds(LAMBDAS), dense):
@@ -348,22 +391,26 @@ def test_diagonal_frame_against_dense_oracles(weighted, n, k, seed):
 @pytest.mark.parametrize("weighted", (False, True))
 def test_sabotaged_frame_shows_in_the_residuals(weighted, cube3):
     # the targets are diagonal, but the defects are computed: scale one
-    # raising entry of S and S no longer squares to the frame's Lambda - P
+    # raising term of S and S no longer squares to the frame's Lambda - P
     frame = spectral_frame(cube3, 1.0, weighted)
-    assert norm2_bound(frame.fredholm_defect()) <= 1e-9
-    j, k = np.argwhere(np.tril(frame.s))[0]
-    s = frame.s.copy()
-    s[j, k] *= 1.5
-    broken = frame._replace(s=s)
-    assert norm2_bound(broken.fredholm_defect()) > 1e-9
-    assert norm2_bound(broken.homotopy_defect()) > 1e-8
+    assert bound(frame, frame.fredholm_defect()) <= 1e-9
+    k = np.flatnonzero(frame.terms[:, 0] > frame.terms[:, 1])[0]
+    values = frame.values * 1.0
+    values[k] *= 1.5
+    broken = frame._replace(values=values)
+    assert bound(broken, broken.fredholm_defect()) > 1e-9
+    assert bound(broken, broken.homotopy_defect()) > 1e-8
 
 
 def test_norm2_bound():
-    assert norm2_bound(np.zeros((0, 0))) == 0.0
+    assert helpers.norm2_bound(np.zeros((0, 0))) == 0.0
+    assert norm2_bound_sums(2, np.zeros(0, dtype=np.int64), np.zeros(0)) == 0.0
     m = np.array([[1.0, -2.0], [3.0, 0.5]])
-    assert norm2_bound(m) == np.sqrt(4.0 * 3.5)
-    assert norm2_bound(m) >= np.linalg.norm(m, 2)
+    assert helpers.norm2_bound(m) == np.sqrt(4.0 * 3.5)
+    assert helpers.norm2_bound(m) >= np.linalg.norm(m, 2)
+    assert norm2_bound_sums(2, np.arange(4), m.ravel()) == np.sqrt(4.0 * 3.5)
+    # entries off the listing are zeros
+    assert norm2_bound_sums(3, np.array([1, 6]), np.array([2.0, -3.0])) == np.sqrt(3.0 * 3.0)
 
 
 def test_frame_resolvent_bounds_nonsymmetric_s():
@@ -375,7 +422,8 @@ def test_frame_resolvent_bounds_nonsymmetric_s():
     cases += [rng.standard_normal((5, 5)) * scale for scale in (0.05, 0.3, 2.0)]
     checked = refused = 0
     for s in cases:
-        frame = SpectralFrame.of(s, 0)
+        frame = SpectralFrame.of(*listing(s), len(s), 0)
+        helpers.assert_frames_agree(frame, helpers.DenseFrame.of(s, 0), LAMBDAS + (100.0,))
         a = s.copy()
         a[0, 0] += 1.0
         for lam in LAMBDAS + (100.0,):
@@ -393,10 +441,13 @@ def test_frame_resolvent_bounds_nonsymmetric_s():
 
 def test_frame_resolvent_singular_guard():
     with np.errstate(divide="ignore"):
-        frame = SpectralFrame.of(np.zeros((2, 2)), 0)
-    with pytest.raises(ValueError, match="singular to working precision"):
-        frame.resolvent_bounds((0.0,))
-    assert frame.resolvent_bounds((1.0,))[0]["norm"] == 1.0
+        frames = (SpectralFrame.of(*listing(np.zeros((2, 2))), 2, 0),
+                  helpers.DenseFrame.of(np.zeros((2, 2)), 0))
+    for frame in frames:
+        assert list(frame.lam) == [1.0, 0.0]
+        with pytest.raises(ValueError, match="singular to working precision"):
+            frame.resolvent_bounds((0.0,))
+        assert frame.resolvent_bounds((1.0,))[0]["norm"] == 1.0
 
 
 # -- base-point decay and reporting -------------------------------------------------------
