@@ -70,7 +70,7 @@ from .generate import grid_complex, hypercube, random_median_complex, star_tree
 from .parallelism import (
     class_complex,
     enumerate_classes,
-    nearest_in_class,
+    nearest_members,
     vertex_to_class_bijection,
 )
 from .symbols import (
@@ -370,14 +370,15 @@ def _suite_parallel(cplx, args):
     except AssertionError:
         bad = 1
 
-    pairs = [(v, klass) for v in cplx.vertices for klass in classes]
-    stride = max(1, len(pairs) // 4096)
-    failures = 0
-    for v, klass in pairs[::stride]:
-        try:
-            nearest_in_class(cplx, v, klass, verify=True)
-        except AssertionError:
-            failures += 1
+    # Every stride-th (vertex, class) pair in vertex-major order, stride
+    # max(1, V*C // 4096), each class's sampled vertices checked in one call
+    n_pairs = cplx.n_vertices * len(classes)
+    sampled: dict[int, list[int]] = {}
+    for i in range(0, n_pairs, max(1, n_pairs // 4096)):
+        v, c = divmod(i, len(classes))
+        sampled.setdefault(c, []).append(cplx.vertices[v])
+    failures = sum(int(nearest_members(cplx, classes[c], vs, verify=True)[1].sum())
+                   for c, vs in sampled.items())
 
     invalid = 0
     for klass in classes:

@@ -64,7 +64,9 @@ from .parallelism import (
     ParallelClass,
     class_of,
     enumerate_classes,
+    member_bits,
     nearest_in_class,
+    nearest_members,
 )
 from .symbols import (
     CubePair,
@@ -169,10 +171,11 @@ class _ClassGeom:
     in ascending neighbor order.
     """
 
-    __slots__ = ("members", "index", "cols", "adj", "move_key", "perm", "sign",
+    __slots__ = ("klass", "members", "index", "cols", "adj", "move_key", "perm", "sign",
                  "_trees")
 
     def __init__(self, cplx: CubeComplex, klass: ParallelClass):
+        self.klass = klass
         self.members = klass.members
         m = len(self.members)
         self.index = {c.anchor: i for i, c in enumerate(self.members)}
@@ -255,22 +258,6 @@ def _padded(rows: list[list[int]]) -> np.ndarray:
     for row, keys in zip(out, rows):
         row[:len(keys)] = keys
     return out
-
-
-def _member_distances(cplx: CubeComplex, members) -> np.ndarray:
-    """Pairwise separations s_i + s_j - 2 B B^T from the members' 0/1 bits.
-
-    B has one column per hyperplane, taken from the anchors' big-endian
-    bytes, so no anchor width limit applies; sums are exact in float64.
-    """
-    width = (cplx.n_hyperplanes + 7) // 8
-    raw = b"".join(c.anchor.to_bytes(width, "big") for c in members)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(members), width),
-                         axis=1)
-    bits = bits[:, bits.min(axis=0) != bits.max(axis=0)].astype(np.float64)
-    ones = bits.sum(axis=1)
-    dist = ones[:, None] + ones[None, :] - 2.0 * (bits @ bits.T)
-    return dist.astype(np.min_scalar_type(cplx.n_hyperplanes))
 
 
 def _class_geom(cplx: CubeComplex, klass: ParallelClass) -> _ClassGeom:
@@ -515,10 +502,12 @@ class _FrameGroup(NamedTuple):
 def _frame_groups(cplx: CubeComplex, q: int,
                   class_bases: dict | None = None) -> list[_FrameGroup]:
     """Degree-q classes grouped by size; kept per base vertex unless rerooted."""
+    dist_type = np.min_scalar_type(cplx.n_hyperplanes)
+
     def build():
         return [
             _FrameGroup(np.array([geom.cols for geom, _ in same]),
-                        np.array([_member_distances(cplx, geom.members)
+                        np.array([member_bits(cplx, geom.klass).separations().astype(dist_type)
                                   for geom, _ in same]),
                         *_stacked_moves(same))
             for same in _by_size(
@@ -972,10 +961,13 @@ def w_hat_blocks(cplx: CubeComplex, q: int, target_vertex: int, source_vertex: i
     ab = _resolve_ab(t, ab)
     out = []
     for klass, geom in _degree_geoms(cplx, q):
-        near_t = nearest_in_class(cplx, target_vertex, klass)
-        near_s = nearest_in_class(cplx, source_vertex, klass)
+        (near_t, near_s), failed = nearest_members(
+            cplx, klass, (target_vertex, source_vertex))
+        if failed.any():
+            raise AssertionError("nearest cube in class %s to an endpoint is not unique"
+                                 % (list(klass.determining),))
         if near_t != near_s:
-            keys = geom.path_keys(geom.index[near_t.anchor], geom.index[near_s.anchor])
+            keys = geom.path_keys(near_t, near_s)
             out.append((geom.cols, _moves_block(geom, keys, ab, exact)))
     return out
 

@@ -111,7 +111,7 @@ def base_neighbor(cplx: CubeComplex) -> int | None:
 
 def _singular_guard(z: complex, smallest: float, largest: float) -> None:
     if not smallest > 1e-13 * largest:
-        raise ValueError(
+        raise np.linalg.LinAlgError(
             "matrix + %r is singular to working precision "
             "(smallest singular value %.3e)" % (z, float(smallest)))
 
@@ -131,7 +131,7 @@ def _integral(low: float, nodes: int, resolvent):
     smallest eigenvalue ``low``: Gauss-Legendre on s = u/(1-u), u in (0,1).
     T's spectrum bounded below by 1 keeps the integrand tame."""
     if low < 1.0 - 1e-9:
-        raise ValueError(
+        raise np.linalg.LinAlgError(
             "spectrum must be bounded below by 1 (smallest eigenvalue %.6f)"
             % low)
     xs, ws = np.polynomial.legendre.leggauss(nodes)

@@ -5,7 +5,9 @@ class is keyed by a cutting set and holds every cube realizing it.  Classes
 inherit a surprising amount of structure: each vertex picks out a unique
 nearest member, distances between members add along the way to that member,
 and the members themselves form a smaller median complex over the
-hyperplanes that cross the whole cutting set.  The number of classes always
+hyperplanes that cross the whole cutting set.  Nearest members and their
+checks come from one 0/1 matrix product per class over the members' bits,
+for any number of vertices at once.  The number of classes always
 equals the number of vertices; the explicit bijection sends a vertex to the
 class of the first cube on its normal cube path toward the base vertex.
 """
@@ -15,16 +17,21 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
+import numpy as np
+
 from .core import Cube, CubeComplex, InvalidComplex, project_bits
 
 __all__ = [
     "ClassComplex",
+    "MemberBits",
     "ParallelClass",
     "class_complex",
     "class_count_theorem",
     "class_of",
     "enumerate_classes",
+    "member_bits",
     "nearest_in_class",
+    "nearest_members",
     "nearest_moves_across_edge",
     "pair_distance",
     "vertex_to_class_bijection",
@@ -90,6 +97,87 @@ def class_count_theorem(cplx: CubeComplex) -> tuple[int, int]:
     return n_vertices, n_classes
 
 
+class MemberBits(NamedTuple):
+    """A class's members as 0/1 rows, one float64 column per hyperplane.
+
+    The columns of the determining hyperplanes are zero, so products of
+    rows count only the hyperplanes that cut no member; ``ones`` holds the
+    row sums.
+    """
+
+    bits: np.ndarray
+    ones: np.ndarray
+
+    def separations(self, rows=slice(None)) -> np.ndarray:
+        """Hyperplanes separating members ``rows`` from every member,
+        s_i + s_j - 2 B_i B_j^T: exact in float64 at any width."""
+        return (self.ones[rows, None] + self.ones[None, :]
+                - 2.0 * (self.bits[rows] @ self.bits.T))
+
+
+def _unpacked(cplx: CubeComplex, values) -> np.ndarray:
+    """0/1 rows, one uint8 column per hyperplane, from big-endian bytes."""
+    values = list(values)
+    width = (cplx.n_hyperplanes + 7) // 8
+    raw = b"".join(v.to_bytes(width, "big") for v in values)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(values), width),
+                         axis=1)
+    return bits[:, 8 * width - cplx.n_hyperplanes:]
+
+
+def _frame(cplx: CubeComplex, determining: tuple[int, ...]) -> np.ndarray:
+    """The hyperplanes outside ``determining`` that cross every one in it."""
+    inside = list(determining)
+    keep = cplx.crossing_matrix()[:, inside].all(axis=1)
+    keep[inside] = False
+    return np.flatnonzero(keep)
+
+
+def member_bits(cplx: CubeComplex, klass: ParallelClass) -> MemberBits:
+    """The cached ``MemberBits`` of ``klass``."""
+    def build():
+        bits = _unpacked(cplx, (c.anchor for c in klass.members)).astype(np.float64)
+        bits[:, list(klass.determining)] = 0.0
+        return MemberBits(bits, bits.sum(axis=1))
+
+    # keyed by the whole class, so a hand-made class never reads another's bits
+    return cplx.cached(("member_bits", klass), build)
+
+
+def nearest_members(
+    cplx: CubeComplex,
+    klass: ParallelClass,
+    vertices: Iterable[int],
+    verify: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the member of ``klass`` nearest each vertex, and whether the pair fails.
+
+    Distances from the vertices V to the members M come from one matrix
+    product over the hyperplanes that cut no member, |M| + |V| - 2 V M^T,
+    exact in float64.  The row constant |V| is left out: it moves neither
+    a row's minimum nor any difference the checks compare.  A pair fails
+    when its minimum is not unique.  With ``verify`` it also fails when the
+    nearest member is not a gate (some member's distance is not the nearest
+    one's plus their separation) or when the vertex and the nearest member
+    differ on a frame hyperplane of ``klass``.
+    """
+    if not klass.members:
+        raise ValueError("empty parallelism class")
+    mb = member_bits(cplx, klass)
+    vbits = _unpacked(cplx, vertices).astype(np.float64)
+    dist = mb.ones - 2.0 * (vbits @ mb.bits.T)
+    best = dist.argmin(axis=1)
+    # the first and the last minimum coincide exactly when it is unique
+    failed = best != len(mb.ones) - 1 - dist[:, ::-1].argmin(axis=1)
+    if verify:
+        best_d = dist[np.arange(len(best)), best][:, None]
+        failed |= (dist != best_d + mb.separations(best)).any(axis=1)
+        if klass.determining:  # the vertex class is exempt: each vertex is its own gate
+            frame = _frame(cplx, klass.determining)
+            failed |= (vbits[:, frame] != mb.bits[best][:, frame]).any(axis=1)
+    return best, failed
+
+
 def nearest_in_class(
     cplx: CubeComplex,
     vertex: int,
@@ -98,44 +186,17 @@ def nearest_in_class(
 ) -> Cube:
     """The unique member of ``klass`` closest to ``vertex``.
 
-    Uniqueness of the minimizer is always checked.  With ``verify`` the
-    two supporting facts are checked too: distances to the other members
-    add up through the nearest one, and every hyperplane separating
-    ``vertex`` from the nearest cube fails to cross at least one
-    determining hyperplane.
+    The one-vertex view of ``nearest_members``: raises AssertionError when
+    the pair fails its checks (uniqueness always, the gate facts with
+    ``verify``) and ValueError on an empty class.
     """
-    best = None
-    best_d = -1
-    ties = 0
-    for member in klass.members:
-        d = cplx.cube_distance_to_vertex(member, vertex)
-        if best is None or d < best_d:
-            best, best_d, ties = member, d, 1
-        elif d == best_d:
-            ties += 1
-    if best is None:
-        raise ValueError("empty parallelism class")
-    if ties != 1:
+    (best,), (failed,) = nearest_members(cplx, klass, (vertex,), verify)
+    if failed:
         raise AssertionError(
-            "nearest cube in class %s to %s is not unique"
-            % (list(klass.determining), cplx.vertex_bits(vertex)))
-    if verify:
-        for member in klass.members:
-            d = cplx.cube_distance_to_vertex(member, vertex)
-            if d != best_d + pair_distance(cplx, best, member):
-                raise AssertionError(
-                    "distance additivity fails for member %r" % (member,))
-        gate = cplx.nearest_cube_vertex(best, vertex)
-        cross = cplx.crossing_matrix()
-        sep = vertex ^ gate
-        for h in range(cplx.n_hyperplanes):
-            if sep & cplx.mask(h):
-                if klass.determining and all(
-                        cross[h, k] for k in klass.determining):
-                    raise AssertionError(
-                        "hyperplane %d separates the nearest cube but "
-                        "crosses every determining hyperplane" % h)
-    return best
+            "nearest cube in class %s to %s is not unique%s"
+            % (list(klass.determining), cplx.vertex_bits(vertex),
+               " or not a gate" if verify else ""))
+    return klass.members[best]
 
 
 def nearest_moves_across_edge(
@@ -180,11 +241,7 @@ def pair_distance(cplx: CubeComplex, d1: Cube, d2: Cube) -> int | float:
 
 def class_complex(cplx: CubeComplex, klass: ParallelClass) -> ClassComplex:
     """Rebuild a parallelism class as a cube complex over its frame."""
-    cross = cplx.crossing_matrix()
-    frame = tuple(
-        h for h in range(cplx.n_hyperplanes)
-        if h not in klass.determining
-        and all(cross[h, k] for k in klass.determining))
+    frame = tuple(_frame(cplx, klass.determining).tolist())
     masks = [cplx.mask(h) for h in frame]
     to_vertex = {member: project_bits(member.anchor, masks) for member in klass.members}
     if len(set(to_vertex.values())) != len(to_vertex):

@@ -46,7 +46,7 @@ from cubedeform.fredholm import (
     format_t,
     inv_sqrt_spectral,
 )
-from cubedeform.parallelism import class_of, enumerate_classes, nearest_in_class
+from cubedeform.parallelism import ParallelClass, class_of, enumerate_classes
 from cubedeform.symbols import ps_basis, symbol_inner, symbol_key, symbol_of_pair
 
 FIXTURE_NAMES = ("point", "square", "tripod", "cube3", "grid12")
@@ -128,6 +128,45 @@ def brute_force_cubes(cplx: CubeComplex, q: int) -> set[Cube]:
 def brute_cube_vertex_distance(cplx: CubeComplex, cube: Cube, vertex: int) -> int:
     return min(bfs_distance(cplx, corner, vertex)
                for corner in cplx.cube_vertices(cube))
+
+
+def oracle_nearest_member(cplx: CubeComplex, vertex: int, klass: ParallelClass,
+                          verify: bool = False) -> tuple[Cube, bool]:
+    """The first member of ``klass`` closest to ``vertex``, member by member,
+    and whether the pair fails: the minimum is not unique or, with ``verify``,
+    distances do not add up through that member or a hyperplane separating
+    the vertex from it crosses every determining hyperplane."""
+    best = None
+    best_d = -1
+    ties = 0
+    for member in klass.members:
+        d = cplx.cube_distance_to_vertex(member, vertex)
+        if best is None or d < best_d:
+            best, best_d, ties = member, d, 1
+        elif d == best_d:
+            ties += 1
+    if best is None:
+        raise ValueError("empty parallelism class")
+    failed = ties != 1
+    if verify:
+        for member in klass.members:
+            d = cplx.cube_distance_to_vertex(member, vertex)
+            if d != best_d + (best.anchor ^ member.anchor).bit_count():
+                failed = True
+        gate = cplx.nearest_cube_vertex(best, vertex)
+        cross = cplx.crossing_matrix()
+        sep = vertex ^ gate
+        for h in range(cplx.n_hyperplanes):
+            if sep & cplx.mask(h):
+                if klass.determining and all(cross[h, k] for k in klass.determining):
+                    failed = True
+    return best, failed
+
+
+def oracle_unique_nearest(cplx: CubeComplex, vertex: int, klass: ParallelClass) -> Cube:
+    best, failed = oracle_nearest_member(cplx, vertex, klass)
+    assert not failed
+    return best
 
 
 def random_loop_residual(cplx: CubeComplex, rng, t: float,
@@ -263,7 +302,7 @@ def oracle_u_t_matrix(cplx: CubeComplex, q: int, t: float,
         if klass.dim != q:
             continue
         root = (class_bases or {}).get(klass.determining) or \
-            nearest_in_class(cplx, cplx.base_vertex, klass)
+            oracle_unique_nearest(cplx, cplx.base_vertex, klass)
         for j, member in enumerate(klass.members):
             column = oracle_w_path_matrix(cplx, root, member, t)[:, j]
             for i, other in enumerate(klass.members):
@@ -329,8 +368,8 @@ def oracle_w_hat_matrix(cplx: CubeComplex, q: int, target_vertex: int,
     for klass in enumerate_classes(cplx):
         if klass.dim != q:
             continue
-        near_t = nearest_in_class(cplx, target_vertex, klass)
-        near_s = nearest_in_class(cplx, source_vertex, klass)
+        near_t = oracle_unique_nearest(cplx, target_vertex, klass)
+        near_s = oracle_unique_nearest(cplx, source_vertex, klass)
         if near_t == near_s:
             continue
         block = oracle_w_path_matrix(cplx, near_t, near_s, t, ab)
@@ -552,8 +591,9 @@ class DenseFrame(NamedTuple):
             high = float((self.lam + radius).max()) + mu * mu
             smallest = math.sqrt(max(low, 0.0))
             if not smallest > 1e-13 * math.sqrt(high):
-                raise ValueError("matrix + %r is singular to working precision "
-                                 "(smallest singular value %.3e)" % (1j * mu, smallest))
+                raise np.linalg.LinAlgError(
+                    "matrix + %r is singular to working precision "
+                    "(smallest singular value %.3e)" % (1j * mu, smallest))
             out.append({"lambda": mu, "norm": 1.0 / math.sqrt(low),
                         "bound": 1.0 / abs(1 + 1j * mu)})
         return out

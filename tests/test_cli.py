@@ -38,7 +38,7 @@ from cubedeform.generate import (
     random_median_complex,
     star_tree,
 )
-from cubedeform.parallelism import enumerate_classes
+from cubedeform.parallelism import enumerate_classes, nearest_members
 from cubedeform.symbols import (
     ps_basis,
     ps_cohomology_ranks,
@@ -176,6 +176,33 @@ def test_check_parallel_counts(grid_file, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["counts"] == {"vertices": 6, "classes": 6}
+
+
+def test_check_parallel_samples_every_stride_th_pair(monkeypatch):
+    # the suite checks the (vertex, class) pairs the list pairs[::stride]
+    # once held, each class's vertices in one batched call, and counts
+    # every failed pair
+    cplx = grid_complex([9, 9])
+    classes = enumerate_classes(cplx)
+    pairs = [(v, klass) for v in cplx.vertices for klass in classes]
+    stride = max(1, len(pairs) // 4096)
+    assert stride >= 2
+    seen, called = [], []
+
+    def every_pair_fails(cplx_, klass, vertices, verify=False):
+        assert verify
+        called.append(klass.determining)
+        seen.extend((v, klass.determining) for v in vertices)
+        best, failed = nearest_members(cplx_, klass, vertices, verify)
+        assert not failed.any()
+        return best, ~failed
+
+    monkeypatch.setattr(cli, "nearest_members", every_pair_fails)
+    residuals, _ = cli._SUITES["parallel"](cplx, None)
+    want = {(v, klass.determining) for v, klass in pairs[::stride]}
+    assert len(seen) == len(want) == residuals["nearest_verified"]
+    assert set(seen) == want
+    assert len(called) == len(set(called))
 
 
 def test_check_deterministic(grid_file, capsys):
@@ -705,6 +732,21 @@ def test_a_negated_term_shows_in_fredholm(name, q, raising, monkeypatch):
             with np.errstate(invalid="ignore"):  # P + D^2 has negative entries
                 got = assert_fredholm_joins_match_dense(cplx)
         assert isinstance(got, ValueError)
+
+
+def test_a_negated_term_is_a_numerical_breakdown_of_check_fredholm(tmp_path, monkeypatch,
+                                                                    capsys):
+    # the resolvent and quadrature guards raise LinAlgError: exit 3 with one
+    # stderr line, no traceback and no report
+    path = tmp_path / "cube3.cxc"
+    path.write_text(write_cxc(helpers.fixture("cube3")))
+    negate_one_term(monkeypatch, differential, "term_table", 1, True, 0)
+    code = main(["check", "fredholm", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("check fredholm: numerical breakdown: ")
 
 
 # -- sweep -------------------------------------------------------------------------

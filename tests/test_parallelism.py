@@ -3,15 +3,20 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from cubedeform.core import Cube
+from cubedeform.generate import random_median_complex
 from cubedeform.parallelism import (
+    ParallelClass,
     class_complex,
     class_count_theorem,
     class_of,
     enumerate_classes,
     nearest_in_class,
+    nearest_members,
     nearest_moves_across_edge,
     pair_distance,
     vertex_to_class_bijection,
@@ -98,6 +103,70 @@ def test_nearest_distance_additivity_hand_case(grid12):
         d0 = grid12.cube_distance_to_vertex(near, 0b000)
         assert (grid12.cube_distance_to_vertex(member, 0b000)
                 == d0 + pair_distance(grid12, near, member))
+
+
+def assert_nearest_members_match_the_loop(cplx, klass, verify):
+    """``nearest_members`` on every vertex at once against the per-member
+    loop, pair by pair: the same member and the same failed flag."""
+    best, failed = nearest_members(cplx, klass, cplx.vertices, verify)
+    assert len(best) == len(failed) == cplx.n_vertices
+    for v, i, flag in zip(cplx.vertices, best, failed):
+        member, want = helpers.oracle_nearest_member(cplx, v, klass, verify)
+        assert klass.members[i] == member
+        assert flag == want
+    return failed
+
+
+@pytest.mark.parametrize("verify", (False, True))
+@pytest.mark.parametrize("name", helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES)
+def test_nearest_members_match_the_per_member_loop(name, verify):
+    cplx = helpers.fixture(name)
+    for klass in enumerate_classes(cplx):
+        assert not assert_nearest_members_match_the_loop(cplx, klass, verify).any()
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 7), k=st.integers(1, 6), seed=st.integers(0, 1 << 16))
+def test_nearest_members_match_the_per_member_loop_hypothesis(n, k, seed):
+    cplx = random_median_complex(n, k, seed)
+    for klass in enumerate_classes(cplx):
+        for verify in (False, True):
+            assert not assert_nearest_members_match_the_loop(cplx, klass, verify).any()
+
+
+def sabotaged(members):
+    """Member lists no class has: (kind, members) with one member dropped,
+    one listed twice, or only the first and the last kept."""
+    if len(members) > 1:
+        for drop in range(len(members)):
+            yield "dropped", members[:drop] + members[drop + 1:]
+    yield "doubled", members + members[-1:]
+    if len(members) > 2:
+        yield "ends", (members[0], members[-1])
+
+
+def test_nearest_members_flag_sabotaged_classes_like_the_loop():
+    flagged = dict.fromkeys(("dropped", "doubled", "ends", "gate only"), 0)
+    for name in ("tripod", "cube3", "grid12", "grid22", "path4"):
+        cplx = helpers.fixture(name)
+        for klass in enumerate_classes(cplx):
+            for kind, members in sabotaged(klass.members):
+                bad = klass._replace(members=members)
+                unique = assert_nearest_members_match_the_loop(cplx, bad, False)
+                gate = assert_nearest_members_match_the_loop(cplx, bad, True)
+                flagged[kind] += gate.sum()
+                flagged["gate only"] += (gate & ~unique).sum()
+    assert all(flagged.values()), flagged
+
+
+def test_nearest_in_class_is_the_one_vertex_view(grid12):
+    klass = class_of(grid12, (2,))
+    with pytest.raises(AssertionError, match="not unique"):
+        nearest_in_class(grid12, 0b000, klass._replace(members=klass.members * 2))
+    with pytest.raises(ValueError, match="empty parallelism class"):
+        nearest_in_class(grid12, 0b000, ParallelClass((2,), ()))
+    with pytest.raises(ValueError, match="empty parallelism class"):
+        nearest_members(grid12, ParallelClass((2,), ()), grid12.vertices)
 
 
 def test_nearest_moves_across_edge_square(square):
