@@ -37,8 +37,8 @@ from .core import CubeComplex, CxcParseError, InvalidComplex, parse_cxc, write_c
 from .deformation import (
     INF,
     class_blocks,
-    conjugated,
     deformation_weights,
+    pair_blocks,
     pairing_table,
     pairing_value,
     random_loop_residual,
@@ -47,8 +47,6 @@ from .deformation import (
 )
 from .differential import (
     cohomology_ranks,
-    d_matrix,
-    delta_matrix,
     grouped_sum,
     max_sum,
     norm2_bound_sums,
@@ -370,11 +368,15 @@ def _suite_parallel(cplx, args):
     except AssertionError:
         bad = 1
 
-    # Every stride-th (vertex, class) pair in vertex-major order, stride
-    # max(1, V*C // 4096), each class's sampled vertices checked in one call
+    # Every stride-th (vertex, class) pair in vertex-major order, the stride
+    # the smallest s >= max(1, V*C // 4096) prime to C, so the sample meets
+    # every class; each class's sampled vertices are checked in one call
     n_pairs = cplx.n_vertices * len(classes)
+    stride = max(1, n_pairs // 4096)
+    while math.gcd(stride, len(classes)) != 1:
+        stride += 1
     sampled: dict[int, list[int]] = {}
-    for i in range(0, n_pairs, max(1, n_pairs // 4096)):
+    for i in range(0, n_pairs, stride):
         v, c = divmod(i, len(classes))
         sampled.setdefault(c, []).append(cplx.vertices[v])
     failures = sum(int(nearest_members(cplx, classes[c], vs, verify=True)[1].sum())
@@ -394,6 +396,58 @@ def _suite_parallel(cplx, args):
     }, {"vertices": cplx.n_vertices, "classes": len(classes)}
 
 
+# The field suite forms no operator over all cubes of a degree: U_t is block
+# diagonal by class, so d_t and delta_t are class-pair blocks (``pair_blocks``)
+# and each identity is checked on them.
+
+_CHUNK = 1 << 22  # floats of blocks gathered for one batch of products
+
+
+def _square_residual(upper: list, lower: list) -> float:
+    """The largest entry of d_t(q) d_t(q-1): per class pair (I, J), the sum of
+    upper_IK lower_KJ over the classes K between them, one stack pair of
+    (I, J) at a time, the products formed in batches."""
+    paths: dict[tuple, list] = {}
+    for a in upper:
+        for b in lower:
+            if a.stacks[1] == b.stacks[0]:
+                ia, ib = np.nonzero(a.lo[:, None] == b.hi)  # the paths through K
+                paths.setdefault((a.stacks[0], b.stacks[1]), []).append((a, b, ia, ib))
+    worst = 0.0
+    for joined in paths.values():
+        keys, slot = np.unique(np.concatenate([(a.hi[ia] << 32) + b.lo[ib]
+                                               for a, b, ia, ib in joined]), return_inverse=True)
+        sums = np.zeros((len(keys), joined[0][0].block.shape[1], joined[0][1].block.shape[2]))
+        for a, b, ia, ib in joined:
+            mine, slot, step = slot[:len(ia)], slot[len(ia):], max(1, _CHUNK // b.block[0].size)
+            for i in range(0, len(ia), step):
+                j = slice(i, i + step)
+                np.add.at(sums, mine[j], a.block[ia[j]] @ b.block[ib[j]])
+        worst = max(worst, _max_abs(sums))
+    return worst
+
+
+def _adjoint_residual(d_t: list, delta_t, hi, lo) -> float:
+    """The largest entry of G_hi d_t - (G_lo delta_t)^T over the class pairs
+    either side links, d_t^T G_hi = G_lo delta_t; a pair that only one side
+    lists is compared against zero.  delta_t is read once."""
+    pending = {b.stacks: b for b in d_t}
+    worst = 0.0
+    for e in delta_t:
+        g_e = (lo[e.stacks[0]].gram[e.hi] @ e.block).transpose(0, 2, 1)
+        b = pending.pop(e.stacks[::-1], None)
+        if b is not None:
+            g_d = hi[b.stacks[0]].gram[b.hi] @ b.block
+            i, j = np.nonzero((b.hi[:, None] == e.lo) & (b.lo[:, None] == e.hi))
+            np.subtract.at(g_d, i, g_e[j])
+            g_e[j] = 0.0
+            worst = max(worst, _max_abs(g_d))
+        worst = max(worst, _max_abs(g_e))
+    for b in pending.values():
+        worst = max(worst, _max_abs(hi[b.stacks[0]].gram[b.hi] @ b.block))
+    return worst
+
+
 def _suite_field(cplx, args):
     if args.t_grid and min(args.t_grid) < FIELD_T_FLOOR:
         raise np.linalg.LinAlgError("t=%s below the float64 floor %r"
@@ -403,43 +457,31 @@ def _suite_field(cplx, args):
     loop_grid = args.t_grid or (0.3, 1.0)
     dt_grid = args.t_grid or (0.1, 1.0)
     adj_grid = args.t_grid or (0.5, 2.0)
-    d = [d_matrix(cplx, q).astype(np.float64) for q in range(dim)]
 
-    # Gram and U_t are block diagonal by parallelism class: every check
-    # but the loops runs on stacks of same-size class blocks, built once
-    # per (q, t).
+    # Per t, each degree's class blocks are built once and live while the
+    # degrees next to it need them, and d_t while the next square needs it.
     psd = bridge = square = adjoint = 0.0
     for t in sorted(set(grid) | set(dt_grid) | set(adj_grid)):
-        blocks = [class_blocks(cplx, q, t) for q in range(dim + 1)]
-        if t in grid:
-            for blks in (blks for per_q in blocks for blks in per_q):
-                psd = max(psd, -float(np.linalg.eigvalsh(blks.gram)[:, 0].min()))
-                bridge = max(bridge, _max_abs(
-                    blks.frame.transpose(0, 2, 1) @ blks.frame - blks.gram))
-        if t not in dt_grid and t not in adj_grid:
-            continue
-        below = None
-        for q in range(dim):
-            d_t = d[q] if t == INF else conjugated(blocks[q + 1], d[q], blocks[q])
-            if t in dt_grid and below is not None:
-                # d_t(q) d_t(q-1) by row block, over the block's nonzero columns
-                for blks in blocks[q + 1]:
-                    part = d_t[blks.cols]
-                    cols = np.flatnonzero(part.any(axis=(0, 1)))
-                    square = max(square, _max_abs(part[:, :, cols] @ below[cols]))
-            below = d_t
+        upper, below = class_blocks(cplx, 0, t), None
+        for q in range(dim + 1):
+            here, upper = upper, class_blocks(cplx, q + 1, t) if q < dim else ()
+            if t in grid:
+                for blks in here:
+                    psd = max(psd, -float(np.linalg.eigvalsh(blks.gram)[:, 0].min()))
+                    bridge = max(bridge, _max_abs(
+                        blks.frame.transpose(0, 2, 1) @ blks.frame - blks.gram))
+            if q == dim or t not in dt_grid and t not in adj_grid:
+                continue
+            d_t = list(pair_blocks(term_table(cplx, q, True), upper, here, t))
             if t in adj_grid:
-                # d_t^T G_(q+1) = G_q delta_t, compared as G_(q+1) d_t
-                # against the transpose: every product is a row block
-                g_d = np.empty(d_t.shape)
-                for blks in blocks[q + 1]:
-                    g_d[blks.cols] = blks.gram @ d_t[blks.cols]
-                g_delta = delta_matrix(cplx, q + 1).astype(np.float64)
-                if t != INF:
-                    g_delta = conjugated(blocks[q], g_delta, blocks[q + 1])
-                for blks in blocks[q]:
-                    g_delta[blks.cols] = blks.gram @ g_delta[blks.cols]
-                adjoint = max(adjoint, _max_abs(g_d.T - g_delta))
+                adjoint = max(adjoint, _adjoint_residual(
+                    d_t, pair_blocks(term_table(cplx, q + 1, False), here, upper, t), upper, here))
+            here = None
+            if t in dt_grid:
+                if below is not None:
+                    square = max(square, _square_residual(d_t, below))
+                below = d_t
+            d_t = None
 
     rng = np.random.default_rng(args.seed)
     loops = 0.0

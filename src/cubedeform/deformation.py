@@ -27,8 +27,8 @@ elsewhere, A = a * sign, which in IEEE arithmetic is the 2x2 block form
 exactly.  Classes of one size are stacked, so one gather runs a move step
 for all of them at once: ``class_blocks`` gives the Gram blocks (powers
 of x indexed by member separations) and the U_t blocks per stack, and
-``conjugated`` applies U^-1 per row block.  ``random_loop_residual`` goes
-one level further down: a loop's product is block diagonal on the member
+``pair_blocks`` U^-1 d U on the class pairs d links.  ``random_loop_residual``
+goes one level further down: a loop's product is block diagonal on the member
 sets its moves mix, so those blocks, stacked by size over all loops, are
 what it rotates and hands to batched singular values.
 
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -79,18 +79,18 @@ from .symbols import (
 
 __all__ = [
     "ClassBlocks",
+    "PairBlocks",
     "PairingTable",
     "basepoint_commutator_norm",
     "basic_cochain",
-    "basic_cochain_vector",
     "basic_section_frame",
     "class_blocks",
-    "conjugated",
     "d_t_pairing",
     "d_t_pairing_limit",
     "deformation_weights",
     "gram_matrix",
     "oriented_pair_distance",
+    "pair_blocks",
     "pairing_limit",
     "pairing_polynomial",
     "pairing_sweep",
@@ -214,15 +214,17 @@ class _ClassGeom:
             lst.sort()
         self._trees: dict[int, list] = {}
 
-    def tree(self, root: int) -> list:
-        """Breadth-first parent table rooted at ``root``.
+    def tree(self, root: int, trees: dict | None = None) -> list:
+        """Breadth-first parent table rooted at ``root``, kept in ``trees``
+        (by default the class's own store).
 
         Entry i is (parent index, key of the move from member i to its
         parent) or None at the root.  Neighbors are taken first-in-first-out
         in ascending anchor order, so the table and every path drawn from it
         are deterministic.
         """
-        got = self._trees.get(root)
+        trees = self._trees if trees is None else trees
+        got = trees.get(root)
         if got is None:
             got = [None] * len(self.members)
             seen = {root}
@@ -235,12 +237,12 @@ class _ClassGeom:
                         queue.append(j)
             if len(seen) != len(self.members):
                 raise AssertionError("parallelism class is not connected")
-            self._trees[root] = got
+            trees[root] = got
         return got
 
-    def path_keys(self, root: int, start: int) -> list[int]:
+    def path_keys(self, root: int, start: int, trees: dict | None = None) -> list[int]:
         """Move keys of the tree path from ``start`` up to ``root``."""
-        parents = self.tree(root)
+        parents = self.tree(root, trees)
         keys = []
         while start != root:
             start, key = parents[start]
@@ -432,7 +434,7 @@ def random_loop_residual(cplx: CubeComplex, rng, t: float,
             continue
         geom = _class_geom(cplx, klass)
         adj = geom.adj
-        rows = []
+        rows, trees = [], {}  # trees of random roots: kept for this class only
         for _ in range(loops):
             start = cur = int(draw(m))
             keys = []
@@ -442,7 +444,7 @@ def random_loop_residual(cplx: CubeComplex, rng, t: float,
                     break
                 cur, key, _ = nbrs[draw(len(nbrs))]
                 keys.append(key)
-            rows.append(keys + geom.path_keys(start, cur))
+            rows.append(keys + geom.path_keys(start, cur, trees))
         walks.append((geom, _padded(rows)))
     blocks: dict[int, list] = {}
     for same in _by_size(walks):
@@ -637,15 +639,6 @@ def basic_cochain(cplx: CubeComplex, pair: CubePair,
                 flips += 1
         coeff = orientation.sign if flips % 2 == 0 else -orientation.sign
         out[Cube(anchor, pair.d.cutting)] = coeff
-    return out
-
-
-def basic_cochain_vector(cplx: CubeComplex, pair: CubePair,
-                         orientation: OrientedCube) -> np.ndarray:
-    index = cplx.cube_index(pair.d.dim)
-    out = np.zeros(len(index), dtype=np.int64)
-    for cube, coeff in basic_cochain(cplx, pair, orientation).items():
-        out[index[cube]] = coeff
     return out
 
 
@@ -884,27 +877,58 @@ def pairing_sweep(cplx: CubeComplex, pair1: CubePair, o1: OrientedCube,
 # -- conjugated differentials --------------------------------------------------------
 
 
-def conjugated(hi: tuple[ClassBlocks, ...], mat: np.ndarray,
-               lo: tuple[ClassBlocks, ...]) -> np.ndarray:
-    """U_hi^(-1) mat U_lo, each frame given by its class blocks.
+class PairBlocks(NamedTuple):
+    """A conjugated operator on the class pairs of one pair of stacks.
 
-    U_lo multiplies column blocks and U_hi^(-1) solves row blocks, one
-    stack of same-size classes at a time.  Each stack works on the rows
-    (or columns) where its block of the matrix has a nonzero entry; the
-    others stay exactly zero.
+    ``stacks`` names a target and a source stack of ``class_blocks``;
+    ``hi`` and ``lo`` (P,) the classes, in those stacks, of each pair the
+    operator links, ascending; ``block`` (P, m_hi, m_lo) the blocks.
     """
-    mat = np.asarray(mat, dtype=np.float64)
-    out = np.zeros(mat.shape)
-    for blks in lo:
-        part = mat[:, blks.cols]
-        rows = np.flatnonzero(part.any(axis=(1, 2)))
-        out[rows[:, None, None], blks.cols] = (
-            part[rows].transpose(1, 0, 2) @ blks.frame).transpose(1, 0, 2)
-    for blks in hi:
-        part = out[blks.cols]
-        cols = np.flatnonzero(part.any(axis=(0, 1)))
-        out[blks.cols[:, :, None], cols] = np.linalg.solve(blks.frame, part[:, :, cols])
+
+    stacks: tuple[int, int]
+    hi: np.ndarray
+    lo: np.ndarray
+    block: np.ndarray
+
+
+def _labels(blocks: tuple[ClassBlocks, ...]) -> np.ndarray:
+    """Per cube of the degree: its stack, its class there, its member position."""
+    out = np.empty((3, sum(blks.cols.size for blks in blocks)), dtype=np.intp)
+    for s, blks in enumerate(blocks):
+        out[0, blks.cols] = s
+        out[1, blks.cols] = np.arange(len(blks.cols))[:, None]
+        out[2, blks.cols] = np.arange(blks.cols.shape[1])
     return out
+
+
+def pair_blocks(terms: np.ndarray, hi: tuple[ClassBlocks, ...],
+                lo: tuple[ClassBlocks, ...], t: float) -> Iterator[PairBlocks]:
+    """U_hi^(-1) B U_lo, B the operator of a ``term_table``, by class pair.
+
+    Both frames are block diagonal by class, so the blocks on the class
+    pairs that B links are all of it; they come stack pair by stack pair,
+    by target stack.  Row a of B_IJ U_J is the signed row b of U_J for B's
+    term (a, b), gathered, not multiplied; U_I^(-1) is one batched solve
+    per stack pair against the blocks, not an inverse, which near the t
+    floor is too inaccurate.  At t = infinity the block is B.
+    """
+    (hs, hc, row), (ls, lc, col) = _labels(hi)[:, terms[:, 0]], _labels(lo)[:, terms[:, 1]]
+    # one key per term: its stack pair, then its class pair, 21 bits each
+    pairs, pair = np.unique((((hs * len(lo) + ls) << 21 | hc) << 21) | lc, return_inverse=True)
+    order = np.argsort(pair, kind="stable")
+    pair, row, lc, col, sign = pair[order], row[order], lc[order], col[order], terms[order, 3]
+    stacks, first = np.unique(pairs >> 42, return_index=True)
+    first = [*first.tolist(), len(pairs)]
+    cut = np.searchsorted(pair, first).tolist()  # each stack pair's first term
+    pair_hi, pair_lo = pairs >> 21 & (1 << 21) - 1, pairs & (1 << 21) - 1
+    for k, (s, u) in enumerate(divmod(stack, len(lo)) for stack in stacks.tolist()):
+        (start, end), (a, b) = first[k:k + 2], cut[k:k + 2]
+        block = np.zeros((end - start, hi[s].cols.shape[1], lo[u].cols.shape[1]))
+        np.add.at(block, (pair[a:b] - start, row[a:b]),
+                  sign[a:b, None] * lo[u].frame[lc[a:b], col[a:b]])
+        if t != INF:
+            block = np.linalg.solve(hi[s].frame[pair_hi[start:end]], block)
+        yield PairBlocks((s, u), pair_hi[start:end], pair_lo[start:end], block)
 
 
 def d_t_pairing(cplx: CubeComplex, pair1: CubePair, o1: OrientedCube,

@@ -52,7 +52,6 @@ __all__ = [
     "delta_matrix",
     "grouped_sum",
     "hook",
-    "hook_matrix",
     "laplacian_matrix",
     "max_sum",
     "norm2_bound_sums",
@@ -61,7 +60,6 @@ __all__ = [
     "term_product",
     "term_table",
     "wedge",
-    "wedge_matrix",
     "weight_vector",
 ]
 
@@ -326,14 +324,11 @@ def norm2_bound_sums(n: int, keys: np.ndarray, sums: np.ndarray) -> float:
                      * float(np.bincount(keys // n, a, n).max()))
 
 
-def _matrix(cplx: CubeComplex, q: int, raising: bool, weights: Weights,
-            h: int | None = None) -> np.ndarray:
-    """Dense d (raising) or delta on degree q, or hyperplane h's wedge or
-    hook: a scatter of ``term_table``, each sign times its weight."""
+def _matrix(cplx: CubeComplex, q: int, raising: bool, weights: Weights) -> np.ndarray:
+    """Dense d (raising) or delta on degree q: a scatter of ``term_table``,
+    each sign times its weight."""
     rows_q = q + 1 if raising else q - 1
     terms = term_table(cplx, q, raising)
-    if h is not None:
-        terms = terms[terms[:, 2] == h]
     values = terms[:, 3]
     if weights is not None:
         w = np.asarray(weight_vector(cplx, weights), dtype=np.float64)
@@ -359,16 +354,6 @@ def delta_matrix(cplx: CubeComplex, q: int, weights: Weights = None) -> np.ndarr
     the transpose identity is a checkable theorem, not a definition.
     """
     return _matrix(cplx, q, False, weights)
-
-
-def wedge_matrix(cplx: CubeComplex, h: int, q: int) -> np.ndarray:
-    """Matrix of wedge(h, .) from degree q to q+1, integer entries."""
-    return _matrix(cplx, q, True, None, h)
-
-
-def hook_matrix(cplx: CubeComplex, h: int, q: int) -> np.ndarray:
-    """Matrix of hook(h, .) from degree q to q-1, integer entries."""
-    return _matrix(cplx, q, False, None, h)
 
 
 def spectral_profile(cplx: CubeComplex, cube: Cube, weights: Weights = None) -> SpectralProfile:

@@ -14,7 +14,6 @@ class of the first cube on its normal cube path toward the base vertex.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -26,14 +25,11 @@ __all__ = [
     "MemberBits",
     "ParallelClass",
     "class_complex",
-    "class_count_theorem",
     "class_of",
     "enumerate_classes",
     "member_bits",
     "nearest_in_class",
     "nearest_members",
-    "nearest_moves_across_edge",
-    "pair_distance",
     "vertex_to_class_bijection",
 ]
 
@@ -84,17 +80,6 @@ def class_of(cplx: CubeComplex, determining: Iterable[int]) -> ParallelClass:
     index = cplx.cached("parallel_class_index",
                         lambda: {k.determining: k for k in enumerate_classes(cplx)})
     return index[tuple(sorted(determining))]
-
-
-def class_count_theorem(cplx: CubeComplex) -> tuple[int, int]:
-    """(vertex count, class count); the two are asserted equal."""
-    n_vertices = cplx.n_vertices
-    n_classes = len(enumerate_classes(cplx))
-    if n_vertices != n_classes:
-        raise AssertionError(
-            "vertex/class count mismatch: %d vertices, %d classes"
-            % (n_vertices, n_classes))
-    return n_vertices, n_classes
 
 
 class MemberBits(NamedTuple):
@@ -197,46 +182,6 @@ def nearest_in_class(
             % (list(klass.determining), cplx.vertex_bits(vertex),
                " or not a gate" if verify else ""))
     return klass.members[best]
-
-
-def nearest_moves_across_edge(
-    cplx: CubeComplex,
-    p: int,
-    q: int,
-    klass: ParallelClass,
-) -> int | None:
-    """How the nearest member changes across the edge from ``p`` to ``q``.
-
-    Returns None when both endpoints share a nearest cube, otherwise the
-    id of the hyperplane separating ``p`` from ``q``, across which the two
-    nearest cubes are opposite faces of a common higher cube.  Any other
-    configuration raises.
-    """
-    diff = p ^ q
-    if diff.bit_count() != 1:
-        raise ValueError("vertices %s and %s are not adjacent"
-                         % (cplx.vertex_bits(p), cplx.vertex_bits(q)))
-    near_p = nearest_in_class(cplx, p, klass)
-    near_q = nearest_in_class(cplx, q, klass)
-    if near_p == near_q:
-        return None
-    h = cplx.hyperplane_of_mask(diff)
-    if near_p.anchor ^ near_q.anchor != diff:
-        raise AssertionError(
-            "nearest cubes differ other than across the edge hyperplane")
-    anchor = near_p.anchor & ~diff
-    cutting = tuple(sorted(near_p.cutting + (h,)))
-    if not cplx.is_cube(anchor, cutting):
-        raise AssertionError(
-            "nearest cubes are not opposite faces of a cube cut by %d" % h)
-    return h
-
-
-def pair_distance(cplx: CubeComplex, d1: Cube, d2: Cube) -> int | float:
-    """Number of hyperplanes separating two parallel cubes; inf otherwise."""
-    if d1.cutting != d2.cutting:
-        return math.inf
-    return (d1.anchor ^ d2.anchor).bit_count()
 
 
 def class_complex(cplx: CubeComplex, klass: ParallelClass) -> ClassComplex:

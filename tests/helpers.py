@@ -23,6 +23,7 @@ import pytest
 from cubedeform import (
     CubeComplex,
     deformation,
+    differential,
     grid_complex,
     hypercube,
     random_median_complex,
@@ -30,13 +31,13 @@ from cubedeform import (
 )
 from cubedeform.core import Cube
 from cubedeform.deformation import (
-    INF,
     basic_cochain,
     class_blocks,
-    conjugated,
     deformation_weights,
+    pair_blocks,
     step_coefficients,
     symbol_representative,
+    u_t_matrix,
     w_path_matrix,
 )
 from cubedeform.differential import d_matrix, delta_matrix, norm2_bound_sums
@@ -46,7 +47,12 @@ from cubedeform.fredholm import (
     format_t,
     inv_sqrt_spectral,
 )
-from cubedeform.parallelism import ParallelClass, class_of, enumerate_classes
+from cubedeform.parallelism import (
+    ParallelClass,
+    class_of,
+    enumerate_classes,
+    nearest_in_class,
+)
 from cubedeform.symbols import ps_basis, symbol_inner, symbol_key, symbol_of_pair
 
 FIXTURE_NAMES = ("point", "square", "tripod", "cube3", "grid12")
@@ -232,23 +238,120 @@ def w_step_matrix(cplx: CubeComplex, cube: Cube, h: int, t: float | None = None,
 
 
 def d_t_matrix(cplx: CubeComplex, q: int, t: float, weighted: bool = False) -> np.ndarray:
-    """The differential seen through the t-frame on degree q: at t =
-    infinity the (weighted) differential matrix, otherwise U^(-1) d U, with
-    the distance-graded weights when ``weighted``."""
+    """The differential seen through the t-frame on degree q, U^(-1) d U by
+    one dense solve, with the distance-graded weights when ``weighted``:
+    the oracle of ``pair_blocks``.  At t = infinity U is the identity."""
     w = deformation_weights(cplx, t) if weighted else None
-    if t == INF:
-        return d_matrix(cplx, q, w)
-    return conjugated(class_blocks(cplx, q + 1, t), d_matrix(cplx, q, w),
-                      class_blocks(cplx, q, t))
+    return np.linalg.solve(u_t_matrix(cplx, q + 1, t),
+                           d_matrix(cplx, q, w) @ u_t_matrix(cplx, q, t))
 
 
 def delta_t_matrix(cplx: CubeComplex, q: int, t: float, weighted: bool = False) -> np.ndarray:
-    """The adjoint differential through the t-frame on degree q."""
+    """The adjoint differential through the t-frame on degree q, densely."""
     w = deformation_weights(cplx, t) if weighted else None
-    if t == INF:
-        return delta_matrix(cplx, q, w)
-    return conjugated(class_blocks(cplx, q - 1, t), delta_matrix(cplx, q, w),
-                      class_blocks(cplx, q, t))
+    return np.linalg.solve(u_t_matrix(cplx, q - 1, t),
+                           delta_matrix(cplx, q, w) @ u_t_matrix(cplx, q, t))
+
+
+def pair_blocks_matrix(cplx: CubeComplex, q: int, t: float, raising: bool = True) -> np.ndarray:
+    """``pair_blocks`` of d (raising) or delta on degree q, scattered dense:
+    each class pair's block on its members' rows and columns.  Each class
+    pair must come once, ascending within its stack pair."""
+    hi, lo = class_blocks(cplx, q + 1 if raising else q - 1, t), class_blocks(cplx, q, t)
+    out = np.zeros((sum(b.cols.size for b in hi), sum(b.cols.size for b in lo)))
+    seen = set()
+    for part in pair_blocks(differential.term_table(cplx, q, raising), hi, lo, t):
+        assert part.stacks not in seen
+        seen.add(part.stacks)
+        keys = (part.hi << 32) + part.lo
+        assert (np.diff(keys) > 0).all()
+        rows, cols = hi[part.stacks[0]].cols[part.hi], lo[part.stacks[1]].cols[part.lo]
+        out[rows[:, :, None], cols[:, None, :]] = part.block
+    return out
+
+
+def _term_matrix(cplx: CubeComplex, q: int, raising: bool, h: int) -> np.ndarray:
+    """Hyperplane h's terms of d (raising) or delta, read through the module
+    so that a patched ``term_table`` shows."""
+    terms = differential.term_table(cplx, q, raising)
+    terms = terms[terms[:, 2] == h]
+    out = np.zeros((len(cplx.cubes(q + 1 if raising else q - 1)), len(cplx.cubes(q))),
+                   dtype=np.int64)
+    out[terms[:, 0], terms[:, 1]] = terms[:, 3]
+    return out
+
+
+def wedge_matrix(cplx: CubeComplex, h: int, q: int) -> np.ndarray:
+    """Matrix of wedge(h, .) from degree q to q+1: the hyperplane-h terms of d."""
+    return _term_matrix(cplx, q, True, h)
+
+
+def hook_matrix(cplx: CubeComplex, h: int, q: int) -> np.ndarray:
+    """Matrix of hook(h, .) from degree q to q-1: the hyperplane-h terms of delta."""
+    return _term_matrix(cplx, q, False, h)
+
+
+# -- theorem checks and dense views that reach no command ------------------------
+
+
+def class_count_theorem(cplx: CubeComplex) -> tuple[int, int]:
+    """(vertex count, class count); the two are asserted equal."""
+    n_vertices = cplx.n_vertices
+    n_classes = len(enumerate_classes(cplx))
+    if n_vertices != n_classes:
+        raise AssertionError(
+            "vertex/class count mismatch: %d vertices, %d classes"
+            % (n_vertices, n_classes))
+    return n_vertices, n_classes
+
+
+def nearest_moves_across_edge(
+    cplx: CubeComplex,
+    p: int,
+    q: int,
+    klass: ParallelClass,
+) -> int | None:
+    """How the nearest member changes across the edge from ``p`` to ``q``.
+
+    Returns None when both endpoints share a nearest cube, otherwise the
+    id of the hyperplane separating ``p`` from ``q``, across which the two
+    nearest cubes are opposite faces of a common higher cube.  Any other
+    configuration raises.
+    """
+    diff = p ^ q
+    if diff.bit_count() != 1:
+        raise ValueError("vertices %s and %s are not adjacent"
+                         % (cplx.vertex_bits(p), cplx.vertex_bits(q)))
+    near_p = nearest_in_class(cplx, p, klass)
+    near_q = nearest_in_class(cplx, q, klass)
+    if near_p == near_q:
+        return None
+    h = cplx.hyperplane_of_mask(diff)
+    if near_p.anchor ^ near_q.anchor != diff:
+        raise AssertionError(
+            "nearest cubes differ other than across the edge hyperplane")
+    anchor = near_p.anchor & ~diff
+    cutting = tuple(sorted(near_p.cutting + (h,)))
+    if not cplx.is_cube(anchor, cutting):
+        raise AssertionError(
+            "nearest cubes are not opposite faces of a cube cut by %d" % h)
+    return h
+
+
+def pair_distance(cplx: CubeComplex, d1: Cube, d2: Cube) -> int | float:
+    """Number of hyperplanes separating two parallel cubes; inf otherwise."""
+    if d1.cutting != d2.cutting:
+        return math.inf
+    return (d1.anchor ^ d2.anchor).bit_count()
+
+
+def basic_cochain_vector(cplx: CubeComplex, pair, orientation) -> np.ndarray:
+    """``basic_cochain`` as a dense vector over the degree's cubes."""
+    index = cplx.cube_index(pair.d.dim)
+    out = np.zeros(len(index), dtype=np.int64)
+    for cube, coeff in basic_cochain(cplx, pair, orientation).items():
+        out[index[cube]] = coeff
+    return out
 
 
 # -- frame oracles: per-entry assembly and row-pair moves, nothing cached -------

@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import hook_matrix, wedge_matrix
 from cubedeform import cli, deformation, differential, fredholm, symbols
 from cubedeform.cli import DEFAULT_TOLERANCES, FIELD_T_FLOOR, main
 from cubedeform.core import write_cxc
@@ -25,11 +26,9 @@ from cubedeform.differential import (
     cohomology_ranks,
     d_matrix,
     delta_matrix,
-    hook_matrix,
     laplacian_matrix,
     spectral_profile,
     term_table,
-    wedge_matrix,
 )
 from cubedeform.fredholm import assemble_D, format_t, normalized_d
 from cubedeform.generate import (
@@ -179,14 +178,15 @@ def test_check_parallel_counts(grid_file, capsys):
 
 
 def test_check_parallel_samples_every_stride_th_pair(monkeypatch):
-    # the suite checks the (vertex, class) pairs the list pairs[::stride]
-    # once held, each class's vertices in one batched call, and counts
-    # every failed pair
+    # the suite checks every stride-th (vertex, class) pair, the stride the
+    # smallest s >= V*C // 4096 prime to C: on the 9x9 grid V*C // 4096 is
+    # 2, which shares a factor with the 100 classes and would sample 50 of
+    # them; 3 samples all.  Each class's vertices go in one batched call,
+    # and every failed pair is counted.
     cplx = grid_complex([9, 9])
     classes = enumerate_classes(cplx)
     pairs = [(v, klass) for v in cplx.vertices for klass in classes]
-    stride = max(1, len(pairs) // 4096)
-    assert stride >= 2
+    assert len(pairs) // 4096 == 2 and len(classes) == 100
     seen, called = [], []
 
     def every_pair_fails(cplx_, klass, vertices, verify=False):
@@ -199,10 +199,10 @@ def test_check_parallel_samples_every_stride_th_pair(monkeypatch):
 
     monkeypatch.setattr(cli, "nearest_members", every_pair_fails)
     residuals, _ = cli._SUITES["parallel"](cplx, None)
-    want = {(v, klass.determining) for v, klass in pairs[::stride]}
+    want = {(v, klass.determining) for v, klass in pairs[::3]}
     assert len(seen) == len(want) == residuals["nearest_verified"]
     assert set(seen) == want
-    assert len(called) == len(set(called))
+    assert len(called) == len(set(called)) == len(classes)
 
 
 def test_check_deterministic(grid_file, capsys):
@@ -341,8 +341,7 @@ def test_check_fredholm_needs_no_spectrum(tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(np.linalg, name, _no_spectrum)
     for module, name in ((fredholm, "assemble_D"), (fredholm, "normalized_d"),
                          (differential, "_matrix"), (differential, "d_matrix"),
-                         (differential, "delta_matrix"), (cli, "d_matrix"),
-                         (cli, "delta_matrix")):
+                         (differential, "delta_matrix")):
         monkeypatch.setattr(module, name, _no_dense)
     monkeypatch.setattr(np.linalg, "norm", norm_no_2)
     monkeypatch.setattr(np.linalg, "solve", solve_vector)
@@ -388,6 +387,18 @@ def test_check_field_t_floor(grid_file, grid, low, capsys):
 def test_check_field_at_the_t_floor(grid_file, capsys):
     assert FIELD_T_FLOOR == 1e-6
     code, out = run(["check", "field", "--input", grid_file, "--t", "1e-6"], capsys)
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("cplx", (hypercube(5), grid_complex([3, 3, 2])), ids=("cube5", "grid332"))
+def test_check_field_at_the_t_floor_on_larger_complexes(cplx, tmp_path, capsys):
+    # U_t is ill-conditioned at the floor: d_t must come from solves against
+    # its blocks (d_t_adjoint 2e-10 and 4e-10 here); multiplying by inverse
+    # frames instead gave 1.3e-9 and 1.1e-9, over the 1e-9 threshold
+    path = tmp_path / "c.cxc"
+    path.write_text(write_cxc(cplx))
+    code, out = run(["check", "field", "--input", str(path), "--t", "1e-6"], capsys)
     assert code == 0
     assert json.loads(out)["pass"] is True
 
@@ -622,8 +633,7 @@ def test_check_jv_and_ps_form_no_dense_operator(tmp_path, monkeypatch, capsys):
             paths.append(tmp_path / ("%s.cxc" % name))
             paths[-1].write_text(write_cxc(cplx))
     for module, name in ((differential, "_matrix"), (symbols, "_symbol_matrix"),
-                         (cli, "cohomology_ranks"), (cli, "ps_cohomology_ranks"),
-                         (cli, "d_matrix"), (cli, "delta_matrix")):
+                         (cli, "cohomology_ranks"), (cli, "ps_cohomology_ranks")):
         monkeypatch.setattr(module, name, _no_dense)
     for name in ("eigh", "eigvalsh", "svd", "solve", "norm", "matrix_rank"):
         monkeypatch.setattr(np.linalg, name, _no_dense)
@@ -747,6 +757,50 @@ def test_a_negated_term_is_a_numerical_breakdown_of_check_fredholm(tmp_path, mon
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("check fredholm: numerical breakdown: ")
+
+
+# -- field: class-pair blocks of the term tables -----------------------------------
+
+
+def test_check_field_forms_no_dense_operator(tmp_path, monkeypatch, capsys):
+    # d_t and delta_t are class-pair blocks sliced from the term tables: no
+    # dense d or delta is scattered, and every report passes
+    paths = []
+    for name in helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES:
+        cplx = helpers.fixture(name)
+        if cplx.n_hyperplanes:
+            paths.append(tmp_path / ("%s.cxc" % name))
+            paths[-1].write_text(write_cxc(cplx))
+    for name in ("_matrix", "d_matrix", "delta_matrix"):
+        monkeypatch.setattr(differential, name, _no_dense)
+    assert not hasattr(cli, "d_matrix") and not hasattr(cli, "delta_matrix")
+    for path in paths:
+        for t in ([], ["--t", "0.5,inf"]):
+            code, out = run(["check", "field", "--input", str(path), *t], capsys)
+            assert code == 0
+            assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("q, raising", ((0, True), (1, True), (1, False), (2, False)))
+@pytest.mark.parametrize("name", ("cube3", "grid12"))
+def test_a_negated_term_shows_in_field(name, q, raising, tmp_path, monkeypatch, capsys):
+    # one sign flipped in a copy of a cached term table: d_t squares to
+    # something, or d_t and delta_t stop being adjoint under the Gram blocks
+    path = tmp_path / ("%s.cxc" % name)
+    path.write_text(write_cxc(helpers.fixture(name)))
+    size = len(term_table(helpers.fixture(name), q, raising))
+    for row in sorted({0, size // 2, size - 1}):
+        with monkeypatch.context() as mp:
+            negate_one_term(mp, differential, "term_table", q, raising, row)
+            code, out = run(["check", "field", "--input", str(path)], capsys)
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert code == 1
+        assert not checks["d_t_squared"]["pass"] or not checks["d_t_adjoint"]["pass"]
+        assert checks["d_t_adjoint"]["residual"] > 0.1  # delta is no longer d^T
+        if (q, raising) == (1, True):  # every term of d_1 lies on a path of d_1 d_0
+            assert checks["d_t_squared"]["residual"] > 0.1
+        for other in ("gram_psd", "unitarity_bridge", "path_independence", "w_hat_unitary"):
+            assert checks[other]["pass"]
 
 
 # -- sweep -------------------------------------------------------------------------

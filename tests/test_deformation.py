@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import helpers
+from helpers import basic_cochain_vector, pair_distance
 from cubedeform import deformation
 from cubedeform.core import Cube
 from cubedeform.deformation import (
     basepoint_commutator_norm,
     basic_cochain,
-    basic_cochain_vector,
     basic_section_frame,
     d_t_pairing,
     d_t_pairing_limit,
@@ -36,9 +36,9 @@ from cubedeform.deformation import (
     w_hat_matrix,
     w_path_matrix,
 )
-from cubedeform.differential import OrientedCube, d_matrix, delta_matrix, wedge_matrix
+from cubedeform.differential import OrientedCube, d_matrix, delta_matrix, term_table
 from cubedeform.generate import hypercube, random_median_complex, star_tree
-from cubedeform.parallelism import class_of, enumerate_classes, pair_distance
+from cubedeform.parallelism import class_of, enumerate_classes
 from cubedeform.symbols import canonical_symbol_vertex, cube_pair, ps_basis, symbol_from_raw
 
 INF = float("inf")
@@ -577,9 +577,9 @@ def test_w_hat_commutes_with_non_separating_wedges():
                     w_lo = w_hat_matrix(cplx, q, tgt, src, ab=(a, b))
                     w_hi = w_hat_matrix(cplx, q + 1, tgt, src, ab=(a, b))
                     for h in range(cplx.n_hyperplanes):
-                        at_src = wedge_matrix(
+                        at_src = helpers.wedge_matrix(
                             cplx.rebased(src), h, q).astype(object)
-                        at_tgt = wedge_matrix(
+                        at_tgt = helpers.wedge_matrix(
                             cplx.rebased(tgt), h, q).astype(object)
                         lhs = w_hi @ at_src - at_tgt @ w_lo
                         if h == h_edge:
@@ -708,15 +708,52 @@ def test_w_hat_matches_entrywise_oracle(ab):
                 assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("t", (0.3, 1.0))
+def _assert_pair_blocks_match_dense_solve(cplx, t):
+    # the scatter of the class-pair blocks is U^(-1) d U (and U^(-1) delta U)
+    # from one dense solve; at t = infinity it is the operator itself
+    for q in range(cplx.dimension):
+        for raising, want in ((True, helpers.d_t_matrix(cplx, q, t)),
+                              (False, helpers.delta_t_matrix(cplx, q + 1, t))):
+            got = helpers.pair_blocks_matrix(cplx, q if raising else q + 1, t, raising)
+            if t == INF:
+                assert np.array_equal(got, want)
+            else:
+                assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("t", (0.3, 1.0, INF))
 def test_conjugated_matches_dense_solve(t):
     for cplx in _block_complexes()[:-1]:
+        _assert_pair_blocks_match_dense_solve(cplx, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 7), k=st.integers(2, 6), seed=st.integers(0, 1 << 16),
+       t=st.sampled_from((0.3, 1.0, INF)))
+def test_conjugated_matches_dense_solve_hypothesis(n, k, seed, t):
+    _assert_pair_blocks_match_dense_solve(random_median_complex(n, k, seed), t)
+
+
+def test_pair_blocks_list_only_linked_class_pairs():
+    # every listed class pair holds a term, and every term's pair is listed
+    for cplx in _block_complexes()[:-1]:
         for q in range(cplx.dimension):
-            lo, hi = u_t_matrix(cplx, q, t), u_t_matrix(cplx, q + 1, t)
-            dense = np.linalg.solve(hi, d_matrix(cplx, q) @ lo)
-            assert np.abs(helpers.d_t_matrix(cplx, q, t) - dense).max() <= 1e-12
-            dense = np.linalg.solve(lo, delta_matrix(cplx, q + 1) @ hi)
-            assert np.abs(helpers.delta_t_matrix(cplx, q + 1, t) - dense).max() <= 1e-12
+            hi, lo = (deformation.class_blocks(cplx, d, 0.5) for d in (q + 1, q))
+            terms = term_table(cplx, q, True)
+            linked = set(zip(_class_head(hi)[terms[:, 0]].tolist(),
+                             _class_head(lo)[terms[:, 1]].tolist()))
+            listed = {pair for part in deformation.pair_blocks(terms, hi, lo, 0.5)
+                      for pair in zip(hi[part.stacks[0]].cols[part.hi, 0].tolist(),
+                                      lo[part.stacks[1]].cols[part.lo, 0].tolist())}
+            assert listed == linked
+
+
+def _class_head(blocks):
+    """Each cube's class, named by the position of its first member."""
+    out = np.empty(sum(b.cols.size for b in blocks), dtype=np.intp)
+    for b in blocks:
+        out[b.cols] = b.cols[:, :1]
+    return out
 
 
 def _loop_residuals(cplx, seed, t):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import hook_matrix, wedge_matrix
 from cubedeform.core import Cube
 from cubedeform.generate import random_median_complex
 from cubedeform.differential import (
@@ -20,12 +21,10 @@ from cubedeform.differential import (
     delta_cochain,
     delta_matrix,
     hook,
-    hook_matrix,
     laplacian_matrix,
     numerical_rank,
     spectral_profile,
     wedge,
-    wedge_matrix,
     weight_vector,
 )
 

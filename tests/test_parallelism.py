@@ -7,18 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import class_count_theorem, nearest_moves_across_edge, pair_distance
 from cubedeform.core import Cube
 from cubedeform.generate import random_median_complex
 from cubedeform.parallelism import (
     ParallelClass,
     class_complex,
-    class_count_theorem,
     class_of,
     enumerate_classes,
     nearest_in_class,
     nearest_members,
-    nearest_moves_across_edge,
-    pair_distance,
     vertex_to_class_bijection,
 )
 
