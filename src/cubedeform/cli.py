@@ -48,9 +48,9 @@ from .deformation import (
 from .differential import (
     cohomology_ranks,
     grouped_sum,
+    laplacian_diagonal,
     max_sum,
     norm2_bound_sums,
-    spectral_profile,
     term_product,
     term_table,
 )
@@ -305,7 +305,7 @@ def _complex_checks(cplx, names, table, diagonals, ranks, more) -> dict:
 def _suite_jv(cplx, args):
     dim, n_h = cplx.dimension, cplx.n_hyperplanes
     w = deformation_weights(cplx, 1.0)
-    profiles = [[spectral_profile(cplx, c, w) for c in cplx.cubes(q)] for q in range(dim + 1)]
+    weighted_diagonals = [laplacian_diagonal(cplx, q, w) for q in range(dim + 1)]
     w = np.asarray(w)
 
     def more(q, n, d_d, delta_d, d_delta):
@@ -321,7 +321,7 @@ def _suite_jv(cplx, args):
                 (((k1 * n_h + hook1) * n_h + wedge1)[keep1], v1[keep1]),
                 (((k2 * n_h + hook2) * n_h + wedge2)[keep2], v2[keep2])))
         # the Laplacian with weights w against diag(q_w + p_w), relative
-        expected = np.array([prof.q_w + prof.p_w for prof in profiles[q]])
+        expected = weighted_diagonals[q]
         weighted = max_sum(*((k, v * w[h1] * w[h2]) for k, v, h1, h2 in (delta_d, d_delta)),
                            (np.arange(len(expected)) * (n + 1), -expected))
         return {"laplacian_weighted": weighted / max(1.0, _max_abs(expected)),
@@ -330,7 +330,7 @@ def _suite_jv(cplx, args):
     return _complex_checks(
         cplx, ("d_squared", "delta_transpose", "laplacian_diagonal", "cohomology_ranks"),
         lambda q, raising: term_table(cplx, q, raising),
-        [np.array([prof.q + prof.p for prof in per_q]) for per_q in profiles],
+        [laplacian_diagonal(cplx, q) for q in range(dim + 1)],
         cohomology_ranks, more), {}
 
 

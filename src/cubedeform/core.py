@@ -34,15 +34,20 @@ import numpy as np
 
 __all__ = [
     "Cube",
+    "CubeArrays",
     "CubeComplex",
     "CxcParseError",
     "InvalidComplex",
     "NormalCubePath",
+    "bit_rows",
+    "column_bits",
     "median_closure",
     "median_hull",
     "median_of",
     "parse_cxc",
     "project_bits",
+    "row_keys",
+    "row_positions",
     "write_cxc",
 ]
 
@@ -73,6 +78,18 @@ class Cube(NamedTuple):
         return len(self.cutting)
 
 
+class CubeArrays(NamedTuple):
+    """The q-cubes in canonical order as 0/1 rows, one uint8 column per
+    hyperplane: anchor bits, cutting bits, and ascending ``row_keys`` of
+    the anchor bits and the complement of the cutting bits.  Ascending
+    tuples of one size order lexicographically as their masks descend, so
+    the keys ascend with the canonical order."""
+
+    anchor: np.ndarray
+    cutting: np.ndarray
+    keys: np.ndarray
+
+
 class NormalCubePath(NamedTuple):
     """Greedy cube path from a vertex toward a target vertex.
 
@@ -95,6 +112,43 @@ def project_bits(v: int, masks: Iterable[int]) -> int:
     for m in masks:
         out = out << 1 | (1 if v & m else 0)
     return out
+
+
+def bit_rows(n: int, values: Iterable[int]) -> np.ndarray:
+    """0/1 rows, one uint8 column per hyperplane (hyperplane 0 first), of
+    ``n``-bit integers, read from their fixed-width big-endian bytes."""
+    values = list(values)
+    width = (n + 7) // 8
+    raw = b"".join(v.to_bytes(width, "big") for v in values)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(values), width),
+                         axis=1)
+    return bits[:, 8 * width - n:]
+
+
+def column_bits(columns: np.ndarray, n: int) -> np.ndarray:
+    """0/1 rows of width ``n``, row i with ones at the columns ``columns[i]``."""
+    out = np.zeros((len(columns), n), dtype=np.uint8)
+    out[np.arange(len(columns))[:, None], columns] = 1
+    return out
+
+
+def row_keys(*blocks: np.ndarray) -> np.ndarray:
+    """One key per row of the 0/1 ``blocks`` laid side by side: packed
+    big-endian bytes compared as ``np.void``, so keys order as their bits
+    read left to right, at any width."""
+    packed = np.packbits(np.hstack(blocks), axis=1)
+    if not packed.shape[1]:
+        packed = np.zeros((len(packed), 1), dtype=np.uint8)
+    return packed.view("V%d" % packed.shape[1]).ravel()
+
+
+def row_positions(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``keys`` sits in the ascending keys ``table``, and
+    whether it is there."""
+    pos = np.searchsorted(table, keys)
+    if not len(table):
+        return pos, np.zeros(len(keys), dtype=bool)
+    return pos, table[np.minimum(pos, len(table) - 1)] == keys
 
 
 def median_hull(n: int, verts: Iterable[int], limit: int | None = None) -> list[int]:
@@ -361,6 +415,17 @@ class CubeComplex:
         got = self._shared.get(("cube_index", q))
         return got if got is not None else self.cached(
             ("cube_index", q), lambda: {c: i for i, c in enumerate(self.cubes(q))})
+
+    def cube_arrays(self, q: int) -> CubeArrays:
+        """The cached ``CubeArrays`` of degree ``q``, empty outside 0..dimension."""
+        def build():
+            cubes, n = self.cubes(q), self.n_hyperplanes
+            anchor = bit_rows(n, (c.anchor for c in cubes))
+            cutting = column_bits(np.array([c.cutting for c in cubes], dtype=np.intp)
+                                  .reshape(len(cubes), max(q, 0)), n)
+            return CubeArrays(anchor, cutting, row_keys(anchor, cutting ^ 1))
+
+        return self.cached(("cube_arrays", q), build)
 
     def n_cubes(self) -> int:
         return sum(len(level) for level in self._levels())

@@ -406,7 +406,7 @@ def _loop_blocks(moves: tuple):
     local = np.empty(flat.size, dtype=np.intp)
     local[order] = np.arange(flat.size) - np.repeat(start, size)
     local = local.reshape(n_loops, m)
-    for c in np.unique(size[size > 1]):
+    for c in np.flatnonzero(np.bincount(size)[2:]) + 2:  # the set sizes c >= 2, ascending
         loop, member = np.divmod(order[start[size == c, None] + np.arange(c)], m)
         at = (loop[:, :1, None], np.arange(n_steps)[:, None], member[:, None, :])
         yield int(c), local[loop[:, :1, None], perm[at]], sign[at]

@@ -21,13 +21,19 @@ with entry q_w(C) + p_w(C) on each cube, which pins the spectral gap and
 makes each cohomology dimension a count of zeros on that diagonal.
 
 Every dense operator matrix is one scatter of ``term_table``: per complex,
-degree and base vertex, the wedge and hook terms are derived once from
-``_wedge_term`` and ``_hook_term`` and kept unweighted as int64 rows
-(target, source, hyperplane, sign).  A weighted matrix multiplies each sign
-by its hyperplane's weight at scatter time, so nothing is kept per weight.
-The cochain functions keep the per-term path and serve as its oracle.
-The check suites form no operator: ``term_product`` lists the term pairs
-of a product of two tables, and ``grouped_sum`` sums them by matrix entry.
+degree and base vertex, the wedge and hook terms are kept unweighted as
+int64 rows (target, source, hyperplane, sign).  They come from the
+degree's ``CubeArrays`` by bit arithmetic, every term at once: a cube
+(a, C) raises across each h outside C with a_h != b_h (b the base vertex)
+onto (a minus h, C plus h) when that is a cube, and hooks across each h
+in C onto (a with h set to 1 - b_h, C minus h); targets are found by
+``row_positions`` on the sorted keys, and each sign is (-1)^#{k in C, k <
+h}, negated when a_h = 0 (raising) or b_h = 1 (hook).  A weighted matrix
+multiplies each sign by its hyperplane's weight at scatter time, so
+nothing is kept per weight.  The cochain functions fold one presentation
+at a time through ``canonicalize``.  The check suites form no operator:
+``term_product`` lists the term pairs of a product of two tables, and
+``grouped_sum`` sums them by matrix entry.
 """
 
 from __future__ import annotations
@@ -37,12 +43,11 @@ from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .core import Cube, CubeComplex
+from .core import Cube, CubeComplex, bit_rows, row_keys, row_positions
 
 __all__ = [
     "Cochain",
     "OrientedCube",
-    "SpectralProfile",
     "canonicalize",
     "cochain_degree",
     "cohomology_ranks",
@@ -52,11 +57,11 @@ __all__ = [
     "delta_matrix",
     "grouped_sum",
     "hook",
+    "laplacian_diagonal",
     "laplacian_matrix",
     "max_sum",
     "norm2_bound_sums",
     "numerical_rank",
-    "spectral_profile",
     "term_product",
     "term_table",
     "wedge",
@@ -77,20 +82,6 @@ class OrientedCube(NamedTuple):
 
     def reversed(self) -> "OrientedCube":
         return OrientedCube(self.cube, -self.sign)
-
-
-class SpectralProfile(NamedTuple):
-    """Laplacian data of a single cube.
-
-    q is the dimension, p the number of hyperplanes adjacent to the cube
-    that separate it from the base vertex; q_w and p_w are the same counts
-    with each hyperplane contributing its squared weight.
-    """
-
-    q: int
-    p: int
-    q_w: float
-    p_w: float
 
 
 def _sort_parity(hyperplanes: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -259,23 +250,39 @@ def term_table(cplx: CubeComplex, q: int, raising: bool = True) -> np.ndarray:
     """The cached terms of d (raising) or delta on degree q.
 
     One read-only int64 row (target index, source index, hyperplane, sign)
-    per nonzero term, unweighted, by ascending source.  Terms move with the
-    base vertex, and ``rebased`` copies share ``_shared``, so the base
-    vertex is part of the key.  A source and a target fix the hyperplane
-    between them, so each matrix entry receives at most one term.
+    per nonzero term, unweighted, by ascending source, then hyperplane.
+    Terms move with the base vertex, and ``rebased`` copies share
+    ``_shared``, so the base vertex is part of the key.  A source and a
+    target fix the hyperplane between them, so each matrix entry receives
+    at most one term.  d finds its targets among the cofaces and delta
+    among the faces, so neither is built from the other; a face that is
+    not a cube raises ValueError.
     """
-    rows_q = q + 1 if raising else q - 1
-
     def build():
-        rows = cplx.cube_index(rows_q)
-        term_fn = _wedge_term if raising else _hook_term
-        found = []
-        for j, cube in enumerate(cplx.cubes(q)):
-            for k in range(cplx.n_hyperplanes) if raising else cube.cutting:
-                term = term_fn(cplx, k, cube)
-                if term is not None:
-                    found.append((rows[term.cube], j, k, term.sign))
-        out = np.array(found, dtype=np.int64).reshape(-1, 4)
+        src = cplx.cube_arrays(q)
+        base = bit_rows(cplx.n_hyperplanes, (cplx.base_vertex,))[0]
+        # raising: across each h outside C on the far side from the base,
+        # onto (a minus h, C plus h) if that is a cube; hook: across each h
+        # in C, onto the face on the far side of h
+        if raising:
+            where = (src.cutting == 0) & (src.anchor != base)
+        else:
+            where = src.cutting == 1
+        j, h = np.nonzero(where)
+        i = np.arange(len(j))
+        anchor, cutting = src.anchor[j], src.cutting[j]
+        anchor[i, h] = 0 if raising else base[h] ^ 1
+        cutting[i, h] = 1 if raising else 0
+        rows, found = row_positions(cplx.cube_arrays(q + 1 if raising else q - 1).keys,
+                                    row_keys(anchor, cutting ^ 1))
+        if not raising and not found.all():
+            miss = np.flatnonzero(~found)[0]
+            raise ValueError("the face of %r across %d is not a cube"
+                             % (cplx.cubes(q)[j[miss]], h[miss]))
+        before = np.cumsum(src.cutting, axis=1, dtype=np.int64) - src.cutting
+        flip = src.anchor[j, h] == 0 if raising else base[h] == 1
+        sign = 1 - 2 * ((before[j, h] + flip) & 1)
+        out = np.stack([rows, j, h, sign], axis=1)[found].astype(np.int64)
         out.flags.writeable = False
         return out
 
@@ -356,19 +363,22 @@ def delta_matrix(cplx: CubeComplex, q: int, weights: Weights = None) -> np.ndarr
     return _matrix(cplx, q, False, weights)
 
 
-def spectral_profile(cplx: CubeComplex, cube: Cube, weights: Weights = None) -> SpectralProfile:
-    """Dimension and separating-hyperplane counts of a cube, weighted forms included."""
-    w = weight_vector(cplx, weights)
-    base = cplx.base_vertex
-    q_w = sum(w[h] * w[h] for h in cube.cutting)
-    p_hs = [
-        h for h in range(cplx.n_hyperplanes)
-        if h not in cube.cutting
-        and cplx.adjacent_cube(cube, h)
-        and (cube.anchor ^ base) & cplx.mask(h)
-    ]
-    p_w = sum(w[h] * w[h] for h in p_hs)
-    return SpectralProfile(cube.dim, len(p_hs), q_w, p_w)
+def laplacian_diagonal(cplx: CubeComplex, q: int, weights: Weights = None) -> np.ndarray:
+    """The diagonal that d delta + delta d must have on degree q: per cube,
+    q_w + p_w, where q_w sums the squared weights of the hyperplanes
+    cutting it and p_w those of its raising terms in ``term_table``, each
+    in ascending h (integer q + p for unit weights)."""
+    w = np.asarray(weight_vector(cplx, weights), dtype=np.int64 if weights is None else None)
+    w2 = w * w
+    cutting = cplx.cube_arrays(q).cutting.astype(w2.dtype)
+    raised = np.zeros_like(cutting)
+    terms = term_table(cplx, q, True)
+    raised[terms[:, 1], terms[:, 2]] = 1
+    q_w = p_w = np.zeros(len(cutting), dtype=w2.dtype)
+    for h in range(cplx.n_hyperplanes):
+        q_w = q_w + cutting[:, h] * w2[h]
+        p_w = p_w + raised[:, h] * w2[h]
+    return q_w + p_w
 
 
 def laplacian_matrix(cplx: CubeComplex, q: int, weights: Weights = None) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .core import Cube, CubeComplex, InvalidComplex, project_bits
+from .core import Cube, CubeComplex, InvalidComplex, bit_rows, project_bits
 
 __all__ = [
     "ClassComplex",
@@ -100,16 +100,6 @@ class MemberBits(NamedTuple):
                 - 2.0 * (self.bits[rows] @ self.bits.T))
 
 
-def _unpacked(cplx: CubeComplex, values) -> np.ndarray:
-    """0/1 rows, one uint8 column per hyperplane, from big-endian bytes."""
-    values = list(values)
-    width = (cplx.n_hyperplanes + 7) // 8
-    raw = b"".join(v.to_bytes(width, "big") for v in values)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(values), width),
-                         axis=1)
-    return bits[:, 8 * width - cplx.n_hyperplanes:]
-
-
 def _frame(cplx: CubeComplex, determining: tuple[int, ...]) -> np.ndarray:
     """The hyperplanes outside ``determining`` that cross every one in it."""
     inside = list(determining)
@@ -121,7 +111,7 @@ def _frame(cplx: CubeComplex, determining: tuple[int, ...]) -> np.ndarray:
 def member_bits(cplx: CubeComplex, klass: ParallelClass) -> MemberBits:
     """The cached ``MemberBits`` of ``klass``."""
     def build():
-        bits = _unpacked(cplx, (c.anchor for c in klass.members)).astype(np.float64)
+        bits = bit_rows(cplx.n_hyperplanes, (c.anchor for c in klass.members)).astype(np.float64)
         bits[:, list(klass.determining)] = 0.0
         return MemberBits(bits, bits.sum(axis=1))
 
@@ -149,7 +139,7 @@ def nearest_members(
     if not klass.members:
         raise ValueError("empty parallelism class")
     mb = member_bits(cplx, klass)
-    vbits = _unpacked(cplx, vertices).astype(np.float64)
+    vbits = bit_rows(cplx.n_hyperplanes, vertices).astype(np.float64)
     dist = mb.ones - 2.0 * (vbits @ mb.bits.T)
     best = dist.argmin(axis=1)
     # the first and the last minimum coincide exactly when it is unique

@@ -16,33 +16,44 @@ entries back) have integer matrices, the Laplacian is the scalar p + q on
 each type block, and scaled versions of the adjoint give an exact algebraic
 homotopy from the identity to the projection onto the single type-(0,0)
 line.  Nothing here depends on the base vertex of the complex.
+
+On each parallelism class with determining set T the complex is the
+exterior (Koszul) complex of T, so every term has a closed form.  The
+term tables behind the matrices, ``ps_term_table``, come from each
+degree's ``symbol_arrays`` (every split of every T into h and k, as bit
+rows in basis order) by bit arithmetic, every term at once: d moves each
+x of h to k and delta each x of k to h, both with coefficient
+-(-1)^#{y in k, y < x}.  ``ps_d_symbol`` folds one raw presentation at a
+time through ``symbol_from_raw``.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Cube, CubeComplex
+from .core import Cube, CubeComplex, column_bits, row_keys, row_positions
 from .differential import OrientedCube, _sort_parity, numerical_rank
 from .parallelism import class_of, enumerate_classes
 
 __all__ = [
     "CubePair",
     "PSSymbol",
+    "SymbolArrays",
     "canonical_symbol_vertex",
     "ps_basis",
     "ps_cohomology_ranks",
     "ps_d_matrix",
     "ps_d_symbol",
     "ps_delta_matrix",
-    "ps_delta_symbol",
     "ps_dimension",
     "ps_laplacian",
     "ps_term_table",
     "ps_type_of_index",
+    "symbol_arrays",
     "symbol_from_raw",
     "symbol_inner",
     "symbol_key",
@@ -88,6 +99,23 @@ class PSSymbol(NamedTuple):
 
     def reversed(self) -> "PSSymbol":
         return PSSymbol(self.h_set, self.k_list, self.r_canonical, -self.sign)
+
+
+class SymbolArrays(NamedTuple):
+    """The degree-q symbols in basis order: type p, and 0/1 rows of the h
+    set and the k list, one uint8 column per hyperplane, with ascending
+    ``row_keys`` of p's eight bits and the complements of the two rows
+    (ascending tuples of one size order as their masks descend)."""
+
+    p: np.ndarray
+    h: np.ndarray
+    k: np.ndarray
+    keys: np.ndarray
+
+
+def _symbol_keys(p: np.ndarray, h: np.ndarray, k: np.ndarray) -> np.ndarray:
+    # p <= dimension < 256: a complex of dimension 256 has 2^256 vertices
+    return row_keys(np.unpackbits(p.astype(np.uint8)[:, None], axis=1), h ^ 1, k ^ 1)
 
 
 def cube_pair(cplx: CubeComplex, c: Cube, d: Cube) -> CubePair:
@@ -191,15 +219,37 @@ def ps_dimension(cplx: CubeComplex, q: int) -> int:
     return len(ps_basis(cplx, q))
 
 
-def ps_index(cplx: CubeComplex, q: int) -> dict[tuple, int]:
-    """Index of unsigned symbol keys into the degree-q basis."""
-    return cplx.cached(("ps_index", q),
-                       lambda: {sym.key: i for i, sym in enumerate(ps_basis(cplx, q))})
+def symbol_arrays(cplx: CubeComplex, q: int) -> SymbolArrays:
+    """The cached ``SymbolArrays`` of degree q: for each determining set T
+    of t >= q hyperplanes, every q-subset k of T with h = T minus k."""
+    def build():
+        n = cplx.n_hyperplanes
+        by_size: dict[int, list] = {}
+        for klass in enumerate_classes(cplx):
+            if 0 <= q <= klass.dim:
+                by_size.setdefault(klass.dim, []).append(klass.determining)
+        empty = np.zeros((0, n), dtype=np.uint8)
+        p, h, k = [np.zeros(0, dtype=np.int64)], [empty], [empty]
+        for t, sets in by_size.items():
+            members = np.array(sets, dtype=np.intp).reshape(len(sets), t)
+            combos = np.array(list(combinations(range(t), q)), dtype=np.intp)
+            combos = combos.reshape(comb(t, q), q)
+            # one row per set and q-subset of it, set by set
+            part = column_bits(members[:, combos].reshape(len(sets) * len(combos), q), n)
+            p.append(np.full(len(part), t - q))
+            h.append(np.repeat(column_bits(members, n), len(combos), axis=0) ^ part)
+            k.append(part)
+        p, h, k = np.concatenate(p), np.concatenate(h), np.concatenate(k)
+        keys = _symbol_keys(p, h, k)
+        order = np.argsort(keys)
+        return SymbolArrays(p[order], h[order], k[order], keys[order])
+
+    return cplx.cached(("symbol_arrays", q), build)
 
 
 def ps_type_of_index(cplx: CubeComplex, q: int) -> np.ndarray:
     """Type p of each basis position, as an integer vector."""
-    return np.array([sym.p for sym in ps_basis(cplx, q)], dtype=np.int64)
+    return symbol_arrays(cplx, q).p.copy()
 
 
 def ps_d_symbol(cplx: CubeComplex, sym: PSSymbol) -> dict[tuple, int]:
@@ -216,36 +266,31 @@ def ps_d_symbol(cplx: CubeComplex, sym: PSSymbol) -> dict[tuple, int]:
     return out
 
 
-def ps_delta_symbol(cplx: CubeComplex, sym: PSSymbol) -> dict[tuple, int]:
-    """Adjoint differential of one symbol, unsigned-key -> coefficient."""
-    out: dict[tuple, int] = {}
-    for j, k in enumerate(sym.k_list):
-        rest = tuple(x for x in sym.k_list if x != k)
-        term = symbol_from_raw(
-            cplx, sym.h_set + (k,), rest, sym.r_canonical, sym.sign)
-        coeff = term.sign if j & 1 else -term.sign  # (-1)^j, j counted from 1
-        out[term.key] = out.get(term.key, 0) + coeff
-        if not out[term.key]:
-            del out[term.key]
-    return out
-
-
 def ps_term_table(cplx: CubeComplex, q: int, raising: bool = True) -> np.ndarray:
     """The cached terms of the symbol d (raising) or delta on degree q.
 
     The layout of ``differential.term_table`` with the source's p + q as
-    the label, which both operators keep.  Read-only, by ascending source.
+    the label, which both operators keep.  Read-only, by ascending source,
+    then moved hyperplane.  d moves each x of h into k, delta each x of k
+    into h, with coefficient -(-1)^#{y in k, y < x} either way; targets
+    are found in the neighbouring degree's ``symbol_arrays``, and one
+    that is missing raises ValueError.
     """
-    rows_q = q + 1 if raising else q - 1
-
     def build():
-        rows = ps_index(cplx, rows_q)
-        image_fn = ps_d_symbol if raising else ps_delta_symbol
-        out = np.array(
-            [(rows[k], j, sym.p + q, coeff)
-             for j, sym in enumerate(ps_basis(cplx, q))
-             for k, coeff in image_fn(cplx, sym).items()],
-            dtype=np.int64).reshape(-1, 4)
+        src = symbol_arrays(cplx, q)
+        j, x = np.nonzero(src.h if raising else src.k)
+        i = np.arange(len(j))
+        h, k = src.h[j], src.k[j]
+        h[i, x], k[i, x] = (0, 1) if raising else (1, 0)
+        rows, found = row_positions(symbol_arrays(cplx, q + 1 if raising else q - 1).keys,
+                                    _symbol_keys(src.p[j] - 1 if raising else src.p[j] + 1, h, k))
+        if not found.all():
+            miss = np.flatnonzero(~found)[0]
+            raise ValueError("the symbol moved across %d from %s is not in the basis"
+                             % (x[miss], ps_basis(cplx, q)[j[miss]][:2]))
+        before = np.cumsum(src.k, axis=1, dtype=np.int64) - src.k
+        out = np.stack([rows, j, src.p[j] + q, 2 * (before[j, x] & 1) - 1], axis=1)
+        out = out.astype(np.int64)
         out.flags.writeable = False
         return out
 

@@ -40,7 +40,14 @@ from cubedeform.deformation import (
     u_t_matrix,
     w_path_matrix,
 )
-from cubedeform.differential import d_matrix, delta_matrix, norm2_bound_sums
+from cubedeform.differential import (
+    _hook_term,
+    _wedge_term,
+    d_matrix,
+    delta_matrix,
+    norm2_bound_sums,
+    weight_vector,
+)
 from cubedeform.fredholm import (
     assemble_D,
     base_projection,
@@ -53,10 +60,20 @@ from cubedeform.parallelism import (
     enumerate_classes,
     nearest_in_class,
 )
-from cubedeform.symbols import ps_basis, symbol_inner, symbol_key, symbol_of_pair
+from cubedeform.symbols import (
+    PSSymbol,
+    ps_basis,
+    ps_d_symbol,
+    symbol_from_raw,
+    symbol_inner,
+    symbol_key,
+    symbol_of_pair,
+)
 
 FIXTURE_NAMES = ("point", "square", "tripod", "cube3", "grid12")
 MORE_FIXTURE_NAMES = ("grid22", "path3", "path4")
+# more than 62 hyperplanes: keys wider than one int64
+WIDE_FIXTURE_NAMES = ("star70", "path70")
 TEST_T_GRID = (0.1, 0.5, 1.0, 2.0, float("inf"))
 
 
@@ -78,7 +95,22 @@ def fixture(name: str) -> CubeComplex:
         return grid_complex([3])
     if name == "path4":
         return grid_complex([4])
+    if name == "star70":
+        return star_tree(70)
+    if name == "path70":
+        return grid_complex([70])
     raise KeyError(name)
+
+
+# the complexes every term table is checked on against its per-term oracle
+TABLE_CASES = (FIXTURE_NAMES + MORE_FIXTURE_NAMES + WIDE_FIXTURE_NAMES
+               + tuple("random%d" % s for s in range(4)))
+
+
+def table_case(name: str) -> CubeComplex:
+    if name.startswith("random"):
+        return random_complex(int(name[len("random"):]))
+    return fixture(name)
 
 
 def all_fixtures() -> list[CubeComplex]:
@@ -95,6 +127,76 @@ def random_complexes(count: int) -> list[CubeComplex]:
 
 
 # -- independent oracles ---------------------------------------------------------
+
+
+class SpectralProfile(NamedTuple):
+    """Laplacian data of a single cube.
+
+    q is the dimension, p the number of hyperplanes adjacent to the cube
+    that separate it from the base vertex; q_w and p_w are the same counts
+    with each hyperplane contributing its squared weight.
+    """
+
+    q: int
+    p: int
+    q_w: float
+    p_w: float
+
+
+def spectral_profile(cplx: CubeComplex, cube: Cube, weights=None) -> SpectralProfile:
+    """Dimension and separating-hyperplane counts of a cube, weighted forms
+    included, one hyperplane at a time."""
+    w = weight_vector(cplx, weights)
+    base = cplx.base_vertex
+    q_w = sum(w[h] * w[h] for h in cube.cutting)
+    p_hs = [
+        h for h in range(cplx.n_hyperplanes)
+        if h not in cube.cutting
+        and cplx.adjacent_cube(cube, h)
+        and (cube.anchor ^ base) & cplx.mask(h)
+    ]
+    p_w = sum(w[h] * w[h] for h in p_hs)
+    return SpectralProfile(cube.dim, len(p_hs), q_w, p_w)
+
+
+def oracle_term_table(cplx: CubeComplex, q: int, raising: bool = True) -> np.ndarray:
+    """``term_table`` one cube and one hyperplane at a time, through the
+    cochain calculus's ``_wedge_term`` and ``_hook_term``."""
+    rows = cplx.cube_index(q + 1 if raising else q - 1)
+    term_fn = _wedge_term if raising else _hook_term
+    found = []
+    for j, cube in enumerate(cplx.cubes(q)):
+        for k in range(cplx.n_hyperplanes) if raising else cube.cutting:
+            term = term_fn(cplx, k, cube)
+            if term is not None:
+                found.append((rows[term.cube], j, k, term.sign))
+    return np.array(found, dtype=np.int64).reshape(-1, 4)
+
+
+def ps_delta_symbol(cplx: CubeComplex, sym: PSSymbol) -> dict[tuple, int]:
+    """Adjoint differential of one symbol, unsigned-key -> coefficient."""
+    out: dict[tuple, int] = {}
+    for j, k in enumerate(sym.k_list):
+        rest = tuple(x for x in sym.k_list if x != k)
+        term = symbol_from_raw(
+            cplx, sym.h_set + (k,), rest, sym.r_canonical, sym.sign)
+        coeff = term.sign if j & 1 else -term.sign  # (-1)^j, j counted from 1
+        out[term.key] = out.get(term.key, 0) + coeff
+        if not out[term.key]:
+            del out[term.key]
+    return out
+
+
+def oracle_ps_term_table(cplx: CubeComplex, q: int, raising: bool = True) -> np.ndarray:
+    """``ps_term_table`` one symbol at a time, through ``ps_d_symbol`` and
+    ``ps_delta_symbol`` over ``ps_basis``."""
+    rows = {sym.key: i for i, sym in enumerate(ps_basis(cplx, q + 1 if raising else q - 1))}
+    image_fn = ps_d_symbol if raising else ps_delta_symbol
+    return np.array(
+        [(rows[k], j, sym.p + q, coeff)
+         for j, sym in enumerate(ps_basis(cplx, q))
+         for k, coeff in image_fn(cplx, sym).items()],
+        dtype=np.int64).reshape(-1, 4)
 
 
 def bfs_distance(cplx: CubeComplex, source: int, target: int) -> int:

@@ -12,6 +12,7 @@ import numpy as np
 from mpmath import mp
 
 import helpers
+from helpers import spectral_profile
 from cubedeform.deformation import (
     basic_cochain,
     basic_section_frame,
@@ -32,7 +33,6 @@ from cubedeform.differential import (
     d_cochain,
     d_matrix,
     laplacian_matrix,
-    spectral_profile,
 )
 from cubedeform.fredholm import (
     assemble_D,

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import hook_matrix, wedge_matrix
+from helpers import hook_matrix, spectral_profile, wedge_matrix
 from cubedeform import cli, deformation, differential, fredholm, symbols
 from cubedeform.cli import DEFAULT_TOLERANCES, FIELD_T_FLOOR, main
 from cubedeform.core import write_cxc
@@ -27,7 +27,6 @@ from cubedeform.differential import (
     d_matrix,
     delta_matrix,
     laplacian_matrix,
-    spectral_profile,
     term_table,
 )
 from cubedeform.fredholm import assemble_D, format_t, normalized_d
@@ -1013,6 +1012,27 @@ def test_usage_errors_name_the_subcommand(argv, usage, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("usage: %s [-h]" % usage)
     assert err[-1].startswith("%s: error: " % usage)
+
+
+def test_no_command_imports_numpy_ma(grid_file, tmp_path):
+    # numpy.ma costs about 10 ms per process to import; plain np.unique loads it
+    probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
+    if subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                      text=True, check=True).stdout.strip() == "True":
+        pytest.skip("importing numpy alone loads numpy.ma")
+    commands = [["validate", "--input", grid_file],
+                *(["check", suite, "--input", grid_file] for suite in DEFAULT_TOLERANCES),
+                ["sweep", "--input", grid_file, "--out", str(tmp_path / "sweep.csv")]]
+    script = (
+        "import contextlib, io, sys\n"
+        "from cubedeform.cli import main\n"
+        "for argv in %r:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "print([m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']])\n" % commands)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_no_command_is_usage_error():

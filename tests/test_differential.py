@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import hook_matrix, wedge_matrix
-from cubedeform.core import Cube
+from helpers import hook_matrix, spectral_profile, wedge_matrix
+from cubedeform.core import Cube, CubeComplex
+from cubedeform.deformation import deformation_weights
 from cubedeform.generate import random_median_complex
 from cubedeform.differential import (
     OrientedCube,
@@ -21,9 +22,10 @@ from cubedeform.differential import (
     delta_cochain,
     delta_matrix,
     hook,
+    laplacian_diagonal,
     laplacian_matrix,
     numerical_rank,
-    spectral_profile,
+    term_table,
     wedge,
     weight_vector,
 )
@@ -276,6 +278,63 @@ def test_base_vertex_moves_the_operators(square):
     assert d_cochain(flipped, Cube(0b11, ())) == {}
     assert d_cochain(flipped, Cube(0b00, ())) == {
         Cube(0b00, (0,)): -1, Cube(0b00, (1,)): -1}
+
+
+# -- term tables against the per-term oracle --------------------------------------
+
+def _bases(cplx):
+    # every vertex of the small complexes, a spread of the wide ones
+    return cplx.vertices if cplx.n_vertices <= 40 else cplx.vertices[::35]
+
+
+def _assert_tables_match(cplx):
+    for q in range(-1, cplx.dimension + 2):
+        for raising in (True, False):
+            got = term_table(cplx, q, raising)
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert np.array_equal(got, helpers.oracle_term_table(cplx, q, raising))
+
+
+@pytest.mark.parametrize("name", helpers.TABLE_CASES)
+def test_term_tables_match_the_per_term_oracle(name):
+    # rebased copies share the base-independent cube arrays, not the terms
+    cplx = helpers.table_case(name)
+    for base in _bases(cplx):
+        _assert_tables_match(cplx.rebased(base))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 7), k=st.integers(1, 6), seed=st.integers(0, 2 ** 16),
+       pick=st.integers(0, 2 ** 16))
+def test_term_tables_match_the_oracle_on_drawn_complexes(n, k, seed, pick):
+    cplx = random_median_complex(n, k, seed)
+    _assert_tables_match(cplx.rebased(cplx.vertices[pick % cplx.n_vertices]))
+
+
+def test_a_face_missing_from_the_cube_arrays_raises(square):
+    # a fresh copy, so the doctored arrays reach no other test
+    cplx = CubeComplex(square.n_hyperplanes, square.vertices, square.base_vertex)
+    arrays = cplx.cube_arrays(0)
+    # hooks land on the far side from the base 00, so drop the far corner 11
+    cplx._shared[("cube_arrays", 0)] = type(arrays)(*(a[:-1] for a in arrays))
+    with pytest.raises(ValueError, match="is not a cube"):
+        term_table(cplx, 1, False)
+
+
+@pytest.mark.parametrize("name", helpers.TABLE_CASES)
+def test_laplacian_diagonal_is_the_profiles_bit_for_bit(name):
+    cplx = helpers.table_case(name)
+    for base in (cplx.base_vertex, cplx.vertices[-1]):
+        here = cplx.rebased(base)
+        weightings = (None, deformation_weights(here, 1.0), _weights(here))
+        for weights in weightings if here.n_hyperplanes else (None,):
+            for q in range(here.dimension + 1):
+                profiles = [spectral_profile(here, c, weights) for c in here.cubes(q)]
+                want = np.array([p.q_w + p.p_w for p in profiles])
+                got = laplacian_diagonal(here, q, weights)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                if weights is None:
+                    assert np.array_equal(got, [p.q + p.p for p in profiles])
 
 
 # -- spectral profile and Laplacian ----------------------------------------------

@@ -6,13 +6,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
+from helpers import ps_delta_symbol
 from cubedeform.core import Cube, CubeComplex
 from cubedeform.deformation import symbol_representative
 from cubedeform.differential import OrientedCube
+from cubedeform.generate import random_median_complex
 from cubedeform.parallelism import enumerate_classes
 from cubedeform.symbols import (
+    SymbolArrays,
     canonical_symbol_vertex,
     cube_pair,
     ps_basis,
@@ -20,10 +25,11 @@ from cubedeform.symbols import (
     ps_d_matrix,
     ps_d_symbol,
     ps_delta_matrix,
-    ps_delta_symbol,
     ps_dimension,
     ps_laplacian,
+    ps_term_table,
     ps_type_of_index,
+    symbol_arrays,
     symbol_from_raw,
     symbol_inner,
     symbol_key,
@@ -282,6 +288,37 @@ def test_symbol_matrices_match_symbol_images(name):
                 for key, coeff in image_fn(cplx, sym).items():
                     col[rows[key]] = coeff
                 assert np.array_equal(matrix[:, j], col)
+
+
+def _assert_symbol_tables_match(cplx):
+    for q in range(-1, cplx.dimension + 2):
+        arrays, basis = symbol_arrays(cplx, q), ps_basis(cplx, q)
+        assert [(tuple(np.flatnonzero(h)), tuple(np.flatnonzero(k)))
+                for h, k in zip(arrays.h, arrays.k)] == [s.key for s in basis]
+        assert np.array_equal(ps_type_of_index(cplx, q), [s.p for s in basis])
+        for raising in (True, False):
+            got = ps_term_table(cplx, q, raising)
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert np.array_equal(got, helpers.oracle_ps_term_table(cplx, q, raising))
+
+
+@pytest.mark.parametrize("name", helpers.TABLE_CASES)
+def test_symbol_tables_match_the_per_symbol_oracle(name):
+    _assert_symbol_tables_match(helpers.table_case(name))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 7), k=st.integers(1, 6), seed=st.integers(0, 2 ** 16))
+def test_symbol_tables_match_the_oracle_on_drawn_complexes(n, k, seed):
+    _assert_symbol_tables_match(random_median_complex(n, k, seed))
+
+
+def test_a_symbol_missing_from_the_arrays_raises(square):
+    # a fresh copy, so the doctored arrays reach no other test
+    cplx = CubeComplex(square.n_hyperplanes, square.vertices, square.base_vertex)
+    cplx._shared[("symbol_arrays", 1)] = SymbolArrays(*(a[1:] for a in symbol_arrays(cplx, 1)))
+    with pytest.raises(ValueError, match="not in the basis"):
+        ps_term_table(cplx, 0, True)
 
 
 def test_symbol_data_ignores_the_base_vertex(grid12):
