@@ -113,9 +113,10 @@ class SymbolArrays(NamedTuple):
     keys: np.ndarray
 
 
-def _symbol_keys(p: np.ndarray, h: np.ndarray, k: np.ndarray) -> np.ndarray:
-    # p <= dimension < 256: a complex of dimension 256 has 2^256 vertices
-    return row_keys(np.unpackbits(p.astype(np.uint8)[:, None], axis=1), h ^ 1, k ^ 1)
+def _symbol_keys(h: np.ndarray, k: np.ndarray) -> np.ndarray:
+    # p = |h| <= dimension < 256: a complex of dimension 256 has 2^256 vertices
+    p = h.sum(axis=1, dtype=np.uint8)
+    return row_keys(np.unpackbits(p[:, None], axis=1), h ^ 1, k ^ 1)
 
 
 def cube_pair(cplx: CubeComplex, c: Cube, d: Cube) -> CubePair:
@@ -229,20 +230,20 @@ def symbol_arrays(cplx: CubeComplex, q: int) -> SymbolArrays:
             if 0 <= q <= klass.dim:
                 by_size.setdefault(klass.dim, []).append(klass.determining)
         empty = np.zeros((0, n), dtype=np.uint8)
-        p, h, k = [np.zeros(0, dtype=np.int64)], [empty], [empty]
+        h, k = [empty], [empty]
         for t, sets in by_size.items():
             members = np.array(sets, dtype=np.intp).reshape(len(sets), t)
             combos = np.array(list(combinations(range(t), q)), dtype=np.intp)
             combos = combos.reshape(comb(t, q), q)
             # one row per set and q-subset of it, set by set
             part = column_bits(members[:, combos].reshape(len(sets) * len(combos), q), n)
-            p.append(np.full(len(part), t - q))
             h.append(np.repeat(column_bits(members, n), len(combos), axis=0) ^ part)
             k.append(part)
-        p, h, k = np.concatenate(p), np.concatenate(h), np.concatenate(k)
-        keys = _symbol_keys(p, h, k)
+        h, k = np.concatenate(h), np.concatenate(k)
+        keys = _symbol_keys(h, k)
         order = np.argsort(keys)
-        return SymbolArrays(p[order], h[order], k[order], keys[order])
+        h, k = h[order], k[order]
+        return SymbolArrays(h.sum(axis=1, dtype=np.int64), h, k, keys[order])
 
     return cplx.cached(("symbol_arrays", q), build)
 
@@ -283,14 +284,14 @@ def ps_term_table(cplx: CubeComplex, q: int, raising: bool = True) -> np.ndarray
         h, k = src.h[j], src.k[j]
         h[i, x], k[i, x] = (0, 1) if raising else (1, 0)
         rows, found = row_positions(symbol_arrays(cplx, q + 1 if raising else q - 1).keys,
-                                    _symbol_keys(src.p[j] - 1 if raising else src.p[j] + 1, h, k))
+                                    _symbol_keys(h, k))
         if not found.all():
             miss = np.flatnonzero(~found)[0]
             raise ValueError("the symbol moved across %d from %s is not in the basis"
                              % (x[miss], ps_basis(cplx, q)[j[miss]][:2]))
         before = np.cumsum(src.k, axis=1, dtype=np.int64) - src.k
-        out = np.stack([rows, j, src.p[j] + q, 2 * (before[j, x] & 1) - 1], axis=1)
-        out = out.astype(np.int64)
+        out = np.stack([rows, j, src.p[j] + q, 2 * (before[j, x] & 1) - 1],
+                       axis=1).astype(np.int64)
         out.flags.writeable = False
         return out
 
