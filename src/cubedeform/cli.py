@@ -241,7 +241,7 @@ def _cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser, out
         "hyperplanes %d" % cplx.n_hyperplanes,
         "dimension %d" % cplx.dimension,
         "cubes %s" % " ".join(
-            str(len(cplx.cubes(q))) for q in range(cplx.dimension + 1)),
+            str(len(cplx.cube_arrays(q).keys)) for q in range(cplx.dimension + 1)),
         "bounded-geometry %d" % cplx.bounded_geometry_statistic(),
         "median ok",
         "connected ok",
@@ -664,8 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
     rmed = gen_sub.add_parser("random-median", help="median closure of random seeds")
     rmed.add_argument("--n", type=int, required=True, help="coordinate count")
     rmed.add_argument("--k", type=int, required=True, help="seed vertex count")
+    rmed.add_argument("--seed", type=int, default=0)
     for p in (tree, grid, cube, rmed):
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out")
 
     val = sub.add_parser("validate", help="validate a complex document")
@@ -703,8 +703,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
     parser = args.parser
+    if extra:
+        parser.error("unrecognized arguments: %s" % " ".join(extra))
     t = getattr(args, "t", None)
     args.t_grid = _parse_t_grid(t, parser) if t else None
     if args.command == "check":

@@ -12,12 +12,16 @@ by :func:`median_hull`, in O(n^2) bitset operations plus O(V n) steps for
 V vertices; the O(V^3) scan over triples runs only on a failure, to name
 the first violating triple.
 
-Cubes are encoded by their smallest vertex (the anchor) together with
-the sorted tuple of hyperplanes cutting them.  Every geometric predicate
-used downstream (separation, adjacency, crossing, distance) reduces to
-bit arithmetic on this encoding; in particular the edge-path distance
-between vertices is the Hamming distance, because separating hyperplanes
-count edges on any geodesic.
+A cube is its smallest vertex (the anchor) and the set of hyperplanes
+cutting it.  Each degree's cubes are held as 0/1 bit rows, anchor and
+cutting bits with one packed key per cube (:class:`CubeArrays`), and a
+(q+1)-cube (a, C + h) with h > max C is found from its face (a, C) by
+setting bit h of the face's key: the translate (a + h, C) must be a q-cube
+too.  ``Cube`` tuples are a view of the rows made on first use.  Every
+geometric predicate used downstream (adjacency, crossing, distance)
+reduces to bit arithmetic; in particular the edge-path distance between
+vertices is the Hamming distance, because separating hyperplanes count
+edges on any geodesic.
 
 Instances are immutable after construction and safe to share between
 threads: caches only ever go from absent to computed, and rebasing a
@@ -341,11 +345,6 @@ class CubeComplex:
     def vertex_bits(self, v: int) -> str:
         return format(v, "0%db" % self.n_hyperplanes) if self.n_hyperplanes else ""
 
-    def vertex_from_bits(self, bits: str) -> int:
-        if len(bits) != self.n_hyperplanes or set(bits) - {"0", "1"}:
-            raise ValueError("expected a %d-character bitstring" % self.n_hyperplanes)
-        return int(bits, 2) if bits else 0
-
     def mask(self, h: int) -> int:
         return self._masks[h]
 
@@ -363,10 +362,6 @@ class CubeComplex:
         """Edge-path distance; equals Hamming distance on valid complexes."""
         return (u ^ v).bit_count()
 
-    def separates(self, h: int, u: int, v: int) -> bool:
-        """Does hyperplane ``h`` separate vertices ``u`` and ``v``?"""
-        return bool((u ^ v) & self._masks[h])
-
     def adjacent_vertex(self, v: int, h: int) -> bool:
         """Is some edge at ``v`` cut by hyperplane ``h``?"""
         return (v ^ self._masks[h]) in self._vset
@@ -378,37 +373,54 @@ class CubeComplex:
 
     # -- cube level --------------------------------------------------------------
 
-    def _levels(self) -> tuple[tuple[Cube, ...], ...]:
+    def _levels(self) -> tuple[CubeArrays, ...]:
         return self.cached("levels", self._build_levels)
 
-    def _build_levels(self) -> tuple[tuple[Cube, ...], ...]:
+    def _build_levels(self) -> tuple[CubeArrays, ...]:
         n = self.n_hyperplanes
-        levels = [tuple(Cube(v, ()) for v in self._verts)]
-        cur = {(v, ()) for v in self._verts}
-        while cur:
-            nxt = set()
-            for anchor, cutting in cur:
-                lo = cutting[-1] + 1 if cutting else 0
-                for h in range(lo, n):
-                    m = self._masks[h]
-                    if anchor & m:
-                        continue
-                    if (anchor ^ m, cutting) in cur:
-                        nxt.add((anchor, cutting + (h,)))
-            if not nxt:
-                break
-            levels.append(tuple(Cube(a, c) for a, c in sorted(nxt)))
-            cur = nxt
-        return tuple(levels)
+        anchor = bit_rows(n, self._verts)
+        levels = [CubeArrays(anchor, np.zeros_like(anchor), row_keys(anchor, np.ones_like(anchor)))]
+        while True:
+            keys = levels[-1].keys
+            width = keys.dtype.itemsize
+            # faces (a, C) with bit h of a clear and h > max C
+            beyond = np.maximum.accumulate(levels[-1].cutting[:, ::-1], axis=1)[:, ::-1]
+            extendable = (beyond | levels[-1].anchor) == 0
+            found = [np.zeros((0, width), dtype=np.uint8)]
+            for h in np.flatnonzero(extendable.any(axis=0)).tolist():
+                # (a, C + h) is a cube when the translate (a + h, C) is a q-cube:
+                # set key bit h to look it up, then clear it and complement bit n + h
+                raw = keys[extendable[:, h]].view(np.uint8).reshape(-1, width)
+                raw[:, h >> 3] |= 128 >> (h & 7)
+                raw = raw[row_positions(keys, raw.view(keys.dtype).ravel())[1]]
+                raw[:, h >> 3] ^= 128 >> (h & 7)
+                raw[:, (n + h) >> 3] ^= 128 >> ((n + h) & 7)
+                found.append(raw)
+            raw = np.concatenate(found)
+            if not len(raw):
+                return tuple(levels)
+            keys = raw.view(keys.dtype).ravel()
+            order = np.argsort(keys)
+            bits = np.unpackbits(raw[order], axis=1, count=2 * n)
+            levels.append(CubeArrays(bits[:, :n], bits[:, n:] ^ 1, keys[order]))
 
     @property
     def dimension(self) -> int:
         return len(self._levels()) - 1
 
     def cubes(self, q: int) -> tuple[Cube, ...]:
-        """All q-cubes in canonical order (anchor, cutting set)."""
-        levels = self._levels()
-        return levels[q] if 0 <= q < len(levels) else ()
+        """All q-cubes in canonical order (anchor, then cutting tuple): a
+        view of ``cube_arrays(q)``, made on first use and cached."""
+        def build():
+            rows, n = self.cube_arrays(q), self.n_hyperplanes
+            # the anchor is the first n bits of the key
+            width = (n + 7) // 8
+            shift = 8 * width - n
+            anchors = [int.from_bytes(key[:width], "big") >> shift for key in rows.keys.tolist()]
+            cutting = np.nonzero(rows.cutting)[1].reshape(len(anchors), max(q, 0)).tolist()
+            return tuple(map(Cube, anchors, map(tuple, cutting)))
+
+        return self.cached(("cubes", q), build)
 
     def cube_index(self, q: int) -> dict[Cube, int]:
         # a hot lookup: the cache is read before any closure is made
@@ -417,18 +429,13 @@ class CubeComplex:
             ("cube_index", q), lambda: {c: i for i, c in enumerate(self.cubes(q))})
 
     def cube_arrays(self, q: int) -> CubeArrays:
-        """The cached ``CubeArrays`` of degree ``q``, empty outside 0..dimension."""
-        def build():
-            cubes, n = self.cubes(q), self.n_hyperplanes
-            anchor = bit_rows(n, (c.anchor for c in cubes))
-            cutting = column_bits(np.array([c.cutting for c in cubes], dtype=np.intp)
-                                  .reshape(len(cubes), max(q, 0)), n)
-            return CubeArrays(anchor, cutting, row_keys(anchor, cutting ^ 1))
-
-        return self.cached(("cube_arrays", q), build)
+        """The q-cubes as bit rows with ascending keys, empty outside
+        0..dimension; each degree is built from the one below."""
+        levels = self._levels()
+        return levels[q] if 0 <= q < len(levels) else CubeArrays(*(a[:0] for a in levels[0]))
 
     def n_cubes(self) -> int:
-        return sum(len(level) for level in self._levels())
+        return sum(len(level.keys) for level in self._levels())
 
     def is_cube(self, anchor: int, cutting: tuple[int, ...]) -> bool:
         return Cube(anchor, cutting) in self.cube_index(len(cutting))
@@ -451,37 +458,20 @@ class CubeComplex:
             if not sub:
                 return
 
-    def cube_side(self, cube: Cube, h: int) -> int:
-        """Half-space bit of hyperplane ``h`` on a cube it does not cut."""
-        if h in cube.cutting:
-            raise ValueError("hyperplane %d cuts the cube" % h)
-        return 1 if cube.anchor & self._masks[h] else 0
-
     def crossing(self, h: int, k: int) -> bool:
         """Do hyperplanes ``h`` and ``k`` cut a common square?"""
         return bool(self.crossing_matrix()[h, k])
 
     def crossing_matrix(self) -> np.ndarray:
-        return self.cached("crossing", self._build_crossing)
+        """Which pairs of distinct hyperplanes cut a common square, read-only."""
+        def build():
+            cutting = self.cube_arrays(2).cutting.astype(np.float64)
+            out = cutting.T @ cutting > 0
+            np.fill_diagonal(out, False)
+            out.setflags(write=False)
+            return out
 
-    def _build_crossing(self) -> np.ndarray:
-        n = self.n_hyperplanes
-        out = np.zeros((n, n), dtype=bool)
-        for sq in self.cubes(2):
-            a, b = sq.cutting
-            out[a, b] = out[b, a] = True
-        out.setflags(write=False)
-        return out
-
-    def helly_check(self, hyperplanes: Iterable[int]) -> bool:
-        """Pairwise-crossing hyperplanes cut a common cube (Helly property)."""
-        hs = tuple(sorted(set(hyperplanes)))
-        cross = self.crossing_matrix()
-        for i, a in enumerate(hs):
-            for b in hs[i + 1:]:
-                if not cross[a, b]:
-                    return True  # vacuous: not pairwise crossing
-        return any(c.cutting == hs for c in self.cubes(len(hs)))
+        return self.cached("crossing", build)
 
     def adjacent_cube(self, cube: Cube, h: int) -> bool:
         """Is ``cube`` a face of a (q+1)-cube cut by hyperplane ``h``?"""
@@ -537,23 +527,6 @@ class CubeComplex:
             raise InvalidComplex("normal cube path did not cross the separating set")
         return NormalCubePath(tuple(cubes), tuple(waypoints))
 
-    def finite_approximation(self, radius: int) -> "CubeComplex":
-        """Restriction to hyperplanes within ``radius`` of the base.
-
-        Keeps the vertices that agree with the base on every hyperplane at
-        distance >= radius and drops those coordinates; the result is again
-        a valid complex with the (projected) same base vertex.
-        """
-        keep = [h for h in range(self.n_hyperplanes)
-                if self.dist_hyperplane_to_base(h) < radius]
-        far_mask = self.mask_of(
-            h for h in range(self.n_hyperplanes)
-            if self.dist_hyperplane_to_base(h) >= radius)
-        base = self.base_vertex
-        masks = [self._masks[h] for h in keep]
-        verts = [project_bits(v, masks) for v in self._verts if not ((v ^ base) & far_mask)]
-        return CubeComplex(len(keep), verts, project_bits(base, masks))
-
     # -- reporting ----------------------------------------------------------------
 
     def bounded_geometry_statistic(self) -> int:
@@ -563,7 +536,8 @@ class CubeComplex:
         for the ``g``-th cube over all degrees); the cubes meeting a cube are
         the union of its corners' bitsets.
         """
-        cube_corners = [tuple(self.cube_vertices(c)) for level in self._levels() for c in level]
+        cube_corners = [tuple(self.cube_vertices(c)) for q in range(self.dimension + 1)
+                        for c in self.cubes(q)]
         incident = {v: bytearray(len(cube_corners) // 8 + 1) for v in self._verts}
         for g, corners in enumerate(cube_corners):
             for v in corners:

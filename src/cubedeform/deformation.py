@@ -89,7 +89,6 @@ __all__ = [
     "d_t_pairing_limit",
     "deformation_weights",
     "gram_matrix",
-    "oriented_pair_distance",
     "pair_blocks",
     "pairing_limit",
     "pairing_polynomial",
@@ -138,18 +137,6 @@ def deformation_weights(cplx: CubeComplex, t: float) -> list[float]:
         1.0 + slope * cplx.dist_hyperplane_to_base(h)
         for h in range(cplx.n_hyperplanes)
     ]
-
-
-def oriented_pair_distance(d1: OrientedCube, d2: OrientedCube) -> int | float:
-    """Separating-hyperplane count for compatibly oriented parallel cubes.
-
-    Canonical representatives of parallel cubes are always compatibly
-    oriented, so compatibility reduces to the signs agreeing; anything
-    else is infinitely far apart.
-    """
-    if d1.cube.cutting != d2.cube.cutting or d1.sign != d2.sign:
-        return INF
-    return (d1.cube.anchor ^ d2.cube.anchor).bit_count()
 
 
 # -- parallelism-class geometry ------------------------------------------------------
@@ -568,7 +555,7 @@ def u_t_matrix(cplx: CubeComplex, q: int, t: float,
     applied to the member itself.  ``class_bases`` optionally overrides
     that root cube per determining set.
     """
-    n = len(cplx.cubes(q))
+    n = len(cplx.cube_arrays(q).keys)
     return _scatter(np.zeros((n, n)), (
         (blks.cols, blks.frame) for blks in class_blocks(cplx, q, t, class_bases)))
 
@@ -610,7 +597,7 @@ def gram_matrix(cplx: CubeComplex, q: int, t: float) -> np.ndarray:
     across classes; the identity at t = infinity.
     """
     powers = _gram_powers(cplx, t)
-    n = len(cplx.cubes(q))
+    n = len(cplx.cube_arrays(q).keys)
     return _scatter(np.zeros((n, n)), (
         (group.cols, powers[group.dist]) for group in _frame_groups(cplx, q)))
 
@@ -1004,7 +991,7 @@ def w_hat_matrix(cplx: CubeComplex, q: int, target_vertex: int, source_vertex: i
     crossing move from the member nearest ``source_vertex`` to the member
     nearest ``target_vertex``.
     """
-    n = len(cplx.cubes(q))
+    n = len(cplx.cube_arrays(q).keys)
     out = np.identity(n, dtype=object if _is_exact(ab) else np.float64)
     return _scatter(out, w_hat_blocks(cplx, q, target_vertex, source_vertex, t, ab))
 

@@ -340,7 +340,8 @@ def _matrix(cplx: CubeComplex, q: int, raising: bool, weights: Weights) -> np.nd
     if weights is not None:
         w = np.asarray(weight_vector(cplx, weights), dtype=np.float64)
         values = values * w[terms[:, 2]]
-    out = np.zeros((len(cplx.cubes(rows_q)), len(cplx.cubes(q))), dtype=values.dtype)
+    out = np.zeros((len(cplx.cube_arrays(rows_q).keys), len(cplx.cube_arrays(q).keys)),
+                   dtype=values.dtype)
     out[terms[:, 0], terms[:, 1]] = values
     return out
 
@@ -403,5 +404,5 @@ def cohomology_ranks(cplx: CubeComplex, weights: Weights = None) -> tuple[int, .
     dim = cplx.dimension
     ranks = [numerical_rank(d_matrix(cplx, q, weights)) for q in range(-1, dim + 1)]
     return tuple(
-        len(cplx.cubes(q)) - ranks[q + 1] - ranks[q]
+        len(cplx.cube_arrays(q).keys) - ranks[q + 1] - ranks[q]
         for q in range(dim + 1))

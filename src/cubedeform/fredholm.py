@@ -69,7 +69,7 @@ __all__ = [
 def graded_offsets(cplx: CubeComplex) -> tuple[int, ...]:
     offs = [0]
     for q in range(cplx.dimension + 1):
-        offs.append(offs[-1] + len(cplx.cubes(q)))
+        offs.append(offs[-1] + len(cplx.cube_arrays(q).keys))
     return tuple(offs)
 
 

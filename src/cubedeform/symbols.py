@@ -197,27 +197,24 @@ def symbol_of_pair(cplx: CubeComplex, pair: CubePair, orientation: OrientedCube)
 
 
 def ps_basis(cplx: CubeComplex, q: int) -> tuple[PSSymbol, ...]:
-    """Canonical degree-q symbols, type-p blocks contiguous and ascending."""
-    if q < 0:
-        return ()
-
+    """Canonical degree-q symbols, type-p blocks contiguous and ascending:
+    a view of ``symbol_arrays(q)``, made on first use and cached."""
     def build():
-        syms = []
-        for klass in enumerate_classes(cplx):
-            t = klass.determining
-            if len(t) < q:
-                continue
-            r = canonical_symbol_vertex(cplx, t)
-            for k in combinations(t, q):
-                h = tuple(x for x in t if x not in k)
-                syms.append(PSSymbol(h, k, r, 1))
-        return tuple(sorted(syms, key=lambda s: (len(s.h_set), s.h_set, s.k_list)))
+        rows = symbol_arrays(cplx, q)
+        h = np.nonzero(rows.h)[1].tolist()
+        k = np.nonzero(rows.k)[1].reshape(len(rows.keys), max(q, 0)).tolist()
+        out, start = [], 0
+        for end, k_row in zip(np.cumsum(rows.p).tolist(), k):
+            hs, ks = tuple(h[start:end]), tuple(k_row)
+            out.append(PSSymbol(hs, ks, canonical_symbol_vertex(cplx, hs + ks), 1))
+            start = end
+        return tuple(out)
 
     return cplx.cached(("ps_basis", q), build)
 
 
 def ps_dimension(cplx: CubeComplex, q: int) -> int:
-    return len(ps_basis(cplx, q))
+    return len(symbol_arrays(cplx, q).keys)
 
 
 def symbol_arrays(cplx: CubeComplex, q: int) -> SymbolArrays:

@@ -29,7 +29,7 @@ from cubedeform import (
     random_median_complex,
     star_tree,
 )
-from cubedeform.core import Cube
+from cubedeform.core import Cube, CubeArrays
 from cubedeform.deformation import (
     basic_cochain,
     class_blocks,
@@ -62,6 +62,7 @@ from cubedeform.parallelism import (
 )
 from cubedeform.symbols import (
     PSSymbol,
+    canonical_symbol_vertex,
     ps_basis,
     ps_d_symbol,
     symbol_from_raw,
@@ -99,12 +100,19 @@ def fixture(name: str) -> CubeComplex:
         return star_tree(70)
     if name == "path70":
         return grid_complex([70])
+    if name == "star200":
+        return star_tree(200)
     raise KeyError(name)
 
 
 # the complexes every term table is checked on against its per-term oracle
 TABLE_CASES = (FIXTURE_NAMES + MORE_FIXTURE_NAMES + WIDE_FIXTURE_NAMES
                + tuple("random%d" % s for s in range(4)))
+
+
+# the complexes the cube levels and the symbol basis are checked on against
+# their construction oracles: the widest keys come from the 200-leaf star
+BASIS_CASES = TABLE_CASES + ("star200",)
 
 
 def table_case(name: str) -> CubeComplex:
@@ -127,6 +135,62 @@ def random_complexes(count: int) -> list[CubeComplex]:
 
 
 # -- independent oracles ---------------------------------------------------------
+
+
+def oracle_levels(cplx: CubeComplex) -> tuple[tuple[Cube, ...], ...]:
+    """Every degree's cubes by a walk over sets of (anchor, cutting) tuples:
+    (a, C + (h,)) for each q-cube (a, C) and each h > max C on the 0 side
+    of a whose translate (a + h, C) is a q-cube, sorted per degree."""
+    levels = [tuple(Cube(v, ()) for v in cplx.vertices)]
+    cur = {(v, ()) for v in cplx.vertices}
+    while cur:
+        nxt = set()
+        for anchor, cutting in cur:
+            lo = cutting[-1] + 1 if cutting else 0
+            for h in range(lo, cplx.n_hyperplanes):
+                m = cplx.mask(h)
+                if not anchor & m and (anchor ^ m, cutting) in cur:
+                    nxt.add((anchor, cutting + (h,)))
+        if nxt:
+            levels.append(tuple(Cube(a, c) for a, c in sorted(nxt)))
+        cur = nxt
+    return tuple(levels)
+
+
+def oracle_cube_arrays(cplx: CubeComplex, cubes: tuple[Cube, ...]) -> CubeArrays:
+    """``CubeArrays`` of ``cubes`` one cube at a time: bits from the
+    bitstrings, keys the integer anchor-then-complement packed into bytes."""
+    n, count = cplx.n_hyperplanes, len(cubes)
+    width = max(1, (2 * n + 7) // 8)
+    anchor = [[int(b) for b in cplx.vertex_bits(c.anchor)] for c in cubes]
+    cutting = [[int(h in c.cutting) for h in range(n)] for c in cubes]
+    full = (1 << n) - 1
+    keys = [((c.anchor << n | full ^ cplx.mask_of(c.cutting)) << (8 * width - 2 * n))
+            .to_bytes(width, "big") for c in cubes]
+    return CubeArrays(np.array(anchor, dtype=np.uint8).reshape(count, n),
+                      np.array(cutting, dtype=np.uint8).reshape(count, n),
+                      np.array(keys, dtype="V%d" % width))
+
+
+def oracle_crossing(cplx: CubeComplex, levels: tuple[tuple[Cube, ...], ...]) -> np.ndarray:
+    """Hyperplane pairs cutting a common square, one square at a time."""
+    out = np.zeros((cplx.n_hyperplanes,) * 2, dtype=bool)
+    for square in levels[2] if len(levels) > 2 else ():
+        a, b = square.cutting
+        out[a, b] = out[b, a] = True
+    return out
+
+
+def oracle_ps_basis(cplx: CubeComplex, q: int) -> tuple[PSSymbol, ...]:
+    """Canonical degree-q symbols one class and one q-subset at a time,
+    sorted by (p, h, k)."""
+    syms = []
+    for klass in enumerate_classes(cplx) if q >= 0 else ():
+        t = klass.determining
+        r = canonical_symbol_vertex(cplx, t)
+        for k in combinations(t, q):
+            syms.append(PSSymbol(tuple(x for x in t if x not in k), k, r, 1))
+    return tuple(sorted(syms, key=lambda s: (len(s.h_set), s.h_set, s.k_list)))
 
 
 class SpectralProfile(NamedTuple):

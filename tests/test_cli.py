@@ -624,6 +624,17 @@ def test_a_negated_term_on_a_late_hyperplane_shows(q, raising, monkeypatch):
     assert dense_jv(cplx, hyperplanes=6)["wedge_hook_antisymmetry"] == 0
 
 
+def test_check_jv_and_fredholm_make_no_cube_tuples(grid_file, monkeypatch, capsys):
+    # both read only the cube rows; check parallel, which needs the classes, does not
+    loaded, load = [], cli._load_complex
+    monkeypatch.setattr(cli, "_load_complex", lambda *a: loaded.append(load(*a)) or loaded[-1])
+    for suite in ("jv", "fredholm", "parallel"):
+        code, _ = run(["check", suite, "--input", grid_file], capsys)
+        assert code == 0
+        made = [key for key in loaded[-1]._shared if isinstance(key, tuple) and key[0] == "cubes"]
+        assert bool(made) == (suite == "parallel")
+
+
 def test_check_jv_and_ps_form_no_dense_operator(tmp_path, monkeypatch, capsys):
     paths = []
     for name in helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES:
@@ -1002,6 +1013,7 @@ def test_unwritable_out_is_a_usage_error_before_any_work(argv, tmp_path, capsys,
     (["sweep", "--input", "{doc}", "--t", "0,1"], "cubedeform sweep"),
     (["validate", "--input", "{doc}.missing"], "cubedeform validate"),
     (["gen", "grid", "--dims", "2x0"], "cubedeform gen grid"),
+    (["gen", "tree", "--leaves", "3", "--seed", "9"], "cubedeform gen tree"),
 ))
 def test_usage_errors_name_the_subcommand(argv, usage, tmp_path, capsys):
     doc = tmp_path / "c2.cxc"

@@ -3,13 +3,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubedeform.core as core
 import helpers
-from cubedeform import grid_complex, star_tree
+from cubedeform import grid_complex, random_median_complex, star_tree
 from cubedeform.core import (
     Cube,
     CubeComplex,
@@ -268,14 +269,7 @@ def test_bits_round_trip(name):
     for v in cplx.vertices:
         bits = cplx.vertex_bits(v)
         assert len(bits) == cplx.n_hyperplanes
-        assert cplx.vertex_from_bits(bits) == v
-
-
-def test_vertex_from_bits_rejects_bad_input(square):
-    with pytest.raises(ValueError):
-        square.vertex_from_bits("0")
-    with pytest.raises(ValueError):
-        square.vertex_from_bits("0x")
+        assert int(bits or "0", 2) == v
 
 
 def test_mask_of_and_inverse(cube3):
@@ -308,8 +302,8 @@ def test_separates_counts_geodesic_edges(grid12):
     for u in grid12.vertices:
         for v in grid12.vertices:
             separating = sum(
-                1 for h in range(grid12.n_hyperplanes) if grid12.separates(h, u, v))
-            assert separating == grid12.distance(u, v)
+                1 for h in range(grid12.n_hyperplanes) if (u ^ v) & grid12.mask(h))
+            assert separating == helpers.bfs_distance(grid12, u, v)
 
 
 def test_vertices_adjacent_to(square, tripod):
@@ -337,6 +331,38 @@ def test_cubes_match_exhaustive_scan_random(seed):
     cplx = helpers.random_complex(seed)
     for q in range(cplx.dimension + 1):
         assert set(cplx.cubes(q)) == helpers.brute_force_cubes(cplx, q)
+
+
+def _assert_levels_match(cplx):
+    levels = helpers.oracle_levels(cplx)
+    assert cplx.dimension == len(levels) - 1
+    assert cplx.n_cubes() == sum(map(len, levels))
+    for q in range(-1, len(levels) + 1):
+        cubes = levels[q] if 0 <= q < len(levels) else ()
+        assert cplx.cubes(q) == cubes
+        got = cplx.cube_arrays(q)
+        for a, b in zip(got, helpers.oracle_cube_arrays(cplx, cubes)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        keys = got.keys.tolist()
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert np.array_equal(cplx.crossing_matrix(), helpers.oracle_crossing(cplx, levels))
+
+
+@pytest.mark.parametrize("name", helpers.BASIS_CASES)
+def test_levels_match_the_tuple_walk(name):
+    cplx = helpers.table_case(name)
+    # built afresh at another base vertex, then that copy rebased back
+    fresh = CubeComplex(cplx.n_hyperplanes, cplx.vertices, cplx.vertices[-1])
+    _assert_levels_match(fresh)
+    _assert_levels_match(fresh.rebased(cplx.base_vertex))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 7), k=st.integers(1, 6), seed=st.integers(0, 2 ** 16),
+       pick=st.integers(0, 2 ** 16))
+def test_levels_match_the_tuple_walk_on_drawn_complexes(n, k, seed, pick):
+    cplx = random_median_complex(n, k, seed)
+    _assert_levels_match(cplx.rebased(cplx.vertices[pick % cplx.n_vertices]))
 
 
 def test_cube_counts_on_fixtures():
@@ -391,13 +417,6 @@ def test_cube_vertices_enumerates_corners(cube3):
     assert sorted(cube3.cube_vertices(edge)) == [0b000, 0b010]
 
 
-def test_cube_side(square):
-    edge = Cube(0b10, (1,))
-    assert square.cube_side(edge, 0) == 1
-    with pytest.raises(ValueError):
-        square.cube_side(edge, 1)
-
-
 def test_adjacent_cube(square, grid12):
     assert square.adjacent_cube(Cube(0b00, (0,)), 1)
     assert not square.adjacent_cube(Cube(0b00, (0,)), 0)
@@ -428,14 +447,12 @@ def test_crossing_iff_shared_square(cube3):
 def test_helly_property_holds_everywhere():
     # pairwise-crossing families span a cube on every fixture and random complex
     for cplx in helpers.all_fixtures() + helpers.random_complexes(5):
-        n = cplx.n_hyperplanes
+        n, cross = cplx.n_hyperplanes, cplx.crossing_matrix()
         for r in range(1, min(n, 4) + 1):
+            realized = {c.cutting for c in cplx.cubes(r)}
             for hs in itertools.combinations(range(n), r):
-                assert cplx.helly_check(hs)
-
-
-def test_helly_check_vacuous_for_non_crossing(tripod):
-    assert tripod.helly_check((0, 1))
+                if all(cross[a, b] for a, b in itertools.combinations(hs, 2)):
+                    assert hs in realized
 
 
 # -- cube/vertex distance -------------------------------------------------------------
@@ -500,28 +517,6 @@ def test_normal_cube_path_random(seed):
     rng = random.Random(seed + 100)
     for _ in range(25):
         _check_path(cplx, rng.choice(cplx.vertices), rng.choice(cplx.vertices))
-
-
-# -- finite approximation ----------------------------------------------------------------
-
-
-def test_finite_approximation_grid():
-    cplx = helpers.fixture("grid12")
-    near = cplx.finite_approximation(1)
-    # only hyperplanes touching the base vertex survive at radius 1
-    kept = [h for h in range(cplx.n_hyperplanes)
-            if cplx.dist_hyperplane_to_base(h) < 1]
-    assert near.n_hyperplanes == len(kept)
-    assert near.base_vertex == 0
-    big = cplx.finite_approximation(10)
-    assert big.n_hyperplanes == cplx.n_hyperplanes
-    assert big.vertices == cplx.vertices
-
-
-def test_finite_approximation_radius_zero_is_a_point(cube3):
-    tiny = cube3.finite_approximation(0)
-    assert tiny.n_vertices == 1
-    assert tiny.n_hyperplanes == 0
 
 
 def test_dist_hyperplane_to_base(grid12):

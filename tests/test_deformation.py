@@ -22,7 +22,6 @@ from cubedeform.deformation import (
     d_t_pairing_limit,
     deformation_weights,
     gram_matrix,
-    oriented_pair_distance,
     pairing_limit,
     pairing_polynomial,
     pairing_sweep,
@@ -82,15 +81,6 @@ def test_deformation_weights(grid12):
     assert deformation_weights(grid12, 7.0) == deformation_weights(grid12, INF)
     with pytest.raises(ValueError):
         deformation_weights(grid12, 0.0)
-
-
-def test_oriented_pair_distance():
-    e1 = OrientedCube(Cube(0b00, (0,)), 1)
-    e2 = OrientedCube(Cube(0b01, (0,)), 1)
-    assert oriented_pair_distance(e1, e2) == 1
-    assert oriented_pair_distance(e1, e1) == 0
-    assert oriented_pair_distance(e1, e2.reversed()) == INF
-    assert oriented_pair_distance(e1, OrientedCube(Cube(0b00, (1,)), 1)) == INF
 
 
 # -- crossing moves ------------------------------------------------------------------

@@ -314,9 +314,9 @@ def test_term_tables_match_the_oracle_on_drawn_complexes(n, k, seed, pick):
 def test_a_face_missing_from_the_cube_arrays_raises(square):
     # a fresh copy, so the doctored arrays reach no other test
     cplx = CubeComplex(square.n_hyperplanes, square.vertices, square.base_vertex)
-    arrays = cplx.cube_arrays(0)
+    levels = tuple(cplx.cube_arrays(q) for q in range(cplx.dimension + 1))
     # hooks land on the far side from the base 00, so drop the far corner 11
-    cplx._shared[("cube_arrays", 0)] = type(arrays)(*(a[:-1] for a in arrays))
+    cplx._shared["levels"] = (type(levels[0])(*(a[:-1] for a in levels[0])),) + levels[1:]
     with pytest.raises(ValueError, match="is not a cube"):
         term_table(cplx, 1, False)
 

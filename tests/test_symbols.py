@@ -313,6 +313,28 @@ def test_symbol_tables_match_the_oracle_on_drawn_complexes(n, k, seed):
     _assert_symbol_tables_match(random_median_complex(n, k, seed))
 
 
+def _assert_basis_matches(cplx):
+    for q in range(-1, cplx.dimension + 2):
+        assert ps_basis(cplx, q) == helpers.oracle_ps_basis(cplx, q)
+
+
+@pytest.mark.parametrize("name", helpers.BASIS_CASES)
+def test_basis_matches_the_per_class_construction(name):
+    cplx = helpers.table_case(name)
+    # built afresh at another base vertex, then that copy rebased back
+    fresh = CubeComplex(cplx.n_hyperplanes, cplx.vertices, cplx.vertices[-1])
+    _assert_basis_matches(fresh)
+    _assert_basis_matches(fresh.rebased(cplx.base_vertex))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 7), k=st.integers(1, 6), seed=st.integers(0, 2 ** 16),
+       pick=st.integers(0, 2 ** 16))
+def test_basis_matches_the_construction_on_drawn_complexes(n, k, seed, pick):
+    cplx = random_median_complex(n, k, seed)
+    _assert_basis_matches(cplx.rebased(cplx.vertices[pick % cplx.n_vertices]))
+
+
 def test_a_symbol_missing_from_the_arrays_raises(square):
     # a fresh copy, so the doctored arrays reach no other test
     cplx = CubeComplex(square.n_hyperplanes, square.vertices, square.base_vertex)
