@@ -483,11 +483,8 @@ def _suite_field(cplx, args):
                 below = d_t
             d_t = None
 
-    rng = np.random.default_rng(args.seed)
-    loops = 0.0
-    for t in loop_grid:
-        if t != INF:
-            loops = max(loops, random_loop_residual(cplx, rng, t))
+    loops = random_loop_residual(cplx, np.random.default_rng(args.seed),
+                                 [t for t in loop_grid if t != INF])
 
     unitary = 0.0
     neighbor = base_neighbor(cplx)

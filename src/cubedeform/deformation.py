@@ -65,7 +65,7 @@ from .parallelism import (
     class_of,
     enumerate_classes,
     member_bits,
-    nearest_in_class,
+    nearest_in_classes,
     nearest_members,
 )
 from .symbols import (
@@ -153,13 +153,15 @@ class _ClassGeom:
     Each crossing move, keyed by (H, source side) in ``move_key``, is row k
     of ``perm`` and ``sign``: on rows indexed by members it maps X to
     B X + A X[perm[k]], with B = b where ``sign[k]`` is nonzero and 1
-    elsewhere, and A = a sign[k].  Row 0 is the identity move.  ``adj[i]``
-    lists (neighbor j, key of the move from i to j, key of the move back)
-    in ascending neighbor order.
+    elsewhere, and A = a sign[k].  Row 0 is the identity move.
+    ``steps[i]`` lists (neighbor j, key of the move from i to j) in
+    ascending neighbor order.  The same neighbors fill row i of ``nbr``,
+    padded with m, and the keys of the moves from them back to i the same
+    row of ``back``, padded with 0.
     """
 
-    __slots__ = ("klass", "members", "index", "cols", "adj", "move_key", "perm", "sign",
-                 "_trees")
+    __slots__ = ("klass", "members", "index", "cols", "steps", "nbr", "back", "move_key",
+                 "perm", "sign")
 
     def __init__(self, cplx: CubeComplex, klass: ParallelClass):
         self.klass = klass
@@ -186,7 +188,8 @@ class _ClassGeom:
         self.move_key: dict[tuple[int, int], int] = {}
         self.perm = np.tile(np.arange(m), (2 * len(pairs_by_h) + 1, 1))
         self.sign = np.zeros(self.perm.shape, dtype=np.int8)
-        self.adj: list[list[tuple[int, int, int]]] = [[] for _ in self.members]
+        # (member, neighbor, key of the move there, key of the move back)
+        edges = [np.empty((0, 4), dtype=np.intp)]
         for h, pairs in pairs_by_h.items():
             lo, hi = np.array(pairs).T
             for side, (u, v) in enumerate(((lo, hi), (hi, lo))):
@@ -194,59 +197,76 @@ class _ClassGeom:
                 self.perm[k, u], self.perm[k, v] = v, u
                 self.sign[k, u], self.sign[k, v] = -1, 1
             up, down = self.move_key[h, 0], self.move_key[h, 1]
-            for i, j in pairs:
-                self.adj[i].append((j, up, down))
-                self.adj[j].append((i, down, up))
-        for lst in self.adj:
-            lst.sort()
-        self._trees: dict[int, list] = {}
-
-    def tree(self, root: int, trees: dict | None = None) -> list:
-        """Breadth-first parent table rooted at ``root``, kept in ``trees``
-        (by default the class's own store).
-
-        Entry i is (parent index, key of the move from member i to its
-        parent) or None at the root.  Neighbors are taken first-in-first-out
-        in ascending anchor order, so the table and every path drawn from it
-        are deterministic.
-        """
-        trees = self._trees if trees is None else trees
-        got = trees.get(root)
-        if got is None:
-            got = [None] * len(self.members)
-            seen = {root}
-            queue = [root]
-            for i in queue:
-                for j, _, back in self.adj[i]:
-                    if j not in seen:
-                        seen.add(j)
-                        got[j] = (i, back)
-                        queue.append(j)
-            if len(seen) != len(self.members):
-                raise AssertionError("parallelism class is not connected")
-            trees[root] = got
-        return got
-
-    def path_keys(self, root: int, start: int, trees: dict | None = None) -> list[int]:
-        """Move keys of the tree path from ``start`` up to ``root``."""
-        parents = self.tree(root, trees)
-        keys = []
-        while start != root:
-            start, key = parents[start]
-            keys.append(key)
-        return keys
-
-    def root_paths(self, root: int) -> np.ndarray:
-        """Row i: the move keys from member i up to ``root``, padded with 0."""
-        return _padded([self.path_keys(root, i) for i in range(len(self.members))])
+            edges += [np.stack((lo, hi, np.full(len(lo), up), np.full(len(lo), down)), axis=1),
+                      np.stack((hi, lo, np.full(len(lo), down), np.full(len(lo), up)), axis=1)]
+        edges = np.concatenate(edges)
+        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+        degree = np.bincount(edges[:, 0], minlength=m)
+        slot = np.arange(len(edges)) - np.repeat(np.cumsum(degree) - degree, degree)
+        self.nbr = np.full((m, max(degree, default=0)), m)
+        self.back = np.zeros(self.nbr.shape, dtype=np.intp)
+        self.nbr[edges[:, 0], slot], self.back[edges[:, 0], slot] = edges[:, 1], edges[:, 3]
+        self.steps = [[] for _ in range(m)]
+        for i, j, key in edges[:, :3].tolist():
+            self.steps[i].append((j, key))
 
 
-def _padded(rows: list[list[int]]) -> np.ndarray:
-    """Key lists as one matrix, padded with the identity key 0."""
-    out = np.zeros((len(rows), max(map(len, rows))), dtype=np.intp)
-    for row, keys in zip(out, rows):
-        row[:len(keys)] = keys
-    return out
+def _bfs_tables(geoms: list, cls: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first trees of classes of one size m, one per (class, root) pair.
+
+    Row r of the (R, m) tables is the tree of class ``geoms[cls[r]]``
+    rooted at member ``roots[r]``: each member's parent and the key of the
+    move from it to its parent (the root is its own parent, key 0).  All
+    trees grow one level per step, each level in queue order: the
+    neighbors of every member of the last level, in its order and each
+    member's in ascending order, keep their first appearance.  That is
+    the tree of a first-in-first-out search.
+    """
+    m = len(geoms[0].members)
+    width = max(geom.nbr.shape[1] for geom in geoms)
+    nbr = np.full((len(geoms), m, width), m)
+    back = np.zeros(nbr.shape, dtype=np.intp)
+    for c, geom in enumerate(geoms):
+        nbr[c, :, :geom.nbr.shape[1]], back[c, :, :geom.nbr.shape[1]] = geom.nbr, geom.back
+    n = len(roots)
+    parent = np.tile(np.arange(m), (n, 1))
+    key = np.zeros((n, m), dtype=np.intp)
+    seen = np.zeros((n, m + 1), dtype=bool)
+    seen[:, m] = True
+    level = (np.arange(n), np.asarray(roots))  # (tree, member), in queue order
+    seen[level] = True
+    while len(level[0]):
+        tree, member = level
+        near = nbr[cls[tree], member]
+        tree = np.repeat(tree, width)
+        fresh = ~seen[tree, near.ravel()]
+        tree, up = tree[fresh], np.repeat(member, width)[fresh]
+        slot = np.flatnonzero(fresh)
+        member, moved = near.ravel()[slot], back[cls[tree], up, slot % width]
+        first = np.sort(np.unique(tree * m + member, return_index=True)[1])
+        level = tree[first], member[first]
+        parent[level], key[level] = up[first], moved[first]
+        seen[level] = True
+    if not seen.all():
+        raise AssertionError("parallelism class is not connected")
+    return parent, key
+
+
+def _tree_paths(geoms: list, cls, roots, starts) -> np.ndarray:
+    """Row i: the move keys of the breadth-first tree path from member
+    ``starts[i]`` of class ``geoms[cls[i]]`` up to member ``roots[i]``,
+    padded with the identity key 0.  Classes are of one size; each
+    (class, root) pair grows one tree."""
+    m = len(geoms[0].members)
+    trees, tree = np.unique(np.asarray(cls) * m + roots, return_inverse=True)
+    parent, key = _bfs_tables(geoms, trees // m, trees % m)
+    node, out = np.asarray(starts), []
+    while True:
+        step = key[tree, node]
+        if not step.any():
+            return np.stack(out, axis=1) if out else np.zeros((len(node), 0), dtype=np.intp)
+        out.append(step)
+        node = parent[tree, node]
 
 
 def _class_geom(cplx: CubeComplex, klass: ParallelClass) -> _ClassGeom:
@@ -261,32 +281,26 @@ def _degree_geoms(cplx: CubeComplex, q: int):
 
 
 def _by_size(items) -> list[list]:
-    """Group (class geometry, payload) items by class size, in first-seen order."""
+    """Group (class or class geometry, payload) items by class size, in first-seen order."""
     groups: dict[int, list] = {}
     for item in items:
         groups.setdefault(len(item[0].members), []).append(item)
     return list(groups.values())
 
 
-def _stacked_moves(items: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stacked_moves(geoms: list, cls: np.ndarray,
+                   keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One move table for classes of one size, and every slice's keys in it.
 
-    ``items`` pairs class geometries with key matrices, one row of move
-    keys per slice (0, the identity, pads).  Returns the stacked ``perm``
-    and ``sign`` tables and the slices' keys shifted into them, padded
-    with each class's own identity row.
+    Row i of ``keys`` holds the move keys of a slice of class
+    ``geoms[cls[i]]`` (0, the identity, pads).  Returns the stacked
+    ``perm`` and ``sign`` tables and the keys shifted into them, so the
+    padding is each class's own identity row.
     """
-    perm = np.concatenate([geom.perm for geom, _ in items])
-    sign = np.concatenate([geom.sign for geom, _ in items])
-    keys = np.zeros((sum(len(k) for _, k in items),
-                     max(k.shape[1] for _, k in items)), dtype=np.intp)
-    row = base = 0
-    for geom, k in items:
-        keys[row:row + len(k)] = base
-        keys[row:row + len(k), :k.shape[1]] += k
-        row += len(k)
-        base += len(geom.perm)
-    return perm, sign, keys
+    base = np.cumsum([0] + [len(geom.perm) for geom in geoms[:-1]])
+    return (np.concatenate([geom.perm for geom in geoms]),
+            np.concatenate([geom.sign for geom in geoms]),
+            keys + base[cls][:, None])
 
 
 def _rotate(stack: np.ndarray, perm: np.ndarray, sign: np.ndarray, ab: tuple,
@@ -298,11 +312,12 @@ def _rotate(stack: np.ndarray, perm: np.ndarray, sign: np.ndarray, ab: tuple,
     step of every slice is one gather and two scalings.  Row u of a slice
     becomes b X[u] - a X[v] and its partner v becomes a X[u] + b X[v],
     each product rounded once as in the 2x2 block form; rows outside the
-    move's pairs are kept.
+    move's pairs are kept.  ``ab`` holds two scalars, or without ``keys``
+    two float arrays (slices, 1, 1), one (a, b) per slice.
     """
     a, b = ab
     moving = sign.any(axis=-1)
-    if not isinstance(a, float):
+    if not isinstance(a, (float, np.ndarray)):  # exact scalars
         sign = sign.astype(object)
     scale_b, scale_a = np.where(sign != 0, b, 1), a * sign
     if keys is None:
@@ -336,8 +351,7 @@ def _is_exact(ab: tuple | None) -> bool:
     return ab is not None and not isinstance(ab[0], float)
 
 
-def _moves_block(geom: _ClassGeom, keys: list[int], ab: tuple,
-                 exact: bool) -> np.ndarray:
+def _moves_block(geom: _ClassGeom, keys, ab: tuple, exact: bool) -> np.ndarray:
     """The class's moves ``keys``, in order, applied to the identity."""
     out = np.identity(len(geom.members), dtype=object if exact else np.float64)
     _rotate(out[None], geom.perm, geom.sign, ab, np.array([keys], dtype=np.intp))
@@ -361,7 +375,7 @@ def w_path_matrix(cplx: CubeComplex, target: Cube, source: Cube,
     if target.cutting != source.cutting:
         raise ValueError("cubes %r and %r are not parallel" % (target, source))
     geom = _class_geom(cplx, class_of(cplx, target.cutting))
-    keys = geom.path_keys(geom.index[target.anchor], geom.index[source.anchor])
+    (keys,) = _tree_paths([geom], [0], [geom.index[target.anchor]], [geom.index[source.anchor]])
     return _moves_block(geom, keys, _resolve_ab(t, ab), _is_exact(ab))
 
 
@@ -372,9 +386,10 @@ def _loop_blocks(moves: tuple):
     one loop per row of keys.  A loop's moves only mix members joined
     through the pairs the moves make, so its product is block diagonal on
     those sets and the identity on untouched members.  Yields, per set
-    size c >= 2, every such set's moves in local member order: (perm,
-    sign), each (sets, steps, c).  Members keep their class order, so the
-    block products are bit for bit those of the whole class.
+    size c >= 2, every such set's loop (its row of keys) and its moves in
+    local member order: (loop, perm, sign), the last two (sets, steps, c).
+    Members keep their class order, so the block products are bit for bit
+    those of the whole class.
     """
     perm, sign, keys = moves
     perm, sign = perm[keys], sign[keys]
@@ -385,6 +400,7 @@ def _loop_blocks(moves: tuple):
         before = label
         for step in range(n_steps):
             label = np.minimum(label, label[loops, perm[:, step]])
+        label = label[loops, label]  # a member's label is its label's label
         if np.array_equal(label, before):
             break
     flat = (label + loops * m).ravel()
@@ -396,80 +412,167 @@ def _loop_blocks(moves: tuple):
     for c in np.flatnonzero(np.bincount(size)[2:]) + 2:  # the set sizes c >= 2, ascending
         loop, member = np.divmod(order[start[size == c, None] + np.arange(c)], m)
         at = (loop[:, :1, None], np.arange(n_steps)[:, None], member[:, None, :])
-        yield int(c), local[loop[:, :1, None], perm[at]], sign[at]
+        local_perm = local[loop[:, :1, None], perm[at]].astype(np.min_scalar_type(c))
+        yield int(c), loop[:, 0], local_perm, sign[at]
 
 
-def random_loop_residual(cplx: CubeComplex, rng, t: float,
+_WORD = 1 << 32
+_LOW = _WORD - 1
+
+
+def _bounded(word, bound: int) -> int:
+    """numpy's bounded integer ``rng.integers(bound)``, replayed on the
+    generator's 32-bit words: ``word()`` is the next one.
+
+    A bound of 1 takes no word.  Any other bound b takes words w until the
+    low half of w b is at least (2^32 - b) mod b (Lemire's rejection; the
+    floor is only worked out when the low half is below b, which bounds
+    it) and returns the high half.
+    """
+    if bound == 1:
+        return 0
+    x = word() * bound
+    if x & _LOW < bound:
+        floor = (_WORD - bound) % bound
+        while x & _LOW < floor:
+            x = word() * bound
+    return x >> 32
+
+
+def _replayed(rng, size: int, draws):
+    """``draws(word)`` on a block of ``size`` 32-bit words of ``rng``,
+    ``word()`` giving the next one; the block doubles while it runs short.
+
+    The generator is then reset and advanced by the words used, so it ends
+    where the scalar calls that ``draws`` replays leave it.
+    """
+    state = rng.bit_generator.state
+    while True:
+        left = iter(rng.integers(0, _WORD, size=size, dtype=np.uint32).tolist())
+        try:
+            out = draws(left.__next__)
+            break
+        except StopIteration:
+            rng.bit_generator.state = state
+            size *= 2
+    rng.bit_generator.state = state
+    rng.integers(0, _WORD, size=size - len(list(left)), dtype=np.uint32)
+    return out
+
+
+def _walks(geom: _ClassGeom, rng, loops: int, walk_length: int) -> tuple:
+    """``loops`` random walks in one class: their starts, their ends and
+    the keys of their moves (loops, walk_length).
+
+    A walk draws its start among the members, then each next member among
+    the current one's neighbors in ascending order, as one scalar
+    ``rng.integers`` call per draw would, replayed by ``_bounded`` on one
+    block of words.
+    """
+    steps = geom.steps
+
+    def draws(word):
+        starts, ends, keys = [], [], []
+        for _ in range(loops):
+            cur = _bounded(word, len(steps))
+            starts.append(cur)
+            for _ in range(walk_length):
+                here = steps[cur]
+                if not here:
+                    raise AssertionError("parallelism class is not connected")
+                cur, key = here[_bounded(word, len(here))]
+                keys.append(key)
+            ends.append(cur)
+        return starts, ends, keys
+
+    # a bound far below 2^32 rarely rejects a word: a few spare words will do
+    starts, ends, keys = _replayed(rng, loops * (walk_length + 1) + 64, draws)
+    return (np.array(starts, dtype=np.intp), np.array(ends, dtype=np.intp),
+            np.array(keys, dtype=np.intp).reshape(loops, walk_length))
+
+
+# Elements of the largest float arrays that one chunk of loop blocks holds.
+_CHUNK = 1 << 21
+
+
+def random_loop_residual(cplx: CubeComplex, rng, ts: Iterable[float],
                          loops: int = 20, walk_length: int = 8) -> float:
     """Worst deviation from the identity over random closed member walks.
 
-    In every class of two or more members, each loop starts at a random
-    member, takes ``walk_length`` steps to random neighbors and returns to
-    the start along the tree path.  All walks are drawn first, class by
-    class in the order of the dense product they replace (start, then each
-    neighbor), so a seed picks the same loops.  A loop's product is block
-    diagonal on the member sets its moves mix, and its deviation is the
-    largest over those blocks: the blocks of all loops are stacked by size,
-    rotated move by move (longest first, so finished blocks drop out) and
-    share one batched singular-value call per size.
+    For each t of ``ts`` in turn, in every class of two or more members,
+    each loop starts at a random member, takes ``walk_length`` steps to
+    random neighbors and returns to the start along the breadth-first tree
+    path.  The walks are drawn class by class, start then each neighbor,
+    so a seed picks the same loops as one call per t.  A loop's product is
+    block diagonal on the member sets its moves mix, and its deviation is
+    the largest over those blocks: the blocks of all loops of every t are
+    stacked by size, rotated move by move, each with its own t (longest
+    first, so finished blocks drop out) and share one batched
+    singular-value call per size.
     """
-    draw = rng.integers
-    walks = []
-    for klass in enumerate_classes(cplx):
-        m = len(klass.members)
-        if m < 2:
-            continue
-        geom = _class_geom(cplx, klass)
-        adj = geom.adj
-        rows, trees = [], {}  # trees of random roots: kept for this class only
-        for _ in range(loops):
-            start = cur = int(draw(m))
-            keys = []
-            for _step in range(walk_length):
-                nbrs = adj[cur]
-                if not nbrs:
-                    break
-                cur, key, _ = nbrs[draw(len(nbrs))]
-                keys.append(key)
-            rows.append(keys + geom.path_keys(start, cur, trees))
-        walks.append((geom, _padded(rows)))
+    ts = list(ts)
+    if not ts:
+        return 0.0
+    geoms = [_class_geom(cplx, klass) for klass in enumerate_classes(cplx)
+             if len(klass.members) > 1]
+    walks = [[_walks(geom, rng, loops, walk_length) for geom in geoms] for _ in ts]
     blocks: dict[int, list] = {}
-    for same in _by_size(walks):
-        for c, perm, sign in _loop_blocks(_stacked_moves(same)):
-            blocks.setdefault(c, []).append((perm, sign))
-    ab = step_coefficients(t)
+    for same in _by_size((geom, i) for i, geom in enumerate(geoms)):
+        same_geoms = [geom for geom, _ in same]
+        picked = [walks[k][i] for k in range(len(ts)) for _, i in same]
+        starts, ends, steps = (np.concatenate(part) for part in zip(*picked))
+        cls = np.tile(np.repeat(np.arange(len(same)), loops), len(ts))
+        keys = np.concatenate([steps, _tree_paths(same_geoms, cls, starts, ends)], axis=1)
+        t_of = np.repeat(np.arange(len(ts)), len(same) * loops)
+        for c, loop, perm, sign in _loop_blocks(_stacked_moves(same_geoms, cls, keys)):
+            blocks.setdefault(c, []).append((t_of[loop], perm, sign))
+    coeffs = np.array([step_coefficients(t) for t in ts]).reshape(-1, 2)
     worst = 0.0
     for c, parts in blocks.items():
-        n = sum(len(p) for p, _ in parts)
-        width = max(p.shape[1] for p, _ in parts)
-        perm = np.tile(np.arange(c), (n, width, 1))  # padded with the identity
+        n = sum(len(p) for _, p, _ in parts)
+        width = max(p.shape[1] for _, p, _ in parts)
+        perm = np.tile(np.arange(c, dtype=parts[0][1].dtype), (n, width, 1))  # identity padding
         sign = np.zeros((n, width, c), dtype=np.int8)
         row = 0
-        for p, g in parts:
+        for _, p, g in parts:
             perm[row:row + len(p), :p.shape[1]] = p
             sign[row:row + len(p), :g.shape[1]] = g
             row += len(p)
         moving = sign.any(axis=2)
         longest_first = np.argsort(np.argmax(moving[:, ::-1], axis=1), kind="stable")
         perm, sign = perm[longest_first], sign[longest_first]
-        stack = np.tile(np.identity(c), (n, 1, 1))
-        _rotate(stack, perm, sign, ab)
+        ab = coeffs[np.concatenate([k for k, _, _ in parts])[longest_first]].T[:, :, None, None]
         diag = np.arange(c)
-        stack[:, diag, diag] -= 1.0
-        worst = max(worst, float(np.linalg.svd(stack, compute_uv=False).max()))
+        rows = max(1, _CHUNK // (c * max(c, width)))
+        for at in range(0, n, rows):  # in chunks: each block is rotated on its own
+            cut = slice(at, at + rows)
+            stack = np.tile(np.identity(c), (len(perm[cut]), 1, 1))
+            _rotate(stack, perm[cut], sign[cut], tuple(ab[:, cut]))
+            stack[:, diag, diag] -= 1.0
+            worst = max(worst, float(np.linalg.svd(stack, compute_uv=False).max()))
     return worst
 
 
-def _class_root(cplx: CubeComplex, klass: ParallelClass,
-                class_bases: dict | None) -> int:
-    geom = _class_geom(cplx, klass)
-    if class_bases is not None and klass.determining in class_bases:
-        home = class_bases[klass.determining]
-        if home.cutting != klass.determining or home.anchor not in geom.index:
+def _class_roots(cplx: CubeComplex, geoms: list, class_bases: dict | None) -> np.ndarray:
+    """The root member of each class of ``geoms``, all of one size.
+
+    A class's root is its ``class_bases`` cube when it has one, else its
+    member nearest the base vertex, found for all those classes by one
+    stacked product.
+    """
+    roots = np.empty(len(geoms), dtype=np.intp)
+    nearest = []
+    for i, geom in enumerate(geoms):
+        home = (class_bases or {}).get(geom.klass.determining)
+        if home is None:
+            nearest.append(i)
+        elif home.cutting != geom.klass.determining or home.anchor not in geom.index:
             raise ValueError("override cube %r is not a class member" % (home,))
-    else:
-        home = nearest_in_class(cplx, cplx.base_vertex, klass)
-    return geom.index[home.anchor]
+        else:
+            roots[i] = geom.index[home.anchor]
+    roots[nearest] = nearest_in_classes(cplx, cplx.base_vertex,
+                                        [geoms[i].klass for i in nearest])
+    return roots
 
 
 class _FrameGroup(NamedTuple):
@@ -494,14 +597,19 @@ def _frame_groups(cplx: CubeComplex, q: int,
     dist_type = np.min_scalar_type(cplx.n_hyperplanes)
 
     def build():
-        return [
-            _FrameGroup(np.array([geom.cols for geom, _ in same]),
-                        np.array([member_bits(cplx, geom.klass).separations().astype(dist_type)
-                                  for geom, _ in same]),
-                        *_stacked_moves(same))
-            for same in _by_size(
-                (geom, geom.root_paths(_class_root(cplx, klass, class_bases)))
-                for klass, geom in _degree_geoms(cplx, q))]
+        out = []
+        for same in _by_size(_degree_geoms(cplx, q)):
+            geoms = [geom for _, geom in same]
+            k, m = len(geoms), len(geoms[0].members)
+            cls = np.repeat(np.arange(k), m)
+            paths = _tree_paths(geoms, cls, np.repeat(_class_roots(cplx, geoms, class_bases), m),
+                                np.tile(np.arange(m), k))
+            out.append(_FrameGroup(
+                np.array([geom.cols for geom in geoms]),
+                np.array([member_bits(cplx, klass).separations().astype(dist_type)
+                          for klass, _ in same]),
+                *_stacked_moves(geoms, cls, paths)))
+        return out
 
     return build() if class_bases else cplx.cached(("frame_groups", q, cplx.base_vertex), build)
 
@@ -572,13 +680,11 @@ def u_t_apply(cplx: CubeComplex, cochain: dict, t: float | None = None,
     zero = a * 0
     out: dict[Cube, object] = {}
     for cube, coeff in cochain.items():
-        klass = class_of(cplx, cube.cutting)
-        geom = _class_geom(cplx, klass)
-        root = _class_root(cplx, klass, class_bases)
+        geom = _class_geom(cplx, class_of(cplx, cube.cutting))
         start = geom.index[cube.anchor]
         vec = np.full((1, len(geom.members)), zero, dtype=object)
         vec[0, start] = coeff + zero
-        keys = np.array([geom.path_keys(root, start)], dtype=np.intp)
+        keys = _tree_paths([geom], [0], _class_roots(cplx, [geom], class_bases), [start])
         _rotate(vec, geom.perm, geom.sign, (a, b), keys)
         for member, value in zip(geom.members, vec[0]):
             if value:
@@ -978,7 +1084,7 @@ def w_hat_blocks(cplx: CubeComplex, q: int, target_vertex: int, source_vertex: i
             raise AssertionError("nearest cube in class %s to an endpoint is not unique"
                                  % (list(klass.determining),))
         if near_t != near_s:
-            keys = geom.path_keys(near_t, near_s)
+            (keys,) = _tree_paths([geom], [0], [near_t], [near_s])
             out.append((geom.cols, _moves_block(geom, keys, ab, exact)))
     return out
 

@@ -7,7 +7,8 @@ nearest member, distances between members add along the way to that member,
 and the members themselves form a smaller median complex over the
 hyperplanes that cross the whole cutting set.  Nearest members and their
 checks come from one 0/1 matrix product per class over the members' bits,
-for any number of vertices at once.  The number of classes always
+for any number of vertices at once, or from one stacked product for one
+vertex and many classes of one size.  The number of classes always
 equals the number of vertices; the explicit bijection sends a vertex to the
 class of the first cube on its normal cube path toward the base vertex.
 """
@@ -29,6 +30,7 @@ __all__ = [
     "enumerate_classes",
     "member_bits",
     "nearest_in_class",
+    "nearest_in_classes",
     "nearest_members",
     "vertex_to_class_bijection",
 ]
@@ -172,6 +174,32 @@ def nearest_in_class(
             % (list(klass.determining), cplx.vertex_bits(vertex),
                " or not a gate" if verify else ""))
     return klass.members[best]
+
+
+def nearest_in_classes(
+    cplx: CubeComplex,
+    vertex: int,
+    classes: list[ParallelClass],
+) -> np.ndarray:
+    """Index of the member nearest ``vertex`` in each of ``classes``, all of one size.
+
+    ``nearest_in_class`` for many classes by one product of their stacked
+    member bits against the vertex; raises its AssertionError for the
+    first class whose nearest member is not unique.
+    """
+    if not classes:
+        return np.zeros(0, dtype=np.intp)
+    stacked = [member_bits(cplx, klass) for klass in classes]
+    vbits = bit_rows(cplx.n_hyperplanes, (vertex,)).astype(np.float64)[0]
+    dist = (np.array([mb.ones for mb in stacked])
+            - 2.0 * (np.array([mb.bits for mb in stacked]) @ vbits))
+    best = dist.argmin(axis=1)
+    failed = best != dist.shape[1] - 1 - dist[:, ::-1].argmin(axis=1)
+    if failed.any():
+        raise AssertionError(
+            "nearest cube in class %s to %s is not unique"
+            % (list(classes[int(failed.argmax())].determining), cplx.vertex_bits(vertex)))
+    return best
 
 
 def class_complex(cplx: CubeComplex, klass: ParallelClass) -> ClassComplex:

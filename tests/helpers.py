@@ -341,6 +341,74 @@ def oracle_unique_nearest(cplx: CubeComplex, vertex: int, klass: ParallelClass) 
     return best
 
 
+def _oracle_steps(cplx: CubeComplex, geom) -> list[list[tuple[int, int]]]:
+    """Per member: (neighbor, key of the move to it), ascending in the
+    neighbor, from the anchors (members at distance one) and ``move_key``."""
+    anchors = [m.anchor for m in geom.members]
+    out = []
+    for a in anchors:
+        row = []
+        for j, b in enumerate(anchors):
+            if (a ^ b).bit_count() == 1:
+                h = cplx.hyperplane_of_mask(a ^ b)
+                row.append((j, geom.move_key[h, 1 if a & cplx.mask(h) else 0]))
+        out.append(row)
+    return out
+
+
+def oracle_tree(cplx: CubeComplex, geom, root: int) -> list:
+    """The breadth-first tree of a class rooted at ``root``, one member at
+    a time off a first-in-first-out queue, neighbors in ascending order.
+
+    Entry i is (parent index, key of the move from member i to its
+    parent), or None at the root.
+    """
+    steps = _oracle_steps(cplx, geom)
+    out: list = [None] * len(steps)
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        i = queue.popleft()
+        for j, _ in steps[i]:
+            if j not in seen:
+                seen.add(j)
+                back = dict(steps[j])[i]
+                out[j] = (i, back)
+                queue.append(j)
+    assert len(seen) == len(steps)
+    return out
+
+
+def oracle_path_keys(tree: list, start: int) -> list[int]:
+    """Move keys of the ``oracle_tree`` path from ``start`` up to the root."""
+    keys = []
+    while tree[start] is not None:
+        start, key = tree[start]
+        keys.append(key)
+    return keys
+
+
+def oracle_walks(cplx: CubeComplex, geom, rng, loops: int = 20,
+                 walk_length: int = 8) -> tuple[list, list, list]:
+    """Random walks in a class by one scalar ``rng.integers`` call per
+    draw: (starts, ends, move keys per walk)."""
+    steps = _oracle_steps(cplx, geom)
+    starts, ends, keys = [], [], []
+    for _ in range(loops):
+        start = cur = int(rng.integers(len(steps)))
+        walk = []
+        for _step in range(walk_length):
+            nbrs = steps[cur]
+            if not nbrs:
+                break
+            cur, key = nbrs[int(rng.integers(len(nbrs)))]
+            walk.append(key)
+        starts.append(start)
+        ends.append(cur)
+        keys.append(walk)
+    return starts, ends, keys
+
+
 def random_loop_residual(cplx: CubeComplex, rng, t: float,
                          loops: int = 20, walk_length: int = 8) -> float:
     """Worst deviation from the identity over random closed member walks.

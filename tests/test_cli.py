@@ -4,6 +4,7 @@ import argparse
 import collections
 import contextlib
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -209,6 +210,34 @@ def test_check_deterministic(grid_file, capsys):
     _, first = run(argv, capsys)
     _, second = run(argv, capsys)
     assert first == second
+
+
+# sha256 of the `check field --seed s` reports, recorded from the code that
+# drew every walk step by its own `rng.integers` call and ran one loop pass
+# per t: the draws, the loops and every other residual are held to its bytes
+FIELD_REPORTS = {
+    ("cube", "--dim", "5"): {
+        0: "36d319b048e499c1b5bb7de5a42a5ae7b2db18d1194241dad846eca675330e79",
+        1: "27aefcd0cba29a0bea22c4fb33dc856b008e88d6cfc54d4ab28fd7118a3bc787",
+        7: "3482887ec16f6d25eae08220f61c4957c8a0d31fbc6abb0c785dea31e019da62",
+    },
+    ("grid", "--dims", "2x2x2x1"): {
+        0: "df9dbc6132de956eaa839d1fa4ea4cdc16968bd8fc67e281ebdf51c42947e093",
+        1: "05d7f44a37e5910041050ee85f774bc544bbb6b0e63e91f05ee5c1c0cf9475b7",
+        7: "5e817d73f83c73f09bd8e20090e6ae32201788566cca9215142e8e72cdea274d",
+    },
+}
+
+
+@pytest.mark.parametrize("gen", FIELD_REPORTS, ids=("cube5", "grid2221"))
+def test_check_field_reports_keep_their_bytes(gen, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    name = {"cube": "cube5.cxc", "grid": "grid2221.cxc"}[gen[0]]
+    assert run(["gen", *gen, "--out", name], capsys)[0] == 0
+    for seed, digest in FIELD_REPORTS[gen].items():
+        code, out = run(["check", "field", "--input", name, "--seed", str(seed)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
 
 
 def test_check_tol_override_forces_failure(grid_file, capsys):

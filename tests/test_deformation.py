@@ -673,16 +673,61 @@ def test_w_step_matches_entrywise_oracle(t, ab):
 
 
 def test_root_paths_rows_are_the_tree_paths():
+    # every member's path up to every root, read off the array trees, is
+    # the first-in-first-out tree's path, padded with the identity key 0
     for cplx in _block_complexes():
         for klass in enumerate_classes(cplx):
             geom = deformation._class_geom(cplx, klass)
-            for root in range(len(klass.members)):
-                paths = geom.root_paths(root)
-                keys = [geom.path_keys(root, i) for i in range(len(klass.members))]
+            m = len(klass.members)
+            for root in range(m):
+                paths = deformation._tree_paths([geom], np.zeros(m, dtype=int),
+                                                np.full(m, root), np.arange(m))
+                tree = helpers.oracle_tree(cplx, geom, root)
+                keys = [helpers.oracle_path_keys(tree, i) for i in range(m)]
                 assert paths.shape == (len(keys), max(map(len, keys)))
                 for row, path in zip(paths, keys):
                     assert list(row[:len(path)]) == path
                     assert not row[len(path):].any()
+
+
+def _assert_bfs_tables_are_the_fifo_tree(cplx, rng):
+    """The array trees of every class size, stacked over its classes with
+    random roots (each class at least once), against ``oracle_tree``."""
+    by_size = {}
+    for klass in enumerate_classes(cplx):
+        by_size.setdefault(len(klass.members), []).append(deformation._class_geom(cplx, klass))
+    for m, geoms in by_size.items():
+        cls = np.concatenate([np.arange(len(geoms)), rng.integers(len(geoms), size=5)])
+        roots = rng.integers(m, size=len(cls))
+        parent, key = deformation._bfs_tables(geoms, cls, roots)
+        for row, (c, root) in enumerate(zip(cls, roots)):
+            want = helpers.oracle_tree(cplx, geoms[c], root)
+            assert want[root] is None and parent[row, root] == root and key[row, root] == 0
+            for i, entry in enumerate(want):
+                if entry is not None:
+                    assert (parent[row, i], key[row, i]) == entry
+
+
+def test_bfs_tables_are_the_fifo_tree():
+    rng = np.random.default_rng(11)
+    for cplx in _block_complexes() + [helpers.fixture("path70")]:
+        _assert_bfs_tables_are_the_fifo_tree(cplx, rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), k=st.integers(1, 6), seed=st.integers(0, 1 << 16))
+def test_bfs_tables_are_the_fifo_tree_hypothesis(n, k, seed):
+    _assert_bfs_tables_are_the_fifo_tree(random_median_complex(n, k, seed),
+                                         np.random.default_rng(seed))
+
+
+def test_bfs_tables_refuse_a_disconnected_class():
+    geom = deformation._class_geom(hypercube(2), class_of(hypercube(2), ()))
+    cut = deformation._ClassGeom.__new__(deformation._ClassGeom)
+    cut.members, cut.nbr, cut.back = geom.members, geom.nbr.copy(), geom.back
+    cut.nbr[:, 1:] = len(geom.members)  # each member keeps only its first neighbor
+    with pytest.raises(AssertionError, match="not connected"):
+        deformation._bfs_tables([cut], np.zeros(1, dtype=int), np.zeros(1, dtype=int))
 
 
 @pytest.mark.parametrize("ab", (None, (Fraction(3, 5), Fraction(4, 5))))
@@ -749,9 +794,9 @@ def _class_head(blocks):
 def _loop_residuals(cplx, seed, t):
     """(block residual, dense residual, next draw after each) from one seed."""
     out = []
-    for residual in (random_loop_residual, helpers.random_loop_residual):
+    for residual, ts in ((random_loop_residual, (t,)), (helpers.random_loop_residual, t)):
         rng = np.random.default_rng(seed)
-        out.append((residual(cplx, rng, t), int(rng.integers(1 << 30))))
+        out.append((residual(cplx, rng, ts), int(rng.integers(1 << 30))))
     return out
 
 
@@ -778,8 +823,86 @@ def test_random_loop_residual_sees_a_sabotaged_move(determining):
     # one move of one class rotates the wrong way: whichever class it is,
     # and wherever its loops sit in the stack of that class size
     cplx = hypercube(3)  # a fresh complex: the cached moves are its own
-    assert random_loop_residual(cplx, np.random.default_rng(5), 1.0) <= 1e-10
+    assert random_loop_residual(cplx, np.random.default_rng(5), (1.0,)) <= 1e-10
     geom = deformation._class_geom(cplx, class_of(cplx, determining))
     k = min(geom.move_key.values())
     geom.sign[k] = -geom.sign[k]
-    assert random_loop_residual(cplx, np.random.default_rng(5), 1.0) > 1e-10
+    assert random_loop_residual(cplx, np.random.default_rng(5), (1.0,)) > 1e-10
+
+
+def _bounds(rng):
+    """Draw bounds: 1 and 2, small ones, and ones just above 2^31, where
+    about half the words are rejected."""
+    return rng.choice([1, 2, 3, 5, 7, 12, 1728, 2**31 + 1, 2**31 + 3, 2**31 + 99, 2**32 - 1],
+                      size=200).tolist()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_draw_replay_matches_scalar_draws(seed):
+    # numpy's bounded integers replayed on a block of words: the same values
+    # as one scalar call per draw, and the generator ends in the same place,
+    # also when the block runs short (a block of 3 words doubles)
+    bounds = _bounds(np.random.default_rng(100 + seed))
+    scalar = np.random.default_rng(seed)
+    want = [int(scalar.integers(b)) for b in bounds]
+    used = []
+
+    def draws(word):
+        def counted():
+            used.append(1)
+            return word()
+        return [deformation._bounded(counted, b) for b in bounds]
+
+    for size in (3, 2000):
+        used.clear()
+        rng = np.random.default_rng(seed)
+        assert deformation._replayed(rng, size, draws) == want
+        assert int(rng.integers(1 << 62)) == int(scalar.integers(1 << 62))
+        scalar = np.random.default_rng(seed)
+        [scalar.integers(b) for b in bounds]
+    assert len(used) > sum(b > 1 for b in bounds)  # some words were rejected
+
+
+def _assert_walks_are_scalar_draws(cplx, seed):
+    rng, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    for klass in enumerate_classes(cplx):
+        if len(klass.members) < 2:
+            continue
+        geom = deformation._class_geom(cplx, klass)
+        starts, ends, keys = deformation._walks(geom, rng, 20, 8)
+        want = helpers.oracle_walks(cplx, geom, scalar, 20, 8)
+        assert (starts.tolist(), ends.tolist(), keys.tolist()) == want
+    assert int(rng.integers(1 << 30)) == int(scalar.integers(1 << 30))
+
+
+def test_walks_are_scalar_draws():
+    for i, cplx in enumerate(_block_complexes()):
+        _assert_walks_are_scalar_draws(cplx, 300 + i)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 8), k=st.integers(2, 6), seed=st.integers(0, 1 << 16))
+def test_walks_are_scalar_draws_hypothesis(n, k, seed):
+    _assert_walks_are_scalar_draws(random_median_complex(n, k, seed), seed)
+
+
+def test_one_pass_over_the_t_grid_is_the_max_of_one_t_calls():
+    # the walks of every t in one stack: bit for bit the larger of two
+    # calls, and the same draws
+    for i, cplx in enumerate(_block_complexes() + helpers.random_complexes(12)[8:]):
+        both = np.random.default_rng(40 + i)
+        one = np.random.default_rng(40 + i)
+        got = random_loop_residual(cplx, both, (0.3, 1.0))
+        want = max(random_loop_residual(cplx, one, (0.3,)),
+                   random_loop_residual(cplx, one, (1.0,)))
+        assert got == want
+        assert int(both.integers(1 << 30)) == int(one.integers(1 << 30))
+    assert random_loop_residual(hypercube(3), np.random.default_rng(0), ()) == 0.0
+
+
+def test_loop_chunks_match_one_stack(monkeypatch):
+    # blocks rotated and decomposed a few at a time give the same residual
+    cplx = helpers.fixture("grid22")
+    want = random_loop_residual(cplx, np.random.default_rng(3), (0.3, 1.0))
+    monkeypatch.setattr(deformation, "_CHUNK", 1)
+    assert random_loop_residual(cplx, np.random.default_rng(3), (0.3, 1.0)) == want

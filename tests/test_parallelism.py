@@ -16,6 +16,7 @@ from cubedeform.parallelism import (
     class_of,
     enumerate_classes,
     nearest_in_class,
+    nearest_in_classes,
     nearest_members,
     vertex_to_class_bijection,
 )
@@ -165,6 +166,43 @@ def test_nearest_in_class_is_the_one_vertex_view(grid12):
         nearest_in_class(grid12, 0b000, ParallelClass((2,), ()))
     with pytest.raises(ValueError, match="empty parallelism class"):
         nearest_members(grid12, ParallelClass((2,), ()), grid12.vertices)
+
+
+def _assert_stacked_nearest_is_per_class(cplx):
+    """Per class size: ``nearest_in_classes`` against ``nearest_in_class``
+    class by class, for the base vertex and every other vertex."""
+    by_size = {}
+    for klass in enumerate_classes(cplx):
+        by_size.setdefault(len(klass.members), []).append(klass)
+    for classes in by_size.values():
+        for v in cplx.vertices:
+            got = nearest_in_classes(cplx, v, classes)
+            want = [klass.members.index(nearest_in_class(cplx, v, klass)) for klass in classes]
+            assert got.tolist() == want
+
+
+@pytest.mark.parametrize("name", helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES)
+def test_stacked_nearest_is_the_per_class_view(name):
+    _assert_stacked_nearest_is_per_class(helpers.fixture(name))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 7), k=st.integers(1, 6), seed=st.integers(0, 1 << 16))
+def test_stacked_nearest_is_the_per_class_view_hypothesis(n, k, seed):
+    _assert_stacked_nearest_is_per_class(random_median_complex(n, k, seed))
+
+
+def test_stacked_nearest_raises_like_the_per_class_view(grid12):
+    # a tie in one class of the stack is nearest_in_class's failure, named
+    # by the first class that has one
+    first, second = class_of(grid12, (1,)), class_of(grid12, (2,))
+    tied = second._replace(members=second.members[:1] * len(second.members))
+    with pytest.raises(AssertionError) as per_class:
+        nearest_in_class(grid12, 0b000, tied)
+    with pytest.raises(AssertionError) as stacked:
+        nearest_in_classes(grid12, 0b000, [first, tied, tied])
+    assert str(stacked.value) == str(per_class.value)
+    assert nearest_in_classes(grid12, 0b000, []).shape == (0,)
 
 
 def test_nearest_moves_across_edge_square(square):
