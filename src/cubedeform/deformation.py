@@ -20,17 +20,22 @@ Every move stays inside one class, so U_t, the Gram matrix, the
 base-point change and every loop product are block diagonal by class, and
 nothing here builds a matrix over all cubes of a degree except to hand one
 out.  The block store is one record per class (member order, positions
-among the degree's cubes, neighbors, breadth-first trees) whose crossing
-moves are cached as a row permutation and a sign vector per (H, source
-side): the move is X -> B X + A X[perm], B = b on paired rows and 1
-elsewhere, A = a * sign, which in IEEE arithmetic is the 2x2 block form
-exactly.  Classes of one size are stacked, so one gather runs a move step
-for all of them at once: ``class_blocks`` gives the Gram blocks (powers
-of x indexed by member separations) and the U_t blocks per stack, and
-``pair_blocks`` U^-1 d U on the class pairs d links.  ``random_loop_residual``
-goes one level further down: a loop's product is block diagonal on the member
-sets its moves mix, so those blocks, stacked by size over all loops, are
-what it rotates and hands to batched singular values.
+among the degree's cubes, neighbor tables) whose crossing moves are cached
+as a row permutation and a sign vector per (H, source side): the move is
+X -> B X + A X[perm], B = b on paired rows and 1 elsewhere, A = a * sign,
+which in IEEE arithmetic is the 2x2 block form exactly.  Paths follow
+breadth-first trees, grown as arrays a level at a time for a batch of
+(class, root) pairs of one class size, and equal to the trees of a
+first-in-first-out search.  Classes of one size are stacked, so one
+gather runs a move step for all of them at once: ``class_blocks`` gives
+the Gram blocks (powers of x indexed by member separations) and the U_t
+blocks per stack, and ``pair_blocks`` U^-1 d U on the class pairs d links.
+``random_loop_residual`` goes one level further down: a loop's product is
+block diagonal on the member sets its moves mix, so those blocks, stacked
+by size over all loops of every t, are what it rotates and hands to
+batched singular values.  Its random walks replay numpy's bounded
+integer draws on one block of generator words per class, so a seed picks
+the walks that one ``rng.integers`` call per step would.
 
 On top of that sit the basic cochains (alternating sums over the parallel
 copies of a face inside an ambient cube), their t-scaled pairings with
@@ -313,13 +318,13 @@ def _rotate(stack: np.ndarray, perm: np.ndarray, sign: np.ndarray, ab: tuple,
     becomes b X[u] - a X[v] and its partner v becomes a X[u] + b X[v],
     each product rounded once as in the 2x2 block form; rows outside the
     move's pairs are kept.  ``ab`` holds two scalars, or without ``keys``
-    two float arrays (slices, 1, 1), one (a, b) per slice.
+    two float arrays (slices, 1), one (a, b) per slice.
     """
     a, b = ab
     moving = sign.any(axis=-1)
     if not isinstance(a, (float, np.ndarray)):  # exact scalars
         sign = sign.astype(object)
-    scale_b, scale_a = np.where(sign != 0, b, 1), a * sign
+    per_slice = isinstance(a, np.ndarray)
     if keys is None:
         def at(table, s, end):
             return table[:end, s]
@@ -336,8 +341,10 @@ def _rotate(stack: np.ndarray, perm: np.ndarray, sign: np.ndarray, ab: tuple,
     for s, end in enumerate(ends):
         part = stack[:end]
         moved = part[rows[:end], at(perm, s, end)]
-        part *= at(scale_b, s, end)[tail]
-        moved *= at(scale_a, s, end)[tail]
+        step = at(sign, s, end)
+        a_s, b_s = (a[:end], b[:end]) if per_slice else (a, b)
+        part *= np.where(step != 0, b_s, 1)[tail]
+        moved *= (a_s * step)[tail]
         part += moved
 
 
@@ -377,43 +384,6 @@ def w_path_matrix(cplx: CubeComplex, target: Cube, source: Cube,
     geom = _class_geom(cplx, class_of(cplx, target.cutting))
     (keys,) = _tree_paths([geom], [0], [geom.index[target.anchor]], [geom.index[source.anchor]])
     return _moves_block(geom, keys, _resolve_ab(t, ab), _is_exact(ab))
-
-
-def _loop_blocks(moves: tuple):
-    """Cut loops into the member sets their moves mix.
-
-    ``moves`` is a ``_stacked_moves`` triple for classes of one size m,
-    one loop per row of keys.  A loop's moves only mix members joined
-    through the pairs the moves make, so its product is block diagonal on
-    those sets and the identity on untouched members.  Yields, per set
-    size c >= 2, every such set's loop (its row of keys) and its moves in
-    local member order: (loop, perm, sign), the last two (sets, steps, c).
-    Members keep their class order, so the block products are bit for bit
-    those of the whole class.
-    """
-    perm, sign, keys = moves
-    perm, sign = perm[keys], sign[keys]
-    n_loops, n_steps, m = perm.shape
-    loops = np.arange(n_loops)[:, None]
-    label = np.tile(np.arange(m), (n_loops, 1))
-    while True:  # smallest member of each set, propagated along the pairs
-        before = label
-        for step in range(n_steps):
-            label = np.minimum(label, label[loops, perm[:, step]])
-        label = label[loops, label]  # a member's label is its label's label
-        if np.array_equal(label, before):
-            break
-    flat = (label + loops * m).ravel()
-    order = np.argsort(flat, kind="stable")
-    _, start, size = np.unique(flat[order], return_index=True, return_counts=True)
-    local = np.empty(flat.size, dtype=np.intp)
-    local[order] = np.arange(flat.size) - np.repeat(start, size)
-    local = local.reshape(n_loops, m)
-    for c in np.flatnonzero(np.bincount(size)[2:]) + 2:  # the set sizes c >= 2, ascending
-        loop, member = np.divmod(order[start[size == c, None] + np.arange(c)], m)
-        at = (loop[:, :1, None], np.arange(n_steps)[:, None], member[:, None, :])
-        local_perm = local[loop[:, :1, None], perm[at]].astype(np.min_scalar_type(c))
-        yield int(c), loop[:, 0], local_perm, sign[at]
 
 
 _WORD = 1 << 32
@@ -491,8 +461,113 @@ def _walks(geom: _ClassGeom, rng, loops: int, walk_length: int) -> tuple:
             np.array(keys, dtype=np.intp).reshape(loops, walk_length))
 
 
-# Elements of the largest float arrays that one chunk of loop blocks holds.
+# Elements of the largest arrays that one chunk of loops or of loop blocks holds.
 _CHUNK = 1 << 21
+
+
+def _loop_moves(geoms: list, walks: list, loops: int):
+    """Every loop's moves, by class size.
+
+    ``walks[k][i]`` holds the ``_walks`` of class ``geoms[i]`` at the k-th
+    t.  Yields, per class size, the t index of each loop and a
+    ``_stacked_moves`` triple with one loop per row of keys: the walk
+    first, then the tree path back to its start.
+    """
+    for same in _by_size((geom, i) for i, geom in enumerate(geoms)):
+        same_geoms = [geom for geom, _ in same]
+        picked = [walks_at_t[i] for walks_at_t in walks for _, i in same]
+        starts, ends, steps = (np.concatenate(part) for part in zip(*picked))
+        cls = np.tile(np.repeat(np.arange(len(same)), loops), len(walks))
+        keys = np.concatenate([steps, _tree_paths(same_geoms, cls, starts, ends)], axis=1)
+        yield (np.repeat(np.arange(len(walks)), len(same) * loops),
+               _stacked_moves(same_geoms, cls, keys))
+
+
+def _chunks(parts, budget: int):
+    """Consecutive ``_loop_moves`` parts, grouped while their loops hold at
+    most ``budget`` (member, step) cells; a larger part goes alone."""
+    chunk, cells, width = [], 0, 0
+    for part in parts:
+        (loops, steps), m = part[1][2].shape, part[1][0].shape[1]
+        if chunk and (cells + loops * m) * max(width, steps) > budget:
+            yield chunk
+            chunk, cells, width = [], 0, 0
+        chunk.append(part)
+        cells, width = cells + loops * m, max(width, steps)
+    if chunk:
+        yield chunk
+
+
+def _loop_blocks(parts: list):
+    """Cut loops into the member sets their moves mix.
+
+    ``parts`` are ``_loop_moves`` parts.  A loop's moves only mix members
+    joined through the pairs the moves make, so its product is block
+    diagonal on those sets and the identity on untouched members.  Every
+    (loop, member) of every part is one node here, and a set is the
+    nodes that the pairs join.  Returns, per set size c >= 2, every such
+    set's t index and its moves in local member order: (t index, perm,
+    sign), the last two (sets, steps, c), shorter loops padded with the
+    identity.  Members keep their class order, so the block products are
+    bit for bit those of the whole class.
+    """
+    width = max(keys.shape[1] for _, (_, _, keys) in parts)
+    n = sum(len(keys) * len(perm[0]) for _, (perm, _, keys) in parts)
+    # step s sends node i to node partner[s, i], which fits 32 bits: n is below the chunk size
+    partner = np.tile(np.arange(n, dtype=np.int32), (width, 1))
+    sign = np.zeros((width, n), dtype=np.int8)
+    t_of = np.empty(n, dtype=np.intp)
+    base = 0
+    for t, (perm, sgn, keys) in parts:
+        (loops, steps), m = keys.shape, perm.shape[1]
+        nodes = slice(base, base + loops * m)
+        first = base + m * np.arange(loops)[:, None, None]
+        partner[:steps, nodes] = (perm[keys.T] + first.transpose(1, 0, 2)).reshape(steps, -1)
+        sign[:steps, nodes] = sgn[keys.T].reshape(steps, -1)
+        t_of[nodes] = np.repeat(t, m)
+        base += loops * m
+    label = np.arange(n, dtype=np.int32)
+    while True:  # smallest node of each set, propagated along the pairs
+        before = label
+        for step in partner:
+            label = np.minimum(label, label[step])
+        label = label[label]  # a node's label is its label's label
+        if np.array_equal(label, before):
+            break
+    order = np.argsort(label, kind="stable")
+    _, start, size = np.unique(label[order], return_index=True, return_counts=True)
+    local = np.empty(n, dtype=np.int32)
+    local[order] = np.arange(n) - np.repeat(start, size)
+    out = []
+    for c in np.flatnonzero(np.bincount(size)[2:]) + 2:  # the set sizes c >= 2, ascending
+        sets = order[start[size == c, None] + np.arange(c)]
+        out.append((t_of[sets[:, 0]],
+                    local[partner[:, sets]].transpose(1, 0, 2).astype(np.min_scalar_type(c)),
+                    sign[:, sets].transpose(1, 0, 2)))
+    return out
+
+
+def _block_residual(perm: np.ndarray, sign: np.ndarray, ab: np.ndarray) -> float:
+    """The largest singular value of P - I over a stack of c x c loop
+    products P, each the identity moved by its own (perm, sign) steps and
+    its own (a, b) = ``ab[:, i]``.  The blocks are rotated longest first,
+    so finished blocks drop out, and a chunk at a time, each chunk sharing
+    one batched singular-value call."""
+    n, width, c = perm.shape
+    moving = sign.any(axis=2)
+    longest_first = np.argsort(np.argmax(moving[:, ::-1], axis=1), kind="stable")
+    perm, sign = perm[longest_first], sign[longest_first]
+    ab = ab[:, longest_first, None]
+    diag = np.arange(c)
+    rows = max(1, _CHUNK // (c * max(c, width)))
+    worst = 0.0
+    for at in range(0, n, rows):
+        cut = slice(at, at + rows)
+        stack = np.tile(np.identity(c), (len(perm[cut]), 1, 1))
+        _rotate(stack, perm[cut], sign[cut], tuple(ab[:, cut]))
+        stack[:, diag, diag] -= 1.0
+        worst = max(worst, float(np.linalg.svd(stack, compute_uv=False).max()))
+    return worst
 
 
 def random_loop_residual(cplx: CubeComplex, rng, ts: Iterable[float],
@@ -505,51 +580,20 @@ def random_loop_residual(cplx: CubeComplex, rng, ts: Iterable[float],
     path.  The walks are drawn class by class, start then each neighbor,
     so a seed picks the same loops as one call per t.  A loop's product is
     block diagonal on the member sets its moves mix, and its deviation is
-    the largest over those blocks: the blocks of all loops of every t are
-    stacked by size, rotated move by move, each with its own t (longest
-    first, so finished blocks drop out) and share one batched
-    singular-value call per size.
+    the largest over those blocks: the blocks of all loops of every t,
+    over classes of every size, are stacked by block size and rotated
+    move by move, each with its own t, and share one batched
+    singular-value call per size.  Work goes in chunks of bounded size.
     """
     ts = list(ts)
-    if not ts:
-        return 0.0
     geoms = [_class_geom(cplx, klass) for klass in enumerate_classes(cplx)
-             if len(klass.members) > 1]
+             if len(klass.members) > 1 and ts]
     walks = [[_walks(geom, rng, loops, walk_length) for geom in geoms] for _ in ts]
-    blocks: dict[int, list] = {}
-    for same in _by_size((geom, i) for i, geom in enumerate(geoms)):
-        same_geoms = [geom for geom, _ in same]
-        picked = [walks[k][i] for k in range(len(ts)) for _, i in same]
-        starts, ends, steps = (np.concatenate(part) for part in zip(*picked))
-        cls = np.tile(np.repeat(np.arange(len(same)), loops), len(ts))
-        keys = np.concatenate([steps, _tree_paths(same_geoms, cls, starts, ends)], axis=1)
-        t_of = np.repeat(np.arange(len(ts)), len(same) * loops)
-        for c, loop, perm, sign in _loop_blocks(_stacked_moves(same_geoms, cls, keys)):
-            blocks.setdefault(c, []).append((t_of[loop], perm, sign))
-    coeffs = np.array([step_coefficients(t) for t in ts]).reshape(-1, 2)
+    ab = np.array([step_coefficients(t) for t in ts]).reshape(-1, 2).T
     worst = 0.0
-    for c, parts in blocks.items():
-        n = sum(len(p) for _, p, _ in parts)
-        width = max(p.shape[1] for _, p, _ in parts)
-        perm = np.tile(np.arange(c, dtype=parts[0][1].dtype), (n, width, 1))  # identity padding
-        sign = np.zeros((n, width, c), dtype=np.int8)
-        row = 0
-        for _, p, g in parts:
-            perm[row:row + len(p), :p.shape[1]] = p
-            sign[row:row + len(p), :g.shape[1]] = g
-            row += len(p)
-        moving = sign.any(axis=2)
-        longest_first = np.argsort(np.argmax(moving[:, ::-1], axis=1), kind="stable")
-        perm, sign = perm[longest_first], sign[longest_first]
-        ab = coeffs[np.concatenate([k for k, _, _ in parts])[longest_first]].T[:, :, None, None]
-        diag = np.arange(c)
-        rows = max(1, _CHUNK // (c * max(c, width)))
-        for at in range(0, n, rows):  # in chunks: each block is rotated on its own
-            cut = slice(at, at + rows)
-            stack = np.tile(np.identity(c), (len(perm[cut]), 1, 1))
-            _rotate(stack, perm[cut], sign[cut], tuple(ab[:, cut]))
-            stack[:, diag, diag] -= 1.0
-            worst = max(worst, float(np.linalg.svd(stack, compute_uv=False).max()))
+    for chunk in _chunks(_loop_moves(geoms, walks, loops), _CHUNK):
+        for t_of, perm, sign in _loop_blocks(chunk):
+            worst = max(worst, _block_residual(perm, sign, ab[:, t_of]))
     return worst
 
 
