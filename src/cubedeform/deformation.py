@@ -175,7 +175,7 @@ class _ClassGeom:
         self.index = {c.anchor: i for i, c in enumerate(self.members)}
         cube_index = cplx.cube_index(klass.dim)
         self.cols = np.fromiter((cube_index[c] for c in self.members), np.intp, m)
-        pairs_by_h: dict[int, list[tuple[int, int]]] = {}
+        found = []  # (H, member on its 0-side, member on its 1-side)
         for i, member in enumerate(self.members):
             for h in range(cplx.n_hyperplanes):
                 if h in member.cutting:
@@ -189,22 +189,23 @@ class _ClassGeom:
                 if not cplx.adjacent_cube(member, h):
                     raise AssertionError(
                         "class members at distance one across %d span no cube" % h)
-                pairs_by_h.setdefault(h, []).append((i, j))
-        self.move_key: dict[tuple[int, int], int] = {}
-        self.perm = np.tile(np.arange(m), (2 * len(pairs_by_h) + 1, 1))
+                found.append((h, i, j))
+        h, lo, hi = np.array(found, dtype=np.intp).reshape(-1, 3).T
+        # the moves of each H, in first-seen order: keys 2n + 1 from the 0-side, 2n + 2 back
+        hs, first, which = np.unique(h, return_index=True, return_inverse=True)
+        rank = np.argsort(np.argsort(first))
+        self.move_key = {(x, side): 2 * n + 1 + side
+                         for x, n in zip(hs.tolist(), rank.tolist()) for side in (0, 1)}
+        up = 2 * rank[which] + 1
+        down = up + 1
+        self.perm = np.tile(np.arange(m), (2 * len(hs) + 1, 1))
         self.sign = np.zeros(self.perm.shape, dtype=np.int8)
+        self.perm[up, lo], self.perm[up, hi], self.perm[down, hi], self.perm[down, lo] = hi, lo, lo, hi
+        self.sign[up, lo] = self.sign[down, hi] = -1
+        self.sign[up, hi] = self.sign[down, lo] = 1
         # (member, neighbor, key of the move there, key of the move back)
-        edges = [np.empty((0, 4), dtype=np.intp)]
-        for h, pairs in pairs_by_h.items():
-            lo, hi = np.array(pairs).T
-            for side, (u, v) in enumerate(((lo, hi), (hi, lo))):
-                k = self.move_key[h, side] = len(self.move_key) + 1
-                self.perm[k, u], self.perm[k, v] = v, u
-                self.sign[k, u], self.sign[k, v] = -1, 1
-            up, down = self.move_key[h, 0], self.move_key[h, 1]
-            edges += [np.stack((lo, hi, np.full(len(lo), up), np.full(len(lo), down)), axis=1),
-                      np.stack((hi, lo, np.full(len(lo), down), np.full(len(lo), up)), axis=1)]
-        edges = np.concatenate(edges)
+        edges = np.concatenate([np.stack((lo, hi, up, down), axis=1),
+                                np.stack((hi, lo, down, up), axis=1)])
         edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
         degree = np.bincount(edges[:, 0], minlength=m)
         slot = np.arange(len(edges)) - np.repeat(np.cumsum(degree) - degree, degree)
@@ -513,7 +514,7 @@ def _loop_blocks(parts: list):
     """
     width = max(keys.shape[1] for _, (_, _, keys) in parts)
     n = sum(len(keys) * len(perm[0]) for _, (perm, _, keys) in parts)
-    # step s sends node i to node partner[s, i], which fits 32 bits: n is below the chunk size
+    # step s sends node i to node partner[s, i]; node numbers fit 32 bits
     partner = np.tile(np.arange(n, dtype=np.int32), (width, 1))
     sign = np.zeros((width, n), dtype=np.int8)
     t_of = np.empty(n, dtype=np.intp)
@@ -586,8 +587,10 @@ def random_loop_residual(cplx: CubeComplex, rng, ts: Iterable[float],
     singular-value call per size.  Work goes in chunks of bounded size.
     """
     ts = list(ts)
+    if not ts:
+        return 0.0
     geoms = [_class_geom(cplx, klass) for klass in enumerate_classes(cplx)
-             if len(klass.members) > 1 and ts]
+             if len(klass.members) > 1]
     walks = [[_walks(geom, rng, loops, walk_length) for geom in geoms] for _ in ts]
     ab = np.array([step_coefficients(t) for t in ts]).reshape(-1, 2).T
     worst = 0.0
