@@ -319,13 +319,13 @@ def _rotate(stack: np.ndarray, perm: np.ndarray, sign: np.ndarray, ab: tuple,
     becomes b X[u] - a X[v] and its partner v becomes a X[u] + b X[v],
     each product rounded once as in the 2x2 block form; rows outside the
     move's pairs are kept.  ``ab`` holds two scalars, or without ``keys``
-    two float arrays (slices, 1), one (a, b) per slice.
+    two float arrays (slices, 1, 1), one (a, b) per slice.
     """
     a, b = ab
     moving = sign.any(axis=-1)
     if not isinstance(a, (float, np.ndarray)):  # exact scalars
         sign = sign.astype(object)
-    per_slice = isinstance(a, np.ndarray)
+    scale_b, scale_a = np.where(sign != 0, b, 1), a * sign
     if keys is None:
         def at(table, s, end):
             return table[:end, s]
@@ -342,10 +342,8 @@ def _rotate(stack: np.ndarray, perm: np.ndarray, sign: np.ndarray, ab: tuple,
     for s, end in enumerate(ends):
         part = stack[:end]
         moved = part[rows[:end], at(perm, s, end)]
-        step = at(sign, s, end)
-        a_s, b_s = (a[:end], b[:end]) if per_slice else (a, b)
-        part *= np.where(step != 0, b_s, 1)[tail]
-        moved *= (a_s * step)[tail]
+        part *= at(scale_b, s, end)[tail]
+        moved *= at(scale_a, s, end)[tail]
         part += moved
 
 
@@ -463,7 +461,7 @@ def _walks(geom: _ClassGeom, rng, loops: int, walk_length: int) -> tuple:
 
 
 # Elements of the largest arrays that one chunk of loops or of loop blocks holds.
-_CHUNK = 1 << 21
+_CHUNK = 1 << 20
 
 
 def _loop_moves(geoms: list, walks: list, loops: int):
@@ -558,7 +556,7 @@ def _block_residual(perm: np.ndarray, sign: np.ndarray, ab: np.ndarray) -> float
     moving = sign.any(axis=2)
     longest_first = np.argsort(np.argmax(moving[:, ::-1], axis=1), kind="stable")
     perm, sign = perm[longest_first], sign[longest_first]
-    ab = ab[:, longest_first, None]
+    ab = ab[:, longest_first, None, None]
     diag = np.arange(c)
     rows = max(1, _CHUNK // (c * max(c, width)))
     worst = 0.0
