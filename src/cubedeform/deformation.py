@@ -468,9 +468,9 @@ def _loop_moves(geoms: list, walks: list, loops: int):
     """Every loop's moves, by class size.
 
     ``walks[k][i]`` holds the ``_walks`` of class ``geoms[i]`` at the k-th
-    t.  Yields, per class size, the t index of each loop and a
-    ``_stacked_moves`` triple with one loop per row of keys: the walk
-    first, then the tree path back to its start.
+    t.  Yields, per class size, the t index of each loop and the
+    ``_stacked_moves`` perm, sign and keys, one loop per row of keys: the
+    walk first, then the tree path back to its start.
     """
     for same in _by_size((geom, i) for i, geom in enumerate(geoms)):
         same_geoms = [geom for geom, _ in same]
@@ -479,7 +479,7 @@ def _loop_moves(geoms: list, walks: list, loops: int):
         cls = np.tile(np.repeat(np.arange(len(same)), loops), len(walks))
         keys = np.concatenate([steps, _tree_paths(same_geoms, cls, starts, ends)], axis=1)
         yield (np.repeat(np.arange(len(walks)), len(same) * loops),
-               _stacked_moves(same_geoms, cls, keys))
+               *_stacked_moves(same_geoms, cls, keys))
 
 
 def _chunks(parts, budget: int):
@@ -487,7 +487,7 @@ def _chunks(parts, budget: int):
     most ``budget`` (member, step) cells; a larger part goes alone."""
     chunk, cells, width = [], 0, 0
     for part in parts:
-        (loops, steps), m = part[1][2].shape, part[1][0].shape[1]
+        (loops, steps), m = part[3].shape, part[1].shape[1]
         if chunk and (cells + loops * m) * max(width, steps) > budget:
             yield chunk
             chunk, cells, width = [], 0, 0
@@ -510,14 +510,14 @@ def _loop_blocks(parts: list):
     identity.  Members keep their class order, so the block products are
     bit for bit those of the whole class.
     """
-    width = max(keys.shape[1] for _, (_, _, keys) in parts)
-    n = sum(len(keys) * len(perm[0]) for _, (perm, _, keys) in parts)
+    width = max(keys.shape[1] for *_, keys in parts)
+    n = sum(len(keys) * perm.shape[1] for _, perm, _, keys in parts)
     # step s sends node i to node partner[s, i]; node numbers fit 32 bits
     partner = np.tile(np.arange(n, dtype=np.int32), (width, 1))
     sign = np.zeros((width, n), dtype=np.int8)
     t_of = np.empty(n, dtype=np.intp)
     base = 0
-    for t, (perm, sgn, keys) in parts:
+    for t, perm, sgn, keys in parts:
         (loops, steps), m = keys.shape, perm.shape[1]
         nodes = slice(base, base + loops * m)
         first = base + m * np.arange(loops)[:, None, None]
