@@ -19,15 +19,16 @@ matrix as transpose(U_t) U_t.
 Every move stays inside one class, so U_t, the Gram matrix, the
 base-point change and every loop product are block diagonal by class, and
 nothing here builds a matrix over all cubes of a degree except to hand one
-out.  The block store is one record per class (member order, positions
-among the degree's cubes, neighbor tables) whose crossing moves are cached
-as a row permutation and a sign vector per (H, source side): the move is
+out.  The block store is one record per (degree, class size), built from
+the bit rows in array passes, that stacks those classes' members, bits,
+separations and neighbor tables, and caches each crossing move as a row
+permutation and a sign vector per (class, H, source side): the move is
 X -> B X + A X[perm], B = b on paired rows and 1 elsewhere, A = a * sign,
 which in IEEE arithmetic is the 2x2 block form exactly.  Paths follow
 breadth-first trees, grown as arrays a level at a time for a batch of
-(class, root) pairs of one class size, and equal to the trees of a
-first-in-first-out search.  Classes of one size are stacked, so one
-gather runs a move step for all of them at once: ``class_blocks`` gives
+(class, root) pairs of one record, and equal to the trees of a
+first-in-first-out search.  One gather runs a move step for all of a
+record's classes at once: ``class_blocks`` gives
 the Gram blocks (powers of x indexed by member separations) and the U_t
 blocks per stack, and ``pair_blocks`` U^-1 d U on the class pairs d links.
 ``random_loop_residual`` goes one level further down: a loop's product is
@@ -63,16 +64,9 @@ from typing import Iterable, Iterator, NamedTuple
 import mpmath as mp
 import numpy as np
 
-from .core import Cube, CubeComplex
+from .core import Cube, CubeComplex, bit_rows, row_positions
 from .differential import OrientedCube, d_cochain, d_matrix
-from .parallelism import (
-    ParallelClass,
-    class_of,
-    enumerate_classes,
-    member_bits,
-    nearest_in_classes,
-    nearest_members,
-)
+from .parallelism import class_rows
 from .symbols import (
     CubePair,
     PSSymbol,
@@ -147,93 +141,137 @@ def deformation_weights(cplx: CubeComplex, t: float) -> list[float]:
 # -- parallelism-class geometry ------------------------------------------------------
 
 
-class _ClassGeom:
-    """Adjacency structure and crossing moves of one parallelism class.
+class _Group(NamedTuple):
+    """The k degree-q parallelism classes of one size m, stacked.
 
-    Members are indexed in canonical (anchor) order; ``cols`` holds their
-    positions among the degree's cubes.  Two members are adjacent across H
-    when they are opposite faces of a cube cut by H together with the
-    determining set; distance one is checked to imply that, never assumed.
+    ``ids`` (their ``class_rows`` ids) and ``sets`` (k, q, the determining
+    sets) are in determining-set order.  ``cols`` (k, m) holds each class's
+    members in anchor order, as positions among the degree's cubes;
+    ``bits`` (k, m, n) their anchor bits as float64, zero on the
+    determining hyperplanes as an anchor is its cube's smallest vertex;
+    ``dist`` (k, m, m) their separations.
 
-    Each crossing move, keyed by (H, source side) in ``move_key``, is row k
-    of ``perm`` and ``sign``: on rows indexed by members it maps X to
-    B X + A X[perm[k]], with B = b where ``sign[k]`` is nonzero and 1
-    elsewhere, and A = a sign[k].  Row 0 is the identity move.
-    ``steps[i]`` lists (neighbor j, key of the move from i to j) in
-    ascending neighbor order.  The same neighbors fill row i of ``nbr``,
-    padded with m, and the keys of the moves from them back to i the same
-    row of ``back``, padded with 0.
+    Members at distance one across H are checked to span a cube.  A
+    class's crossing move per (H, source side) is a row of ``perm`` and
+    ``sign`` (k, r, m), X -> B X + A X[perm] with B = b where ``sign`` is
+    nonzero and 1 elsewhere, A = a sign; row 0 and padding rows are the
+    identity.  A move's key is its row in the flattened tables ``moves``,
+    so key 0 pads any path.  ``nbr`` (k, m, w) lists each member's
+    neighbors ascending, padded with m, and ``fwd`` and ``back`` the keys
+    of the moves to them and back, padded with 0.
     """
 
-    __slots__ = ("klass", "members", "index", "cols", "steps", "nbr", "back", "move_key",
-                 "perm", "sign")
+    ids: np.ndarray
+    sets: np.ndarray
+    cols: np.ndarray
+    bits: np.ndarray
+    dist: np.ndarray
+    nbr: np.ndarray
+    fwd: np.ndarray
+    back: np.ndarray
+    perm: np.ndarray
+    sign: np.ndarray
 
-    def __init__(self, cplx: CubeComplex, klass: ParallelClass):
-        self.klass = klass
-        self.members = klass.members
-        m = len(self.members)
-        self.index = {c.anchor: i for i, c in enumerate(self.members)}
-        cube_index = cplx.cube_index(klass.dim)
-        self.cols = np.fromiter((cube_index[c] for c in self.members), np.intp, m)
-        found = []  # (H, member on its 0-side, member on its 1-side)
-        for i, member in enumerate(self.members):
-            for h in range(cplx.n_hyperplanes):
-                if h in member.cutting:
-                    continue
-                mask = cplx.mask(h)
-                if member.anchor & mask:
-                    continue  # handle each pair from its 0-side
-                j = self.index.get(member.anchor ^ mask)
-                if j is None:
-                    continue
-                if not cplx.adjacent_cube(member, h):
-                    raise AssertionError(
-                        "class members at distance one across %d span no cube" % h)
-                found.append((h, i, j))
-        h, lo, hi = np.array(found, dtype=np.intp).reshape(-1, 3).T
-        # the moves of each H, in first-seen order: keys 2n + 1 from the 0-side, 2n + 2 back
-        hs, first, which = np.unique(h, return_index=True, return_inverse=True)
-        rank = np.argsort(np.argsort(first))
-        self.move_key = {(x, side): 2 * n + 1 + side
-                         for x, n in zip(hs.tolist(), rank.tolist()) for side in (0, 1)}
-        up = 2 * rank[which] + 1
-        down = up + 1
-        self.perm = np.tile(np.arange(m), (2 * len(hs) + 1, 1))
-        self.sign = np.zeros(self.perm.shape, dtype=np.int8)
-        self.perm[up, lo], self.perm[up, hi], self.perm[down, hi], self.perm[down, lo] = hi, lo, lo, hi
-        self.sign[up, lo] = self.sign[down, hi] = -1
-        self.sign[up, hi] = self.sign[down, lo] = 1
-        # (member, neighbor, key of the move there, key of the move back)
-        edges = np.concatenate([np.stack((lo, hi, up, down), axis=1),
-                                np.stack((hi, lo, down, up), axis=1)])
-        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-        degree = np.bincount(edges[:, 0], minlength=m)
-        slot = np.arange(len(edges)) - np.repeat(np.cumsum(degree) - degree, degree)
-        self.nbr = np.full((m, max(degree, default=0)), m)
-        self.back = np.zeros(self.nbr.shape, dtype=np.intp)
-        self.nbr[edges[:, 0], slot], self.back[edges[:, 0], slot] = edges[:, 1], edges[:, 3]
-        self.steps = [[] for _ in range(m)]
-        for i, j, key in edges[:, :3].tolist():
-            self.steps[i].append((j, key))
+    @property
+    def moves(self) -> tuple[np.ndarray, np.ndarray]:
+        """``perm`` and ``sign`` as the (k r, m) tables that keys index."""
+        m = self.perm.shape[2]
+        return self.perm.reshape(-1, m), self.sign.reshape(-1, m)
 
 
-def _bfs_tables(geoms: list, cls: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Breadth-first trees of classes of one size m, one per (class, root) pair.
+def _groups(cplx: CubeComplex, q: int) -> tuple[_Group, ...]:
+    """The cached degree-q ``_Group``s, sizes in the first-seen order of the
+    classes, built from the cube rows of degrees q and q + 1."""
+    def build():
+        n, level, rows = cplx.n_hyperplanes, cplx.cube_arrays(q), class_rows(cplx, q)
+        keys, width = level.keys, level.keys.dtype.itemsize
+        upper = cplx.cube_arrays(q + 1).keys
+        # members across H: the 0-side one sets key bit H to find the 1-side
+        # one, and the cube they span has cutting bit H set as well
+        found = [np.zeros((3, 0), dtype=np.intp)]
+        free = (level.anchor | level.cutting) == 0
+        for h in np.flatnonzero(free.any(axis=0)).tolist():
+            lo = np.flatnonzero(free[:, h])
+            raw = keys[lo].view(np.uint8).reshape(-1, width)
+            raw[:, h >> 3] |= 128 >> (h & 7)
+            hi, hit = row_positions(keys, raw.view(keys.dtype).ravel())
+            raw = raw[hit]
+            raw[:, h >> 3] ^= 128 >> (h & 7)
+            raw[:, (n + h) >> 3] ^= 128 >> ((n + h) & 7)
+            if not row_positions(upper, raw.view(keys.dtype).ravel())[1].all():
+                raise AssertionError("class members at distance one across %d span no cube" % h)
+            found.append(np.stack((np.full(len(raw), h), lo[hit], hi[hit])))
+        h, lo, hi = np.concatenate(found, axis=1)
+        # each cube's rank in its class, members in cube (so anchor) order
+        order = np.argsort(rows.of, kind="stable")
+        start = np.cumsum(rows.sizes) - rows.sizes
+        rank = np.empty(len(order), dtype=np.intp)
+        rank[order] = np.arange(len(order)) - np.repeat(start, rows.sizes)
+        # both ways of each pair: (class, member, neighbor, move there, move back),
+        # the moves across a class's j-th hyperplane in rows 2j + 1 (from the 0-side), 2j + 2
+        cls = rows.of[lo]
+        pairs, which = np.unique(cls * n + h, return_inverse=True)
+        up = 2 * (np.arange(len(pairs)) - np.searchsorted(pairs // n, pairs // n))[which] + 1
+        edges = np.concatenate([np.stack((cls, rank[lo], rank[hi], up, up + 1)),
+                                np.stack((cls, rank[hi], rank[lo], up + 1, up))], axis=1)
+        edges = edges[:, np.lexsort(edges[2::-1])]
+        hyperplanes = np.bincount(pairs // n, minlength=len(rows.sizes))
+        sizes, seen = np.unique(rows.sizes, return_index=True)
+        out = []
+        for m in sizes[np.argsort(seen)].tolist():
+            ids = np.flatnonzero(rows.sizes == m)
+            k, r = len(ids), 2 * int(hyperplanes[ids].max()) + 1
+            slot = np.full(len(rows.sizes), -1)
+            slot[ids] = np.arange(k)
+            c, u, v, fwd, back = edges[:, slot[edges[0]] >= 0]
+            c = slot[c]
+            fwd, back = fwd + c * r, back + c * r
+            perm = np.tile(np.arange(m), (k * r, 1))
+            sign = np.zeros(perm.shape, dtype=np.int8)
+            perm[fwd, u] = perm[back, u] = v
+            sign[fwd, u], sign[back, u] = -1, 1
+            node = c * m + u
+            degree = np.bincount(node, minlength=k * m)
+            at = np.arange(len(node)) - np.repeat(np.cumsum(degree) - degree, degree)
+            tables = np.zeros((3, k * m, max(degree, default=0)), dtype=np.intp)
+            tables[0], tables[:, node, at] = m, (v, fwd, back)
+            cols = order[start[ids, None] + np.arange(m)]
+            bits = level.anchor[cols].astype(np.float64)
+            ones = bits.sum(axis=2)
+            dist = ones[:, :, None] + ones[:, None, :] - 2.0 * (bits @ bits.transpose(0, 2, 1))
+            out.append(_Group(ids, np.nonzero(rows.sets[ids])[1].reshape(k, q), cols, bits,
+                              dist.astype(np.min_scalar_type(n)),
+                              *tables.reshape(3, k, m, tables.shape[2]),
+                              perm.reshape(k, r, m), sign.reshape(k, r, m)))
+        return tuple(out)
 
-    Row r of the (R, m) tables is the tree of class ``geoms[cls[r]]``
-    rooted at member ``roots[r]``: each member's parent and the key of the
-    move from it to its parent (the root is its own parent, key 0).  All
-    trees grow one level per step, each level in queue order: the
-    neighbors of every member of the last level, in its order and each
-    member's in ascending order, keep their first appearance.  That is
-    the tree of a first-in-first-out search.
+    return cplx.cached(("groups", q), build)
+
+
+def _labels(blocks) -> np.ndarray:
+    """Per cube of the degree: its stack of ``blocks`` (``_groups`` or
+    ``class_blocks``), its class there, its member position."""
+    out = np.empty((3, sum(blks.cols.size for blks in blocks)), dtype=np.intp)
+    for s, blks in enumerate(blocks):
+        out[0, blks.cols] = s
+        out[1, blks.cols] = np.arange(len(blks.cols))[:, None]
+        out[2, blks.cols] = np.arange(blks.cols.shape[1])
+    return out
+
+
+def _bfs_tables(group: _Group, cls: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first trees in ``group``, one per (class, root) pair.
+
+    Row t of the (R, m) tables is the tree of class ``cls[t]`` rooted at
+    member ``roots[t]``: each member's parent and the key of the move from
+    it to its parent (the root is its own parent, key 0).  All trees grow
+    one level per step, each level in queue order: the neighbors of every
+    member of the last level, in its order and each member's in ascending
+    order, keep their first appearance.  That is the tree of a
+    first-in-first-out search.
     """
-    m = len(geoms[0].members)
-    width = max(geom.nbr.shape[1] for geom in geoms)
-    nbr = np.full((len(geoms), m, width), m)
-    back = np.zeros(nbr.shape, dtype=np.intp)
-    for c, geom in enumerate(geoms):
-        nbr[c, :, :geom.nbr.shape[1]], back[c, :, :geom.nbr.shape[1]] = geom.nbr, geom.back
+    nbr, back = group.nbr, group.back
+    m, width = nbr.shape[1:]
     n = len(roots)
     parent = np.tile(np.arange(m), (n, 1))
     key = np.zeros((n, m), dtype=np.intp)
@@ -258,14 +296,14 @@ def _bfs_tables(geoms: list, cls: np.ndarray, roots: np.ndarray) -> tuple[np.nda
     return parent, key
 
 
-def _tree_paths(geoms: list, cls, roots, starts) -> np.ndarray:
+def _tree_paths(group: _Group, cls, roots, starts) -> np.ndarray:
     """Row i: the move keys of the breadth-first tree path from member
-    ``starts[i]`` of class ``geoms[cls[i]]`` up to member ``roots[i]``,
-    padded with the identity key 0.  Classes are of one size; each
-    (class, root) pair grows one tree."""
-    m = len(geoms[0].members)
+    ``starts[i]`` of class ``cls[i]`` of ``group`` up to member
+    ``roots[i]``, padded with the identity key 0.  Each (class, root) pair
+    grows one tree."""
+    m = group.cols.shape[1]
     trees, tree = np.unique(np.asarray(cls) * m + roots, return_inverse=True)
-    parent, key = _bfs_tables(geoms, trees // m, trees % m)
+    parent, key = _bfs_tables(group, trees // m, trees % m)
     node, out = np.asarray(starts), []
     while True:
         step = key[tree, node]
@@ -273,40 +311,6 @@ def _tree_paths(geoms: list, cls, roots, starts) -> np.ndarray:
             return np.stack(out, axis=1) if out else np.zeros((len(node), 0), dtype=np.intp)
         out.append(step)
         node = parent[tree, node]
-
-
-def _class_geom(cplx: CubeComplex, klass: ParallelClass) -> _ClassGeom:
-    return cplx.cached(("class_geom", klass.determining), lambda: _ClassGeom(cplx, klass))
-
-
-def _degree_geoms(cplx: CubeComplex, q: int):
-    """(class, geometry) for every degree-q parallelism class."""
-    for klass in enumerate_classes(cplx):
-        if klass.dim == q:
-            yield klass, _class_geom(cplx, klass)
-
-
-def _by_size(items) -> list[list]:
-    """Group (class or class geometry, payload) items by class size, in first-seen order."""
-    groups: dict[int, list] = {}
-    for item in items:
-        groups.setdefault(len(item[0].members), []).append(item)
-    return list(groups.values())
-
-
-def _stacked_moves(geoms: list, cls: np.ndarray,
-                   keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One move table for classes of one size, and every slice's keys in it.
-
-    Row i of ``keys`` holds the move keys of a slice of class
-    ``geoms[cls[i]]`` (0, the identity, pads).  Returns the stacked
-    ``perm`` and ``sign`` tables and the keys shifted into them, so the
-    padding is each class's own identity row.
-    """
-    base = np.cumsum([0] + [len(geom.perm) for geom in geoms[:-1]])
-    return (np.concatenate([geom.perm for geom in geoms]),
-            np.concatenate([geom.sign for geom in geoms]),
-            keys + base[cls][:, None])
 
 
 def _rotate(stack: np.ndarray, perm: np.ndarray, sign: np.ndarray, ab: tuple,
@@ -357,10 +361,12 @@ def _is_exact(ab: tuple | None) -> bool:
     return ab is not None and not isinstance(ab[0], float)
 
 
-def _moves_block(geom: _ClassGeom, keys, ab: tuple, exact: bool) -> np.ndarray:
-    """The class's moves ``keys``, in order, applied to the identity."""
-    out = np.identity(len(geom.members), dtype=object if exact else np.float64)
-    _rotate(out[None], geom.perm, geom.sign, ab, np.array([keys], dtype=np.intp))
+def _moves_blocks(group: _Group, keys: np.ndarray, ab: tuple, exact: bool) -> np.ndarray:
+    """Block l: the moves ``keys[l]`` of one class of ``group``, in order,
+    applied to the identity."""
+    out = np.identity(group.cols.shape[1], dtype=object if exact else np.float64)
+    out = np.tile(out, (len(keys), 1, 1))
+    _rotate(out, *group.moves, ab, keys)
     return out
 
 
@@ -380,9 +386,10 @@ def w_path_matrix(cplx: CubeComplex, target: Cube, source: Cube,
     """
     if target.cutting != source.cutting:
         raise ValueError("cubes %r and %r are not parallel" % (target, source))
-    geom = _class_geom(cplx, class_of(cplx, target.cutting))
-    (keys,) = _tree_paths([geom], [0], [geom.index[target.anchor]], [geom.index[source.anchor]])
-    return _moves_block(geom, keys, _resolve_ab(t, ab), _is_exact(ab))
+    groups, index = _groups(cplx, target.dim), cplx.cube_index(target.dim)
+    (g, c, i), (_, _, j) = _labels(groups)[:, [index[target], index[source]]].T.tolist()
+    keys = _tree_paths(groups[g], [c], [i], [j])
+    return _moves_blocks(groups[g], keys, _resolve_ab(t, ab), _is_exact(ab))[0]
 
 
 _WORD = 1 << 32
@@ -429,27 +436,29 @@ def _replayed(rng, size: int, draws):
     return out
 
 
-def _walks(geom: _ClassGeom, rng, loops: int, walk_length: int) -> tuple:
-    """``loops`` random walks in one class: their starts, their ends and
-    the keys of their moves (loops, walk_length).
+def _walks(group: _Group, c: int, rng, loops: int, walk_length: int) -> tuple:
+    """``loops`` random walks in class ``c`` of ``group``: their starts,
+    their ends and the keys of their moves (loops, walk_length).
 
     A walk draws its start among the members, then each next member among
     the current one's neighbors in ascending order, as one scalar
     ``rng.integers`` call per draw would, replayed by ``_bounded`` on one
     block of words.
     """
-    steps = geom.steps
+    m = group.cols.shape[1]
+    near, fwd = group.nbr[c].tolist(), group.fwd[c].tolist()
+    degree = (group.nbr[c] < m).sum(axis=1).tolist()
 
     def draws(word):
         starts, ends, keys = [], [], []
         for _ in range(loops):
-            cur = _bounded(word, len(steps))
+            cur = _bounded(word, m)
             starts.append(cur)
             for _ in range(walk_length):
-                here = steps[cur]
-                if not here:
+                if not degree[cur]:
                     raise AssertionError("parallelism class is not connected")
-                cur, key = here[_bounded(word, len(here))]
+                pick = _bounded(word, degree[cur])
+                cur, key = near[cur][pick], fwd[cur][pick]
                 keys.append(key)
             ends.append(cur)
         return starts, ends, keys
@@ -464,22 +473,21 @@ def _walks(geom: _ClassGeom, rng, loops: int, walk_length: int) -> tuple:
 _CHUNK = 1 << 20
 
 
-def _loop_moves(geoms: list, walks: list, loops: int):
-    """Every loop's moves, by class size.
+def _loop_moves(groups: list, walks: list, loops: int):
+    """Every loop's moves, by group.
 
-    ``walks[k][i]`` holds the ``_walks`` of class ``geoms[i]`` at the k-th
-    t.  Yields, per class size, the t index of each loop and the
-    ``_stacked_moves`` perm, sign and keys, one loop per row of keys: the
-    walk first, then the tree path back to its start.
+    ``walks[k][g, c]`` holds the ``_walks`` of class c of ``groups[g]`` at
+    the k-th t.  Yields, per group, the t index of each loop and the
+    group's ``moves`` and keys, one loop per row of keys: the walk first,
+    then the tree path back to its start.
     """
-    for same in _by_size((geom, i) for i, geom in enumerate(geoms)):
-        same_geoms = [geom for geom, _ in same]
-        picked = [walks_at_t[i] for walks_at_t in walks for _, i in same]
-        starts, ends, steps = (np.concatenate(part) for part in zip(*picked))
-        cls = np.tile(np.repeat(np.arange(len(same)), loops), len(walks))
-        keys = np.concatenate([steps, _tree_paths(same_geoms, cls, starts, ends)], axis=1)
-        yield (np.repeat(np.arange(len(walks)), len(same) * loops),
-               *_stacked_moves(same_geoms, cls, keys))
+    for g, group in enumerate(groups):
+        k = len(group.cols)
+        starts, ends, steps = (np.concatenate(part) for part in zip(
+            *(walks_at_t[g, c] for walks_at_t in walks for c in range(k))))
+        cls = np.tile(np.repeat(np.arange(k), loops), len(walks))
+        keys = np.concatenate([steps, _tree_paths(group, cls, starts, ends)], axis=1)
+        yield np.repeat(np.arange(len(walks)), k * loops), *group.moves, keys
 
 
 def _chunks(parts, budget: int):
@@ -587,76 +595,70 @@ def random_loop_residual(cplx: CubeComplex, rng, ts: Iterable[float],
     ts = list(ts)
     if not ts:
         return 0.0
-    geoms = [_class_geom(cplx, klass) for klass in enumerate_classes(cplx)
-             if len(klass.members) > 1]
-    walks = [[_walks(geom, rng, loops, walk_length) for geom in geoms] for _ in ts]
+    # the classes of two or more members in (degree, determining set) order
+    groups, classes = [], []
+    for q in range(cplx.dimension + 1):
+        here = [group for group in _groups(cplx, q) if group.cols.shape[1] > 1]
+        classes += sorted((i, len(groups) + g, c) for g, group in enumerate(here)
+                          for c, i in enumerate(group.ids.tolist()))
+        groups += here
+    walks = [{(g, c): _walks(groups[g], c, rng, loops, walk_length) for _, g, c in classes}
+             for _ in ts]
     ab = np.array([step_coefficients(t) for t in ts]).reshape(-1, 2).T
     worst = 0.0
-    for chunk in _chunks(_loop_moves(geoms, walks, loops), _CHUNK):
+    for chunk in _chunks(_loop_moves(groups, walks, loops), _CHUNK):
         for t_of, perm, sign in _loop_blocks(chunk):
             worst = max(worst, _block_residual(perm, sign, ab[:, t_of]))
     return worst
 
 
-def _class_roots(cplx: CubeComplex, geoms: list, class_bases: dict | None) -> np.ndarray:
-    """The root member of each class of ``geoms``, all of one size.
+def _nearest(cplx: CubeComplex, group: _Group, vertices) -> tuple[np.ndarray, np.ndarray]:
+    """Each class's member nearest each of ``vertices``, (k, V), and whether
+    the minimum is tied: one stacked product |M| - 2 V M^T over the member
+    bits, the row constant |V| left out."""
+    vbits = bit_rows(cplx.n_hyperplanes, vertices).astype(np.float64)
+    dist = group.bits.sum(axis=2)[:, None] - 2.0 * (vbits @ group.bits.transpose(0, 2, 1))
+    near = dist.argmin(axis=2)
+    # the first and the last minimum coincide exactly when it is unique
+    return near, near != dist.shape[2] - 1 - dist[..., ::-1].argmin(axis=2)
+
+
+def _class_roots(cplx: CubeComplex, group: _Group, class_bases: dict | None) -> np.ndarray:
+    """The root member of each class of ``group``.
 
     A class's root is its ``class_bases`` cube when it has one, else its
-    member nearest the base vertex, found for all those classes by one
-    stacked product.
+    member nearest the base vertex; a tie raises AssertionError, naming
+    the first class with one.
     """
-    roots = np.empty(len(geoms), dtype=np.intp)
-    nearest = []
-    for i, geom in enumerate(geoms):
-        home = (class_bases or {}).get(geom.klass.determining)
-        if home is None:
-            nearest.append(i)
-        elif home.cutting != geom.klass.determining or home.anchor not in geom.index:
-            raise ValueError("override cube %r is not a class member" % (home,))
-        else:
-            roots[i] = geom.index[home.anchor]
-    roots[nearest] = nearest_in_classes(cplx, cplx.base_vertex,
-                                        [geoms[i].klass for i in nearest])
+    roots, tied = (a[:, 0] for a in _nearest(cplx, group, (cplx.base_vertex,)))
+    for c, det in enumerate(map(tuple, group.sets.tolist()) if class_bases else ()):
+        home = class_bases.get(det)
+        if home is not None:
+            hit = (group.bits[c] == bit_rows(cplx.n_hyperplanes, (home.anchor,))).all(axis=1)
+            if home.cutting != det or not hit.any():
+                raise ValueError("override cube %r is not a class member" % (home,))
+            roots[c], tied[c] = hit.argmax(), False
+    if tied.any():
+        raise AssertionError("nearest cube in class %s to %s is not unique"
+                             % (group.sets[tied.argmax()].tolist(),
+                                cplx.vertex_bits(cplx.base_vertex)))
     return roots
 
 
-class _FrameGroup(NamedTuple):
-    """The t-independent data of the degree-q classes of one size m.
-
-    Stacked over those k classes: member positions among the degree-q
-    cubes (k, m), pairwise member separations (k, m, m), and the moves
-    that carry every member to its class root (``_stacked_moves`` tables
-    and keys, one slice per member).
-    """
-
-    cols: np.ndarray
-    dist: np.ndarray
-    perm: np.ndarray
-    sign: np.ndarray
-    keys: np.ndarray
-
-
-def _frame_groups(cplx: CubeComplex, q: int,
-                  class_bases: dict | None = None) -> list[_FrameGroup]:
-    """Degree-q classes grouped by size; kept per base vertex unless rerooted."""
-    dist_type = np.min_scalar_type(cplx.n_hyperplanes)
-
+def _root_paths(cplx: CubeComplex, q: int, class_bases: dict | None = None) -> list:
+    """Per degree-q group, the keys (k m, steps) of each member's tree path
+    to its class root, rows class by class; kept per base vertex unless
+    rerooted."""
     def build():
         out = []
-        for same in _by_size(_degree_geoms(cplx, q)):
-            geoms = [geom for _, geom in same]
-            k, m = len(geoms), len(geoms[0].members)
-            cls = np.repeat(np.arange(k), m)
-            paths = _tree_paths(geoms, cls, np.repeat(_class_roots(cplx, geoms, class_bases), m),
-                                np.tile(np.arange(m), k))
-            out.append(_FrameGroup(
-                np.array([geom.cols for geom in geoms]),
-                np.array([member_bits(cplx, klass).separations().astype(dist_type)
-                          for klass, _ in same]),
-                *_stacked_moves(geoms, cls, paths)))
+        for group in _groups(cplx, q):
+            k, m = group.cols.shape
+            roots = _class_roots(cplx, group, class_bases)
+            out.append(_tree_paths(group, np.repeat(np.arange(k), m), np.repeat(roots, m),
+                                   np.tile(np.arange(m), k)))
         return out
 
-    return build() if class_bases else cplx.cached(("frame_groups", q, cplx.base_vertex), build)
+    return build() if class_bases else cplx.cached(("root_paths", q, cplx.base_vertex), build)
 
 
 class ClassBlocks(NamedTuple):
@@ -690,10 +692,10 @@ def class_blocks(cplx: CubeComplex, q: int, t: float,
     powers = _gram_powers(cplx, t)
     ab = step_coefficients(t)
     out = []
-    for group in _frame_groups(cplx, q, class_bases):
+    for group, keys in zip(_groups(cplx, q), _root_paths(cplx, q, class_bases)):
         k, m = group.cols.shape
         columns = np.tile(np.identity(m), (k, 1))
-        _rotate(columns, group.perm, group.sign, ab, group.keys)
+        _rotate(columns, *group.moves, ab, keys)
         out.append(ClassBlocks(group.cols, powers[group.dist],
                                columns.reshape(k, m, m).transpose(0, 2, 1)))
     return tuple(out)
@@ -725,14 +727,16 @@ def u_t_apply(cplx: CubeComplex, cochain: dict, t: float | None = None,
     zero = a * 0
     out: dict[Cube, object] = {}
     for cube, coeff in cochain.items():
-        geom = _class_geom(cplx, class_of(cplx, cube.cutting))
-        start = geom.index[cube.anchor]
-        vec = np.full((1, len(geom.members)), zero, dtype=object)
-        vec[0, start] = coeff + zero
-        keys = _tree_paths([geom], [0], _class_roots(cplx, [geom], class_bases), [start])
-        _rotate(vec, geom.perm, geom.sign, (a, b), keys)
-        for member, value in zip(geom.members, vec[0]):
+        groups = _groups(cplx, cube.dim)
+        g, c, i = _labels(groups)[:, cplx.cube_index(cube.dim)[cube]].tolist()
+        m = groups[g].cols.shape[1]
+        vec = np.full((1, m), zero, dtype=object)
+        vec[0, i] = coeff + zero
+        keys = _root_paths(cplx, cube.dim, class_bases)[g][None, c * m + i]
+        _rotate(vec, *groups[g].moves, (a, b), keys)
+        for col, value in zip(groups[g].cols[c].tolist(), vec[0]):
             if value:
+                member = cplx.cubes(cube.dim)[col]
                 acc = out.get(member, zero) + value
                 if acc:
                     out[member] = acc
@@ -750,7 +754,7 @@ def gram_matrix(cplx: CubeComplex, q: int, t: float) -> np.ndarray:
     powers = _gram_powers(cplx, t)
     n = len(cplx.cube_arrays(q).keys)
     return _scatter(np.zeros((n, n)), (
-        (group.cols, powers[group.dist]) for group in _frame_groups(cplx, q)))
+        (group.cols, powers[group.dist]) for group in _groups(cplx, q)))
 
 
 # -- basic cochains and their pairings -----------------------------------------------
@@ -1029,16 +1033,6 @@ class PairBlocks(NamedTuple):
     block: np.ndarray
 
 
-def _labels(blocks: tuple[ClassBlocks, ...]) -> np.ndarray:
-    """Per cube of the degree: its stack, its class there, its member position."""
-    out = np.empty((3, sum(blks.cols.size for blks in blocks)), dtype=np.intp)
-    for s, blks in enumerate(blocks):
-        out[0, blks.cols] = s
-        out[1, blks.cols] = np.arange(len(blks.cols))[:, None]
-        out[2, blks.cols] = np.arange(blks.cols.shape[1])
-    return out
-
-
 def pair_blocks(terms: np.ndarray, hi: tuple[ClassBlocks, ...],
                 lo: tuple[ClassBlocks, ...], t: float) -> Iterator[PairBlocks]:
     """U_hi^(-1) B U_lo, B the operator of a ``term_table``, by class pair.
@@ -1122,15 +1116,15 @@ def w_hat_blocks(cplx: CubeComplex, q: int, target_vertex: int, source_vertex: i
     exact = _is_exact(ab)
     ab = _resolve_ab(t, ab)
     out = []
-    for klass, geom in _degree_geoms(cplx, q):
-        (near_t, near_s), failed = nearest_members(
-            cplx, klass, (target_vertex, source_vertex))
-        if failed.any():
+    for group in _groups(cplx, q):
+        near, tied = _nearest(cplx, group, (target_vertex, source_vertex))
+        if tied.any():
             raise AssertionError("nearest cube in class %s to an endpoint is not unique"
-                                 % (list(klass.determining),))
-        if near_t != near_s:
-            (keys,) = _tree_paths([geom], [0], [near_t], [near_s])
-            out.append((geom.cols, _moves_block(geom, keys, ab, exact)))
+                                 % (group.sets[tied.any(axis=1).argmax()].tolist(),))
+        moved = np.flatnonzero(near[:, 0] != near[:, 1])
+        if len(moved):
+            keys = _tree_paths(group, moved, *near[moved].T)
+            out.extend(zip(group.cols[moved], _moves_blocks(group, keys, ab, exact)))
     return out
 
 

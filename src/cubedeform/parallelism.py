@@ -5,10 +5,11 @@ class is keyed by a cutting set and holds every cube realizing it.  Classes
 inherit a surprising amount of structure: each vertex picks out a unique
 nearest member, distances between members add along the way to that member,
 and the members themselves form a smaller median complex over the
-hyperplanes that cross the whole cutting set.  Nearest members and their
+hyperplanes that cross the whole cutting set.  The classes of each degree
+are one grouping of the cube rows by their cutting bits (``class_rows``),
+and ``enumerate_classes`` is its tuple view.  Nearest members and their
 checks come from one 0/1 matrix product per class over the members' bits,
-for any number of vertices at once, or from one stacked product for one
-vertex and many classes of one size.  The number of classes always
+for any number of vertices at once.  The number of classes always
 equals the number of vertices; the explicit bijection sends a vertex to the
 class of the first cube on its normal cube path toward the base vertex.
 """
@@ -19,18 +20,19 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .core import Cube, CubeComplex, InvalidComplex, bit_rows, project_bits
+from .core import Cube, CubeComplex, InvalidComplex, bit_rows, project_bits, row_keys
 
 __all__ = [
     "ClassComplex",
+    "ClassRows",
     "MemberBits",
     "ParallelClass",
     "class_complex",
     "class_of",
+    "class_rows",
     "enumerate_classes",
     "member_bits",
     "nearest_in_class",
-    "nearest_in_classes",
     "nearest_members",
     "vertex_to_class_bijection",
 ]
@@ -63,16 +65,43 @@ class ClassComplex(NamedTuple):
     from_vertex: dict
 
 
-def enumerate_classes(cplx: CubeComplex) -> tuple[ParallelClass, ...]:
-    """All parallelism classes, sorted by (dimension, determining set)."""
+class ClassRows(NamedTuple):
+    """The degree-q cubes by parallelism class: each class's cutting bits as
+    a 0/1 row (``sets``, determining sets ascending), the class of each
+    q-cube (``of``) and each class's member count (``sizes``)."""
+
+    sets: np.ndarray
+    of: np.ndarray
+    sizes: np.ndarray
+
+
+def class_rows(cplx: CubeComplex, q: int) -> ClassRows:
+    """The cached ``ClassRows`` of degree q, one ``np.unique`` over the
+    cutting keys of ``cube_arrays(q)`` (complemented, so the keys ascend
+    with the determining sets)."""
     def build():
-        groups: dict[tuple[int, ...], list[Cube]] = {}
+        cutting = cplx.cube_arrays(q).cutting
+        _, first, of, sizes = np.unique(row_keys(cutting ^ 1), return_index=True,
+                                        return_inverse=True, return_counts=True)
+        return ClassRows(cutting[first], of.ravel(), sizes)
+
+    return cplx.cached(("class_rows", q), build)
+
+
+def enumerate_classes(cplx: CubeComplex) -> tuple[ParallelClass, ...]:
+    """All parallelism classes, sorted by (dimension, determining set): a
+    view of ``class_rows``, made on first use and cached."""
+    def build():
+        out = []
         for q in range(cplx.dimension + 1):
-            for cube in cplx.cubes(q):
-                groups.setdefault(cube.cutting, []).append(cube)
-        return tuple(
-            ParallelClass(key, tuple(sorted(groups[key])))
-            for key in sorted(groups, key=lambda k: (len(k), k)))
+            rows, cubes = class_rows(cplx, q), cplx.cubes(q)
+            # members in cube order, which within a class is anchor order
+            members = [cubes[i] for i in np.argsort(rows.of, kind="stable").tolist()]
+            ends = np.cumsum(rows.sizes).tolist()
+            sets = np.nonzero(rows.sets)[1].reshape(len(ends), q).tolist()
+            out.extend(ParallelClass(tuple(det), tuple(members[end - size:end]))
+                       for det, size, end in zip(sets, rows.sizes.tolist(), ends))
+        return tuple(out)
 
     return cplx.cached("parallel_classes", build)
 
@@ -174,32 +203,6 @@ def nearest_in_class(
             % (list(klass.determining), cplx.vertex_bits(vertex),
                " or not a gate" if verify else ""))
     return klass.members[best]
-
-
-def nearest_in_classes(
-    cplx: CubeComplex,
-    vertex: int,
-    classes: list[ParallelClass],
-) -> np.ndarray:
-    """Index of the member nearest ``vertex`` in each of ``classes``, all of one size.
-
-    ``nearest_in_class`` for many classes by one product of their stacked
-    member bits against the vertex; raises its AssertionError for the
-    first class whose nearest member is not unique.
-    """
-    if not classes:
-        return np.zeros(0, dtype=np.intp)
-    stacked = [member_bits(cplx, klass) for klass in classes]
-    vbits = bit_rows(cplx.n_hyperplanes, (vertex,)).astype(np.float64)[0]
-    dist = (np.array([mb.ones for mb in stacked])
-            - 2.0 * (np.array([mb.bits for mb in stacked]) @ vbits))
-    best = dist.argmin(axis=1)
-    failed = best != dist.shape[1] - 1 - dist[:, ::-1].argmin(axis=1)
-    if failed.any():
-        raise AssertionError(
-            "nearest cube in class %s to %s is not unique"
-            % (list(classes[int(failed.argmax())].determining), cplx.vertex_bits(vertex)))
-    return best
 
 
 def class_complex(cplx: CubeComplex, klass: ParallelClass) -> ClassComplex:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import Cube, CubeComplex, column_bits, row_keys, row_positions
 from .differential import OrientedCube, _sort_parity, numerical_rank
-from .parallelism import class_of, enumerate_classes
+from .parallelism import class_of, class_rows
 
 __all__ = [
     "CubePair",
@@ -222,19 +222,16 @@ def symbol_arrays(cplx: CubeComplex, q: int) -> SymbolArrays:
     of t >= q hyperplanes, every q-subset k of T with h = T minus k."""
     def build():
         n = cplx.n_hyperplanes
-        by_size: dict[int, list] = {}
-        for klass in enumerate_classes(cplx):
-            if 0 <= q <= klass.dim:
-                by_size.setdefault(klass.dim, []).append(klass.determining)
         empty = np.zeros((0, n), dtype=np.uint8)
         h, k = [empty], [empty]
-        for t, sets in by_size.items():
-            members = np.array(sets, dtype=np.intp).reshape(len(sets), t)
+        for t in range(q, cplx.dimension + 1) if q >= 0 else ():
+            sets = class_rows(cplx, t).sets
+            members = np.nonzero(sets)[1].reshape(len(sets), t)
             combos = np.array(list(combinations(range(t), q)), dtype=np.intp)
             combos = combos.reshape(comb(t, q), q)
             # one row per set and q-subset of it, set by set
             part = column_bits(members[:, combos].reshape(len(sets) * len(combos), q), n)
-            h.append(np.repeat(column_bits(members, n), len(combos), axis=0) ^ part)
+            h.append(np.repeat(sets, len(combos), axis=0) ^ part)
             k.append(part)
         h, k = np.concatenate(h), np.concatenate(k)
         keys = _symbol_keys(h, k)

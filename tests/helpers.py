@@ -341,29 +341,106 @@ def oracle_unique_nearest(cplx: CubeComplex, vertex: int, klass: ParallelClass) 
     return best
 
 
-def _oracle_steps(cplx: CubeComplex, geom) -> list[list[tuple[int, int]]]:
+class GroupClass(NamedTuple):
+    """Class ``c`` of a ``deformation._groups`` record, its members, and
+    the key of each of its moves by (hyperplane, source side), read off
+    its ``nbr`` and ``fwd`` rows."""
+
+    group: object
+    c: int
+    members: tuple
+    move_key: dict
+
+
+def group_class(cplx: CubeComplex, klass: ParallelClass) -> GroupClass:
+    """The ``GroupClass`` of ``klass``: its group found by determining set."""
+    want = np.array(klass.determining, dtype=np.intp)
+    for group in deformation._groups(cplx, klass.dim):
+        hit = np.flatnonzero((group.sets == want).all(axis=1))
+        if len(hit):
+            c, m = int(hit[0]), len(klass.members)
+            move_key = {}
+            for i, (near, keys) in enumerate(zip(group.nbr[c].tolist(), group.fwd[c].tolist())):
+                a = klass.members[i].anchor
+                for j, key in zip(near, keys):
+                    if j < m:
+                        h = cplx.hyperplane_of_mask(a ^ klass.members[j].anchor)
+                        move_key[h, 1 if a & cplx.mask(h) else 0] = key
+            return GroupClass(group, c, klass.members, move_key)
+    raise KeyError(klass.determining)
+
+
+class OracleGeom(NamedTuple):
+    """One class's crossing structure, built member by member: member
+    positions among the degree's cubes, each move's (perm, sign) rows by
+    (hyperplane, source side), and per member the (neighbor, hyperplane,
+    side) of its moves, ascending in the neighbor."""
+
+    cols: list
+    moves: dict
+    steps: list
+
+
+def oracle_class_geom(cplx: CubeComplex, klass: ParallelClass) -> OracleGeom:
+    """The per-class loop over members and hyperplanes that the stacked
+    groups replaced: two members are adjacent across H when their anchors
+    differ in H alone, and ``adjacent_cube`` must confirm the cube they span."""
+    m = len(klass.members)
+    index = {c.anchor: i for i, c in enumerate(klass.members)}
+    moves: dict = {}
+    steps: list = [[] for _ in range(m)]
+    for i, member in enumerate(klass.members):
+        for h in range(cplx.n_hyperplanes):
+            mask = cplx.mask(h)
+            if h in member.cutting or member.anchor & mask:
+                continue  # handle each pair from its 0-side
+            j = index.get(member.anchor ^ mask)
+            if j is None:
+                continue
+            if not cplx.adjacent_cube(member, h):
+                raise AssertionError("class members at distance one across %d span no cube" % h)
+            for side, u, v in ((0, i, j), (1, j, i)):
+                perm, sign = moves.setdefault((h, side), (list(range(m)), [0] * m))
+                perm[u], perm[v], sign[u], sign[v] = v, u, -1, 1
+                steps[u].append((v, h, side))
+    cube_index = cplx.cube_index(klass.dim)
+    return OracleGeom([cube_index[c] for c in klass.members], moves, [sorted(s) for s in steps])
+
+
+def oracle_classes(cplx: CubeComplex) -> tuple[ParallelClass, ...]:
+    """Every class from a dict of cube tuples per cutting set, sorted by
+    (dimension, determining set), members sorted."""
+    groups: dict = {}
+    for q in range(cplx.dimension + 1):
+        for cube in cplx.cubes(q):
+            groups.setdefault(cube.cutting, []).append(cube)
+    return tuple(ParallelClass(key, tuple(sorted(groups[key])))
+                 for key in sorted(groups, key=lambda k: (len(k), k)))
+
+
+def _oracle_steps(cplx: CubeComplex, view: GroupClass) -> list[list[tuple[int, int]]]:
     """Per member: (neighbor, key of the move to it), ascending in the
     neighbor, from the anchors (members at distance one) and ``move_key``."""
-    anchors = [m.anchor for m in geom.members]
+    anchors = [m.anchor for m in view.members]
     out = []
     for a in anchors:
         row = []
         for j, b in enumerate(anchors):
             if (a ^ b).bit_count() == 1:
                 h = cplx.hyperplane_of_mask(a ^ b)
-                row.append((j, geom.move_key[h, 1 if a & cplx.mask(h) else 0]))
+                row.append((j, view.move_key[h, 1 if a & cplx.mask(h) else 0]))
         out.append(row)
     return out
 
 
-def oracle_tree(cplx: CubeComplex, geom, root: int) -> list:
+def oracle_tree(cplx: CubeComplex, view: GroupClass, root: int) -> list:
     """The breadth-first tree of a class rooted at ``root``, one member at
     a time off a first-in-first-out queue, neighbors in ascending order.
 
     Entry i is (parent index, key of the move from member i to its
     parent), or None at the root.
     """
-    steps = _oracle_steps(cplx, geom)
+    steps = _oracle_steps(cplx, view)
     out: list = [None] * len(steps)
     seen = {root}
     queue = deque([root])
@@ -388,11 +465,11 @@ def oracle_path_keys(tree: list, start: int) -> list[int]:
     return keys
 
 
-def oracle_walks(cplx: CubeComplex, geom, rng, loops: int = 20,
+def oracle_walks(cplx: CubeComplex, view: GroupClass, rng, loops: int = 20,
                  walk_length: int = 8) -> tuple[list, list, list]:
     """Random walks in a class by one scalar ``rng.integers`` call per
     draw: (starts, ends, move keys per walk)."""
-    steps = _oracle_steps(cplx, geom)
+    steps = _oracle_steps(cplx, view)
     starts, ends, keys = [], [], []
     for _ in range(loops):
         start = cur = int(rng.integers(len(steps)))
@@ -465,10 +542,10 @@ def w_step_matrix(cplx: CubeComplex, cube: Cube, h: int, t: float | None = None,
     """
     if not cplx.adjacent_cube(cube, h):
         raise ValueError("cube %r is not adjacent to hyperplane %d" % (cube, h))
-    geom = deformation._class_geom(cplx, class_of(cplx, cube.cutting))
-    key = geom.move_key[h, 1 if cube.anchor & cplx.mask(h) else 0]
-    return deformation._moves_block(geom, [key], deformation._resolve_ab(t, ab),
-                                     deformation._is_exact(ab))
+    view = group_class(cplx, class_of(cplx, cube.cutting))
+    key = view.move_key[h, 1 if cube.anchor & cplx.mask(h) else 0]
+    return deformation._moves_blocks(view.group, np.array([[key]]), deformation._resolve_ab(t, ab),
+                                      deformation._is_exact(ab))[0]
 
 
 def d_t_matrix(cplx: CubeComplex, q: int, t: float, weighted: bool = False) -> np.ndarray:

@@ -664,6 +664,19 @@ def test_check_jv_and_fredholm_make_no_cube_tuples(grid_file, monkeypatch, capsy
         assert bool(made) == (suite == "parallel")
 
 
+def test_check_field_and_ps_make_no_cube_tuples_or_class_tuples(grid_file, monkeypatch, capsys):
+    # both read the classes as rows (``class_rows`` and the stacked groups)
+    loaded, load = [], cli._load_complex
+    monkeypatch.setattr(cli, "_load_complex", lambda *a: loaded.append(load(*a)) or loaded[-1])
+    for suite in ("field", "ps"):
+        code, _ = run(["check", suite, "--input", grid_file], capsys)
+        assert code == 0
+        shared = loaded[-1]._shared
+        assert any(isinstance(key, tuple) and key[0] == "class_rows" for key in shared)
+        assert not [key for key in shared if isinstance(key, tuple) and key[0] == "cubes"]
+        assert "parallel_classes" not in shared
+
+
 def test_check_jv_and_ps_form_no_dense_operator(tmp_path, monkeypatch, capsys):
     paths = []
     for name in helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES:

@@ -36,8 +36,9 @@ from cubedeform.deformation import (
     w_path_matrix,
 )
 from cubedeform.differential import OrientedCube, d_matrix, delta_matrix, term_table
-from cubedeform.generate import hypercube, random_median_complex, star_tree
-from cubedeform.parallelism import class_of, enumerate_classes
+from cubedeform.generate import grid_complex, hypercube, random_median_complex, star_tree
+from cubedeform.core import column_bits
+from cubedeform.parallelism import class_of, class_rows, enumerate_classes, member_bits
 from cubedeform.symbols import canonical_symbol_vertex, cube_pair, ps_basis, symbol_from_raw
 
 INF = float("inf")
@@ -672,17 +673,83 @@ def test_w_step_matches_entrywise_oracle(t, ab):
     assert cases > 300
 
 
+def _assert_groups_match_the_per_class_loop(cplx):
+    """Every field of every ``_groups`` record against ``oracle_class_geom``
+    and ``member_bits``: ids and sets, member columns, bits, separations,
+    neighbors, and each move's rows reached through ``fwd`` and ``back``,
+    with every other row the identity."""
+    seen = 0
+    for klass in enumerate_classes(cplx):
+        view = helpers.group_class(cplx, klass)
+        group, c, m = view.group, view.c, len(klass.members)
+        want = helpers.oracle_class_geom(cplx, klass)
+        rows = class_rows(cplx, klass.dim)
+        assert np.array_equal(rows.sets[group.ids[c]], column_bits(
+            np.array([klass.determining], dtype=np.intp).reshape(1, -1), cplx.n_hyperplanes)[0])
+        assert group.cols[c].tolist() == want.cols
+        bits = member_bits(cplx, klass)
+        assert np.array_equal(group.bits[c], bits.bits)
+        assert np.array_equal(group.dist[c], bits.separations())
+        perm, sign = group.moves
+        r = group.perm.shape[1]
+        used = set()
+        for i, steps in enumerate(want.steps):
+            assert group.nbr[c, i].tolist() == [v for v, _, _ in steps] + [m] * (
+                group.nbr.shape[2] - len(steps))
+            assert not group.fwd[c, i, len(steps):].any()
+            assert not group.back[c, i, len(steps):].any()
+            for slot, (v, h, side) in enumerate(steps):
+                for key, move in ((group.fwd, (h, side)), (group.back, (h, 1 - side))):
+                    k = int(key[c, i, slot])
+                    assert c * r < k < (c + 1) * r
+                    assert (perm[k].tolist(), sign[k].tolist()) == want.moves[move]
+                    used.add(k)
+        assert len(used) == len(want.moves)
+        for k in set(range(c * r, (c + 1) * r)) - used:
+            assert perm[k].tolist() == list(range(m)) and not sign[k].any()
+        seen += 1
+    assert seen == cplx.n_vertices
+    assert sum(len(g.ids) for q in range(cplx.dimension + 1)
+               for g in deformation._groups(cplx, q)) == seen
+
+
+@pytest.mark.parametrize("name", helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES
+                         + helpers.WIDE_FIXTURE_NAMES + ("random0", "random1", "random2"))
+def test_groups_match_the_per_class_loop(name):
+    _assert_groups_match_the_per_class_loop(helpers.table_case(name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), k=st.integers(1, 6), seed=st.integers(0, 1 << 16))
+def test_groups_match_the_per_class_loop_hypothesis(n, k, seed):
+    _assert_groups_match_the_per_class_loop(random_median_complex(n, k, seed))
+
+
+def test_groups_refuse_members_that_span_no_cube():
+    # a square dropped from the cached 2-cube rows leaves its two edge pairs
+    # at distance one with no cube between them
+    cplx = grid_complex([2, 2])
+    cplx.cube_arrays(0)
+    levels = cplx._shared["levels"]
+    upper = levels[2]
+    cplx._shared["levels"] = levels[:2] + (type(upper)(*(a[1:] for a in upper)),)
+    with pytest.raises(AssertionError, match="span no cube"):
+        deformation._groups(cplx, 1)
+    with pytest.raises(AssertionError, match="span no cube"):
+        helpers.oracle_class_geom(cplx, class_of(cplx, (0,)))
+
+
 def test_root_paths_rows_are_the_tree_paths():
     # every member's path up to every root, read off the array trees, is
     # the first-in-first-out tree's path, padded with the identity key 0
     for cplx in _block_complexes():
         for klass in enumerate_classes(cplx):
-            geom = deformation._class_geom(cplx, klass)
+            view = helpers.group_class(cplx, klass)
             m = len(klass.members)
             for root in range(m):
-                paths = deformation._tree_paths([geom], np.zeros(m, dtype=int),
+                paths = deformation._tree_paths(view.group, np.full(m, view.c),
                                                 np.full(m, root), np.arange(m))
-                tree = helpers.oracle_tree(cplx, geom, root)
+                tree = helpers.oracle_tree(cplx, view, root)
                 keys = [helpers.oracle_path_keys(tree, i) for i in range(m)]
                 assert paths.shape == (len(keys), max(map(len, keys)))
                 for row, path in zip(paths, keys):
@@ -691,17 +758,19 @@ def test_root_paths_rows_are_the_tree_paths():
 
 
 def _assert_bfs_tables_are_the_fifo_tree(cplx, rng):
-    """The array trees of every class size, stacked over its classes with
-    random roots (each class at least once), against ``oracle_tree``."""
-    by_size = {}
+    """The array trees of every group, over its classes with random roots
+    (each class at least once), against ``oracle_tree``."""
+    views = {}
     for klass in enumerate_classes(cplx):
-        by_size.setdefault(len(klass.members), []).append(deformation._class_geom(cplx, klass))
-    for m, geoms in by_size.items():
-        cls = np.concatenate([np.arange(len(geoms)), rng.integers(len(geoms), size=5)])
+        view = helpers.group_class(cplx, klass)
+        views[id(view.group), view.c] = view
+    for group in (g for q in range(cplx.dimension + 1) for g in deformation._groups(cplx, q)):
+        k, m = group.cols.shape
+        cls = np.concatenate([np.arange(k), rng.integers(k, size=5)])
         roots = rng.integers(m, size=len(cls))
-        parent, key = deformation._bfs_tables(geoms, cls, roots)
+        parent, key = deformation._bfs_tables(group, cls, roots)
         for row, (c, root) in enumerate(zip(cls, roots)):
-            want = helpers.oracle_tree(cplx, geoms[c], root)
+            want = helpers.oracle_tree(cplx, views[id(group), c], root)
             assert want[root] is None and parent[row, root] == root and key[row, root] == 0
             for i, entry in enumerate(want):
                 if entry is not None:
@@ -722,12 +791,12 @@ def test_bfs_tables_are_the_fifo_tree_hypothesis(n, k, seed):
 
 
 def test_bfs_tables_refuse_a_disconnected_class():
-    geom = deformation._class_geom(hypercube(2), class_of(hypercube(2), ()))
-    cut = deformation._ClassGeom.__new__(deformation._ClassGeom)
-    cut.members, cut.nbr, cut.back = geom.members, geom.nbr.copy(), geom.back
-    cut.nbr[:, 1:] = len(geom.members)  # each member keeps only its first neighbor
+    (group,) = deformation._groups(hypercube(2), 0)
+    nbr = group.nbr.copy()
+    nbr[:, :, 1:] = group.cols.shape[1]  # each member keeps only its first neighbor
     with pytest.raises(AssertionError, match="not connected"):
-        deformation._bfs_tables([cut], np.zeros(1, dtype=int), np.zeros(1, dtype=int))
+        deformation._bfs_tables(group._replace(nbr=nbr), np.zeros(1, dtype=int),
+                                np.zeros(1, dtype=int))
 
 
 @pytest.mark.parametrize("ab", (None, (Fraction(3, 5), Fraction(4, 5))))
@@ -824,9 +893,10 @@ def test_random_loop_residual_sees_a_sabotaged_move(determining):
     # and wherever its loops sit in the stack of that class size
     cplx = hypercube(3)  # a fresh complex: the cached moves are its own
     assert random_loop_residual(cplx, np.random.default_rng(5), (1.0,)) <= 1e-10
-    geom = deformation._class_geom(cplx, class_of(cplx, determining))
-    k = min(geom.move_key.values())
-    geom.sign[k] = -geom.sign[k]
+    view = helpers.group_class(cplx, class_of(cplx, determining))
+    k = min(view.move_key.values())
+    sign = view.group.moves[1]  # a view of the group's sign table
+    sign[k] = -sign[k]
     assert random_loop_residual(cplx, np.random.default_rng(5), (1.0,)) > 1e-10
 
 
@@ -868,9 +938,9 @@ def _assert_walks_are_scalar_draws(cplx, seed):
     for klass in enumerate_classes(cplx):
         if len(klass.members) < 2:
             continue
-        geom = deformation._class_geom(cplx, klass)
-        starts, ends, keys = deformation._walks(geom, rng, 20, 8)
-        want = helpers.oracle_walks(cplx, geom, scalar, 20, 8)
+        view = helpers.group_class(cplx, klass)
+        starts, ends, keys = deformation._walks(view.group, view.c, rng, 20, 8)
+        want = helpers.oracle_walks(cplx, view, scalar, 20, 8)
         assert (starts.tolist(), ends.tolist(), keys.tolist()) == want
     assert int(rng.integers(1 << 30)) == int(scalar.integers(1 << 30))
 

@@ -2,21 +2,23 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
 from helpers import class_count_theorem, nearest_moves_across_edge, pair_distance
-from cubedeform.core import Cube
+from cubedeform import deformation
+from cubedeform.core import Cube, column_bits
 from cubedeform.generate import random_median_complex
 from cubedeform.parallelism import (
     ParallelClass,
     class_complex,
     class_of,
+    class_rows,
     enumerate_classes,
     nearest_in_class,
-    nearest_in_classes,
     nearest_members,
     vertex_to_class_bijection,
 )
@@ -41,6 +43,32 @@ def test_classes_partition_the_cubes(name):
     assert len(seen) == cplx.n_cubes()
     keys = [(k.dim, k.determining) for k in classes]
     assert keys == sorted(keys)
+
+
+def _assert_classes_are_the_dict_grouping(cplx):
+    """``enumerate_classes`` and ``class_rows`` against the grouping of cube
+    tuples by cutting set in a dict."""
+    want = helpers.oracle_classes(cplx)
+    assert enumerate_classes(cplx) == want
+    for q in range(-1, cplx.dimension + 2):
+        rows, cubes = class_rows(cplx, q), cplx.cubes(q)
+        mine = [klass for klass in want if klass.dim == q]
+        assert np.array_equal(
+            rows.sets, column_bits(np.array([k.determining for k in mine], dtype=np.intp)
+                                   .reshape(len(mine), max(q, 0)), cplx.n_hyperplanes))
+        assert rows.sizes.tolist() == [len(k.members) for k in mine]
+        assert [mine[c].determining for c in rows.of.tolist()] == [c.cutting for c in cubes]
+
+
+@pytest.mark.parametrize("name", helpers.BASIS_CASES)
+def test_classes_are_the_dict_grouping(name):
+    _assert_classes_are_the_dict_grouping(helpers.table_case(name))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 8), k=st.integers(1, 6), seed=st.integers(0, 1 << 16))
+def test_classes_are_the_dict_grouping_hypothesis(n, k, seed):
+    _assert_classes_are_the_dict_grouping(random_median_complex(n, k, seed))
 
 
 def test_square_class_sizes(square):
@@ -169,16 +197,17 @@ def test_nearest_in_class_is_the_one_vertex_view(grid12):
 
 
 def _assert_stacked_nearest_is_per_class(cplx):
-    """Per class size: ``nearest_in_classes`` against ``nearest_in_class``
-    class by class, for the base vertex and every other vertex."""
-    by_size = {}
-    for klass in enumerate_classes(cplx):
-        by_size.setdefault(len(klass.members), []).append(klass)
-    for classes in by_size.values():
-        for v in cplx.vertices:
-            got = nearest_in_classes(cplx, v, classes)
-            want = [klass.members.index(nearest_in_class(cplx, v, klass)) for klass in classes]
-            assert got.tolist() == want
+    """Per group of classes of one degree and size: the stacked roots of
+    ``deformation._class_roots`` against ``nearest_in_class`` class by
+    class, with every vertex as the base vertex."""
+    for q in range(cplx.dimension + 1):
+        for group in deformation._groups(cplx, q):
+            classes = [class_of(cplx, det) for det in group.sets.tolist()]
+            for v in cplx.vertices:
+                got = deformation._class_roots(cplx.rebased(v), group, None)
+                want = [klass.members.index(nearest_in_class(cplx, v, klass))
+                        for klass in classes]
+                assert got.tolist() == want
 
 
 @pytest.mark.parametrize("name", helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES)
@@ -193,16 +222,29 @@ def test_stacked_nearest_is_the_per_class_view_hypothesis(n, k, seed):
 
 
 def test_stacked_nearest_raises_like_the_per_class_view(grid12):
-    # a tie in one class of the stack is nearest_in_class's failure, named
-    # by the first class that has one
-    first, second = class_of(grid12, (1,)), class_of(grid12, (2,))
-    tied = second._replace(members=second.members[:1] * len(second.members))
+    # a tie in one class of the group (every member given its first
+    # member's bits) is nearest_in_class's failure on that class
+    cplx = grid12.rebased(0b000)
+    klass = class_of(cplx, (2,))
+    view = helpers.group_class(cplx, klass)
+    assert len(view.group.cols) > 1  # the tie sits among untouched classes
+    bits = view.group.bits.copy()
+    bits[view.c] = bits[view.c, :1]
     with pytest.raises(AssertionError) as per_class:
-        nearest_in_class(grid12, 0b000, tied)
+        nearest_in_class(cplx, 0b000, klass._replace(members=klass.members[:1] * 3))
     with pytest.raises(AssertionError) as stacked:
-        nearest_in_classes(grid12, 0b000, [first, tied, tied])
+        deformation._class_roots(cplx, view.group._replace(bits=bits), None)
     assert str(stacked.value) == str(per_class.value)
-    assert nearest_in_classes(grid12, 0b000, []).shape == (0,)
+    # an override names the root instead, so its class has no tie to find,
+    # and must be a member of its class
+    doctored = deformation._class_roots(cplx, view.group._replace(bits=bits),
+                                        {(2,): klass.members[0]})
+    assert doctored[view.c] == 0
+    bases = {(2,): klass.members[-1]}
+    assert deformation._class_roots(cplx, view.group, bases)[view.c] == len(klass.members) - 1
+    for wrong in (Cube(klass.members[-1].anchor, (1,)), Cube(0b111, (2,))):
+        with pytest.raises(ValueError, match="not a class member"):
+            deformation._class_roots(cplx, view.group, {(2,): wrong})
 
 
 def test_nearest_moves_across_edge_square(square):
