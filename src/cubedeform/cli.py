@@ -42,6 +42,7 @@ from .deformation import (
     pair_blocks,
     pairing_table,
     pairing_value,
+    polynomial_value,
     random_loop_residual,
     symbol_representative,
     w_hat_blocks,
@@ -74,11 +75,14 @@ from .parallelism import (
     vertex_to_class_bijection,
 )
 from .symbols import (
-    ps_basis,
+    PSSymbol,
+    basis_keys,
+    canonical_symbol_vertex,
     ps_cohomology_ranks,
     ps_term_table,
     ps_type_of_index,
-    symbol_key,
+    symbol_arrays,
+    symbol_vertices,
 )
 
 __all__ = ["DEFAULT_TOLERANCES", "FIELD_T_FLOOR", "build_parser", "main"]
@@ -600,44 +604,74 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()
 
 
+def _first_witness(cplx: CubeComplex, h: np.ndarray, k: np.ndarray, cols: np.ndarray) -> list:
+    """The representatives of section 0 and of the first section of its row,
+    whose pairing is polynomial 0 of the table, as pair, orientation, pair,
+    orientation."""
+    out = []
+    for i in (0, int(cols[0])):
+        hs, ks = tuple(np.flatnonzero(h[i]).tolist()), tuple(np.flatnonzero(k[i]).tolist())
+        sym = PSSymbol(hs, ks, canonical_symbol_vertex(cplx, hs + ks), 1)
+        out.extend(symbol_representative(cplx, sym))
+    return out
+
+
 def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser, out) -> int:
     cplx = _load_complex(args.input, parser)
     grid = sorted(set(args.t_grid or (0.1, 1.0, INF)))
 
-    entries = []
-    for q in range(cplx.dimension + 1):
-        for sym in ps_basis(cplx, q):
-            entries.append((symbol_key(sym, cplx), q, sym))
+    # every basis symbol's key and rows, degree by degree
+    degrees = range(cplx.dimension + 1)
+    keys = [key for q in degrees for key in basis_keys(cplx, q)]
+    rows = [symbol_arrays(cplx, q) for q in degrees]
+    h, k = np.concatenate([a.h for a in rows]), np.concatenate([a.k for a in rows])
+    r = np.concatenate([symbol_vertices(cplx, q) for q in degrees])
     if args.select is not None:
         wanted = [s for s in args.select if s]
-        known = {key for key, _, _ in entries}
+        known = set(keys)
         for s in wanted:
             if s not in known:
                 parser.error("unknown symbol key %r" % s)
         keep = set(wanted)
-        entries = [e for e in entries if e[0] in keep]
+        index = [i for i, key in enumerate(keys) if key in keep]
+        keys = [keys[i] for i in index]
+        h, k, r = h[index], k[index], r[index]
 
     # A pair whose faces have different cutting sets is 0.0 at every t and
     # in the limit; every other pair takes its value from its polynomial,
-    # summed once per t on the table's witness pair.  Labels, quoted keys
-    # and float reprs joined by commas are the bytes csv.writer gives, and
-    # the lines of each row key go out as soon as they are made.
-    table = pairing_table(cplx, [symbol_representative(cplx, sym) for _, _, sym in entries])
-    keys = [_csv_field(key) for key, _, _ in entries]
+    # summed once per t, and its limit is 1.0 on the diagonal and 0.0 off
+    # it.  Labels, quoted keys and float reprs joined by commas are the
+    # bytes csv.writer gives, and the lines of each row key go out as soon
+    # as they are made.
+    table = pairing_table(h, k, r)
+    keys = [_csv_field(key) for key in keys]
+    degree = k.sum(axis=1, dtype=np.int64).tolist()
     first, zeros = {}, {}
-    for j, (_, q, _) in enumerate(entries):
+    for j, q in enumerate(degree):
         first.setdefault(q, j)
         zeros.setdefault(q, []).append(keys[j] + ",0.0")
 
     out.write("t,row_key,col_key,value\n")
+    start = table.start.tolist()
+    witness = _first_witness(cplx, h, k, table.cols) if keys else None
     for t in [0.0] + grid:
         label = format_t(t)
         if t:
-            values = [repr(pairing_value(cplx, *w, t)) for w in table.witnesses]
-        for (_, q, _), key, row in zip(entries, keys, table.rows):
+            # polynomial 0 goes through the per-pair entry point on its witness
+            # pair, which keeps that path traced in perfbench; the rest from the table
+            values = [polynomial_value(cplx, power, coeffs, t)
+                      for power, coeffs in table.polynomials[1:]]
+            if witness:
+                values.insert(0, pairing_value(cplx, *witness, t))
+            values = [repr(v) for v in values]
+        for i, (q, key) in enumerate(zip(degree, keys)):
             cells = zeros[q].copy()
-            for j, k, limit in row:
-                cells[j - first[q]] = keys[j] + "," + (values[k] if t else repr(float(limit)))
+            if t:
+                span = slice(start[i], start[i + 1])
+                for j, kk in zip(table.cols[span].tolist(), table.ids[span].tolist()):
+                    cells[j - first[q]] = keys[j] + "," + values[kk]
+            else:
+                cells[i - first[q]] = key + ",1.0"
             prefix = label + "," + key + ","
             out.write(prefix + ("\n" + prefix).join(cells) + "\n")
     return 0

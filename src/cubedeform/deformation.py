@@ -48,11 +48,14 @@ Scalars are pluggable: the default is float64, while tests drive the same
 code with exact rationals, and pairing values are always evaluated in
 extended precision because t^(-p) amplifies round-off near t = 0.  A
 pairing is a polynomial t^(-P) sum_d c_d x^d, x = exp(-t^2/2), and its
-value depends on nothing else, so ``pairing_table`` serves whole bases:
-sections whose faces have different cutting sets pair to zero at every t
-and in the limit and are left out, and the remaining pairs share one
-witness pair per distinct polynomial (on the 3x3x2 grid, 3,971 pairs and
-190 polynomials), so a sweep sums each polynomial once per t.
+value depends on nothing else, so ``pairing_table`` serves whole bases
+from the symbol rows: sections whose faces have different cutting sets
+pair to zero at every t and in the limit and are left out, and the
+remaining pairs are built in array passes over their term pairs (d the
+popcount of the anchors' XOR through a byte table, coefficients in
+``pairing_polynomial``'s dict order) and share one entry per distinct
+polynomial (on the 3x3x2 grid, 3,971 pairs and 190 polynomials), so a
+sweep sums each polynomial once per t with ``polynomial_value``.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from typing import Iterable, Iterator, NamedTuple
 import mpmath as mp
 import numpy as np
 
-from .core import Cube, CubeComplex, bit_rows, row_positions
+from .core import Cube, CubeComplex, bit_rows, row_keys, row_positions
 from .differential import OrientedCube, d_cochain, d_matrix
 from .parallelism import class_rows
 from .symbols import (
@@ -94,6 +97,7 @@ __all__ = [
     "pairing_sweep",
     "pairing_table",
     "pairing_value",
+    "polynomial_value",
     "random_loop_residual",
     "step_coefficients",
     "symbol_representative",
@@ -925,12 +929,11 @@ def _pairing_at(cplx: CubeComplex, coeffs: dict[int, int], power: int,
 def pairing_value(cplx: CubeComplex, pair1: CubePair, o1: OrientedCube,
                   pair2: CubePair, o2: OrientedCube, t: float) -> float:
     """The scaled pairing at one t, evaluated in extended precision."""
-    _check_t(t)
-    return _polynomial_value(cplx, *pairing_polynomial(cplx, pair1, o1, pair2, o2), t)
+    return polynomial_value(cplx, *pairing_polynomial(cplx, pair1, o1, pair2, o2), t)
 
 
-def _polynomial_value(cplx: CubeComplex, power: int, coeffs: dict[int, int],
-                      t: float) -> float:
+def polynomial_value(cplx: CubeComplex, power: int, coeffs: dict[int, int],
+                     t: float) -> float:
     """t^(-power) sum_d coeffs[d] x^d, x = e^(-t^2/2), rounded to a double.
 
     The sum runs at ``PAIRING_DPS`` digits.  When fewer than
@@ -940,6 +943,7 @@ def _polynomial_value(cplx: CubeComplex, power: int, coeffs: dict[int, int],
     precisions are ``PAIRING_DPS`` times a power of two, so the per-t
     constants at each one are reused across polynomials.
     """
+    _check_t(t)
     if t == INF:
         return float(coeffs.get(0, 0)) if power == 0 else 0.0
     if not coeffs:
@@ -961,48 +965,170 @@ def pairing_limit(cplx: CubeComplex, pair1: CubePair, o1: OrientedCube,
 
 
 class PairingTable(NamedTuple):
-    """The same-degree pairings of a list of basic sections, by polynomial.
+    """The same-degree pairings of the representatives of distinct canonical
+    symbols (``symbol_representative``), by polynomial.
 
-    ``witnesses[k]`` is the first (pair1, o1, pair2, o2) whose pairing
-    polynomial is the k-th distinct one, distinct meaning (P, ordered
-    coefficient items): a value is a function of that and t alone.
-    ``rows[i]`` holds (j, k, limit) for each section j whose face has the
-    cutting set of section i's face, ascending in j, with k the id of the
-    pair's polynomial and ``limit`` its ``pairing_limit``.  Every other
-    same-degree pair is zero at every t and in the limit.
+    ``polynomials[k]`` is the k-th distinct ``pairing_polynomial``, distinct
+    meaning (P, ordered coefficient items), numbered by first appearance
+    along the rows: a value is a function of that and t alone.  Row i lists
+    in ``cols[start[i]:start[i + 1]]`` each section j whose face has the
+    cutting set of section i's face, ascending, and in ``ids`` the id of the
+    pair's polynomial.  Every other pair is zero at every t and in the limit.
+    The limit of a listed pair, the inner product of two distinct canonical
+    symbols with sign +1, is 1 when i == j and 0 otherwise.
     """
 
-    witnesses: tuple
-    rows: tuple
+    polynomials: tuple
+    start: np.ndarray
+    cols: np.ndarray
+    ids: np.ndarray
 
 
-def pairing_table(cplx: CubeComplex, sections) -> PairingTable:
-    """The ``PairingTable`` of a sequence of (pair, orientation) sections.
+# Set bits of each byte value, and the term pairs one pass of pairing_table holds.
+_BYTE_BITS = np.array([x.bit_count() for x in range(256)], dtype=np.uint16)
+_TERM_PAIR_CHUNK = 1 << 12
+
+
+def _basic_terms(h: np.ndarray, r: np.ndarray) -> tuple:
+    """The terms of each representative's ``basic_cochain``, in its order:
+    packed anchors (one row per byte, one column per term), +-1
+    coefficients and each section's first term.
+
+    A canonical vertex r is a cube's smallest vertex, clear on h and k, so
+    the representative of [h | k | r] has the face at r with sign +1; the
+    copy across a set S of h comes at position sum 2^i over the i-th
+    hyperplane of h in S, with sign (-1)^|S|.
+    """
+    face = np.packbits(r, axis=1)
+    flips = np.packbits(np.eye(h.shape[1], dtype=np.uint8), axis=1)
+    p = h.sum(axis=1, dtype=np.int64)
+    start = np.zeros(len(p) + 1, dtype=np.int64)
+    np.cumsum(1 << p, out=start[1:])
+    anchors = np.empty((start[-1], face.shape[1]), dtype=np.uint8)
+    coeffs = np.empty(start[-1], dtype=np.int8)
+    for size in range(int(p.max(initial=-1)) + 1):
+        rows = np.flatnonzero(p == size)
+        cols = np.nonzero(h[rows])[1].reshape(len(rows), size)
+        a, c = face[rows, None], np.ones(1, dtype=np.int8)
+        for x in range(size):
+            a = np.concatenate([a, a ^ flips[cols[:, x]][:, None]], axis=1)
+            c = np.concatenate([c, -c])
+        at = start[rows, None] + np.arange(1 << size)
+        anchors[at], coeffs[at] = a, c
+    return np.ascontiguousarray(anchors.T), coeffs, start
+
+
+def _pair_polynomials(n: int, anchors, coeffs, tstart, p, ii, jj) -> np.ndarray:
+    """One row per pair (ii, jj) encoding its ``pairing_polynomial``:
+    P, the item count, then (d, c) per item in dict order, zero padded.
+
+    Section i has 2^p[i] terms from ``tstart[i]``.  The term pairs run i's
+    terms outer and j's inner, as the dict is filled; d is the popcount of
+    the two anchors' XOR and v the product of the coefficients.  A degree
+    whose running sum cancels is popped and enters again at the end, so
+    items order by the last term pair at which their running sum left zero.
+    """
+    tp = 1 << (p[ii] + p[jj])
+    pair = np.repeat(np.arange(len(ii)), tp)
+    t = np.arange(len(pair)) - np.repeat(np.cumsum(tp) - tp, tp)
+    shift = p[jj][pair]
+    a = tstart[ii][pair] + (t >> shift)
+    b = tstart[jj][pair] + (t & ((1 << shift) - 1))
+    d = np.zeros(len(t), dtype=np.uint16)
+    for byte in anchors:
+        d += _BYTE_BITS[byte[a] ^ byte[b]]
+    v = coeffs[a] * coeffs[b]
+    # running sums per (pair, d), each in term order
+    key = pair * (n + 1) + d
+    order = np.argsort(key, kind="stable")
+    key, v, t = key[order], v[order], t[order]
+    seg = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    before = np.cumsum(v, dtype=np.int64) - v
+    before -= np.repeat(before[seg], np.diff(np.append(seg, len(key))))
+    last = np.append(seg[1:], len(key)) - 1
+    total = before[last] + v[last]
+    entered = np.maximum.reduceat(np.where(before == 0, t, -1), seg)
+    keep = np.flatnonzero(total)
+    key, total, entered = key[seg[keep]], total[keep], entered[keep]
+    # items by pair, then by entry
+    order = np.lexsort((entered, key // (n + 1)))
+    key, total = key[order], total[order]
+    pair = key // (n + 1)
+    count = np.bincount(pair, minlength=len(ii))
+    rank = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
+    out = np.zeros((len(ii), 2 + 2 * int(count.max(initial=0))), dtype=np.int64)
+    out[:, 0], out[:, 1] = p[ii] + p[jj], count
+    out[pair, 2 + 2 * rank], out[pair, 3 + 2 * rank] = key % (n + 1), total
+    return out
+
+
+def _intern(encoded: np.ndarray, known: dict, polynomials: list) -> np.ndarray:
+    """The id of each ``_pair_polynomials`` row's polynomial: its index in
+    ``polynomials``, which ``known`` maps each encoding to and which takes
+    the new ones in order of first appearance."""
+    rows = encoded.view("V%d" % (8 * encoded.shape[1])).ravel()
+    distinct, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    raws, items = distinct.tolist(), encoded[first, 1].tolist()
+    found = [0] * len(raws)
+    for u in np.argsort(first).tolist():
+        raw = raws[u][:16 + 16 * items[u]]  # the padding depends on the pass
+        got = known.get(raw)
+        if got is None:
+            got = known[raw] = len(polynomials)
+            row = np.frombuffer(raw, dtype=np.int64).tolist()
+            polynomials.append((row[0], dict(zip(row[2::2], row[3::2]))))
+        found[u] = got
+    return np.array(found, dtype=np.int64)[inverse.ravel()]
+
+
+def _spans(work: np.ndarray):
+    """Consecutive slices (lo, hi) of ``work`` holding at most
+    ``_TERM_PAIR_CHUNK`` in all; a larger item goes alone."""
+    done = np.concatenate([[0], np.cumsum(work)])
+    lo = 0
+    while lo < len(work):
+        hi = max(lo + 1, int(np.searchsorted(done, done[lo] + _TERM_PAIR_CHUNK, "right")) - 1)
+        yield lo, hi
+        lo = hi
+
+
+def pairing_table(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> PairingTable:
+    """The ``PairingTable`` of the representatives of distinct canonical
+    symbols given as 0/1 rows: h sets, k lists and vertices.
 
     Pairs whose faces have different cutting sets are left out:
     ``pairing_polynomial`` gives them no coefficient, and their symbols
     differ in the key, which holds the face cutting set, so their
-    ``pairing_limit`` is 0.  Equal cutting sets mean equal degrees.
+    ``pairing_limit`` is 0.  Equal cutting sets mean equal degrees.  The
+    vertices are those of ``symbol_vertices``.  The pairs are made row by
+    row, in passes of at most ``_TERM_PAIR_CHUNK`` term pairs (or one pair,
+    if it has more).
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, (pair, _) in enumerate(sections):
-        groups.setdefault(pair.d.cutting, []).append(i)
-    ids: dict[tuple, int] = {}
-    witnesses = []
-    rows = []
-    for pair1, o1 in sections:
-        row = []
-        for j in groups[pair1.d.cutting]:
-            pair2, o2 = sections[j]
-            power, coeffs = pairing_polynomial(cplx, pair1, o1, pair2, o2)
-            key = (power, tuple(coeffs.items()))
-            k = ids.get(key)
-            if k is None:
-                k = ids[key] = len(witnesses)
-                witnesses.append((pair1, o1, pair2, o2))
-            row.append((j, k, pairing_limit(cplx, pair1, o1, pair2, o2)))
-        rows.append(tuple(row))
-    return PairingTable(tuple(witnesses), tuple(rows))
+    n = h.shape[1]
+    anchors, coeffs, tstart = _basic_terms(h, r)
+    p = h.sum(axis=1, dtype=np.int64)
+    # the sections by face cutting set, each set's ascending
+    _, group, sizes = np.unique(row_keys(k), return_inverse=True, return_counts=True)
+    group = group.ravel()
+    order = np.argsort(group, kind="stable")
+    heads = np.cumsum(sizes) - sizes
+    width = sizes[group]
+    start = np.concatenate([[0], np.cumsum(width)])
+    cols = np.empty(start[-1], dtype=np.int64)
+    ids = np.empty(start[-1], dtype=np.int64)
+    known: dict[bytes, int] = {}
+    polynomials: list = []
+    # blocks of rows with at most _TERM_PAIR_CHUNK pairs, then passes of
+    # at most as many term pairs
+    for lo, hi in _spans(width):
+        span = width[lo:hi]
+        ii = np.repeat(np.arange(lo, hi), span)
+        off = np.arange(len(ii)) - np.repeat(np.cumsum(span) - span, span)
+        jj = cols[start[lo]:start[hi]] = order[heads[group[ii]] + off]
+        for a, b in _spans(1 << (p[ii] + p[jj])):
+            encoded = _pair_polynomials(n, anchors, coeffs, tstart, p, ii[a:b], jj[a:b])
+            ids[start[lo] + a:start[lo] + b] = _intern(encoded, known, polynomials)
+    return PairingTable(tuple(polynomials), start, cols, ids)
 
 
 def pairing_sweep(cplx: CubeComplex, pair1: CubePair, o1: OrientedCube,

@@ -7,9 +7,11 @@ nearest member, distances between members add along the way to that member,
 and the members themselves form a smaller median complex over the
 hyperplanes that cross the whole cutting set.  The classes of each degree
 are one grouping of the cube rows by their cutting bits (``class_rows``),
-and ``enumerate_classes`` is its tuple view.  Nearest members and their
-checks come from one 0/1 matrix product per class over the members' bits,
-for any number of vertices at once.  The number of classes always
+and ``enumerate_classes`` is its tuple view.  Cube rows ascend by anchor,
+so a class's first cube there has its smallest anchor, the canonical
+vertex of a symbol over the class (``class_anchors``).  Nearest members
+and their checks come from one 0/1 matrix product per class over the
+members' bits, for any number of vertices at once.  The number of classes always
 equals the number of vertices; the explicit bijection sends a vertex to the
 class of the first cube on its normal cube path toward the base vertex.
 """
@@ -20,13 +22,22 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .core import Cube, CubeComplex, InvalidComplex, bit_rows, project_bits, row_keys
+from .core import (
+    Cube,
+    CubeComplex,
+    InvalidComplex,
+    bit_rows,
+    project_bits,
+    row_keys,
+    row_positions,
+)
 
 __all__ = [
     "ClassComplex",
     "ClassRows",
     "MemberBits",
     "ParallelClass",
+    "class_anchors",
     "class_complex",
     "class_of",
     "class_rows",
@@ -68,11 +79,15 @@ class ClassComplex(NamedTuple):
 class ClassRows(NamedTuple):
     """The degree-q cubes by parallelism class: each class's cutting bits as
     a 0/1 row (``sets``, determining sets ascending), the class of each
-    q-cube (``of``) and each class's member count (``sizes``)."""
+    q-cube (``of``), each class's member count (``sizes``), its ascending
+    key (``keys``, ``row_keys`` of the complemented row) and the index of
+    its first cube (``first``), the member with the smallest anchor."""
 
     sets: np.ndarray
     of: np.ndarray
     sizes: np.ndarray
+    keys: np.ndarray
+    first: np.ndarray
 
 
 def class_rows(cplx: CubeComplex, q: int) -> ClassRows:
@@ -81,11 +96,28 @@ def class_rows(cplx: CubeComplex, q: int) -> ClassRows:
     with the determining sets)."""
     def build():
         cutting = cplx.cube_arrays(q).cutting
-        _, first, of, sizes = np.unique(row_keys(cutting ^ 1), return_index=True,
-                                        return_inverse=True, return_counts=True)
-        return ClassRows(cutting[first], of.ravel(), sizes)
+        keys, first, of, sizes = np.unique(row_keys(cutting ^ 1), return_index=True,
+                                           return_inverse=True, return_counts=True)
+        return ClassRows(cutting[first], of.ravel(), sizes, keys, first)
 
     return cplx.cached(("class_rows", q), build)
+
+
+def class_anchors(cplx: CubeComplex, sets: np.ndarray) -> np.ndarray:
+    """The smallest member anchor, as a 0/1 row, of the class with each 0/1
+    cutting row of ``sets``: the anchor of its first cube in ``class_rows``,
+    found with ``row_positions``.  KeyError names the first unrealized set."""
+    out, size = np.zeros_like(sets), sets.sum(axis=1, dtype=np.int64)
+    for q in range(int(size.max(initial=-1)) + 1):
+        rows = np.flatnonzero(size == q)
+        if not len(rows):
+            continue
+        classes = class_rows(cplx, q)
+        pos, found = row_positions(classes.keys, row_keys(sets[rows] ^ 1))
+        if not found.all():
+            raise KeyError(tuple(np.flatnonzero(sets[rows[~found][0]]).tolist()))
+        out[rows] = cplx.cube_arrays(q).anchor[classes.first[pos]]
+    return out
 
 
 def enumerate_classes(cplx: CubeComplex) -> tuple[ParallelClass, ...]:

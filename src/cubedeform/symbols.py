@@ -9,11 +9,13 @@ of the number of listed hyperplanes separating the two vertices.  For
 q = 0 the list is empty and an explicit vertex sign stands in its place.
 
 The canonical representative fixes k ascending and R as the smallest
-vertex adjacent to every listed hyperplane; every raw form folds onto it
-with a sign.  In that gauge the differential (which trades one h for the
-front of k, moving R across it) and its adjoint (which trades signed k
-entries back) have integer matrices, the Laplacian is the scalar p + q on
-each type block, and scaled versions of the adjoint give an exact algebraic
+vertex adjacent to every listed hyperplane, which is the smallest anchor
+of the parallelism class they determine: the anchor of that class's first
+cube in ``class_rows``.  Every raw form folds onto it with a sign.  In
+that gauge the differential (which trades one h for the front of k,
+moving R across it) and its adjoint (which trades signed k entries back)
+have integer matrices, the Laplacian is the scalar p + q on each type
+block, and scaled versions of the adjoint give an exact algebraic
 homotopy from the identity to the projection onto the single type-(0,0)
 line.  Nothing here depends on the base vertex of the complex.
 
@@ -24,7 +26,9 @@ degree's ``symbol_arrays`` (every split of every T into h and k, as bit
 rows in basis order) by bit arithmetic, every term at once: d moves each
 x of h to k and delta each x of k to h, both with coefficient
 -(-1)^#{y in k, y < x}.  ``ps_d_symbol`` folds one raw presentation at a
-time through ``symbol_from_raw``.
+time through ``symbol_from_raw``.  The canonical vertices of a degree
+(``symbol_vertices``) are one class lookup of all its rows, and
+``basis_keys`` writes every ``symbol_key`` of a degree from the rows.
 """
 
 from __future__ import annotations
@@ -37,12 +41,13 @@ import numpy as np
 
 from .core import Cube, CubeComplex, column_bits, row_keys, row_positions
 from .differential import OrientedCube, _sort_parity, numerical_rank
-from .parallelism import class_of, class_rows
+from .parallelism import class_anchors, class_rows
 
 __all__ = [
     "CubePair",
     "PSSymbol",
     "SymbolArrays",
+    "basis_keys",
     "canonical_symbol_vertex",
     "ps_basis",
     "ps_cohomology_ranks",
@@ -58,6 +63,7 @@ __all__ = [
     "symbol_inner",
     "symbol_key",
     "symbol_of_pair",
+    "symbol_vertices",
 ]
 
 
@@ -134,14 +140,18 @@ def canonical_symbol_vertex(cplx: CubeComplex, hyperplanes: Iterable[int]) -> in
     """Smallest vertex adjacent to every one of the given hyperplanes.
 
     For a realized pairwise-crossing set this is the smallest anchor in
-    its parallelism class, every vertex of which spans the full cube.
+    its parallelism class, every vertex of which spans the full cube;
+    KeyError when no class has the set.
     """
     key = tuple(sorted(hyperplanes))
     cache = cplx._shared.setdefault("symbol_vertex", {})
     got = cache.get(key)
     if got is None:
-        got = min(member.anchor for member in class_of(cplx, key).members)
-        cache[key] = got
+        sets = column_bits(np.array([key], dtype=np.intp).reshape(1, len(key)),
+                           cplx.n_hyperplanes)
+        if sets.sum() != len(key):
+            raise KeyError(key)
+        got = cache[key] = _row_ints(class_anchors(cplx, sets))[0]
     return got
 
 
@@ -196,21 +206,56 @@ def symbol_of_pair(cplx: CubeComplex, pair: CubePair, orientation: OrientedCube)
         orientation.sign)
 
 
-def ps_basis(cplx: CubeComplex, q: int) -> tuple[PSSymbol, ...]:
-    """Canonical degree-q symbols, type-p blocks contiguous and ascending:
-    a view of ``symbol_arrays(q)``, made on first use and cached."""
+def _row_ints(bits: np.ndarray) -> list[int]:
+    """The integers (hyperplane 0 highest) of 0/1 rows: ``bit_rows`` inverted."""
+    width = (bits.shape[1] + 7) // 8
+    shift, raw = 8 * width - bits.shape[1], np.packbits(bits, axis=1).tobytes()
+    return [int.from_bytes(raw[i * width:i * width + width], "big") >> shift
+            for i in range(len(bits))]
+
+
+def symbol_vertices(cplx: CubeComplex, q: int) -> np.ndarray:
+    """The cached canonical vertex of each degree-q symbol, as 0/1 rows in
+    basis order: one ``class_anchors`` lookup of the rows h + k."""
     def build():
         rows = symbol_arrays(cplx, q)
-        h = np.nonzero(rows.h)[1].tolist()
-        k = np.nonzero(rows.k)[1].reshape(len(rows.keys), max(q, 0)).tolist()
-        out, start = [], 0
-        for end, k_row in zip(np.cumsum(rows.p).tolist(), k):
-            hs, ks = tuple(h[start:end]), tuple(k_row)
-            out.append(PSSymbol(hs, ks, canonical_symbol_vertex(cplx, hs + ks), 1))
-            start = end
-        return tuple(out)
+        return class_anchors(cplx, rows.h | rows.k)
+
+    return cplx.cached(("symbol_vertices", q), build)
+
+
+def _basis_lists(cplx: CubeComplex, q: int, labels: np.ndarray) -> tuple[list, list]:
+    """The h sets and k lists of the degree-q symbols in basis order, each
+    hyperplane x given as ``labels[x]``."""
+    rows = symbol_arrays(cplx, q)
+    h = labels[np.nonzero(rows.h)[1]].tolist()
+    k = labels[np.nonzero(rows.k)[1]].tolist()
+    ends = np.cumsum(rows.p).tolist()
+    return ([h[start:end] for start, end in zip([0] + ends, ends)],
+            [k[i * q:i * q + q] for i in range(len(ends))])
+
+
+def ps_basis(cplx: CubeComplex, q: int) -> tuple[PSSymbol, ...]:
+    """Canonical degree-q symbols, type-p blocks contiguous and ascending:
+    a view of ``symbol_arrays(q)`` and ``symbol_vertices(q)``, made on
+    first use and cached."""
+    def build():
+        hs, ks = _basis_lists(cplx, q, np.arange(cplx.n_hyperplanes))
+        r = _row_ints(symbol_vertices(cplx, q))
+        return tuple(map(PSSymbol, map(tuple, hs), map(tuple, ks), r, [1] * len(r)))
 
     return cplx.cached(("ps_basis", q), build)
+
+
+def basis_keys(cplx: CubeComplex, q: int) -> list[str]:
+    """``symbol_key`` of every degree-q symbol in basis order, written from
+    the rows: the vertex strings are the ``'0'``/``'1'`` bytes of
+    ``symbol_vertices(q)``."""
+    n = cplx.n_hyperplanes
+    hs, ks = _basis_lists(cplx, q, np.array(["h%d" % x for x in range(n)], dtype=object))
+    text = (symbol_vertices(cplx, q) + ord("0")).tobytes().decode("ascii")
+    return ["[%s|%s|r=%s]" % (",".join(h) or "+", ",".join(k) or "+", text[i * n:i * n + n])
+            for i, (h, k) in enumerate(zip(hs, ks))]
 
 
 def ps_dimension(cplx: CubeComplex, q: int) -> int:

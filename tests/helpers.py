@@ -62,7 +62,6 @@ from cubedeform.parallelism import (
 )
 from cubedeform.symbols import (
     PSSymbol,
-    canonical_symbol_vertex,
     ps_basis,
     ps_d_symbol,
     symbol_from_raw,
@@ -183,11 +182,11 @@ def oracle_crossing(cplx: CubeComplex, levels: tuple[tuple[Cube, ...], ...]) -> 
 
 def oracle_ps_basis(cplx: CubeComplex, q: int) -> tuple[PSSymbol, ...]:
     """Canonical degree-q symbols one class and one q-subset at a time,
-    sorted by (p, h, k)."""
+    sorted by (p, h, k), each at its class's smallest member anchor."""
     syms = []
     for klass in enumerate_classes(cplx) if q >= 0 else ():
         t = klass.determining
-        r = canonical_symbol_vertex(cplx, t)
+        r = min(member.anchor for member in klass.members)
         for k in combinations(t, q):
             syms.append(PSSymbol(tuple(x for x in t if x not in k), k, r, 1))
     return tuple(sorted(syms, key=lambda s: (len(s.h_set), s.h_set, s.k_list)))

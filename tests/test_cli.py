@@ -677,6 +677,22 @@ def test_check_field_and_ps_make_no_cube_tuples_or_class_tuples(grid_file, monke
         assert "parallel_classes" not in shared
 
 
+def test_sweep_makes_no_cube_tuples_class_tuples_or_pair_symbols(tmp_path, monkeypatch, capsys):
+    # keys, canonical vertices and the pairing table come from the rows
+    doc = tmp_path / "g332.cxc"
+    doc.write_text(write_cxc(grid_complex([3, 3, 2])))
+    loaded, load = [], cli._load_complex
+    monkeypatch.setattr(cli, "_load_complex", lambda *a: loaded.append(load(*a)) or loaded[-1])
+    keys = [key for q in (0, 1, 2) for key in symbols.basis_keys(grid_complex([3, 3, 2]), q)]
+    for select in ([], [arg for key in keys[::7] for arg in ("--select", key)]):
+        code, _ = run(["sweep", "--input", str(doc), *select], capsys)
+        assert code == 0
+        shared = loaded[-1]._shared
+        assert not [key for key in shared if isinstance(key, tuple) and key[0] == "cubes"]
+        for name in ("parallel_classes", "parallel_class_index", "pair_symbol"):
+            assert name not in shared
+
+
 def test_check_jv_and_ps_form_no_dense_operator(tmp_path, monkeypatch, capsys):
     paths = []
     for name in helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES:

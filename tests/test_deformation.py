@@ -13,7 +13,7 @@ from mpmath import mp
 import helpers
 from helpers import basic_cochain_vector, pair_distance
 from cubedeform import deformation
-from cubedeform.core import Cube
+from cubedeform.core import Cube, bit_rows
 from cubedeform.deformation import (
     basepoint_commutator_norm,
     basic_cochain,
@@ -39,7 +39,14 @@ from cubedeform.differential import OrientedCube, d_matrix, delta_matrix, term_t
 from cubedeform.generate import grid_complex, hypercube, random_median_complex, star_tree
 from cubedeform.core import column_bits
 from cubedeform.parallelism import class_of, class_rows, enumerate_classes, member_bits
-from cubedeform.symbols import canonical_symbol_vertex, cube_pair, ps_basis, symbol_from_raw
+from cubedeform.symbols import (
+    canonical_symbol_vertex,
+    cube_pair,
+    ps_basis,
+    symbol_arrays,
+    symbol_from_raw,
+    symbol_vertices,
+)
 
 INF = float("inf")
 FIXED = ("square", "tripod", "cube3", "grid12")
@@ -420,23 +427,95 @@ def _check_cross_cutting_pairs_vanish(cplx):
 
 
 def _check_pairing_table(cplx):
-    # every same-cutting-set pair appears once, in order, with its own
-    # polynomial's id and its own limit
+    """Every same-cutting-set pair appears once, in order, with the id of
+    its own ``pairing_polynomial`` (coefficients in its order) and ids
+    numbered by first appearance: for the whole basis and for every other
+    symbol, in passes of the default size and of at most 3 term pairs."""
+    degrees = range(cplx.dimension + 1)
+    rows = [symbol_arrays(cplx, q) for q in degrees]
+    h, k = np.concatenate([a.h for a in rows]), np.concatenate([a.k for a in rows])
+    r = np.concatenate([symbol_vertices(cplx, q) for q in degrees])
+    every = [symbol_representative(cplx, sym) for q in degrees for sym in ps_basis(cplx, q)]
+    for step, chunk in ((1, deformation._TERM_PAIR_CHUNK), (2, deformation._TERM_PAIR_CHUNK),
+                        (1, 3)):
+        sections = every[::step]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(deformation, "_TERM_PAIR_CHUNK", chunk)
+            table = pairing_table(h[::step], k[::step], r[::step])
+        keys = [(power, tuple(coeffs.items())) for power, coeffs in table.polynomials]
+        assert len(set(keys)) == len(keys)
+        assert len(table.start) == len(sections) + 1
+        seen = 0
+        for i, (p1, o1) in enumerate(sections):
+            span = slice(table.start[i], table.start[i + 1])
+            cols = table.cols[span].tolist()
+            assert cols == [
+                j for j, (p2, _) in enumerate(sections) if p2.d.cutting == p1.d.cutting]
+            for j, kk in zip(cols, table.ids[span].tolist()):
+                power, coeffs = pairing_polynomial(cplx, p1, o1, *sections[j])
+                assert keys[kk] == (power, tuple(coeffs.items()))
+                assert pairing_limit(cplx, p1, o1, *sections[j]) == (i == j)
+                assert kk <= seen
+                seen = max(seen, kk + 1)
+        assert seen == len(keys)
+
+
+def _dict_polynomial(terms1, terms2) -> dict:
+    """``pairing_polynomial``'s loop on two lists of (anchor, coefficient)
+    terms: a degree whose sum cancels is popped, and enters again at the end."""
+    coeffs = {}
+    for anchor1, a1 in terms1:
+        for anchor2, a2 in terms2:
+            d = (anchor1 ^ anchor2).bit_count()
+            total = coeffs.get(d, 0) + a1 * a2
+            if total:
+                coeffs[d] = total
+            else:
+                coeffs.pop(d, None)
+    return coeffs
+
+
+@pytest.mark.parametrize("name", helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES + (0, 1))
+def test_basic_cochain_pairs_never_cancel_a_degree(name):
+    # a term pair of faces D apart, shifted across S and S', is |D + S + S'|
+    # apart with sign (-1)^(|S| + |S'|) = (-1)^(d + |D|): one sign per degree,
+    # so no running sum returns to zero and the dict order is first appearance
+    cplx = helpers.random_complex(name) if isinstance(name, int) else helpers.fixture(name)
     sections = [symbol_representative(cplx, sym)
                 for q in range(cplx.dimension + 1) for sym in ps_basis(cplx, q)]
-    table = pairing_table(cplx, sections)
-    assert len(table.rows) == len(sections)
-    polys = [pairing_polynomial(cplx, *w) for w in table.witnesses]
-    keys = [(power, tuple(coeffs.items())) for power, coeffs in polys]
-    assert len(set(keys)) == len(keys)
-    for i, (p1, o1) in enumerate(sections):
-        row = table.rows[i]
-        assert [j for j, _, _ in row] == [
-            j for j, (p2, _) in enumerate(sections) if p2.d.cutting == p1.d.cutting]
-        for j, k, limit in row:
-            power, coeffs = pairing_polynomial(cplx, p1, o1, *sections[j])
-            assert keys[k] == (power, tuple(coeffs.items()))
-            assert limit == pairing_limit(cplx, p1, o1, *sections[j])
+    for p1, o1 in sections:
+        terms1 = [(c.anchor, a) for c, a in basic_cochain(cplx, p1, o1).items()]
+        for p2, o2 in sections:
+            if p2.d.cutting != p1.d.cutting:
+                continue
+            sign = {}
+            for c, a in basic_cochain(cplx, p2, o2).items():
+                for anchor, a1 in terms1:
+                    d = (anchor ^ c.anchor).bit_count()
+                    assert sign.setdefault(d, a * a1) == a * a1
+
+
+def test_pair_polynomials_keep_the_dict_order_of_a_cancelling_degree():
+    # random terms, where degrees do cancel and enter again: the encoded
+    # items must follow the dict, which differs from first appearance here
+    rng = np.random.default_rng(11)
+    n, p = 9, rng.integers(0, 4, size=20)
+    tstart = np.concatenate([[0], np.cumsum(1 << p)])
+    values = rng.integers(0, 1 << n, size=tstart[-1]).tolist()
+    coeffs = rng.choice(np.array([-1, 1], dtype=np.int8), size=tstart[-1])
+    anchors = np.packbits(bit_rows(n, values), axis=1).T.copy()
+    ii, jj = (a.ravel() for a in np.indices((len(p), len(p))))
+    encoded = deformation._pair_polynomials(n, anchors, coeffs, tstart, p, ii, jj)
+    reordered = 0
+    for row, i, j in zip(encoded.tolist(), ii.tolist(), jj.tolist()):
+        terms = [list(zip(values, coeffs.tolist()))[tstart[x]:tstart[x + 1]] for x in (i, j)]
+        want = _dict_polynomial(*terms)
+        assert row[:2] == [p[i] + p[j], len(want)]
+        assert row[2:2 + 2 * row[1]] == [x for item in want.items() for x in item]
+        assert not any(row[2 + 2 * row[1]:])
+        seen = dict.fromkeys((a ^ b).bit_count() for a, _ in terms[0] for b, _ in terms[1])
+        reordered += list(want) != [d for d in seen if d in want]
+    assert reordered
 
 
 @pytest.mark.parametrize(

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 import helpers
 from helpers import class_count_theorem, nearest_moves_across_edge, pair_distance
 from cubedeform import deformation
-from cubedeform.core import Cube, column_bits
+from cubedeform.core import Cube, bit_rows, column_bits, row_keys
 from cubedeform.generate import random_median_complex
 from cubedeform.parallelism import (
     ParallelClass,
+    class_anchors,
     class_complex,
     class_of,
     class_rows,
@@ -58,6 +59,20 @@ def _assert_classes_are_the_dict_grouping(cplx):
                                    .reshape(len(mine), max(q, 0)), cplx.n_hyperplanes))
         assert rows.sizes.tolist() == [len(k.members) for k in mine]
         assert [mine[c].determining for c in rows.of.tolist()] == [c.cutting for c in cubes]
+        assert np.array_equal(rows.keys, row_keys(rows.sets ^ 1))
+        # each class's first cube is its member with the smallest anchor
+        assert [cubes[i] for i in rows.first.tolist()] == \
+            [min(k.members, key=lambda c: c.anchor) for k in mine]
+        assert np.array_equal(class_anchors(cplx, rows.sets), bit_rows(
+            cplx.n_hyperplanes, [min(c.anchor for c in k.members) for k in mine]))
+
+
+def test_class_anchors_of_an_unrealized_set_raise(grid12):
+    # hyperplanes 1 and 2 of the 1x2 grid do not cross
+    sets = column_bits(np.array([[2], [0], [1]]), grid12.n_hyperplanes)
+    assert class_anchors(grid12, sets).tolist() == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+    with pytest.raises(KeyError, match=r"\(1, 2\)"):
+        class_anchors(grid12, np.vstack([sets, [[0, 1, 1]]]).astype(np.uint8))
 
 
 @pytest.mark.parametrize("name", helpers.BASIS_CASES)

@@ -18,6 +18,7 @@ from cubedeform.generate import random_median_complex
 from cubedeform.parallelism import enumerate_classes
 from cubedeform.symbols import (
     SymbolArrays,
+    basis_keys,
     canonical_symbol_vertex,
     cube_pair,
     ps_basis,
@@ -62,6 +63,13 @@ def test_canonical_symbol_vertex(square, cube3, grid12):
     assert canonical_symbol_vertex(square, (0, 1)) == 0b00
     assert canonical_symbol_vertex(cube3, (1, 2)) == 0b000
     assert canonical_symbol_vertex(grid12, (2,)) == 0b010
+
+
+def test_canonical_symbol_vertex_of_an_unrealized_set_raises(grid12, square):
+    # hyperplanes 1 and 2 of the 1x2 grid do not cross; a repeated one is no set
+    for cplx, hyperplanes in ((grid12, (1, 2)), (square, (0, 0)), (square, (0, 1, 0))):
+        with pytest.raises(KeyError):
+            canonical_symbol_vertex(cplx, hyperplanes)
 
 
 def test_symbol_fold_is_idempotent(square):
@@ -314,8 +322,16 @@ def test_symbol_tables_match_the_oracle_on_drawn_complexes(n, k, seed):
 
 
 def _assert_basis_matches(cplx):
+    """``ps_basis`` and ``basis_keys`` against the per-class construction
+    and the per-symbol ``symbol_key``, and the canonical vertex of every
+    class against its smallest member anchor."""
     for q in range(-1, cplx.dimension + 2):
-        assert ps_basis(cplx, q) == helpers.oracle_ps_basis(cplx, q)
+        want = helpers.oracle_ps_basis(cplx, q)
+        assert ps_basis(cplx, q) == want
+        assert basis_keys(cplx, q) == [symbol_key(sym, cplx) for sym in want]
+    for klass in enumerate_classes(cplx):
+        assert canonical_symbol_vertex(cplx, klass.determining) == \
+            min(member.anchor for member in klass.members)
 
 
 @pytest.mark.parametrize("name", helpers.BASIS_CASES)
