@@ -21,7 +21,9 @@ too.  ``Cube`` tuples are a view of the rows made on first use.  Every
 geometric predicate used downstream (adjacency, crossing, distance)
 reduces to bit arithmetic; in particular the edge-path distance between
 vertices is the Hamming distance, because separating hyperplanes count
-edges on any geodesic.
+edges on any geodesic.  The bounded-geometry statistic counts the cubes
+meeting a cube by the Euler characteristic of its face poset, in array
+passes over the facets of each level's rows, with no per-corner sets.
 
 Instances are immutable after construction and safe to share between
 threads: caches only ever go from absent to computed, and rebasing a
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import and_, or_
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -448,16 +450,6 @@ class CubeComplex:
             return False
         return self.is_cube(anchor, hs) if hs else True
 
-    def cube_vertices(self, cube: Cube) -> Iterator[int]:
-        """The corners of ``cube`` in ascending order."""
-        m = self.mask_of(cube.cutting)
-        sub = 0
-        while True:
-            yield cube.anchor | sub
-            sub = (sub - m) & m  # next submask of m
-            if not sub:
-                return
-
     def crossing(self, h: int, k: int) -> bool:
         """Do hyperplanes ``h`` and ``k`` cut a common square?"""
         return bool(self.crossing_matrix()[h, k])
@@ -532,19 +524,58 @@ class CubeComplex:
     def bounded_geometry_statistic(self) -> int:
         """Largest number of cubes meeting any single cube (shared vertex).
 
-        Each vertex carries the bitset of the cubes containing it (bit ``g``
-        for the ``g``-th cube over all degrees); the cubes meeting a cube are
-        the union of its corners' bitsets.
+        Two cubes meet, if at all, in a face of each, and the nonempty faces
+        of a cube have Euler characteristic 1, so the cubes meeting C number
+        the sum over the faces F of C of ``(-1)^dim F s(F)``, ``s(F)`` the
+        cubes containing F.  A (co)face k steps away is reached along k first
+        steps, so both sums are k-step chain counts over the facet incidences
+        (:func:`_facet_positions`) divided by k, in exact int64.
         """
-        cube_corners = [tuple(self.cube_vertices(c)) for q in range(self.dimension + 1)
-                        for c in self.cubes(q)]
-        incident = {v: bytearray(len(cube_corners) // 8 + 1) for v in self._verts}
-        for g, corners in enumerate(cube_corners):
-            for v in corners:
-                incident[v][g >> 3] |= 1 << (g & 7)
-        bits = {v: int.from_bytes(b, "little") for v, b in incident.items()}
-        return max(reduce(or_, map(bits.__getitem__, corners)).bit_count()
-                   for corners in cube_corners)
+        levels = self._levels()
+        facets = [_facet_positions(self.n_hyperplanes, lower.keys, upper)
+                  for lower, upper in zip(levels, levels[1:])]
+        # up[:, k]: the codimension-k cofaces of each cube of the level, top down
+        up = np.ones((len(levels[-1].keys), 1), dtype=np.int64)
+        s = [up.sum(axis=1)]
+        for q in range(len(facets), 0, -1):
+            sums = np.zeros((len(levels[q - 1].keys), up.shape[1]), dtype=np.int64)
+            np.add.at(sums, facets[q - 1].ravel(), np.repeat(up, 2 * q, axis=0))
+            up = np.hstack((np.ones_like(sums[:, :1]), _divide_exactly(sums)))
+            s.insert(0, up.sum(axis=1))
+        # down[:, j]: the sum of s over the codimension-j faces of each cube, bottom up
+        down = s[0][:, None]
+        best = int(down.max())
+        for q, pos in enumerate(facets, start=1):
+            sums = sum(down[pos[:, i]] for i in range(2 * q))
+            down = np.hstack((s[q][:, None], _divide_exactly(sums)))
+            best = max(best, int((down @ (-1) ** np.arange(q, -1, -1)).max()))
+        return best
+
+
+def _facet_positions(n: int, keys: np.ndarray, level: CubeArrays) -> np.ndarray:
+    """Per cube (a, C) of ``level``, the positions in the (q-1)-cube ``keys``
+    of its facets (a, C - h), then (a + h, C - h), h in C ascending: set
+    complement bit n + h of its key, then anchor bit h.  None may be missing."""
+    rows, hs = np.nonzero(level.cutting)
+    width = keys.dtype.itemsize
+    raw = level.keys[rows].view(np.uint8).reshape(-1, width)
+    at = np.arange(len(rows))
+    found = []
+    for bit in (n + hs, hs):
+        raw[at, bit >> 3] |= (128 >> (bit & 7)).astype(np.uint8)
+        pos, hit = row_positions(keys, raw.view(keys.dtype).ravel())
+        if not hit.all():
+            raise AssertionError("a facet of a cube is missing from the cube arrays")
+        found.append(pos.reshape(len(level.keys), -1))
+    return np.hstack(found)
+
+
+def _divide_exactly(sums: np.ndarray) -> np.ndarray:
+    """Column j of ``sums`` divided by j + 1, which must leave no remainder."""
+    quotient, remainder = np.divmod(sums, np.arange(1, sums.shape[1] + 1))
+    if remainder.any():
+        raise AssertionError("a chain count is not a multiple of its length")
+    return quotient
 
 
 # -- cxc text format ------------------------------------------------------------

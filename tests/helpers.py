@@ -14,7 +14,7 @@ import re
 from collections import deque
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -281,6 +281,17 @@ def bfs_distance(cplx: CubeComplex, source: int, target: int) -> int:
     raise AssertionError("no path between vertices")
 
 
+def cube_vertices(cplx: CubeComplex, cube: Cube) -> Iterator[int]:
+    """The corners of ``cube`` in ascending order."""
+    m = cplx.mask_of(cube.cutting)
+    sub = 0
+    while True:
+        yield cube.anchor | sub
+        sub = (sub - m) & m  # next submask of m
+        if not sub:
+            return
+
+
 def brute_force_cubes(cplx: CubeComplex, q: int) -> set[Cube]:
     """All q-cubes found by scanning every hyperplane subset and vertex."""
     found = set()
@@ -298,7 +309,7 @@ def brute_force_cubes(cplx: CubeComplex, q: int) -> set[Cube]:
 
 def brute_cube_vertex_distance(cplx: CubeComplex, cube: Cube, vertex: int) -> int:
     return min(bfs_distance(cplx, corner, vertex)
-               for corner in cplx.cube_vertices(cube))
+               for corner in cube_vertices(cplx, cube))
 
 
 def oracle_nearest_member(cplx: CubeComplex, vertex: int, klass: ParallelClass,
@@ -840,13 +851,13 @@ def oracle_bounded_geometry(cplx: CubeComplex) -> int:
     levels = [cplx.cubes(q) for q in range(cplx.dimension + 1)]
     for q, level in enumerate(levels):
         for i, cube in enumerate(level):
-            for v in cplx.cube_vertices(cube):
+            for v in cube_vertices(cplx, cube):
                 incident[v].append((q, i))
     best = 0
     for level in levels:
         for cube in level:
             met: set[tuple[int, int]] = set()
-            for v in cplx.cube_vertices(cube):
+            for v in cube_vertices(cplx, cube):
                 met.update(incident[v])
             best = max(best, len(met))
     return best

@@ -143,6 +143,20 @@ def test_validate_missing_file():
     usage_error(["validate", "--input", "/nonexistent/nope.cxc"])
 
 
+@pytest.mark.parametrize("cplx", (grid_complex([3, 3, 2]), random_median_complex(9, 6, 5)),
+                         ids=("grid332", "random"))
+def test_validate_makes_no_cube_tuples(cplx, tmp_path, monkeypatch, capsys):
+    # the bounded-geometry count reads only the cube rows
+    doc = tmp_path / "doc.cxc"
+    doc.write_text(write_cxc(cplx))
+    parsed, parse = [], cli.parse_cxc
+    monkeypatch.setattr(cli, "parse_cxc", lambda text: parsed.append(parse(text)) or parsed[-1])
+    code, out = run(["validate", "--input", str(doc)], capsys)
+    assert code == 0
+    assert "bounded-geometry %d" % helpers.oracle_bounded_geometry(cplx) in out.splitlines()
+    assert not [key for key in parsed[0]._shared if isinstance(key, tuple) and key[0] == "cubes"]
+
+
 # -- check -------------------------------------------------------------------------
 
 

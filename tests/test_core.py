@@ -388,7 +388,7 @@ def test_cubes_are_sorted_and_anchored(cube3):
             assert cube.cutting == tuple(sorted(cube.cutting))
             # anchor sits on the 0 side of every cutting hyperplane
             assert cube.anchor & cube3.mask_of(cube.cutting) == 0
-            assert all(cube3.contains_vertex(v) for v in cube3.cube_vertices(cube))
+            assert all(cube3.contains_vertex(v) for v in helpers.cube_vertices(cube3, cube))
 
 
 def test_cube_index_round_trip(grid12):
@@ -412,9 +412,9 @@ def test_is_cube_and_spans_cube(square, tripod):
 
 def test_cube_vertices_enumerates_corners(cube3):
     top = cube3.cubes(3)[0]
-    assert sorted(cube3.cube_vertices(top)) == list(range(8))
+    assert sorted(helpers.cube_vertices(cube3, top)) == list(range(8))
     edge = Cube(0b000, (1,))
-    assert sorted(cube3.cube_vertices(edge)) == [0b000, 0b010]
+    assert sorted(helpers.cube_vertices(cube3, edge)) == [0b000, 0b010]
 
 
 def test_adjacent_cube(square, grid12):
@@ -467,7 +467,7 @@ def test_cube_distance_matches_brute_force(name):
                 expect = helpers.brute_cube_vertex_distance(cplx, cube, v)
                 assert cplx.cube_distance_to_vertex(cube, v) == expect
                 near = cplx.nearest_cube_vertex(cube, v)
-                assert near in set(cplx.cube_vertices(cube))
+                assert near in set(helpers.cube_vertices(cplx, cube))
                 assert cplx.distance(near, v) == expect
 
 
@@ -487,7 +487,7 @@ def _check_path(cplx, source, target):
         assert crossed & mask == 0
         crossed |= mask
         assert cplx.is_cube(cube.anchor, cube.cutting)
-        assert before in set(cplx.cube_vertices(cube))
+        assert before in set(helpers.cube_vertices(cplx, cube))
     assert crossed == source ^ target
     return path
 
@@ -538,18 +538,41 @@ def test_bounded_geometry_statistic_small_cases(square, tripod):
     assert CubeComplex(0, [0], 0).bounded_geometry_statistic() == 1
 
 
-@pytest.mark.parametrize("cplx", [helpers.fixture(name) for name in ALL]
-                         + helpers.random_complexes(8) + [star_tree(70)],
-                         ids=list(ALL) + ["random%d" % s for s in range(8)] + ["star70"])
+# 70 and 200 hyperplanes: cube keys wider than 8 bytes
+WIDE = ("star70", "star200", "path70")
+
+
+@pytest.mark.parametrize("cplx", [helpers.fixture(name) for name in ALL + WIDE]
+                         + helpers.random_complexes(8),
+                         ids=list(ALL + WIDE) + ["random%d" % s for s in range(8)])
 def test_bounded_geometry_matches_the_oracle(cplx):
     assert cplx.bounded_geometry_statistic() == helpers.oracle_bounded_geometry(cplx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), k=st.integers(1, 7), seed=st.integers(0, 2 ** 16))
+def test_bounded_geometry_matches_the_oracle_on_drawn_complexes(n, k, seed):
+    cplx = random_median_complex(n, k, seed)
+    assert cplx.bounded_geometry_statistic() == helpers.oracle_bounded_geometry(cplx)
+
+
+@pytest.mark.parametrize("name, q", (("square", 0), ("cube3", 1), ("cube3", 2)))
+def test_a_facet_missing_from_the_levels_raises(name, q):
+    # a fresh copy, so the doctored levels reach no other test
+    cplx = helpers.fixture(name)
+    cplx = CubeComplex(cplx.n_hyperplanes, cplx.vertices, cplx.base_vertex)
+    levels = [cplx.cube_arrays(p) for p in range(cplx.dimension + 1)]
+    levels[q] = type(levels[q])(*(a[:-1] for a in levels[q]))
+    cplx._shared["levels"] = tuple(levels)
+    with pytest.raises(AssertionError, match="facet of a cube is missing"):
+        cplx.bounded_geometry_statistic()
 
 
 def test_cube_vertices_ascend(cube3, grid12):
     for cplx in (cube3, grid12):
         for q in range(cplx.dimension + 1):
             for cube in cplx.cubes(q):
-                corners = list(cplx.cube_vertices(cube))
+                corners = list(helpers.cube_vertices(cplx, cube))
                 assert corners == sorted(set(corners))
                 assert len(corners) == 1 << cube.dim
 

@@ -56,7 +56,7 @@ def test_canonicalize_presentation_independence(name):
     cplx = helpers.fixture(name)
     for q in range(cplx.dimension + 1):
         for cube in cplx.cubes(q):
-            for vertex in cplx.cube_vertices(cube):
+            for vertex in helpers.cube_vertices(cplx, cube):
                 flips = (vertex ^ cube.anchor).bit_count()
                 for perm in itertools.permutations(cube.cutting):
                     got = canonicalize(cplx, vertex, perm)
