@@ -11,9 +11,11 @@ Exit codes: 0 on success, 1 when validation or a check suite fails, 2 on
 usage errors (an ``--out`` that cannot be opened, a negative ``--seed``,
 a ``--tol`` name outside the suite's table or a NaN threshold among
 them: all are caught before any work starts), 3 when a check suite
-breaks down: a matrix singular to working precision at an extreme t, or
-an allocation the machine cannot meet (``MemoryError``). Exit 3 writes
-one line to stderr and nothing to stdout. ``check field`` holds only for
+breaks down: a matrix singular to working precision at an extreme t, an
+allocation the machine cannot meet (``MemoryError``), or one of the
+package's own invariant checks failing (``AssertionError``, such as a
+parallelism class that is not connected). Exit 3 writes one line to
+stderr and nothing to stdout. ``check field`` holds only for
 t >= FIELD_T_FLOOR (1e-6): below it ``U_t`` is too ill-conditioned for
 float64 and its identities fail by rounding alone, so a smaller t exits
 3 before any computation. The same command, seed and input give the same
@@ -37,6 +39,7 @@ import numpy as np
 from .core import CubeComplex, CxcParseError, InvalidComplex, parse_cxc, write_cxc
 from .deformation import (
     INF,
+    block_floats,
     class_blocks,
     deformation_weights,
     pair_blocks,
@@ -44,6 +47,7 @@ from .deformation import (
     pairing_value,
     polynomial_value,
     random_loop_residual,
+    segment_add,
     symbol_representative,
     w_hat_blocks,
 )
@@ -404,15 +408,16 @@ def _suite_parallel(cplx, args):
 
 # The field suite forms no operator over all cubes of a degree: U_t is block
 # diagonal by class, so d_t and delta_t are class-pair blocks (``pair_blocks``)
-# and each identity is checked on them.
+# and each identity is checked on them, for all t of a pass at once.
 
-_CHUNK = 1 << 22  # floats of blocks gathered for one batch of products
+_CHUNK = 1 << 22  # floats of one batch of products, and of each stacked array of a pass
 
 
 def _square_residual(upper: list, lower: list) -> float:
     """The largest entry of d_t(q) d_t(q-1): per class pair (I, J), the sum of
     upper_IK lower_KJ over the classes K between them, one stack pair of
-    (I, J) at a time, the products formed in batches."""
+    (I, J) at a time, the products formed in batches and added in by
+    ``segment_add``."""
     paths: dict[tuple, list] = {}
     for a in upper:
         for b in lower:
@@ -423,12 +428,13 @@ def _square_residual(upper: list, lower: list) -> float:
     for joined in paths.values():
         keys, slot = np.unique(np.concatenate([(a.hi[ia] << 32) + b.lo[ib]
                                                for a, b, ia, ib in joined]), return_inverse=True)
-        sums = np.zeros((len(keys), joined[0][0].block.shape[1], joined[0][1].block.shape[2]))
+        a, b = joined[0][:2]
+        sums = np.zeros((len(a.block), len(keys), a.block.shape[2], b.block.shape[3]))
         for a, b, ia, ib in joined:
-            mine, slot, step = slot[:len(ia)], slot[len(ia):], max(1, _CHUNK // b.block[0].size)
+            mine, slot, step = slot[:len(ia)], slot[len(ia):], max(1, _CHUNK // b.block[:, 0].size)
             for i in range(0, len(ia), step):
                 j = slice(i, i + step)
-                np.add.at(sums, mine[j], a.block[ia[j]] @ b.block[ib[j]])
+                segment_add(sums, mine[j], a.block[:, ia[j]] @ b.block[:, ib[j]])
         worst = max(worst, _max_abs(sums))
     return worst
 
@@ -440,18 +446,35 @@ def _adjoint_residual(d_t: list, delta_t, hi, lo) -> float:
     pending = {b.stacks: b for b in d_t}
     worst = 0.0
     for e in delta_t:
-        g_e = (lo[e.stacks[0]].gram[e.hi] @ e.block).transpose(0, 2, 1)
+        g_e = (lo[e.stacks[0]].gram[:, e.hi] @ e.block).swapaxes(-1, -2)
         b = pending.pop(e.stacks[::-1], None)
         if b is not None:
-            g_d = hi[b.stacks[0]].gram[b.hi] @ b.block
-            i, j = np.nonzero((b.hi[:, None] == e.lo) & (b.lo[:, None] == e.hi))
-            np.subtract.at(g_d, i, g_e[j])
-            g_e[j] = 0.0
+            g_d = hi[b.stacks[0]].gram[:, b.hi] @ b.block
+            # each class pair is listed once a side: the matches are one to one
+            _, i, j = np.intersect1d((b.hi << 32) + b.lo, (e.lo << 32) + e.hi,
+                                     assume_unique=True, return_indices=True)
+            g_d[:, i] -= g_e[:, j]
+            g_e[:, j] = 0.0
             worst = max(worst, _max_abs(g_d))
         worst = max(worst, _max_abs(g_e))
     for b in pending.values():
-        worst = max(worst, _max_abs(hi[b.stacks[0]].gram[b.hi] @ b.block))
+        worst = max(worst, _max_abs(hi[b.stacks[0]].gram[:, b.hi] @ b.block))
     return worst
+
+
+def _span(ts: list, wanted) -> slice:
+    """Where the t's of ``wanted`` sit in ``ts``; the pass order keeps them
+    consecutive."""
+    at = [i for i, t in enumerate(ts) if t in wanted]
+    span = slice(at[0], at[0] + len(at)) if at else slice(0)
+    assert at == list(range(len(ts)))[span], "t grids not consecutive in a pass"
+    return span
+
+
+def _take(blocks, span: slice) -> list:
+    """``class_blocks`` or ``pair_blocks`` of a pass at its t's ``span``, as views."""
+    return [b._replace(**{f: getattr(b, f)[span] for f in ("gram", "frame", "block")
+                          if f in b._fields}) for b in blocks]
 
 
 def _suite_field(cplx, args):
@@ -464,26 +487,40 @@ def _suite_field(cplx, args):
     dt_grid = args.t_grid or (0.1, 1.0)
     adj_grid = args.t_grid or (0.5, 2.0)
 
-    # Per t, each degree's class blocks are built once and live while the
-    # degrees next to it need them, and d_t while the next square needs it.
+    # The union grid goes in passes, each holding as many t as keep the
+    # largest stacked array within _CHUNK floats.  The t's that need delta_t
+    # come first, then the rest that need d_t, so every check reads one slice
+    # of a pass.  Per pass, each degree's class blocks are built once and
+    # live while the degrees next to it need them, and d_t while the next
+    # square needs it.
+    union = sorted({*grid, *dt_grid, *adj_grid},
+                   key=lambda t: (t not in adj_grid, t not in dt_grid, t))
+    per_pass = max(1, _CHUNK // max(block_floats(cplx, q) for q in range(dim + 1)))
     psd = bridge = square = adjoint = 0.0
-    for t in sorted(set(grid) | set(dt_grid) | set(adj_grid)):
-        upper, below = class_blocks(cplx, 0, t), None
+    for at in range(0, len(union), per_pass):
+        ts = union[at:at + per_pass]
+        frames, ops = _span(ts, grid), _span(ts, {*dt_grid, *adj_grid})
+        d_ts = ts[ops]
+        adj, sq = _span(d_ts, adj_grid), _span(d_ts, dt_grid)
+        upper, below = class_blocks(cplx, 0, ts), None
         for q in range(dim + 1):
-            here, upper = upper, class_blocks(cplx, q + 1, t) if q < dim else ()
-            if t in grid:
-                for blks in here:
-                    psd = max(psd, -float(np.linalg.eigvalsh(blks.gram)[:, 0].min()))
-                    bridge = max(bridge, _max_abs(
-                        blks.frame.transpose(0, 2, 1) @ blks.frame - blks.gram))
-            if q == dim or t not in dt_grid and t not in adj_grid:
+            here, upper = upper, class_blocks(cplx, q + 1, ts) if q < dim else ()
+            for blks in _take(here, frames) if ts[frames] else ():
+                psd = max(psd, -float(np.linalg.eigvalsh(blks.gram)[..., 0].min()))
+                bridge = max(bridge, _max_abs(
+                    blks.frame.swapaxes(-1, -2) @ blks.frame - blks.gram))
+            if q == dim or not d_ts:
                 continue
-            d_t = list(pair_blocks(term_table(cplx, q, True), upper, here, t))
-            if t in adj_grid:
+            hi, lo = _take(upper, ops), _take(here, ops)
+            d_t = list(pair_blocks(term_table(cplx, q, True), hi, lo, d_ts))
+            if d_ts[adj]:
+                hi, lo = _take(hi, adj), _take(lo, adj)
                 adjoint = max(adjoint, _adjoint_residual(
-                    d_t, pair_blocks(term_table(cplx, q + 1, False), here, upper, t), upper, here))
-            here = None
-            if t in dt_grid:
+                    _take(d_t, adj),
+                    pair_blocks(term_table(cplx, q + 1, False), lo, hi, d_ts[adj]), hi, lo))
+            here = hi = lo = None
+            if d_ts[sq]:
+                d_t = _take(d_t, sq)
                 if below is not None:
                     square = max(square, _square_residual(d_t, below))
                 below = d_t
@@ -573,6 +610,9 @@ def _cmd_check(args: argparse.Namespace, parser: argparse.ArgumentParser, out) -
     except MemoryError as exc:
         sys.stderr.write("check %s: out of memory: %s\n"
                          % (args.suite, str(exc) or "allocation failed"))
+        return 3
+    except AssertionError as exc:
+        sys.stderr.write("check %s: internal check failed: %s\n" % (args.suite, exc))
         return 3
     if residuals.keys() != args.tolerances.keys():
         raise RuntimeError("check %s computed %s, but its table names %s" % (

@@ -28,13 +28,19 @@ which in IEEE arithmetic is the 2x2 block form exactly.  Paths follow
 breadth-first trees, grown as arrays a level at a time for a batch of
 (class, root) pairs of one record, and equal to the trees of a
 first-in-first-out search.  One gather runs a move step for all of a
-record's classes at once: ``class_blocks`` gives
-the Gram blocks (powers of x indexed by member separations) and the U_t
-blocks per stack, and ``pair_blocks`` U^-1 d U on the class pairs d links.
-``random_loop_residual`` goes one level further down: a loop's product is
-block diagonal on the member sets its moves mix, so those blocks, stacked
-by size over all loops of every t, are what it rotates and hands to
-batched singular values.  Its random walks replay numpy's bounded
+record's classes and for every t of a tuple at once, each t with its own
+copy of the move tables scaled by its (a, b): ``class_blocks`` gives the
+Gram blocks (powers of x indexed by member separations) and the U_t
+blocks per stack, with a leading t axis, and ``pair_blocks`` U^-1 d U on
+the class pairs d links, from one class-pair index, one gather of frame
+rows, one sorted segment sum (``segment_add``) and one batched solve over
+all finite t per stack pair.  ``random_loop_residual`` goes one level
+further down: a loop's product is block diagonal on the member sets its
+moves mix, so those blocks, stacked by size over all loops of every t,
+are what it rotates, blocks with the same t and moves once.  Only blocks
+whose Frobenius norm can beat the running maximum get singular values:
+sigma_max <= ||.||_F, so the maximum is the one of all of them, bit for
+bit.  Its random walks replay numpy's bounded
 integer draws on one block of generator words per class, so a seed picks
 the walks that one ``rng.integers`` call per step would.
 
@@ -68,7 +74,7 @@ import mpmath as mp
 import numpy as np
 
 from .core import Cube, CubeComplex, bit_rows, row_keys, row_positions
-from .differential import OrientedCube, d_cochain, d_matrix
+from .differential import OrientedCube, d_cochain, d_matrix, term_table
 from .parallelism import class_rows
 from .symbols import (
     CubePair,
@@ -86,6 +92,7 @@ __all__ = [
     "basepoint_commutator_norm",
     "basic_cochain",
     "basic_section_frame",
+    "block_floats",
     "class_blocks",
     "d_t_pairing",
     "d_t_pairing_limit",
@@ -99,6 +106,7 @@ __all__ = [
     "pairing_value",
     "polynomial_value",
     "random_loop_residual",
+    "segment_add",
     "step_coefficients",
     "symbol_representative",
     "u_t_apply",
@@ -326,13 +334,16 @@ def _rotate(stack: np.ndarray, perm: np.ndarray, sign: np.ndarray, ab: tuple,
     step of every slice is one gather and two scalings.  Row u of a slice
     becomes b X[u] - a X[v] and its partner v becomes a X[u] + b X[v],
     each product rounded once as in the 2x2 block form; rows outside the
-    move's pairs are kept.  ``ab`` holds two scalars, or without ``keys``
-    two float arrays (slices, 1, 1), one (a, b) per slice.
+    move's pairs are kept.  ``ab`` holds two scalars, or two float arrays
+    with one (a, b) per row of the move tables: per slice without ``keys``.
     """
     a, b = ab
     moving = sign.any(axis=-1)
     if not isinstance(a, (float, np.ndarray)):  # exact scalars
         sign = sign.astype(object)
+    if isinstance(a, np.ndarray):
+        per_row = (...,) + (None,) * (sign.ndim - 1)
+        a, b = a[per_row], b[per_row]
     scale_b, scale_a = np.where(sign != 0, b, 1), a * sign
     if keys is None:
         def at(table, s, end):
@@ -558,26 +569,57 @@ def _loop_blocks(parts: list):
     return out
 
 
-def _block_residual(perm: np.ndarray, sign: np.ndarray, ab: np.ndarray) -> float:
-    """The largest singular value of P - I over a stack of c x c loop
-    products P, each the identity moved by its own (perm, sign) steps and
-    its own (a, b) = ``ab[:, i]``.  The blocks are rotated longest first,
-    so finished blocks drop out, and a chunk at a time, each chunk sharing
-    one batched singular-value call."""
+def _distinct(t_of: np.ndarray, perm: np.ndarray, sign: np.ndarray) -> tuple:
+    """The ``_loop_blocks`` entries of one size with their repeats left out:
+    blocks with the same t and the same moves have the same product."""
+    n = len(t_of)
+    rows = np.concatenate([part.reshape(n, -1).view(np.uint8)
+                           for part in (t_of.astype(np.int64), perm, sign)], axis=1)
+    keep = np.sort(np.unique(rows.view("V%d" % rows.shape[1]).ravel(), return_index=True)[1])
+    return t_of[keep], perm[keep], sign[keep]
+
+
+def _top_singular(stack: np.ndarray, worst: float = 0.0) -> float:
+    """The larger of ``worst`` and the largest singular value over a stack
+    of blocks, decomposing only blocks that can raise it.
+
+    sigma_max <= ||.||_F, so a block whose Frobenius norm times (1 + 1e-8)
+    (room for the rounding of either) is at most the running maximum
+    cannot set it.  The blocks go largest norm first, in batches doubling
+    from one, and each batch decomposes the blocks of it still above the
+    running maximum.  Every singular value taken is the one a single
+    batched call over all blocks gives, so the maximum is bit for bit.
+    """
+    norm = np.sqrt(np.einsum("ijk,ijk->i", stack, stack))
+    order = np.argsort(-norm, kind="stable")
+    at, size = 0, 1
+    while at < len(order) and norm[order[at]] * (1 + 1e-8) > worst:
+        batch = order[at:at + size]
+        batch = batch[norm[batch] * (1 + 1e-8) > worst]
+        worst = max(worst, float(np.linalg.svd(stack[batch], compute_uv=False).max()))
+        at, size = at + size, 2 * size
+    return worst
+
+
+def _block_residual(perm: np.ndarray, sign: np.ndarray, ab: np.ndarray,
+                    worst: float = 0.0) -> float:
+    """The larger of ``worst`` and the largest singular value of P - I over
+    a stack of c x c loop products P, each the identity moved by its own
+    (perm, sign) steps and its own (a, b) = ``ab[:, i]``.  The blocks are
+    rotated longest first, so finished blocks drop out, and a chunk at a
+    time, each chunk going through ``_top_singular``."""
     n, width, c = perm.shape
     moving = sign.any(axis=2)
     longest_first = np.argsort(np.argmax(moving[:, ::-1], axis=1), kind="stable")
-    perm, sign = perm[longest_first], sign[longest_first]
-    ab = ab[:, longest_first, None, None]
+    perm, sign, ab = perm[longest_first], sign[longest_first], ab[:, longest_first]
     diag = np.arange(c)
     rows = max(1, _CHUNK // (c * max(c, width)))
-    worst = 0.0
     for at in range(0, n, rows):
         cut = slice(at, at + rows)
         stack = np.tile(np.identity(c), (len(perm[cut]), 1, 1))
         _rotate(stack, perm[cut], sign[cut], tuple(ab[:, cut]))
         stack[:, diag, diag] -= 1.0
-        worst = max(worst, float(np.linalg.svd(stack, compute_uv=False).max()))
+        worst = _top_singular(stack, worst)
     return worst
 
 
@@ -593,8 +635,10 @@ def random_loop_residual(cplx: CubeComplex, rng, ts: Iterable[float],
     block diagonal on the member sets its moves mix, and its deviation is
     the largest over those blocks: the blocks of all loops of every t,
     over classes of every size, are stacked by block size and rotated
-    move by move, each with its own t, and share one batched
-    singular-value call per size.  Work goes in chunks of bounded size.
+    move by move, each with its own t.  Blocks with the same t and moves
+    are taken once, and singular values only of blocks whose Frobenius
+    norm can beat the running maximum (``_top_singular``), which leaves
+    the maximum bit for bit.  Work goes in chunks of bounded size.
     """
     ts = list(ts)
     if not ts:
@@ -612,7 +656,8 @@ def random_loop_residual(cplx: CubeComplex, rng, ts: Iterable[float],
     worst = 0.0
     for chunk in _chunks(_loop_moves(groups, walks, loops), _CHUNK):
         for t_of, perm, sign in _loop_blocks(chunk):
-            worst = max(worst, _block_residual(perm, sign, ab[:, t_of]))
+            t_of, perm, sign = _distinct(t_of, perm, sign)
+            worst = _block_residual(perm, sign, ab[:, t_of], worst)
     return worst
 
 
@@ -666,11 +711,12 @@ def _root_paths(cplx: CubeComplex, q: int, class_bases: dict | None = None) -> l
 
 
 class ClassBlocks(NamedTuple):
-    """The deformed frame on the degree-q classes of one size m, at one t.
+    """The deformed frame on the degree-q classes of one size m, at T values
+    of t.
 
     Stacked over those k classes: ``cols`` (k, m) holds each class's member
-    positions among the degree-q cubes, ``gram`` and ``frame`` (k, m, m)
-    its blocks of the Gram matrix and of U_t.
+    positions among the degree-q cubes, ``gram`` and ``frame`` (T, k, m, m)
+    its blocks of the Gram matrix and of U_t at each t.
     """
 
     cols: np.ndarray
@@ -684,24 +730,32 @@ def _gram_powers(cplx: CubeComplex, t: float) -> np.ndarray:
     return np.array([x ** d for d in range(cplx.n_hyperplanes + 1)])
 
 
-def class_blocks(cplx: CubeComplex, q: int, t: float,
+def class_blocks(cplx: CubeComplex, q: int, ts: tuple[float, ...],
                  class_bases: dict | None = None) -> tuple[ClassBlocks, ...]:
-    """The Gram and U_t blocks of every degree-q parallelism class.
+    """The Gram and U_t blocks of every degree-q parallelism class at each
+    t of ``ts``.
 
     Both matrices are block diagonal by class, so this is all of them;
     ``class_bases`` overrides roots as in ``u_t_matrix``.  A frame column
     is the move from its member to the root: the columns are rotated as
-    the rows of the transpose, each along its own path, all at once.
+    the rows of the transpose, each along its own path and with its own
+    t, all at once.
     """
-    powers = _gram_powers(cplx, t)
-    ab = step_coefficients(t)
+    n = len(ts)
+    powers = np.array([_gram_powers(cplx, t) for t in ts])
+    a, b = np.array([step_coefficients(t) for t in ts]).reshape(-1, 2).T
     out = []
     for group, keys in zip(_groups(cplx, q), _root_paths(cplx, q, class_bases)):
         k, m = group.cols.shape
-        columns = np.tile(np.identity(m), (k, 1))
-        _rotate(columns, *group.moves, ab, keys)
-        out.append(ClassBlocks(group.cols, powers[group.dist],
-                               columns.reshape(k, m, m).transpose(0, 2, 1)))
+        # the move tables once per t, each copy with its own (a, b)
+        perm, sign = group.moves
+        r = len(perm)
+        columns = np.tile(np.identity(m), (n * k, 1))
+        _rotate(columns, np.tile(perm, (n, 1)), np.tile(sign, (n, 1)),
+                (np.repeat(a, r), np.repeat(b, r)),
+                (keys + r * np.arange(n)[:, None, None]).reshape(n * len(keys), keys.shape[1]))
+        out.append(ClassBlocks(group.cols, np.take(powers, group.dist, axis=1),
+                               columns.reshape(n, k, m, m).transpose(0, 1, 3, 2)))
     return tuple(out)
 
 
@@ -716,7 +770,7 @@ def u_t_matrix(cplx: CubeComplex, q: int, t: float,
     """
     n = len(cplx.cube_arrays(q).keys)
     return _scatter(np.zeros((n, n)), (
-        (blks.cols, blks.frame) for blks in class_blocks(cplx, q, t, class_bases)))
+        (blks.cols, blks.frame[0]) for blks in class_blocks(cplx, q, (t,), class_bases)))
 
 
 def u_t_apply(cplx: CubeComplex, cochain: dict, t: float | None = None,
@@ -1150,7 +1204,8 @@ class PairBlocks(NamedTuple):
 
     ``stacks`` names a target and a source stack of ``class_blocks``;
     ``hi`` and ``lo`` (P,) the classes, in those stacks, of each pair the
-    operator links, ascending; ``block`` (P, m_hi, m_lo) the blocks.
+    operator links, ascending; ``block`` (T, P, m_hi, m_lo) the blocks at
+    each t of the frames.
     """
 
     stacks: tuple[int, int]
@@ -1159,33 +1214,85 @@ class PairBlocks(NamedTuple):
     block: np.ndarray
 
 
+def _class_pairs(terms: np.ndarray, hi, lo) -> tuple:
+    """The class pairs that a ``term_table``'s terms link, between the
+    stacks ``hi`` and ``lo`` (``_groups`` or ``class_blocks``): each
+    distinct key (stack pair, then class pair, 21 bits each), ascending,
+    each term's key index, and the terms' member positions in both."""
+    (hs, hc, row), (ls, lc, col) = _labels(hi)[:, terms[:, 0]], _labels(lo)[:, terms[:, 1]]
+    pairs, pair = np.unique((((hs * len(lo) + ls) << 21 | hc) << 21) | lc, return_inverse=True)
+    return pairs, pair, row, lc, col
+
+
+def block_floats(cplx: CubeComplex, q: int) -> int:
+    """Floats per t of the largest array that ``class_blocks`` of degree q
+    or ``pair_blocks`` of d_q (and so of delta on q + 1) holds: a stack's
+    frames, k m^2, or a stack pair's blocks, P m_hi m_lo."""
+    groups = _groups(cplx, q)
+    most = max(group.cols.size * group.cols.shape[1] for group in groups)
+    if q < cplx.dimension:
+        upper = _groups(cplx, q + 1)
+        pairs = _class_pairs(term_table(cplx, q, True), upper, groups)[0]
+        stacks, count = np.unique(pairs >> 42, return_counts=True)
+        hs, ls = np.divmod(stacks, len(groups))
+        m_hi, m_lo = (np.array([g.cols.shape[1] for g in gs]) for gs in (upper, groups))
+        most = max(most, int((count * m_hi[hs] * m_lo[ls]).max(initial=0)))
+    return most
+
+
+def segment_add(out: np.ndarray, at: np.ndarray, parts: np.ndarray) -> None:
+    """out[:, at[i]] += parts[:, i] for every i, in the order ``np.add.at``
+    adds them, from one stable sort: the parts of each slot are a segment,
+    and the k-th part of every segment is added at once."""
+    order = np.argsort(at, kind="stable")
+    at = at[order]
+    head = np.ones(len(at), dtype=bool)
+    np.not_equal(at[1:], at[:-1], out=head[1:])
+    if head.all():  # one part per slot
+        out[:, at] += parts[:, order]
+        return
+    place = np.arange(len(at))
+    rank = place - np.maximum.accumulate(np.where(head, place, 0))
+    for k in range(int(rank.max()) + 1):
+        take = rank == k
+        out[:, at[take]] += parts[:, order[take]]
+
+
 def pair_blocks(terms: np.ndarray, hi: tuple[ClassBlocks, ...],
-                lo: tuple[ClassBlocks, ...], t: float) -> Iterator[PairBlocks]:
-    """U_hi^(-1) B U_lo, B the operator of a ``term_table``, by class pair.
+                lo: tuple[ClassBlocks, ...], ts: tuple[float, ...]) -> Iterator[PairBlocks]:
+    """U_hi^(-1) B U_lo, B the operator of a ``term_table``, by class pair,
+    at each t of ``ts``, the t's of the frames ``hi`` and ``lo``.
 
     Both frames are block diagonal by class, so the blocks on the class
     pairs that B links are all of it; they come stack pair by stack pair,
     by target stack.  Row a of B_IJ U_J is the signed row b of U_J for B's
-    term (a, b), gathered, not multiplied; U_I^(-1) is one batched solve
-    per stack pair against the blocks, not an inverse, which near the t
-    floor is too inaccurate.  At t = infinity the block is B.
+    term (a, b), gathered for every t at once, not multiplied, and the
+    terms that meet in one entry are summed by ``segment_add``.  U_I^(-1)
+    is one batched solve per stack pair against the blocks of every finite
+    t, not an inverse, which near the t floor is too inaccurate.  At
+    t = infinity the block is B.
     """
-    (hs, hc, row), (ls, lc, col) = _labels(hi)[:, terms[:, 0]], _labels(lo)[:, terms[:, 1]]
-    # one key per term: its stack pair, then its class pair, 21 bits each
-    pairs, pair = np.unique((((hs * len(lo) + ls) << 21 | hc) << 21) | lc, return_inverse=True)
+    pairs, pair, row, lc, col = _class_pairs(terms, hi, lo)
     order = np.argsort(pair, kind="stable")
     pair, row, lc, col, sign = pair[order], row[order], lc[order], col[order], terms[order, 3]
     stacks, first = np.unique(pairs >> 42, return_index=True)
     first = [*first.tolist(), len(pairs)]
     cut = np.searchsorted(pair, first).tolist()  # each stack pair's first term
     pair_hi, pair_lo = pairs >> 21 & (1 << 21) - 1, pairs & (1 << 21) - 1
+    finite = np.flatnonzero(np.array(ts) != INF)
     for k, (s, u) in enumerate(divmod(stack, len(lo)) for stack in stacks.tolist()):
         (start, end), (a, b) = first[k:k + 2], cut[k:k + 2]
-        block = np.zeros((end - start, hi[s].cols.shape[1], lo[u].cols.shape[1]))
-        np.add.at(block, (pair[a:b] - start, row[a:b]),
-                  sign[a:b, None] * lo[u].frame[lc[a:b], col[a:b]])
-        if t != INF:
-            block = np.linalg.solve(hi[s].frame[pair_hi[start:end]], block)
+        m_hi, m_lo = hi[s].cols.shape[1], lo[u].cols.shape[1]
+        block = np.zeros((len(ts), end - start, m_hi, m_lo))
+        rows = lo[u].frame[:, lc[a:b], col[a:b]]
+        rows *= sign[a:b, None]
+        segment_add(block.reshape(len(ts), -1, m_lo), (pair[a:b] - start) * m_hi + row[a:b], rows)
+        rows = None
+        if len(finite) == len(ts):
+            block = np.linalg.solve(hi[s].frame[:, pair_hi[start:end]], block)
+        elif len(finite):
+            block[finite] = np.linalg.solve(
+                hi[s].frame[finite[:, None], pair_hi[start:end]], block[finite])
         yield PairBlocks((s, u), pair_hi[start:end], pair_lo[start:end], block)
 
 

@@ -38,6 +38,7 @@ from cubedeform.deformation import (
     step_coefficients,
     symbol_representative,
     u_t_matrix,
+    w_hat_blocks,
     w_path_matrix,
 )
 from cubedeform.differential import (
@@ -50,6 +51,7 @@ from cubedeform.differential import (
 )
 from cubedeform.fredholm import (
     assemble_D,
+    base_neighbor,
     base_projection,
     format_t,
     inv_sqrt_spectral,
@@ -574,14 +576,21 @@ def delta_t_matrix(cplx: CubeComplex, q: int, t: float, weighted: bool = False) 
                            delta_matrix(cplx, q, w) @ u_t_matrix(cplx, q, t))
 
 
+def one_t(blocks) -> list:
+    """``class_blocks`` or ``pair_blocks`` at a one-element t tuple, their
+    t axis dropped."""
+    return [b._replace(**{f: getattr(b, f)[0] for f in ("gram", "frame", "block")
+                          if f in b._fields}) for b in blocks]
+
+
 def pair_blocks_matrix(cplx: CubeComplex, q: int, t: float, raising: bool = True) -> np.ndarray:
     """``pair_blocks`` of d (raising) or delta on degree q, scattered dense:
     each class pair's block on its members' rows and columns.  Each class
     pair must come once, ascending within its stack pair."""
-    hi, lo = class_blocks(cplx, q + 1 if raising else q - 1, t), class_blocks(cplx, q, t)
+    hi, lo = class_blocks(cplx, q + 1 if raising else q - 1, (t,)), class_blocks(cplx, q, (t,))
     out = np.zeros((sum(b.cols.size for b in hi), sum(b.cols.size for b in lo)))
     seen = set()
-    for part in pair_blocks(differential.term_table(cplx, q, raising), hi, lo, t):
+    for part in one_t(pair_blocks(differential.term_table(cplx, q, raising), hi, lo, (t,))):
         assert part.stacks not in seen
         seen.add(part.stacks)
         keys = (part.hi << 32) + part.lo
@@ -589,6 +598,132 @@ def pair_blocks_matrix(cplx: CubeComplex, q: int, t: float, raising: bool = True
         rows, cols = hi[part.stacks[0]].cols[part.hi], lo[part.stacks[1]].cols[part.lo]
         out[rows[:, :, None], cols[:, None, :]] = part.block
     return out
+
+
+# -- the field suite one t at a time: the oracle of cli._suite_field ------------
+
+
+def _oracle_square_residual(upper: list, lower: list) -> float:
+    """The largest entry of d_t(q) d_t(q-1) at one t, each class pair's
+    paths added into it one by one (``np.add.at``)."""
+    paths: dict[tuple, list] = {}
+    for a in upper:
+        for b in lower:
+            if a.stacks[1] == b.stacks[0]:
+                ia, ib = np.nonzero(a.lo[:, None] == b.hi)
+                paths.setdefault((a.stacks[0], b.stacks[1]), []).append((a, b, ia, ib))
+    worst = 0.0
+    for joined in paths.values():
+        keys, slot = np.unique(np.concatenate([(a.hi[ia] << 32) + b.lo[ib]
+                                               for a, b, ia, ib in joined]), return_inverse=True)
+        sums = np.zeros((len(keys), joined[0][0].block.shape[1], joined[0][1].block.shape[2]))
+        for a, b, ia, ib in joined:
+            np.add.at(sums, slot[:len(ia)], a.block[ia] @ b.block[ib])
+            slot = slot[len(ia):]
+        worst = max(worst, float(np.abs(sums).max(initial=0.0)))
+    return worst
+
+
+def _oracle_adjoint_residual(d_t: list, delta_t: list, hi, lo) -> float:
+    """The largest entry of G_hi d_t - (G_lo delta_t)^T at one t, the pairs
+    matched by a scan of all pairs of pairs."""
+    pending = {b.stacks: b for b in d_t}
+    worst = 0.0
+    for e in delta_t:
+        g_e = (lo[e.stacks[0]].gram[e.hi] @ e.block).transpose(0, 2, 1)
+        b = pending.pop(e.stacks[::-1], None)
+        if b is not None:
+            g_d = hi[b.stacks[0]].gram[b.hi] @ b.block
+            i, j = np.nonzero((b.hi[:, None] == e.lo) & (b.lo[:, None] == e.hi))
+            np.subtract.at(g_d, i, g_e[j])
+            g_e[j] = 0.0
+            worst = max(worst, float(np.abs(g_d).max(initial=0.0)))
+        worst = max(worst, float(np.abs(g_e).max(initial=0.0)))
+    for b in pending.values():
+        worst = max(worst, float(np.abs(hi[b.stacks[0]].gram[b.hi] @ b.block).max(initial=0.0)))
+    return worst
+
+
+def oracle_field_frames(cplx: CubeComplex, t_grid: tuple | None) -> dict:
+    """``gram_psd``, ``unitarity_bridge``, ``d_t_squared`` and
+    ``d_t_adjoint`` of ``check field``, one t of the union grid at a time,
+    its class and pair blocks built for that t alone."""
+    inf = float("inf")
+    grid = t_grid or (0.1, 0.5, 1.0, 2.0, inf)
+    dt_grid = t_grid or (0.1, 1.0)
+    adj_grid = t_grid or (0.5, 2.0)
+    dim = cplx.dimension
+    psd = bridge = square = adjoint = 0.0
+    for t in sorted(set(grid) | set(dt_grid) | set(adj_grid)):
+        blocks = [class_blocks(cplx, q, (t,)) for q in range(dim + 1)]
+        below = None
+        for q in range(dim + 1):
+            if t in grid:
+                for blks in one_t(blocks[q]):
+                    psd = max(psd, -float(np.linalg.eigvalsh(blks.gram)[:, 0].min()))
+                    bridge = max(bridge, float(np.abs(
+                        blks.frame.transpose(0, 2, 1) @ blks.frame - blks.gram).max()))
+            if q == dim:
+                continue
+            upper, here = blocks[q + 1], blocks[q]
+            d_t = one_t(pair_blocks(differential.term_table(cplx, q, True), upper, here, (t,)))
+            if t in adj_grid:
+                delta_t = one_t(pair_blocks(differential.term_table(cplx, q + 1, False),
+                                            here, upper, (t,)))
+                adjoint = max(adjoint, _oracle_adjoint_residual(d_t, delta_t, one_t(upper),
+                                                                 one_t(here)))
+            if t in dt_grid:
+                if below is not None:
+                    square = max(square, _oracle_square_residual(d_t, below))
+                below = d_t
+    return {"gram_psd": psd, "unitarity_bridge": bridge,
+            "d_t_squared": square, "d_t_adjoint": adjoint}
+
+
+def oracle_loop_residual(cplx: CubeComplex, rng, ts, loops: int = 20,
+                         walk_length: int = 8) -> float:
+    """``random_loop_residual`` with every loop block rotated and handed to
+    one batched singular-value call per chunk: none merged, none skipped."""
+    groups, classes = [], []
+    for q in range(cplx.dimension + 1):
+        here = [group for group in deformation._groups(cplx, q) if group.cols.shape[1] > 1]
+        classes += sorted((i, len(groups) + g, c) for g, group in enumerate(here)
+                          for c, i in enumerate(group.ids.tolist()))
+        groups += here
+    walks = [{(g, c): deformation._walks(groups[g], c, rng, loops, walk_length)
+              for _, g, c in classes} for _ in ts]
+    ab = np.array([step_coefficients(t) for t in ts]).reshape(-1, 2).T
+    worst = 0.0
+    parts = deformation._loop_moves(groups, walks, loops)
+    for chunk in deformation._chunks(parts, deformation._CHUNK):
+        for t_of, perm, sign in deformation._loop_blocks(chunk):
+            n, width, c = perm.shape
+            rows = max(1, deformation._CHUNK // (c * max(c, width)))
+            for at in range(0, n, rows):
+                cut = slice(at, at + rows)
+                stack = np.tile(np.identity(c), (len(perm[cut]), 1, 1))
+                deformation._rotate(stack, perm[cut], sign[cut], tuple(ab[:, t_of[cut]]))
+                stack[:, np.arange(c), np.arange(c)] -= 1.0
+                worst = max(worst, float(np.linalg.svd(stack, compute_uv=False).max()))
+    return worst
+
+
+def oracle_field_residuals(cplx: CubeComplex, t_grid: tuple | None, seed: int,
+                           frames: dict | None = None) -> dict:
+    """Every residual of ``check field``: ``oracle_field_frames`` (or
+    ``frames``, computed by it), ``oracle_loop_residual`` over the loop grid
+    and the base-point change."""
+    loop_grid = [t for t in t_grid or (0.3, 1.0) if t != float("inf")]
+    unitary = 0.0
+    neighbor = base_neighbor(cplx)
+    if neighbor is not None:
+        for q in range(cplx.dimension + 1):
+            for _, block in w_hat_blocks(cplx, q, neighbor, cplx.base_vertex, t=1.0):
+                unitary = max(unitary, float(np.abs(block.T @ block - np.eye(len(block))).max()))
+    return {**(frames or oracle_field_frames(cplx, t_grid)),
+            "path_independence": oracle_loop_residual(cplx, np.random.default_rng(seed),
+                                                      loop_grid),
+            "w_hat_unitary": unitary}
 
 
 def _term_matrix(cplx: CubeComplex, q: int, raising: bool, h: int) -> np.ndarray:

@@ -426,6 +426,20 @@ def test_check_field_t_floor(grid_file, grid, low, capsys):
         "check field: numerical breakdown: t=%s below the float64 floor 1e-06\n" % low)
 
 
+def test_check_internal_check_failure_exits_3(grid_file, monkeypatch, capsys):
+    # a failed invariant check of the package is a breakdown: exit 3, one
+    # stderr line, no report and no traceback
+    def disconnected(*args):
+        raise AssertionError("parallelism class is not connected")
+
+    monkeypatch.setattr(deformation, "_bfs_tables", disconnected)
+    code = main(["check", "field", "--input", grid_file])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "check field: internal check failed: parallelism class is not connected\n"
+
+
 def test_check_field_at_the_t_floor(grid_file, capsys):
     assert FIELD_T_FLOOR == 1e-6
     code, out = run(["check", "field", "--input", grid_file, "--t", "1e-6"], capsys)
@@ -883,6 +897,52 @@ def test_a_negated_term_shows_in_field(name, q, raising, tmp_path, monkeypatch, 
             assert checks["d_t_squared"]["residual"] > 0.1
         for other in ("gram_psd", "unitarity_bridge", "path_independence", "w_hat_unitary"):
             assert checks[other]["pass"]
+
+
+# -- field: the stacked t grid against the suite one t at a time ---------------------
+
+
+FIELD_GRIDS = (None, (1e-6, 0.3, float("inf")), (0.05, 5.0))
+
+
+def _assert_field_matches_oracle(cplx, seeds=(0, 1, 7)):
+    # every residual bit for bit: frames and pair blocks stacked over the t's
+    # of a pass, the segment sums and the pruned loop SVDs, against the
+    # suite built one t at a time with every loop block decomposed
+    for grid in FIELD_GRIDS:
+        frames = helpers.oracle_field_frames(cplx, grid)
+        for seed in seeds:
+            got, _ = cli._suite_field(cplx, argparse.Namespace(t_grid=grid, seed=seed))
+            assert got == helpers.oracle_field_residuals(cplx, grid, seed, frames), (grid, seed)
+
+
+@pytest.mark.parametrize("name", [n for n in helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES
+                                  + helpers.WIDE_FIXTURE_NAMES if n != "point"])
+def test_check_field_matches_the_per_t_oracle_on_fixtures(name):
+    _assert_field_matches_oracle(helpers.fixture(name))
+
+
+@pytest.mark.parametrize("make", (lambda: hypercube(5), lambda: grid_complex([3, 3, 2]),
+                                  lambda: star_tree(70), lambda: random_median_complex(12, 8, 3)),
+                         ids=("cube5", "grid332", "star70", "rm12"))
+def test_check_field_matches_the_per_t_oracle(make):
+    _assert_field_matches_oracle(make())
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(2, 7), k=st.integers(2, 6), seed=st.integers(0, 1 << 16))
+def test_check_field_matches_the_per_t_oracle_hypothesis(n, k, seed):
+    _assert_field_matches_oracle(random_median_complex(n, k, seed))
+
+
+@pytest.mark.parametrize("per_pass", (None, 1, 2, 3))
+def test_check_field_passes_split_the_grid(per_pass, monkeypatch):
+    # a _CHUNK that holds one, two or three t of the largest array per pass
+    # (None: one float, so every batch of products holds one product too)
+    cplx = grid_complex([3, 3, 2])
+    per_t = max(deformation.block_floats(cplx, q) for q in range(cplx.dimension + 1))
+    monkeypatch.setattr(cli, "_CHUNK", per_pass * per_t if per_pass else 1)
+    _assert_field_matches_oracle(cplx, seeds=(0,))
 
 
 # -- sweep -------------------------------------------------------------------------

@@ -692,7 +692,7 @@ def test_gram_blocks_match_entrywise_oracle():
 def test_class_blocks_partition_each_degree():
     for cplx in _block_complexes():
         for q in range(cplx.dimension + 1):
-            blocks = deformation.class_blocks(cplx, q, 0.7)
+            blocks = helpers.one_t(deformation.class_blocks(cplx, q, (0.7,)))
             cols = np.concatenate([blks.cols.ravel() for blks in blocks])
             assert sorted(cols) == list(range(len(cplx.cubes(q))))
             for blks in blocks:
@@ -921,11 +921,11 @@ def test_pair_blocks_list_only_linked_class_pairs():
     # every listed class pair holds a term, and every term's pair is listed
     for cplx in _block_complexes()[:-1]:
         for q in range(cplx.dimension):
-            hi, lo = (deformation.class_blocks(cplx, d, 0.5) for d in (q + 1, q))
+            hi, lo = (deformation.class_blocks(cplx, d, (0.5,)) for d in (q + 1, q))
             terms = term_table(cplx, q, True)
             linked = set(zip(_class_head(hi)[terms[:, 0]].tolist(),
                              _class_head(lo)[terms[:, 1]].tolist()))
-            listed = {pair for part in deformation.pair_blocks(terms, hi, lo, 0.5)
+            listed = {pair for part in deformation.pair_blocks(terms, hi, lo, (0.5,))
                       for pair in zip(hi[part.stacks[0]].cols[part.hi, 0].tolist(),
                                       lo[part.stacks[1]].cols[part.lo, 0].tolist())}
             assert listed == linked
@@ -977,6 +977,66 @@ def test_random_loop_residual_sees_a_sabotaged_move(determining):
     sign = view.group.moves[1]  # a view of the group's sign table
     sign[k] = -sign[k]
     assert random_loop_residual(cplx, np.random.default_rng(5), (1.0,)) > 1e-10
+
+
+def _full_svd_max(stack):
+    return float(np.linalg.svd(stack, compute_uv=False).max()) if len(stack) else 0.0
+
+
+def _pruning_stacks():
+    rng = np.random.default_rng(11)
+    # diag(.6, .6, .6, .6) has the larger Frobenius norm (1.2 against 1) and
+    # the smaller singular value (.6 against 1)
+    spread = np.stack([np.diag([0.6] * 4), np.diag([1.0, 0.0, 0.0, 0.0])])
+    small = rng.standard_normal((6, 3, 3)) * 1e-13
+    return {"frobenius_not_sigma": spread, "sigma_first": spread[::-1].copy(),
+            "zeros": np.zeros((5, 3, 3)), "duplicated": np.concatenate([small, small, small[:2]]),
+            "random": rng.standard_normal((40, 5, 5)) * rng.random((40, 1, 1))}
+
+
+@pytest.mark.parametrize("name", _pruning_stacks())
+def test_pruned_singular_values_keep_the_maximum(name):
+    # sigma_max <= ||.||_F: the blocks skipped cannot set the maximum, so it
+    # is the full batched call's, bit for bit, also above a running maximum
+    stack = _pruning_stacks()[name]
+    want = _full_svd_max(stack)
+    assert deformation._top_singular(stack) == want
+    for worst in (0.0, want / 2, want, want * (1 + 1e-9), 2 * want + 1.0):
+        assert deformation._top_singular(stack, worst) == max(worst, want)
+
+
+def test_zero_blocks_take_no_singular_values(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an all-zero block was decomposed")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert deformation._top_singular(np.zeros((4, 3, 3))) == 0.0
+    assert deformation._top_singular(np.zeros((4, 3, 3)), 0.5) == 0.5
+
+
+def test_repeated_loop_blocks_are_merged():
+    # blocks with the same t and moves are kept once, first occurrences in order
+    rng = np.random.default_rng(2)
+    perm = rng.integers(0, 3, (4, 5, 3)).astype(np.uint8)
+    sign = rng.integers(-1, 2, (4, 5, 3)).astype(np.int8)
+    t_of = np.array([0, 1, 0, 1])
+    pick = [2, 0, 2, 1, 3, 1, 0]
+    t_of, perm, sign = t_of[pick], perm[pick], sign[pick]
+    t_of[-1] = 1  # block 0's moves at another t: kept
+    got = deformation._distinct(t_of, perm, sign)
+    keep = [0, 1, 3, 4, 6]
+    for a, b in zip(got, (t_of[keep], perm[keep], sign[keep])):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("ts", ((0.3, 1.0), (1e-6, 0.3), (0.05, 5.0)))
+def test_random_loop_residual_equals_every_block_decomposed(ts):
+    # merged repeats and pruned singular values give the residual of one
+    # batched call per chunk over every block, bit for bit, and the same draws
+    for i, cplx in enumerate(_block_complexes() + [hypercube(5), grid_complex([3, 3, 2])]):
+        rng, oracle = np.random.default_rng(60 + i), np.random.default_rng(60 + i)
+        assert random_loop_residual(cplx, rng, ts) == helpers.oracle_loop_residual(cplx, oracle, ts)
+        assert int(rng.integers(1 << 30)) == int(oracle.integers(1 << 30))
 
 
 def _bounds(rng):
