@@ -13,7 +13,7 @@ Layout:
 * :mod:`cubedeform.core` - vertex model, cubes, validation, serialization
 * :mod:`cubedeform.generate` - deterministic complex constructors
 * :mod:`cubedeform.differential` - wedge/hook calculus, Laplacian, ranks
-* :mod:`cubedeform.parallelism` - parallelism classes and their complexes
+* :mod:`cubedeform.parallelism` - parallelism classes as rows, nearest members
 * :mod:`cubedeform.symbols` - symbol calculus at the t = 0 end
 * :mod:`cubedeform.deformation` - W/U operators, Gram deformation, sweeps
 * :mod:`cubedeform.fredholm` - graded operator, bounded transform, resolvent

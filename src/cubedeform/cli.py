@@ -36,7 +36,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CubeComplex, CxcParseError, InvalidComplex, parse_cxc, write_cxc
+from .core import (
+    CubeComplex,
+    CxcParseError,
+    InvalidComplex,
+    parse_cxc,
+    row_keys,
+    row_positions,
+    write_cxc,
+)
 from .deformation import (
     INF,
     block_floats,
@@ -71,13 +79,7 @@ from .fredholm import (
     spectral_frame,
 )
 from .generate import grid_complex, hypercube, random_median_complex, star_tree
-from .parallelism import (
-    class_complex,
-    class_rows,
-    enumerate_classes,
-    nearest_members,
-    vertex_to_class_bijection,
-)
+from .parallelism import class_rows, nearest_rows
 from .symbols import (
     PSSymbol,
     basis_keys,
@@ -370,13 +372,87 @@ def _suite_ps(cplx, args):
     return res, {}
 
 
+# The parallel suite reads each class as its cutting bits and its members'
+# rows in ``cube_arrays``; frames, first steps and nearest members are bit
+# passes over those rows.
+
+
+def _classes(cplx) -> list:
+    """Every class in (degree, determining set) order: its cutting bits as
+    a 0/1 row and its members' rows in ``cube_arrays``, in anchor order."""
+    out = []
+    for q in range(cplx.dimension + 1):
+        rows = class_rows(cplx, q)
+        # cube order, which within a class is anchor order
+        members = np.argsort(rows.of, kind="stable")
+        out.extend(zip(rows.sets, np.split(members, np.cumsum(rows.sizes)[:-1])))
+    return out
+
+
+def _frame(cplx, det: np.ndarray) -> np.ndarray:
+    """The hyperplanes that cross every one of the cutting bits ``det``, as
+    a mask; none of ``det`` is among them, as no hyperplane crosses itself."""
+    return cplx.crossing_matrix()[:, det == 1].all(axis=1)
+
+
+def _row_ints(rows: np.ndarray) -> list[int]:
+    """The 0/1 ``rows`` as integers, the first column highest."""
+    shift = -rows.shape[1] % 8
+    return [int.from_bytes(b, "big") >> shift for b in np.packbits(rows, axis=1).tolist()]
+
+
+def _first_steps(cplx) -> np.ndarray:
+    """Each vertex's first normal-cube step toward the base vertex, as 0/1
+    rows: the hyperplanes separating it from the base that cut an edge at
+    it, the edges read from ``cube_arrays(1)``."""
+    vertices, edges = cplx.cube_arrays(0), cplx.cube_arrays(1)
+    adjacent = np.zeros_like(vertices.anchor)
+    h = np.nonzero(edges.cutting)[1]  # one per edge, in row order
+    for end in (edges.anchor, edges.anchor | edges.cutting):
+        adjacent[row_positions(vertices.keys, row_keys(end, np.ones_like(end)))[0], h] = 1
+    base = vertices.anchor[cplx.vertex_index(cplx.base_vertex)]
+    return (vertices.anchor ^ base) & adjacent
+
+
+def _step_classes(cplx, steps: np.ndarray) -> np.ndarray:
+    """The class of each step, numbered in ``_classes`` order, or -1 where
+    the step names no class or spans no cube at its vertex."""
+    anchor = cplx.cube_arrays(0).anchor
+    out, size, offset = np.full(len(steps), -1), steps.sum(axis=1), 0
+    for q in range(cplx.dimension + 1):
+        rows, at = class_rows(cplx, q), np.flatnonzero(size == q)
+        if len(at):
+            free = steps[at] ^ 1  # complemented, as in the keys
+            pos, named = row_positions(rows.keys, row_keys(free))
+            named &= row_positions(cplx.cube_arrays(q).keys, row_keys(anchor[at] & free, free))[1]
+            out[at[named]] = offset + pos[named]
+        offset += len(rows.sizes)
+    return out
+
+
+def _nearest_failures(cplx, det: np.ndarray, members: np.ndarray, at) -> np.ndarray:
+    """Whether each vertex (indices ``at``) fails against its nearest member
+    of the class with cutting bits ``det`` and member rows ``members``: the
+    minimum is tied, the nearest member is not a gate (some member's
+    distance is not the nearest one's plus their separation), or the
+    vertex and the nearest member differ on a frame hyperplane."""
+    bits = cplx.cube_arrays(int(det.sum())).anchor[members].astype(np.float64)
+    vbits = cplx.cube_arrays(0).anchor[at].astype(np.float64)
+    near, failed, dist = nearest_rows(bits, vbits)
+    ones = bits.sum(axis=1)
+    separation = ones[near, None] + ones - 2.0 * (bits[near] @ bits.T)
+    failed |= (dist != np.take_along_axis(dist, near[:, None], axis=1) + separation).any(axis=1)
+    if det.any():  # the vertex class is exempt: each vertex is its own gate
+        frame = _frame(cplx, det)
+        failed |= (vbits[:, frame] != bits[near][:, frame]).any(axis=1)
+    return failed
+
+
 def _suite_parallel(cplx, args):
-    classes = enumerate_classes(cplx)
-    try:
-        mapping = vertex_to_class_bijection(cplx)
-        bad = 0 if len(set(mapping.values())) == cplx.n_vertices else 1
-    except AssertionError:
-        bad = 1
+    classes = _classes(cplx)
+    # a bijection exactly when the first steps' classes are all the classes once
+    ids = _step_classes(cplx, _first_steps(cplx))
+    bad = int(not np.array_equal(np.sort(ids), np.arange(len(classes))))
 
     # Every stride-th (vertex, class) pair in vertex-major order, the stride
     # the smallest s >= max(1, V*C // 4096) prime to C, so the sample meets
@@ -388,14 +464,27 @@ def _suite_parallel(cplx, args):
     sampled: dict[int, list[int]] = {}
     for i in range(0, n_pairs, stride):
         v, c = divmod(i, len(classes))
-        sampled.setdefault(c, []).append(cplx.vertices[v])
-    failures = sum(int(nearest_members(cplx, classes[c], vs, verify=True)[1].sum())
-                   for c, vs in sampled.items())
+        sampled.setdefault(c, []).append(v)
+    failures = sum(int(_nearest_failures(cplx, *classes[c], at).sum())
+                   for c, at in sampled.items())
 
+    # each class rebuilt as a complex over its frame, rooted at its member
+    # nearest the base vertex, and validated as one
     invalid = 0
-    for klass in classes:
+    base = cplx.cube_arrays(0).anchor[[cplx.vertex_index(cplx.base_vertex)]].astype(np.float64)
+    for det, members in classes:
+        bits = cplx.cube_arrays(int(det.sum())).anchor[members]
+        frame = _frame(cplx, det)
+        coords = _row_ints(bits[:, frame])
+        if len(set(coords)) != len(coords):  # frame coordinates collide
+            invalid += 1
+            continue
+        (home,), (tied,), _ = nearest_rows(bits.astype(np.float64), base)
+        if tied:
+            raise AssertionError("nearest cube in class %s to %s is not unique" % (
+                np.flatnonzero(det).tolist(), cplx.vertex_bits(cplx.base_vertex)))
         try:
-            class_complex(cplx, klass)
+            CubeComplex(int(frame.sum()), coords, coords[home])
         except InvalidComplex:
             invalid += 1
     return {

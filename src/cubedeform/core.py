@@ -44,7 +44,6 @@ __all__ = [
     "CubeComplex",
     "CxcParseError",
     "InvalidComplex",
-    "NormalCubePath",
     "bit_rows",
     "column_bits",
     "median_closure",
@@ -94,17 +93,6 @@ class CubeArrays(NamedTuple):
     anchor: np.ndarray
     cutting: np.ndarray
     keys: np.ndarray
-
-
-class NormalCubePath(NamedTuple):
-    """Greedy cube path from a vertex toward a target vertex.
-
-    ``waypoints`` has one more entry than ``cubes``; waypoint ``i`` is the
-    vertex the path occupies before crossing ``cubes[i]``.
-    """
-
-    cubes: tuple[Cube, ...]
-    waypoints: tuple[int, ...]
 
 
 def median_of(u: int, v: int, w: int) -> int:
@@ -492,32 +480,6 @@ class CubeComplex:
                 min((v ^ base).bit_count() for v in self.vertices_adjacent_to(h2))
                 for h2 in range(self.n_hyperplanes))
         return self._hdist[h]
-
-    def normal_cube_path(self, source: int, target: int) -> NormalCubePath:
-        """Greedy cube path: cross every crossable separating hyperplane at once."""
-        if source not in self._vset or target not in self._vset:
-            raise InvalidComplex("normal cube path endpoints must be vertices")
-        cubes: list[Cube] = []
-        waypoints = [source]
-        r = source
-        crossed = 0
-        while r != target:
-            step = [h for h in range(self.n_hyperplanes)
-                    if (r ^ target) & self._masks[h] and self.adjacent_vertex(r, h)]
-            smask = self.mask_of(step)
-            if not step or smask & crossed:
-                raise InvalidComplex("normal cube path failed to progress")
-            anchor = r & ~smask
-            cube = Cube(anchor, tuple(step))
-            if not self.is_cube(anchor, cube.cutting):
-                raise InvalidComplex("normal cube path step does not span a cube")
-            cubes.append(cube)
-            crossed |= smask
-            r ^= smask
-            waypoints.append(r)
-        if crossed != source ^ target:
-            raise InvalidComplex("normal cube path did not cross the separating set")
-        return NormalCubePath(tuple(cubes), tuple(waypoints))
 
     # -- reporting ----------------------------------------------------------------
 

@@ -75,7 +75,7 @@ import numpy as np
 
 from .core import Cube, CubeComplex, bit_rows, row_keys, row_positions
 from .differential import OrientedCube, d_cochain, d_matrix, term_table
-from .parallelism import class_rows
+from .parallelism import class_rows, nearest_rows
 from .symbols import (
     CubePair,
     PSSymbol,
@@ -663,13 +663,9 @@ def random_loop_residual(cplx: CubeComplex, rng, ts: Iterable[float],
 
 def _nearest(cplx: CubeComplex, group: _Group, vertices) -> tuple[np.ndarray, np.ndarray]:
     """Each class's member nearest each of ``vertices``, (k, V), and whether
-    the minimum is tied: one stacked product |M| - 2 V M^T over the member
-    bits, the row constant |V| left out."""
+    the minimum is tied (``nearest_rows``)."""
     vbits = bit_rows(cplx.n_hyperplanes, vertices).astype(np.float64)
-    dist = group.bits.sum(axis=2)[:, None] - 2.0 * (vbits @ group.bits.transpose(0, 2, 1))
-    near = dist.argmin(axis=2)
-    # the first and the last minimum coincide exactly when it is unique
-    return near, near != dist.shape[2] - 1 - dist[..., ::-1].argmin(axis=2)
+    return nearest_rows(group.bits, vbits)[:2]
 
 
 def _class_roots(cplx: CubeComplex, group: _Group, class_bases: dict | None) -> np.ndarray:

@@ -29,7 +29,13 @@ from cubedeform import (
     random_median_complex,
     star_tree,
 )
-from cubedeform.core import Cube, CubeArrays
+from cubedeform.core import (
+    Cube,
+    CubeArrays,
+    InvalidComplex,
+    bit_rows,
+    project_bits,
+)
 from cubedeform.deformation import (
     basic_cochain,
     class_blocks,
@@ -56,12 +62,7 @@ from cubedeform.fredholm import (
     format_t,
     inv_sqrt_spectral,
 )
-from cubedeform.parallelism import (
-    ParallelClass,
-    class_of,
-    enumerate_classes,
-    nearest_in_class,
-)
+from cubedeform.parallelism import class_rows
 from cubedeform.symbols import (
     PSSymbol,
     ps_basis,
@@ -1250,3 +1251,264 @@ def oracle_inv_sqrt_integral(matrix, nodes=200):
         jac = 1.0 / (1.0 - u) ** 2
         acc += (w / 2.0) * jac * np.linalg.solve(s * s * eye + t, eye)
     return (2.0 / math.pi) * acc
+
+
+# -- the tuple class model: the oracle of cli._suite_parallel --------------------
+#
+# Classes as tuples of ``Cube`` members, with per-class member bits, nearest
+# members, derived complexes and the vertex bijection along normal cube
+# paths; ``suite_parallel`` is the parallel suite built on them.
+
+
+class NormalCubePath(NamedTuple):
+    """Greedy cube path from a vertex toward a target vertex.
+
+    ``waypoints`` has one more entry than ``cubes``; waypoint ``i`` is the
+    vertex the path occupies before crossing ``cubes[i]``.
+    """
+
+    cubes: tuple[Cube, ...]
+    waypoints: tuple[int, ...]
+
+
+def normal_cube_path(cplx: CubeComplex, source: int, target: int) -> NormalCubePath:
+    """Greedy cube path: cross every crossable separating hyperplane at once."""
+    if not cplx.contains_vertex(source) or not cplx.contains_vertex(target):
+        raise InvalidComplex("normal cube path endpoints must be vertices")
+    cubes: list[Cube] = []
+    waypoints = [source]
+    r = source
+    crossed = 0
+    while r != target:
+        step = [h for h in range(cplx.n_hyperplanes)
+                if (r ^ target) & cplx.mask(h) and cplx.adjacent_vertex(r, h)]
+        smask = cplx.mask_of(step)
+        if not step or smask & crossed:
+            raise InvalidComplex("normal cube path failed to progress")
+        anchor = r & ~smask
+        cube = Cube(anchor, tuple(step))
+        if not cplx.is_cube(anchor, cube.cutting):
+            raise InvalidComplex("normal cube path step does not span a cube")
+        cubes.append(cube)
+        crossed |= smask
+        r ^= smask
+        waypoints.append(r)
+    if crossed != source ^ target:
+        raise InvalidComplex("normal cube path did not cross the separating set")
+    return NormalCubePath(tuple(cubes), tuple(waypoints))
+
+
+class ParallelClass(NamedTuple):
+    """All cubes sharing one cutting set (the determining hyperplanes)."""
+
+    determining: tuple[int, ...]
+    members: tuple[Cube, ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.determining)
+
+
+class ClassComplex(NamedTuple):
+    """A parallelism class rebuilt as a cube complex of its own.
+
+    ``frame`` lists the hyperplanes crossing every determining hyperplane;
+    member cubes become vertices of ``complex`` by reading off their
+    half-space bits over the frame.  ``to_vertex`` and ``from_vertex`` give
+    the correspondence in both directions.
+    """
+
+    complex: CubeComplex
+    frame: tuple[int, ...]
+    members: tuple[Cube, ...]
+    to_vertex: dict
+    from_vertex: dict
+
+
+def enumerate_classes(cplx: CubeComplex) -> tuple[ParallelClass, ...]:
+    """All parallelism classes, sorted by (dimension, determining set): a
+    view of ``class_rows``, made on first use and cached."""
+    def build():
+        out = []
+        for q in range(cplx.dimension + 1):
+            rows, cubes = class_rows(cplx, q), cplx.cubes(q)
+            # members in cube order, which within a class is anchor order
+            members = [cubes[i] for i in np.argsort(rows.of, kind="stable").tolist()]
+            ends = np.cumsum(rows.sizes).tolist()
+            sets = np.nonzero(rows.sets)[1].reshape(len(ends), q).tolist()
+            out.extend(ParallelClass(tuple(det), tuple(members[end - size:end]))
+                       for det, size, end in zip(sets, rows.sizes.tolist(), ends))
+        return tuple(out)
+
+    return cplx.cached("parallel_classes", build)
+
+
+def class_of(cplx: CubeComplex, determining: Iterable[int]) -> ParallelClass:
+    """The class with the given determining set; KeyError if unrealized."""
+    index = cplx.cached("parallel_class_index",
+                        lambda: {k.determining: k for k in enumerate_classes(cplx)})
+    return index[tuple(sorted(determining))]
+
+
+class MemberBits(NamedTuple):
+    """A class's members as 0/1 rows, one float64 column per hyperplane.
+
+    The columns of the determining hyperplanes are zero, so products of
+    rows count only the hyperplanes that cut no member; ``ones`` holds the
+    row sums.
+    """
+
+    bits: np.ndarray
+    ones: np.ndarray
+
+    def separations(self, rows=slice(None)) -> np.ndarray:
+        """Hyperplanes separating members ``rows`` from every member,
+        s_i + s_j - 2 B_i B_j^T: exact in float64 at any width."""
+        return (self.ones[rows, None] + self.ones[None, :]
+                - 2.0 * (self.bits[rows] @ self.bits.T))
+
+
+def _frame(cplx: CubeComplex, determining: tuple[int, ...]) -> np.ndarray:
+    """The hyperplanes outside ``determining`` that cross every one in it."""
+    inside = list(determining)
+    keep = cplx.crossing_matrix()[:, inside].all(axis=1)
+    keep[inside] = False
+    return np.flatnonzero(keep)
+
+
+def member_bits(cplx: CubeComplex, klass: ParallelClass) -> MemberBits:
+    """The cached ``MemberBits`` of ``klass``."""
+    def build():
+        bits = bit_rows(cplx.n_hyperplanes, (c.anchor for c in klass.members)).astype(np.float64)
+        bits[:, list(klass.determining)] = 0.0
+        return MemberBits(bits, bits.sum(axis=1))
+
+    # keyed by the whole class, so a hand-made class never reads another's bits
+    return cplx.cached(("member_bits", klass), build)
+
+
+def nearest_members(
+    cplx: CubeComplex,
+    klass: ParallelClass,
+    vertices: Iterable[int],
+    verify: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the member of ``klass`` nearest each vertex, and whether the pair fails.
+
+    Distances from the vertices V to the members M come from one matrix
+    product over the hyperplanes that cut no member, |M| + |V| - 2 V M^T,
+    exact in float64.  The row constant |V| is left out: it moves neither
+    a row's minimum nor any difference the checks compare.  A pair fails
+    when its minimum is not unique.  With ``verify`` it also fails when the
+    nearest member is not a gate (some member's distance is not the nearest
+    one's plus their separation) or when the vertex and the nearest member
+    differ on a frame hyperplane of ``klass``.
+    """
+    if not klass.members:
+        raise ValueError("empty parallelism class")
+    mb = member_bits(cplx, klass)
+    vbits = bit_rows(cplx.n_hyperplanes, vertices).astype(np.float64)
+    dist = mb.ones - 2.0 * (vbits @ mb.bits.T)
+    best = dist.argmin(axis=1)
+    # the first and the last minimum coincide exactly when it is unique
+    failed = best != len(mb.ones) - 1 - dist[:, ::-1].argmin(axis=1)
+    if verify:
+        best_d = dist[np.arange(len(best)), best][:, None]
+        failed |= (dist != best_d + mb.separations(best)).any(axis=1)
+        if klass.determining:  # the vertex class is exempt: each vertex is its own gate
+            frame = _frame(cplx, klass.determining)
+            failed |= (vbits[:, frame] != mb.bits[best][:, frame]).any(axis=1)
+    return best, failed
+
+
+def nearest_in_class(
+    cplx: CubeComplex,
+    vertex: int,
+    klass: ParallelClass,
+    verify: bool = False,
+) -> Cube:
+    """The unique member of ``klass`` closest to ``vertex``.
+
+    The one-vertex view of ``nearest_members``: raises AssertionError when
+    the pair fails its checks (uniqueness always, the gate facts with
+    ``verify``) and ValueError on an empty class.
+    """
+    (best,), (failed,) = nearest_members(cplx, klass, (vertex,), verify)
+    if failed:
+        raise AssertionError(
+            "nearest cube in class %s to %s is not unique%s"
+            % (list(klass.determining), cplx.vertex_bits(vertex),
+               " or not a gate" if verify else ""))
+    return klass.members[best]
+
+
+def class_complex(cplx: CubeComplex, klass: ParallelClass) -> ClassComplex:
+    """Rebuild a parallelism class as a cube complex over its frame."""
+    frame = tuple(_frame(cplx, klass.determining).tolist())
+    masks = [cplx.mask(h) for h in frame]
+    to_vertex = {member: project_bits(member.anchor, masks) for member in klass.members}
+    if len(set(to_vertex.values())) != len(to_vertex):
+        raise InvalidComplex(
+            "frame coordinates do not separate the members of class %s"
+            % (list(klass.determining),))
+    home = nearest_in_class(cplx, cplx.base_vertex, klass)
+    derived = CubeComplex(len(frame), to_vertex.values(), to_vertex[home])
+    from_vertex = {v: member for member, v in to_vertex.items()}
+    return ClassComplex(derived, frame, klass.members, to_vertex, from_vertex)
+
+
+def vertex_to_class_bijection(cplx: CubeComplex) -> dict[int, ParallelClass]:
+    """Map each vertex to the class of the first cube on its path home.
+
+    The base vertex itself maps to the vertex class, matching the empty
+    normal cube path.  The resulting map is asserted bijective onto the
+    set of all parallelism classes.
+    """
+    base = cplx.base_vertex
+    out: dict[int, ParallelClass] = {}
+    for v in cplx.vertices:
+        if v == base:
+            out[v] = class_of(cplx, ())
+        else:
+            first = normal_cube_path(cplx, v, base).cubes[0]
+            out[v] = class_of(cplx, first.cutting)
+    keys = {k.determining for k in out.values()}
+    if len(keys) != len(out) or len(out) != len(enumerate_classes(cplx)):
+        raise AssertionError("vertex to class map is not a bijection")
+    return out
+
+
+def suite_parallel(cplx, args):
+    classes = enumerate_classes(cplx)
+    try:
+        mapping = vertex_to_class_bijection(cplx)
+        bad = 0 if len(set(mapping.values())) == cplx.n_vertices else 1
+    except AssertionError:
+        bad = 1
+
+    # Every stride-th (vertex, class) pair in vertex-major order, the stride
+    # the smallest s >= max(1, V*C // 4096) prime to C, so the sample meets
+    # every class; each class's sampled vertices are checked in one call
+    n_pairs = cplx.n_vertices * len(classes)
+    stride = max(1, n_pairs // 4096)
+    while math.gcd(stride, len(classes)) != 1:
+        stride += 1
+    sampled: dict[int, list[int]] = {}
+    for i in range(0, n_pairs, stride):
+        v, c = divmod(i, len(classes))
+        sampled.setdefault(c, []).append(cplx.vertices[v])
+    failures = sum(int(nearest_members(cplx, classes[c], vs, verify=True)[1].sum())
+                   for c, vs in sampled.items())
+
+    invalid = 0
+    for klass in classes:
+        try:
+            class_complex(cplx, klass)
+        except InvalidComplex:
+            invalid += 1
+    return {
+        "class_count": abs(len(classes) - cplx.n_vertices),
+        "vertex_class_bijection": bad,
+        "nearest_verified": failures,
+        "class_complex_valid": invalid,
+    }, {"vertices": cplx.n_vertices, "classes": len(classes)}

@@ -12,7 +12,7 @@ import numpy as np
 from mpmath import mp
 
 import helpers
-from helpers import spectral_profile
+from helpers import enumerate_classes, spectral_profile, vertex_to_class_bijection
 from cubedeform.deformation import (
     basic_cochain,
     basic_section_frame,
@@ -44,7 +44,6 @@ from cubedeform.fredholm import (
     normalized_d,
     resolvent_bounds,
 )
-from cubedeform.parallelism import enumerate_classes, vertex_to_class_bijection
 from cubedeform.symbols import (
     canonical_symbol_vertex,
     ps_cohomology_ranks,

@@ -18,10 +18,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import hook_matrix, spectral_profile, wedge_matrix
+from helpers import class_of, enumerate_classes, hook_matrix, spectral_profile, wedge_matrix
 from cubedeform import cli, deformation, differential, fredholm, symbols
 from cubedeform.cli import DEFAULT_TOLERANCES, FIELD_T_FLOOR, main
-from cubedeform.core import write_cxc
+from cubedeform.core import Cube, InvalidComplex, write_cxc
 from cubedeform.deformation import deformation_weights, pairing_limit, pairing_value
 from cubedeform.differential import (
     cohomology_ranks,
@@ -37,7 +37,6 @@ from cubedeform.generate import (
     random_median_complex,
     star_tree,
 )
-from cubedeform.parallelism import enumerate_classes, nearest_members
 from cubedeform.symbols import (
     ps_basis,
     ps_cohomology_ranks,
@@ -154,7 +153,7 @@ def test_validate_makes_no_cube_tuples(cplx, tmp_path, monkeypatch, capsys):
     code, out = run(["validate", "--input", str(doc)], capsys)
     assert code == 0
     assert "bounded-geometry %d" % helpers.oracle_bounded_geometry(cplx) in out.splitlines()
-    assert not [key for key in parsed[0]._shared if isinstance(key, tuple) and key[0] == "cubes"]
+    assert not tuple_entries(parsed[0]._shared)
 
 
 # -- check -------------------------------------------------------------------------
@@ -196,27 +195,168 @@ def test_check_parallel_samples_every_stride_th_pair(monkeypatch):
     # smallest s >= V*C // 4096 prime to C: on the 9x9 grid V*C // 4096 is
     # 2, which shares a factor with the 100 classes and would sample 50 of
     # them; 3 samples all.  Each class's vertices go in one batched call,
-    # and every failed pair is counted.
+    # with the class's members, and every failed pair is counted.
     cplx = grid_complex([9, 9])
     classes = enumerate_classes(cplx)
     pairs = [(v, klass) for v in cplx.vertices for klass in classes]
     assert len(pairs) // 4096 == 2 and len(classes) == 100
-    seen, called = [], []
+    seen, called, nearest_failures = [], [], cli._nearest_failures
 
-    def every_pair_fails(cplx_, klass, vertices, verify=False):
-        assert verify
-        called.append(klass.determining)
-        seen.extend((v, klass.determining) for v in vertices)
-        best, failed = nearest_members(cplx_, klass, vertices, verify)
+    def every_pair_fails(cplx_, det, members, at):
+        determining = tuple(np.flatnonzero(det).tolist())
+        called.append(determining)
+        cubes = cplx_.cubes(len(determining))
+        assert tuple(cubes[i] for i in members) == class_of(cplx_, determining).members
+        seen.extend((cplx_.vertices[i], determining) for i in at)
+        failed = nearest_failures(cplx_, det, members, at)
         assert not failed.any()
-        return best, ~failed
+        return ~failed
 
-    monkeypatch.setattr(cli, "nearest_members", every_pair_fails)
+    monkeypatch.setattr(cli, "_nearest_failures", every_pair_fails)
     residuals, _ = cli._SUITES["parallel"](cplx, None)
     want = {(v, klass.determining) for v, klass in pairs[::3]}
     assert len(seen) == len(want) == residuals["nearest_verified"]
     assert set(seen) == want
     assert len(called) == len(set(called)) == len(classes)
+
+
+def parallel_residuals(cplx):
+    """The parallel suite's residuals and counts, checked against the tuple
+    oracle's on the same complex."""
+    got = cli._SUITES["parallel"](cplx, None)
+    assert got == helpers.suite_parallel(cplx, None)
+    return got
+
+
+@pytest.mark.parametrize("name", helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES
+                         + helpers.WIDE_FIXTURE_NAMES + ("random0", "random1"))
+def test_check_parallel_matches_the_tuple_oracle(name):
+    cplx = helpers.table_case(name)
+    residuals, counts = parallel_residuals(cplx)
+    assert not any(residuals.values())
+    assert counts == {"vertices": cplx.n_vertices, "classes": cplx.n_vertices}
+    for base in cplx.vertices[1::max(1, cplx.n_vertices // 4)]:
+        parallel_residuals(cplx.rebased(base))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 8), k=st.integers(1, 6), seed=st.integers(0, 1 << 16))
+def test_check_parallel_matches_the_tuple_oracle_hypothesis(n, k, seed):
+    residuals, _ = parallel_residuals(random_median_complex(n, k, seed))
+    assert not any(residuals.values())
+
+
+def doctor_class(monkeypatch, cplx, determining, members):
+    """Give the class ``determining`` of ``cplx`` the cubes ``members``
+    instead of its own, in ``cli._classes`` (on any complex loaded after
+    this) and in the tuple oracle's cached classes; returns the class."""
+    classes = cli._classes
+
+    def doctored(cplx_):
+        out = classes(cplx_)
+        index = cplx_.cube_index(len(determining))
+        c = [tuple(np.flatnonzero(det).tolist()) for det, _ in out].index(determining)
+        out[c] = (out[c][0], np.array([index[m] for m in members]))
+        return out
+
+    monkeypatch.setattr(cli, "_classes", doctored)
+    tuples = list(helpers.enumerate_classes(cplx))
+    c = [k.determining for k in tuples].index(determining)
+    tuples[c] = helpers.ParallelClass(determining, tuple(members))
+    cplx._shared["parallel_classes"] = tuple(tuples)
+    cplx._shared.pop("parallel_class_index", None)
+    return tuples[c]
+
+
+def check_parallel(cplx, tmp_path, capsys):
+    """``check parallel`` run on ``cplx`` written out: exit code and residuals."""
+    doc = tmp_path / "doctored.cxc"
+    doc.write_text(write_cxc(cplx))
+    code, out = run(["check", "parallel", "--input", str(doc)], capsys)
+    return code, {c["name"]: c["residual"] for c in json.loads(out)["checks"]}
+
+
+def _drop(*anchors):
+    return lambda members: tuple(m for m in members if m.anchor not in anchors)
+
+
+# (complex, class, its doctored members, the failure its class complex
+# has, the sampled pairs that then fail against their nearest member)
+DOCTORED_CLASSES = {
+    # edge 100-110 sits over 000 on the frame {1, 2} of the class (0,)
+    "collide": (lambda: hypercube(3), (0,), lambda m: (m[0], Cube(0b100, (1,))) + m[2:],
+                "frame coordinates do not separate", 4),
+    "disconnected": (lambda: grid_complex([1, 3]), (0,), _drop(0b0100),
+                     "connectivity failure", 2),
+    # the members left form a hexagon in their frame
+    "not median-closed": (lambda: hypercube(4), (0,), _drop(0b0011, 0b0100),
+                          "median-closure failure", 4),
+    # the vertices 100, 110 and 111 are across the frame {0} from it
+    "lone member": (lambda: grid_complex([1, 2]), (1,), lambda m: m[:1],
+                    "constant coordinate", 3),
+}
+
+
+@pytest.mark.parametrize("case", DOCTORED_CLASSES)
+def test_check_parallel_counts_a_doctored_class(case, tmp_path, monkeypatch, capsys):
+    make, determining, doctor, failure, nearest = DOCTORED_CLASSES[case]
+    cplx = make()
+    members = doctor(helpers.class_of(cplx, determining).members)
+    klass = doctor_class(monkeypatch, cplx, determining, members)
+    with pytest.raises(InvalidComplex, match=failure):
+        helpers.class_complex(cplx, klass)
+    residuals, _ = parallel_residuals(cplx)
+    assert residuals == {"class_count": 0, "vertex_class_bijection": 0,
+                         "nearest_verified": nearest, "class_complex_valid": 1}
+    code, reported = check_parallel(cplx, tmp_path, capsys)
+    assert code == 1
+    assert reported == {name: float(r) for name, r in residuals.items()}
+
+
+def _extra_step(steps):
+    # a leaf of the tripod also steps across a second hyperplane: no
+    # square is there, so the step names no class
+    v = int(np.flatnonzero(steps.any(axis=1))[0])
+    steps[v, np.flatnonzero(steps[v] == 0)[0]] = 1
+    return steps
+
+
+def _swapped_steps(steps):
+    # 110 and 111 of the 1x2 grid trade steps {0, 1} and {0, 2}: the classes
+    # are still met once each, but {0, 1} spans no square at 111
+    steps[[4, 5]] = steps[[5, 4]]
+    return steps
+
+
+@pytest.mark.parametrize("make, doctor", ((lambda: star_tree(3), _extra_step),
+                                          (lambda: grid_complex([1, 2]), _swapped_steps)),
+                         ids=("no class", "no cube"))
+def test_check_parallel_counts_an_unrealized_first_step(make, doctor, tmp_path, monkeypatch,
+                                                        capsys):
+    first_steps = cli._first_steps
+    monkeypatch.setattr(cli, "_first_steps", lambda cplx_: doctor(first_steps(cplx_)))
+    code, residuals = check_parallel(make(), tmp_path, capsys)
+    assert code == 1
+    assert residuals == {"class_count": 0.0, "vertex_class_bijection": 1.0,
+                         "nearest_verified": 0.0, "class_complex_valid": 0.0}
+
+
+def test_check_parallel_tie_at_the_base_vertex_exits_3(tmp_path, monkeypatch, capsys):
+    # members 010 and 100 of the doctored class are both one step from the
+    # base vertex 000 and apart on its frame {0}
+    cplx = grid_complex([1, 2])
+    assert cplx.base_vertex == 0
+    doctor_class(monkeypatch, cplx, (2,), (Cube(0b010, (2,)), Cube(0b100, (1,))))
+    with pytest.raises(AssertionError) as oracle:
+        helpers.suite_parallel(cplx, None)
+    doc = tmp_path / "g12.cxc"
+    doc.write_text(write_cxc(cplx))
+    code = main(["check", "parallel", "--input", str(doc)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "check parallel: internal check failed: %s\n" % oracle.value
+    assert str(oracle.value) == "nearest cube in class [2] to 000 is not unique"
 
 
 def test_check_deterministic(grid_file, capsys):
@@ -681,15 +821,22 @@ def test_a_negated_term_on_a_late_hyperplane_shows(q, raising, monkeypatch):
     assert dense_jv(cplx, hyperplanes=6)["wedge_hook_antisymmetry"] == 0
 
 
-def test_check_jv_and_fredholm_make_no_cube_tuples(grid_file, monkeypatch, capsys):
-    # both read only the cube rows; check parallel, which needs the classes, does not
+def tuple_entries(shared) -> list:
+    """The entries of the tuple model in a ``_shared`` cache: cube tuples
+    and their index, class tuples and their index, per-class member bits."""
+    return [key for key in shared
+            if key in ("parallel_classes", "parallel_class_index")
+            or isinstance(key, tuple) and key[0] in ("cubes", "cube_index", "member_bits")]
+
+
+def test_no_check_suite_makes_cube_tuples_or_class_tuples(grid_file, monkeypatch, capsys):
+    # every suite reads only the cube rows and the class rows
     loaded, load = [], cli._load_complex
     monkeypatch.setattr(cli, "_load_complex", lambda *a: loaded.append(load(*a)) or loaded[-1])
-    for suite in ("jv", "fredholm", "parallel"):
+    for suite in DEFAULT_TOLERANCES:
         code, _ = run(["check", suite, "--input", grid_file], capsys)
         assert code == 0
-        made = [key for key in loaded[-1]._shared if isinstance(key, tuple) and key[0] == "cubes"]
-        assert bool(made) == (suite == "parallel")
+        assert not tuple_entries(loaded[-1]._shared)
 
 
 def test_check_field_and_ps_make_no_cube_tuples_or_class_tuples(grid_file, monkeypatch, capsys):
@@ -701,8 +848,7 @@ def test_check_field_and_ps_make_no_cube_tuples_or_class_tuples(grid_file, monke
         assert code == 0
         shared = loaded[-1]._shared
         assert any(isinstance(key, tuple) and key[0] == "class_rows" for key in shared)
-        assert not [key for key in shared if isinstance(key, tuple) and key[0] == "cubes"]
-        assert "parallel_classes" not in shared
+        assert not tuple_entries(shared)
 
 
 def test_sweep_makes_no_cube_tuples_class_tuples_or_pair_symbols(tmp_path, monkeypatch, capsys):
@@ -716,9 +862,8 @@ def test_sweep_makes_no_cube_tuples_class_tuples_or_pair_symbols(tmp_path, monke
         code, _ = run(["sweep", "--input", str(doc), *select], capsys)
         assert code == 0
         shared = loaded[-1]._shared
-        assert not [key for key in shared if isinstance(key, tuple) and key[0] == "cubes"]
-        for name in ("parallel_classes", "parallel_class_index", "pair_symbol"):
-            assert name not in shared
+        assert not tuple_entries(shared)
+        assert "pair_symbol" not in shared
 
 
 def test_check_jv_and_ps_form_no_dense_operator(tmp_path, monkeypatch, capsys):
@@ -1164,7 +1309,8 @@ def test_no_command_imports_numpy_ma(grid_file, tmp_path):
     if subprocess.run([sys.executable, "-c", probe], capture_output=True,
                       text=True, check=True).stdout.strip() == "True":
         pytest.skip("importing numpy alone loads numpy.ma")
-    commands = [["validate", "--input", grid_file],
+    commands = [["gen", "grid", "--dims", "3x3x2", "--out", str(tmp_path / "g.cxc")],
+                ["validate", "--input", grid_file],
                 *(["check", suite, "--input", grid_file] for suite in DEFAULT_TOLERANCES),
                 ["sweep", "--input", grid_file, "--out", str(tmp_path / "sweep.csv")]]
     script = (

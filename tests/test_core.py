@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import cubedeform.core as core
 import helpers
+from helpers import normal_cube_path
 from cubedeform import grid_complex, random_median_complex, star_tree
 from cubedeform.core import (
     Cube,
@@ -475,7 +476,7 @@ def test_cube_distance_matches_brute_force(name):
 
 
 def _check_path(cplx, source, target):
-    path = cplx.normal_cube_path(source, target)
+    path = normal_cube_path(cplx, source, target)
     assert path.waypoints[0] == source
     assert path.waypoints[-1] == target
     assert len(path.waypoints) == len(path.cubes) + 1
@@ -501,14 +502,14 @@ def test_normal_cube_path_on_all_vertex_pairs(name):
 
 
 def test_normal_cube_path_greedy_shape(cube3, tripod):
-    path = cube3.normal_cube_path(0b000, 0b111)
+    path = normal_cube_path(cube3, 0b000, 0b111)
     assert len(path.cubes) == 1
     assert path.cubes[0] == Cube(0b000, (0, 1, 2))
     # tripod: leaf to leaf passes through the center, one edge at a time
-    path = tripod.normal_cube_path(0b100, 0b010)
+    path = normal_cube_path(tripod, 0b100, 0b010)
     assert path.waypoints == (0b100, 0b000, 0b010)
     with pytest.raises(InvalidComplex):
-        tripod.normal_cube_path(0b100, 0b111)
+        normal_cube_path(tripod, 0b100, 0b111)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import helpers
-from helpers import basic_cochain_vector, pair_distance
+from helpers import basic_cochain_vector, class_of, enumerate_classes, member_bits, pair_distance
 from cubedeform import deformation
 from cubedeform.core import Cube, bit_rows
 from cubedeform.deformation import (
@@ -38,7 +38,7 @@ from cubedeform.deformation import (
 from cubedeform.differential import OrientedCube, d_matrix, delta_matrix, term_table
 from cubedeform.generate import grid_complex, hypercube, random_median_complex, star_tree
 from cubedeform.core import column_bits
-from cubedeform.parallelism import class_of, class_rows, enumerate_classes, member_bits
+from cubedeform.parallelism import class_rows
 from cubedeform.symbols import (
     canonical_symbol_vertex,
     cube_pair,

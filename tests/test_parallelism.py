@@ -1,4 +1,6 @@
-"""Parallelism classes: counting, nearest members, derived complexes."""
+"""Parallelism classes: the class rows, the nearest-member rule, and the
+tuple model of classes that is the oracle of ``check parallel``: counting,
+nearest members, derived complexes, the vertex bijection."""
 
 import math
 
@@ -8,21 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import class_count_theorem, nearest_moves_across_edge, pair_distance
+from helpers import (
+    ParallelClass,
+    class_complex,
+    class_count_theorem,
+    class_of,
+    enumerate_classes,
+    member_bits,
+    nearest_in_class,
+    nearest_members,
+    nearest_moves_across_edge,
+    normal_cube_path,
+    pair_distance,
+    vertex_to_class_bijection,
+)
 from cubedeform import deformation
 from cubedeform.core import Cube, bit_rows, column_bits, row_keys
 from cubedeform.generate import random_median_complex
-from cubedeform.parallelism import (
-    ParallelClass,
-    class_anchors,
-    class_complex,
-    class_of,
-    class_rows,
-    enumerate_classes,
-    nearest_in_class,
-    nearest_members,
-    vertex_to_class_bijection,
-)
+from cubedeform.parallelism import class_anchors, class_rows, nearest_rows
 
 FIXED = ("square", "tripod", "cube3", "grid12")
 
@@ -174,6 +179,22 @@ def test_nearest_members_match_the_per_member_loop_hypothesis(n, k, seed):
     for klass in enumerate_classes(cplx):
         for verify in (False, True):
             assert not assert_nearest_members_match_the_loop(cplx, klass, verify).any()
+
+
+@pytest.mark.parametrize("name", helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES)
+def test_nearest_rows_is_the_per_class_rule(name):
+    # one class's member bits, or a stack of them, give the nearest members
+    # and the ties of the tuple model, vertex by vertex
+    cplx = helpers.fixture(name)
+    vbits = bit_rows(cplx.n_hyperplanes, cplx.vertices).astype(np.float64)
+    for klass in enumerate_classes(cplx):
+        bits = member_bits(cplx, klass).bits
+        near, tied, dist = nearest_rows(bits, vbits)
+        best, failed = nearest_members(cplx, klass, cplx.vertices)
+        assert near.tolist() == best.tolist() and tied.tolist() == failed.tolist()
+        assert dist.shape == (cplx.n_vertices, len(klass.members))
+        stacked = nearest_rows(np.stack([bits, bits[::-1]]), vbits)
+        assert stacked[0].tolist() == [best.tolist(), (len(bits) - 1 - best).tolist()]
 
 
 def sabotaged(members):
@@ -352,7 +373,7 @@ def test_vertex_to_class_bijection(name):
     assert len(keys) == cplx.n_vertices
     for v, klass in mapping.items():
         if v != cplx.base_vertex:
-            first = cplx.normal_cube_path(v, cplx.base_vertex).cubes[0]
+            first = normal_cube_path(cplx, v, cplx.base_vertex).cubes[0]
             assert klass.determining == first.cutting
 
 

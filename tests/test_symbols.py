@@ -10,12 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import ps_delta_symbol
+from helpers import enumerate_classes, ps_delta_symbol
 from cubedeform.core import Cube, CubeComplex
 from cubedeform.deformation import symbol_representative
 from cubedeform.differential import OrientedCube
 from cubedeform.generate import random_median_complex
-from cubedeform.parallelism import enumerate_classes
 from cubedeform.symbols import (
     SymbolArrays,
     basis_keys,
