@@ -18,9 +18,12 @@ parallelism class that is not connected). Exit 3 writes one line to
 stderr and nothing to stdout. ``check field`` holds only for
 t >= FIELD_T_FLOOR (1e-6): below it ``U_t`` is too ill-conditioned for
 float64 and its identities fail by rounding alone, so a smaller t exits
-3 before any computation. The same command, seed and input give the same
-bytes for a fixed BLAS thread count; the thread count can move the last
-bits of the float residuals of ``check field``.
+3 before any computation. The floor is not sharp on every complex: on
+``gen random-median --n 14 --k 10 --seed 3``, ``d_t_adjoint`` at t = 1e-6
+reads 1.28e-9, over its 1e-9 threshold, so that check fails (exit 1).
+The same command, seed and input give the same bytes for a fixed BLAS
+thread count; the thread count can move the last bits of the float
+residuals of ``check field``.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .core import (
     CxcParseError,
     InvalidComplex,
     parse_cxc,
+    row_ints,
     row_keys,
     row_positions,
     write_cxc,
@@ -395,21 +399,14 @@ def _frame(cplx, det: np.ndarray) -> np.ndarray:
     return cplx.crossing_matrix()[:, det == 1].all(axis=1)
 
 
-def _row_ints(rows: np.ndarray) -> list[int]:
-    """The 0/1 ``rows`` as integers, the first column highest."""
-    shift = -rows.shape[1] % 8
-    return [int.from_bytes(b, "big") >> shift for b in np.packbits(rows, axis=1).tolist()]
-
-
 def _first_steps(cplx) -> np.ndarray:
     """Each vertex's first normal-cube step toward the base vertex, as 0/1
     rows: the hyperplanes separating it from the base that cut an edge at
-    it, the edges read from ``cube_arrays(1)``."""
-    vertices, edges = cplx.cube_arrays(0), cplx.cube_arrays(1)
+    it, each edge's two ends read from ``facets(1)``."""
+    vertices = cplx.cube_arrays(0)
     adjacent = np.zeros_like(vertices.anchor)
-    h = np.nonzero(edges.cutting)[1]  # one per edge, in row order
-    for end in (edges.anchor, edges.anchor | edges.cutting):
-        adjacent[row_positions(vertices.keys, row_keys(end, np.ones_like(end)))[0], h] = 1
+    h = np.nonzero(cplx.cube_arrays(1).cutting)[1]  # one per edge, in row order
+    adjacent[cplx.facets(1), h[:, None]] = 1
     base = vertices.anchor[cplx.vertex_index(cplx.base_vertex)]
     return (vertices.anchor ^ base) & adjacent
 
@@ -475,7 +472,7 @@ def _suite_parallel(cplx, args):
     for det, members in classes:
         bits = cplx.cube_arrays(int(det.sum())).anchor[members]
         frame = _frame(cplx, det)
-        coords = _row_ints(bits[:, frame])
+        coords = row_ints(bits[:, frame])
         if len(set(coords)) != len(coords):  # frame coordinates collide
             invalid += 1
             continue

@@ -17,13 +17,17 @@ cutting it.  Each degree's cubes are held as 0/1 bit rows, anchor and
 cutting bits with one packed key per cube (:class:`CubeArrays`), and a
 (q+1)-cube (a, C + h) with h > max C is found from its face (a, C) by
 setting bit h of the face's key: the translate (a + h, C) must be a q-cube
-too.  ``Cube`` tuples are a view of the rows made on first use.  Every
-geometric predicate used downstream (adjacency, crossing, distance)
+too.  ``Cube`` tuples are a view of the rows made on first use.  Each
+level's face incidences are one cached table, :meth:`CubeComplex.facets`:
+per q-cube (a, C), the positions of its 2q facets (a, C - h) and
+(a + h, C - h) among the (q-1)-cubes.  The term tables of d and delta,
+the edge ends and the bounded-geometry statistic all gather from it.
+Every geometric predicate used downstream (adjacency, crossing, distance)
 reduces to bit arithmetic; in particular the edge-path distance between
 vertices is the Hamming distance, because separating hyperplanes count
 edges on any geodesic.  The bounded-geometry statistic counts the cubes
 meeting a cube by the Euler characteristic of its face poset, in array
-passes over the facets of each level's rows, with no per-corner sets.
+passes over the facet tables, with no per-corner sets.
 
 Instances are immutable after construction and safe to share between
 threads: caches only ever go from absent to computed, and rebasing a
@@ -51,6 +55,7 @@ __all__ = [
     "median_of",
     "parse_cxc",
     "project_bits",
+    "row_ints",
     "row_keys",
     "row_positions",
     "write_cxc",
@@ -117,6 +122,14 @@ def bit_rows(n: int, values: Iterable[int]) -> np.ndarray:
     bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(values), width),
                          axis=1)
     return bits[:, 8 * width - n:]
+
+
+def row_ints(rows: np.ndarray) -> list[int]:
+    """The integers of 0/1 rows, the first column highest: ``bit_rows`` inverted."""
+    width = (rows.shape[1] + 7) // 8
+    shift, raw = 8 * width - rows.shape[1], np.packbits(rows, axis=1).tobytes()
+    return [int.from_bytes(raw[i * width:i * width + width], "big") >> shift
+            for i in range(len(rows))]
 
 
 def column_bits(columns: np.ndarray, n: int) -> np.ndarray:
@@ -402,11 +415,8 @@ class CubeComplex:
         """All q-cubes in canonical order (anchor, then cutting tuple): a
         view of ``cube_arrays(q)``, made on first use and cached."""
         def build():
-            rows, n = self.cube_arrays(q), self.n_hyperplanes
-            # the anchor is the first n bits of the key
-            width = (n + 7) // 8
-            shift = 8 * width - n
-            anchors = [int.from_bytes(key[:width], "big") >> shift for key in rows.keys.tolist()]
+            rows = self.cube_arrays(q)
+            anchors = row_ints(rows.anchor)
             cutting = np.nonzero(rows.cutting)[1].reshape(len(anchors), max(q, 0)).tolist()
             return tuple(map(Cube, anchors, map(tuple, cutting)))
 
@@ -423,6 +433,31 @@ class CubeComplex:
         0..dimension; each degree is built from the one below."""
         levels = self._levels()
         return levels[q] if 0 <= q < len(levels) else CubeArrays(*(a[:0] for a in levels[0]))
+
+    def facets(self, q: int) -> np.ndarray:
+        """Per q-cube (a, C), the positions among the (q-1)-cubes of its
+        facets (a, C - h), then (a + h, C - h), h in C ascending: a
+        read-only (N_q, 2q) table, cached and shared by rebased copies.
+        Each facet is found by setting complement bit n + h of the cube's
+        key, then anchor bit h; none may be missing."""
+        def build():
+            level, keys = self.cube_arrays(q), self.cube_arrays(q - 1).keys
+            n, width = self.n_hyperplanes, keys.dtype.itemsize
+            rows, hs = np.nonzero(level.cutting)
+            raw = level.keys[rows].view(np.uint8).reshape(-1, width)
+            at = np.arange(len(rows))
+            found = []
+            for bit in (n + hs, hs):
+                raw[at, bit >> 3] |= (128 >> (bit & 7)).astype(np.uint8)
+                pos, hit = row_positions(keys, raw.view(keys.dtype).ravel())
+                if not hit.all():
+                    raise AssertionError("a facet of a cube is missing from the cube arrays")
+                found.append(pos.reshape(len(level.keys), max(q, 0)))
+            out = np.hstack(found)
+            out.flags.writeable = False
+            return out
+
+        return self.cached(("facets", q), build)
 
     def n_cubes(self) -> int:
         return sum(len(level.keys) for level in self._levels())
@@ -490,12 +525,11 @@ class CubeComplex:
         of a cube have Euler characteristic 1, so the cubes meeting C number
         the sum over the faces F of C of ``(-1)^dim F s(F)``, ``s(F)`` the
         cubes containing F.  A (co)face k steps away is reached along k first
-        steps, so both sums are k-step chain counts over the facet incidences
-        (:func:`_facet_positions`) divided by k, in exact int64.
+        steps, so both sums are k-step chain counts over the facet tables
+        (:meth:`facets`) divided by k, in exact int64.
         """
         levels = self._levels()
-        facets = [_facet_positions(self.n_hyperplanes, lower.keys, upper)
-                  for lower, upper in zip(levels, levels[1:])]
+        facets = [self.facets(q) for q in range(1, len(levels))]
         # up[:, k]: the codimension-k cofaces of each cube of the level, top down
         up = np.ones((len(levels[-1].keys), 1), dtype=np.int64)
         s = [up.sum(axis=1)]
@@ -512,24 +546,6 @@ class CubeComplex:
             down = np.hstack((s[q][:, None], _divide_exactly(sums)))
             best = max(best, int((down @ (-1) ** np.arange(q, -1, -1)).max()))
         return best
-
-
-def _facet_positions(n: int, keys: np.ndarray, level: CubeArrays) -> np.ndarray:
-    """Per cube (a, C) of ``level``, the positions in the (q-1)-cube ``keys``
-    of its facets (a, C - h), then (a + h, C - h), h in C ascending: set
-    complement bit n + h of its key, then anchor bit h.  None may be missing."""
-    rows, hs = np.nonzero(level.cutting)
-    width = keys.dtype.itemsize
-    raw = level.keys[rows].view(np.uint8).reshape(-1, width)
-    at = np.arange(len(rows))
-    found = []
-    for bit in (n + hs, hs):
-        raw[at, bit >> 3] |= (128 >> (bit & 7)).astype(np.uint8)
-        pos, hit = row_positions(keys, raw.view(keys.dtype).ravel())
-        if not hit.all():
-            raise AssertionError("a facet of a cube is missing from the cube arrays")
-        found.append(pos.reshape(len(level.keys), -1))
-    return np.hstack(found)
 
 
 def _divide_exactly(sums: np.ndarray) -> np.ndarray:

@@ -22,18 +22,18 @@ makes each cohomology dimension a count of zeros on that diagonal.
 
 Every dense operator matrix is one scatter of ``term_table``: per complex,
 degree and base vertex, the wedge and hook terms are kept unweighted as
-int64 rows (target, source, hyperplane, sign).  They come from the
-degree's ``CubeArrays`` by bit arithmetic, every term at once: a cube
-(a, C) raises across each h outside C with a_h != b_h (b the base vertex)
-onto (a minus h, C plus h) when that is a cube, and hooks across each h
-in C onto (a with h set to 1 - b_h, C minus h); targets are found by
-``row_positions`` on the sorted keys, and each sign is (-1)^#{k in C, k <
-h}, negated when a_h = 0 (raising) or b_h = 1 (hook).  A weighted matrix
-multiplies each sign by its hyperplane's weight at scatter time, so
-nothing is kept per weight.  The cochain functions fold one presentation
-at a time through ``canonicalize``.  The check suites form no operator:
-``term_product`` lists the term pairs of a product of two tables, and
-``grouped_sum`` sums them by matrix entry.
+int64 rows (target, source, hyperplane, sign).  d and delta read one
+incidence table, ``CubeComplex.facets``, each with its own selection: a
+cube (a, C) and its i-th cutting hyperplane h give one term, sign
+(-1)^(i + b_h), between the cube and its facet on the far side of h from
+the base vertex b.  d gathers from the (q+1)-cubes, delta from the
+q-cubes; as both read one table, the independent evidence for delta =
+d^T is the per-term cochain oracle.  A weighted matrix multiplies each
+sign by its hyperplane's weight at scatter time, so nothing is kept per
+weight.  The cochain functions fold one presentation at a time through
+``canonicalize``.  The check suites form no operator: ``term_product``
+lists the term pairs of a product of two tables, and ``grouped_sum``
+sums them by matrix entry.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .core import Cube, CubeComplex, bit_rows, row_keys, row_positions
+from .core import Cube, CubeComplex, bit_rows
 
 __all__ = [
     "Cochain",
@@ -254,35 +254,23 @@ def term_table(cplx: CubeComplex, q: int, raising: bool = True) -> np.ndarray:
     Terms move with the base vertex, and ``rebased`` copies share
     ``_shared``, so the base vertex is part of the key.  A source and a
     target fix the hyperplane between them, so each matrix entry receives
-    at most one term.  d finds its targets among the cofaces and delta
-    among the faces, so neither is built from the other; a face that is
-    not a cube raises ValueError.
+    at most one term.  Both gather from ``cplx.facets(top)``, top = q + 1
+    for d and q for delta.
     """
     def build():
-        src = cplx.cube_arrays(q)
-        base = bit_rows(cplx.n_hyperplanes, (cplx.base_vertex,))[0]
-        # raising: across each h outside C on the far side from the base,
-        # onto (a minus h, C plus h) if that is a cube; hook: across each h
-        # in C, onto the face on the far side of h
+        top = q + 1 if raising else q
+        facets = cplx.facets(top)
+        base = bit_rows(cplx.n_hyperplanes, (cplx.base_vertex,))[0].astype(np.intp)
+        cube, h = np.nonzero(cplx.cube_arrays(top).cutting)
+        i = np.arange(len(h)) - top * cube
+        # the far-side facet (a + h, C - h) when b_h = 0, else (a, C - h)
+        facet = facets[cube, i + top * (1 - base[h])]
+        sign = 1 - 2 * ((i + base[h]) & 1)
         if raising:
-            where = (src.cutting == 0) & (src.anchor != base)
+            out = np.stack([cube, facet, h, sign], axis=1)[np.lexsort((h, facet))]
         else:
-            where = src.cutting == 1
-        j, h = np.nonzero(where)
-        i = np.arange(len(j))
-        anchor, cutting = src.anchor[j], src.cutting[j]
-        anchor[i, h] = 0 if raising else base[h] ^ 1
-        cutting[i, h] = 1 if raising else 0
-        rows, found = row_positions(cplx.cube_arrays(q + 1 if raising else q - 1).keys,
-                                    row_keys(anchor, cutting ^ 1))
-        if not raising and not found.all():
-            miss = np.flatnonzero(~found)[0]
-            raise ValueError("the face of %r across %d is not a cube"
-                             % (cplx.cubes(q)[j[miss]], h[miss]))
-        before = np.cumsum(src.cutting, axis=1, dtype=np.int64) - src.cutting
-        flip = src.anchor[j, h] == 0 if raising else base[h] == 1
-        sign = 1 - 2 * ((before[j, h] + flip) & 1)
-        out = np.stack([rows, j, h, sign], axis=1)[found].astype(np.int64)
+            out = np.stack([facet, cube, h, sign], axis=1)
+        out = out.astype(np.int64)
         out.flags.writeable = False
         return out
 

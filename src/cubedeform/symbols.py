@@ -39,7 +39,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Cube, CubeComplex, column_bits, row_keys, row_positions
+from .core import Cube, CubeComplex, column_bits, row_ints, row_keys, row_positions
 from .differential import OrientedCube, _sort_parity, numerical_rank
 from .parallelism import class_anchors, class_rows
 
@@ -151,7 +151,7 @@ def canonical_symbol_vertex(cplx: CubeComplex, hyperplanes: Iterable[int]) -> in
                            cplx.n_hyperplanes)
         if sets.sum() != len(key):
             raise KeyError(key)
-        got = cache[key] = _row_ints(class_anchors(cplx, sets))[0]
+        got = cache[key] = row_ints(class_anchors(cplx, sets))[0]
     return got
 
 
@@ -206,14 +206,6 @@ def symbol_of_pair(cplx: CubeComplex, pair: CubePair, orientation: OrientedCube)
         orientation.sign)
 
 
-def _row_ints(bits: np.ndarray) -> list[int]:
-    """The integers (hyperplane 0 highest) of 0/1 rows: ``bit_rows`` inverted."""
-    width = (bits.shape[1] + 7) // 8
-    shift, raw = 8 * width - bits.shape[1], np.packbits(bits, axis=1).tobytes()
-    return [int.from_bytes(raw[i * width:i * width + width], "big") >> shift
-            for i in range(len(bits))]
-
-
 def symbol_vertices(cplx: CubeComplex, q: int) -> np.ndarray:
     """The cached canonical vertex of each degree-q symbol, as 0/1 rows in
     basis order: one ``class_anchors`` lookup of the rows h + k."""
@@ -241,7 +233,7 @@ def ps_basis(cplx: CubeComplex, q: int) -> tuple[PSSymbol, ...]:
     first use and cached."""
     def build():
         hs, ks = _basis_lists(cplx, q, np.arange(cplx.n_hyperplanes))
-        r = _row_ints(symbol_vertices(cplx, q))
+        r = row_ints(symbol_vertices(cplx, q))
         return tuple(map(PSSymbol, map(tuple, hs), map(tuple, ks), r, [1] * len(r)))
 
     return cplx.cached(("ps_basis", q), build)

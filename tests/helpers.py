@@ -174,6 +174,19 @@ def oracle_cube_arrays(cplx: CubeComplex, cubes: tuple[Cube, ...]) -> CubeArrays
                       np.array(keys, dtype="V%d" % width))
 
 
+def oracle_facets(cplx: CubeComplex, q: int) -> np.ndarray:
+    """Per q-cube (a, C), the indices among the (q-1)-cubes of (a, C - h),
+    then (a + h, C - h), h in C ascending, each ``Cube`` looked up in
+    ``cube_index``."""
+    index, rows = cplx.cube_index(q - 1), []
+    for cube in cplx.cubes(q):
+        rest = [tuple(k for k in cube.cutting if k != h) for h in cube.cutting]
+        rows.append([index[Cube(cube.anchor, r)] for r in rest]
+                    + [index[Cube(cube.anchor | cplx.mask(h), r)]
+                       for h, r in zip(cube.cutting, rest)])
+    return np.array(rows, dtype=np.intp).reshape(len(rows), 2 * max(q, 0))
+
+
 def oracle_crossing(cplx: CubeComplex, levels: tuple[tuple[Cube, ...], ...]) -> np.ndarray:
     """Hyperplane pairs cutting a common square, one square at a time."""
     out = np.zeros((cplx.n_hyperplanes,) * 2, dtype=bool)

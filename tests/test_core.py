@@ -1,5 +1,6 @@
 """Vertex-model geometry: medians, cubes, paths, and the cxc format."""
 
+import collections
 import itertools
 import random
 
@@ -12,16 +13,19 @@ import cubedeform.core as core
 import helpers
 from helpers import normal_cube_path
 from cubedeform import grid_complex, random_median_complex, star_tree
+from cubedeform.differential import term_table
 from cubedeform.core import (
     Cube,
     CubeComplex,
     CxcParseError,
     InvalidComplex,
+    bit_rows,
     median_closure,
     median_hull,
     median_of,
     parse_cxc,
     project_bits,
+    row_ints,
     write_cxc,
 )
 
@@ -271,6 +275,14 @@ def test_bits_round_trip(name):
         bits = cplx.vertex_bits(v)
         assert len(bits) == cplx.n_hyperplanes
         assert int(bits or "0", 2) == v
+
+
+@pytest.mark.parametrize("n", (0, 1, 8, 9, 64, 200))
+def test_row_ints_inverts_bit_rows(n):
+    rng = random.Random(n)
+    values = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]
+    assert row_ints(bit_rows(n, values)) == values
+    assert row_ints(bit_rows(n, [])) == []
 
 
 def test_mask_of_and_inverse(cube3):
@@ -555,6 +567,59 @@ def test_bounded_geometry_matches_the_oracle(cplx):
 def test_bounded_geometry_matches_the_oracle_on_drawn_complexes(n, k, seed):
     cplx = random_median_complex(n, k, seed)
     assert cplx.bounded_geometry_statistic() == helpers.oracle_bounded_geometry(cplx)
+
+
+def _assert_facets_match(cplx):
+    for q in range(cplx.dimension + 2):
+        got = cplx.facets(q)
+        assert got.shape == (len(cplx.cube_arrays(q).keys), 2 * q)
+        assert not got.flags.writeable
+        assert np.array_equal(got, helpers.oracle_facets(cplx, q))
+
+
+@pytest.mark.parametrize("name", helpers.TABLE_CASES)
+def test_facets_match_the_per_cube_oracle(name):
+    cplx = helpers.table_case(name)
+    _assert_facets_match(cplx)
+    # base-independent: a rebased copy reads the same tables
+    moved = cplx.rebased(cplx.vertices[-1])
+    _assert_facets_match(moved)
+    assert all(moved.facets(q) is cplx.facets(q) for q in range(cplx.dimension + 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 7), k=st.integers(1, 6), seed=st.integers(0, 2 ** 16),
+       pick=st.integers(0, 2 ** 16))
+def test_facets_match_the_oracle_on_drawn_complexes(n, k, seed, pick):
+    cplx = random_median_complex(n, k, seed)
+    _assert_facets_match(cplx.rebased(cplx.vertices[pick % cplx.n_vertices]))
+
+
+def test_facets_shape_outside_the_levels(cube3):
+    assert cube3.facets(0).shape == (8, 0)
+    assert cube3.facets(4).shape == (0, 8)
+    assert cube3.facets(7).shape == (0, 14)
+
+
+def test_each_facet_table_is_built_once(monkeypatch):
+    builds = collections.Counter()
+    cached = CubeComplex.cached
+
+    def counting(self, key, build):
+        def counted():
+            builds[key] += 1
+            return build()
+        return cached(self, key, counted)
+
+    monkeypatch.setattr(CubeComplex, "cached", counting)
+    cplx = CubeComplex(3, helpers.fixture("cube3").vertices, 0)
+    cplx.bounded_geometry_statistic()
+    for base in cplx.vertices:
+        for q in range(-1, cplx.dimension + 2):
+            for raising in (True, False):
+                term_table(cplx.rebased(base), q, raising)
+    facets = {key: count for key, count in builds.items() if key[0] == "facets"}
+    assert facets == {("facets", q): 1 for q in range(-1, cplx.dimension + 3)}
 
 
 @pytest.mark.parametrize("name, q", (("square", 0), ("cube3", 1), ("cube3", 2)))
