@@ -8,7 +8,8 @@ Commands:
 * ``sweep``     emit the deformation pairing sweep as CSV
 
 Exit codes: 0 on success, 1 when validation or a check suite fails, 2 on
-usage errors (an ``--out`` that cannot be opened, a negative ``--seed``,
+usage errors (an ``--input`` that cannot be read as UTF-8 text, an
+``--out`` that cannot be opened, a negative ``--seed``,
 a ``--tol`` name outside the suite's table or a NaN threshold among
 them: all are caught before any work starts), 3 when a check suite
 breaks down: a matrix singular to working precision at an extreme t, an
@@ -198,11 +199,19 @@ def _parse_dims(text: str, parser: argparse.ArgumentParser) -> list[int]:
     return dims
 
 
-def _load_complex(path: str, parser: argparse.ArgumentParser) -> CubeComplex:
+def _read_input(path: str, parser: argparse.ArgumentParser) -> str:
+    """The text of ``--input``; a file that cannot be read, or is not
+    UTF-8, is a usage error."""
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         parser.error(str(exc))
+    except UnicodeDecodeError as exc:
+        parser.error("%s: not UTF-8 text: %s" % (path, exc))
+
+
+def _load_complex(path: str, parser: argparse.ArgumentParser) -> CubeComplex:
+    text = _read_input(path, parser)
     try:
         return parse_cxc(text)
     except (CxcParseError, InvalidComplex) as exc:
@@ -243,10 +252,7 @@ def _cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser, out) -> 
 
 
 def _cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser, out) -> int:
-    try:
-        text = Path(args.input).read_text()
-    except OSError as exc:
-        parser.error(str(exc))
+    text = _read_input(args.input, parser)
     try:
         cplx = parse_cxc(text)
     except (CxcParseError, InvalidComplex) as exc:

@@ -22,16 +22,16 @@ level's face incidences are one cached table, :meth:`CubeComplex.facets`:
 per q-cube (a, C), the positions of its 2q facets (a, C - h) and
 (a + h, C - h) among the (q-1)-cubes.  The term tables of d and delta,
 the edge ends and the bounded-geometry statistic all gather from it.
-Every geometric predicate used downstream (adjacency, crossing, distance)
-reduces to bit arithmetic; in particular the edge-path distance between
-vertices is the Hamming distance, because separating hyperplanes count
-edges on any geodesic.  The bounded-geometry statistic counts the cubes
-meeting a cube by the Euler characteristic of its face poset, in array
-passes over the facet tables, with no per-corner sets.
+Geometry reduces to bit arithmetic; in particular the edge-path distance
+between vertices is the Hamming distance, because separating hyperplanes
+count edges on any geodesic.  The bounded-geometry statistic counts the
+cubes meeting a cube by the Euler characteristic of its face poset, in
+array passes over the facet tables, with no per-corner sets.
 
 Instances are immutable after construction and safe to share between
-threads: caches only ever go from absent to computed, and rebasing a
-complex shares every base-independent cache with the original.
+threads: caches only ever go from absent to computed.  A cache entry that
+depends on the base vertex has it in its key, so copies of a complex with
+another base vertex may share the cache.
 """
 
 from __future__ import annotations
@@ -82,10 +82,6 @@ class Cube(NamedTuple):
 
     anchor: int
     cutting: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.cutting)
 
 
 class CubeArrays(NamedTuple):
@@ -303,25 +299,6 @@ class CubeComplex:
                 return u, int(arr[i + j]), int(arr[k])
         return None
 
-    def rebased(self, base_vertex: int) -> "CubeComplex":
-        """Same complex with a different base vertex; caches are shared."""
-        base_vertex = int(base_vertex)
-        if base_vertex == self.base_vertex:
-            return self
-        if base_vertex not in self._vset:
-            raise InvalidComplex(
-                "base vertex %s not in vertex set" % self.vertex_bits(base_vertex))
-        other = object.__new__(CubeComplex)
-        other.n_hyperplanes = self.n_hyperplanes
-        other.base_vertex = base_vertex
-        other._verts = self._verts
-        other._vset = self._vset
-        other._vindex = self._vindex
-        other._masks = self._masks
-        other._shared = self._shared
-        other._hdist = None
-        return other
-
     def cached(self, key, build):
         """The shared cache's entry for ``key``, made by ``build()`` on first use."""
         got = self._shared.get(key)
@@ -356,18 +333,6 @@ class CubeComplex:
         for h in hyperplanes:
             m |= self._masks[h]
         return m
-
-    def hyperplane_of_mask(self, m: int) -> int:
-        # inverse of mask() for a single-bit value
-        return self.n_hyperplanes - m.bit_length()
-
-    def distance(self, u: int, v: int) -> int:
-        """Edge-path distance; equals Hamming distance on valid complexes."""
-        return (u ^ v).bit_count()
-
-    def adjacent_vertex(self, v: int, h: int) -> bool:
-        """Is some edge at ``v`` cut by hyperplane ``h``?"""
-        return (v ^ self._masks[h]) in self._vset
 
     def vertices_adjacent_to(self, h: int) -> tuple[int, ...]:
         m = self._masks[h]
@@ -422,12 +387,6 @@ class CubeComplex:
 
         return self.cached(("cubes", q), build)
 
-    def cube_index(self, q: int) -> dict[Cube, int]:
-        # a hot lookup: the cache is read before any closure is made
-        got = self._shared.get(("cube_index", q))
-        return got if got is not None else self.cached(
-            ("cube_index", q), lambda: {c: i for i, c in enumerate(self.cubes(q))})
-
     def cube_arrays(self, q: int) -> CubeArrays:
         """The q-cubes as bit rows with ascending keys, empty outside
         0..dimension; each degree is built from the one below."""
@@ -437,7 +396,7 @@ class CubeComplex:
     def facets(self, q: int) -> np.ndarray:
         """Per q-cube (a, C), the positions among the (q-1)-cubes of its
         facets (a, C - h), then (a + h, C - h), h in C ascending: a
-        read-only (N_q, 2q) table, cached and shared by rebased copies.
+        read-only (N_q, 2q) table, cached and independent of the base vertex.
         Each facet is found by setting complement bit n + h of the cube's
         key, then anchor bit h; none may be missing."""
         def build():
@@ -462,21 +421,6 @@ class CubeComplex:
     def n_cubes(self) -> int:
         return sum(len(level.keys) for level in self._levels())
 
-    def is_cube(self, anchor: int, cutting: tuple[int, ...]) -> bool:
-        return Cube(anchor, cutting) in self.cube_index(len(cutting))
-
-    def spans_cube(self, vertex: int, hyperplanes: Iterable[int]) -> bool:
-        """Do the flips of ``vertex`` across all subsets of ``hyperplanes`` exist?"""
-        hs = tuple(sorted(set(hyperplanes)))
-        anchor = vertex & ~self.mask_of(hs)
-        if anchor not in self._vset:
-            return False
-        return self.is_cube(anchor, hs) if hs else True
-
-    def crossing(self, h: int, k: int) -> bool:
-        """Do hyperplanes ``h`` and ``k`` cut a common square?"""
-        return bool(self.crossing_matrix()[h, k])
-
     def crossing_matrix(self) -> np.ndarray:
         """Which pairs of distinct hyperplanes cut a common square, read-only."""
         def build():
@@ -487,23 +431,6 @@ class CubeComplex:
             return out
 
         return self.cached("crossing", build)
-
-    def adjacent_cube(self, cube: Cube, h: int) -> bool:
-        """Is ``cube`` a face of a (q+1)-cube cut by hyperplane ``h``?"""
-        if h in cube.cutting:
-            return False
-        anchor = cube.anchor & ~self._masks[h]
-        cutting = tuple(sorted(cube.cutting + (h,)))
-        return self.is_cube(anchor, cutting)
-
-    def cube_distance_to_vertex(self, cube: Cube, v: int) -> int:
-        """Distance from ``v`` to the nearest vertex of ``cube``."""
-        return ((cube.anchor ^ v) & ~self.mask_of(cube.cutting)).bit_count()
-
-    def nearest_cube_vertex(self, cube: Cube, v: int) -> int:
-        """The vertex of ``cube`` nearest to ``v`` (match ``v`` on cutting bits)."""
-        cut = self.mask_of(cube.cutting)
-        return (cube.anchor & ~cut) | (v & cut)
 
     # -- base-dependent quantities -------------------------------------------------
 
@@ -593,7 +520,7 @@ def parse_cxc(text: str) -> CubeComplex:
 
     def integer(what: str) -> int:
         tok, line = take(what)
-        if not tok.isdigit():
+        if not (tok.isascii() and tok.isdigit()):
             raise CxcParseError(f"expected {what}, found '{tok}'", line)
         return int(tok)
 

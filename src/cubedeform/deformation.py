@@ -18,11 +18,11 @@ matrix as transpose(U_t) U_t.
 
 Every move stays inside one class, so U_t, the Gram matrix, the
 base-point change and every loop product are block diagonal by class, and
-nothing here builds a matrix over all cubes of a degree except to hand one
-out.  The block store is one record per (degree, class size), built from
-the bit rows in array passes, that stacks those classes' members, bits,
-separations and neighbor tables, and caches each crossing move as a row
-permutation and a sign vector per (class, H, source side): the move is
+nothing here builds a matrix over all cubes of a degree.  The block store
+is one record per (degree, class size), built from the bit rows in array
+passes, that stacks those classes' members, bits, separations and
+neighbor tables, and caches each crossing move as a row permutation and
+a sign vector per (class, H, source side): the move is
 X -> B X + A X[perm], B = b on paired rows and 1 elsewhere, A = a * sign,
 which in IEEE arithmetic is the 2x2 block form exactly.  Paths follow
 breadth-first trees, grown as arrays a level at a time for a batch of
@@ -45,10 +45,10 @@ integer draws on one block of generator words per class, so a seed picks
 the walks that one ``rng.integers`` call per step would.
 
 On top of that sit the basic cochains (alternating sums over the parallel
-copies of a face inside an ambient cube), their t-scaled pairings with
-exact small-t limits given by symbol inner products, the conjugated
-differentials d_t and delta_t with distance-graded weights, and the
-base-point-change operator built from nearest-cube moves per class.
+copies of a face inside an ambient cube) and their t-scaled pairings,
+whose small-t limits are symbol inner products; the conjugated
+differentials d_t and delta_t on class pairs; and the blocks of the
+base-point change, built from nearest-cube moves per class.
 
 Scalars are pluggable: the default is float64, while tests drive the same
 code with exact rationals, and pairing values are always evaluated in
@@ -67,41 +67,26 @@ sweep sums each polynomial once per t with ``polynomial_value``.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
 import mpmath as mp
 import numpy as np
 
 from .core import Cube, CubeComplex, bit_rows, row_keys, row_positions
-from .differential import OrientedCube, d_cochain, d_matrix, term_table
+from .differential import OrientedCube, term_table
 from .parallelism import class_rows, nearest_rows
-from .symbols import (
-    CubePair,
-    PSSymbol,
-    cube_pair,
-    ps_d_symbol,
-    symbol_inner,
-    symbol_of_pair,
-)
+from .symbols import CubePair, PSSymbol, cube_pair
 
 __all__ = [
     "ClassBlocks",
     "PairBlocks",
     "PairingTable",
-    "basepoint_commutator_norm",
     "basic_cochain",
-    "basic_section_frame",
     "block_floats",
     "class_blocks",
-    "d_t_pairing",
-    "d_t_pairing_limit",
     "deformation_weights",
-    "gram_matrix",
     "pair_blocks",
-    "pairing_limit",
     "pairing_polynomial",
-    "pairing_sweep",
     "pairing_table",
     "pairing_value",
     "polynomial_value",
@@ -109,11 +94,7 @@ __all__ = [
     "segment_add",
     "step_coefficients",
     "symbol_representative",
-    "u_t_apply",
-    "u_t_matrix",
     "w_hat_blocks",
-    "w_hat_matrix",
-    "w_path_matrix",
 ]
 
 INF = math.inf
@@ -130,14 +111,6 @@ def step_coefficients(t: float) -> tuple[float, float]:
     if t == INF:
         return 0.0, 1.0
     return math.exp(-t * t / 2.0), math.sqrt(1.0 - math.exp(-t * t))
-
-
-def _step_coefficients_mp(t: float) -> tuple:
-    _check_t(t)
-    if t == INF:
-        return mp.mpf(0), mp.mpf(1)
-    tt = mp.mpf(t)
-    return mp.e ** (-tt * tt / 2), mp.sqrt(1 - mp.e ** (-tt * tt))
 
 
 def deformation_weights(cplx: CubeComplex, t: float) -> list[float]:
@@ -383,28 +356,6 @@ def _moves_blocks(group: _Group, keys: np.ndarray, ab: tuple, exact: bool) -> np
     out = np.tile(out, (len(keys), 1, 1))
     _rotate(out, *group.moves, ab, keys)
     return out
-
-
-def _scatter(out: np.ndarray, pieces) -> np.ndarray:
-    """Write each block, or stack of blocks, onto its rows and columns."""
-    for cols, block in pieces:
-        out[cols[..., :, None], cols[..., None, :]] = block
-    return out
-
-
-def w_path_matrix(cplx: CubeComplex, target: Cube, source: Cube,
-                  t: float | None = None, ab: tuple | None = None) -> np.ndarray:
-    """Composite crossing move from ``source`` to ``target``.
-
-    Follows the deterministic breadth-first path between the two members;
-    the identity when they coincide.
-    """
-    if target.cutting != source.cutting:
-        raise ValueError("cubes %r and %r are not parallel" % (target, source))
-    groups, index = _groups(cplx, target.dim), cplx.cube_index(target.dim)
-    (g, c, i), (_, _, j) = _labels(groups)[:, [index[target], index[source]]].T.tolist()
-    keys = _tree_paths(groups[g], [c], [i], [j])
-    return _moves_blocks(groups[g], keys, _resolve_ab(t, ab), _is_exact(ab))[0]
 
 
 _WORD = 1 << 32
@@ -731,8 +682,9 @@ def class_blocks(cplx: CubeComplex, q: int, ts: tuple[float, ...],
     """The Gram and U_t blocks of every degree-q parallelism class at each
     t of ``ts``.
 
-    Both matrices are block diagonal by class, so this is all of them;
-    ``class_bases`` overrides roots as in ``u_t_matrix``.  A frame column
+    Both matrices are block diagonal by class, so this is all of them.
+    ``class_bases`` maps a determining set to the cube that roots its
+    class in place of the member nearest the base vertex.  A frame column
     is the move from its member to the root: the columns are rotated as
     the rows of the transpose, each along its own path and with its own
     t, all at once.
@@ -753,62 +705,6 @@ def class_blocks(cplx: CubeComplex, q: int, ts: tuple[float, ...],
         out.append(ClassBlocks(group.cols, np.take(powers, group.dist, axis=1),
                                columns.reshape(n, k, m, m).transpose(0, 1, 3, 2)))
     return tuple(out)
-
-
-def u_t_matrix(cplx: CubeComplex, q: int, t: float,
-               class_bases: dict | None = None) -> np.ndarray:
-    """Change of basis carrying degree-q cochains into the t-frame.
-
-    Block per parallelism class; the column of a member is the composite
-    crossing move from it to the class member nearest the base vertex,
-    applied to the member itself.  ``class_bases`` optionally overrides
-    that root cube per determining set.
-    """
-    n = len(cplx.cube_arrays(q).keys)
-    return _scatter(np.zeros((n, n)), (
-        (blks.cols, blks.frame[0]) for blks in class_blocks(cplx, q, (t,), class_bases)))
-
-
-def u_t_apply(cplx: CubeComplex, cochain: dict, t: float | None = None,
-              ab: tuple | None = None, class_bases: dict | None = None) -> dict:
-    """Apply the t-frame change of basis to a sparse cochain.
-
-    Scalars follow the inputs: with ``ab`` supplied the walk runs in that
-    arithmetic, so extended-precision or exact coefficients pass through
-    untouched.
-    """
-    a, b = _resolve_ab(t, ab)
-    zero = a * 0
-    out: dict[Cube, object] = {}
-    for cube, coeff in cochain.items():
-        groups = _groups(cplx, cube.dim)
-        g, c, i = _labels(groups)[:, cplx.cube_index(cube.dim)[cube]].tolist()
-        m = groups[g].cols.shape[1]
-        vec = np.full((1, m), zero, dtype=object)
-        vec[0, i] = coeff + zero
-        keys = _root_paths(cplx, cube.dim, class_bases)[g][None, c * m + i]
-        _rotate(vec, *groups[g].moves, (a, b), keys)
-        for col, value in zip(groups[g].cols[c].tolist(), vec[0]):
-            if value:
-                member = cplx.cubes(cube.dim)[col]
-                acc = out.get(member, zero) + value
-                if acc:
-                    out[member] = acc
-                else:
-                    out.pop(member, None)
-    return out
-
-
-def gram_matrix(cplx: CubeComplex, q: int, t: float) -> np.ndarray:
-    """Deformed Gram matrix on canonical degree-q cochains.
-
-    Entry exp(-t^2 d / 2) between parallel members at separation d, zero
-    across classes; the identity at t = infinity.
-    """
-    powers = _gram_powers(cplx, t)
-    n = len(cplx.cube_arrays(q).keys)
-    return _scatter(np.zeros((n, n)), (
-        (group.cols, powers[group.dist]) for group in _groups(cplx, q)))
 
 
 # -- basic cochains and their pairings -----------------------------------------------
@@ -838,27 +734,6 @@ def basic_cochain(cplx: CubeComplex, pair: CubePair,
     return out
 
 
-def basic_section_frame(cplx: CubeComplex, q: int) -> tuple:
-    """Every degree-q cube pair with its canonical face orientation.
-
-    The type-0 entries alone already span the degree-q cochains, so the
-    family is a frame for every positive t.
-    """
-    entries = []
-    for p in range(cplx.dimension - q + 1):
-        for c in cplx.cubes(q + p):
-            for d_cut in combinations(c.cutting, q):
-                spare = [h for h in c.cutting if h not in d_cut]
-                for bits in range(1 << p):
-                    anchor = c.anchor
-                    for i, h in enumerate(spare):
-                        if bits >> i & 1:
-                            anchor ^= cplx.mask(h)
-                    d = Cube(anchor, d_cut)
-                    entries.append((CubePair(c, d), OrientedCube(d, 1)))
-    return tuple(entries)
-
-
 def symbol_representative(cplx: CubeComplex, sym: PSSymbol) -> tuple[CubePair, OrientedCube]:
     """A cube pair whose symbol is the canonical one with sign +1."""
     listed = tuple(sorted(sym.h_set + sym.k_list))
@@ -874,8 +749,8 @@ def _basic_section(cplx: CubeComplex, pair: CubePair,
     """Cached (face cutting, terms, type |S|) of one basic cochain.
 
     Terms are the (anchor, coefficient) items of ``basic_cochain`` in its
-    order.  Nothing here depends on the base vertex, so rebased copies
-    may share the entries.
+    order.  Nothing here depends on the base vertex, so copies of the
+    complex with another base vertex may share the entries.
     """
     cache = cplx._shared.setdefault("basic_section", {})
     key = (pair, orientation)
@@ -884,17 +759,6 @@ def _basic_section(cplx: CubeComplex, pair: CubePair,
         terms = tuple((c.anchor, a) for c, a in
                       basic_cochain(cplx, pair, orientation).items())
         got = cache[key] = (pair.d.cutting, terms, len(pair.complementary))
-    return got
-
-
-def _pair_symbol(cplx: CubeComplex, pair: CubePair,
-                 orientation: OrientedCube) -> PSSymbol:
-    """``symbol_of_pair``, cached per complex like ``_basic_section``."""
-    cache = cplx._shared.setdefault("pair_symbol", {})
-    key = (pair, orientation)
-    got = cache.get(key)
-    if got is None:
-        got = cache[key] = symbol_of_pair(cplx, pair, orientation)
     return got
 
 
@@ -1006,12 +870,6 @@ def polynomial_value(cplx: CubeComplex, power: int, coeffs: dict[int, int],
         need = dps + min(lost, dps)  # a sum cancelled to zero doubles dps
         while dps < need:
             dps *= 2
-
-
-def pairing_limit(cplx: CubeComplex, pair1: CubePair, o1: OrientedCube,
-                  pair2: CubePair, o2: OrientedCube) -> int:
-    """The declared small-t limit: the inner product of the two symbols."""
-    return symbol_inner(_pair_symbol(cplx, pair1, o1), _pair_symbol(cplx, pair2, o2))
 
 
 class PairingTable(NamedTuple):
@@ -1148,8 +1006,8 @@ def pairing_table(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> PairingTable:
 
     Pairs whose faces have different cutting sets are left out:
     ``pairing_polynomial`` gives them no coefficient, and their symbols
-    differ in the key, which holds the face cutting set, so their
-    ``pairing_limit`` is 0.  Equal cutting sets mean equal degrees.  The
+    differ in the key, which holds the face cutting set, so their limit,
+    the symbols' inner product, is 0.  Equal cutting sets mean equal degrees.  The
     vertices are those of ``symbol_vertices``.  The pairs are made row by
     row, in passes of at most ``_TERM_PAIR_CHUNK`` term pairs (or one pair,
     if it has more).
@@ -1179,17 +1037,6 @@ def pairing_table(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> PairingTable:
             encoded = _pair_polynomials(n, anchors, coeffs, tstart, p, ii[a:b], jj[a:b])
             ids[start[lo] + a:start[lo] + b] = _intern(encoded, known, polynomials)
     return PairingTable(tuple(polynomials), start, cols, ids)
-
-
-def pairing_sweep(cplx: CubeComplex, pair1: CubePair, o1: OrientedCube,
-                  pair2: CubePair, o2: OrientedCube,
-                  t_grid: Iterable[float]) -> tuple[list[tuple[float, float]], int]:
-    """Pairing values over a t grid, plus the declared limit value."""
-    values = [
-        (t, pairing_value(cplx, pair1, o1, pair2, o2, t))
-        for t in t_grid
-    ]
-    return values, pairing_limit(cplx, pair1, o1, pair2, o2)
 
 
 # -- conjugated differentials --------------------------------------------------------
@@ -1292,51 +1139,13 @@ def pair_blocks(terms: np.ndarray, hi: tuple[ClassBlocks, ...],
         yield PairBlocks((s, u), pair_hi[start:end], pair_lo[start:end], block)
 
 
-def d_t_pairing(cplx: CubeComplex, pair1: CubePair, o1: OrientedCube,
-                pair2: CubePair, o2: OrientedCube, t: float,
-                weighted: bool = False) -> float:
-    """Pairing of d_t on one scaled basic section against another.
-
-    Uses the frame identity <d_t f, g>_t = <d U f, U g>, so no inverse is
-    ever formed and the whole pipeline runs in extended precision.
-    """
-    _check_t(t)
-    power = len(pair1.complementary) + len(pair2.complementary)
-    if t == INF:
-        w = deformation_weights(cplx, t) if weighted else None
-        f1 = d_cochain(cplx, basic_cochain(cplx, pair1, o1), w)
-        f2 = basic_cochain(cplx, pair2, o2)
-        total = sum(c * f2.get(cube, 0) for cube, c in f1.items())
-        return float(total) if power == 0 else 0.0
-    with mp.workdps(50):
-        ab = _step_coefficients_mp(t)
-        w = deformation_weights(cplx, mp.mpf(t)) if weighted else None
-        uf1 = u_t_apply(cplx, basic_cochain(cplx, pair1, o1), ab=ab)
-        duf1 = d_cochain(cplx, uf1, w)
-        uf2 = u_t_apply(cplx, basic_cochain(cplx, pair2, o2), ab=ab)
-        total = mp.mpf(0)
-        for cube, c in duf1.items():
-            other = uf2.get(cube)
-            if other is not None:
-                total += c * other
-        return float(total * mp.mpf(t) ** (-power))
-
-
-def d_t_pairing_limit(cplx: CubeComplex, pair1: CubePair, o1: OrientedCube,
-                      pair2: CubePair, o2: OrientedCube) -> int:
-    """The declared limit of ``d_t_pairing``: pair the symbol differential."""
-    s1 = _pair_symbol(cplx, pair1, o1)
-    s2 = _pair_symbol(cplx, pair2, o2)
-    image = ps_d_symbol(cplx, s1)
-    return image.get(s2.key, 0) * s2.sign
-
-
 # -- base-point change ----------------------------------------------------------------
 
 
 def w_hat_blocks(cplx: CubeComplex, q: int, target_vertex: int, source_vertex: int,
                  t: float | None = None, ab: tuple | None = None) -> list:
-    """The blocks of ``w_hat_matrix`` that differ from the identity.
+    """The blocks of the base-point change on degree-q cochains that
+    differ from the identity: it is block diagonal by class.
 
     One (cols, block) per degree-q class whose member nearest
     ``source_vertex`` is not the one nearest ``target_vertex``; the block
@@ -1355,42 +1164,3 @@ def w_hat_blocks(cplx: CubeComplex, q: int, target_vertex: int, source_vertex: i
             keys = _tree_paths(group, moved, *near[moved].T)
             out.extend(zip(group.cols[moved], _moves_blocks(group, keys, ab, exact)))
     return out
-
-
-def w_hat_matrix(cplx: CubeComplex, q: int, target_vertex: int, source_vertex: int,
-                 t: float | None = None, ab: tuple | None = None) -> np.ndarray:
-    """Base-point-change operator on degree-q cochains.
-
-    Block diagonal over parallelism classes; each block is the composite
-    crossing move from the member nearest ``source_vertex`` to the member
-    nearest ``target_vertex``.
-    """
-    n = len(cplx.cube_arrays(q).keys)
-    out = np.identity(n, dtype=object if _is_exact(ab) else np.float64)
-    return _scatter(out, w_hat_blocks(cplx, q, target_vertex, source_vertex, t, ab))
-
-
-def basepoint_commutator_norm(cplx: CubeComplex, p_vertex: int, q_vertex: int,
-                              t: float) -> float:
-    """Largest 2-norm over degrees of the base-change commutator with d.
-
-    Both differentials carry their own base's distance-graded weights;
-    the two base vertices must be adjacent.
-    """
-    _check_t(t)
-    if (p_vertex ^ q_vertex).bit_count() != 1:
-        raise ValueError("base points must be adjacent vertices")
-    at_p = cplx.rebased(p_vertex)
-    at_q = cplx.rebased(q_vertex)
-    w_p = deformation_weights(at_p, t)
-    w_q = deformation_weights(at_q, t)
-    worst = 0.0
-    for q in range(cplx.dimension):
-        d_p = d_matrix(at_p, q, w_p)
-        d_q = d_matrix(at_q, q, w_q)
-        hat_hi = w_hat_matrix(cplx, q + 1, q_vertex, p_vertex, t)
-        hat_lo = w_hat_matrix(cplx, q, q_vertex, p_vertex, t)
-        gap = hat_hi.dot(d_p) - d_q.dot(hat_lo)
-        if gap.size:
-            worst = max(worst, float(np.linalg.norm(gap, 2)))
-    return worst

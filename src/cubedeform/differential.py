@@ -1,15 +1,10 @@
-"""Signed cube calculus: wedge, hook, and the diagonal-Laplacian complex.
+"""Signed cube calculus: the term tables of d and delta, and the
+diagonal-Laplacian complex they form.
 
-Orientations are kept in a fixed canonical gauge.  Every cube is stored as
-its canonical presentation (anchor vertex, cutting hyperplanes in ascending
-id order, sign +); an arbitrary presentation (vertex P, ordered hyperplane
-list L) is folded into that gauge by ``canonicalize``, picking up the sign
-
-    (-1) ** Hamming(P, anchor)  *  sgn(permutation sorting L).
-
-A cochain is a sparse mapping from canonical ``Cube`` keys to coefficients.
-Antisymmetry under reorientation is structural: the reversed cube never
-appears as a key, only as a negated coefficient.
+Orientations are kept in a fixed canonical gauge: every cube is its
+canonical presentation (anchor vertex, cutting hyperplanes in ascending id
+order, sign +), and a reversed cube is a negated coefficient, never a key
+of its own.
 
 The two basic operators move between neighbouring degrees.  ``wedge(H, C)``
 raises into the (q+1)-cube spanned across H when C sits on the far side of
@@ -20,20 +15,18 @@ over hyperplanes (with optional positive weights) gives the differential
 with entry q_w(C) + p_w(C) on each cube, which pins the spectral gap and
 makes each cohomology dimension a count of zeros on that diagonal.
 
-Every dense operator matrix is one scatter of ``term_table``: per complex,
-degree and base vertex, the wedge and hook terms are kept unweighted as
-int64 rows (target, source, hyperplane, sign).  d and delta read one
-incidence table, ``CubeComplex.facets``, each with its own selection: a
-cube (a, C) and its i-th cutting hyperplane h give one term, sign
-(-1)^(i + b_h), between the cube and its facet on the far side of h from
-the base vertex b.  d gathers from the (q+1)-cubes, delta from the
-q-cubes; as both read one table, the independent evidence for delta =
-d^T is the per-term cochain oracle.  A weighted matrix multiplies each
-sign by its hyperplane's weight at scatter time, so nothing is kept per
-weight.  The cochain functions fold one presentation at a time through
-``canonicalize``.  The check suites form no operator: ``term_product``
-lists the term pairs of a product of two tables, and ``grouped_sum``
-sums them by matrix entry.
+Both operators are kept as ``term_table``: per complex, degree and base
+vertex, the wedge and hook terms unweighted as int64 rows (target, source,
+hyperplane, sign).  d and delta read one incidence table,
+``CubeComplex.facets``, each with its own selection: a cube (a, C) and its
+i-th cutting hyperplane h give one term, sign (-1)^(i + b_h), between the
+cube and its facet on the far side of h from the base vertex b.  d gathers
+from the (q+1)-cubes, delta from the q-cubes; as both read one table, the
+independent evidence for delta = d^T is the tests' per-term cochain
+oracle.  The check suites form no operator: ``term_product`` lists the
+term pairs of a product of two tables, and ``grouped_sum`` sums them by
+matrix entry.  Only ``cohomology_ranks``, the SVD fallback that runs when
+an identity fails, scatters a dense d, each sign times its weight.
 """
 
 from __future__ import annotations
@@ -46,30 +39,18 @@ import numpy as np
 from .core import Cube, CubeComplex, bit_rows
 
 __all__ = [
-    "Cochain",
     "OrientedCube",
-    "canonicalize",
-    "cochain_degree",
     "cohomology_ranks",
-    "d_cochain",
     "d_matrix",
-    "delta_cochain",
-    "delta_matrix",
     "grouped_sum",
-    "hook",
     "laplacian_diagonal",
-    "laplacian_matrix",
     "max_sum",
     "norm2_bound_sums",
     "numerical_rank",
     "term_product",
     "term_table",
-    "wedge",
     "weight_vector",
 ]
-
-#: Sparse cochain: canonical Cube key -> coefficient (int or float).
-Cochain = dict
 
 Weights = Union[None, Mapping[int, float], Sequence[float]]
 
@@ -79,122 +60,6 @@ class OrientedCube(NamedTuple):
 
     cube: Cube
     sign: int
-
-    def reversed(self) -> "OrientedCube":
-        return OrientedCube(self.cube, -self.sign)
-
-
-def _sort_parity(hyperplanes: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Sorted tuple and the sign of the sorting permutation."""
-    items = list(hyperplanes)
-    sign = 1
-    # insertion sort; lists here have at most a handful of entries
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(items), sign
-
-
-def canonicalize(
-    cplx: CubeComplex,
-    vertex: int,
-    hyperplanes: Sequence[int] = (),
-    sign: int = 1,
-) -> OrientedCube:
-    """Fold an arbitrary presentation into the canonical gauge.
-
-    ``vertex`` is the presenting vertex, ``hyperplanes`` the ordered list of
-    cutting hyperplanes (empty for a plain vertex, whose orientation is just
-    ``sign``).  Raises ValueError if the data does not span a cube of the
-    complex.
-    """
-    ordered, perm_sign = _sort_parity(hyperplanes)
-    if len(set(ordered)) != len(ordered):
-        raise ValueError("duplicate hyperplane in presentation")
-    if not cplx.spans_cube(vertex, ordered):
-        raise ValueError(
-            "presentation (%s, %s) does not span a cube"
-            % (cplx.vertex_bits(vertex), list(ordered)))
-    anchor = vertex & ~cplx.mask_of(ordered)
-    if (vertex ^ anchor).bit_count() & 1:
-        sign = -sign
-    return OrientedCube(Cube(anchor, ordered), sign * perm_sign)
-
-
-def _wedge_term(cplx: CubeComplex, h: int, cube: Cube) -> OrientedCube | None:
-    """wedge(h, +cube) as a single signed cube, or None when zero."""
-    if h in cube.cutting or not cplx.adjacent_cube(cube, h):
-        return None
-    m = cplx.mask(h)
-    if (cube.anchor ^ cplx.base_vertex) & m == 0:
-        return None  # same side of h as the base vertex
-    # raised cube presented by the vertex separated from the anchor by h
-    # alone, listing h first
-    return canonicalize(cplx, cube.anchor ^ m, (h, *cube.cutting))
-
-
-def _hook_term(cplx: CubeComplex, h: int, cube: Cube) -> OrientedCube | None:
-    """hook(h, +cube) as a single signed face, or None when zero."""
-    if h not in cube.cutting:
-        return None
-    idx = cube.cutting.index(h)
-    sign = -1 if idx & 1 else 1  # move h to the front of the listing
-    m = cplx.mask(h)
-    p = cube.anchor
-    if cplx.base_vertex & m:
-        # re-present at the vertex on the base side of h
-        p ^= m
-        sign = -sign
-    rest = tuple(k for k in cube.cutting if k != h)
-    # the face on the far side of h, at the vertex separated from p by h
-    return canonicalize(cplx, p ^ m, rest, sign)
-
-
-def _as_cochain(f) -> Cochain:
-    if isinstance(f, OrientedCube):
-        return {f.cube: f.sign}
-    if isinstance(f, Cube):
-        return {f: 1}
-    return f
-
-
-def cochain_degree(f: Cochain) -> int | None:
-    """Common dimension of the support, None for the zero cochain."""
-    degrees = {len(c.cutting) for c in f}
-    if len(degrees) > 1:
-        raise ValueError("mixed-degree cochain: dimensions %s" % sorted(degrees))
-    return degrees.pop() if degrees else None
-
-
-def _add(out: Cochain, cube: Cube, coeff) -> None:
-    acc = out.get(cube, 0) + coeff
-    if acc:
-        out[cube] = acc
-    else:
-        out.pop(cube, None)
-
-
-def wedge(cplx: CubeComplex, h: int, f) -> Cochain:
-    """Apply the raising operator of hyperplane ``h`` linearly to ``f``."""
-    out: Cochain = {}
-    for cube, coeff in _as_cochain(f).items():
-        term = _wedge_term(cplx, h, cube)
-        if term is not None:
-            _add(out, term.cube, coeff * term.sign)
-    return out
-
-
-def hook(cplx: CubeComplex, h: int, f) -> Cochain:
-    """Apply the lowering operator of hyperplane ``h`` linearly to ``f``."""
-    out: Cochain = {}
-    for cube, coeff in _as_cochain(f).items():
-        term = _hook_term(cplx, h, cube)
-        if term is not None:
-            _add(out, term.cube, coeff * term.sign)
-    return out
 
 
 def weight_vector(cplx: CubeComplex, weights: Weights) -> list:
@@ -218,41 +83,14 @@ def weight_vector(cplx: CubeComplex, weights: Weights) -> list:
     return vec
 
 
-def d_cochain(cplx: CubeComplex, f, weights: Weights = None) -> Cochain:
-    """Weighted differential: sum of w(H) * wedge(H, .) over hyperplanes."""
-    f = _as_cochain(f)
-    cochain_degree(f)
-    w = weight_vector(cplx, weights)
-    out: Cochain = {}
-    for cube, coeff in f.items():
-        for h in range(cplx.n_hyperplanes):
-            term = _wedge_term(cplx, h, cube)
-            if term is not None:
-                _add(out, term.cube, coeff * term.sign * w[h])
-    return out
-
-
-def delta_cochain(cplx: CubeComplex, f, weights: Weights = None) -> Cochain:
-    """Weighted codifferential: sum of w(H) * hook(H, .) over hyperplanes."""
-    f = _as_cochain(f)
-    cochain_degree(f)
-    w = weight_vector(cplx, weights)
-    out: Cochain = {}
-    for cube, coeff in f.items():
-        for h in cube.cutting:
-            term = _hook_term(cplx, h, cube)
-            if term is not None:
-                _add(out, term.cube, coeff * term.sign * w[h])
-    return out
-
-
 def term_table(cplx: CubeComplex, q: int, raising: bool = True) -> np.ndarray:
     """The cached terms of d (raising) or delta on degree q.
 
     One read-only int64 row (target index, source index, hyperplane, sign)
     per nonzero term, unweighted, by ascending source, then hyperplane.
-    Terms move with the base vertex, and ``rebased`` copies share
-    ``_shared``, so the base vertex is part of the key.  A source and a
+    Terms move with the base vertex, and copies of the complex with
+    another base vertex may share ``_shared``, so the base vertex is part
+    of the key.  A source and a
     target fix the hyperplane between them, so each matrix entry receives
     at most one term.  Both gather from ``cplx.facets(top)``, top = q + 1
     for d and q for delta.
@@ -343,15 +181,6 @@ def d_matrix(cplx: CubeComplex, q: int, weights: Weights = None) -> np.ndarray:
     return _matrix(cplx, q, True, weights)
 
 
-def delta_matrix(cplx: CubeComplex, q: int, weights: Weights = None) -> np.ndarray:
-    """Matrix of the weighted codifferential from degree q to q-1.
-
-    Assembled from hook terms directly, not by transposing ``d_matrix``;
-    the transpose identity is a checkable theorem, not a definition.
-    """
-    return _matrix(cplx, q, False, weights)
-
-
 def laplacian_diagonal(cplx: CubeComplex, q: int, weights: Weights = None) -> np.ndarray:
     """The diagonal that d delta + delta d must have on degree q: per cube,
     q_w + p_w, where q_w sums the squared weights of the hyperplanes
@@ -368,13 +197,6 @@ def laplacian_diagonal(cplx: CubeComplex, q: int, weights: Weights = None) -> np
         q_w = q_w + cutting[:, h] * w2[h]
         p_w = p_w + raised[:, h] * w2[h]
     return q_w + p_w
-
-
-def laplacian_matrix(cplx: CubeComplex, q: int, weights: Weights = None) -> np.ndarray:
-    """Matrix of d delta + delta d on degree q, by honest matrix products."""
-    down = delta_matrix(cplx, q + 1, weights) @ d_matrix(cplx, q, weights)
-    up = d_matrix(cplx, q - 1, weights) @ delta_matrix(cplx, q, weights)
-    return down + up
 
 
 def numerical_rank(matrix: np.ndarray, rtol: float = 1e-8) -> int:

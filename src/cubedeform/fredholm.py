@@ -21,9 +21,9 @@ of S + P.  The defects keep every term pair of the dense products, so
 off-diagonal mass in G, or an S that fails to commute with Lambda, shows
 in them; they are reported as the bound sqrt(|R|_1 |R|_inf) >= |R|_2.
 The integral (2/pi) int (s^2 + T)^(-1) ds is kept alongside as a verified
-quadrature of T^(-1/2); on a diagonal T it runs on the diagonal's vector.
-``assemble_D``, ``base_projection`` and ``normalized_d`` keep the dense
-operators for the acceptance tests and the oracles.
+quadrature of T^(-1/2); on a diagonal T it runs on the diagonal's vector,
+and the dense ``inv_sqrt_integral`` runs only when P + D^2 has
+off-diagonal mass.
 """
 
 from __future__ import annotations
@@ -34,13 +34,10 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .core import CubeComplex
-from .deformation import basepoint_commutator_norm, deformation_weights
+from .deformation import deformation_weights
 from .differential import (
     Weights,
-    d_matrix,
-    delta_matrix,
     grouped_sum,
-    norm2_bound_sums,
     term_product,
     term_table,
     weight_vector,
@@ -48,20 +45,13 @@ from .differential import (
 
 __all__ = [
     "SpectralFrame",
-    "assemble_D",
     "base_neighbor",
-    "base_projection",
-    "basepoint_decay_sweep",
     "format_t",
     "graded_offsets",
     "graded_terms",
-    "homotopy_residual",
     "homotopy_sums",
     "inv_sqrt_diagonal",
     "inv_sqrt_integral",
-    "inv_sqrt_spectral",
-    "normalized_d",
-    "resolvent_bounds",
     "spectral_frame",
 ]
 
@@ -71,33 +61,6 @@ def graded_offsets(cplx: CubeComplex) -> tuple[int, ...]:
     for q in range(cplx.dimension + 1):
         offs.append(offs[-1] + len(cplx.cube_arrays(q).keys))
     return tuple(offs)
-
-
-def assemble_D(cplx: CubeComplex, weights: Weights = None) -> np.ndarray:
-    """The symmetric operator d + delta over the graded basis.
-
-    Integer for unit weights, float otherwise; degree q occupies
-    ``graded_offsets(cplx)[q:q + 2]``.  Both triangles are assembled from
-    their own formulas; the symmetry of the result is a theorem about the
-    two, not a construction.  The degree-raising half d is the strictly
-    lower triangle.
-    """
-    offs = graded_offsets(cplx)
-    out = np.zeros((offs[-1], offs[-1]), dtype=np.int64 if weights is None else np.float64)
-    for q in range(cplx.dimension):
-        lo, mid, hi = offs[q:q + 3]
-        out[mid:hi, lo:mid] = d_matrix(cplx, q, weights)
-        out[lo:mid, mid:hi] = delta_matrix(cplx, q + 1, weights)
-    return out
-
-
-def base_projection(cplx: CubeComplex) -> np.ndarray:
-    """Rank-one projection onto the base-vertex line in degree zero."""
-    n = graded_offsets(cplx)[-1]
-    out = np.zeros((n, n), dtype=np.int64)
-    i = cplx.vertex_index(cplx.base_vertex)
-    out[i, i] = 1
-    return out
 
 
 def base_neighbor(cplx: CubeComplex) -> int | None:
@@ -114,16 +77,6 @@ def _singular_guard(z: complex, smallest: float, largest: float) -> None:
         raise np.linalg.LinAlgError(
             "matrix + %r is singular to working precision "
             "(smallest singular value %.3e)" % (z, float(smallest)))
-
-
-def inv_sqrt_spectral(matrix: np.ndarray) -> np.ndarray:
-    """Inverse square root of a symmetric positive definite matrix."""
-    vals, vecs = np.linalg.eigh(np.asarray(matrix, dtype=np.float64))
-    if vals[0] <= 0:
-        raise ValueError(
-            "matrix is not positive definite (smallest eigenvalue %.3e)"
-            % float(vals[0]))
-    return (vecs * (vals ** -0.5)) @ vecs.T
 
 
 def _integral(low: float, nodes: int, resolvent):
@@ -164,15 +117,6 @@ def inv_sqrt_integral(matrix: np.ndarray, nodes: int = 200) -> np.ndarray:
     eye = np.eye(t.shape[0])
     return _integral(float(np.linalg.eigvalsh(t)[0]), nodes,
                      lambda s2: np.linalg.solve(s2 * eye + t, eye))
-
-
-def normalized_d(cplx: CubeComplex, weights: Weights = None) -> np.ndarray:
-    """The normalized differential d (I + Laplacian)^(-1/2), graded.
-
-    The Laplacian D^2 is diagonal, so this is tril(D) scaled by column.
-    """
-    full = assemble_D(cplx, weights).astype(np.float64)
-    return np.tril(full) * (1.0 + np.einsum("ij,ji->i", full, full)) ** -0.5
 
 
 def graded_terms(cplx: CubeComplex, weights: Weights = None) -> tuple[np.ndarray, np.ndarray]:
@@ -287,49 +231,6 @@ def spectral_frame(cplx: CubeComplex, t: float, weighted: bool = False) -> Spect
     w = deformation_weights(cplx, t) if weighted else None
     return SpectralFrame.of(*graded_terms(cplx, w), graded_offsets(cplx)[-1],
                             cplx.vertex_index(cplx.base_vertex))
-
-
-def homotopy_residual(cplx: CubeComplex, t: float, weighted: bool = False) -> float:
-    """Upper bound ``norm2_bound_sums`` on |h d' + d' h - (I - P (P + D^2)^(-1))|_2.
-
-    d' is the degree-raising block normalized by (P + D^2)^(-1/2) and h is
-    its adjoint; in this frame adjoint means plain transpose.
-    """
-    frame = spectral_frame(cplx, t, weighted)
-    return norm2_bound_sums(len(frame.lam), *frame.homotopy_defect())
-
-
-def resolvent_bounds(cplx: CubeComplex, t: float, lambdas: Iterable[float],
-                     weighted: bool = False) -> list[dict]:
-    """Resolvent norms of the shifted operator against the exact bound.
-
-    The bound |1 + i lambda|^(-1) holds because (D + P)^2 is at least the
-    identity once the projection closes the kernel.  The norms reported
-    are Gershgorin upper bounds (see ``SpectralFrame.resolvent_bounds``).
-    """
-    return spectral_frame(cplx, t, weighted).resolvent_bounds(lambdas)
-
-
-def basepoint_decay_sweep(cplx: CubeComplex, p_vertex: int, q_vertex: int,
-                          t_grid: Iterable[float]) -> dict:
-    """Base-change commutator norms over a t grid, with a fitted slope.
-
-    Equal base points give identically zero norms.  Every norm must be
-    finite; the slope bounds norm/t over the sub-unit grid points.
-    """
-    norms = []
-    for t in t_grid:
-        if p_vertex == q_vertex:
-            norms.append((t, 0.0))
-            continue
-        norms.append((t, basepoint_commutator_norm(cplx, p_vertex, q_vertex, t)))
-    for t, value in norms:
-        if not math.isfinite(value):
-            raise AssertionError("commutator norm at t=%r is not finite" % t)
-    slope = max(
-        (value / t for t, value in norms if t <= 1.0 and t > 0),
-        default=0.0)
-    return {"norms": norms, "slope_bound": slope}
 
 
 def format_t(t: float) -> str:

@@ -21,26 +21,27 @@ line.  Nothing here depends on the base vertex of the complex.
 
 On each parallelism class with determining set T the complex is the
 exterior (Koszul) complex of T, so every term has a closed form.  The
-term tables behind the matrices, ``ps_term_table``, come from each
+term tables of both operators, ``ps_term_table``, come from each
 degree's ``symbol_arrays`` (every split of every T into h and k, as bit
 rows in basis order) by bit arithmetic, every term at once: d moves each
 x of h to k and delta each x of k to h, both with coefficient
--(-1)^#{y in k, y < x}.  ``ps_d_symbol`` folds one raw presentation at a
-time through ``symbol_from_raw``.  The canonical vertices of a degree
-(``symbol_vertices``) are one class lookup of all its rows, and
-``basis_keys`` writes every ``symbol_key`` of a degree from the rows.
+-(-1)^#{y in k, y < x}.  Only ``ps_cohomology_ranks``, the SVD fallback
+that runs when an identity fails, scatters a dense d.  The canonical
+vertices of a degree (``symbol_vertices``) are one class lookup of all
+its rows, and ``basis_keys`` writes every ``symbol_key`` of a degree from
+the rows.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .core import Cube, CubeComplex, column_bits, row_ints, row_keys, row_positions
-from .differential import OrientedCube, _sort_parity, numerical_rank
+from .differential import numerical_rank
 from .parallelism import class_anchors, class_rows
 
 __all__ = [
@@ -52,17 +53,11 @@ __all__ = [
     "ps_basis",
     "ps_cohomology_ranks",
     "ps_d_matrix",
-    "ps_d_symbol",
-    "ps_delta_matrix",
     "ps_dimension",
-    "ps_laplacian",
     "ps_term_table",
     "ps_type_of_index",
     "symbol_arrays",
-    "symbol_from_raw",
-    "symbol_inner",
     "symbol_key",
-    "symbol_of_pair",
     "symbol_vertices",
 ]
 
@@ -90,21 +85,6 @@ class PSSymbol(NamedTuple):
     k_list: tuple[int, ...]
     r_canonical: int
     sign: int
-
-    @property
-    def p(self) -> int:
-        return len(self.h_set)
-
-    @property
-    def q(self) -> int:
-        return len(self.k_list)
-
-    @property
-    def key(self) -> tuple:
-        return (self.h_set, self.k_list)
-
-    def reversed(self) -> "PSSymbol":
-        return PSSymbol(self.h_set, self.k_list, self.r_canonical, -self.sign)
 
 
 class SymbolArrays(NamedTuple):
@@ -153,57 +133,6 @@ def canonical_symbol_vertex(cplx: CubeComplex, hyperplanes: Iterable[int]) -> in
             raise KeyError(key)
         got = cache[key] = row_ints(class_anchors(cplx, sets))[0]
     return got
-
-
-def symbol_from_raw(
-    cplx: CubeComplex,
-    h_set: Iterable[int],
-    k_list: Sequence[int] = (),
-    r: int = 0,
-    sign: int = 1,
-) -> PSSymbol:
-    """Fold a raw symbol presentation onto the canonical representative.
-
-    ``sign`` is the vertex orientation sign when ``k_list`` is empty, and
-    an overall prefactor otherwise.  Raises ValueError when the data is
-    not a symbol: repeated hyperplanes, a non-crossing pair, or a vertex
-    not adjacent to one of them.
-    """
-    h = tuple(sorted(h_set))
-    k, perm_sign = _sort_parity(tuple(k_list))
-    listed = h + k
-    if len(set(listed)) != len(listed):
-        raise ValueError("repeated hyperplane in symbol %s | %s"
-                         % (list(h), list(k_list)))
-    cross = cplx.crossing_matrix()
-    for i, a in enumerate(listed):
-        for b in listed[i + 1:]:
-            if not cross[a, b]:
-                raise ValueError(
-                    "hyperplanes %d and %d do not cross" % (a, b))
-    for t in listed:
-        if not cplx.adjacent_vertex(r, t):
-            raise ValueError(
-                "vertex %s is not adjacent to hyperplane %d"
-                % (cplx.vertex_bits(r), t))
-    if not cplx.spans_cube(r, listed):
-        raise AssertionError(
-            "adjacent vertex %s fails to span the cube over %s"
-            % (cplx.vertex_bits(r), list(listed)))
-    r_can = canonical_symbol_vertex(cplx, listed)
-    moved = ((r ^ r_can) & cplx.mask_of(listed)).bit_count()
-    if moved & 1:
-        sign = -sign
-    return PSSymbol(h, k, r_can, sign * perm_sign)
-
-
-def symbol_of_pair(cplx: CubeComplex, pair: CubePair, orientation: OrientedCube) -> PSSymbol:
-    """The symbol of a cube pair carrying an orientation of its face."""
-    if orientation.cube != pair.d:
-        raise ValueError("orientation is not an orientation of the face")
-    return symbol_from_raw(
-        cplx, pair.complementary, pair.d.cutting, pair.d.anchor,
-        orientation.sign)
 
 
 def symbol_vertices(cplx: CubeComplex, q: int) -> np.ndarray:
@@ -284,20 +213,6 @@ def ps_type_of_index(cplx: CubeComplex, q: int) -> np.ndarray:
     return symbol_arrays(cplx, q).p.copy()
 
 
-def ps_d_symbol(cplx: CubeComplex, sym: PSSymbol) -> dict[tuple, int]:
-    """Differential of one symbol, as unsigned-key -> coefficient."""
-    out: dict[tuple, int] = {}
-    for h in sym.h_set:
-        rest = tuple(x for x in sym.h_set if x != h)
-        term = symbol_from_raw(
-            cplx, rest, (h, *sym.k_list), sym.r_canonical ^ cplx.mask(h),
-            sym.sign)
-        out[term.key] = out.get(term.key, 0) + term.sign
-        if not out[term.key]:
-            del out[term.key]
-    return out
-
-
 def ps_term_table(cplx: CubeComplex, q: int, raising: bool = True) -> np.ndarray:
     """The cached terms of the symbol d (raising) or delta on degree q.
 
@@ -344,19 +259,6 @@ def ps_d_matrix(cplx: CubeComplex, q: int) -> np.ndarray:
     return _symbol_matrix(cplx, q, True)
 
 
-def ps_delta_matrix(cplx: CubeComplex, q: int) -> np.ndarray:
-    """Integer matrix of the adjoint from degree q to q-1, built from its
-    own formula rather than by transposition."""
-    return _symbol_matrix(cplx, q, False)
-
-
-def ps_laplacian(cplx: CubeComplex, q: int) -> np.ndarray:
-    """Matrix of d delta + delta d on degree-q symbols."""
-    down = ps_delta_matrix(cplx, q + 1) @ ps_d_matrix(cplx, q)
-    up = ps_d_matrix(cplx, q - 1) @ ps_delta_matrix(cplx, q)
-    return down + up
-
-
 def ps_cohomology_ranks(cplx: CubeComplex) -> tuple[int, ...]:
     """Cohomology dimension of the symbol complex per degree."""
     dim = cplx.dimension
@@ -364,13 +266,6 @@ def ps_cohomology_ranks(cplx: CubeComplex) -> tuple[int, ...]:
     return tuple(
         ps_dimension(cplx, q) - ranks[q + 1] - ranks[q]
         for q in range(dim + 1))
-
-
-def symbol_inner(s1: PSSymbol, s2: PSSymbol) -> int:
-    """Inner product of canonical signed symbols: 0, 1, or -1."""
-    if s1.key != s2.key:
-        return 0
-    return s1.sign * s2.sign
 
 
 def symbol_key(sym: PSSymbol, cplx: CubeComplex) -> str:

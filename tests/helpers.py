@@ -22,8 +22,10 @@ import pytest
 
 from cubedeform import (
     CubeComplex,
+    cli,
     deformation,
     differential,
+    fredholm,
     grid_complex,
     hypercube,
     random_median_complex,
@@ -43,34 +45,32 @@ from cubedeform.deformation import (
     pair_blocks,
     step_coefficients,
     symbol_representative,
-    u_t_matrix,
     w_hat_blocks,
-    w_path_matrix,
 )
-from cubedeform.differential import (
+from cubedeform.differential import d_matrix, norm2_bound_sums, weight_vector
+from cubedeform.fredholm import base_neighbor, format_t
+from cubedeform.parallelism import class_rows
+from cubedeform.symbols import PSSymbol, ps_basis, symbol_key
+from oracles import (
     _hook_term,
     _wedge_term,
-    d_matrix,
-    delta_matrix,
-    norm2_bound_sums,
-    weight_vector,
-)
-from cubedeform.fredholm import (
+    adjacent_cube,
+    adjacent_vertex,
     assemble_D,
-    base_neighbor,
     base_projection,
-    format_t,
+    cube_distance_to_vertex,
+    cube_index,
+    delta_matrix,
+    hyperplane_of_mask,
     inv_sqrt_spectral,
-)
-from cubedeform.parallelism import class_rows
-from cubedeform.symbols import (
-    PSSymbol,
-    ps_basis,
+    is_cube,
+    nearest_cube_vertex,
     ps_d_symbol,
     symbol_from_raw,
     symbol_inner,
-    symbol_key,
     symbol_of_pair,
+    u_t_matrix,
+    w_path_matrix,
 )
 
 FIXTURE_NAMES = ("point", "square", "tripod", "cube3", "grid12")
@@ -178,7 +178,7 @@ def oracle_facets(cplx: CubeComplex, q: int) -> np.ndarray:
     """Per q-cube (a, C), the indices among the (q-1)-cubes of (a, C - h),
     then (a + h, C - h), h in C ascending, each ``Cube`` looked up in
     ``cube_index``."""
-    index, rows = cplx.cube_index(q - 1), []
+    index, rows = cube_index(cplx, q - 1), []
     for cube in cplx.cubes(q):
         rest = [tuple(k for k in cube.cutting if k != h) for h in cube.cutting]
         rows.append([index[Cube(cube.anchor, r)] for r in rest]
@@ -231,17 +231,17 @@ def spectral_profile(cplx: CubeComplex, cube: Cube, weights=None) -> SpectralPro
     p_hs = [
         h for h in range(cplx.n_hyperplanes)
         if h not in cube.cutting
-        and cplx.adjacent_cube(cube, h)
+        and adjacent_cube(cplx, cube, h)
         and (cube.anchor ^ base) & cplx.mask(h)
     ]
     p_w = sum(w[h] * w[h] for h in p_hs)
-    return SpectralProfile(cube.dim, len(p_hs), q_w, p_w)
+    return SpectralProfile(len(cube.cutting), len(p_hs), q_w, p_w)
 
 
 def oracle_term_table(cplx: CubeComplex, q: int, raising: bool = True) -> np.ndarray:
     """``term_table`` one cube and one hyperplane at a time, through the
     cochain calculus's ``_wedge_term`` and ``_hook_term``."""
-    rows = cplx.cube_index(q + 1 if raising else q - 1)
+    rows = cube_index(cplx, q + 1 if raising else q - 1)
     term_fn = _wedge_term if raising else _hook_term
     found = []
     for j, cube in enumerate(cplx.cubes(q)):
@@ -260,19 +260,20 @@ def ps_delta_symbol(cplx: CubeComplex, sym: PSSymbol) -> dict[tuple, int]:
         term = symbol_from_raw(
             cplx, sym.h_set + (k,), rest, sym.r_canonical, sym.sign)
         coeff = term.sign if j & 1 else -term.sign  # (-1)^j, j counted from 1
-        out[term.key] = out.get(term.key, 0) + coeff
-        if not out[term.key]:
-            del out[term.key]
+        key = term[:2]
+        out[key] = out.get(key, 0) + coeff
+        if not out[key]:
+            del out[key]
     return out
 
 
 def oracle_ps_term_table(cplx: CubeComplex, q: int, raising: bool = True) -> np.ndarray:
     """``ps_term_table`` one symbol at a time, through ``ps_d_symbol`` and
     ``ps_delta_symbol`` over ``ps_basis``."""
-    rows = {sym.key: i for i, sym in enumerate(ps_basis(cplx, q + 1 if raising else q - 1))}
+    rows = {sym[:2]: i for i, sym in enumerate(ps_basis(cplx, q + 1 if raising else q - 1))}
     image_fn = ps_d_symbol if raising else ps_delta_symbol
     return np.array(
-        [(rows[k], j, sym.p + q, coeff)
+        [(rows[k], j, len(sym.h_set) + q, coeff)
          for j, sym in enumerate(ps_basis(cplx, q))
          for k, coeff in image_fn(cplx, sym).items()],
         dtype=np.int64).reshape(-1, 4)
@@ -338,7 +339,7 @@ def oracle_nearest_member(cplx: CubeComplex, vertex: int, klass: ParallelClass,
     best_d = -1
     ties = 0
     for member in klass.members:
-        d = cplx.cube_distance_to_vertex(member, vertex)
+        d = cube_distance_to_vertex(cplx, member, vertex)
         if best is None or d < best_d:
             best, best_d, ties = member, d, 1
         elif d == best_d:
@@ -348,10 +349,10 @@ def oracle_nearest_member(cplx: CubeComplex, vertex: int, klass: ParallelClass,
     failed = ties != 1
     if verify:
         for member in klass.members:
-            d = cplx.cube_distance_to_vertex(member, vertex)
+            d = cube_distance_to_vertex(cplx, member, vertex)
             if d != best_d + (best.anchor ^ member.anchor).bit_count():
                 failed = True
-        gate = cplx.nearest_cube_vertex(best, vertex)
+        gate = nearest_cube_vertex(cplx, best, vertex)
         cross = cplx.crossing_matrix()
         sep = vertex ^ gate
         for h in range(cplx.n_hyperplanes):
@@ -390,7 +391,7 @@ def group_class(cplx: CubeComplex, klass: ParallelClass) -> GroupClass:
                 a = klass.members[i].anchor
                 for j, key in zip(near, keys):
                     if j < m:
-                        h = cplx.hyperplane_of_mask(a ^ klass.members[j].anchor)
+                        h = hyperplane_of_mask(cplx, a ^ klass.members[j].anchor)
                         move_key[h, 1 if a & cplx.mask(h) else 0] = key
             return GroupClass(group, c, klass.members, move_key)
     raise KeyError(klass.determining)
@@ -423,14 +424,14 @@ def oracle_class_geom(cplx: CubeComplex, klass: ParallelClass) -> OracleGeom:
             j = index.get(member.anchor ^ mask)
             if j is None:
                 continue
-            if not cplx.adjacent_cube(member, h):
+            if not adjacent_cube(cplx, member, h):
                 raise AssertionError("class members at distance one across %d span no cube" % h)
             for side, u, v in ((0, i, j), (1, j, i)):
                 perm, sign = moves.setdefault((h, side), (list(range(m)), [0] * m))
                 perm[u], perm[v], sign[u], sign[v] = v, u, -1, 1
                 steps[u].append((v, h, side))
-    cube_index = cplx.cube_index(klass.dim)
-    return OracleGeom([cube_index[c] for c in klass.members], moves, [sorted(s) for s in steps])
+    index = cube_index(cplx, klass.dim)
+    return OracleGeom([index[c] for c in klass.members], moves, [sorted(s) for s in steps])
 
 
 def oracle_classes(cplx: CubeComplex) -> tuple[ParallelClass, ...]:
@@ -453,7 +454,7 @@ def _oracle_steps(cplx: CubeComplex, view: GroupClass) -> list[list[tuple[int, i
         row = []
         for j, b in enumerate(anchors):
             if (a ^ b).bit_count() == 1:
-                h = cplx.hyperplane_of_mask(a ^ b)
+                h = hyperplane_of_mask(cplx, a ^ b)
                 row.append((j, view.move_key[h, 1 if a & cplx.mask(h) else 0]))
         out.append(row)
     return out
@@ -535,7 +536,7 @@ def random_loop_residual(cplx: CubeComplex, rng, t: float,
                 if not nbrs:
                     break
                 nxt = nbrs[int(rng.integers(len(nbrs)))]
-                h = cplx.hyperplane_of_mask(cur.anchor ^ nxt.anchor)
+                h = hyperplane_of_mask(cplx, cur.anchor ^ nxt.anchor)
                 prod = oracle_w_step_matrix(cplx, cur, h, t) @ prod
                 cur = nxt
             prod = w_path_matrix(cplx, start, cur, t) @ prod
@@ -566,7 +567,7 @@ def w_step_matrix(cplx: CubeComplex, cube: Cube, h: int, t: float | None = None,
     applied to the identity.  ``ab`` overrides the mixing coefficients
     (exact scalars allowed); otherwise they come from ``t``.
     """
-    if not cplx.adjacent_cube(cube, h):
+    if not adjacent_cube(cplx, cube, h):
         raise ValueError("cube %r is not adjacent to hyperplane %d" % (cube, h))
     view = group_class(cplx, class_of(cplx, cube.cutting))
     key = view.move_key[h, 1 if cube.anchor & cplx.mask(h) else 0]
@@ -588,6 +589,23 @@ def delta_t_matrix(cplx: CubeComplex, q: int, t: float, weighted: bool = False) 
     w = deformation_weights(cplx, t) if weighted else None
     return np.linalg.solve(u_t_matrix(cplx, q - 1, t),
                            delta_matrix(cplx, q, w) @ u_t_matrix(cplx, q, t))
+
+
+def negate_one_term(monkeypatch, module, name, q, raising, row):
+    """Every path, dense and joined, reads the table with one term negated."""
+    table = getattr(module, name)
+
+    def sabotaged(cplx, degree, up=True):
+        out = table(cplx, degree, up)
+        if (degree, up) == (q, raising):
+            out = out.copy()
+            out[row, 3] *= -1
+        return out
+
+    monkeypatch.setattr(module, name, sabotaged)
+    for reader in (cli, fredholm):
+        if hasattr(reader, name):
+            monkeypatch.setattr(reader, name, sabotaged)
 
 
 def one_t(blocks) -> list:
@@ -796,13 +814,13 @@ def nearest_moves_across_edge(
     near_q = nearest_in_class(cplx, q, klass)
     if near_p == near_q:
         return None
-    h = cplx.hyperplane_of_mask(diff)
+    h = hyperplane_of_mask(cplx, diff)
     if near_p.anchor ^ near_q.anchor != diff:
         raise AssertionError(
             "nearest cubes differ other than across the edge hyperplane")
     anchor = near_p.anchor & ~diff
     cutting = tuple(sorted(near_p.cutting + (h,)))
-    if not cplx.is_cube(anchor, cutting):
+    if not is_cube(cplx, anchor, cutting):
         raise AssertionError(
             "nearest cubes are not opposite faces of a cube cut by %d" % h)
     return h
@@ -817,7 +835,7 @@ def pair_distance(cplx: CubeComplex, d1: Cube, d2: Cube) -> int | float:
 
 def basic_cochain_vector(cplx: CubeComplex, pair, orientation) -> np.ndarray:
     """``basic_cochain`` as a dense vector over the degree's cubes."""
-    index = cplx.cube_index(pair.d.dim)
+    index = cube_index(cplx, len(pair.d.cutting))
     out = np.zeros(len(index), dtype=np.int64)
     for cube, coeff in basic_cochain(cplx, pair, orientation).items():
         out[index[cube]] = coeff
@@ -854,7 +872,7 @@ def oracle_w_step_matrix(cplx: CubeComplex, cube: Cube, h: int,
 def oracle_gram_matrix(cplx: CubeComplex, q: int, t: float) -> np.ndarray:
     """exp(-t^2 d / 2) written entry by entry, d the popcount of the anchors' xor."""
     x = math.exp(-t * t / 2.0)
-    index = cplx.cube_index(q)
+    index = cube_index(cplx, q)
     out = np.zeros((len(index), len(index)))
     for klass in enumerate_classes(cplx):
         if klass.dim != q:
@@ -869,7 +887,7 @@ def oracle_gram_matrix(cplx: CubeComplex, q: int, t: float) -> np.ndarray:
 def oracle_u_t_matrix(cplx: CubeComplex, q: int, t: float,
                       class_bases: dict | None = None) -> np.ndarray:
     """U_t entry by entry: column c is the row-pair move from c to its root."""
-    index = cplx.cube_index(q)
+    index = cube_index(cplx, q)
     out = np.zeros((len(index), len(index)))
     for klass in enumerate_classes(cplx):
         if klass.dim != q:
@@ -903,7 +921,7 @@ def _oracle_tree_path(cplx: CubeComplex, members, root: int, start: int) -> list
     i = start
     while i != root:
         j = parent[i]
-        h = cplx.hyperplane_of_mask(anchors[i] ^ anchors[j])
+        h = hyperplane_of_mask(cplx, anchors[i] ^ anchors[j])
         steps.append((h, 1 if anchors[i] & cplx.mask(h) else 0))
         i = j
     return steps
@@ -936,7 +954,7 @@ def oracle_w_hat_matrix(cplx: CubeComplex, q: int, target_vertex: int,
                         ab: tuple | None = None) -> np.ndarray:
     """Base-point change with each class block copied entry by entry."""
     exact = ab is not None and not isinstance(ab[0], float)
-    index = cplx.cube_index(q)
+    index = cube_index(cplx, q)
     out = np.identity(len(index), dtype=object if exact else np.float64)
     for klass in enumerate_classes(cplx):
         if klass.dim != q:
@@ -1294,13 +1312,13 @@ def normal_cube_path(cplx: CubeComplex, source: int, target: int) -> NormalCubeP
     crossed = 0
     while r != target:
         step = [h for h in range(cplx.n_hyperplanes)
-                if (r ^ target) & cplx.mask(h) and cplx.adjacent_vertex(r, h)]
+                if (r ^ target) & cplx.mask(h) and adjacent_vertex(cplx, r, h)]
         smask = cplx.mask_of(step)
         if not step or smask & crossed:
             raise InvalidComplex("normal cube path failed to progress")
         anchor = r & ~smask
         cube = Cube(anchor, tuple(step))
-        if not cplx.is_cube(anchor, cube.cutting):
+        if not is_cube(cplx, anchor, cube.cutting):
             raise InvalidComplex("normal cube path step does not span a cube")
         cubes.append(cube)
         crossed |= smask

@@ -15,44 +15,39 @@ import helpers
 from helpers import enumerate_classes, spectral_profile, vertex_to_class_bijection
 from cubedeform.deformation import (
     basic_cochain,
-    basic_section_frame,
-    d_t_pairing,
-    d_t_pairing_limit,
     deformation_weights,
-    gram_matrix,
-    pairing_limit,
-    pairing_sweep,
     pairing_value,
     symbol_representative,
-    u_t_apply,
-    u_t_matrix,
-    _step_coefficients_mp,
 )
-from cubedeform.differential import (
-    cohomology_ranks,
-    d_cochain,
-    d_matrix,
-    laplacian_matrix,
-)
-from cubedeform.fredholm import (
-    assemble_D,
-    base_projection,
-    basepoint_decay_sweep,
-    homotopy_residual,
-    inv_sqrt_integral,
-    inv_sqrt_spectral,
-    normalized_d,
-    resolvent_bounds,
-)
+from cubedeform.differential import cohomology_ranks, d_matrix, norm2_bound_sums
+from cubedeform.fredholm import inv_sqrt_integral, spectral_frame
 from cubedeform.symbols import (
     canonical_symbol_vertex,
     ps_cohomology_ranks,
     ps_d_matrix,
-    ps_delta_matrix,
     ps_dimension,
-    ps_laplacian,
     ps_type_of_index,
+)
+from oracles import (
+    _step_coefficients_mp,
+    assemble_D,
+    base_projection,
+    basepoint_decay_sweep,
+    basic_section_frame,
+    d_cochain,
+    d_t_pairing,
+    d_t_pairing_limit,
+    gram_matrix,
+    inv_sqrt_spectral,
+    laplacian_matrix,
+    normalized_d,
+    pairing_limit,
+    pairing_sweep,
+    ps_delta_matrix,
+    ps_laplacian,
     symbol_from_raw,
+    u_t_apply,
+    u_t_matrix,
 )
 
 INF = float("inf")
@@ -403,10 +398,12 @@ def test_acceptance_13_f_t_homotopy_and_resolvent():
     for cplx in helpers.all_fixtures():
         for t in (0.1, 1.0, INF):
             for weighted in (False, True):
-                residual = homotopy_residual(cplx, t, weighted)
+                frame = spectral_frame(cplx, t, weighted)
+                residual = norm2_bound_sums(len(frame.lam), *frame.homotopy_defect())
                 if residual > 1e-8:
                     failures.append("homotopy residual %.2e at t=%s" % (residual, t))
-            for entry in resolvent_bounds(cplx, t, (0.0, 1.0, 10.0), weighted=True):
+            frame = spectral_frame(cplx, t, weighted=True)
+            for entry in frame.resolvent_bounds((0.0, 1.0, 10.0)):
                 if entry["norm"] > entry["bound"] + 1e-12:
                     failures.append(
                         "resolvent %.15f above bound %.15f at lambda=%s t=%s"

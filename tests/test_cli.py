@@ -14,23 +14,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from helpers import class_of, enumerate_classes, hook_matrix, spectral_profile, wedge_matrix
+from helpers import (
+    class_of,
+    enumerate_classes,
+    hook_matrix,
+    negate_one_term,
+    spectral_profile,
+    wedge_matrix,
+)
 from cubedeform import cli, deformation, differential, fredholm, symbols
 from cubedeform.cli import DEFAULT_TOLERANCES, FIELD_T_FLOOR, main
 from cubedeform.core import Cube, InvalidComplex, write_cxc
-from cubedeform.deformation import deformation_weights, pairing_limit, pairing_value
-from cubedeform.differential import (
-    cohomology_ranks,
-    d_matrix,
-    delta_matrix,
-    laplacian_matrix,
-    term_table,
-)
-from cubedeform.fredholm import assemble_D, format_t, normalized_d
+from cubedeform.deformation import deformation_weights, pairing_value
+from cubedeform.differential import cohomology_ranks, d_matrix, term_table
+from cubedeform.fredholm import format_t
 from cubedeform.generate import (
     grid_complex,
     hypercube,
@@ -41,11 +42,20 @@ from cubedeform.symbols import (
     ps_basis,
     ps_cohomology_ranks,
     ps_d_matrix,
-    ps_delta_matrix,
-    ps_laplacian,
     ps_term_table,
     ps_type_of_index,
     symbol_key,
+)
+from oracles import (
+    assemble_D,
+    cube_index,
+    delta_matrix,
+    laplacian_matrix,
+    normalized_d,
+    pairing_limit,
+    ps_delta_matrix,
+    ps_laplacian,
+    rebased,
 )
 
 DISCONNECTED = "cxc 1\nhyperplanes 2\nbasepoint 00\nvertices 2\n00\n11\n"
@@ -236,7 +246,7 @@ def test_check_parallel_matches_the_tuple_oracle(name):
     assert not any(residuals.values())
     assert counts == {"vertices": cplx.n_vertices, "classes": cplx.n_vertices}
     for base in cplx.vertices[1::max(1, cplx.n_vertices // 4)]:
-        parallel_residuals(cplx.rebased(base))
+        parallel_residuals(rebased(cplx, base))
 
 
 @settings(max_examples=25, deadline=None)
@@ -254,7 +264,7 @@ def doctor_class(monkeypatch, cplx, determining, members):
 
     def doctored(cplx_):
         out = classes(cplx_)
-        index = cplx_.cube_index(len(determining))
+        index = cube_index(cplx_, len(determining))
         c = [tuple(np.flatnonzero(det).tolist()) for det, _ in out].index(determining)
         out[c] = (out[c][0], np.array([index[m] for m in members]))
         return out
@@ -521,9 +531,7 @@ def test_check_fredholm_needs_no_spectrum(tmp_path, monkeypatch, capsys):
                         lambda deg: rule if deg == 200 else _no_spectrum())
     for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, _no_spectrum)
-    for module, name in ((fredholm, "assemble_D"), (fredholm, "normalized_d"),
-                         (differential, "_matrix"), (differential, "d_matrix"),
-                         (differential, "delta_matrix")):
+    for module, name in ((differential, "_matrix"), (differential, "d_matrix")):
         monkeypatch.setattr(module, name, _no_dense)
     monkeypatch.setattr(np.linalg, "norm", norm_no_2)
     monkeypatch.setattr(np.linalg, "solve", solve_vector)
@@ -770,23 +778,6 @@ def test_joins_match_dense_products_hypothesis(n, k, seed):
         assert len(assert_joins_match_dense(cplx, suite)[1]) == 1
 
 
-def negate_one_term(monkeypatch, module, name, q, raising, row):
-    """Every path, dense and joined, reads the table with one term negated."""
-    table = getattr(module, name)
-
-    def sabotaged(cplx, degree, up=True):
-        out = table(cplx, degree, up)
-        if (degree, up) == (q, raising):
-            out = out.copy()
-            out[row, 3] *= -1
-        return out
-
-    monkeypatch.setattr(module, name, sabotaged)
-    for reader in (cli, fredholm):
-        if hasattr(reader, name):
-            monkeypatch.setattr(reader, name, sabotaged)
-
-
 @pytest.mark.parametrize("q, raising", ((0, True), (1, True), (1, False), (2, False)))
 @pytest.mark.parametrize("suite", ("jv", "ps"))
 @pytest.mark.parametrize("name", ("cube3", "grid12"))
@@ -1012,7 +1003,7 @@ def test_check_field_forms_no_dense_operator(tmp_path, monkeypatch, capsys):
         if cplx.n_hyperplanes:
             paths.append(tmp_path / ("%s.cxc" % name))
             paths[-1].write_text(write_cxc(cplx))
-    for name in ("_matrix", "d_matrix", "delta_matrix"):
+    for name in ("_matrix", "d_matrix"):
         monkeypatch.setattr(differential, name, _no_dense)
     assert not hasattr(cli, "d_matrix") and not hasattr(cli, "delta_matrix")
     for path in paths:
@@ -1291,16 +1282,58 @@ def test_unwritable_out_is_a_usage_error_before_any_work(argv, tmp_path, capsys,
     (["validate", "--input", "{doc}.missing"], "cubedeform validate"),
     (["gen", "grid", "--dims", "2x0"], "cubedeform gen grid"),
     (["gen", "tree", "--leaves", "3", "--seed", "9"], "cubedeform gen tree"),
+    (["validate", "--input", "{bad}"], "cubedeform validate"),
+    (["check", "jv", "--input", "{bad}"], "cubedeform check"),
+    (["sweep", "--input", "{bad}"], "cubedeform sweep"),
 ))
 def test_usage_errors_name_the_subcommand(argv, usage, tmp_path, capsys):
     doc = tmp_path / "c2.cxc"
     doc.write_text(write_cxc(hypercube(2)))
+    bad = tmp_path / "bad.cxc"  # not UTF-8
+    bad.write_bytes(b"\xff\xfe\x00garbage")
     with pytest.raises(SystemExit) as exc:
-        main([arg.format(doc=doc) for arg in argv])
+        main([arg.format(doc=doc, bad=bad) for arg in argv])
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("usage: %s [-h]" % usage)
     assert err[-1].startswith("%s: error: " % usage)
+
+
+FUZZ_BASE = write_cxc(grid_complex([2, 1])).encode()
+FUZZ_EDIT = st.one_of(
+    # a byte replaced, inserted or deleted: any byte, so not always UTF-8
+    st.tuples(st.sampled_from(("replace", "insert", "delete")),
+              st.integers(0, len(FUZZ_BASE)), st.binary(min_size=1, max_size=1)),
+    st.tuples(st.just("insert"), st.integers(0, len(FUZZ_BASE)),
+              st.text(min_size=1, max_size=3).map(str.encode)),
+)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(FUZZ_EDIT, max_size=4))
+def test_mutated_documents_exit_cleanly(edits, tmp_path):
+    # every input gives a report, a failure or a clean error: exit 0-3, and
+    # nothing but SystemExit leaves main
+    data = bytearray(FUZZ_BASE)
+    for op, at, part in edits:
+        at = min(at, len(data))
+        if op == "insert":
+            data[at:at] = part
+        elif op == "replace":
+            data[at:at + 1] = part
+        else:
+            del data[at:at + 1]
+    doc = tmp_path / "fuzz.cxc"
+    doc.write_bytes(bytes(data))
+    for argv in (["validate", "--input", str(doc)], ["check", "jv", "--input", str(doc)]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2, 3), (argv, bytes(data))
 
 
 def test_no_command_imports_numpy_ma(grid_file, tmp_path):

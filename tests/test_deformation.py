@@ -15,27 +15,16 @@ from helpers import basic_cochain_vector, class_of, enumerate_classes, member_bi
 from cubedeform import deformation
 from cubedeform.core import Cube, bit_rows
 from cubedeform.deformation import (
-    basepoint_commutator_norm,
     basic_cochain,
-    basic_section_frame,
-    d_t_pairing,
-    d_t_pairing_limit,
     deformation_weights,
-    gram_matrix,
-    pairing_limit,
     pairing_polynomial,
-    pairing_sweep,
     pairing_table,
     pairing_value,
     random_loop_residual,
     step_coefficients,
     symbol_representative,
-    u_t_apply,
-    u_t_matrix,
-    w_hat_matrix,
-    w_path_matrix,
 )
-from cubedeform.differential import OrientedCube, d_matrix, delta_matrix, term_table
+from cubedeform.differential import OrientedCube, d_matrix, term_table
 from cubedeform.generate import grid_complex, hypercube, random_median_complex, star_tree
 from cubedeform.core import column_bits
 from cubedeform.parallelism import class_rows
@@ -44,8 +33,25 @@ from cubedeform.symbols import (
     cube_pair,
     ps_basis,
     symbol_arrays,
-    symbol_from_raw,
     symbol_vertices,
+)
+from oracles import (
+    adjacent_cube,
+    basepoint_commutator_norm,
+    basic_section_frame,
+    cube_index,
+    d_t_pairing,
+    d_t_pairing_limit,
+    delta_matrix,
+    gram_matrix,
+    pairing_limit,
+    pairing_sweep,
+    rebased,
+    symbol_from_raw,
+    u_t_apply,
+    u_t_matrix,
+    w_hat_matrix,
+    w_path_matrix,
 )
 
 INF = float("inf")
@@ -100,7 +106,7 @@ def test_w_step_is_orthogonal():
         for klass in enumerate_classes(cplx):
             member = klass.members[0]
             for h in range(cplx.n_hyperplanes):
-                if h in klass.determining or not cplx.adjacent_cube(member, h):
+                if h in klass.determining or not adjacent_cube(cplx, member, h):
                     continue
                 for t in (0.3, 1.0):
                     w = helpers.w_step_matrix(cplx, member, h, t)
@@ -158,7 +164,7 @@ def test_gram_matrix_structure(name):
     cplx = helpers.fixture(name)
     for q in range(cplx.dimension + 1):
         g = gram_matrix(cplx, q, 0.9)
-        index = cplx.cube_index(q)
+        index = cube_index(cplx, q)
         x = math.exp(-0.9 * 0.9 / 2.0)
         assert np.array_equal(g, g.T)
         for klass in enumerate_classes(cplx):
@@ -196,7 +202,7 @@ def test_frame_change_squares_to_gram(name):
 
 def test_u_t_apply_matches_matrix_columns(cube3):
     klass = class_of(cube3, (1,))
-    index = cube3.cube_index(1)
+    index = cube_index(cube3, 1)
     u = u_t_matrix(cube3, 1, 0.7)
     for member in klass.members:
         out = u_t_apply(cube3, {member: 1.0}, t=0.7)
@@ -228,7 +234,7 @@ def test_framed_sections_concentrate_at_small_t():
     for name in ("square", "cube3", "grid22"):
         cplx = helpers.fixture(name)
         for q in range(cplx.dimension):
-            index = cplx.cube_index(q)
+            index = cube_index(cplx, q)
             for pair, orientation in _frame_pairs(cplx, q):
                 p = len(pair.complementary)
                 if p == 0:
@@ -255,7 +261,7 @@ def test_basic_cochain_hand_example(square):
     out = basic_cochain(square, pair, OrientedCube(pair.d, 1))
     assert out == {Cube(0b01, (0,)): 1, Cube(0b00, (0,)): -1}
     vec = basic_cochain_vector(square, pair, OrientedCube(pair.d, 1))
-    index = square.cube_index(1)
+    index = cube_index(square, 1)
     assert vec[index[Cube(0b01, (0,))]] == 1
     assert vec[index[Cube(0b00, (0,))]] == -1
     with pytest.raises(ValueError, match="orientation"):
@@ -281,13 +287,13 @@ def test_frame_counts(name):
     for q in range(cplx.dimension + 1):
         frame = _frame_pairs(cplx, q)
         expect = sum(
-            math.comb(c.dim, q) * 2 ** (c.dim - q)
+            math.comb(len(c.cutting), q) * 2 ** (len(c.cutting) - q)
             for p in range(cplx.dimension - q + 1)
-            for c in cplx.cubes(q + p) if c.dim == q + p)
+            for c in cplx.cubes(q + p) if len(c.cutting) == q + p)
         assert len(frame) == expect
         type0 = [pair for pair, _ in frame if not pair.complementary]
         assert len(type0) == len(cplx.cubes(q))
-        assert all(o.sign == 1 and pair.d.dim == q for pair, o in frame)
+        assert all(o.sign == 1 and len(pair.d.cutting) == q for pair, o in frame)
 
 
 def _mp_same(t):
@@ -403,7 +409,7 @@ def test_pairing_caches_stay_with_their_complex(square, cube3):
     e = cube_pair(square, Cube(1, (0,)), Cube(1, (0,)))
     ox, oe = OrientedCube(x.d, 1), OrientedCube(e.d, 1)
     want = {square: (1, {1: 1, 0: -1}), cube3: (1, {1: 1, 2: -1})}
-    for cplx in (square, cube3, square, cube3.rebased(0b111)):
+    for cplx in (square, cube3, square, rebased(cube3, 0b111)):
         base = cube3 if cplx.n_hyperplanes == 3 else square
         assert pairing_polynomial(cplx, x, ox, e, oe) == want[base]
         assert helpers.oracle_pairing_polynomial(cplx, x, ox, e, oe) == want[base]
@@ -414,7 +420,7 @@ def test_pairing_caches_stay_with_their_complex(square, cube3):
                 helpers.oracle_pairing_value(cplx, x, ox, e, oe, t)
     # rebased copies share the per-complex cache; nothing in it depends on
     # the base vertex
-    assert cube3.rebased(0b111)._shared is cube3._shared
+    assert rebased(cube3, 0b111)._shared is cube3._shared
 
 
 def _check_cross_cutting_pairs_vanish(cplx):
@@ -648,9 +654,9 @@ def test_w_hat_commutes_with_non_separating_wedges():
                     w_hi = w_hat_matrix(cplx, q + 1, tgt, src, ab=(a, b))
                     for h in range(cplx.n_hyperplanes):
                         at_src = helpers.wedge_matrix(
-                            cplx.rebased(src), h, q).astype(object)
+                            rebased(cplx, src), h, q).astype(object)
                         at_tgt = helpers.wedge_matrix(
-                            cplx.rebased(tgt), h, q).astype(object)
+                            rebased(cplx, tgt), h, q).astype(object)
                         lhs = w_hi @ at_src - at_tgt @ w_lo
                         if h == h_edge:
                             rhs = (1 - a) * at_src - b * at_tgt
@@ -731,7 +737,7 @@ def _step_cases(cplx):
     for klass in enumerate_classes(cplx):
         for member in klass.members:
             for h in range(cplx.n_hyperplanes):
-                if h not in member.cutting and cplx.adjacent_cube(member, h):
+                if h not in member.cutting and adjacent_cube(cplx, member, h):
                     yield member, h
 
 

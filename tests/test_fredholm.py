@@ -7,23 +7,25 @@ from hypothesis import strategies as st
 
 import helpers
 from cubedeform import random_median_complex
-from cubedeform.differential import laplacian_matrix, norm2_bound_sums
+from cubedeform.differential import norm2_bound_sums
 from cubedeform.fredholm import (
     SpectralFrame,
-    assemble_D,
-    base_projection,
-    basepoint_decay_sweep,
     format_t,
     graded_offsets,
-    homotopy_residual,
     inv_sqrt_diagonal,
     inv_sqrt_integral,
-    inv_sqrt_spectral,
-    normalized_d,
-    resolvent_bounds,
     spectral_frame,
 )
 from cubedeform.deformation import deformation_weights
+from oracles import (
+    assemble_D,
+    base_projection,
+    basepoint_decay_sweep,
+    inv_sqrt_spectral,
+    laplacian_matrix,
+    normalized_d,
+    rebased,
+)
 
 INF = float("inf")
 FIXED = ("square", "tripod", "cube3", "grid12")
@@ -137,7 +139,7 @@ def test_base_projection(cube3):
     assert p.trace() == 1
     assert p[cube3.vertex_index(cube3.base_vertex),
              cube3.vertex_index(cube3.base_vertex)] == 1
-    moved = base_projection(cube3.rebased(0b101))
+    moved = base_projection(rebased(cube3, 0b101))
     assert moved.trace() == 1
     assert not (moved == p).all()
 
@@ -273,15 +275,15 @@ def test_fredholm_identity(t, weighted):
 @pytest.mark.parametrize("t", (0.1, 1.0, INF))
 def test_homotopy_identity(t, weighted):
     for name in FIXED:
-        cplx = helpers.fixture(name)
-        assert homotopy_residual(cplx, t, weighted) <= 1e-8
+        frame = spectral_frame(helpers.fixture(name), t, weighted)
+        assert bound(frame, frame.homotopy_defect()) <= 1e-8
 
 
 @pytest.mark.parametrize("t", (0.1, 1.0, INF))
 def test_resolvent_bounds_hold(t):
     for name in FIXED:
         cplx = helpers.fixture(name)
-        for entry in resolvent_bounds(cplx, t, (0.0, 1.0, 10.0)):
+        for entry in spectral_frame(cplx, t).resolvent_bounds((0.0, 1.0, 10.0)):
             assert entry["bound"] == 1.0 / abs(1 + 1j * entry["lambda"])
             assert entry["norm"] <= entry["bound"] + 1e-12
 
@@ -341,7 +343,7 @@ def test_resolvent_norms_match_dense_oracle(t, weighted):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np.linalg, "svd", _no_dense)
             mp.setattr(np.linalg, "solve", _no_dense)
-            fast = resolvent_bounds(cplx, t, LAMBDAS, weighted)
+            fast = spectral_frame(cplx, t, weighted).resolvent_bounds(LAMBDAS)
         for got, want in zip(fast, dense):
             assert got["lambda"] == want["lambda"]
             assert got["bound"] == want["bound"]
@@ -357,7 +359,7 @@ def test_bounded_residuals_dominate_exact(t, weighted):
         for defect, bounded, exact in (
                 (frame.fredholm_defect(), bound(frame, frame.fredholm_defect()),
                  helpers.oracle_fredholm_residual(cplx, t, weighted)),
-                (frame.homotopy_defect(), homotopy_residual(cplx, t, weighted),
+                (frame.homotopy_defect(), bound(frame, frame.homotopy_defect()),
                  helpers.oracle_homotopy_residual(cplx, t, weighted))):
             defect = helpers.scatter(n, *defect)
             assert bounded == pytest.approx(helpers.norm2_bound(defect), rel=1e-15, abs=0)
