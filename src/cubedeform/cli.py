@@ -11,7 +11,9 @@ Exit codes: 0 on success, 1 when validation or a check suite fails, 2 on
 usage errors (an ``--input`` that cannot be read as UTF-8 text, an
 ``--out`` that cannot be opened, a negative ``--seed``,
 a ``--tol`` name outside the suite's table or a NaN threshold among
-them: all are caught before any work starts), 3 when a check suite
+them: all are caught before a suite or a sweep starts; ``--out`` is
+opened once the input is read and parsed, so a usage error leaves an
+existing file as it was), 3 when a check suite
 breaks down: a matrix singular to working precision at an extreme t, an
 allocation the machine cannot meet (``MemoryError``), or one of the
 package's own invariant checks failing (``AssertionError``, such as a
@@ -44,8 +46,8 @@ from .core import (
     CubeComplex,
     CxcParseError,
     InvalidComplex,
+    median_certificate,
     parse_cxc,
-    row_ints,
     row_keys,
     row_positions,
     write_cxc,
@@ -219,7 +221,10 @@ def _load_complex(path: str, parser: argparse.ArgumentParser) -> CubeComplex:
 
 
 def _open_out(path: str | None, parser: argparse.ArgumentParser):
-    """The command's output stream: ``--out`` opened for writing, or stdout."""
+    """The command's output stream: ``--out`` opened for writing, or stdout.
+    ``main`` hands each command an opener, which it calls once its input is
+    read, parsed and checked, so a usage error leaves an existing file as
+    it was."""
     if not path:
         return contextlib.nullcontext(sys.stdout)
     try:
@@ -231,7 +236,7 @@ def _open_out(path: str | None, parser: argparse.ArgumentParser):
 # -- gen / validate --------------------------------------------------------------
 
 
-def _cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser, out) -> int:
+def _cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser, open_out) -> int:
     try:
         if args.kind == "tree":
             cplx = star_tree(args.leaves)
@@ -247,12 +252,13 @@ def _cmd_gen(args: argparse.Namespace, parser: argparse.ArgumentParser, out) -> 
         text = write_cxc(cplx)
     except ValueError:
         parser.error("generated complex has no hyperplanes; increase --n or --k")
-    out.write(text)
+    open_out().write(text)
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser, out) -> int:
+def _cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser, open_out) -> int:
     text = _read_input(args.input, parser)
+    out = open_out()
     try:
         cplx = parse_cxc(text)
     except (CxcParseError, InvalidComplex) as exc:
@@ -401,8 +407,9 @@ def _classes(cplx) -> list:
 
 def _frame(cplx, det: np.ndarray) -> np.ndarray:
     """The hyperplanes that cross every one of the cutting bits ``det``, as
-    a mask; none of ``det`` is among them, as no hyperplane crosses itself."""
-    return cplx.crossing_matrix()[:, det == 1].all(axis=1)
+    a mask, for one row or a stack of rows; none of ``det`` is among them,
+    as no hyperplane crosses itself."""
+    return np.einsum("...j,hj->...h", det.astype(np.int32), ~cplx.crossing_matrix()) == 0
 
 
 def _first_steps(cplx) -> np.ndarray:
@@ -451,6 +458,63 @@ def _nearest_failures(cplx, det: np.ndarray, members: np.ndarray, at) -> np.ndar
     return failed
 
 
+def _invalid_classes(cplx, classes: list) -> np.ndarray:
+    """Whether each class, its members' anchors projected onto its frame,
+    fails to be a complex rooted at its member nearest the base vertex:
+    two members share frame coordinates, a frame coordinate is constant
+    over them, or ``median_certificate`` rejects them.  The classes go in
+    stacks of one padded size, a power of two and at least 16, each
+    class's rows ascending and repeated from its last; a tie for the
+    nearest member raises AssertionError, for the first class in order
+    whose coordinates do not collide."""
+    n = cplx.n_hyperplanes
+    det = np.array([d for d, _ in classes], dtype=np.uint8).reshape(len(classes), n)
+    frames = _frame(cplx, det)
+    sizes = np.array([len(members) for _, members in classes])
+    start = np.cumsum(sizes) - sizes
+    base = cplx.cube_arrays(0).anchor[cplx.vertex_index(cplx.base_vertex)]
+    anchors = np.empty((int(sizes.sum()), n), dtype=np.uint8)
+    bad = np.zeros(len(classes), dtype=bool)
+    # one run of classes of one degree at a time, in order: each class's
+    # members' anchors masked to its frame and sorted by frame coordinates
+    degree = det.sum(axis=1, dtype=np.int64)
+    cut = np.flatnonzero(np.diff(degree, prepend=-1, append=-1)).tolist()
+    for a, b in zip(cut, cut[1:]):
+        of = np.repeat(np.arange(b - a), sizes[a:b])
+        rows = cplx.cube_arrays(int(degree[a])).anchor[
+            np.concatenate([members for _, members in classes[a:b]])]
+        dist = (rows ^ base).sum(axis=1, dtype=np.int64)
+        rows &= frames[a:b][of]
+        order = np.argsort(row_keys(rows), kind="stable")
+        order = order[np.argsort(of[order], kind="stable")]
+        rows, dist, first = rows[order], dist[order], start[a:b] - start[a]
+        repeat = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1) & (of[1:] == of[:-1]))
+        bad[a:b] = np.bincount(of[repeat + 1], minlength=b - a) > 0
+        tied = np.bincount(of[dist == np.minimum.reduceat(dist, first)[of]], minlength=b - a) > 1
+        if (tied & ~bad[a:b]).any():
+            c = a + int(np.flatnonzero(tied & ~bad[a:b])[0])
+            raise AssertionError("nearest cube in class %s to %s is not unique" % (
+                np.flatnonzero(det[c]).tolist(), cplx.vertex_bits(cplx.base_vertex)))
+        varies = np.bitwise_or.reduceat(rows, first) != np.bitwise_and.reduceat(rows, first)
+        bad[a:b] |= (frames[a:b] & ~varies).any(axis=1)
+        anchors[start[a]:start[a] + len(rows)] = rows
+
+    # each class's frame columns first, so a stack keeps only its widest frame
+    columns = np.argsort(~frames, axis=1, kind="stable")
+    width = frames.sum(axis=1)
+    # the padded size is 2^log2; small classes share the stack of size 16
+    log2 = np.maximum(np.frexp(sizes - 1)[1], 4)
+    for e in np.flatnonzero(np.bincount(log2)).tolist():
+        stack, size = np.flatnonzero(log2 == e), 1 << e
+        # about _CHUNK / 16 member bits a part: the certificate's integer
+        # temporaries take a dozen bytes or so per bit
+        for part in np.array_split(stack, max(1, len(stack) * size * n // (_CHUNK // 16))):
+            rows = start[part, None] + np.minimum(np.arange(size), sizes[part, None] - 1)
+            cols = columns[part, None, :width[part].max()]
+            bad[part] |= ~median_certificate(np.take_along_axis(anchors[rows], cols, axis=2))
+    return bad
+
+
 def _suite_parallel(cplx, args):
     classes = _classes(cplx)
     # a bijection exactly when the first steps' classes are all the classes once
@@ -471,25 +535,7 @@ def _suite_parallel(cplx, args):
     failures = sum(int(_nearest_failures(cplx, *classes[c], at).sum())
                    for c, at in sampled.items())
 
-    # each class rebuilt as a complex over its frame, rooted at its member
-    # nearest the base vertex, and validated as one
-    invalid = 0
-    base = cplx.cube_arrays(0).anchor[[cplx.vertex_index(cplx.base_vertex)]].astype(np.float64)
-    for det, members in classes:
-        bits = cplx.cube_arrays(int(det.sum())).anchor[members]
-        frame = _frame(cplx, det)
-        coords = row_ints(bits[:, frame])
-        if len(set(coords)) != len(coords):  # frame coordinates collide
-            invalid += 1
-            continue
-        (home,), (tied,), _ = nearest_rows(bits.astype(np.float64), base)
-        if tied:
-            raise AssertionError("nearest cube in class %s to %s is not unique" % (
-                np.flatnonzero(det).tolist(), cplx.vertex_bits(cplx.base_vertex)))
-        try:
-            CubeComplex(int(frame.sum()), coords, coords[home])
-        except InvalidComplex:
-            invalid += 1
+    invalid = int(_invalid_classes(cplx, classes).sum())
     return {
         "class_count": abs(len(classes) - cplx.n_vertices),
         "vertex_class_bijection": bad,
@@ -692,8 +738,9 @@ _SUITES = {
 }
 
 
-def _cmd_check(args: argparse.Namespace, parser: argparse.ArgumentParser, out) -> int:
+def _cmd_check(args: argparse.Namespace, parser: argparse.ArgumentParser, open_out) -> int:
     cplx = _load_complex(args.input, parser)
+    out = open_out()
     try:
         residuals, counts = _SUITES[args.suite](cplx, args)
     except np.linalg.LinAlgError as exc:
@@ -748,7 +795,7 @@ def _first_witness(cplx: CubeComplex, h: np.ndarray, k: np.ndarray, cols: np.nda
     return out
 
 
-def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser, out) -> int:
+def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser, open_out) -> int:
     cplx = _load_complex(args.input, parser)
     grid = sorted(set(args.t_grid or (0.1, 1.0, INF)))
 
@@ -768,6 +815,7 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser, out) -
         index = [i for i, key in enumerate(keys) if key in keep]
         keys = [keys[i] for i in index]
         h, k, r = h[index], k[index], r[index]
+    out = open_out()
 
     # A pair whose faces have different cutting sets is 0.0 at every t and
     # in the limit; every other pair takes its value from its polynomial,
@@ -878,8 +926,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed < 0:
             parser.error("--seed must be a non-negative integer, got %d" % args.seed)
         args.tolerances = _parse_tols(args.suite, args.tol, parser)
-    with _open_out(args.out, parser) as out:
-        return _COMMANDS[args.command](args, parser, out)
+    with contextlib.ExitStack() as stack:
+        return _COMMANDS[args.command](
+            args, parser, lambda: stack.enter_context(_open_out(args.out, parser)))
 
 
 if __name__ == "__main__":

@@ -7,21 +7,24 @@ contains the vertex, so a vertex printed as a bitstring reads hyperplane
 order on the integers.  A vertex family is the 0-skeleton of a finite
 CAT(0) cube complex exactly when it is connected in the Hamming-1 graph
 and closed under coordinatewise majorities of triples (a median graph);
-:class:`CubeComplex` validates both at construction.  Closure is certified
-by :func:`median_hull`, in O(n^2) bitset operations plus O(V n) steps for
-V vertices; the O(V^3) scan over triples runs only on a failure, to name
-the first violating triple.
+:class:`CubeComplex` validates both at construction.  Both are certified
+by :func:`median_certificate` from the pair patterns the vertices take, in
+two integer array products of O(V n^2) for V vertices; a breadth-first
+search, to name an unreachable vertex, and the O(V^3) scan over triples, to
+name the first violating triple, run only on a failure.
 
 A cube is its smallest vertex (the anchor) and the set of hyperplanes
 cutting it.  Each degree's cubes are held as 0/1 bit rows, anchor and
-cutting bits with one packed key per cube (:class:`CubeArrays`), and a
-(q+1)-cube (a, C + h) with h > max C is found from its face (a, C) by
-setting bit h of the face's key: the translate (a + h, C) must be a q-cube
-too.  ``Cube`` tuples are a view of the rows made on first use.  Each
-level's face incidences are one cached table, :meth:`CubeComplex.facets`:
-per q-cube (a, C), the positions of its 2q facets (a, C - h) and
-(a + h, C - h) among the (q-1)-cubes.  The term tables of d and delta,
-the edge ends and the bounded-geometry statistic all gather from it.
+cutting bits with one packed key per cube (:class:`CubeArrays`): a
+big-endian uint64 while the bits fit in 8 bytes, packed bytes compared as
+``np.void`` beyond (:func:`row_keys`).  A (q+1)-cube (a, C + h) with
+h > max C is found from its face (a, C) by setting bit h of the face's
+key: the translate (a + h, C) must be a q-cube too.  ``Cube`` tuples are
+a view of the rows made on first use.  Each level's face incidences are
+one cached table, :meth:`CubeComplex.facets`: per q-cube (a, C), the
+positions of its 2q facets (a, C - h) and (a + h, C - h) among the
+(q-1)-cubes.  The term tables of d and delta, the edge ends and the
+bounded-geometry statistic all gather from it.
 Geometry reduces to bit arithmetic; in particular the edge-path distance
 between vertices is the Hamming distance, because separating hyperplanes
 count edges on any geodesic.  The bounded-geometry statistic counts the
@@ -50,6 +53,7 @@ __all__ = [
     "InvalidComplex",
     "bit_rows",
     "column_bits",
+    "median_certificate",
     "median_closure",
     "median_hull",
     "median_of",
@@ -136,12 +140,18 @@ def column_bits(columns: np.ndarray, n: int) -> np.ndarray:
 
 
 def row_keys(*blocks: np.ndarray) -> np.ndarray:
-    """One key per row of the 0/1 ``blocks`` laid side by side: packed
-    big-endian bytes compared as ``np.void``, so keys order as their bits
-    read left to right, at any width."""
+    """One key per row of the 0/1 ``blocks`` laid side by side: the bits
+    packed into big-endian bytes, so keys order as their bits read left to
+    right, at any width.  Up to 8 bytes, zero-padded on the right to 8 and
+    read as one big-endian uint64 (``>u8``), which numpy sorts and compares
+    natively; wider, compared as ``np.void``.  Either way the key's bytes
+    are its packed bits, so a ``uint8`` view of ``dtype.itemsize`` columns
+    edits them."""
     packed = np.packbits(np.hstack(blocks), axis=1)
-    if not packed.shape[1]:
-        packed = np.zeros((len(packed), 1), dtype=np.uint8)
+    if packed.shape[1] <= 8:
+        padded = np.zeros((len(packed), 8), dtype=np.uint8)
+        padded[:, :packed.shape[1]] = packed
+        return padded.view(">u8").ravel()
     return packed.view("V%d" % packed.shape[1]).ravel()
 
 
@@ -154,7 +164,7 @@ def row_positions(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.n
     return pos, table[np.minimum(pos, len(table) - 1)] == keys
 
 
-def median_hull(n: int, verts: Iterable[int], limit: int | None = None) -> list[int]:
+def median_hull(n: int, verts: Iterable[int]) -> list[int]:
     """Smallest median-closed set of ``n``-bit vectors containing ``verts``, ascending.
 
     A median-closed set is the solution set of its projections onto pairs of
@@ -163,8 +173,7 @@ def median_hull(n: int, verts: Iterable[int], limit: int | None = None) -> list[
     patterns ``verts`` takes.  These come from one majority-closed relation,
     so every prefix satisfying them extends (Baker & Pixley 1975): the
     depth-first walk over hyperplanes 0..n-1 never backtracks.  Cost: O(n^2)
-    operations on ``len(verts)``-bit bitsets plus O(|hull| n) steps.  With a
-    ``limit``, it stops once ``limit + 1`` members are found.
+    operations on ``len(verts)``-bit bitsets plus O(|hull| n) steps.
     """
     rows = [format(v | 1 << n, "b")[1:] for v in verts]  # n characters, also for n = 0
     if not rows:
@@ -185,7 +194,7 @@ def median_hull(n: int, verts: Iterable[int], limit: int | None = None) -> list[
         step.append(opts)
     out: list[int] = []
     stack = [(0, 0)]
-    while stack and (limit is None or len(out) <= limit):
+    while stack:
         k, x = stack.pop()
         if k == n:
             out.append(x)
@@ -194,6 +203,58 @@ def median_hull(n: int, verts: Iterable[int], limit: int | None = None) -> list[
             if x & must1 == must1 and not x & must0:
                 stack.append((k + 1, x | bit))
     return out
+
+
+def median_certificate(rows: np.ndarray) -> np.ndarray:
+    """Whether each stack of 0/1 rows, shape (..., m, n), ascending within
+    its stack, is median-closed and connected in the Hamming-1 graph.
+    Repeated rows count once.  True proves both; False says one fails.
+
+    Pattern counts: one product gives C11, the rows with 1 at hyperplanes j
+    and k; the column sums s give the other three.  Closure: the rows'
+    median hull is the solution set of their pair patterns, and its prefix
+    walk never backtracks (see :func:`median_hull`), so the rows equal
+    their hull exactly when, at each k, the walk extends the rows' distinct
+    k-prefixes by as many other bits as there are rows whose prefixes split
+    at k.  A prefix's first row v in the stack stands for it, and the other
+    bit of v at k extends it when column k takes both values and, for every
+    j < k, some row has (x_vj, 1 - x_vk) at (j, k): a second product counts
+    the j where none has.  Connectivity, given closure: no pair j < k is
+    locked, with patterns exactly {00, 11} or {01, 10}.  Take rows u and v
+    of two components at the least distance: the row w != u of the
+    interval I(u, v) nearest u differs from u in two coordinates or more
+    (else w, in u's component, were nearer v), and any two of them are
+    locked, as a row with a third pattern there would have a median with u
+    and w strictly between them.
+    """
+    m, n = rows.shape[-2:]
+    # no BLAS: einsum without ``optimize`` sums in its own integer loops
+    x = rows.astype(np.int16 if max(m, 2 * n) < 1 << 15 else np.int64)
+    columns = np.ascontiguousarray(x.swapaxes(-1, -2))  # sums over v run contiguous
+    c11 = np.einsum("...jv,...kv->...jk", columns, columns)
+    s = rows.sum(axis=-2, dtype=x.dtype)
+    sj, sk = s[..., :, None], s[..., None, :]
+    # absent[2a + b]: for j < k, no row has a at j and b at k
+    absent = np.stack((sj - c11 == m - sk, c11 == sk, c11 == sj, c11 == 0))
+    absent &= np.arange(n)[:, None] < np.arange(n)
+    # blocked[v, b, k]: the j < k at which no row has (x_vj, b) at (j, k)
+    blocked = np.einsum("...vj,b...jk->...vbk", x,
+                        np.subtract(absent[2:], absent[:2], dtype=x.dtype))
+    blocked += np.moveaxis(absent[:2].sum(axis=-2, dtype=x.dtype), 0, -2)[..., None, :, :]
+    # whether the other bit, 1 - x_vk, may follow v's k-prefix
+    other = np.where(rows == 1, blocked[..., 0, :], blocked[..., 1, :]) == 0
+    other &= ((s > 0) & (s < m))[..., None, :]
+    # lcp: the first column at which each row differs from the one before,
+    # -1 for the first row and n for a repeat
+    split = np.ones(rows.shape[:-2] + (m - 1, n + 1), dtype=bool)
+    split[..., :n] = rows[..., 1:, :] != rows[..., :-1, :]
+    lcp = np.concatenate((np.full(rows.shape[:-2] + (1,), -1), split.argmax(axis=-1)), axis=-1)
+    k = np.arange(n)
+    closed = ((other & (lcp[..., :, None] < k)).sum(axis=-2)
+              == (lcp[..., :, None] == k).sum(axis=-2)).all(axis=-1)
+    locked = (absent[0] & absent[3] & ~absent[1] & ~absent[2]
+              | absent[1] & absent[2] & ~absent[0] & ~absent[3])
+    return closed & ~locked.any(axis=(-2, -1))
 
 
 def median_closure(seeds: Iterable[int]) -> frozenset[int]:
@@ -241,7 +302,21 @@ class CubeComplex:
             raise InvalidComplex(
                 f"hyperplane {h} has constant coordinate over the vertex set")
 
-        # connectivity in the Hamming-1 graph
+        # Only a failure pays for the search and the triple scan that name it.
+        if not median_certificate(bit_rows(n, verts)):
+            self._raise_fault()
+            raise AssertionError("median hull exceeds a vertex set the triple scan accepts")
+
+        if self.base_vertex not in self._vset:
+            raise InvalidComplex(
+                "base vertex %s not in vertex set"
+                % format(self.base_vertex, "0%db" % n if n else "b"))
+
+    def _raise_fault(self) -> None:
+        """Raise InvalidComplex naming a vertex that no edge path from the
+        first vertex reaches, or else the first triple whose median is not a
+        vertex; return if there is neither."""
+        verts = self._verts
         seen = {verts[0]}
         stack = [verts[0]]
         while stack:
@@ -256,23 +331,13 @@ class CubeComplex:
             raise InvalidComplex(
                 "connectivity failure: no edge path from %s to %s"
                 % (self.vertex_bits(verts[0]), self.vertex_bits(missing)))
-
-        # The hull contains ``verts``, so it equals them exactly when it has no
-        # more members; only a failure pays for the triple scan and its message.
-        if median_hull(n, verts, limit=len(verts)) != list(verts):
-            bad = self._median_violation()
-            if bad is None:
-                raise AssertionError("median hull exceeds a vertex set the triple scan accepts")
+        bad = self._median_violation()
+        if bad is not None:
             u, v, w = bad
             raise InvalidComplex(
                 "median-closure failure: majority(%s, %s, %s) = %s is not a vertex"
                 % (self.vertex_bits(u), self.vertex_bits(v), self.vertex_bits(w),
                    self.vertex_bits(median_of(u, v, w))))
-
-        if self.base_vertex not in self._vset:
-            raise InvalidComplex(
-                "base vertex %s not in vertex set"
-                % format(self.base_vertex, "0%db" % n if n else "b"))
 
     def _median_violation(self) -> tuple[int, int, int] | None:
         verts = self._verts
@@ -453,7 +518,9 @@ class CubeComplex:
         the sum over the faces F of C of ``(-1)^dim F s(F)``, ``s(F)`` the
         cubes containing F.  A (co)face k steps away is reached along k first
         steps, so both sums are k-step chain counts over the facet tables
-        (:meth:`facets`) divided by k, in exact int64.
+        (:meth:`facets`) divided by k, in exact int64.  The coface sums go
+        through float64 ``np.bincount``, exact below 2^53: a chain count is
+        at most the dimension times the number of cubes.
         """
         levels = self._levels()
         facets = [self.facets(q) for q in range(1, len(levels))]
@@ -461,8 +528,9 @@ class CubeComplex:
         up = np.ones((len(levels[-1].keys), 1), dtype=np.int64)
         s = [up.sum(axis=1)]
         for q in range(len(facets), 0, -1):
-            sums = np.zeros((len(levels[q - 1].keys), up.shape[1]), dtype=np.int64)
-            np.add.at(sums, facets[q - 1].ravel(), np.repeat(up, 2 * q, axis=0))
+            at, size = facets[q - 1].ravel(), len(levels[q - 1].keys)
+            sums = np.stack([np.bincount(at, np.repeat(col, 2 * q), size) for col in up.T],
+                            axis=1).astype(np.int64)
             up = np.hstack((np.ones_like(sums[:, :1]), _divide_exactly(sums)))
             s.insert(0, up.sum(axis=1))
         # down[:, j]: the sum of s over the codimension-j faces of each cube, bottom up

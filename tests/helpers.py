@@ -161,17 +161,19 @@ def oracle_levels(cplx: CubeComplex) -> tuple[tuple[Cube, ...], ...]:
 
 def oracle_cube_arrays(cplx: CubeComplex, cubes: tuple[Cube, ...]) -> CubeArrays:
     """``CubeArrays`` of ``cubes`` one cube at a time: bits from the
-    bitstrings, keys the integer anchor-then-complement packed into bytes."""
+    bitstrings, keys the integer anchor-then-complement packed into bytes,
+    at least 8 of them, and read as one big-endian uint64 when 8."""
     n, count = cplx.n_hyperplanes, len(cubes)
-    width = max(1, (2 * n + 7) // 8)
+    width = max(8, (2 * n + 7) // 8)
     anchor = [[int(b) for b in cplx.vertex_bits(c.anchor)] for c in cubes]
     cutting = [[int(h in c.cutting) for h in range(n)] for c in cubes]
     full = (1 << n) - 1
     keys = [((c.anchor << n | full ^ cplx.mask_of(c.cutting)) << (8 * width - 2 * n))
             .to_bytes(width, "big") for c in cubes]
+    keys = np.array(keys, dtype="V%d" % width)
     return CubeArrays(np.array(anchor, dtype=np.uint8).reshape(count, n),
                       np.array(cutting, dtype=np.uint8).reshape(count, n),
-                      np.array(keys, dtype="V%d" % width))
+                      keys.view(">u8") if width == 8 else keys)
 
 
 def oracle_facets(cplx: CubeComplex, q: int) -> np.ndarray:

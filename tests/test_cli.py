@@ -8,6 +8,7 @@ import hashlib
 import io
 import itertools
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -28,7 +29,7 @@ from helpers import (
 )
 from cubedeform import cli, deformation, differential, fredholm, symbols
 from cubedeform.cli import DEFAULT_TOLERANCES, FIELD_T_FLOOR, main
-from cubedeform.core import Cube, InvalidComplex, write_cxc
+from cubedeform.core import Cube, CubeComplex, InvalidComplex, row_ints, write_cxc
 from cubedeform.deformation import deformation_weights, pairing_value
 from cubedeform.differential import cohomology_ranks, d_matrix, term_table
 from cubedeform.fredholm import format_t
@@ -38,6 +39,7 @@ from cubedeform.generate import (
     random_median_complex,
     star_tree,
 )
+from cubedeform.parallelism import nearest_rows
 from cubedeform.symbols import (
     ps_basis,
     ps_cohomology_ranks,
@@ -367,6 +369,80 @@ def test_check_parallel_tie_at_the_base_vertex_exits_3(tmp_path, monkeypatch, ca
     assert captured.out == ""
     assert captured.err == "check parallel: internal check failed: %s\n" % oracle.value
     assert str(oracle.value) == "nearest cube in class [2] to 000 is not unique"
+
+
+def oracle_invalid_classes(cplx, classes):
+    """Per class of ``cli._classes``, whether it is invalid, one class at a
+    time: its frame coordinates collide, or ``CubeComplex`` rejects them,
+    rooted at the member nearest the base vertex; a tie for that member
+    raises AssertionError."""
+    base = cplx.cube_arrays(0).anchor[[cplx.vertex_index(cplx.base_vertex)]]
+    out = []
+    for det, members in classes:
+        bits = cplx.cube_arrays(int(det.sum())).anchor[members]
+        frame = cplx.crossing_matrix()[:, det == 1].all(axis=1)
+        coords = row_ints(bits[:, frame])
+        if len(set(coords)) != len(coords):
+            out.append(True)
+            continue
+        (home,), (tied,), _ = nearest_rows(bits.astype(np.float64), base.astype(np.float64))
+        if tied:
+            raise AssertionError("nearest cube in class %s to %s is not unique" % (
+                np.flatnonzero(det).tolist(), cplx.vertex_bits(cplx.base_vertex)))
+        try:
+            CubeComplex(int(frame.sum()), coords, coords[home])
+            out.append(False)
+        except InvalidComplex:
+            out.append(True)
+    return out
+
+
+def assert_invalid_classes_match(cplx, classes):
+    """The stacked class validation against the one-class-at-a-time oracle,
+    AssertionError messages included."""
+    try:
+        want = oracle_invalid_classes(cplx, classes)
+    except AssertionError as exc:
+        with pytest.raises(AssertionError) as got:
+            cli._invalid_classes(cplx, classes)
+        assert str(got.value) == str(exc)
+        return None
+    got = cli._invalid_classes(cplx, classes).tolist()
+    assert got == want
+    return got
+
+
+@pytest.mark.parametrize("name", helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES
+                         + helpers.WIDE_FIXTURE_NAMES + ("random0", "random1"))
+def test_stacked_class_validation_matches_the_one_class_oracle(name):
+    cplx = helpers.table_case(name)
+    assert not any(assert_invalid_classes_match(cplx, cli._classes(cplx)))
+
+
+def _doctored_classes(cplx, rng):
+    """``cli._classes`` with some classes edited: a member dropped, a cube
+    of another class of the degree added, or all but one member dropped."""
+    out = []
+    for det, members in cli._classes(cplx):
+        q, edit = int(det.sum()), rng.choice(("keep", "keep", "drop", "add", "lone"))
+        if edit == "drop" and len(members) > 1:
+            members = np.delete(members, rng.randrange(len(members)))
+        elif edit == "add":
+            members = np.union1d(members, [rng.randrange(len(cplx.cube_arrays(q).keys))])
+        elif edit == "lone":
+            members = members[:1]
+        out.append((det, members))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), k=st.integers(1, 6), seed=st.integers(0, 1 << 16),
+       edits=st.integers(0, 1 << 16))
+def test_stacked_class_validation_matches_the_one_class_oracle_hypothesis(n, k, seed, edits):
+    cplx = random_median_complex(n, k, seed)
+    cplx = rebased(cplx, cplx.vertices[edits % cplx.n_vertices])
+    assert_invalid_classes_match(cplx, cli._classes(cplx))
+    assert_invalid_classes_match(cplx, _doctored_classes(cplx, random.Random(edits)))
 
 
 def test_check_deterministic(grid_file, capsys):
@@ -1297,6 +1373,33 @@ def test_usage_errors_name_the_subcommand(argv, usage, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("usage: %s [-h]" % usage)
     assert err[-1].startswith("%s: error: " % usage)
+
+
+@pytest.mark.parametrize("argv", (
+    ["validate", "--input", "{doc}.missing"],
+    ["validate", "--input", "{bad}"],
+    ["check", "jv", "--input", "{doc}.missing"],
+    ["check", "jv", "--input", "{bad}"],
+    ["check", "jv", "--input", "{broken}"],
+    ["check", "jv", "--input", "{doc}", "--tol", "gram_psd=1"],
+    ["sweep", "--input", "{doc}.missing"],
+    ["sweep", "--input", "{broken}"],
+    ["sweep", "--input", "{doc}", "--select", "[h0|+|r=0]"],
+))
+def test_usage_errors_leave_an_existing_out_file(argv, tmp_path, capsys):
+    # --out is opened only once the input is read, parsed and checked
+    doc = tmp_path / "c2.cxc"
+    doc.write_text(write_cxc(hypercube(2)))
+    bad = tmp_path / "bad.cxc"  # not UTF-8
+    bad.write_bytes(b"\xff\xfe\x00garbage")
+    broken = tmp_path / "broken.cxc"  # UTF-8, but no cxc document
+    broken.write_text("cxc 2\n")
+    out = tmp_path / "out.txt"
+    out.write_text("keep\n")
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(doc=doc, bad=bad, broken=broken) for arg in argv] + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert out.read_text() == "keep\n"
 
 
 FUZZ_BASE = write_cxc(grid_complex([2, 1])).encode()

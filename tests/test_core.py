@@ -20,6 +20,7 @@ from cubedeform.core import (
     CxcParseError,
     InvalidComplex,
     bit_rows,
+    median_certificate,
     median_closure,
     median_hull,
     median_of,
@@ -123,8 +124,6 @@ def test_median_hull_equals_the_oracle_closure(case):
     hull = median_hull(n, seeds)
     assert hull == sorted(closed)
     assert median_closure(seeds) == closed
-    # a limit cuts the same ascending enumeration after limit + 1 members
-    assert median_hull(n, seeds, limit=len(seeds)) == hull[:len(seeds) + 1]
 
 
 def test_median_hull_edge_cases():
@@ -133,8 +132,64 @@ def test_median_hull_edge_cases():
     assert median_hull(4, [0b0110]) == [0b0110]
     assert median_hull(2, [0b00, 0b11]) == [0b00, 0b11]
     assert median_hull(3, [0b110, 0b101, 0b011]) == [0b011, 0b101, 0b110, 0b111]
-    assert median_hull(3, [0b110, 0b101, 0b011], limit=3) == [0b011, 0b101, 0b110, 0b111]
-    assert median_hull(3, [0b110, 0b101, 0b011], limit=1) == [0b011, 0b101]
+
+
+def _connected_and_closed(n, verts):
+    """The certificate's oracle: breadth-first search, then ``median_hull``."""
+    verts = sorted(verts)
+    vset, seen, stack = set(verts), {verts[0]}, [verts[0]]
+    while stack:
+        v = stack.pop()
+        for h in range(n):
+            u = v ^ 1 << h
+            if u in vset and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == len(verts) and median_hull(n, verts) == verts
+
+
+def _padded(rows, m):
+    """``rows`` followed by repeats of its last row, m rows in all."""
+    return rows[np.minimum(np.arange(m), len(rows) - 1)]
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_median_certificate_on_every_small_vertex_set(n):
+    subsets = [[v for v in range(1 << n) if mask >> v & 1] for mask in range(1, 1 << (1 << n))]
+    want = [_connected_and_closed(n, verts) for verts in subsets]
+    assert [bool(median_certificate(bit_rows(n, verts))) for verts in subsets] == want
+    # the same sets as one stack, each padded by repeating its last row
+    stack = np.stack([_padded(bit_rows(n, verts), 1 << n) for verts in subsets])
+    assert median_certificate(stack).tolist() == want
+
+
+@st.composite
+def _perturbed_hulls(draw):
+    # a median hull with one of its vertices dropped or one vertex added
+    n = draw(st.integers(1, 8))
+    hull = sorted(median_closure(draw(st.lists(st.integers(0, (1 << n) - 1),
+                                               min_size=1, max_size=6))))
+    edit = draw(st.sampled_from(("none", "drop", "add")))
+    if edit == "drop" and len(hull) > 1:
+        hull.remove(draw(st.sampled_from(hull)))
+    elif edit == "add":
+        hull = sorted({*hull, draw(st.integers(0, (1 << n) - 1))})
+    return n, hull
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_perturbed_hulls(), repeats=st.lists(st.integers(1, 3), min_size=300, max_size=300))
+def test_median_certificate_agrees_with_the_search_and_the_hull(case, repeats):
+    n, verts = case
+    want = _connected_and_closed(n, verts)
+    rows = bit_rows(n, verts)
+    assert bool(median_certificate(rows)) is want
+    # repeated rows count once, also in a stack beside the whole cube
+    repeated = np.repeat(rows, repeats[:len(rows)], axis=0)
+    cube = bit_rows(n, range(1 << n))
+    m = max(len(repeated), len(cube))
+    assert median_certificate(np.stack([_padded(repeated, m), _padded(cube, m)])).tolist() == \
+        [want, True]
 
 
 # -- construction and validation --------------------------------------------------
@@ -239,7 +294,7 @@ def test_wide_valid_complexes_are_their_own_hull(cplx):
 
 def test_hull_disagreeing_with_the_scan_is_an_error(monkeypatch):
     # a certificate that contradicts the triple scan never passes as valid
-    monkeypatch.setattr(core, "median_hull", lambda n, verts, limit=None: [])
+    monkeypatch.setattr(core, "median_certificate", lambda rows: np.zeros(rows.shape[:-2], bool))
     with pytest.raises(AssertionError, match="median hull"):
         CubeComplex(2, [0b00, 0b01, 0b10, 0b11], 0b00)
 
