@@ -86,7 +86,7 @@ from .fredholm import (
     spectral_frame,
 )
 from .generate import grid_complex, hypercube, random_median_complex, star_tree
-from .parallelism import class_rows, nearest_rows
+from .parallelism import class_rows, first_minimum, nearest_rows
 from .symbols import (
     PSSymbol,
     basis_keys,
@@ -407,9 +407,11 @@ def _classes(cplx) -> list:
 
 def _frame(cplx, det: np.ndarray) -> np.ndarray:
     """The hyperplanes that cross every one of the cutting bits ``det``, as
-    a mask, for one row or a stack of rows; none of ``det`` is among them,
-    as no hyperplane crosses itself."""
-    return np.einsum("...j,hj->...h", det.astype(np.int32), ~cplx.crossing_matrix()) == 0
+    a mask, for one row or a stack of rows of one degree q: an AND of the q
+    crossing-matrix rows of the bits, O(q n) a row; none of ``det`` is
+    among them, as no hyperplane crosses itself."""
+    bits = np.nonzero(det)[-1].reshape(det.shape[:-1] + (-1,))
+    return cplx.crossing_matrix()[bits].all(axis=-2)
 
 
 def _first_steps(cplx) -> np.ndarray:
@@ -469,49 +471,54 @@ def _invalid_classes(cplx, classes: list) -> np.ndarray:
     whose coordinates do not collide."""
     n = cplx.n_hyperplanes
     det = np.array([d for d, _ in classes], dtype=np.uint8).reshape(len(classes), n)
-    frames = _frame(cplx, det)
     sizes = np.array([len(members) for _, members in classes])
     start = np.cumsum(sizes) - sizes
     base = cplx.cube_arrays(0).anchor[cplx.vertex_index(cplx.base_vertex)]
+    frames = np.empty(det.shape, dtype=bool)
     anchors = np.empty((int(sizes.sum()), n), dtype=np.uint8)
-    bad = np.zeros(len(classes), dtype=bool)
+    dists = np.empty(len(anchors), dtype=np.min_scalar_type(n))  # to the base vertex
+    collide, bad = np.zeros((2, len(classes)), dtype=bool)
     # one run of classes of one degree at a time, in order: each class's
     # members' anchors masked to its frame and sorted by frame coordinates
     degree = det.sum(axis=1, dtype=np.int64)
     cut = np.flatnonzero(np.diff(degree, prepend=-1, append=-1)).tolist()
     for a, b in zip(cut, cut[1:]):
+        frames[a:b] = _frame(cplx, det[a:b])
         of = np.repeat(np.arange(b - a), sizes[a:b])
         rows = cplx.cube_arrays(int(degree[a])).anchor[
             np.concatenate([members for _, members in classes[a:b]])]
-        dist = (rows ^ base).sum(axis=1, dtype=np.int64)
+        dist = (rows ^ base).sum(axis=1, dtype=dists.dtype)
         rows &= frames[a:b][of]
         order = np.argsort(row_keys(rows), kind="stable")
         order = order[np.argsort(of[order], kind="stable")]
-        rows, dist, first = rows[order], dist[order], start[a:b] - start[a]
+        rows, first, at = rows[order], start[a:b] - start[a], slice(start[a], start[a] + len(rows))
         repeat = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1) & (of[1:] == of[:-1]))
-        bad[a:b] = np.bincount(of[repeat + 1], minlength=b - a) > 0
-        tied = np.bincount(of[dist == np.minimum.reduceat(dist, first)[of]], minlength=b - a) > 1
-        if (tied & ~bad[a:b]).any():
-            c = a + int(np.flatnonzero(tied & ~bad[a:b])[0])
-            raise AssertionError("nearest cube in class %s to %s is not unique" % (
-                np.flatnonzero(det[c]).tolist(), cplx.vertex_bits(cplx.base_vertex)))
+        collide[a:b] = np.bincount(of[repeat + 1], minlength=b - a) > 0
         varies = np.bitwise_or.reduceat(rows, first) != np.bitwise_and.reduceat(rows, first)
-        bad[a:b] |= (frames[a:b] & ~varies).any(axis=1)
-        anchors[start[a]:start[a] + len(rows)] = rows
+        bad[a:b] = collide[a:b] | (frames[a:b] & ~varies).any(axis=1)
+        anchors[at], dists[at] = rows, dist[order]
 
-    # each class's frame columns first, so a stack keeps only its widest frame
-    columns = np.argsort(~frames, axis=1, kind="stable")
     width = frames.sum(axis=1)
+    tied = np.zeros(len(classes), dtype=bool)
     # the padded size is 2^log2; small classes share the stack of size 16
     log2 = np.maximum(np.frexp(sizes - 1)[1], 4)
     for e in np.flatnonzero(np.bincount(log2)).tolist():
         stack, size = np.flatnonzero(log2 == e), 1 << e
-        # about _CHUNK / 16 member bits a part: the certificate's integer
-        # temporaries take a dozen bytes or so per bit
-        for part in np.array_split(stack, max(1, len(stack) * size * n // (_CHUNK // 16))):
+        # about _CHUNK / 16 member bits a part, and at least one class: the
+        # certificate's temporaries take a dozen bytes or so per bit
+        parts = -(-len(stack) * size * n // max(1, _CHUNK // 16))
+        for part in np.array_split(stack, min(len(stack), max(1, parts))):
+            pad = np.arange(size) >= sizes[part, None]
             rows = start[part, None] + np.minimum(np.arange(size), sizes[part, None] - 1)
-            cols = columns[part, None, :width[part].max()]
+            tied[part] = first_minimum(np.where(pad, np.inf, dists[rows]))[1]
+            # each class's frame columns first, so a part keeps only its widest
+            # frame; the columns past a narrower frame are 0 over its members
+            cols = np.argsort(~frames[part], axis=1, kind="stable")[:, None, :width[part].max()]
             bad[part] |= ~median_certificate(np.take_along_axis(anchors[rows], cols, axis=2))
+    if (tied & ~collide).any():
+        c = int(np.flatnonzero(tied & ~collide)[0])
+        raise AssertionError("nearest cube in class %s to %s is not unique" % (
+            np.flatnonzero(det[c]).tolist(), cplx.vertex_bits(cplx.base_vertex)))
     return bad
 
 

@@ -9,7 +9,7 @@ CAT(0) cube complex exactly when it is connected in the Hamming-1 graph
 and closed under coordinatewise majorities of triples (a median graph);
 :class:`CubeComplex` validates both at construction.  Both are certified
 by :func:`median_certificate` from the pair patterns the vertices take, in
-two integer array products of O(V n^2) for V vertices; a breadth-first
+O(V n^2) bit operations on machine words for V vertices; a breadth-first
 search, to name an unreachable vertex, and the O(V^3) scan over triples, to
 name the first violating triple, run only on a failure.
 
@@ -205,56 +205,102 @@ def median_hull(n: int, verts: Iterable[int]) -> list[int]:
     return out
 
 
+_CERTIFICATE_WORDS = 1 << 15  # machine words of one accumulator of median_certificate
+
+
+def _words(bits: np.ndarray, repeat_last: bool = False) -> np.ndarray:
+    """The 0/1 last axis of ``bits`` packed into unsigned machine words,
+    first bit highest, the word index moved to the front: one word of 1, 2,
+    4 or 8 bytes, or uint64s, the fewest that hold the bits.  The pad bits
+    are 0, or with ``repeat_last`` copies of the last bit."""
+    n = bits.shape[-1]
+    size = max(1, -(-n // 8))
+    size = 1 << (size - 1).bit_length() if size <= 8 else -(-size // 8) * 8
+    padded = np.empty(bits.shape[:-1] + (8 * size,), dtype=np.uint8)
+    padded[..., :n] = bits
+    padded[..., n:] = bits[..., -1:] if repeat_last else 0
+    words = np.packbits(padded, axis=-1).view("u%d" % min(size, 8))
+    return np.ascontiguousarray(np.moveaxis(words, -1, 0))
+
+
 def median_certificate(rows: np.ndarray) -> np.ndarray:
     """Whether each stack of 0/1 rows, shape (..., m, n), ascending within
     its stack, is median-closed and connected in the Hamming-1 graph.
     Repeated rows count once.  True proves both; False says one fails.
 
-    Pattern counts: one product gives C11, the rows with 1 at hyperplanes j
-    and k; the column sums s give the other three.  Closure: the rows'
-    median hull is the solution set of their pair patterns, and its prefix
-    walk never backtracks (see :func:`median_hull`), so the rows equal
-    their hull exactly when, at each k, the walk extends the rows' distinct
-    k-prefixes by as many other bits as there are rows whose prefixes split
-    at k.  A prefix's first row v in the stack stands for it, and the other
-    bit of v at k extends it when column k takes both values and, for every
-    j < k, some row has (x_vj, 1 - x_vk) at (j, k): a second product counts
-    the j where none has.  Connectivity, given closure: no pair j < k is
-    locked, with patterns exactly {00, 11} or {01, 10}.  Take rows u and v
-    of two components at the least distance: the row w != u of the
-    interval I(u, v) nearest u differs from u in two coordinates or more
-    (else w, in u's component, were nearer v), and any two of them are
-    locked, as a row with a third pattern there would have a median with u
-    and w strictly between them.
+    Patterns: each column's bits over the rows are packed into machine
+    words, so whether some row has a at j and b at k is an OR over the
+    words of ANDs.  Closure: the rows' median hull is the solution set of
+    their pair patterns, and its prefix walk never backtracks (see
+    :func:`median_hull`), so the rows equal their hull exactly when, at
+    each k, the walk extends the rows' distinct k-prefixes by as many
+    other bits as there are rows whose prefixes split at k.  A prefix's
+    first row v in the stack stands for it, and the other bit of v at k
+    extends it when column k takes both values and, for every j < k, some
+    row has (x_vj, 1 - x_vk) at (j, k): with the absent patterns of column
+    k packed into words over j, the j where none has are again an OR of
+    ANDs against v's packed row.  Connectivity, given closure: no pair
+    j < k is locked, with patterns exactly {00, 11} or {01, 10}.  Take
+    rows u and v of two components at the least distance: the row w != u
+    of the interval I(u, v) nearest u differs from u in two coordinates or
+    more (else w, in u's component, were nearer v), and any two of them
+    are locked, as a row with a third pattern there would have a median
+    with u and w strictly between them.  Cost: O(m n^2) bit operations in
+    words of up to 64, the accumulators bounded by ``_CERTIFICATE_WORDS``.
     """
     m, n = rows.shape[-2:]
-    # no BLAS: einsum without ``optimize`` sums in its own integer loops
-    x = rows.astype(np.int16 if max(m, 2 * n) < 1 << 15 else np.int64)
-    columns = np.ascontiguousarray(x.swapaxes(-1, -2))  # sums over v run contiguous
-    c11 = np.einsum("...jv,...kv->...jk", columns, columns)
-    s = rows.sum(axis=-2, dtype=x.dtype)
-    sj, sk = s[..., :, None], s[..., None, :]
-    # absent[2a + b]: for j < k, no row has a at j and b at k
-    absent = np.stack((sj - c11 == m - sk, c11 == sk, c11 == sj, c11 == 0))
-    absent &= np.arange(n)[:, None] < np.arange(n)
-    # blocked[v, b, k]: the j < k at which no row has (x_vj, b) at (j, k)
-    blocked = np.einsum("...vj,b...jk->...vbk", x,
-                        np.subtract(absent[2:], absent[:2], dtype=x.dtype))
-    blocked += np.moveaxis(absent[:2].sum(axis=-2, dtype=x.dtype), 0, -2)[..., None, :, :]
-    # whether the other bit, 1 - x_vk, may follow v's k-prefix
-    other = np.where(rows == 1, blocked[..., 0, :], blocked[..., 1, :]) == 0
+    lead = rows.shape[:-2]
+    if not n:  # one vertex, maybe repeated
+        return np.ones(lead, dtype=bool)
+    count = int(np.prod(lead, dtype=np.int64))
+    # ones[w, ..., j]: word w of column j's bits over the rows; zeros, its
+    # complement, the repeated last row filling the pad bits of both
+    ones = _words(rows.swapaxes(-1, -2), repeat_last=True)
+    zeros = ~ones
+    # per block of k: seen[2a + b][k, j], whether some row has a at j and b
+    # at k; its absent patterns for j < k as words over j; and whether one
+    # of its pairs is locked
+    pattern, locked = [], np.zeros(lead, dtype=bool)
+    step = max(1, _CERTIFICATE_WORDS // max(1, 4 * count * n))
+    for k in range(0, n, step):
+        at = slice(k, min(n, k + step))
+        seen = np.zeros((4,) + lead + (at.stop - k, at.stop), dtype=ones.dtype)
+        for w in range(len(ones)):
+            for a, at_j in enumerate((zeros[w, ..., None, :at.stop], ones[w, ..., None, :at.stop])):
+                seen[2 * a] |= at_j & zeros[w, ..., at, None]
+                seen[2 * a + 1] |= at_j & ones[w, ..., at, None]
+        absent = np.zeros((4,) + lead + (at.stop - k, n), dtype=bool)
+        absent[..., :at.stop] = (seen == 0) & (np.arange(at.stop) < np.arange(k, at.stop)[:, None])
+        locked |= (absent[0] & absent[3] & ~absent[1] & ~absent[2]
+                   | absent[1] & absent[2] & ~absent[0] & ~absent[3]).any(axis=(-2, -1))
+        pattern.append(np.moveaxis(_words(absent), 1, -2))
+    pattern = np.concatenate(pattern, axis=-1)  # (W, ..., 4, n)
+    # per bit b at k, the j < k where no row has (0, b), and where the rows
+    # with (0, b) and with (1, b) differ
+    zero, diff = pattern[:, ..., :2, :], pattern[:, ..., :2, :] ^ pattern[:, ..., 2:, :]
+    words = _words(rows)  # (W, ..., m)
+    other = np.empty(rows.shape, dtype=bool)
+    step = max(1, _CERTIFICATE_WORDS // max(1, 2 * count * n))
+    for v in range(0, m, step):
+        # blocked[v, b, k]: words of the j < k at which no row has (x_vj, b) at (j, k)
+        blocked = np.zeros(lead + (min(step, m - v), 2, n), dtype=words.dtype)
+        for w, k in enumerate(range(1, n, 8 * words.itemsize)):  # the k past word w's j
+            blocked[..., k:] |= zero[w, ..., None, :, k:] ^ (
+                words[w, ..., v:v + step, None, None] & diff[w, ..., None, :, k:])
+        # whether the other bit, 1 - x_vk, may follow v's k-prefix
+        other[..., v:v + step, :] = np.where(rows[..., v:v + step, :] == 1,
+                                             blocked[..., 0, :], blocked[..., 1, :]) == 0
+    s = rows.sum(axis=-2, dtype=np.int64)
     other &= ((s > 0) & (s < m))[..., None, :]
     # lcp: the first column at which each row differs from the one before,
     # -1 for the first row and n for a repeat
-    split = np.ones(rows.shape[:-2] + (m - 1, n + 1), dtype=bool)
+    split = np.ones(lead + (m - 1, n + 1), dtype=bool)
     split[..., :n] = rows[..., 1:, :] != rows[..., :-1, :]
-    lcp = np.concatenate((np.full(rows.shape[:-2] + (1,), -1), split.argmax(axis=-1)), axis=-1)
+    lcp = np.concatenate((np.full(lead + (1,), -1), split.argmax(axis=-1)), axis=-1)
     k = np.arange(n)
     closed = ((other & (lcp[..., :, None] < k)).sum(axis=-2)
               == (lcp[..., :, None] == k).sum(axis=-2)).all(axis=-1)
-    locked = (absent[0] & absent[3] & ~absent[1] & ~absent[2]
-              | absent[1] & absent[2] & ~absent[0] & ~absent[3])
-    return closed & ~locked.any(axis=(-2, -1))
+    return closed & ~locked
 
 
 def median_closure(seeds: Iterable[int]) -> frozenset[int]:

@@ -11,9 +11,11 @@ Cube rows ascend by anchor, so a class's first cube there has its smallest
 anchor, the canonical vertex of a symbol over the class (``class_anchors``).
 Nearest members come from one 0/1 matrix product over the members' bits,
 for any number of vertices and any stack of classes at once
-(``nearest_rows``).  The number of classes always equals the number of
-vertices; the explicit bijection sends a vertex to the class of the first
-cube on its normal cube path toward the base vertex.
+(``nearest_rows``); one rule tells the nearest member and its ties
+(``first_minimum``).  The
+number of classes always equals the number of vertices; the explicit
+bijection sends a vertex to the class of the first cube on its normal
+cube path toward the base vertex.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .core import CubeComplex, row_keys, row_positions
 
-__all__ = ["ClassRows", "class_anchors", "class_rows", "nearest_rows"]
+__all__ = ["ClassRows", "class_anchors", "class_rows", "first_minimum", "nearest_rows"]
 
 
 class ClassRows(NamedTuple):
@@ -81,6 +83,14 @@ def nearest_rows(bits: np.ndarray, vbits: np.ndarray) -> tuple[np.ndarray, ...]:
     minimum nor any difference of its entries.
     """
     dist = bits.sum(axis=-1)[..., None, :] - 2.0 * (vbits @ bits.swapaxes(-1, -2))
+    return (*first_minimum(dist), dist)
+
+
+def first_minimum(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The position of the first minimum over the last axis of ``dist``,
+    and whether that minimum is tied: the one nearest-member rule, which
+    ``nearest_rows`` applies to member distances and ``check parallel`` to
+    ragged classes padded with inf."""
     near = dist.argmin(axis=-1)
     # the first and the last minimum coincide exactly when it is unique
-    return near, near != dist.shape[-1] - 1 - dist[..., ::-1].argmin(axis=-1), dist
+    return near, near != dist.shape[-1] - 1 - dist[..., ::-1].argmin(axis=-1)

@@ -419,6 +419,29 @@ def test_stacked_class_validation_matches_the_one_class_oracle(name):
     assert not any(assert_invalid_classes_match(cplx, cli._classes(cplx)))
 
 
+@pytest.mark.parametrize("chunk", (0, 16, 1 << 10))
+@pytest.mark.parametrize("name", helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES
+                         + ("random0", "random1"))
+def test_stacked_class_validation_in_several_parts(name, chunk, monkeypatch):
+    # a small _CHUNK splits each stack into parts of one class or more
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    cplx = helpers.table_case(name)
+    assert not any(assert_invalid_classes_match(cplx, cli._classes(cplx)))
+    assert_invalid_classes_match(cplx, _doctored_classes(cplx, random.Random(chunk)))
+
+
+def test_check_parallel_on_a_stack_of_several_parts(tmp_path, capsys):
+    # the vertex class of a 512-leaf star, 1024 padded members over 512
+    # hyperplanes, is past one part's bits at the default _CHUNK
+    cplx = star_tree(512)
+    assert 1024 * 512 > cli._CHUNK // 16
+    assert not any(assert_invalid_classes_match(cplx, cli._classes(cplx)))
+    doc = tmp_path / "star512.cxc"
+    doc.write_text(write_cxc(cplx))
+    code, out = run(["check", "parallel", "--input", str(doc)], capsys)
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
 def _doctored_classes(cplx, rng):
     """``cli._classes`` with some classes edited: a member dropped, a cube
     of another class of the degree added, or all but one member dropped."""

@@ -153,8 +153,11 @@ def _padded(rows, m):
     return rows[np.minimum(np.arange(m), len(rows) - 1)]
 
 
+@pytest.mark.parametrize("words", (None, 1), ids=("one-block", "word-blocks"))
 @pytest.mark.parametrize("n", range(4))
-def test_median_certificate_on_every_small_vertex_set(n):
+def test_median_certificate_on_every_small_vertex_set(n, words, monkeypatch):
+    if words:  # the accumulators in blocks of a few rows and columns
+        monkeypatch.setattr(core, "_CERTIFICATE_WORDS", words)
     subsets = [[v for v in range(1 << n) if mask >> v & 1] for mask in range(1, 1 << (1 << n))]
     want = [_connected_and_closed(n, verts) for verts in subsets]
     assert [bool(median_certificate(bit_rows(n, verts))) for verts in subsets] == want
@@ -190,6 +193,26 @@ def test_median_certificate_agrees_with_the_search_and_the_hull(case, repeats):
     m = max(len(repeated), len(cube))
     assert median_certificate(np.stack([_padded(repeated, m), _padded(cube, m)])).tolist() == \
         [want, True]
+
+
+@pytest.mark.parametrize("words", (None, 1), ids=("one-block", "word-blocks"))
+@pytest.mark.parametrize("cplx", (star_tree(70), star_tree(130), grid_complex([70]),
+                                  grid_complex([62, 3])),
+                         ids=("star70", "star130", "path70", "grid62x3"))
+def test_median_certificate_across_machine_words(cplx, words, monkeypatch):
+    # more than 64 rows and columns: patterns and rows span several words;
+    # each vertex dropped or with one bit flipped, against the oracle
+    if words:
+        monkeypatch.setattr(core, "_CERTIFICATE_WORDS", words)
+    n, verts = cplx.n_hyperplanes, list(cplx.vertices)
+    assert n > 64 and len(verts) > 64
+    assert median_certificate(bit_rows(n, verts))
+    rng = random.Random(n)
+    for v in rng.sample(verts, 3) + verts[:1]:
+        dropped = [u for u in verts if u != v]
+        flipped = sorted({*verts, v ^ 1 << rng.randrange(n)})
+        for case in (dropped, flipped):
+            assert bool(median_certificate(bit_rows(n, case))) is _connected_and_closed(n, case)
 
 
 # -- construction and validation --------------------------------------------------

@@ -27,7 +27,7 @@ from helpers import (
 from cubedeform import deformation
 from cubedeform.core import Cube, bit_rows, column_bits, row_keys
 from cubedeform.generate import random_median_complex
-from cubedeform.parallelism import class_anchors, class_rows, nearest_rows
+from cubedeform.parallelism import class_anchors, class_rows, first_minimum, nearest_rows
 from oracles import (
     cube_distance_to_vertex,
     distance,
@@ -200,6 +200,18 @@ def test_nearest_rows_is_the_per_class_rule(name):
         assert dist.shape == (cplx.n_vertices, len(klass.members))
         stacked = nearest_rows(np.stack([bits, bits[::-1]]), vbits)
         assert stacked[0].tolist() == [best.tolist(), (len(bits) - 1 - best).tolist()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(segments=st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=6),
+                         min_size=1, max_size=8))
+def test_first_minimum_of_ragged_rows_padded_with_inf(segments):
+    # ragged rows padded with inf, as check parallel stacks its classes
+    width = max(map(len, segments))
+    dist = np.array([segment + [np.inf] * (width - len(segment)) for segment in segments])
+    near, tied = first_minimum(dist)
+    assert near.tolist() == [segment.index(min(segment)) for segment in segments]
+    assert tied.tolist() == [segment.count(min(segment)) > 1 for segment in segments]
 
 
 def sabotaged(members):
