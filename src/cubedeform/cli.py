@@ -9,22 +9,23 @@ Commands:
 
 Exit codes: 0 on success, 1 when validation or a check suite fails, 2 on
 usage errors (an ``--input`` that cannot be read as UTF-8 text, an
-``--out`` that cannot be opened, a negative ``--seed``,
-a ``--tol`` name outside the suite's table or a NaN threshold among
-them: all are caught before a suite or a sweep starts; ``--out`` is
-opened once the input is read and parsed, so a usage error leaves an
-existing file as it was), 3 when a check suite
-breaks down: a matrix singular to working precision at an extreme t, an
-allocation the machine cannot meet (``MemoryError``), or one of the
-package's own invariant checks failing (``AssertionError``, such as a
-parallelism class that is not connected). Exit 3 writes one line to
+``--out`` that cannot be opened, an option the subcommand does not take
+(only ``gen random-median`` takes a ``--seed``), a ``--tol`` name
+outside the suite's table or a NaN threshold among them: all are caught
+before a suite or a sweep starts; ``--out`` is opened once the input is
+read and parsed, so a usage error leaves an existing file as it was), 3
+when a check suite breaks down: a matrix singular to working precision
+at an extreme t, an allocation the machine cannot meet
+(``MemoryError``), or one of the package's own invariant checks failing
+(``AssertionError``, such as a parallelism class that is not connected
+or crossing moves that do not close a square). Exit 3 writes one line to
 stderr and nothing to stdout. ``check field`` holds only for
 t >= FIELD_T_FLOOR (1e-6): below it ``U_t`` is too ill-conditioned for
 float64 and its identities fail by rounding alone, so a smaller t exits
 3 before any computation. The floor is not sharp on every complex: on
 ``gen random-median --n 14 --k 10 --seed 3``, ``d_t_adjoint`` at t = 1e-6
 reads 1.28e-9, over its 1e-9 threshold, so that check fails (exit 1).
-The same command, seed and input give the same bytes for a fixed BLAS
+The same command and input give the same bytes for a fixed BLAS
 thread count; the thread count can move the last bits of the float
 residuals of ``check field``.
 """
@@ -60,8 +61,8 @@ from .deformation import (
     pair_blocks,
     pairing_table,
     pairing_value,
+    path_residual,
     polynomial_value,
-    random_loop_residual,
     segment_add,
     symbol_representative,
     w_hat_blocks,
@@ -671,8 +672,7 @@ def _suite_field(cplx, args):
                 below = d_t
             d_t = None
 
-    loops = random_loop_residual(cplx, np.random.default_rng(args.seed),
-                                 [t for t in loop_grid if t != INF])
+    loops = path_residual(cplx, [t for t in loop_grid if t != INF])
 
     unitary = 0.0
     neighbor = base_neighbor(cplx)
@@ -896,7 +896,6 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("suite", choices=sorted(_SUITES))
     chk.add_argument("--input", required=True)
     chk.add_argument("--out")
-    chk.add_argument("--seed", type=int, default=0)
     chk.add_argument("--t", dest="t")
     chk.add_argument("--tol", action="append", default=[],
                      help="override a threshold, name=value; repeatable")
@@ -930,8 +929,6 @@ def main(argv: list[str] | None = None) -> int:
     t = getattr(args, "t", None)
     args.t_grid = _parse_t_grid(t, parser) if t else None
     if args.command == "check":
-        if args.seed < 0:
-            parser.error("--seed must be a non-negative integer, got %d" % args.seed)
         args.tolerances = _parse_tols(args.suite, args.tol, parser)
     with contextlib.ExitStack() as stack:
         return _COMMANDS[args.command](

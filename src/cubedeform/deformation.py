@@ -34,15 +34,15 @@ Gram blocks (powers of x indexed by member separations) and the U_t
 blocks per stack, with a leading t axis, and ``pair_blocks`` U^-1 d U on
 the class pairs d links, from one class-pair index, one gather of frame
 rows, one sorted segment sum (``segment_add``) and one batched solve over
-all finite t per stack pair.  ``random_loop_residual`` goes one level
-further down: a loop's product is block diagonal on the member sets its
-moves mix, so those blocks, stacked by size over all loops of every t,
-are what it rotates, blocks with the same t and moves once.  Only blocks
-whose Frobenius norm can beat the running maximum get singular values:
-sigma_max <= ||.||_F, so the maximum is the one of all of them, bit for
-bit.  Its random walks replay numpy's bounded
-integer draws on one block of generator words per class, so a seed picks
-the walks that one ``rng.integers`` call per step would.
+all finite t per stack pair.  ``path_residual`` checks that the moves are
+path independent without sampling a walk.  A class spans a CAT(0) cube
+complex, whose square complex is simply connected (Sageev 1995; Chepoi
+2000 for median graphs), so every closed walk is a product of backtracks
+and squares, and the moves compose to the identity around every closed
+walk when they do forth and back across every edge and around every
+square.  Those products are blocks of two and four members, found through
+the move tables' own partners; a block depends only on the signs of its
+moves and on (a, b), so the distinct ones are decomposed once per t.
 
 On top of that sit the basic cochains (alternating sums over the parallel
 copies of a face inside an ambient cube) and their t-scaled pairings,
@@ -89,8 +89,8 @@ __all__ = [
     "pairing_polynomial",
     "pairing_table",
     "pairing_value",
+    "path_residual",
     "polynomial_value",
-    "random_loop_residual",
     "segment_add",
     "step_coefficients",
     "symbol_representative",
@@ -142,8 +142,8 @@ class _Group(NamedTuple):
     nonzero and 1 elsewhere, A = a sign; row 0 and padding rows are the
     identity.  A move's key is its row in the flattened tables ``moves``,
     so key 0 pads any path.  ``nbr`` (k, m, w) lists each member's
-    neighbors ascending, padded with m, and ``fwd`` and ``back`` the keys
-    of the moves to them and back, padded with 0.
+    neighbors ascending, padded with m, and ``back`` the keys of the moves
+    from them back, padded with 0.
     """
 
     ids: np.ndarray
@@ -152,7 +152,6 @@ class _Group(NamedTuple):
     bits: np.ndarray
     dist: np.ndarray
     nbr: np.ndarray
-    fwd: np.ndarray
     back: np.ndarray
     perm: np.ndarray
     sign: np.ndarray
@@ -218,15 +217,15 @@ def _groups(cplx: CubeComplex, q: int) -> tuple[_Group, ...]:
             node = c * m + u
             degree = np.bincount(node, minlength=k * m)
             at = np.arange(len(node)) - np.repeat(np.cumsum(degree) - degree, degree)
-            tables = np.zeros((3, k * m, max(degree, default=0)), dtype=np.intp)
-            tables[0], tables[:, node, at] = m, (v, fwd, back)
+            tables = np.zeros((2, k * m, max(degree, default=0)), dtype=np.intp)
+            tables[0], tables[:, node, at] = m, (v, back)
             cols = order[start[ids, None] + np.arange(m)]
             bits = level.anchor[cols].astype(np.float64)
             ones = bits.sum(axis=2)
             dist = ones[:, :, None] + ones[:, None, :] - 2.0 * (bits @ bits.transpose(0, 2, 1))
             out.append(_Group(ids, np.nonzero(rows.sets[ids])[1].reshape(k, q), cols, bits,
                               dist.astype(np.min_scalar_type(n)),
-                              *tables.reshape(3, k, m, tables.shape[2]),
+                              *tables.reshape(2, k, m, tables.shape[2]),
                               perm.reshape(k, r, m), sign.reshape(k, r, m)))
         return tuple(out)
 
@@ -358,258 +357,107 @@ def _moves_blocks(group: _Group, keys: np.ndarray, ab: tuple, exact: bool) -> np
     return out
 
 
-_WORD = 1 << 32
-_LOW = _WORD - 1
+# The local moves of the two relations, row s holding each member's partner
+# at step s: an edge (u, v) crossed forth and back, and a square
+# (u00, u10, u01, u11) crossed across H1, across H2, back across H1 and back
+# across H2.
+_EDGE = np.array([[1, 0]] * 2)
+_SQUARE = np.array([[1, 0, 3, 2], [2, 3, 0, 1]] * 2)
 
 
-def _bounded(word, bound: int) -> int:
-    """numpy's bounded integer ``rng.integers(bound)``, replayed on the
-    generator's 32-bit words: ``word()`` is the next one.
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of non-negative ``codes``, ascending."""
+    codes = np.sort(codes)
+    return codes[np.diff(codes, prepend=-1) != 0]
 
-    A bound of 1 takes no word.  Any other bound b takes words w until the
-    low half of w b is at least (2^32 - b) mod b (Lemire's rejection; the
-    floor is only worked out when the low half is below b, which bounds
-    it) and returns the high half.
+
+def _signs(sign: np.ndarray, c, rows, members) -> np.ndarray:
+    """The ``_distinct`` patterns of signs ``sign[c, rows[s], members[i]]``
+    of the relations over their steps s and members i, two bits each (the
+    sign plus 1) packed into one integer per relation."""
+    code = np.zeros(len(c), dtype=np.int64)
+    for s, row in enumerate(rows):
+        for i, member in enumerate(members):
+            code |= (sign[c, row, member] + 1).astype(np.int64) << 2 * (s * len(members) + i)
+    return _distinct(code)
+
+
+def _relations(group: _Group) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_signs`` of the edges and of the squares of ``group``'s
+    classes.
+
+    Partners are read from the move tables alone: the moves across a
+    class's j-th hyperplane, rows 2j + 1 and 2j + 2, must swap the same
+    pairs of members.  An edge is such a pair (u, v), u < v as the 0-side
+    anchor is the smaller; its steps are rows 2j + 1 then 2j + 2.  A square
+    has its corner u00 at the smaller end of pairs across j1 < j2, with
+    partners u10 and u01: where either has a partner across the other
+    hyperplane, the two must share it, u11, else AssertionError.  Its steps
+    are rows 2 j1 + 1, 2 j2 + 1, 2 j1 + 2 and 2 j2 + 2.
     """
-    if bound == 1:
-        return 0
-    x = word() * bound
-    if x & _LOW < bound:
-        floor = (_WORD - bound) % bound
-        while x & _LOW < floor:
-            x = word() * bound
-    return x >> 32
+    perm, sign = group.perm, group.sign
+    fwd, member = perm[:, 1::2], np.arange(perm.shape[2])
+    if not (np.array_equal(fwd, perm[:, 2::2])
+            and (np.take_along_axis(fwd, fwd, axis=2) == member).all()):
+        raise AssertionError("crossing moves do not swap pairs of class members")
+    c, u, j = np.nonzero((fwd > member).transpose(0, 2, 1))  # by (class, member, j)
+    v = fwd[c, j, u]
+    edges = _signs(sign, c, (2 * j + 1, 2 * j + 2), (u, v))
+    # corners: every two pairs from one member, the first across the smaller j
+    node = c * len(member) + u
+    later = np.searchsorted(node, node, side="right") - 1 - np.arange(len(node))
+    first = np.repeat(np.arange(len(node)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    c, j1, j2, u00, u10, u01 = c[first], j[first], j[second], u[first], v[first], v[second]
+    u11, other = fwd[c, j2, u10], fwd[c, j1, u01]
+    square = (u11 != u10) | (other != u01)
+    if (u11 != other)[square].any():
+        raise AssertionError("crossing moves across two hyperplanes do not close a square")
+    c, j1, j2, u00, u10, u01, u11 = (a[square] for a in (c, j1, j2, u00, u10, u01, u11))
+    squares = _signs(sign, c, (2 * j1 + 1, 2 * j2 + 1, 2 * j1 + 2, 2 * j2 + 2),
+                     (u00, u10, u01, u11))
+    return edges, squares
 
 
-def _replayed(rng, size: int, draws):
-    """``draws(word)`` on a block of ``size`` 32-bit words of ``rng``,
-    ``word()`` giving the next one; the block doubles while it runs short.
-
-    The generator is then reset and advanced by the words used, so it ends
-    where the scalar calls that ``draws`` replays leave it.
-    """
-    state = rng.bit_generator.state
-    while True:
-        left = iter(rng.integers(0, _WORD, size=size, dtype=np.uint32).tolist())
-        try:
-            out = draws(left.__next__)
-            break
-        except StopIteration:
-            rng.bit_generator.state = state
-            size *= 2
-    rng.bit_generator.state = state
-    rng.integers(0, _WORD, size=size - len(list(left)), dtype=np.uint32)
-    return out
-
-
-def _walks(group: _Group, c: int, rng, loops: int, walk_length: int) -> tuple:
-    """``loops`` random walks in class ``c`` of ``group``: their starts,
-    their ends and the keys of their moves (loops, walk_length).
-
-    A walk draws its start among the members, then each next member among
-    the current one's neighbors in ascending order, as one scalar
-    ``rng.integers`` call per draw would, replayed by ``_bounded`` on one
-    block of words.
-    """
-    m = group.cols.shape[1]
-    near, fwd = group.nbr[c].tolist(), group.fwd[c].tolist()
-    degree = (group.nbr[c] < m).sum(axis=1).tolist()
-
-    def draws(word):
-        starts, ends, keys = [], [], []
-        for _ in range(loops):
-            cur = _bounded(word, m)
-            starts.append(cur)
-            for _ in range(walk_length):
-                if not degree[cur]:
-                    raise AssertionError("parallelism class is not connected")
-                pick = _bounded(word, degree[cur])
-                cur, key = near[cur][pick], fwd[cur][pick]
-                keys.append(key)
-            ends.append(cur)
-        return starts, ends, keys
-
-    # a bound far below 2^32 rarely rejects a word: a few spare words will do
-    starts, ends, keys = _replayed(rng, loops * (walk_length + 1) + 64, draws)
-    return (np.array(starts, dtype=np.intp), np.array(ends, dtype=np.intp),
-            np.array(keys, dtype=np.intp).reshape(loops, walk_length))
-
-
-# Elements of the largest arrays that one chunk of loops or of loop blocks holds.
-_CHUNK = 1 << 20
-
-
-def _loop_moves(groups: list, walks: list, loops: int):
-    """Every loop's moves, by group.
-
-    ``walks[k][g, c]`` holds the ``_walks`` of class c of ``groups[g]`` at
-    the k-th t.  Yields, per group, the t index of each loop and the
-    group's ``moves`` and keys, one loop per row of keys: the walk first,
-    then the tree path back to its start.
-    """
-    for g, group in enumerate(groups):
-        k = len(group.cols)
-        starts, ends, steps = (np.concatenate(part) for part in zip(
-            *(walks_at_t[g, c] for walks_at_t in walks for c in range(k))))
-        cls = np.tile(np.repeat(np.arange(k), loops), len(walks))
-        keys = np.concatenate([steps, _tree_paths(group, cls, starts, ends)], axis=1)
-        yield np.repeat(np.arange(len(walks)), k * loops), *group.moves, keys
-
-
-def _chunks(parts, budget: int):
-    """Consecutive ``_loop_moves`` parts, grouped while their loops hold at
-    most ``budget`` (member, step) cells; a larger part goes alone."""
-    chunk, cells, width = [], 0, 0
-    for part in parts:
-        (loops, steps), m = part[3].shape, part[1].shape[1]
-        if chunk and (cells + loops * m) * max(width, steps) > budget:
-            yield chunk
-            chunk, cells, width = [], 0, 0
-        chunk.append(part)
-        cells, width = cells + loops * m, max(width, steps)
-    if chunk:
-        yield chunk
-
-
-def _loop_blocks(parts: list):
-    """Cut loops into the member sets their moves mix.
-
-    ``parts`` are ``_loop_moves`` parts.  A loop's moves only mix members
-    joined through the pairs the moves make, so its product is block
-    diagonal on those sets and the identity on untouched members.  Every
-    (loop, member) of every part is one node here, and a set is the
-    nodes that the pairs join.  Returns, per set size c >= 2, every such
-    set's t index and its moves in local member order: (t index, perm,
-    sign), the last two (sets, steps, c), shorter loops padded with the
-    identity.  Members keep their class order, so the block products are
-    bit for bit those of the whole class.
-    """
-    width = max(keys.shape[1] for *_, keys in parts)
-    n = sum(len(keys) * perm.shape[1] for _, perm, _, keys in parts)
-    # step s sends node i to node partner[s, i]; node numbers fit 32 bits
-    partner = np.tile(np.arange(n, dtype=np.int32), (width, 1))
-    sign = np.zeros((width, n), dtype=np.int8)
-    t_of = np.empty(n, dtype=np.intp)
-    base = 0
-    for t, perm, sgn, keys in parts:
-        (loops, steps), m = keys.shape, perm.shape[1]
-        nodes = slice(base, base + loops * m)
-        first = base + m * np.arange(loops)[:, None, None]
-        partner[:steps, nodes] = (perm[keys.T] + first.transpose(1, 0, 2)).reshape(steps, -1)
-        sign[:steps, nodes] = sgn[keys.T].reshape(steps, -1)
-        t_of[nodes] = np.repeat(t, m)
-        base += loops * m
-    label = np.arange(n, dtype=np.int32)
-    while True:  # smallest node of each set, propagated along the pairs
-        before = label
-        for step in partner:
-            label = np.minimum(label, label[step])
-        label = label[label]  # a node's label is its label's label
-        if np.array_equal(label, before):
-            break
-    order = np.argsort(label, kind="stable")
-    _, start, size = np.unique(label[order], return_index=True, return_counts=True)
-    local = np.empty(n, dtype=np.int32)
-    local[order] = np.arange(n) - np.repeat(start, size)
-    out = []
-    for c in np.flatnonzero(np.bincount(size)[2:]) + 2:  # the set sizes c >= 2, ascending
-        sets = order[start[size == c, None] + np.arange(c)]
-        out.append((t_of[sets[:, 0]],
-                    local[partner[:, sets]].transpose(1, 0, 2).astype(np.min_scalar_type(c)),
-                    sign[:, sets].transpose(1, 0, 2)))
-    return out
-
-
-def _distinct(t_of: np.ndarray, perm: np.ndarray, sign: np.ndarray) -> tuple:
-    """The ``_loop_blocks`` entries of one size with their repeats left out:
-    blocks with the same t and the same moves have the same product."""
-    n = len(t_of)
-    rows = np.concatenate([part.reshape(n, -1).view(np.uint8)
-                           for part in (t_of.astype(np.int64), perm, sign)], axis=1)
-    keep = np.sort(np.unique(rows.view("V%d" % rows.shape[1]).ravel(), return_index=True)[1])
-    return t_of[keep], perm[keep], sign[keep]
-
-
-def _top_singular(stack: np.ndarray, worst: float = 0.0) -> float:
-    """The larger of ``worst`` and the largest singular value over a stack
-    of blocks, decomposing only blocks that can raise it.
-
-    sigma_max <= ||.||_F, so a block whose Frobenius norm times (1 + 1e-8)
-    (room for the rounding of either) is at most the running maximum
-    cannot set it.  The blocks go largest norm first, in batches doubling
-    from one, and each batch decomposes the blocks of it still above the
-    running maximum.  Every singular value taken is the one a single
-    batched call over all blocks gives, so the maximum is bit for bit.
-    """
-    norm = np.sqrt(np.einsum("ijk,ijk->i", stack, stack))
-    order = np.argsort(-norm, kind="stable")
-    at, size = 0, 1
-    while at < len(order) and norm[order[at]] * (1 + 1e-8) > worst:
-        batch = order[at:at + size]
-        batch = batch[norm[batch] * (1 + 1e-8) > worst]
-        worst = max(worst, float(np.linalg.svd(stack[batch], compute_uv=False).max()))
-        at, size = at + size, 2 * size
-    return worst
-
-
-def _block_residual(perm: np.ndarray, sign: np.ndarray, ab: np.ndarray,
-                    worst: float = 0.0) -> float:
-    """The larger of ``worst`` and the largest singular value of P - I over
-    a stack of c x c loop products P, each the identity moved by its own
-    (perm, sign) steps and its own (a, b) = ``ab[:, i]``.  The blocks are
-    rotated longest first, so finished blocks drop out, and a chunk at a
-    time, each chunk going through ``_top_singular``."""
-    n, width, c = perm.shape
-    moving = sign.any(axis=2)
-    longest_first = np.argsort(np.argmax(moving[:, ::-1], axis=1), kind="stable")
-    perm, sign, ab = perm[longest_first], sign[longest_first], ab[:, longest_first]
-    diag = np.arange(c)
-    rows = max(1, _CHUNK // (c * max(c, width)))
-    for at in range(0, n, rows):
-        cut = slice(at, at + rows)
-        stack = np.tile(np.identity(c), (len(perm[cut]), 1, 1))
-        _rotate(stack, perm[cut], sign[cut], tuple(ab[:, cut]))
-        stack[:, diag, diag] -= 1.0
-        worst = _top_singular(stack, worst)
-    return worst
-
-
-def random_loop_residual(cplx: CubeComplex, rng, ts: Iterable[float],
-                         loops: int = 20, walk_length: int = 8) -> float:
-    """Worst deviation from the identity over random closed member walks.
-
-    For each t of ``ts`` in turn, in every class of two or more members,
-    each loop starts at a random member, takes ``walk_length`` steps to
-    random neighbors and returns to the start along the breadth-first tree
-    path.  The walks are drawn class by class, start then each neighbor,
-    so a seed picks the same loops as one call per t.  A loop's product is
-    block diagonal on the member sets its moves mix, and its deviation is
-    the largest over those blocks: the blocks of all loops of every t,
-    over classes of every size, are stacked by block size and rotated
-    move by move, each with its own t.  Blocks with the same t and moves
-    are taken once, and singular values only of blocks whose Frobenius
-    norm can beat the running maximum (``_top_singular``), which leaves
-    the maximum bit for bit.  Work goes in chunks of bounded size.
-    """
-    ts = list(ts)
-    if not ts:
+def _relation_residual(codes: np.ndarray, perm: np.ndarray, ab: np.ndarray) -> float:
+    """The largest singular value of P - I over the relations of the local
+    moves ``perm`` with the packed signs ``codes``, at each (a, b) of
+    ``ab``: each distinct one moved and decomposed once."""
+    codes = _distinct(codes)
+    steps, c = perm.shape
+    sign = ((codes[:, None] >> 2 * np.arange(steps * c)) & 3).astype(np.int8) - 1
+    n = len(codes) * ab.shape[1]
+    if not n:
         return 0.0
-    # the classes of two or more members in (degree, determining set) order
-    groups, classes = [], []
-    for q in range(cplx.dimension + 1):
-        here = [group for group in _groups(cplx, q) if group.cols.shape[1] > 1]
-        classes += sorted((i, len(groups) + g, c) for g, group in enumerate(here)
-                          for c, i in enumerate(group.ids.tolist()))
-        groups += here
-    walks = [{(g, c): _walks(groups[g], c, rng, loops, walk_length) for _, g, c in classes}
-             for _ in ts]
+    stack = np.tile(np.identity(c), (n, 1, 1))
+    _rotate(stack, np.broadcast_to(perm, (n, steps, c)),
+            np.tile(sign.reshape(-1, steps, c), (ab.shape[1], 1, 1)),
+            tuple(np.repeat(ab, len(codes), axis=1)))
+    stack[:, np.arange(c), np.arange(c)] -= 1.0
+    return float(np.linalg.svd(stack, compute_uv=False).max())
+
+
+def path_residual(cplx: CubeComplex, ts: Iterable[float]) -> float:
+    """Worst deviation from the identity of a closed walk of crossing moves
+    in a parallelism class, over the t's of ``ts``.
+
+    Each class spans a CAT(0) cube complex, whose square complex is simply
+    connected (Sageev 1995; Chepoi 2000 for median graphs), so every closed
+    walk is a product of backtracks and squares.  Its moves compose to the
+    identity when every move forth then back does and the four moves
+    around every square do (``_relations``).  Those products are block
+    diagonal, on an edge's two members and on a square's four, and a block
+    depends only on the signs of its moves and on (a, b): the distinct
+    ones, over every class, are decomposed once per t.
+    """
     ab = np.array([step_coefficients(t) for t in ts]).reshape(-1, 2).T
-    worst = 0.0
-    for chunk in _chunks(_loop_moves(groups, walks, loops), _CHUNK):
-        for t_of, perm, sign in _loop_blocks(chunk):
-            t_of, perm, sign = _distinct(t_of, perm, sign)
-            worst = _block_residual(perm, sign, ab[:, t_of], worst)
-    return worst
+    found = [], []
+    for q in range(cplx.dimension + 1):
+        for group in _groups(cplx, q):
+            for codes, got in zip(found, _relations(group)):
+                codes.append(got)
+    return max(_relation_residual(np.concatenate(codes), perm, ab)
+               for codes, perm in zip(found, (_EDGE, _SQUARE)))
 
 
 def _nearest(cplx: CubeComplex, group: _Group, vertices) -> tuple[np.ndarray, np.ndarray]:

@@ -373,7 +373,8 @@ def oracle_unique_nearest(cplx: CubeComplex, vertex: int, klass: ParallelClass) 
 class GroupClass(NamedTuple):
     """Class ``c`` of a ``deformation._groups`` record, its members, and
     the key of each of its moves by (hyperplane, source side), read off
-    its ``nbr`` and ``fwd`` rows."""
+    its ``nbr`` and ``back`` rows: the move back from a neighbor starts on
+    the neighbor's side."""
 
     group: object
     c: int
@@ -389,12 +390,12 @@ def group_class(cplx: CubeComplex, klass: ParallelClass) -> GroupClass:
         if len(hit):
             c, m = int(hit[0]), len(klass.members)
             move_key = {}
-            for i, (near, keys) in enumerate(zip(group.nbr[c].tolist(), group.fwd[c].tolist())):
+            for i, (near, keys) in enumerate(zip(group.nbr[c].tolist(), group.back[c].tolist())):
                 a = klass.members[i].anchor
                 for j, key in zip(near, keys):
                     if j < m:
                         h = hyperplane_of_mask(cplx, a ^ klass.members[j].anchor)
-                        move_key[h, 1 if a & cplx.mask(h) else 0] = key
+                        move_key[h, 0 if a & cplx.mask(h) else 1] = key
             return GroupClass(group, c, klass.members, move_key)
     raise KeyError(klass.determining)
 
@@ -492,27 +493,6 @@ def oracle_path_keys(tree: list, start: int) -> list[int]:
         start, key = tree[start]
         keys.append(key)
     return keys
-
-
-def oracle_walks(cplx: CubeComplex, view: GroupClass, rng, loops: int = 20,
-                 walk_length: int = 8) -> tuple[list, list, list]:
-    """Random walks in a class by one scalar ``rng.integers`` call per
-    draw: (starts, ends, move keys per walk)."""
-    steps = _oracle_steps(cplx, view)
-    starts, ends, keys = [], [], []
-    for _ in range(loops):
-        start = cur = int(rng.integers(len(steps)))
-        walk = []
-        for _step in range(walk_length):
-            nbrs = steps[cur]
-            if not nbrs:
-                break
-            cur, key = nbrs[int(rng.integers(len(nbrs)))]
-            walk.append(key)
-        starts.append(start)
-        ends.append(cur)
-        keys.append(walk)
-    return starts, ends, keys
 
 
 def random_loop_residual(cplx: CubeComplex, rng, t: float,
@@ -714,39 +694,38 @@ def oracle_field_frames(cplx: CubeComplex, t_grid: tuple | None) -> dict:
             "d_t_squared": square, "d_t_adjoint": adjoint}
 
 
-def oracle_loop_residual(cplx: CubeComplex, rng, ts, loops: int = 20,
-                         walk_length: int = 8) -> float:
-    """``random_loop_residual`` with every loop block rotated and handed to
-    one batched singular-value call per chunk: none merged, none skipped."""
-    groups, classes = [], []
-    for q in range(cplx.dimension + 1):
-        here = [group for group in deformation._groups(cplx, q) if group.cols.shape[1] > 1]
-        classes += sorted((i, len(groups) + g, c) for g, group in enumerate(here)
-                          for c, i in enumerate(group.ids.tolist()))
-        groups += here
-    walks = [{(g, c): deformation._walks(groups[g], c, rng, loops, walk_length)
-              for _, g, c in classes} for _ in ts]
-    ab = np.array([step_coefficients(t) for t in ts]).reshape(-1, 2).T
+def oracle_path_residual(cplx: CubeComplex, ts) -> float:
+    """``path_residual`` from whole-class matrices written by
+    ``oracle_w_step_matrix``: per class and t, back after forth across each
+    of its hyperplanes, and W2^-1 W1^-1 W2 W1 for each two of them that
+    cross in the class, that is, cut a cube two degrees up together with
+    its determining set."""
     worst = 0.0
-    parts = deformation._loop_moves(groups, walks, loops)
-    for chunk in deformation._chunks(parts, deformation._CHUNK):
-        for t_of, perm, sign in deformation._loop_blocks(chunk):
-            n, width, c = perm.shape
-            rows = max(1, deformation._CHUNK // (c * max(c, width)))
-            for at in range(0, n, rows):
-                cut = slice(at, at + rows)
-                stack = np.tile(np.identity(c), (len(perm[cut]), 1, 1))
-                deformation._rotate(stack, perm[cut], sign[cut], tuple(ab[:, t_of[cut]]))
-                stack[:, np.arange(c), np.arange(c)] -= 1.0
-                worst = max(worst, float(np.linalg.svd(stack, compute_uv=False).max()))
+    for klass in enumerate_classes(cplx):
+        det, members = klass.determining, klass.members
+        hyperplanes = sorted({hyperplane_of_mask(cplx, u.anchor ^ v.anchor)
+                              for u, v in combinations(members, 2)
+                              if (u.anchor ^ v.anchor).bit_count() == 1})
+        up = len(det) + 2
+        above = {c.cutting for c in cplx.cubes(up)} if up <= cplx.dimension else ()
+        crossing = [(h1, h2) for h1, h2 in combinations(hyperplanes, 2)
+                    if tuple(sorted(det + (h1, h2))) in above]
+        eye = np.identity(len(members))
+        for t in ts:
+            forth = {h: oracle_w_step_matrix(cplx, Cube(0, det), h, t) for h in hyperplanes}
+            back = {h: oracle_w_step_matrix(cplx, Cube(cplx.mask(h), det), h, t)
+                    for h in hyperplanes}
+            products = [back[h] @ forth[h] for h in hyperplanes]
+            products += [back[h2] @ back[h1] @ forth[h2] @ forth[h1] for h1, h2 in crossing]
+            for product in products:
+                worst = max(worst, float(np.linalg.norm(product - eye, 2)))
     return worst
 
 
-def oracle_field_residuals(cplx: CubeComplex, t_grid: tuple | None, seed: int,
-                           frames: dict | None = None) -> dict:
-    """Every residual of ``check field``: ``oracle_field_frames`` (or
-    ``frames``, computed by it), ``oracle_loop_residual`` over the loop grid
-    and the base-point change."""
+def oracle_field_residuals(cplx: CubeComplex, t_grid: tuple | None) -> dict:
+    """Every residual of ``check field``: ``oracle_field_frames``,
+    ``oracle_path_residual`` over the finite t's of the loop grid and the
+    base-point change."""
     loop_grid = [t for t in t_grid or (0.3, 1.0) if t != float("inf")]
     unitary = 0.0
     neighbor = base_neighbor(cplx)
@@ -754,9 +733,8 @@ def oracle_field_residuals(cplx: CubeComplex, t_grid: tuple | None, seed: int,
         for q in range(cplx.dimension + 1):
             for _, block in w_hat_blocks(cplx, q, neighbor, cplx.base_vertex, t=1.0):
                 unitary = max(unitary, float(np.abs(block.T @ block - np.eye(len(block))).max()))
-    return {**(frames or oracle_field_frames(cplx, t_grid)),
-            "path_independence": oracle_loop_residual(cplx, np.random.default_rng(seed),
-                                                      loop_grid),
+    return {**oracle_field_frames(cplx, t_grid),
+            "path_independence": oracle_path_residual(cplx, loop_grid),
             "w_hat_unitary": unitary}
 
 

@@ -29,10 +29,10 @@ from helpers import (
 )
 from cubedeform import cli, deformation, differential, fredholm, symbols
 from cubedeform.cli import DEFAULT_TOLERANCES, FIELD_T_FLOOR, main
-from cubedeform.core import Cube, CubeComplex, InvalidComplex, row_ints, write_cxc
+from cubedeform.core import Cube, CubeComplex, InvalidComplex, parse_cxc, row_ints, write_cxc
 from cubedeform.deformation import deformation_weights, pairing_value
 from cubedeform.differential import cohomology_ranks, d_matrix, term_table
-from cubedeform.fredholm import format_t
+from cubedeform.fredholm import format_t, graded_offsets
 from cubedeform.generate import (
     grid_complex,
     hypercube,
@@ -469,26 +469,17 @@ def test_stacked_class_validation_matches_the_one_class_oracle_hypothesis(n, k, 
 
 
 def test_check_deterministic(grid_file, capsys):
-    argv = ["check", "field", "--input", grid_file, "--seed", "4"]
+    argv = ["check", "field", "--input", grid_file]
     _, first = run(argv, capsys)
     _, second = run(argv, capsys)
     assert first == second
 
 
-# sha256 of the `check field --seed s` reports, recorded from the code that
-# drew every walk step by its own `rng.integers` call and ran one loop pass
-# per t: the draws, the loops and every other residual are held to its bytes
+# sha256 of the `check field` reports: every residual but path_independence
+# is held to the bytes recorded from the suite run one t at a time
 FIELD_REPORTS = {
-    ("cube", "--dim", "5"): {
-        0: "36d319b048e499c1b5bb7de5a42a5ae7b2db18d1194241dad846eca675330e79",
-        1: "27aefcd0cba29a0bea22c4fb33dc856b008e88d6cfc54d4ab28fd7118a3bc787",
-        7: "3482887ec16f6d25eae08220f61c4957c8a0d31fbc6abb0c785dea31e019da62",
-    },
-    ("grid", "--dims", "2x2x2x1"): {
-        0: "df9dbc6132de956eaa839d1fa4ea4cdc16968bd8fc67e281ebdf51c42947e093",
-        1: "05d7f44a37e5910041050ee85f774bc544bbb6b0e63e91f05ee5c1c0cf9475b7",
-        7: "5e817d73f83c73f09bd8e20090e6ae32201788566cca9215142e8e72cdea274d",
-    },
+    ("cube", "--dim", "5"): "18732f07c5da7ac20288676d702fa895d980c4608e5d956208941eb98672a1b0",
+    ("grid", "--dims", "2x2x2x1"): "3947d8d269535002d2ef3df34d55d20005de8c73028344acab15924d8209acc0",
 }
 
 
@@ -497,10 +488,9 @@ def test_check_field_reports_keep_their_bytes(gen, tmp_path, monkeypatch, capsys
     monkeypatch.chdir(tmp_path)
     name = {"cube": "cube5.cxc", "grid": "grid2221.cxc"}[gen[0]]
     assert run(["gen", *gen, "--out", name], capsys)[0] == 0
-    for seed, digest in FIELD_REPORTS[gen].items():
-        code, out = run(["check", "field", "--input", name, "--seed", str(seed)], capsys)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
+    code, out = run(["check", "field", "--input", name], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FIELD_REPORTS[gen]
 
 
 def test_check_tol_override_forces_failure(grid_file, capsys):
@@ -543,10 +533,11 @@ def test_check_tol_accepts_infinity(grid_file, capsys):
     assert by_name["d_squared"]["threshold"] == float("inf")
 
 
-@pytest.mark.parametrize("seed", ("-1", "-7", "abc", "1.5"))
-def test_check_bad_seed_is_a_usage_error(grid_file, tmp_path, seed):
-    usage_error(["check", "field", "--input", grid_file, "--seed", seed])
+@pytest.mark.parametrize("seed", ("7", "-1", "abc", "1.5"))
+def test_check_takes_no_seed(grid_file, tmp_path, seed):
+    # check field draws nothing: a --seed of any value is a usage error,
     # exit 2 with one usage message, before --out is opened or any work starts
+    usage_error(["check", "field", "--input", grid_file, "--seed", seed])
     out = tmp_path / "report.json"
     proc = subprocess.run(
         [sys.executable, "-m", "cubedeform.cli", "check", "field", "--input", grid_file,
@@ -645,10 +636,11 @@ def test_check_memory_error_exit_code(grid_file, monkeypatch, capsys):
     # an allocation the machine cannot meet is a breakdown, not a failed
     # check: exit 3 with one stderr line and no traceback
     zeros = np.zeros
+    n = graded_offsets(parse_cxc(Path(grid_file).read_text()))[-1]
 
     def too_big(shape, *args, **kwargs):
-        # the suite's one dense array, P + D^2, is its only 2-d allocation
-        if np.ndim(shape) and len(shape) == 2:
+        # the suite's one dense array, P + D^2, over every cube
+        if np.ndim(shape) and tuple(shape) == (n, n):
             raise MemoryError("Unable to allocate 36.6 GiB for an array")
         return zeros(shape, *args, **kwargs)
 
@@ -1140,15 +1132,15 @@ def test_a_negated_term_shows_in_field(name, q, raising, tmp_path, monkeypatch, 
 FIELD_GRIDS = (None, (1e-6, 0.3, float("inf")), (0.05, 5.0))
 
 
-def _assert_field_matches_oracle(cplx, seeds=(0, 1, 7)):
-    # every residual bit for bit: frames and pair blocks stacked over the t's
-    # of a pass, the segment sums and the pruned loop SVDs, against the
-    # suite built one t at a time with every loop block decomposed
+def _assert_field_matches_oracle(cplx):
+    # frames and pair blocks stacked over the t's of a pass and the segment
+    # sums, bit for bit against the suite built one t at a time; the
+    # relations of path_independence within 1e-15 of whole-class products
     for grid in FIELD_GRIDS:
-        frames = helpers.oracle_field_frames(cplx, grid)
-        for seed in seeds:
-            got, _ = cli._suite_field(cplx, argparse.Namespace(t_grid=grid, seed=seed))
-            assert got == helpers.oracle_field_residuals(cplx, grid, seed, frames), (grid, seed)
+        got, _ = cli._suite_field(cplx, argparse.Namespace(t_grid=grid))
+        want = helpers.oracle_field_residuals(cplx, grid)
+        assert abs(got.pop("path_independence") - want.pop("path_independence")) <= 1e-15, grid
+        assert got == want, grid
 
 
 @pytest.mark.parametrize("name", [n for n in helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES
@@ -1177,7 +1169,7 @@ def test_check_field_passes_split_the_grid(per_pass, monkeypatch):
     cplx = grid_complex([3, 3, 2])
     per_t = max(deformation.block_floats(cplx, q) for q in range(cplx.dimension + 1))
     monkeypatch.setattr(cli, "_CHUNK", per_pass * per_t if per_pass else 1)
-    _assert_field_matches_oracle(cplx, seeds=(0,))
+    _assert_field_matches_oracle(cplx)
 
 
 # -- sweep -------------------------------------------------------------------------
@@ -1375,7 +1367,7 @@ def test_unwritable_out_is_a_usage_error_before_any_work(argv, tmp_path, capsys,
 @pytest.mark.parametrize("argv, usage", (
     (["check", "jv", "--input", "{doc}", "--tol", "gram_psd=1"], "cubedeform check"),
     (["check", "field", "--input", "{doc}", "--t", "0,1"], "cubedeform check"),
-    (["check", "field", "--input", "{doc}", "--seed=-1"], "cubedeform check"),
+    (["check", "field", "--input", "{doc}", "--seed=1"], "cubedeform check"),
     (["check", "jv", "--input", "{doc}.missing"], "cubedeform check"),
     (["sweep", "--input", "{doc}", "--t", "0,1"], "cubedeform sweep"),
     (["validate", "--input", "{doc}.missing"], "cubedeform validate"),

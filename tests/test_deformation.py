@@ -20,7 +20,7 @@ from cubedeform.deformation import (
     pairing_polynomial,
     pairing_table,
     pairing_value,
-    random_loop_residual,
+    path_residual,
     step_coefficients,
     symbol_representative,
 )
@@ -761,8 +761,8 @@ def test_w_step_matches_entrywise_oracle(t, ab):
 def _assert_groups_match_the_per_class_loop(cplx):
     """Every field of every ``_groups`` record against ``oracle_class_geom``
     and ``member_bits``: ids and sets, member columns, bits, separations,
-    neighbors, and each move's rows reached through ``fwd`` and ``back``,
-    with every other row the identity."""
+    neighbors, and each move's rows reached through ``back``, with every
+    other row the identity."""
     seen = 0
     for klass in enumerate_classes(cplx):
         view = helpers.group_class(cplx, klass)
@@ -781,14 +781,12 @@ def _assert_groups_match_the_per_class_loop(cplx):
         for i, steps in enumerate(want.steps):
             assert group.nbr[c, i].tolist() == [v for v, _, _ in steps] + [m] * (
                 group.nbr.shape[2] - len(steps))
-            assert not group.fwd[c, i, len(steps):].any()
             assert not group.back[c, i, len(steps):].any()
             for slot, (v, h, side) in enumerate(steps):
-                for key, move in ((group.fwd, (h, side)), (group.back, (h, 1 - side))):
-                    k = int(key[c, i, slot])
-                    assert c * r < k < (c + 1) * r
-                    assert (perm[k].tolist(), sign[k].tolist()) == want.moves[move]
-                    used.add(k)
+                k = int(group.back[c, i, slot])
+                assert c * r < k < (c + 1) * r
+                assert (perm[k].tolist(), sign[k].tolist()) == want.moves[h, 1 - side]
+                used.add(k)
         assert len(used) == len(want.moves)
         for k in set(range(c * r, (c + 1) * r)) - used:
             assert perm[k].tolist() == list(range(m)) and not sign[k].any()
@@ -945,179 +943,61 @@ def _class_head(blocks):
     return out
 
 
-def _loop_residuals(cplx, seed, t):
-    """(block residual, dense residual, next draw after each) from one seed."""
-    out = []
-    for residual, ts in ((random_loop_residual, (t,)), (helpers.random_loop_residual, t)):
-        rng = np.random.default_rng(seed)
-        out.append((residual(cplx, rng, ts), int(rng.integers(1 << 30))))
-    return out
-
-
-@pytest.mark.parametrize("t", (0.3, 1.0))
-def test_random_loop_residual_matches_dense_oracle(t):
-    for i, cplx in enumerate(_block_complexes()[:-1]):
-        (got, next_got), (want, next_want) = _loop_residuals(cplx, 1000 + i, t)
-        assert abs(got - want) <= 1e-15
-        assert next_got == next_want  # the same number of draws
-
-
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(2, 7), k=st.integers(2, 6), seed=st.integers(0, 1 << 16),
-       t=st.sampled_from((0.3, 1.0)))
-def test_random_loop_residual_matches_dense_oracle_hypothesis(n, k, seed, t):
-    cplx = random_median_complex(n, k, seed)
-    (got, next_got), (want, next_want) = _loop_residuals(cplx, seed, t)
-    assert abs(got - want) <= 1e-15
-    assert next_got == next_want
-
-
 @pytest.mark.parametrize("determining", ((), (0,), (2,), (0, 1), (1, 2)))
-def test_random_loop_residual_sees_a_sabotaged_move(determining):
-    # one move of one class rotates the wrong way: whichever class it is,
-    # and wherever its loops sit in the stack of that class size
+def test_path_residual_sees_a_sabotaged_move(determining):
+    # one move of one class rotates the wrong way: whichever class it is, and
+    # wherever it sits in the stack of its size; (0, 1) has two members and
+    # no square, so only the move forth then back can see it
     cplx = hypercube(3)  # a fresh complex: the cached moves are its own
-    assert random_loop_residual(cplx, np.random.default_rng(5), (1.0,)) <= 1e-10
+    assert path_residual(cplx, (1.0,)) <= 1e-10
     view = helpers.group_class(cplx, class_of(cplx, determining))
     k = min(view.move_key.values())
     sign = view.group.moves[1]  # a view of the group's sign table
     sign[k] = -sign[k]
-    assert random_loop_residual(cplx, np.random.default_rng(5), (1.0,)) > 1e-10
+    assert path_residual(cplx, (1.0,)) > 1e-10
 
 
-def _full_svd_max(stack):
-    return float(np.linalg.svd(stack, compute_uv=False).max()) if len(stack) else 0.0
+@pytest.mark.parametrize("swap", (False, True))
+def test_a_wrong_partner_is_a_breakdown(swap):
+    # the members of each relation come from the move tables: one member
+    # given a wrong partner pairs no members, and two pairs swapping partners
+    # in both moves across the hyperplane leave a square open
+    cplx = hypercube(3)
+    view = helpers.group_class(cplx, class_of(cplx, ()))
+    perm = view.group.moves[0]  # a view of the group's perm table
+    k = min(view.move_key.values())
+    u = np.flatnonzero(perm[k] > np.arange(perm.shape[1]))[:2]
+    v = perm[k, u]
+    if swap:
+        perm[k:k + 2, u] = v[::-1]
+        perm[k:k + 2, v] = u[::-1]
+    else:
+        perm[k, u[0]] = v[1]
+    with pytest.raises(AssertionError, match="close a square" if swap else "swap pairs"):
+        path_residual(cplx, (1.0,))
 
 
-def _pruning_stacks():
-    rng = np.random.default_rng(11)
-    # diag(.6, .6, .6, .6) has the larger Frobenius norm (1.2 against 1) and
-    # the smaller singular value (.6 against 1)
-    spread = np.stack([np.diag([0.6] * 4), np.diag([1.0, 0.0, 0.0, 0.0])])
-    small = rng.standard_normal((6, 3, 3)) * 1e-13
-    return {"frobenius_not_sigma": spread, "sigma_first": spread[::-1].copy(),
-            "zeros": np.zeros((5, 3, 3)), "duplicated": np.concatenate([small, small, small[:2]]),
-            "random": rng.standard_normal((40, 5, 5)) * rng.random((40, 1, 1))}
+@pytest.mark.parametrize("t", (0.3, 1.0))
+def test_path_residual_matches_whole_class_products(t):
+    for cplx in _block_complexes():
+        assert abs(path_residual(cplx, (t,)) - helpers.oracle_path_residual(cplx, (t,))) <= 1e-15
 
 
-@pytest.mark.parametrize("name", _pruning_stacks())
-def test_pruned_singular_values_keep_the_maximum(name):
-    # sigma_max <= ||.||_F: the blocks skipped cannot set the maximum, so it
-    # is the full batched call's, bit for bit, also above a running maximum
-    stack = _pruning_stacks()[name]
-    want = _full_svd_max(stack)
-    assert deformation._top_singular(stack) == want
-    for worst in (0.0, want / 2, want, want * (1 + 1e-9), 2 * want + 1.0):
-        assert deformation._top_singular(stack, worst) == max(worst, want)
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 7), k=st.integers(2, 6), seed=st.integers(0, 1 << 16),
+       t=st.sampled_from((1e-6, 0.3, 1.0, 5.0)), rotation=st.booleans())
+def test_path_residual_matches_whole_class_products_hypothesis(n, k, seed, t, rotation):
+    # off the unit circle, (a, b) = (0.6, 0.9), a move forth then back scales
+    # by 1.17 and a square by 1.17^2, so the blocks are compared whole
+    cplx = random_median_complex(n, k, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        if not rotation:
+            for module in (deformation, helpers):
+                patch.setattr(module, "step_coefficients", lambda t: (0.6, 0.9))
+        got, want = path_residual(cplx, (t,)), helpers.oracle_path_residual(cplx, (t,))
+    assert abs(got - want) <= 1e-15
+    assert rotation or got >= 0.17 - 1e-15 or cplx.n_vertices == 1
 
 
-def test_zero_blocks_take_no_singular_values(monkeypatch):
-    def no_svd(*args, **kwargs):
-        raise AssertionError("an all-zero block was decomposed")
-
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
-    assert deformation._top_singular(np.zeros((4, 3, 3))) == 0.0
-    assert deformation._top_singular(np.zeros((4, 3, 3)), 0.5) == 0.5
-
-
-def test_repeated_loop_blocks_are_merged():
-    # blocks with the same t and moves are kept once, first occurrences in order
-    rng = np.random.default_rng(2)
-    perm = rng.integers(0, 3, (4, 5, 3)).astype(np.uint8)
-    sign = rng.integers(-1, 2, (4, 5, 3)).astype(np.int8)
-    t_of = np.array([0, 1, 0, 1])
-    pick = [2, 0, 2, 1, 3, 1, 0]
-    t_of, perm, sign = t_of[pick], perm[pick], sign[pick]
-    t_of[-1] = 1  # block 0's moves at another t: kept
-    got = deformation._distinct(t_of, perm, sign)
-    keep = [0, 1, 3, 4, 6]
-    for a, b in zip(got, (t_of[keep], perm[keep], sign[keep])):
-        assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("ts", ((0.3, 1.0), (1e-6, 0.3), (0.05, 5.0)))
-def test_random_loop_residual_equals_every_block_decomposed(ts):
-    # merged repeats and pruned singular values give the residual of one
-    # batched call per chunk over every block, bit for bit, and the same draws
-    for i, cplx in enumerate(_block_complexes() + [hypercube(5), grid_complex([3, 3, 2])]):
-        rng, oracle = np.random.default_rng(60 + i), np.random.default_rng(60 + i)
-        assert random_loop_residual(cplx, rng, ts) == helpers.oracle_loop_residual(cplx, oracle, ts)
-        assert int(rng.integers(1 << 30)) == int(oracle.integers(1 << 30))
-
-
-def _bounds(rng):
-    """Draw bounds: 1 and 2, small ones, and ones just above 2^31, where
-    about half the words are rejected."""
-    return rng.choice([1, 2, 3, 5, 7, 12, 1728, 2**31 + 1, 2**31 + 3, 2**31 + 99, 2**32 - 1],
-                      size=200).tolist()
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_draw_replay_matches_scalar_draws(seed):
-    # numpy's bounded integers replayed on a block of words: the same values
-    # as one scalar call per draw, and the generator ends in the same place,
-    # also when the block runs short (a block of 3 words doubles)
-    bounds = _bounds(np.random.default_rng(100 + seed))
-    scalar = np.random.default_rng(seed)
-    want = [int(scalar.integers(b)) for b in bounds]
-    used = []
-
-    def draws(word):
-        def counted():
-            used.append(1)
-            return word()
-        return [deformation._bounded(counted, b) for b in bounds]
-
-    for size in (3, 2000):
-        used.clear()
-        rng = np.random.default_rng(seed)
-        assert deformation._replayed(rng, size, draws) == want
-        assert int(rng.integers(1 << 62)) == int(scalar.integers(1 << 62))
-        scalar = np.random.default_rng(seed)
-        [scalar.integers(b) for b in bounds]
-    assert len(used) > sum(b > 1 for b in bounds)  # some words were rejected
-
-
-def _assert_walks_are_scalar_draws(cplx, seed):
-    rng, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
-    for klass in enumerate_classes(cplx):
-        if len(klass.members) < 2:
-            continue
-        view = helpers.group_class(cplx, klass)
-        starts, ends, keys = deformation._walks(view.group, view.c, rng, 20, 8)
-        want = helpers.oracle_walks(cplx, view, scalar, 20, 8)
-        assert (starts.tolist(), ends.tolist(), keys.tolist()) == want
-    assert int(rng.integers(1 << 30)) == int(scalar.integers(1 << 30))
-
-
-def test_walks_are_scalar_draws():
-    for i, cplx in enumerate(_block_complexes()):
-        _assert_walks_are_scalar_draws(cplx, 300 + i)
-
-
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(2, 8), k=st.integers(2, 6), seed=st.integers(0, 1 << 16))
-def test_walks_are_scalar_draws_hypothesis(n, k, seed):
-    _assert_walks_are_scalar_draws(random_median_complex(n, k, seed), seed)
-
-
-def test_one_pass_over_the_t_grid_is_the_max_of_one_t_calls():
-    # the walks of every t in one stack: bit for bit the larger of two
-    # calls, and the same draws
-    for i, cplx in enumerate(_block_complexes() + helpers.random_complexes(12)[8:]):
-        both = np.random.default_rng(40 + i)
-        one = np.random.default_rng(40 + i)
-        got = random_loop_residual(cplx, both, (0.3, 1.0))
-        want = max(random_loop_residual(cplx, one, (0.3,)),
-                   random_loop_residual(cplx, one, (1.0,)))
-        assert got == want
-        assert int(both.integers(1 << 30)) == int(one.integers(1 << 30))
-    assert random_loop_residual(hypercube(3), np.random.default_rng(0), ()) == 0.0
-
-
-def test_loop_chunks_match_one_stack(monkeypatch):
-    # blocks rotated and decomposed a few at a time give the same residual
-    cplx = helpers.fixture("grid22")
-    want = random_loop_residual(cplx, np.random.default_rng(3), (0.3, 1.0))
-    monkeypatch.setattr(deformation, "_CHUNK", 1)
-    assert random_loop_residual(cplx, np.random.default_rng(3), (0.3, 1.0)) == want
+def test_path_residual_of_no_t_is_zero():
+    assert path_residual(hypercube(3), ()) == 0.0

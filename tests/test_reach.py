@@ -106,7 +106,7 @@ def passing_runs(tmp_path) -> None:
     for doc in docs:
         assert run(["validate", "--input", doc]) == 0
         for suite in sorted(cli.DEFAULT_TOLERANCES):
-            assert run(["check", suite, "--input", doc, "--seed", "7"]) == 0
+            assert run(["check", suite, "--input", doc]) == 0
         assert run(["sweep", "--input", doc, "--out", tmp_path / "sweep.csv"]) == 0
     doc = docs[0]
     assert run(["check", "fredholm", "--input", doc, "--t", "0.5,inf",
@@ -121,7 +121,6 @@ def passing_runs(tmp_path) -> None:
                  ["check", "jv", "--input", doc, "--tol", "d_squared=nan"],
                  ["check", "field", "--input", doc, "--t", "0,1"],
                  ["check", "field", "--input", doc, "--t", "x"],
-                 ["check", "field", "--input", doc, "--seed=-1"],
                  ["check", "jv", "--input", tmp_path / "missing.cxc"],
                  ["check", "jv", "--input", bad], ["validate", "--input", bad],
                  ["sweep", "--input", doc, "--select", "[h9|+|r=000]"],
