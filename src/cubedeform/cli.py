@@ -95,6 +95,7 @@ from .symbols import (
     ps_cohomology_ranks,
     ps_term_table,
     ps_type_of_index,
+    select_symbols,
     symbol_arrays,
     symbol_vertices,
 )
@@ -806,22 +807,18 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser, open_o
     cplx = _load_complex(args.input, parser)
     grid = sorted(set(args.t_grid or (0.1, 1.0, INF)))
 
-    # every basis symbol's key and rows, degree by degree
-    degrees = range(cplx.dimension + 1)
-    keys = [key for q in degrees for key in basis_keys(cplx, q)]
-    rows = [symbol_arrays(cplx, q) for q in degrees]
-    h, k = np.concatenate([a.h for a in rows]), np.concatenate([a.k for a in rows])
-    r = np.concatenate([symbol_vertices(cplx, q) for q in degrees])
-    if args.select is not None:
-        wanted = [s for s in args.select if s]
-        known = set(keys)
-        for s in wanted:
-            if s not in known:
-                parser.error("unknown symbol key %r" % s)
-        keep = set(wanted)
-        index = [i for i, key in enumerate(keys) if key in keep]
-        keys = [keys[i] for i in index]
-        h, k, r = h[index], k[index], r[index]
+    if args.select is None:
+        # every basis symbol's key and rows, degree by degree
+        degrees = range(cplx.dimension + 1)
+        keys = [key for q in degrees for key in basis_keys(cplx, q)]
+        rows = [symbol_arrays(cplx, q) for q in degrees]
+        h, k = np.concatenate([a.h for a in rows]), np.concatenate([a.k for a in rows])
+        r = np.concatenate([symbol_vertices(cplx, q) for q in degrees])
+    else:
+        try:
+            keys, h, k, r = select_symbols(cplx, [s for s in args.select if s])
+        except KeyError as exc:
+            parser.error("unknown symbol key %r" % exc.args[0])
     out = open_out()
 
     # A pair whose faces have different cutting sets is 0.0 at every t and

@@ -221,15 +221,31 @@ def _groups(cplx: CubeComplex, q: int) -> tuple[_Group, ...]:
             tables[0], tables[:, node, at] = m, (v, back)
             cols = order[start[ids, None] + np.arange(m)]
             bits = level.anchor[cols].astype(np.float64)
-            ones = bits.sum(axis=2)
-            dist = ones[:, :, None] + ones[:, None, :] - 2.0 * (bits @ bits.transpose(0, 2, 1))
             out.append(_Group(ids, np.nonzero(rows.sets[ids])[1].reshape(k, q), cols, bits,
-                              dist.astype(np.min_scalar_type(n)),
+                              _separations(bits, np.min_scalar_type(n)),
                               *tables.reshape(2, k, m, tables.shape[2]),
                               perm.reshape(k, r, m), sign.reshape(k, r, m)))
         return tuple(out)
 
     return cplx.cached(("groups", q), build)
+
+
+def _separations(bits: np.ndarray, dtype) -> np.ndarray:
+    """The Hamming distances between the members of each class of a stack
+    of 0/1 bits (k, m, n) in float64, as a (k, m, m) array of ``dtype``:
+    |u| + |v| - 2 u.v, exact in float64, an eighth of the rows at a time,
+    so the float products never outgrow a byte per entry of the result."""
+    k, m = bits.shape[:2]
+    ones, step = bits.sum(axis=2), -(-m // 8)
+    out, buf = np.empty((k, m, m), dtype=dtype), np.empty((k, step, m))
+    for lo in range(0, m, step):
+        part = buf[:, :min(step, m - lo)]
+        np.matmul(bits[:, lo:lo + step], bits.transpose(0, 2, 1), out=part)
+        part *= -2.0
+        part += ones[:, lo:lo + step, None]
+        part += ones[:, None, :]
+        out[:, lo:lo + step] = part
+    return out
 
 
 def _labels(blocks) -> np.ndarray:

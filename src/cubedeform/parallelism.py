@@ -8,7 +8,8 @@ and the members themselves form a smaller median complex over the
 hyperplanes that cross the whole cutting set.  The classes of each degree
 are one grouping of the cube rows by their cutting bits (``class_rows``).
 Cube rows ascend by anchor, so a class's first cube there has its smallest
-anchor, the canonical vertex of a symbol over the class (``class_anchors``).
+anchor, the canonical vertex of a symbol over the class (``class_lookup``,
+which also tells whether a set has a class at all, and ``class_anchors``).
 Nearest members come from one 0/1 matrix product over the members' bits,
 for any number of vertices and any stack of classes at once
 (``nearest_rows``); one rule tells the nearest member and its ties
@@ -26,7 +27,8 @@ import numpy as np
 
 from .core import CubeComplex, row_keys, row_positions
 
-__all__ = ["ClassRows", "class_anchors", "class_rows", "first_minimum", "nearest_rows"]
+__all__ = ["ClassRows", "class_anchors", "class_lookup", "class_rows", "first_minimum",
+           "nearest_rows"]
 
 
 class ClassRows(NamedTuple):
@@ -56,20 +58,28 @@ def class_rows(cplx: CubeComplex, q: int) -> ClassRows:
     return cplx.cached(("class_rows", q), build)
 
 
-def class_anchors(cplx: CubeComplex, sets: np.ndarray) -> np.ndarray:
+def class_lookup(cplx: CubeComplex, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The smallest member anchor, as a 0/1 row, of the class with each 0/1
-    cutting row of ``sets``: the anchor of its first cube in ``class_rows``,
-    found with ``row_positions``.  KeyError names the first unrealized set."""
+    cutting row of ``sets`` (a 0 row where there is none), and whether
+    there is one: the anchor of its first cube in ``class_rows``, found
+    with ``row_positions``."""
     out, size = np.zeros_like(sets), sets.sum(axis=1, dtype=np.int64)
-    for q in range(int(size.max(initial=-1)) + 1):
+    found = np.zeros(len(sets), dtype=bool)
+    for q in np.flatnonzero(np.bincount(size)).tolist():
         rows = np.flatnonzero(size == q)
-        if not len(rows):
-            continue
         classes = class_rows(cplx, q)
-        pos, found = row_positions(classes.keys, row_keys(sets[rows] ^ 1))
-        if not found.all():
-            raise KeyError(tuple(np.flatnonzero(sets[rows[~found][0]]).tolist()))
+        pos, found[rows] = row_positions(classes.keys, row_keys(sets[rows] ^ 1))
+        rows, pos = rows[found[rows]], pos[found[rows]]
         out[rows] = cplx.cube_arrays(q).anchor[classes.first[pos]]
+    return out, found
+
+
+def class_anchors(cplx: CubeComplex, sets: np.ndarray) -> np.ndarray:
+    """``class_lookup``'s anchors of sets that are all realized; KeyError
+    names the first that is not."""
+    out, found = class_lookup(cplx, sets)
+    if not found.all():
+        raise KeyError(tuple(np.flatnonzero(sets[np.argmin(found)]).tolist()))
     return out
 
 

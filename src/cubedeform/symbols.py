@@ -29,11 +29,14 @@ x of h to k and delta each x of k to h, both with coefficient
 that runs when an identity fails, scatters a dense d.  The canonical
 vertices of a degree (``symbol_vertices``) are one class lookup of all
 its rows, and ``basis_keys`` writes every ``symbol_key`` of a degree from
-the rows.
+the rows.  ``select_symbols`` goes the other way for a few keys: it reads
+their rows from the keys, writes them back to check the bytes, and looks
+up only their classes, never the rest of the basis.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
 from math import comb
 from typing import Iterable, NamedTuple
@@ -42,7 +45,7 @@ import numpy as np
 
 from .core import Cube, CubeComplex, column_bits, row_ints, row_keys, row_positions
 from .differential import numerical_rank
-from .parallelism import class_anchors, class_rows
+from .parallelism import class_anchors, class_lookup, class_rows
 
 __all__ = [
     "CubePair",
@@ -56,6 +59,7 @@ __all__ = [
     "ps_dimension",
     "ps_term_table",
     "ps_type_of_index",
+    "select_symbols",
     "symbol_arrays",
     "symbol_key",
     "symbol_vertices",
@@ -145,15 +149,11 @@ def symbol_vertices(cplx: CubeComplex, q: int) -> np.ndarray:
     return cplx.cached(("symbol_vertices", q), build)
 
 
-def _basis_lists(cplx: CubeComplex, q: int, labels: np.ndarray) -> tuple[list, list]:
-    """The h sets and k lists of the degree-q symbols in basis order, each
-    hyperplane x given as ``labels[x]``."""
-    rows = symbol_arrays(cplx, q)
-    h = labels[np.nonzero(rows.h)[1]].tolist()
-    k = labels[np.nonzero(rows.k)[1]].tolist()
-    ends = np.cumsum(rows.p).tolist()
-    return ([h[start:end] for start, end in zip([0] + ends, ends)],
-            [k[i * q:i * q + q] for i in range(len(ends))])
+def _lists(rows: np.ndarray, labels: np.ndarray) -> list[list]:
+    """The ``labels`` of the columns of each 0/1 row's ones, in column order."""
+    flat = labels[np.nonzero(rows)[1]].tolist()
+    ends = np.cumsum(rows.sum(axis=1, dtype=np.int64)).tolist()
+    return [flat[start:end] for start, end in zip([0] + ends, ends)]
 
 
 def ps_basis(cplx: CubeComplex, q: int) -> tuple[PSSymbol, ...]:
@@ -161,22 +161,68 @@ def ps_basis(cplx: CubeComplex, q: int) -> tuple[PSSymbol, ...]:
     a view of ``symbol_arrays(q)`` and ``symbol_vertices(q)``, made on
     first use and cached."""
     def build():
-        hs, ks = _basis_lists(cplx, q, np.arange(cplx.n_hyperplanes))
+        rows, labels = symbol_arrays(cplx, q), np.arange(cplx.n_hyperplanes)
         r = row_ints(symbol_vertices(cplx, q))
-        return tuple(map(PSSymbol, map(tuple, hs), map(tuple, ks), r, [1] * len(r)))
+        return tuple(map(PSSymbol, map(tuple, _lists(rows.h, labels)),
+                         map(tuple, _lists(rows.k, labels)), r, [1] * len(r)))
 
     return cplx.cached(("ps_basis", q), build)
 
 
+def _write_keys(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> list[str]:
+    """``symbol_key`` of each symbol given as 0/1 rows of its h set, k list
+    and vertex: the vertex strings are the rows' ``'0'``/``'1'`` bytes."""
+    n = h.shape[1]
+    labels = np.array(["h%d" % x for x in range(n)], dtype=object)
+    text = (r + ord("0")).tobytes().decode("ascii")
+    return ["[%s|%s|r=%s]" % (",".join(hs) or "+", ",".join(ks) or "+", text[i * n:i * n + n])
+            for i, (hs, ks) in enumerate(zip(_lists(h, labels), _lists(k, labels)))]
+
+
 def basis_keys(cplx: CubeComplex, q: int) -> list[str]:
     """``symbol_key`` of every degree-q symbol in basis order, written from
-    the rows: the vertex strings are the ``'0'``/``'1'`` bytes of
-    ``symbol_vertices(q)``."""
-    n = cplx.n_hyperplanes
-    hs, ks = _basis_lists(cplx, q, np.array(["h%d" % x for x in range(n)], dtype=object))
-    text = (symbol_vertices(cplx, q) + ord("0")).tobytes().decode("ascii")
-    return ["[%s|%s|r=%s]" % (",".join(h) or "+", ",".join(k) or "+", text[i * n:i * n + n])
-            for i, (h, k) in enumerate(zip(hs, ks))]
+    the rows of ``symbol_arrays(q)`` and ``symbol_vertices(q)``."""
+    rows = symbol_arrays(cplx, q)
+    return _write_keys(rows.h, rows.k, symbol_vertices(cplx, q))
+
+
+# a symbol key's shape; compiled on first use, so no other command pays for it
+_KEY = r"\[(\+|h[0-9]{1,9}(?:,h[0-9]{1,9})*)\|(\+|h[0-9]{1,9}(?:,h[0-9]{1,9})*)\|r=([01]*)\]"
+
+
+def select_symbols(cplx: CubeComplex, keys: Iterable[str]
+                   ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct symbols named by ``keys``, as their keys and their 0/1
+    rows of h, k and vertex in basis order (degree |k|, then
+    ``_symbol_keys``), read from the keys alone; KeyError names the first
+    key that names no symbol.
+
+    A key names a symbol when ``_write_keys`` writes its parsed rows back
+    to the same bytes (which rules out unsorted or repeated hyperplanes,
+    other spellings of a number and vertices of the wrong width), h and k
+    are disjoint, and the class of h + k exists with the vertex as its
+    ``class_lookup`` anchor.
+    """
+    keys, n = list(dict.fromkeys(keys)), cplx.n_hyperplanes
+    h, k, r = np.zeros((3, len(keys), n), dtype=np.uint8)
+    ok = np.zeros(len(keys), dtype=bool)
+    for i, key in enumerate(keys):
+        m = re.fullmatch(_KEY, key)
+        if m is None or len(m[3]) != n:
+            continue
+        hs, ks = ([int(x) for x in re.findall("[0-9]+", part)] for part in m.groups()[:2])
+        if max(hs + ks, default=-1) < n:
+            h[i, hs] = k[i, ks] = 1
+            r[i] = np.frombuffer(m[3].encode("ascii"), dtype=np.uint8) - ord("0")
+            ok[i] = True
+    ok &= np.array([a == b for a, b in zip(_write_keys(h, k, r), keys)], dtype=bool)
+    anchor, found = class_lookup(cplx, h | k)
+    ok &= found & ~(h & k).any(axis=1) & (anchor == r).all(axis=1)
+    if not ok.all():
+        raise KeyError(keys[np.argmin(ok)])
+    order = np.argsort(_symbol_keys(h, k), kind="stable")
+    order = order[np.argsort(k.sum(axis=1)[order], kind="stable")]
+    return [keys[i] for i in order.tolist()], h[order], k[order], r[order]
 
 
 def ps_dimension(cplx: CubeComplex, q: int) -> int:

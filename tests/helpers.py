@@ -50,7 +50,14 @@ from cubedeform.deformation import (
 from cubedeform.differential import d_matrix, norm2_bound_sums, weight_vector
 from cubedeform.fredholm import base_neighbor, format_t
 from cubedeform.parallelism import class_rows
-from cubedeform.symbols import PSSymbol, ps_basis, symbol_key
+from cubedeform.symbols import (
+    PSSymbol,
+    basis_keys,
+    ps_basis,
+    symbol_arrays,
+    symbol_key,
+    symbol_vertices,
+)
 from oracles import (
     _hook_term,
     _wedge_term,
@@ -1058,6 +1065,25 @@ def symbol_pairs(cplx):
                 for sym in ps_basis(cplx, q)]
         out.extend((r1, r2) for r1 in reps for r2 in reps)
     return out
+
+
+def oracle_select_symbols(cplx, keys):
+    """``symbols.select_symbols`` from the whole basis: every degree's
+    ``basis_keys`` written and its rows stacked, then the named symbols
+    kept in basis order.  KeyError names the first of ``keys`` that is not
+    a basis key."""
+    degrees = range(cplx.dimension + 1)
+    every = [key for q in degrees for key in basis_keys(cplx, q)]
+    rows = [symbol_arrays(cplx, q) for q in degrees]
+    h, k = np.concatenate([a.h for a in rows]), np.concatenate([a.k for a in rows])
+    r = np.concatenate([symbol_vertices(cplx, q) for q in degrees])
+    known = set(every)
+    for key in keys:
+        if key not in known:
+            raise KeyError(key)
+    keep = set(keys)
+    index = [i for i, key in enumerate(every) if key in keep]
+    return [every[i] for i in index], h[index], k[index], r[index]
 
 
 def oracle_sweep_csv(cplx, t_grid):

@@ -1230,6 +1230,155 @@ def test_sweep_unknown_key(square_file):
     usage_error(["sweep", "--input", square_file, "--select", "[h9|+|r=00]"])
 
 
+# -- sweep --select: the keys read alone, against the whole basis written ------------
+
+
+def select_sweep(doc, keys, monkeypatch, oracle=False):
+    """Exit code, stdout and stderr of ``sweep --select`` with ``keys`` in
+    order, the symbols resolved by ``symbols.select_symbols`` or, with
+    ``oracle``, by ``helpers.oracle_select_symbols``."""
+    argv = ["sweep", "--input", str(doc), "--t", "0.5,inf", *("--select=" + key for key in keys)]
+    out, err = io.StringIO(), io.StringIO()
+    with monkeypatch.context() as mp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        if oracle:
+            mp.setattr(cli, "select_symbols", helpers.oracle_select_symbols)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_select_matches_the_oracle(cplx, keys, directory, monkeypatch):
+    """``sweep --select`` with ``keys`` gives the oracle path's exit code,
+    stdout and stderr byte for byte; returns them."""
+    doc = directory / "in.cxc"
+    doc.write_text(write_cxc(cplx))
+    got = select_sweep(doc, keys, monkeypatch)
+    assert got == select_sweep(doc, keys, monkeypatch, oracle=True)
+    return got
+
+
+def every_key(cplx):
+    return [key for q in range(cplx.dimension + 1) for key in symbols.basis_keys(cplx, q)]
+
+
+def some_keys(cplx, seed):
+    """About half the basis keys of ``cplx``, shuffled, drawn with ``seed``."""
+    draw = random.Random(seed)
+    keys = [key for key in every_key(cplx) if draw.random() < 0.5]
+    draw.shuffle(keys)
+    return keys
+
+
+def test_select_order_duplicates_and_empty_keys(tmp_path, monkeypatch):
+    cplx = helpers.fixture("grid22")
+    keys = every_key(cplx)[::3]
+    mixed = keys * 2 + ["", ""]
+    random.Random(5).shuffle(mixed)
+    code, out, err = assert_select_matches_the_oracle(cplx, mixed, tmp_path, monkeypatch)
+    assert code == 0 and not err
+    assert (code, out, err) == assert_select_matches_the_oracle(cplx, keys, tmp_path,
+                                                                monkeypatch)
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert {row[1] for row in rows} == set(keys)
+
+
+@pytest.mark.parametrize("name", helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES
+                         + helpers.WIDE_FIXTURE_NAMES)
+def test_select_symbols_matches_the_oracle_rows(name):
+    cplx = helpers.fixture(name)
+    for seed in range(3):
+        keys = some_keys(cplx, seed)
+        got, want = symbols.select_symbols(cplx, keys), helpers.oracle_select_symbols(cplx, keys)
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+# the point has no document: no hyperplanes to write
+@pytest.mark.parametrize("name", [n for n in helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES
+                                  if n != "point"])
+def test_select_matches_the_oracle_on_the_fixtures(name, tmp_path, monkeypatch):
+    cplx = helpers.fixture(name)
+    keys = some_keys(cplx, name) or every_key(cplx)
+    code, out, _ = assert_select_matches_the_oracle(cplx, keys, tmp_path, monkeypatch)
+    assert code == 0 and out.count("\n") > 1
+
+
+def test_select_matches_the_oracle_on_wide_vertices(tmp_path, monkeypatch):
+    # 70 hyperplanes: vertex strings and keys wider than 64 bits
+    cplx = star_tree(70)
+    code, _, _ = assert_select_matches_the_oracle(cplx, some_keys(cplx, 70), tmp_path,
+                                                  monkeypatch)
+    assert code == 0
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 7), k=st.integers(2, 6), seed=st.integers(0, 1 << 16),
+       pick=st.integers(0, 1 << 16))
+def test_select_matches_the_oracle_hypothesis(n, k, seed, pick, tmp_path_factory, monkeypatch):
+    cplx = random_median_complex(n, k, seed)
+    assume(cplx.n_hyperplanes > 0)
+    code, _, _ = assert_select_matches_the_oracle(
+        cplx, some_keys(cplx, pick), tmp_path_factory.mktemp("select"), monkeypatch)
+    assert code == 0
+
+
+def _bad_keys():
+    """Keys that name no symbol of the 2x2 grid, by kind."""
+    cplx, path = helpers.fixture("grid22"), helpers.fixture("path4")
+    keys = every_key(cplx)
+    pair = next(key for key in keys if key.startswith("[h0,h2|+|"))
+    single = next(key for key in keys if key.startswith("[h1|+|"))
+    vertex = pair[-5:-1]
+    return {
+        "unsorted h": pair.replace("h0,h2", "h2,h0"),
+        "h and k overlap": pair.replace("|+|", "|h0|"),
+        "wrong vertex": pair.replace(vertex, "1111"),
+        "vertex too long": pair.replace(vertex, vertex + "0"),
+        "vertex too short": pair.replace(vertex, vertex[:-1]),
+        "h01": single.replace("h1", "h01"),
+        "hyperplane out of range": single.replace("h1", "h4"),
+        "another complex": next(key for key in every_key(path) if key not in keys),
+        "garbage": "not a key",
+        "unclosed": pair[:-1],
+        "huge number": "[h%s|+|r=0000]" % ("9" * 5000),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_bad_keys()))
+def test_select_unknown_key_is_a_usage_error(kind, tmp_path, monkeypatch):
+    # the first key in argv order that names no symbol, as the oracle names it
+    cplx = helpers.fixture("grid22")
+    bad = _bad_keys()[kind]
+    assert bad not in every_key(cplx)
+    keys = [every_key(cplx)[1], "", bad, "[h9|+|r=0000]", every_key(cplx)[0]]
+    code, out, err = assert_select_matches_the_oracle(cplx, keys, tmp_path, monkeypatch)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: cubedeform sweep")
+    assert err.endswith("error: unknown symbol key %r\n" % bad)
+
+
+def test_select_writes_no_basis_key(tmp_path, monkeypatch):
+    # --select resolves its keys without the whole-basis pass
+    def refuse(*args):
+        raise AssertionError("the basis was written")
+
+    cplx = grid_complex([3, 3, 2])
+    keys = some_keys(cplx, 1)
+    doc = tmp_path / "g332.cxc"
+    doc.write_text(write_cxc(cplx))
+    want = select_sweep(doc, keys, monkeypatch, oracle=True)
+    for module in (symbols, cli):
+        for name in ("basis_keys", "symbol_arrays", "symbol_vertices"):
+            monkeypatch.setattr(module, name, refuse)
+    assert select_sweep(doc, keys, monkeypatch) == want
+    assert want[0] == 0
+
+
 def test_sweep_deterministic(square_file, capsys):
     argv = ["sweep", "--input", square_file, "--t", "0.5"]
     _, first = run(argv, capsys)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -806,6 +807,25 @@ def test_groups_match_the_per_class_loop(name):
 @given(n=st.integers(1, 8), k=st.integers(1, 6), seed=st.integers(0, 1 << 16))
 def test_groups_match_the_per_class_loop_hypothesis(n, k, seed):
     _assert_groups_match_the_per_class_loop(random_median_complex(n, k, seed))
+
+
+def test_groups_separations_stay_near_the_result_size():
+    # the 961-member vertex class of the 30x30 grid: its separations are
+    # written a block of rows at a time, never as one float product
+    cplx = grid_complex([30, 30])
+    class_rows(cplx, 0)  # builds the cube rows too
+    tracemalloc.start()
+    try:
+        (group,) = deformation._groups(cplx, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * sum(a.nbytes for a in group)
+    bits = group.bits
+    ones = bits.sum(axis=2)
+    want = ones[:, :, None] + ones[:, None, :] - 2.0 * (bits @ bits.transpose(0, 2, 1))
+    assert group.dist.dtype == np.uint8
+    assert np.array_equal(group.dist, want.astype(np.uint8))
 
 
 def test_groups_refuse_members_that_span_no_cube():
