@@ -18,13 +18,15 @@ when a check suite breaks down: a matrix singular to working precision
 at an extreme t, an allocation the machine cannot meet
 (``MemoryError``), or one of the package's own invariant checks failing
 (``AssertionError``, such as a parallelism class that is not connected
-or crossing moves that do not close a square). Exit 3 writes one line to
-stderr and nothing to stdout. ``check field`` holds only for
-t >= FIELD_T_FLOOR (1e-6): below it ``U_t`` is too ill-conditioned for
-float64 and its identities fail by rounding alone, so a smaller t exits
-3 before any computation. The floor is not sharp on every complex: on
-``gen random-median --n 14 --k 10 --seed 3``, ``d_t_adjoint`` at t = 1e-6
-reads 1.28e-9, over its 1e-9 threshold, so that check fails (exit 1).
+or crossing moves that do not close a square), or any other exception
+inside the suite (``check <suite>: internal error: <Type>: <message>``).
+Exit 3 writes one line to stderr and nothing to stdout. ``check field``
+holds only for t >= FIELD_T_FLOOR (1e-6): below it ``U_t`` is too
+ill-conditioned for float64 and its identities fail by rounding alone,
+so a smaller t exits 3 before any computation. The floor is not sharp
+on every complex: on ``gen random-median --n 14 --k 10 --seed 3``,
+``d_t_adjoint`` at t = 1e-6 reads 1.28e-9, over its 1e-9 threshold, so
+that check fails (exit 1).
 The same command and input give the same bytes for a fixed BLAS
 thread count; the thread count can move the last bits of the float
 residuals of ``check field``.
@@ -761,6 +763,10 @@ def _cmd_check(args: argparse.Namespace, parser: argparse.ArgumentParser, open_o
     except AssertionError as exc:
         sys.stderr.write("check %s: internal check failed: %s\n" % (args.suite, exc))
         return 3
+    except Exception as exc:
+        sys.stderr.write("check %s: internal error: %s: %s\n"
+                         % (args.suite, type(exc).__name__, " ".join(str(exc).splitlines())))
+        return 3
     if residuals.keys() != args.tolerances.keys():
         raise RuntimeError("check %s computed %s, but its table names %s" % (
             args.suite, ", ".join(sorted(residuals)), ", ".join(args.tolerances)))
@@ -864,48 +870,60 @@ def _cmd_sweep(args: argparse.Namespace, parser: argparse.ArgumentParser, open_o
 # -- wiring ----------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone: the other
+    subcommands only lengthen the top-level help and choice errors."""
     parser = argparse.ArgumentParser(
         prog="cubedeform",
         description="Cube complex deformation toolkit command line.")
     sub = parser.add_subparsers(dest="command", required=True)
+    wanted = _COMMANDS if command is None else (command,)
+    made = []
 
-    gen = sub.add_parser("gen", help="generate a complex document")
-    gen_sub = gen.add_subparsers(dest="kind", required=True)
-    tree = gen_sub.add_parser("tree", help="star tree")
-    tree.add_argument("--leaves", type=int, required=True)
-    grid = gen_sub.add_parser("grid", help="grid of cells, e.g. --dims 2x1")
-    grid.add_argument("--dims", required=True)
-    cube = gen_sub.add_parser("cube", help="full hypercube")
-    cube.add_argument("--dim", type=int, required=True)
-    rmed = gen_sub.add_parser("random-median", help="median closure of random seeds")
-    rmed.add_argument("--n", type=int, required=True, help="coordinate count")
-    rmed.add_argument("--k", type=int, required=True, help="seed vertex count")
-    rmed.add_argument("--seed", type=int, default=0)
-    for p in (tree, grid, cube, rmed):
-        p.add_argument("--out")
+    if "gen" in wanted:
+        gen = sub.add_parser("gen", help="generate a complex document")
+        gen_sub = gen.add_subparsers(dest="kind", required=True)
+        tree = gen_sub.add_parser("tree", help="star tree")
+        tree.add_argument("--leaves", type=int, required=True)
+        grid = gen_sub.add_parser("grid", help="grid of cells, e.g. --dims 2x1")
+        grid.add_argument("--dims", required=True)
+        cube = gen_sub.add_parser("cube", help="full hypercube")
+        cube.add_argument("--dim", type=int, required=True)
+        rmed = gen_sub.add_parser("random-median", help="median closure of random seeds")
+        rmed.add_argument("--n", type=int, required=True, help="coordinate count")
+        rmed.add_argument("--k", type=int, required=True, help="seed vertex count")
+        rmed.add_argument("--seed", type=int, default=0)
+        for p in (tree, grid, cube, rmed):
+            p.add_argument("--out")
+        made += [tree, grid, cube, rmed]
 
-    val = sub.add_parser("validate", help="validate a complex document")
-    val.add_argument("--input", required=True)
-    val.add_argument("--out")
+    if "validate" in wanted:
+        val = sub.add_parser("validate", help="validate a complex document")
+        val.add_argument("--input", required=True)
+        val.add_argument("--out")
+        made.append(val)
 
-    chk = sub.add_parser("check", help="run an invariant suite")
-    chk.add_argument("suite", choices=sorted(_SUITES))
-    chk.add_argument("--input", required=True)
-    chk.add_argument("--out")
-    chk.add_argument("--t", dest="t")
-    chk.add_argument("--tol", action="append", default=[],
-                     help="override a threshold, name=value; repeatable")
+    if "check" in wanted:
+        chk = sub.add_parser("check", help="run an invariant suite")
+        chk.add_argument("suite", choices=sorted(_SUITES))
+        chk.add_argument("--input", required=True)
+        chk.add_argument("--out")
+        chk.add_argument("--t", dest="t")
+        chk.add_argument("--tol", action="append", default=[],
+                         help="override a threshold, name=value; repeatable")
+        made.append(chk)
 
-    swp = sub.add_parser("sweep", help="emit the pairing sweep CSV")
-    swp.add_argument("--input", required=True)
-    swp.add_argument("--out")
-    swp.add_argument("--t", dest="t")
-    swp.add_argument("--select", action="append",
-                     help="restrict to these symbol keys; repeatable")
+    if "sweep" in wanted:
+        swp = sub.add_parser("sweep", help="emit the pairing sweep CSV")
+        swp.add_argument("--input", required=True)
+        swp.add_argument("--out")
+        swp.add_argument("--t", dest="t")
+        swp.add_argument("--select", action="append",
+                         help="restrict to these symbol keys; repeatable")
+        made.append(swp)
 
     # usage errors found after parsing go through the subcommand's own parser
-    for p in (tree, grid, cube, rmed, val, chk, swp):
+    for p in made:
         p.set_defaults(parser=p)
     return parser
 
@@ -919,7 +937,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a known command word builds its subparser alone; anything else (no
+    # arguments, -h, an unknown word) gets the full parser's help or error
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args, extra = build_parser(command).parse_known_args(argv)
     parser = args.parser
     if extra:
         parser.error("unrecognized arguments: %s" % " ".join(extra))

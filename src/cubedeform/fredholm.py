@@ -23,7 +23,11 @@ in them; they are reported as the bound sqrt(|R|_1 |R|_inf) >= |R|_2.
 The integral (2/pi) int (s^2 + T)^(-1) ds is kept alongside as a verified
 quadrature of T^(-1/2); on a diagonal T it runs on the diagonal's vector,
 and the dense ``inv_sqrt_integral`` runs only when P + D^2 has
-off-diagonal mass.
+off-diagonal mass.  Its rule is closed-form: 200 midpoint nodes in theta
+for s = c tan(theta), c = (low high)^(1/4) from the ends of T's spectrum,
+which integrates each eigenvalue as a smooth periodic function of theta.
+It is within 5e-15 relative of T^(-1/2) for spectra [1, L] up to
+L = 1e5; without the scale c it is 3.4e-8 off at L = 2,001.
 """
 
 from __future__ import annotations
@@ -79,28 +83,41 @@ def _singular_guard(z: complex, smallest: float, largest: float) -> None:
             "(smallest singular value %.3e)" % (z, float(smallest)))
 
 
-def _integral(low: float, nodes: int, resolvent):
-    """(2/pi) int (s^2 + T)^(-1) ds, given ``resolvent(s^2)`` and T's
-    smallest eigenvalue ``low``: Gauss-Legendre on s = u/(1-u), u in (0,1).
-    T's spectrum bounded below by 1 keeps the integrand tame."""
+def _rule(low: float, high: float, nodes: int) -> tuple[list, list]:
+    """``_integral``'s nodes s^2 and weights, as floats: the midpoint rule
+    in theta, s = c tan(theta), c = (low high)^(1/4)."""
+    c = (low * high) ** 0.25
+    theta = (np.arange(nodes) + 0.5) * (math.pi / (2 * nodes))
+    weights = (math.pi / (2 * nodes)) * c / np.cos(theta) ** 2
+    return ((c * np.tan(theta)) ** 2).tolist(), weights.tolist()
+
+
+def _integral(low: float, high: float, nodes: int, resolvent):
+    """(2/pi) int (s^2 + T)^(-1) ds, given ``resolvent(s^2)`` and the ends
+    ``low`` and ``high`` of T's spectrum: the midpoint rule on
+    s = c tan(theta), theta in (0, pi/2), c = (low high)^(1/4).
+
+    There an eigenvalue lambda integrates c / (c^2 sin^2 + lambda cos^2),
+    smooth and periodic in theta, so the rule converges geometrically, at
+    a rate set by sqrt(lambda) / c.  The scale c centres that ratio on the
+    spectrum: with c = 1 a spectrum [1, 1e4] is off by 6.7e-4, with c it
+    is within 5e-15 up to [1, 1e5] (2e-11 at [1, 1e6]).  T's spectrum
+    bounded below by 1 keeps the integrand tame."""
     if low < 1.0 - 1e-9:
         raise np.linalg.LinAlgError(
             "spectrum must be bounded below by 1 (smallest eigenvalue %.6f)"
             % low)
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
     acc = 0.0
-    for x, w in zip(xs, ws):
-        u = (x + 1.0) / 2.0
-        s = u / (1.0 - u)
-        jac = 1.0 / (1.0 - u) ** 2
-        acc += (w / 2.0) * jac * resolvent(s * s)
+    for s2, w in zip(*_rule(low, high, nodes)):
+        acc += w * resolvent(s2)
     return (2.0 / math.pi) * acc
 
 
 def inv_sqrt_diagonal(diag: np.ndarray, nodes: int = 200) -> np.ndarray:
     """``inv_sqrt_integral`` of diag(diag), as the vector of its diagonal."""
     diag = np.asarray(diag, dtype=np.float64)
-    return _integral(float(diag.min()), nodes, lambda s2: 1.0 / (s2 + diag))
+    return _integral(float(diag.min()), float(diag.max()), nodes,
+                     lambda s2: 1.0 / (s2 + diag))
 
 
 def inv_sqrt_integral(matrix: np.ndarray, nodes: int = 200) -> np.ndarray:
@@ -115,7 +132,8 @@ def inv_sqrt_integral(matrix: np.ndarray, nodes: int = 200) -> np.ndarray:
     if np.count_nonzero(t) == np.count_nonzero(diag):
         return np.diag(inv_sqrt_diagonal(diag, nodes))
     eye = np.eye(t.shape[0])
-    return _integral(float(np.linalg.eigvalsh(t)[0]), nodes,
+    spectrum = np.linalg.eigvalsh(t)
+    return _integral(float(spectrum[0]), float(spectrum[-1]), nodes,
                      lambda s2: np.linalg.solve(s2 * eye + t, eye))
 
 

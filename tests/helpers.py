@@ -1277,16 +1277,15 @@ def oracle_resolvent_bounds(cplx, t, lambdas, weighted=False):
 
 
 def oracle_inv_sqrt_integral(matrix, nodes=200):
-    """The quadrature (2/pi) int (s^2 + T)^(-1) ds by one dense solve per node."""
+    """The quadrature (2/pi) int (s^2 + T)^(-1) ds by one dense solve per node:
+    the midpoint rule on s = c tan(theta), c = (low high)^(1/4) from the
+    ends of T's spectrum."""
     t = np.asarray(matrix, dtype=np.float64)
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    spectrum = np.linalg.eigvalsh(t)
     eye = np.eye(t.shape[0])
     acc = np.zeros_like(t)
-    for x, w in zip(xs, ws):
-        u = (x + 1.0) / 2.0
-        s = u / (1.0 - u)
-        jac = 1.0 / (1.0 - u) ** 2
-        acc += (w / 2.0) * jac * np.linalg.solve(s * s * eye + t, eye)
+    for s2, w in zip(*fredholm._rule(float(spectrum[0]), float(spectrum[-1]), nodes)):
+        acc += w * np.linalg.solve(s2 * eye + t, eye)
     return (2.0 / math.pi) * acc
 
 

@@ -1,6 +1,7 @@
 """Command line: generation, validation, check suites, sweep CSV."""
 
 import argparse
+import ast
 import collections
 import contextlib
 import csv
@@ -613,12 +614,10 @@ def test_check_fredholm_needs_no_spectrum(tmp_path, monkeypatch, capsys):
         solves.append(len(b))
         return solve(a, b)
 
-    # numpy computes the Gauss-Legendre rule of the quadrature check from
-    # one eigvalsh of its fixed 200 x 200 Jacobi matrix; that rule does not
-    # depend on the complex, so it is made before the patches
-    rule = np.polynomial.legendre.leggauss(200)
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
-                        lambda deg: rule if deg == 200 else _no_spectrum())
+    # the quadrature's rule is closed-form (midpoint nodes in theta for
+    # s = c tan(theta)): no Gauss-Legendre rule, whose nodes numpy takes
+    # from an eigenproblem
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", _no_spectrum)
     for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, _no_spectrum)
     for module, name in ((differential, "_matrix"), (differential, "d_matrix")):
@@ -630,6 +629,20 @@ def test_check_fredholm_needs_no_spectrum(tmp_path, monkeypatch, capsys):
         assert code == 0
         assert json.loads(out)["pass"] is True
     assert len(solves) == len(paths)
+
+
+def test_check_fredholm_on_a_wide_star(tmp_path, capsys):
+    # the 1,001 cubes of the 500-leaf star through the whole suite; a
+    # tree's D^2 is diag(0, 1, ..., 1), so P + D^2 is the identity and the
+    # quadrature reads rounding alone
+    path = tmp_path / "star500.cxc"
+    path.write_text(write_cxc(star_tree(500)))
+    code, out = run(["check", "fredholm", "--input", str(path)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["pass"] is True
+    quad = {c["name"]: c["residual"] for c in report["checks"]}["inv_sqrt_quadrature"]
+    assert quad <= 1e-14
 
 
 def test_check_memory_error_exit_code(grid_file, monkeypatch, capsys):
@@ -677,6 +690,21 @@ def test_check_internal_check_failure_exits_3(grid_file, monkeypatch, capsys):
     assert code == 3
     assert captured.out == ""
     assert captured.err == "check field: internal check failed: parallelism class is not connected\n"
+
+
+def test_check_any_other_suite_error_exits_3(grid_file, monkeypatch, capsys):
+    # an exception no named handler takes is still a breakdown of the suite:
+    # exit 3, one stderr line naming its type, no report and no traceback
+    def broken(cplx, args):
+        raise ValueError("zero-size array to reduction operation maximum which has no identity")
+
+    monkeypatch.setitem(cli._SUITES, "jv", broken)
+    code = main(["check", "jv", "--input", grid_file])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("check jv: internal error: ValueError: zero-size array to "
+                            "reduction operation maximum which has no identity\n")
 
 
 def test_check_field_at_the_t_floor(grid_file, capsys):
@@ -1513,6 +1541,19 @@ def test_unwritable_out_is_a_usage_error_before_any_work(argv, tmp_path, capsys,
     assert not target.parent.exists()
 
 
+@pytest.fixture
+def usage_docs(tmp_path):
+    """Paths for usage-error argv: a document, one not UTF-8, one UTF-8 but
+    no cxc document, and an --out whose directory is missing."""
+    doc = tmp_path / "c2.cxc"
+    doc.write_text(write_cxc(hypercube(2)))
+    bad = tmp_path / "bad.cxc"
+    bad.write_bytes(b"\xff\xfe\x00garbage")
+    broken = tmp_path / "broken.cxc"
+    broken.write_text("cxc 2\n")
+    return {"doc": doc, "bad": bad, "broken": broken, "missing": tmp_path / "no" / "out.txt"}
+
+
 @pytest.mark.parametrize("argv, usage", (
     (["check", "jv", "--input", "{doc}", "--tol", "gram_psd=1"], "cubedeform check"),
     (["check", "field", "--input", "{doc}", "--t", "0,1"], "cubedeform check"),
@@ -1526,13 +1567,9 @@ def test_unwritable_out_is_a_usage_error_before_any_work(argv, tmp_path, capsys,
     (["check", "jv", "--input", "{bad}"], "cubedeform check"),
     (["sweep", "--input", "{bad}"], "cubedeform sweep"),
 ))
-def test_usage_errors_name_the_subcommand(argv, usage, tmp_path, capsys):
-    doc = tmp_path / "c2.cxc"
-    doc.write_text(write_cxc(hypercube(2)))
-    bad = tmp_path / "bad.cxc"  # not UTF-8
-    bad.write_bytes(b"\xff\xfe\x00garbage")
+def test_usage_errors_name_the_subcommand(argv, usage, usage_docs, capsys):
     with pytest.raises(SystemExit) as exc:
-        main([arg.format(doc=doc, bad=bad) for arg in argv])
+        main([arg.format(**usage_docs) for arg in argv])
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("usage: %s [-h]" % usage)
@@ -1550,18 +1587,12 @@ def test_usage_errors_name_the_subcommand(argv, usage, tmp_path, capsys):
     ["sweep", "--input", "{broken}"],
     ["sweep", "--input", "{doc}", "--select", "[h0|+|r=0]"],
 ))
-def test_usage_errors_leave_an_existing_out_file(argv, tmp_path, capsys):
+def test_usage_errors_leave_an_existing_out_file(argv, usage_docs, tmp_path, capsys):
     # --out is opened only once the input is read, parsed and checked
-    doc = tmp_path / "c2.cxc"
-    doc.write_text(write_cxc(hypercube(2)))
-    bad = tmp_path / "bad.cxc"  # not UTF-8
-    bad.write_bytes(b"\xff\xfe\x00garbage")
-    broken = tmp_path / "broken.cxc"  # UTF-8, but no cxc document
-    broken.write_text("cxc 2\n")
     out = tmp_path / "out.txt"
     out.write_text("keep\n")
     with pytest.raises(SystemExit) as exc:
-        main([arg.format(doc=doc, bad=bad, broken=broken) for arg in argv] + ["--out", str(out)])
+        main([arg.format(**usage_docs) for arg in argv] + ["--out", str(out)])
     assert exc.value.code == 2
     assert out.read_text() == "keep\n"
 
@@ -1603,26 +1634,105 @@ def test_mutated_documents_exit_cleanly(edits, tmp_path):
         assert code in (0, 1, 2, 3), (argv, bytes(data))
 
 
-def test_no_command_imports_numpy_ma(grid_file, tmp_path):
-    # numpy.ma costs about 10 ms per process to import; plain np.unique loads it
-    probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
-    if subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                      text=True, check=True).stdout.strip() == "True":
-        pytest.skip("importing numpy alone loads numpy.ma")
-    commands = [["gen", "grid", "--dims", "3x3x2", "--out", str(tmp_path / "g.cxc")],
+@pytest.fixture(scope="module")
+def modules_after_every_command(grid_file, tmp_path_factory):
+    """``sys.modules`` of a fresh process after ``main`` ran every command."""
+    out = tmp_path_factory.mktemp("modules")
+    commands = [["gen", "grid", "--dims", "3x3x2", "--out", str(out / "g.cxc")],
                 ["validate", "--input", grid_file],
                 *(["check", suite, "--input", grid_file] for suite in DEFAULT_TOLERANCES),
-                ["sweep", "--input", grid_file, "--out", str(tmp_path / "sweep.csv")]]
+                ["sweep", "--input", grid_file, "--out", str(out / "sweep.csv")]]
     script = (
         "import contextlib, io, sys\n"
         "from cubedeform.cli import main\n"
         "for argv in %r:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == 0, argv\n"
-        "print([m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']])\n" % commands)
+        "print(sorted(sys.modules))\n" % commands)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return ast.literal_eval(proc.stdout)
+
+
+def test_no_command_imports_numpy_ma(modules_after_every_command):
+    # numpy.ma costs about 10 ms per process to import; plain np.unique loads it
+    probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
+    if subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                      text=True, check=True).stdout.strip() == "True":
+        pytest.skip("importing numpy alone loads numpy.ma")
+    assert [m for m in modules_after_every_command if m.split(".")[:2] == ["numpy", "ma"]] == []
+
+
+def test_no_command_imports_numpy_polynomial(modules_after_every_command):
+    # numpy.polynomial costs about 2.5 ms per process to import; the
+    # quadrature of check fredholm needs no Gauss-Legendre rule from it
+    assert [m for m in modules_after_every_command
+            if m.split(".")[:2] == ["numpy", "polynomial"]] == []
+
+
+USAGE_ERRORS = (
+    ["gen", "grid", "--dims", "2x0"],
+    ["gen", "grid", "--dims", "x"],
+    ["gen", "cube", "--dim", "0"],
+    ["gen", "random-median", "--n", "1", "--k", "1"],
+    ["gen", "tree", "--leaves", "3", "--seed", "9"],
+    ["gen", "cube", "--dim", "2", "--out", "{missing}"],
+    ["validate", "--input", "/nonexistent/nope.cxc"],
+    ["validate", "--input", "{doc}.missing"],
+    ["validate", "--input", "{bad}"],
+    ["validate", "--input", "{doc}", "--out", "{missing}"],
+    *(["check", suite, "--input", "{doc}", "--tol", "%s=1" % next(iter(names))]
+      for suite in DEFAULT_TOLERANCES for other, names in DEFAULT_TOLERANCES.items()
+      if other != suite),
+    *(["check", "jv", "--input", "{doc}", "--tol", "d_squared=" + value]
+      for value in ("nan", "NaN", "-nan")),
+    *(["check", "field", "--input", "{doc}", "--seed", seed] for seed in ("7", "-1", "abc", "1.5")),
+    ["check", "field", "--input", "{doc}", "--seed=1"],
+    ["check", "jv", "--input", "{doc}", "--tol", "nosuch=1"],
+    ["check", "jv", "--input", "{doc}", "--tol", "d_squared"],
+    ["check", "jv", "--input", "{doc}", "--tol", "d_squared=abc"],
+    ["check", "field", "--input", "{doc}", "--t", "0"],
+    ["check", "field", "--input", "{doc}", "--t", "abc"],
+    ["check", "field", "--input", "{doc}", "--t", "0,1"],
+    ["check", "nosuchsuite", "--input", "{doc}"],
+    ["check", "jv", "--input", "/nonexistent/nope.cxc"],
+    ["check", "jv", "--input", "{bad}"],
+    ["check", "jv", "--input", "{broken}"],
+    ["check", "jv", "--input", "{doc}", "--out", "{missing}"],
+    ["sweep", "--input", "{doc}", "--select", "[h9|+|r=00]"],
+    ["sweep", "--input", "{doc}", "--select", "[h0|+|r=0]"],
+    ["sweep", "--input", "{doc}", "--t", "0,1"],
+    ["sweep", "--input", "{doc}.missing"],
+    ["sweep", "--input", "{bad}"],
+    ["sweep", "--input", "{broken}"],
+    ["sweep", "--input", "{doc}", "--out", "{missing}"],
+    [],
+    ["frobnicate"],
+)
+HELP = (["-h"], ["gen", "-h"], ["validate", "-h"], ["check", "-h"], ["sweep", "-h"],
+        *(["gen", kind, "-h"] for kind in ("tree", "grid", "cube", "random-median")))
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS + HELP, ids=" ".join)
+def test_one_subparser_answers_as_the_full_parser(argv, usage_docs, monkeypatch):
+    # main builds only the subparser its command word names: every usage
+    # error and help text is the full parser's, stdout, stderr and exit code
+    argv = [arg.format(**usage_docs) for arg in argv]
+    monkeypatch.setitem(cli._SUITES, "jv", lambda *a: pytest.fail("the suite ran"))
+    monkeypatch.setitem(cli._SUITES, "field", lambda *a: pytest.fail("the suite ran"))
+
+    def outcome():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+        return exc.value.code, out.getvalue(), err.getvalue()
+
+    got = outcome()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert got == outcome()
+    assert got[0] == (0 if "-h" in argv else 2)
 
 
 def test_no_command_is_usage_error():

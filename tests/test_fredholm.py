@@ -208,6 +208,16 @@ def test_inv_sqrt_integral_diagonal_is_the_dense_loop(monkeypatch):
         inv_sqrt_diagonal(np.array([1.0, 0.5]))
 
 
+@pytest.mark.parametrize("top", (2.0, 1e2, 2001.0, 1e4, 1e5))
+def test_inv_sqrt_diagonal_is_exact_across_the_spectrum(top):
+    # the midpoint rule in theta for s = c tan(theta) converges geometrically
+    # at a rate set by sqrt(lambda) / c; with c = (low high)^(1/4) it is at
+    # rounding level over [1, 1e5] (unscaled, c = 1, it is 3.4e-8 off at 2,001)
+    diag = np.concatenate([np.geomspace(1.0, top, 41), np.linspace(1.0, top, 41)])
+    got = inv_sqrt_diagonal(diag)
+    assert (np.abs(got * diag ** 0.5 - 1.0) <= 1e-14).all()
+
+
 def test_inv_sqrt_integral_dense_fallback():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((7, 7))
