@@ -315,7 +315,7 @@ class CubeComplex:
     """Vertex model of a finite CAT(0) cube complex with a base vertex."""
 
     __slots__ = ("n_hyperplanes", "base_vertex", "_verts", "_vset", "_vindex",
-                 "_masks", "_shared", "_hdist")
+                 "_masks", "_shared")
 
     def __init__(self, n_hyperplanes: int, vertices: Iterable[int], base_vertex: int):
         n = int(n_hyperplanes)
@@ -334,7 +334,6 @@ class CubeComplex:
         self._vindex = {v: i for i, v in enumerate(verts)}
         self._masks = tuple(1 << (n - 1 - i) for i in range(n))
         self._shared: dict = {}
-        self._hdist = None
 
         self._validate()
 
@@ -445,11 +444,6 @@ class CubeComplex:
             m |= self._masks[h]
         return m
 
-    def vertices_adjacent_to(self, h: int) -> tuple[int, ...]:
-        m = self._masks[h]
-        return self.cached(
-            ("adj", h), lambda: tuple(v for v in self._verts if (v ^ m) in self._vset))
-
     # -- cube level --------------------------------------------------------------
 
     def _levels(self) -> tuple[CubeArrays, ...]:
@@ -542,17 +536,6 @@ class CubeComplex:
             return out
 
         return self.cached("crossing", build)
-
-    # -- base-dependent quantities -------------------------------------------------
-
-    def dist_hyperplane_to_base(self, h: int) -> int:
-        """min over vertices adjacent to ``h`` of the distance to the base."""
-        if self._hdist is None:
-            base = self.base_vertex
-            self._hdist = tuple(
-                min((v ^ base).bit_count() for v in self.vertices_adjacent_to(h2))
-                for h2 in range(self.n_hyperplanes))
-        return self._hdist[h]
 
     # -- reporting ----------------------------------------------------------------
 

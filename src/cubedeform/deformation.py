@@ -17,32 +17,32 @@ gives the change-of-basis U_t whose columns realize the deformed Gram
 matrix as transpose(U_t) U_t.
 
 Every move stays inside one class, so U_t, the Gram matrix, the
-base-point change and every loop product are block diagonal by class, and
-nothing here builds a matrix over all cubes of a degree.  The block store
-is one record per (degree, class size), built from the bit rows in array
-passes, that stacks those classes' members, bits, separations and
-neighbor tables, and caches each crossing move as a row permutation and
-a sign vector per (class, H, source side): the move is
-X -> B X + A X[perm], B = b on paired rows and 1 elsewhere, A = a * sign,
-which in IEEE arithmetic is the 2x2 block form exactly.  Paths follow
-breadth-first trees, grown as arrays a level at a time for a batch of
-(class, root) pairs of one record, and equal to the trees of a
-first-in-first-out search.  One gather runs a move step for all of a
-record's classes and for every t of a tuple at once, each t with its own
-copy of the move tables scaled by its (a, b): ``class_blocks`` gives the
-Gram blocks (powers of x indexed by member separations) and the U_t
-blocks per stack, with a leading t axis, and ``pair_blocks`` U^-1 d U on
-the class pairs d links, from one class-pair index, one gather of frame
-rows, one sorted segment sum (``segment_add``) and one batched solve over
-all finite t per stack pair.  ``path_residual`` checks that the moves are
-path independent without sampling a walk.  A class spans a CAT(0) cube
-complex, whose square complex is simply connected (Sageev 1995; Chepoi
-2000 for median graphs), so every closed walk is a product of backtracks
-and squares, and the moves compose to the identity around every closed
-walk when they do forth and back across every edge and around every
-square.  Those products are blocks of two and four members, found through
-the move tables' own partners; a block depends only on the signs of its
-moves and on (a, b), so the distinct ones are decomposed once per t.
+base-point change and every loop product are block diagonal by class,
+and nothing here builds a matrix over all cubes of a degree.  The block
+store is one record per (degree, class size), built from the bit rows in
+array passes, that stacks those classes' members and bits and caches
+each crossing move as a row permutation and a sign vector per (class, H,
+source side): the move is X -> B X + A X[perm], B = b on paired rows and
+1 elsewhere, A = a * sign, which in IEEE arithmetic is the 2x2 block
+form exactly.  A class spans a CAT(0) cube complex, whose square complex
+is simply connected (Sageev 1995; Chepoi 2000 for median graphs), so
+every closed walk is a product of backtracks and squares, and the moves
+compose to the identity around every closed walk when they do forth and
+back across every edge and around every square.  ``path_residual``
+checks exactly that, without sampling a walk: those products are blocks
+of two and four members, found through the move tables' own partners,
+and a block depends only on the signs of its moves and on (a, b), so the
+distinct ones are decomposed once per t.  Paths are geodesics read off
+the move tables and the members' bits alone (``_geodesics``), a batch of
+(class, root, start) triples of one record at once.  One gather runs a
+move step for all of a record's classes and for every t of a tuple at
+once, each t with its own copy of the move tables scaled by its (a, b):
+``class_blocks`` gives the Gram blocks (powers of x indexed by member
+separations) and the U_t blocks per stack, with a leading t axis, and
+``pair_blocks`` U^-1 d U on the class pairs d links, from one class-pair
+index, one gather of frame rows, one sorted segment sum
+(``segment_add``) and one batched solve over all finite t per stack
+pair.
 
 On top of that sit the basic cochains (alternating sums over the parallel
 copies of a face inside an ambient cube) and their t-scaled pairings,
@@ -114,13 +114,17 @@ def step_coefficients(t: float) -> tuple[float, float]:
 
 
 def deformation_weights(cplx: CubeComplex, t: float) -> list[float]:
-    """Hyperplane weights 1 + min(t, 1) * distance-to-base."""
+    """Hyperplane weights 1 + min(t, 1) * distance-to-base, h's distance
+    the least over its edges (a, {h}) of the nearer end's, |a ^ base| less
+    the base's bit h."""
     _check_t(t)
+    n, edges = cplx.n_hyperplanes, cplx.cube_arrays(1)
+    base = bit_rows(n, (cplx.base_vertex,))[0]
+    h = np.nonzero(edges.cutting)[1]
+    dist = np.full(n, n, dtype=np.intp)
+    np.minimum.at(dist, h, (edges.anchor != base).sum(axis=1) - base[h])
     slope = min(t, 1.0)
-    return [
-        1.0 + slope * cplx.dist_hyperplane_to_base(h)
-        for h in range(cplx.n_hyperplanes)
-    ]
+    return [1.0 + slope * d for d in dist.tolist()]
 
 
 # -- parallelism-class geometry ------------------------------------------------------
@@ -129,32 +133,29 @@ def deformation_weights(cplx: CubeComplex, t: float) -> list[float]:
 class _Group(NamedTuple):
     """The k degree-q parallelism classes of one size m, stacked.
 
-    ``ids`` (their ``class_rows`` ids) and ``sets`` (k, q, the determining
-    sets) are in determining-set order.  ``cols`` (k, m) holds each class's
-    members in anchor order, as positions among the degree's cubes;
-    ``bits`` (k, m, n) their anchor bits as float64, zero on the
-    determining hyperplanes as an anchor is its cube's smallest vertex;
-    ``dist`` (k, m, m) their separations.
+    ``sets`` (k, q) holds the determining sets, in determining-set order.
+    ``cols`` (k, m) holds each class's members in anchor order, as
+    positions among the degree's cubes; ``bits`` (k, m, n) their anchor
+    bits as float64, zero on the determining hyperplanes as an anchor is
+    its cube's smallest vertex.
 
     Members at distance one across H are checked to span a cube.  A
     class's crossing move per (H, source side) is a row of ``perm`` and
     ``sign`` (k, r, m), X -> B X + A X[perm] with B = b where ``sign`` is
-    nonzero and 1 elsewhere, A = a sign; row 0 and padding rows are the
-    identity.  A move's key is its row in the flattened tables ``moves``,
-    so key 0 pads any path.  ``nbr`` (k, m, w) lists each member's
-    neighbors ascending, padded with m, and ``back`` the keys of the moves
-    from them back, padded with 0.
+    nonzero and 1 elsewhere, A = a sign: the moves across the class's j-th
+    hyperplane, ascending, are rows 2j + 1 (from the 0-side) and 2j + 2,
+    ``planes`` (k, r) holds the hyperplane each row crosses (0 on the
+    others), and ``sign`` is -1 on each move's source side.  Row 0 and
+    padding rows are the identity.  A move's key is its row in the
+    flattened tables ``moves``, so key 0 pads any path.
     """
 
-    ids: np.ndarray
     sets: np.ndarray
     cols: np.ndarray
     bits: np.ndarray
-    dist: np.ndarray
-    nbr: np.ndarray
-    back: np.ndarray
     perm: np.ndarray
     sign: np.ndarray
+    planes: np.ndarray
 
     @property
     def moves(self) -> tuple[np.ndarray, np.ndarray]:
@@ -191,14 +192,10 @@ def _groups(cplx: CubeComplex, q: int) -> tuple[_Group, ...]:
         start = np.cumsum(rows.sizes) - rows.sizes
         rank = np.empty(len(order), dtype=np.intp)
         rank[order] = np.arange(len(order)) - np.repeat(start, rows.sizes)
-        # both ways of each pair: (class, member, neighbor, move there, move back),
         # the moves across a class's j-th hyperplane in rows 2j + 1 (from the 0-side), 2j + 2
         cls = rows.of[lo]
         pairs, which = np.unique(cls * n + h, return_inverse=True)
         up = 2 * (np.arange(len(pairs)) - np.searchsorted(pairs // n, pairs // n))[which] + 1
-        edges = np.concatenate([np.stack((cls, rank[lo], rank[hi], up, up + 1)),
-                                np.stack((cls, rank[hi], rank[lo], up + 1, up))], axis=1)
-        edges = edges[:, np.lexsort(edges[2::-1])]
         hyperplanes = np.bincount(pairs // n, minlength=len(rows.sizes))
         sizes, seen = np.unique(rows.sizes, return_index=True)
         out = []
@@ -207,24 +204,21 @@ def _groups(cplx: CubeComplex, q: int) -> tuple[_Group, ...]:
             k, r = len(ids), 2 * int(hyperplanes[ids].max()) + 1
             slot = np.full(len(rows.sizes), -1)
             slot[ids] = np.arange(k)
-            c, u, v, fwd, back = edges[:, slot[edges[0]] >= 0]
-            c = slot[c]
-            fwd, back = fwd + c * r, back + c * r
+            mine = slot[cls] >= 0
+            row = slot[cls[mine]] * r + up[mine]
+            u, v = rank[lo[mine]], rank[hi[mine]]
             perm = np.tile(np.arange(m), (k * r, 1))
             sign = np.zeros(perm.shape, dtype=np.int8)
-            perm[fwd, u] = perm[back, u] = v
-            sign[fwd, u], sign[back, u] = -1, 1
-            node = c * m + u
-            degree = np.bincount(node, minlength=k * m)
-            at = np.arange(len(node)) - np.repeat(np.cumsum(degree) - degree, degree)
-            tables = np.zeros((2, k * m, max(degree, default=0)), dtype=np.intp)
-            tables[0], tables[:, node, at] = m, (v, back)
+            perm[row, u] = perm[row + 1, u] = v
+            perm[row, v] = perm[row + 1, v] = u
+            sign[row, u] = sign[row + 1, v] = -1
+            sign[row, v] = sign[row + 1, u] = 1
+            planes = np.zeros(k * r, dtype=np.intp)
+            planes[row] = planes[row + 1] = h[mine]
             cols = order[start[ids, None] + np.arange(m)]
-            bits = level.anchor[cols].astype(np.float64)
-            out.append(_Group(ids, np.nonzero(rows.sets[ids])[1].reshape(k, q), cols, bits,
-                              _separations(bits, np.min_scalar_type(n)),
-                              *tables.reshape(2, k, m, tables.shape[2]),
-                              perm.reshape(k, r, m), sign.reshape(k, r, m)))
+            out.append(_Group(np.nonzero(rows.sets[ids])[1].reshape(k, q), cols,
+                              level.anchor[cols].astype(np.float64),
+                              perm.reshape(k, r, m), sign.reshape(k, r, m), planes.reshape(k, r)))
         return tuple(out)
 
     return cplx.cached(("groups", q), build)
@@ -259,58 +253,35 @@ def _labels(blocks) -> np.ndarray:
     return out
 
 
-def _bfs_tables(group: _Group, cls: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Breadth-first trees in ``group``, one per (class, root) pair.
+def _geodesics(group: _Group, cls, roots, starts) -> np.ndarray:
+    """Row i: the move keys of a geodesic from member ``starts[i]`` of
+    class ``cls[i]`` of ``group`` to member ``roots[i]``, padded with the
+    identity key 0.
 
-    Row t of the (R, m) tables is the tree of class ``cls[t]`` rooted at
-    member ``roots[t]``: each member's parent and the key of the move from
-    it to its parent (the root is its own parent, key 0).  All trees grow
-    one level per step, each level in queue order: the neighbors of every
-    member of the last level, in its order and each member's in ascending
-    order, keep their first appearance.  That is the tree of a
-    first-in-first-out search.
+    Walked from the root, each step to the partner of least position
+    across a hyperplane between the walk and the start, the keys are those
+    of the moves back, last step first.  That is the least geodesic in
+    member order, the path of the first-in-first-out tree with neighbors
+    ascending.  A walk with no such partner is cut off: AssertionError.
     """
-    nbr, back = group.nbr, group.back
-    m, width = nbr.shape[1:]
-    n = len(roots)
-    parent = np.tile(np.arange(m), (n, 1))
-    key = np.zeros((n, m), dtype=np.intp)
-    seen = np.zeros((n, m + 1), dtype=bool)
-    seen[:, m] = True
-    level = (np.arange(n), np.asarray(roots))  # (tree, member), in queue order
-    seen[level] = True
-    while len(level[0]):
-        tree, member = level
-        near = nbr[cls[tree], member]
-        tree = np.repeat(tree, width)
-        fresh = ~seen[tree, near.ravel()]
-        tree, up = tree[fresh], np.repeat(member, width)[fresh]
-        slot = np.flatnonzero(fresh)
-        member, moved = near.ravel()[slot], back[cls[tree], up, slot % width]
-        first = np.sort(np.unique(tree * m + member, return_index=True)[1])
-        level = tree[first], member[first]
-        parent[level], key[level] = up[first], moved[first]
-        seen[level] = True
-    if not seen.all():
-        raise AssertionError("parallelism class is not connected")
-    return parent, key
-
-
-def _tree_paths(group: _Group, cls, roots, starts) -> np.ndarray:
-    """Row i: the move keys of the breadth-first tree path from member
-    ``starts[i]`` of class ``cls[i]`` of ``group`` up to member
-    ``roots[i]``, padded with the identity key 0.  Each (class, root) pair
-    grows one tree."""
-    m = group.cols.shape[1]
-    trees, tree = np.unique(np.asarray(cls) * m + roots, return_inverse=True)
-    parent, key = _bfs_tables(group, trees // m, trees % m)
-    node, out = np.asarray(starts), []
-    while True:
-        step = key[tree, node]
-        if not step.any():
-            return np.stack(out, axis=1) if out else np.zeros((len(node), 0), dtype=np.intp)
-        out.append(step)
-        node = parent[tree, node]
+    perm, sign, planes, bits = group.perm, group.sign, group.planes, group.bits
+    r, m = perm.shape[1:]
+    cls, start, node = np.asarray(cls), np.asarray(starts), np.array(roots)
+    left = (bits[cls, node] != bits[cls, start]).sum(axis=1)
+    out = np.zeros((len(node), int(left.max(initial=0))), dtype=np.intp)
+    for s in range(out.shape[1]):
+        live = np.flatnonzero(left > s)
+        c, at = cls[live], node[live]
+        near, h = perm[c, :, at], planes[c]
+        # the moves from a partner back to ``at`` across a hyperplane between it and the start
+        back = (sign[c, :, at] == 1) & (bits[c[:, None], at[:, None], h]
+                                        != bits[c[:, None], start[live, None], h])
+        if not back.any(axis=1).all():
+            raise AssertionError("parallelism class is not connected")
+        row = np.where(back, near, m).argmin(axis=1)
+        out[live, left[live] - 1 - s] = c * r + row
+        node[live] = near[np.arange(len(live)), row]
+    return out
 
 
 def _rotate(stack: np.ndarray, perm: np.ndarray, sign: np.ndarray, ab: tuple,
@@ -506,16 +477,16 @@ def _class_roots(cplx: CubeComplex, group: _Group, class_bases: dict | None) -> 
 
 
 def _root_paths(cplx: CubeComplex, q: int, class_bases: dict | None = None) -> list:
-    """Per degree-q group, the keys (k m, steps) of each member's tree path
-    to its class root, rows class by class; kept per base vertex unless
-    rerooted."""
+    """Per degree-q group, the keys (k m, steps) of each member's
+    ``_geodesics`` path to its class root, rows class by class; kept per
+    base vertex unless rerooted."""
     def build():
         out = []
         for group in _groups(cplx, q):
             k, m = group.cols.shape
             roots = _class_roots(cplx, group, class_bases)
-            out.append(_tree_paths(group, np.repeat(np.arange(k), m), np.repeat(roots, m),
-                                   np.tile(np.arange(m), k)))
+            out.append(_geodesics(group, np.repeat(np.arange(k), m), np.repeat(roots, m),
+                                  np.tile(np.arange(m), k)))
         return out
 
     return build() if class_bases else cplx.cached(("root_paths", q, cplx.base_vertex), build)
@@ -566,7 +537,8 @@ def class_blocks(cplx: CubeComplex, q: int, ts: tuple[float, ...],
         _rotate(columns, np.tile(perm, (n, 1)), np.tile(sign, (n, 1)),
                 (np.repeat(a, r), np.repeat(b, r)),
                 (keys + r * np.arange(n)[:, None, None]).reshape(n * len(keys), keys.shape[1]))
-        out.append(ClassBlocks(group.cols, np.take(powers, group.dist, axis=1),
+        dist = _separations(group.bits, np.min_scalar_type(cplx.n_hyperplanes))
+        out.append(ClassBlocks(group.cols, np.take(powers, dist, axis=1),
                                columns.reshape(n, k, m, m).transpose(0, 1, 3, 2)))
     return tuple(out)
 
@@ -1025,6 +997,6 @@ def w_hat_blocks(cplx: CubeComplex, q: int, target_vertex: int, source_vertex: i
                                  % (group.sets[tied.any(axis=1).argmax()].tolist(),))
         moved = np.flatnonzero(near[:, 0] != near[:, 1])
         if len(moved):
-            keys = _tree_paths(group, moved, *near[moved].T)
+            keys = _geodesics(group, moved, *near[moved].T)
             out.extend(zip(group.cols[moved], _moves_blocks(group, keys, ab, exact)))
     return out

@@ -380,8 +380,8 @@ def oracle_unique_nearest(cplx: CubeComplex, vertex: int, klass: ParallelClass) 
 class GroupClass(NamedTuple):
     """Class ``c`` of a ``deformation._groups`` record, its members, and
     the key of each of its moves by (hyperplane, source side), read off
-    its ``nbr`` and ``back`` rows: the move back from a neighbor starts on
-    the neighbor's side."""
+    its ``perm`` and ``sign`` rows: a move starts on the side of the
+    members whose sign is -1."""
 
     group: object
     c: int
@@ -395,14 +395,16 @@ def group_class(cplx: CubeComplex, klass: ParallelClass) -> GroupClass:
     for group in deformation._groups(cplx, klass.dim):
         hit = np.flatnonzero((group.sets == want).all(axis=1))
         if len(hit):
-            c, m = int(hit[0]), len(klass.members)
+            c = int(hit[0])
+            r = group.perm.shape[1]
             move_key = {}
-            for i, (near, keys) in enumerate(zip(group.nbr[c].tolist(), group.back[c].tolist())):
-                a = klass.members[i].anchor
-                for j, key in zip(near, keys):
-                    if j < m:
+            for row, (perm, sign) in enumerate(zip(group.perm[c].tolist(),
+                                                   group.sign[c].tolist())):
+                for i, (j, s) in enumerate(zip(perm, sign)):
+                    if s == -1:
+                        a = klass.members[i].anchor
                         h = hyperplane_of_mask(cplx, a ^ klass.members[j].anchor)
-                        move_key[h, 0 if a & cplx.mask(h) else 1] = key
+                        move_key[h, 1 if a & cplx.mask(h) else 0] = c * r + row
             return GroupClass(group, c, klass.members, move_key)
     raise KeyError(klass.determining)
 

@@ -24,6 +24,7 @@ from cubedeform.core import Cube, CubeComplex, InvalidComplex
 from cubedeform.deformation import (
     INF,
     _check_t,
+    _geodesics,
     _gram_powers,
     _groups,
     _is_exact,
@@ -32,7 +33,7 @@ from cubedeform.deformation import (
     _resolve_ab,
     _root_paths,
     _rotate,
-    _tree_paths,
+    _separations,
     basic_cochain,
     class_blocks,
     deformation_weights,
@@ -65,7 +66,6 @@ def rebased(cplx: CubeComplex, base_vertex: int) -> CubeComplex:
     for slot in CubeComplex.__slots__:
         setattr(other, slot, getattr(cplx, slot))
     other.base_vertex = base_vertex
-    other._hdist = None
     return other
 
 
@@ -87,6 +87,16 @@ def hyperplane_of_mask(cplx: CubeComplex, m: int) -> int:
 def adjacent_vertex(cplx: CubeComplex, v: int, h: int) -> bool:
     """Is some edge at ``v`` cut by hyperplane ``h``?"""
     return cplx.contains_vertex(v ^ cplx.mask(h))
+
+
+def vertices_adjacent_to(cplx: CubeComplex, h: int) -> tuple[int, ...]:
+    """The vertices at an edge cut by hyperplane ``h``, ascending."""
+    return tuple(v for v in cplx.vertices if adjacent_vertex(cplx, v, h))
+
+
+def dist_hyperplane_to_base(cplx: CubeComplex, h: int) -> int:
+    """min over vertices adjacent to ``h`` of the distance to the base."""
+    return min(distance(cplx, v, cplx.base_vertex) for v in vertices_adjacent_to(cplx, h))
 
 
 def cube_index(cplx: CubeComplex, q: int) -> dict[Cube, int]:
@@ -412,15 +422,16 @@ def w_path_matrix(cplx: CubeComplex, target: Cube, source: Cube,
                   t: float | None = None, ab: tuple | None = None) -> np.ndarray:
     """Composite crossing move from ``source`` to ``target``.
 
-    Follows the deterministic breadth-first path between the two members;
-    the identity when they coincide.
+    Follows the ``_geodesics`` path between the two members, the path of
+    the breadth-first tree rooted at ``target``; the identity when they
+    coincide.
     """
     if target.cutting != source.cutting:
         raise ValueError("cubes %r and %r are not parallel" % (target, source))
     q = len(target.cutting)
     groups, index = _groups(cplx, q), cube_index(cplx, q)
     (g, c, i), (_, _, j) = _labels(groups)[:, [index[target], index[source]]].T.tolist()
-    keys = _tree_paths(groups[g], [c], [i], [j])
+    keys = _geodesics(groups[g], [c], [i], [j])
     return _moves_blocks(groups[g], keys, _resolve_ab(t, ab), _is_exact(ab))[0]
 
 
@@ -478,7 +489,7 @@ def gram_matrix(cplx: CubeComplex, q: int, t: float) -> np.ndarray:
     powers = _gram_powers(cplx, t)
     n = len(cplx.cube_arrays(q).keys)
     return _scatter(np.zeros((n, n)), (
-        (group.cols, powers[group.dist]) for group in _groups(cplx, q)))
+        (group.cols, powers[_separations(group.bits, np.intp)]) for group in _groups(cplx, q)))
 
 
 def w_hat_matrix(cplx: CubeComplex, q: int, target_vertex: int, source_vertex: int,

@@ -684,7 +684,7 @@ def test_check_internal_check_failure_exits_3(grid_file, monkeypatch, capsys):
     def disconnected(*args):
         raise AssertionError("parallelism class is not connected")
 
-    monkeypatch.setattr(deformation, "_bfs_tables", disconnected)
+    monkeypatch.setattr(deformation, "_geodesics", disconnected)
     code = main(["check", "field", "--input", grid_file])
     captured = capsys.readouterr()
     assert code == 3

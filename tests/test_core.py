@@ -35,12 +35,14 @@ from oracles import (
     crossing,
     cube_distance_to_vertex,
     cube_index,
+    dist_hyperplane_to_base,
     distance,
     hyperplane_of_mask,
     is_cube,
     nearest_cube_vertex,
     rebased,
     spans_cube,
+    vertices_adjacent_to,
 )
 
 ALL = helpers.FIXTURE_NAMES + ("grid22", "path3", "path4")
@@ -411,10 +413,10 @@ def test_separates_counts_geodesic_edges(grid12):
 
 
 def test_vertices_adjacent_to(square, tripod):
-    assert square.vertices_adjacent_to(0) == (0b00, 0b01, 0b10, 0b11)
+    assert vertices_adjacent_to(square, 0) == (0b00, 0b01, 0b10, 0b11)
     # each tripod hyperplane bounds exactly one edge
     for h in range(3):
-        adj = tripod.vertices_adjacent_to(h)
+        adj = vertices_adjacent_to(tripod, h)
         assert len(adj) == 2
         assert all(adjacent_vertex(tripod, v, h) for v in adj)
         assert adj[0] ^ adj[1] == tripod.mask(h)
@@ -624,11 +626,11 @@ def test_normal_cube_path_random(seed):
 
 
 def test_dist_hyperplane_to_base(grid12):
-    assert grid12.dist_hyperplane_to_base(0) == 0
-    assert grid12.dist_hyperplane_to_base(1) == 0
-    assert grid12.dist_hyperplane_to_base(2) == 1
+    assert dist_hyperplane_to_base(grid12, 0) == 0
+    assert dist_hyperplane_to_base(grid12, 1) == 0
+    assert dist_hyperplane_to_base(grid12, 2) == 1
     moved = rebased(grid12, 0b011)
-    assert moved.dist_hyperplane_to_base(2) == 0
+    assert dist_hyperplane_to_base(moved, 2) == 0
 
 
 # -- bounded geometry ----------------------------------------------------------------------

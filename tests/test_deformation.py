@@ -27,8 +27,6 @@ from cubedeform.deformation import (
 )
 from cubedeform.differential import OrientedCube, d_matrix, term_table
 from cubedeform.generate import grid_complex, hypercube, random_median_complex, star_tree
-from cubedeform.core import column_bits
-from cubedeform.parallelism import class_rows
 from cubedeform.symbols import (
     canonical_symbol_vertex,
     cube_pair,
@@ -44,6 +42,7 @@ from oracles import (
     d_t_pairing,
     d_t_pairing_limit,
     delta_matrix,
+    dist_hyperplane_to_base,
     gram_matrix,
     pairing_limit,
     pairing_sweep,
@@ -96,6 +95,17 @@ def test_deformation_weights(grid12):
     assert deformation_weights(grid12, 7.0) == deformation_weights(grid12, INF)
     with pytest.raises(ValueError):
         deformation_weights(grid12, 0.0)
+
+
+@pytest.mark.parametrize("name", helpers.TABLE_CASES)
+def test_deformation_weights_match_the_per_vertex_oracle(name):
+    # the edge-row pass against the minimum over each hyperplane's adjacent
+    # vertices, from every base vertex; the point complex has no hyperplane
+    cplx = helpers.table_case(name)
+    for base in cplx.vertices:
+        here = rebased(cplx, base)
+        want = [1.0 + 0.5 * dist_hyperplane_to_base(here, h) for h in range(here.n_hyperplanes)]
+        assert deformation_weights(here, 0.5) == want
 
 
 # -- crossing moves ------------------------------------------------------------------
@@ -761,39 +771,37 @@ def test_w_step_matches_entrywise_oracle(t, ab):
 
 def _assert_groups_match_the_per_class_loop(cplx):
     """Every field of every ``_groups`` record against ``oracle_class_geom``
-    and ``member_bits``: ids and sets, member columns, bits, separations,
-    neighbors, and each move's rows reached through ``back``, with every
+    and ``member_bits``: sets, member columns, bits, and each move's rows
+    and hyperplane, found by its source member and partner, with every
     other row the identity."""
     seen = 0
     for klass in enumerate_classes(cplx):
         view = helpers.group_class(cplx, klass)
         group, c, m = view.group, view.c, len(klass.members)
         want = helpers.oracle_class_geom(cplx, klass)
-        rows = class_rows(cplx, klass.dim)
-        assert np.array_equal(rows.sets[group.ids[c]], column_bits(
-            np.array([klass.determining], dtype=np.intp).reshape(1, -1), cplx.n_hyperplanes)[0])
+        assert group.sets[c].tolist() == list(klass.determining)
         assert group.cols[c].tolist() == want.cols
         bits = member_bits(cplx, klass)
         assert np.array_equal(group.bits[c], bits.bits)
-        assert np.array_equal(group.dist[c], bits.separations())
+        assert np.array_equal(deformation._separations(group.bits[c:c + 1], np.intp)[0],
+                              bits.separations())
         perm, sign = group.moves
         r = group.perm.shape[1]
         used = set()
         for i, steps in enumerate(want.steps):
-            assert group.nbr[c, i].tolist() == [v for v, _, _ in steps] + [m] * (
-                group.nbr.shape[2] - len(steps))
-            assert not group.back[c, i, len(steps):].any()
-            for slot, (v, h, side) in enumerate(steps):
-                k = int(group.back[c, i, slot])
-                assert c * r < k < (c + 1) * r
-                assert (perm[k].tolist(), sign[k].tolist()) == want.moves[h, 1 - side]
-                used.add(k)
+            assert (group.sign[c, :, i] == -1).sum() == len(steps)
+            for v, h, side in steps:
+                (row,) = np.flatnonzero((group.perm[c, :, i] == v) & (group.sign[c, :, i] == -1))
+                assert (perm[c * r + row].tolist(), sign[c * r + row].tolist()) == want.moves[h, side]
+                assert group.planes[c, row] == h
+                used.add(row)
         assert len(used) == len(want.moves)
-        for k in set(range(c * r, (c + 1) * r)) - used:
-            assert perm[k].tolist() == list(range(m)) and not sign[k].any()
+        for row in set(range(r)) - used:
+            assert perm[c * r + row].tolist() == list(range(m)) and not sign[c * r + row].any()
+            assert group.planes[c, row] == 0
         seen += 1
     assert seen == cplx.n_vertices
-    assert sum(len(g.ids) for q in range(cplx.dimension + 1)
+    assert sum(len(g.cols) for q in range(cplx.dimension + 1)
                for g in deformation._groups(cplx, q)) == seen
 
 
@@ -812,20 +820,19 @@ def test_groups_match_the_per_class_loop_hypothesis(n, k, seed):
 def test_groups_separations_stay_near_the_result_size():
     # the 961-member vertex class of the 30x30 grid: its separations are
     # written a block of rows at a time, never as one float product
-    cplx = grid_complex([30, 30])
-    class_rows(cplx, 0)  # builds the cube rows too
+    (group,) = deformation._groups(grid_complex([30, 30]), 0)
     tracemalloc.start()
     try:
-        (group,) = deformation._groups(cplx, 0)
+        dist = deformation._separations(group.bits, np.uint8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * sum(a.nbytes for a in group)
+    assert peak < 3 * dist.nbytes
     bits = group.bits
     ones = bits.sum(axis=2)
     want = ones[:, :, None] + ones[:, None, :] - 2.0 * (bits @ bits.transpose(0, 2, 1))
-    assert group.dist.dtype == np.uint8
-    assert np.array_equal(group.dist, want.astype(np.uint8))
+    assert dist.dtype == np.uint8
+    assert np.array_equal(dist, want.astype(np.uint8))
 
 
 def test_groups_refuse_members_that_span_no_cube():
@@ -843,15 +850,15 @@ def test_groups_refuse_members_that_span_no_cube():
 
 
 def test_root_paths_rows_are_the_tree_paths():
-    # every member's path up to every root, read off the array trees, is
-    # the first-in-first-out tree's path, padded with the identity key 0
+    # every member's geodesic to every root is the first-in-first-out
+    # tree's path, padded with the identity key 0
     for cplx in _block_complexes():
         for klass in enumerate_classes(cplx):
             view = helpers.group_class(cplx, klass)
             m = len(klass.members)
             for root in range(m):
-                paths = deformation._tree_paths(view.group, np.full(m, view.c),
-                                                np.full(m, root), np.arange(m))
+                paths = deformation._geodesics(view.group, np.full(m, view.c),
+                                               np.full(m, root), np.arange(m))
                 tree = helpers.oracle_tree(cplx, view, root)
                 keys = [helpers.oracle_path_keys(tree, i) for i in range(m)]
                 assert paths.shape == (len(keys), max(map(len, keys)))
@@ -860,46 +867,71 @@ def test_root_paths_rows_are_the_tree_paths():
                     assert not row[len(path):].any()
 
 
-def _assert_bfs_tables_are_the_fifo_tree(cplx, rng):
-    """The array trees of every group, over its classes with random roots
-    (each class at least once), against ``oracle_tree``."""
+def _assert_geodesics_walk_to_the_root(cplx, rng):
+    """Random (class, root, start) triples of every group, each class at
+    least once: a row holds d(start, root) nonzero keys, then padding, and
+    the moves' partners along them lead from the start to the root; with
+    the moves across one hyperplane of a class taken out, a start on the
+    other side of it from the root is cut off.  Each path is the
+    first-in-first-out tree's (``oracle_tree``)."""
     views = {}
     for klass in enumerate_classes(cplx):
         view = helpers.group_class(cplx, klass)
         views[id(view.group), view.c] = view
     for group in (g for q in range(cplx.dimension + 1) for g in deformation._groups(cplx, q)):
-        k, m = group.cols.shape
+        k, r, m = group.perm.shape
         cls = np.concatenate([np.arange(k), rng.integers(k, size=5)])
-        roots = rng.integers(m, size=len(cls))
-        parent, key = deformation._bfs_tables(group, cls, roots)
-        for row, (c, root) in enumerate(zip(cls, roots)):
-            want = helpers.oracle_tree(cplx, views[id(group), c], root)
-            assert want[root] is None and parent[row, root] == root and key[row, root] == 0
-            for i, entry in enumerate(want):
-                if entry is not None:
-                    assert (parent[row, i], key[row, i]) == entry
+        roots, starts = rng.integers(m, size=(2, len(cls)))
+        keys = deformation._geodesics(group, cls, roots, starts)
+        perm = group.moves[0]
+        for row, c, root, start in zip(keys, cls, roots, starts):
+            steps = int((group.bits[c, root] != group.bits[c, start]).sum())
+            assert row[:steps].all() and not row[steps:].any()
+            assert (row[:steps] // r == c).all()
+            node = start
+            for key in row[:steps]:
+                node = perm[key, node]
+            assert node == root
+            tree = helpers.oracle_tree(cplx, views[id(group), c], root)
+            assert list(row[:steps]) == helpers.oracle_path_keys(tree, start)
+        if r == 1:
+            continue
+        # the class's first hyperplane, rows 1 and 2, cuts it in two
+        c = int(rng.integers(k))
+        side = group.bits[c, :, group.planes[c, 1]]
+        root, start = np.flatnonzero(side == 0)[0], np.flatnonzero(side == 1)[0]
+        cut = group._replace(perm=group.perm.copy(), sign=group.sign.copy())
+        cut.perm[c, 1:3], cut.sign[c, 1:3] = np.arange(m), 0
+        with pytest.raises(AssertionError, match="not connected"):
+            deformation._geodesics(cut, [c], [root], [start])
+        with pytest.raises(AssertionError, match="not connected"):
+            deformation._geodesics(cut, [c], [start], [root])
 
 
-def test_bfs_tables_are_the_fifo_tree():
+def test_geodesics_walk_to_the_root():
     rng = np.random.default_rng(11)
     for cplx in _block_complexes() + [helpers.fixture("path70")]:
-        _assert_bfs_tables_are_the_fifo_tree(cplx, rng)
+        _assert_geodesics_walk_to_the_root(cplx, rng)
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 8), k=st.integers(1, 6), seed=st.integers(0, 1 << 16))
-def test_bfs_tables_are_the_fifo_tree_hypothesis(n, k, seed):
-    _assert_bfs_tables_are_the_fifo_tree(random_median_complex(n, k, seed),
-                                         np.random.default_rng(seed))
+def test_geodesics_walk_to_the_root_hypothesis(n, k, seed):
+    _assert_geodesics_walk_to_the_root(random_median_complex(n, k, seed),
+                                       np.random.default_rng(seed))
 
 
-def test_bfs_tables_refuse_a_disconnected_class():
+def test_geodesics_refuse_a_disconnected_class():
+    # the square's vertex class without its moves across hyperplane 0:
+    # 0b00 and 0b10 lie on two sides of the cut
     (group,) = deformation._groups(hypercube(2), 0)
-    nbr = group.nbr.copy()
-    nbr[:, :, 1:] = group.cols.shape[1]  # each member keeps only its first neighbor
+    perm, sign = group.perm.copy(), group.sign.copy()
+    assert (group.planes[0, 1:3] == 0).all()
+    perm[0, 1:3], sign[0, 1:3] = np.arange(4), 0
+    cut = group._replace(perm=perm, sign=sign)
+    assert deformation._geodesics(cut, [0], [0], [1]).shape == (1, 1)  # across hyperplane 1
     with pytest.raises(AssertionError, match="not connected"):
-        deformation._bfs_tables(group._replace(nbr=nbr), np.zeros(1, dtype=int),
-                                np.zeros(1, dtype=int))
+        deformation._geodesics(cut, [0], [0], [2])
 
 
 @pytest.mark.parametrize("ab", (None, (Fraction(3, 5), Fraction(4, 5))))
