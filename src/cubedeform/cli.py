@@ -21,15 +21,15 @@ at an extreme t, an allocation the machine cannot meet
 or crossing moves that do not close a square), or any other exception
 inside the suite (``check <suite>: internal error: <Type>: <message>``).
 Exit 3 writes one line to stderr and nothing to stdout. ``check field``
-holds only for t >= FIELD_T_FLOOR (1e-6): below it ``U_t`` is too
-ill-conditioned for float64 and its identities fail by rounding alone,
-so a smaller t exits 3 before any computation. The floor is not sharp
-on every complex: on ``gen random-median --n 14 --k 10 --seed 3``,
-``d_t_adjoint`` at t = 1e-6 reads 1.28e-9, over its 1e-9 threshold, so
-that check fails (exit 1).
+takes t >= FIELD_T_FLOOR (1e-6) only, where its float frame checks
+(``U_t`` is ill-conditioned at small t) are known to hold; a smaller t
+exits 3 before any computation.  Its ``d_t_squared`` and ``d_t_adjoint``
+are exact sums of integer coefficients: 0.0 on a valid complex at every
+t, whatever the BLAS thread count.
 The same command and input give the same bytes for a fixed BLAS
 thread count; the thread count can move the last bits of the float
-residuals of ``check field``.
+frame residuals of ``check field`` (``gram_psd`` on
+``gen random-median --n 14 --k 10 --seed 3``).
 """
 
 from __future__ import annotations
@@ -57,15 +57,15 @@ from .core import (
 )
 from .deformation import (
     INF,
-    block_floats,
+    adjoint_terms,
     class_blocks,
     deformation_weights,
-    pair_blocks,
+    frame_terms,
     pairing_table,
     pairing_value,
     path_residual,
     polynomial_value,
-    segment_add,
+    step_coefficients,
     symbol_representative,
     w_hat_blocks,
 )
@@ -104,8 +104,8 @@ from .symbols import (
 
 __all__ = ["DEFAULT_TOLERANCES", "FIELD_T_FLOOR", "build_parser", "main"]
 
-# Smallest t at which the field suite's identities hold in float64 on the
-# test complexes; from 1e-7 down, d_t_adjoint fails by rounding alone.
+# Smallest t the field suite takes, set when d_t_adjoint came from LU solves
+# and failed from 1e-7 down by rounding alone; the exact identities have none.
 FIELD_T_FLOOR = 1e-6
 
 # Module-stated thresholds per suite, overridable per name with --tol name=value.
@@ -555,75 +555,29 @@ def _suite_parallel(cplx, args):
     }, {"vertices": cplx.n_vertices, "classes": len(classes)}
 
 
-# The field suite forms no operator over all cubes of a degree: U_t is block
-# diagonal by class, so d_t and delta_t are class-pair blocks (``pair_blocks``)
-# and each identity is checked on them, for all t of a pass at once.
+# The field suite forms no operator over all cubes of a degree: the frame
+# checks run on class blocks, and d_t and delta_t are term tables whose
+# identities are integer polynomials in x = exp(-t^2/2).
 
-_CHUNK = 1 << 22  # floats of one batch of products, and of each stacked array of a pass
+_CHUNK = 1 << 22  # floats of a stacked frame array; a join block holds _CHUNK // 64 pairs
 
 
-def _square_residual(upper: list, lower: list) -> float:
-    """The largest entry of d_t(q) d_t(q-1): per class pair (I, J), the sum of
-    upper_IK lower_KJ over the classes K between them, one stack pair of
-    (I, J) at a time, the products formed in batches and added in by
-    ``segment_add``."""
-    paths: dict[tuple, list] = {}
-    for a in upper:
-        for b in lower:
-            if a.stacks[1] == b.stacks[0]:
-                ia, ib = np.nonzero(a.lo[:, None] == b.hi)  # the paths through K
-                paths.setdefault((a.stacks[0], b.stacks[1]), []).append((a, b, ia, ib))
+def _exact_residual(parts, ts, scale, width: int) -> float:
+    """The largest |scale(b) sum_e c_e x^e| over the entries of ``parts``,
+    (entry keys, exponents below ``width``, integer coefficients), at each
+    t of ``ts``: the coefficients are grouped by (entry, exponent) first,
+    and with every one 0 no t is evaluated and the residual is 0.0."""
+    keys, total = grouped_sum(*((key * width + power, c) for key, power, c in parts))
+    hit = np.flatnonzero(total)
+    if not len(hit):
+        return 0.0
+    entry, power = np.divmod(keys[hit], width)
+    entry = np.unique(entry, return_inverse=True)[1].ravel()
     worst = 0.0
-    for joined in paths.values():
-        keys, slot = np.unique(np.concatenate([(a.hi[ia] << 32) + b.lo[ib]
-                                               for a, b, ia, ib in joined]), return_inverse=True)
-        a, b = joined[0][:2]
-        sums = np.zeros((len(a.block), len(keys), a.block.shape[2], b.block.shape[3]))
-        for a, b, ia, ib in joined:
-            mine, slot, step = slot[:len(ia)], slot[len(ia):], max(1, _CHUNK // b.block[:, 0].size)
-            for i in range(0, len(ia), step):
-                j = slice(i, i + step)
-                segment_add(sums, mine[j], a.block[:, ia[j]] @ b.block[:, ib[j]])
-        worst = max(worst, _max_abs(sums))
+    for t in ts:
+        x, b = step_coefficients(t)
+        worst = max(worst, scale(b) * _max_abs(np.bincount(entry, total[hit] * x ** power)))
     return worst
-
-
-def _adjoint_residual(d_t: list, delta_t, hi, lo) -> float:
-    """The largest entry of G_hi d_t - (G_lo delta_t)^T over the class pairs
-    either side links, d_t^T G_hi = G_lo delta_t; a pair that only one side
-    lists is compared against zero.  delta_t is read once."""
-    pending = {b.stacks: b for b in d_t}
-    worst = 0.0
-    for e in delta_t:
-        g_e = (lo[e.stacks[0]].gram[:, e.hi] @ e.block).swapaxes(-1, -2)
-        b = pending.pop(e.stacks[::-1], None)
-        if b is not None:
-            g_d = hi[b.stacks[0]].gram[:, b.hi] @ b.block
-            # each class pair is listed once a side: the matches are one to one
-            _, i, j = np.intersect1d((b.hi << 32) + b.lo, (e.lo << 32) + e.hi,
-                                     assume_unique=True, return_indices=True)
-            g_d[:, i] -= g_e[:, j]
-            g_e[:, j] = 0.0
-            worst = max(worst, _max_abs(g_d))
-        worst = max(worst, _max_abs(g_e))
-    for b in pending.values():
-        worst = max(worst, _max_abs(hi[b.stacks[0]].gram[:, b.hi] @ b.block))
-    return worst
-
-
-def _span(ts: list, wanted) -> slice:
-    """Where the t's of ``wanted`` sit in ``ts``; the pass order keeps them
-    consecutive."""
-    at = [i for i, t in enumerate(ts) if t in wanted]
-    span = slice(at[0], at[0] + len(at)) if at else slice(0)
-    assert at == list(range(len(ts)))[span], "t grids not consecutive in a pass"
-    return span
-
-
-def _take(blocks, span: slice) -> list:
-    """``class_blocks`` or ``pair_blocks`` of a pass at its t's ``span``, as views."""
-    return [b._replace(**{f: getattr(b, f)[span] for f in ("gram", "frame", "block")
-                          if f in b._fields}) for b in blocks]
 
 
 def _suite_field(cplx, args):
@@ -636,44 +590,31 @@ def _suite_field(cplx, args):
     dt_grid = args.t_grid or (0.1, 1.0)
     adj_grid = args.t_grid or (0.5, 2.0)
 
-    # The union grid goes in passes, each holding as many t as keep the
-    # largest stacked array within _CHUNK floats.  The t's that need delta_t
-    # come first, then the rest that need d_t, so every check reads one slice
-    # of a pass.  Per pass, each degree's class blocks are built once and
-    # live while the degrees next to it need them, and d_t while the next
-    # square needs it.
-    union = sorted({*grid, *dt_grid, *adj_grid},
-                   key=lambda t: (t not in adj_grid, t not in dt_grid, t))
-    per_pass = max(1, _CHUNK // max(block_floats(cplx, q) for q in range(dim + 1)))
-    psd = bridge = square = adjoint = 0.0
-    for at in range(0, len(union), per_pass):
-        ts = union[at:at + per_pass]
-        frames, ops = _span(ts, grid), _span(ts, {*dt_grid, *adj_grid})
-        d_ts = ts[ops]
-        adj, sq = _span(d_ts, adj_grid), _span(d_ts, dt_grid)
-        upper, below = class_blocks(cplx, 0, ts), None
+    # the frame checks go in passes of as many t as keep the largest stack's
+    # k m^2 floats within _CHUNK, each degree's blocks built once a pass
+    sizes = [np.unique(class_rows(cplx, q).sizes, return_counts=True) for q in range(dim + 1)]
+    per_pass = max(1, _CHUNK // max(int((count * m * m).max()) for m, count in sizes))
+    psd = bridge = 0.0
+    for at in range(0, len(grid), per_pass):
         for q in range(dim + 1):
-            here, upper = upper, class_blocks(cplx, q + 1, ts) if q < dim else ()
-            for blks in _take(here, frames) if ts[frames] else ():
+            for blks in class_blocks(cplx, q, grid[at:at + per_pass]):
                 psd = max(psd, -float(np.linalg.eigvalsh(blks.gram)[..., 0].min()))
                 bridge = max(bridge, _max_abs(
                     blks.frame.swapaxes(-1, -2) @ blks.frame - blks.gram))
-            if q == dim or not d_ts:
-                continue
-            hi, lo = _take(upper, ops), _take(here, ops)
-            d_t = list(pair_blocks(term_table(cplx, q, True), hi, lo, d_ts))
-            if d_ts[adj]:
-                hi, lo = _take(hi, adj), _take(lo, adj)
-                adjoint = max(adjoint, _adjoint_residual(
-                    _take(d_t, adj),
-                    pair_blocks(term_table(cplx, q + 1, False), lo, hi, d_ts[adj]), hi, lo))
-            here = hi = lo = None
-            if d_ts[sq]:
-                d_t = _take(d_t, sq)
-                if below is not None:
-                    square = max(square, _square_residual(d_t, below))
-                below = d_t
-            d_t = None
+
+    # d_t = b D(x) and delta_t = b^-1 Delta(x): d_t d_t = b^2 D D, and
+    # d_t^T G_hi = G_lo delta_t times b is adjoint_terms' identity
+    width = 2 * cplx.n_hyperplanes + 3  # past every exponent of a sum
+    square = adjoint = 0.0
+    for q in range(dim):
+        if q + 1 < dim:
+            keys, signs, e1, e2 = term_product(frame_terms(cplx, q + 1, True),
+                                               frame_terms(cplx, q, True),
+                                               len(cplx.cube_arrays(q).keys))
+            square = max(square, _exact_residual([(keys, e1 + e2, signs)], dt_grid,
+                                                 lambda b: b * b, width))
+        for parts in adjoint_terms(cplx, q, _CHUNK // 64):
+            adjoint = max(adjoint, _exact_residual(parts, adj_grid, lambda b: 1 / b, width))
 
     loops = path_residual(cplx, [t for t in loop_grid if t != INF])
 

@@ -38,16 +38,18 @@ the move tables and the members' bits alone (``_geodesics``), a batch of
 move step for all of a record's classes and for every t of a tuple at
 once, each t with its own copy of the move tables scaled by its (a, b):
 ``class_blocks`` gives the Gram blocks (powers of x indexed by member
-separations) and the U_t blocks per stack, with a leading t axis, and
-``pair_blocks`` U^-1 d U on the class pairs d links, from one class-pair
-index, one gather of frame rows, one sorted segment sum
-(``segment_add``) and one batched solve over all finite t per stack
-pair.
+separations, kept per degree in one flat listing of the classes) and the
+U_t blocks per stack, with a leading t axis.
+
+The conjugated differentials need no frame: d_t = U^-1 d U and delta_t =
+U^-1 delta U are b D(x) and b^-1 Delta(x) for integer tables of monomials
+(``frame_terms``), the closed form that the Pytlik-Szwarc frame has on a
+tree, so their identities are integer polynomials in x, checked by
+grouping coefficients (``adjoint_terms``) with no block and no solve.
 
 On top of that sit the basic cochains (alternating sums over the parallel
 copies of a face inside an ambient cube) and their t-scaled pairings,
-whose small-t limits are symbol inner products; the conjugated
-differentials d_t and delta_t on class pairs; and the blocks of the
+whose small-t limits are symbol inner products, and the blocks of the
 base-point change, built from nearest-cube moves per class.
 
 Scalars are pluggable: the default is float64, while tests drive the same
@@ -79,19 +81,17 @@ from .symbols import CubePair, PSSymbol, cube_pair
 
 __all__ = [
     "ClassBlocks",
-    "PairBlocks",
     "PairingTable",
+    "adjoint_terms",
     "basic_cochain",
-    "block_floats",
     "class_blocks",
     "deformation_weights",
-    "pair_blocks",
+    "frame_terms",
     "pairing_polynomial",
     "pairing_table",
     "pairing_value",
     "path_residual",
     "polynomial_value",
-    "segment_add",
     "step_coefficients",
     "symbol_representative",
     "w_hat_blocks",
@@ -106,11 +106,12 @@ def _check_t(t: float) -> None:
 
 
 def step_coefficients(t: float) -> tuple[float, float]:
-    """The (a, b) mixing pair at parameter t; (0, 1) at infinity."""
+    """The (a, b) mixing pair at parameter t; (0, 1) at infinity.  b is
+    sqrt(-expm1(-t^2)), accurate where 1 - exp(-t^2) would cancel."""
     _check_t(t)
     if t == INF:
         return 0.0, 1.0
-    return math.exp(-t * t / 2.0), math.sqrt(1.0 - math.exp(-t * t))
+    return math.exp(-t * t / 2.0), math.sqrt(-math.expm1(-t * t))
 
 
 def deformation_weights(cplx: CubeComplex, t: float) -> list[float]:
@@ -242,15 +243,55 @@ def _separations(bits: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
-def _labels(blocks) -> np.ndarray:
-    """Per cube of the degree: its stack of ``blocks`` (``_groups`` or
-    ``class_blocks``), its class there, its member position."""
-    out = np.empty((3, sum(blks.cols.size for blks in blocks)), dtype=np.intp)
-    for s, blks in enumerate(blocks):
-        out[0, blks.cols] = s
-        out[1, blks.cols] = np.arange(len(blks.cols))[:, None]
-        out[2, blks.cols] = np.arange(blks.cols.shape[1])
-    return out
+class _Listing(NamedTuple):
+    """The degree-q classes of ``_groups`` listed one after another.
+
+    ``cubes`` holds every cube, class by class and members in anchor
+    order; ``dist`` every class's ``_separations``, flattened in the same
+    order, and ``blocks`` each group's (k, m, m) view of it.  Per cube,
+    ``head`` is where its class starts in ``cubes``, ``size`` its class
+    size, ``pos`` its member position and ``row`` where its row of
+    separations starts in ``dist``: member j of cube C's class is
+    ``cubes[head[C] + j]``, at distance ``dist[row[C] + j]`` from C.
+    """
+
+    cubes: np.ndarray
+    head: np.ndarray
+    size: np.ndarray
+    pos: np.ndarray
+    row: np.ndarray
+    dist: np.ndarray
+    blocks: tuple
+
+
+def _listing(cplx: CubeComplex, q: int) -> _Listing:
+    """The cached ``_Listing`` of degree q, independent of the base vertex;
+    separations in the smallest unsigned dtype that holds the hyperplane
+    count."""
+    def build():
+        groups = _groups(cplx, q)
+        n = sum(g.cols.size for g in groups)
+        head, size, pos, row = np.empty((4, n), dtype=np.intp)
+        dist = np.empty(sum(g.cols.size * g.cols.shape[1] for g in groups),
+                        dtype=np.min_scalar_type(cplx.n_hyperplanes))
+        blocks, at, flat = [], 0, 0
+        for g in groups:
+            (k, m), local, cols = g.cols.shape, np.arange(g.cols.size), g.cols.ravel()
+            head[cols], size[cols], pos[cols] = at + local // m * m, m, local % m
+            row[cols] = flat + local * m
+            blocks.append(dist[flat:flat + k * m * m].reshape(k, m, m))
+            blocks[-1][...] = _separations(g.bits, dist.dtype)
+            at, flat = at + k * m, flat + k * m * m
+        cubes = np.concatenate([g.cols.ravel() for g in groups])
+        return _Listing(cubes, head, size, pos, row, dist, tuple(blocks))
+
+    return cplx.cached(("listing", q), build)
+
+
+def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Item i repeated counts[i] times, and the place 0, 1, ... of each copy."""
+    i = np.repeat(np.arange(len(counts)), counts)
+    return i, np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def _geodesics(group: _Group, cls, roots, starts) -> np.ndarray:
@@ -392,9 +433,8 @@ def _relations(group: _Group) -> tuple[np.ndarray, np.ndarray]:
     edges = _signs(sign, c, (2 * j + 1, 2 * j + 2), (u, v))
     # corners: every two pairs from one member, the first across the smaller j
     node = c * len(member) + u
-    later = np.searchsorted(node, node, side="right") - 1 - np.arange(len(node))
-    first = np.repeat(np.arange(len(node)), later)
-    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    first, second = _expand(np.searchsorted(node, node, side="right") - 1 - np.arange(len(node)))
+    second += first + 1
     c, j1, j2, u00, u10, u01 = c[first], j[first], j[second], u[first], v[first], v[second]
     u11, other = fwd[c, j2, u10], fwd[c, j1, u01]
     square = (u11 != u10) | (other != u01)
@@ -528,7 +568,8 @@ def class_blocks(cplx: CubeComplex, q: int, ts: tuple[float, ...],
     powers = np.array([_gram_powers(cplx, t) for t in ts])
     a, b = np.array([step_coefficients(t) for t in ts]).reshape(-1, 2).T
     out = []
-    for group, keys in zip(_groups(cplx, q), _root_paths(cplx, q, class_bases)):
+    for group, keys, dist in zip(_groups(cplx, q), _root_paths(cplx, q, class_bases),
+                                 _listing(cplx, q).blocks):
         k, m = group.cols.shape
         # the move tables once per t, each copy with its own (a, b)
         perm, sign = group.moves
@@ -537,7 +578,6 @@ def class_blocks(cplx: CubeComplex, q: int, ts: tuple[float, ...],
         _rotate(columns, np.tile(perm, (n, 1)), np.tile(sign, (n, 1)),
                 (np.repeat(a, r), np.repeat(b, r)),
                 (keys + r * np.arange(n)[:, None, None]).reshape(n * len(keys), keys.shape[1]))
-        dist = _separations(group.bits, np.min_scalar_type(cplx.n_hyperplanes))
         out.append(ClassBlocks(group.cols, np.take(powers, dist, axis=1),
                                columns.reshape(n, k, m, m).transpose(0, 1, 3, 2)))
     return tuple(out)
@@ -772,9 +812,7 @@ def _pair_polynomials(n: int, anchors, coeffs, tstart, p, ii, jj) -> np.ndarray:
     whose running sum cancels is popped and enters again at the end, so
     items order by the last term pair at which their running sum left zero.
     """
-    tp = 1 << (p[ii] + p[jj])
-    pair = np.repeat(np.arange(len(ii)), tp)
-    t = np.arange(len(pair)) - np.repeat(np.cumsum(tp) - tp, tp)
+    pair, t = _expand(1 << (p[ii] + p[jj]))
     shift = p[jj][pair]
     a = tstart[ii][pair] + (t >> shift)
     b = tstart[jj][pair] + (t & ((1 << shift) - 1))
@@ -825,13 +863,13 @@ def _intern(encoded: np.ndarray, known: dict, polynomials: list) -> np.ndarray:
     return np.array(found, dtype=np.int64)[inverse.ravel()]
 
 
-def _spans(work: np.ndarray):
-    """Consecutive slices (lo, hi) of ``work`` holding at most
-    ``_TERM_PAIR_CHUNK`` in all; a larger item goes alone."""
+def _spans(work: np.ndarray, limit: int):
+    """Consecutive slices (lo, hi) of ``work`` holding at most ``limit``
+    in all; a larger item goes alone."""
     done = np.concatenate([[0], np.cumsum(work)])
     lo = 0
     while lo < len(work):
-        hi = max(lo + 1, int(np.searchsorted(done, done[lo] + _TERM_PAIR_CHUNK, "right")) - 1)
+        hi = max(lo + 1, int(np.searchsorted(done, done[lo] + limit, "right")) - 1)
         yield lo, hi
         lo = hi
 
@@ -864,12 +902,11 @@ def pairing_table(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> PairingTable:
     polynomials: list = []
     # blocks of rows with at most _TERM_PAIR_CHUNK pairs, then passes of
     # at most as many term pairs
-    for lo, hi in _spans(width):
-        span = width[lo:hi]
-        ii = np.repeat(np.arange(lo, hi), span)
-        off = np.arange(len(ii)) - np.repeat(np.cumsum(span) - span, span)
+    for lo, hi in _spans(width, _TERM_PAIR_CHUNK):
+        ii, off = _expand(width[lo:hi])
+        ii += lo
         jj = cols[start[lo]:start[hi]] = order[heads[group[ii]] + off]
-        for a, b in _spans(1 << (p[ii] + p[jj])):
+        for a, b in _spans(1 << (p[ii] + p[jj]), _TERM_PAIR_CHUNK):
             encoded = _pair_polynomials(n, anchors, coeffs, tstart, p, ii[a:b], jj[a:b])
             ids[start[lo] + a:start[lo] + b] = _intern(encoded, known, polynomials)
     return PairingTable(tuple(polynomials), start, cols, ids)
@@ -877,102 +914,115 @@ def pairing_table(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> PairingTable:
 
 # -- conjugated differentials --------------------------------------------------------
 
+# (term, member) candidates of one pass of ``frame_terms``
+_CANDIDATES = 1 << 16
 
-class PairBlocks(NamedTuple):
-    """A conjugated operator on the class pairs of one pair of stacks.
 
-    ``stacks`` names a target and a source stack of ``class_blocks``;
-    ``hi`` and ``lo`` (P,) the classes, in those stacks, of each pair the
-    operator links, ascending; ``block`` (T, P, m_hi, m_lo) the blocks at
-    each t of the frames.
+def _d_t_rows(cplx: CubeComplex, q: int) -> np.ndarray:
+    """The rows of ``frame_terms`` for d_t on degree q, the terms' members
+    tried a pass at a time."""
+    terms, ls = term_table(cplx, q, True), _listing(cplx, q)
+    anchor = cplx.cube_arrays(q).anchor
+    root = np.empty(len(ls.cubes), dtype=np.intp)  # each cube's class root
+    for group in _groups(cplx, q):
+        root[group.cols] = np.take_along_axis(
+            group.cols, _class_roots(cplx, group, None)[:, None], axis=1)
+    cross, across = np.nonzero(cplx.crossing_matrix())  # each h's crossing hyperplanes
+    first = np.searchsorted(cross, np.arange(cplx.n_hyperplanes + 1))
+    out = [np.zeros((0, 4), dtype=np.int64)]
+    for a, b in _spans(ls.size[terms[:, 1]], _CANDIDATES):
+        i, j = _expand(ls.size[terms[a:b, 1]])
+        i += a
+        f = terms[i, 1]
+        c, d_f, r = ls.cubes[ls.head[f] + j], ls.dist[ls.row[f] + j], root[f]
+        # f on a geodesic from the root r to c: d(r, f) + d(f, c) = d(r, c)
+        keep = ls.dist[ls.row[r] + ls.pos[f]].astype(np.intp) + d_f == ls.dist[ls.row[r] + j]
+        i, f, c, d_f = i[keep], f[keep], c[keep], d_f[keep]
+        # and no hyperplane that separates f from c crosses h
+        h = terms[i, 2]
+        count = first[h + 1] - first[h]
+        keep = np.ones(len(i), dtype=bool)
+        for k in range(int(count.max(initial=0))):
+            live = np.flatnonzero(count > k)
+            g = across[first[h[live]] + k]
+            keep[live] &= anchor[f[live], g] == anchor[c[live], g]
+        i = i[keep]
+        out.append(np.stack([terms[i, 0], c[keep], d_f[keep], terms[i, 3]], axis=1))
+    return np.concatenate(out).astype(np.int64, copy=False)
+
+
+def frame_terms(cplx: CubeComplex, q: int, raising: bool = True) -> np.ndarray:
+    """The cached terms of d_t (raising) or delta_t on degree q, in closed form.
+
+    Read-only int64 rows (target, source, exponent, sign) in the layout of
+    ``term_table``, so that ``term_product`` joins them.  With x =
+    e^(-t^2/2) and b = (1 - x^2)^(1/2), a row is the entry sign b x^exponent
+    of d_t = U_t^-1 d U_t, or sign b^-1 x^exponent of delta_t, and an entry
+    no row names is 0.  Distances are between members of one class, and a
+    class's root is its member nearest the base vertex.
+
+    * d_t: for each term (C, f, h, s) of d and each member c of f's class,
+      root r, the row (C, c, d(f, c), s) when f lies on a geodesic from r
+      to c, d(r, f) + d(f, c) = d(r, c), and no hyperplane that separates
+      f from c crosses h (only h's ``crossing_matrix`` row is tried, so a
+      tree pays nothing for it).
+    * delta_t: for each term (f, C, h, s) of delta, the rows (f, C, 0, s)
+      and (f', C, 1, -s), f' the other facet of C across h (``facets``).
+
+    Neither table is derived from the other or from the Gram matrix:
+    ``check field`` tests d_t^T G = G delta_t between them.
     """
+    def build():
+        if raising:
+            out = _d_t_rows(cplx, q)
+        else:
+            terms = term_table(cplx, q, False)
+            facets = cplx.facets(q)[terms[:, 1]]
+            j = (facets == terms[:, :1]).argmax(axis=1)
+            other = facets[np.arange(len(j)), (j + q) % (2 * q)]
+            near = np.stack([other, terms[:, 1], np.ones(len(j), dtype=np.int64), -terms[:, 3]],
+                            axis=1)
+            out = np.concatenate([terms * [1, 1, 0, 1], near])
+        out.flags.writeable = False
+        return out
 
-    stacks: tuple[int, int]
-    hi: np.ndarray
-    lo: np.ndarray
-    block: np.ndarray
-
-
-def _class_pairs(terms: np.ndarray, hi, lo) -> tuple:
-    """The class pairs that a ``term_table``'s terms link, between the
-    stacks ``hi`` and ``lo`` (``_groups`` or ``class_blocks``): each
-    distinct key (stack pair, then class pair, 21 bits each), ascending,
-    each term's key index, and the terms' member positions in both."""
-    (hs, hc, row), (ls, lc, col) = _labels(hi)[:, terms[:, 0]], _labels(lo)[:, terms[:, 1]]
-    pairs, pair = np.unique((((hs * len(lo) + ls) << 21 | hc) << 21) | lc, return_inverse=True)
-    return pairs, pair, row, lc, col
-
-
-def block_floats(cplx: CubeComplex, q: int) -> int:
-    """Floats per t of the largest array that ``class_blocks`` of degree q
-    or ``pair_blocks`` of d_q (and so of delta on q + 1) holds: a stack's
-    frames, k m^2, or a stack pair's blocks, P m_hi m_lo."""
-    groups = _groups(cplx, q)
-    most = max(group.cols.size * group.cols.shape[1] for group in groups)
-    if q < cplx.dimension:
-        upper = _groups(cplx, q + 1)
-        pairs = _class_pairs(term_table(cplx, q, True), upper, groups)[0]
-        stacks, count = np.unique(pairs >> 42, return_counts=True)
-        hs, ls = np.divmod(stacks, len(groups))
-        m_hi, m_lo = (np.array([g.cols.shape[1] for g in gs]) for gs in (upper, groups))
-        most = max(most, int((count * m_hi[hs] * m_lo[ls]).max(initial=0)))
-    return most
+    return cplx.cached(("frame_terms", raising, q, cplx.base_vertex), build)
 
 
-def segment_add(out: np.ndarray, at: np.ndarray, parts: np.ndarray) -> None:
-    """out[:, at[i]] += parts[:, i] for every i, in the order ``np.add.at``
-    adds them, from one stable sort: the parts of each slot are a segment,
-    and the k-th part of every segment is added at once."""
-    order = np.argsort(at, kind="stable")
-    at = at[order]
-    head = np.ones(len(at), dtype=bool)
-    np.not_equal(at[1:], at[:-1], out=head[1:])
-    if head.all():  # one part per slot
-        out[:, at] += parts[:, order]
-        return
-    place = np.arange(len(at))
-    rank = place - np.maximum.accumulate(np.where(head, place, 0))
-    for k in range(int(rank.max()) + 1):
-        take = rank == k
-        out[:, at[take]] += parts[:, order[take]]
+def adjoint_terms(cplx: CubeComplex, q: int, limit: int) -> Iterator[list]:
+    """The term pairs of (1 - x^2) G_hi D(x) - (G_lo Delta(x))^T, where
+    d_t = b D(x) on degree q and delta_t = b^-1 Delta(x) on q + 1
+    (``frame_terms``), and the Gram blocks G[u, v] = x^d(u, v): that is
+    b (G_hi d_t - (G_lo delta_t)^T), zero when d_t^T G_hi = G_lo delta_t.
 
-
-def pair_blocks(terms: np.ndarray, hi: tuple[ClassBlocks, ...],
-                lo: tuple[ClassBlocks, ...], ts: tuple[float, ...]) -> Iterator[PairBlocks]:
-    """U_hi^(-1) B U_lo, B the operator of a ``term_table``, by class pair,
-    at each t of ``ts``, the t's of the frames ``hi`` and ``lo``.
-
-    Both frames are block diagonal by class, so the blocks on the class
-    pairs that B links are all of it; they come stack pair by stack pair,
-    by target stack.  Row a of B_IJ U_J is the signed row b of U_J for B's
-    term (a, b), gathered for every t at once, not multiplied, and the
-    terms that meet in one entry are summed by ``segment_add``.  U_I^(-1)
-    is one batched solve per stack pair against the blocks of every finite
-    t, not an inverse, which near the t floor is too inaccurate.  At
-    t = infinity the block is B.
+    Row C' of the product takes each d_t row whose target is in the class
+    of C', its exponent raised by their separation, and each delta_t row
+    (w, C', e, s) expanded over the members of w's class.  The rows C' go
+    in blocks, class by class, that hold at most ``limit`` term pairs (or
+    one row), each block as a list of (entry keys ``C' N_q + c``,
+    exponents, coefficients).
     """
-    pairs, pair, row, lc, col = _class_pairs(terms, hi, lo)
-    order = np.argsort(pair, kind="stable")
-    pair, row, lc, col, sign = pair[order], row[order], lc[order], col[order], terms[order, 3]
-    stacks, first = np.unique(pairs >> 42, return_index=True)
-    first = [*first.tolist(), len(pairs)]
-    cut = np.searchsorted(pair, first).tolist()  # each stack pair's first term
-    pair_hi, pair_lo = pairs >> 21 & (1 << 21) - 1, pairs & (1 << 21) - 1
-    finite = np.flatnonzero(np.array(ts) != INF)
-    for k, (s, u) in enumerate(divmod(stack, len(lo)) for stack in stacks.tolist()):
-        (start, end), (a, b) = first[k:k + 2], cut[k:k + 2]
-        m_hi, m_lo = hi[s].cols.shape[1], lo[u].cols.shape[1]
-        block = np.zeros((len(ts), end - start, m_hi, m_lo))
-        rows = lo[u].frame[:, lc[a:b], col[a:b]]
-        rows *= sign[a:b, None]
-        segment_add(block.reshape(len(ts), -1, m_lo), (pair[a:b] - start) * m_hi + row[a:b], rows)
-        rows = None
-        if len(finite) == len(ts):
-            block = np.linalg.solve(hi[s].frame[:, pair_hi[start:end]], block)
-        elif len(finite):
-            block[finite] = np.linalg.solve(
-                hi[s].frame[finite[:, None], pair_hi[start:end]], block[finite])
-        yield PairBlocks((s, u), pair_hi[start:end], pair_lo[start:end], block)
+    d, delta = frame_terms(cplx, q, True), frame_terms(cplx, q + 1, False)
+    n, hi, lo = len(cplx.cube_arrays(q).keys), _listing(cplx, q + 1), _listing(cplx, q)
+    # d_t rows by the class of their target, delta_t rows by their source in
+    # the listing, so a block's rows are one range of each
+    d = d[np.argsort(hi.head[d[:, 0]], kind="stable")]
+    first, last = (np.searchsorted(hi.head[d[:, 0]], hi.head, side) for side in ("left", "right"))
+    place = (hi.head + hi.pos)[delta[:, 1]]
+    order = np.argsort(place, kind="stable")
+    delta, place = delta[order], place[order]
+    work = 2 * (last - first)[hi.cubes] + np.bincount(place, lo.size[delta[:, 0]], len(hi.cubes))
+    for a, b in _spans(work, limit):
+        y = hi.cubes[a:b]
+        i, j = _expand(last[y] - first[y])
+        mine, y = d[first[y][i] + j], y[i]
+        keys, power = y * n + mine[:, 1], mine[:, 2] + hi.dist[hi.row[y] + hi.pos[mine[:, 0]]]
+        theirs = delta[np.searchsorted(place, a):np.searchsorted(place, b)]
+        i, j = _expand(lo.size[theirs[:, 0]])
+        theirs, w = theirs[i], theirs[i, 0]
+        yield [(keys, power, mine[:, 3]), (keys, power + 2, -mine[:, 3]),
+               (theirs[:, 1] * n + lo.cubes[lo.head[w] + j],
+                theirs[:, 2] + lo.dist[lo.row[w] + j], -theirs[:, 3])]
 
 
 # -- base-point change ----------------------------------------------------------------

@@ -42,7 +42,6 @@ from cubedeform.deformation import (
     basic_cochain,
     class_blocks,
     deformation_weights,
-    pair_blocks,
     step_coefficients,
     symbol_representative,
     w_hat_blocks,
@@ -72,6 +71,7 @@ from oracles import (
     inv_sqrt_spectral,
     is_cube,
     nearest_cube_vertex,
+    pair_blocks,
     ps_d_symbol,
     symbol_from_raw,
     symbol_inner,
@@ -594,7 +594,7 @@ def negate_one_term(monkeypatch, module, name, q, raising, row):
         return out
 
     monkeypatch.setattr(module, name, sabotaged)
-    for reader in (cli, fredholm):
+    for reader in (cli, deformation, fredholm):
         if hasattr(reader, name):
             monkeypatch.setattr(reader, name, sabotaged)
 
@@ -626,81 +626,17 @@ def pair_blocks_matrix(cplx: CubeComplex, q: int, t: float, raising: bool = True
 # -- the field suite one t at a time: the oracle of cli._suite_field ------------
 
 
-def _oracle_square_residual(upper: list, lower: list) -> float:
-    """The largest entry of d_t(q) d_t(q-1) at one t, each class pair's
-    paths added into it one by one (``np.add.at``)."""
-    paths: dict[tuple, list] = {}
-    for a in upper:
-        for b in lower:
-            if a.stacks[1] == b.stacks[0]:
-                ia, ib = np.nonzero(a.lo[:, None] == b.hi)
-                paths.setdefault((a.stacks[0], b.stacks[1]), []).append((a, b, ia, ib))
-    worst = 0.0
-    for joined in paths.values():
-        keys, slot = np.unique(np.concatenate([(a.hi[ia] << 32) + b.lo[ib]
-                                               for a, b, ia, ib in joined]), return_inverse=True)
-        sums = np.zeros((len(keys), joined[0][0].block.shape[1], joined[0][1].block.shape[2]))
-        for a, b, ia, ib in joined:
-            np.add.at(sums, slot[:len(ia)], a.block[ia] @ b.block[ib])
-            slot = slot[len(ia):]
-        worst = max(worst, float(np.abs(sums).max(initial=0.0)))
-    return worst
-
-
-def _oracle_adjoint_residual(d_t: list, delta_t: list, hi, lo) -> float:
-    """The largest entry of G_hi d_t - (G_lo delta_t)^T at one t, the pairs
-    matched by a scan of all pairs of pairs."""
-    pending = {b.stacks: b for b in d_t}
-    worst = 0.0
-    for e in delta_t:
-        g_e = (lo[e.stacks[0]].gram[e.hi] @ e.block).transpose(0, 2, 1)
-        b = pending.pop(e.stacks[::-1], None)
-        if b is not None:
-            g_d = hi[b.stacks[0]].gram[b.hi] @ b.block
-            i, j = np.nonzero((b.hi[:, None] == e.lo) & (b.lo[:, None] == e.hi))
-            np.subtract.at(g_d, i, g_e[j])
-            g_e[j] = 0.0
-            worst = max(worst, float(np.abs(g_d).max(initial=0.0)))
-        worst = max(worst, float(np.abs(g_e).max(initial=0.0)))
-    for b in pending.values():
-        worst = max(worst, float(np.abs(hi[b.stacks[0]].gram[b.hi] @ b.block).max(initial=0.0)))
-    return worst
-
-
 def oracle_field_frames(cplx: CubeComplex, t_grid: tuple | None) -> dict:
-    """``gram_psd``, ``unitarity_bridge``, ``d_t_squared`` and
-    ``d_t_adjoint`` of ``check field``, one t of the union grid at a time,
-    its class and pair blocks built for that t alone."""
-    inf = float("inf")
-    grid = t_grid or (0.1, 0.5, 1.0, 2.0, inf)
-    dt_grid = t_grid or (0.1, 1.0)
-    adj_grid = t_grid or (0.5, 2.0)
-    dim = cplx.dimension
-    psd = bridge = square = adjoint = 0.0
-    for t in sorted(set(grid) | set(dt_grid) | set(adj_grid)):
-        blocks = [class_blocks(cplx, q, (t,)) for q in range(dim + 1)]
-        below = None
-        for q in range(dim + 1):
-            if t in grid:
-                for blks in one_t(blocks[q]):
-                    psd = max(psd, -float(np.linalg.eigvalsh(blks.gram)[:, 0].min()))
-                    bridge = max(bridge, float(np.abs(
-                        blks.frame.transpose(0, 2, 1) @ blks.frame - blks.gram).max()))
-            if q == dim:
-                continue
-            upper, here = blocks[q + 1], blocks[q]
-            d_t = one_t(pair_blocks(differential.term_table(cplx, q, True), upper, here, (t,)))
-            if t in adj_grid:
-                delta_t = one_t(pair_blocks(differential.term_table(cplx, q + 1, False),
-                                            here, upper, (t,)))
-                adjoint = max(adjoint, _oracle_adjoint_residual(d_t, delta_t, one_t(upper),
-                                                                 one_t(here)))
-            if t in dt_grid:
-                if below is not None:
-                    square = max(square, _oracle_square_residual(d_t, below))
-                below = d_t
-    return {"gram_psd": psd, "unitarity_bridge": bridge,
-            "d_t_squared": square, "d_t_adjoint": adjoint}
+    """``gram_psd`` and ``unitarity_bridge`` of ``check field``, one t of its
+    grid at a time, the class blocks built for that t alone."""
+    psd = bridge = 0.0
+    for t in t_grid or (0.1, 0.5, 1.0, 2.0, float("inf")):
+        for q in range(cplx.dimension + 1):
+            for blks in one_t(class_blocks(cplx, q, (t,))):
+                psd = max(psd, -float(np.linalg.eigvalsh(blks.gram)[:, 0].min()))
+                bridge = max(bridge, float(np.abs(
+                    blks.frame.transpose(0, 2, 1) @ blks.frame - blks.gram).max()))
+    return {"gram_psd": psd, "unitarity_bridge": bridge}
 
 
 def oracle_path_residual(cplx: CubeComplex, ts) -> float:
@@ -732,9 +668,9 @@ def oracle_path_residual(cplx: CubeComplex, ts) -> float:
 
 
 def oracle_field_residuals(cplx: CubeComplex, t_grid: tuple | None) -> dict:
-    """Every residual of ``check field``: ``oracle_field_frames``,
+    """Every float residual of ``check field``: ``oracle_field_frames``,
     ``oracle_path_residual`` over the finite t's of the loop grid and the
-    base-point change."""
+    base-point change; not the exact ``d_t_squared`` and ``d_t_adjoint``."""
     loop_grid = [t for t in t_grid or (0.3, 1.0) if t != float("inf")]
     unitary = 0.0
     neighbor = base_neighbor(cplx)

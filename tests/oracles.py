@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import mpmath as mp
 import numpy as np
@@ -28,7 +28,6 @@ from cubedeform.deformation import (
     _gram_powers,
     _groups,
     _is_exact,
-    _labels,
     _moves_blocks,
     _resolve_ab,
     _root_paths,
@@ -40,7 +39,14 @@ from cubedeform.deformation import (
     pairing_value,
     w_hat_blocks,
 )
-from cubedeform.differential import OrientedCube, Weights, _matrix, d_matrix, weight_vector
+from cubedeform.differential import (
+    OrientedCube,
+    Weights,
+    _matrix,
+    d_matrix,
+    term_table,
+    weight_vector,
+)
 from cubedeform.fredholm import graded_offsets
 from cubedeform.symbols import (
     CubePair,
@@ -402,6 +408,17 @@ def symbol_inner(s1: PSSymbol, s2: PSSymbol) -> int:
 # -- the deformation's dense operators and extended-precision pairings -----------------
 
 
+def _labels(blocks) -> np.ndarray:
+    """Per cube of the degree: its stack of ``blocks`` (``_groups`` or
+    ``class_blocks``), its class there, its member position."""
+    out = np.empty((3, sum(blks.cols.size for blks in blocks)), dtype=np.intp)
+    for s, blks in enumerate(blocks):
+        out[0, blks.cols] = s
+        out[1, blks.cols] = np.arange(len(blks.cols))[:, None]
+        out[2, blks.cols] = np.arange(blks.cols.shape[1])
+    return out
+
+
 def _step_coefficients_mp(t: float) -> tuple:
     """``step_coefficients`` in mpmath at the working precision."""
     _check_t(t)
@@ -617,6 +634,93 @@ def d_t_pairing_limit(cplx: CubeComplex, pair1: CubePair, o1: OrientedCube,
     s2 = _pair_symbol(cplx, pair2, o2)
     image = ps_d_symbol(cplx, s1)
     return image.get(s2[:2], 0) * s2.sign
+
+
+# -- conjugated differentials by class-pair blocks and LU solves ------------------------
+#
+# The oracle of ``frame_terms``: U^-1 B U formed on the class pairs that B
+# links, from gathered frame rows and one batched solve per stack pair.
+
+
+class PairBlocks(NamedTuple):
+    """A conjugated operator on the class pairs of one pair of stacks.
+
+    ``stacks`` names a target and a source stack of ``class_blocks``;
+    ``hi`` and ``lo`` (P,) the classes, in those stacks, of each pair the
+    operator links, ascending; ``block`` (T, P, m_hi, m_lo) the blocks at
+    each t of the frames.
+    """
+
+    stacks: tuple[int, int]
+    hi: np.ndarray
+    lo: np.ndarray
+    block: np.ndarray
+
+
+def _class_pairs(terms: np.ndarray, hi, lo) -> tuple:
+    """The class pairs that a ``term_table``'s terms link, between the
+    stacks ``hi`` and ``lo`` (``_groups`` or ``class_blocks``): each
+    distinct key (stack pair, then class pair, 21 bits each), ascending,
+    each term's key index, and the terms' member positions in both."""
+    (hs, hc, row), (ls, lc, col) = _labels(hi)[:, terms[:, 0]], _labels(lo)[:, terms[:, 1]]
+    pairs, pair = np.unique((((hs * len(lo) + ls) << 21 | hc) << 21) | lc, return_inverse=True)
+    return pairs, pair, row, lc, col
+
+
+def segment_add(out: np.ndarray, at: np.ndarray, parts: np.ndarray) -> None:
+    """out[:, at[i]] += parts[:, i] for every i, in the order ``np.add.at``
+    adds them, from one stable sort: the parts of each slot are a segment,
+    and the k-th part of every segment is added at once."""
+    order = np.argsort(at, kind="stable")
+    at = at[order]
+    head = np.ones(len(at), dtype=bool)
+    np.not_equal(at[1:], at[:-1], out=head[1:])
+    if head.all():  # one part per slot
+        out[:, at] += parts[:, order]
+        return
+    place = np.arange(len(at))
+    rank = place - np.maximum.accumulate(np.where(head, place, 0))
+    for k in range(int(rank.max()) + 1):
+        take = rank == k
+        out[:, at[take]] += parts[:, order[take]]
+
+
+def pair_blocks(terms: np.ndarray, hi: tuple[ClassBlocks, ...],
+                lo: tuple[ClassBlocks, ...], ts: tuple[float, ...]) -> Iterator[PairBlocks]:
+    """U_hi^(-1) B U_lo, B the operator of a ``term_table``, by class pair,
+    at each t of ``ts``, the t's of the frames ``hi`` and ``lo``.
+
+    Both frames are block diagonal by class, so the blocks on the class
+    pairs that B links are all of it; they come stack pair by stack pair,
+    by target stack.  Row a of B_IJ U_J is the signed row b of U_J for B's
+    term (a, b), gathered for every t at once, not multiplied, and the
+    terms that meet in one entry are summed by ``segment_add``.  U_I^(-1)
+    is one batched solve per stack pair against the blocks of every finite
+    t, not an inverse, which near the t floor is too inaccurate.  At
+    t = infinity the block is B.
+    """
+    pairs, pair, row, lc, col = _class_pairs(terms, hi, lo)
+    order = np.argsort(pair, kind="stable")
+    pair, row, lc, col, sign = pair[order], row[order], lc[order], col[order], terms[order, 3]
+    stacks, first = np.unique(pairs >> 42, return_index=True)
+    first = [*first.tolist(), len(pairs)]
+    cut = np.searchsorted(pair, first).tolist()  # each stack pair's first term
+    pair_hi, pair_lo = pairs >> 21 & (1 << 21) - 1, pairs & (1 << 21) - 1
+    finite = np.flatnonzero(np.array(ts) != INF)
+    for k, (s, u) in enumerate(divmod(stack, len(lo)) for stack in stacks.tolist()):
+        (start, end), (a, b) = first[k:k + 2], cut[k:k + 2]
+        m_hi, m_lo = hi[s].cols.shape[1], lo[u].cols.shape[1]
+        block = np.zeros((len(ts), end - start, m_hi, m_lo))
+        rows = lo[u].frame[:, lc[a:b], col[a:b]]
+        rows *= sign[a:b, None]
+        segment_add(block.reshape(len(ts), -1, m_lo), (pair[a:b] - start) * m_hi + row[a:b], rows)
+        rows = None
+        if len(finite) == len(ts):
+            block = np.linalg.solve(hi[s].frame[:, pair_hi[start:end]], block)
+        elif len(finite):
+            block[finite] = np.linalg.solve(
+                hi[s].frame[finite[:, None], pair_hi[start:end]], block[finite])
+        yield PairBlocks((s, u), pair_hi[start:end], pair_lo[start:end], block)
 
 
 # -- the spectral harness's dense operators ---------------------------------------------

@@ -12,6 +12,7 @@ import json
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -476,11 +477,11 @@ def test_check_deterministic(grid_file, capsys):
     assert first == second
 
 
-# sha256 of the `check field` reports: every residual but path_independence
-# is held to the bytes recorded from the suite run one t at a time
+# sha256 of the `check field` reports: the frame residuals as the suite run
+# one t at a time gives them, and the exact d_t_squared and d_t_adjoint 0.0
 FIELD_REPORTS = {
-    ("cube", "--dim", "5"): "18732f07c5da7ac20288676d702fa895d980c4608e5d956208941eb98672a1b0",
-    ("grid", "--dims", "2x2x2x1"): "3947d8d269535002d2ef3df34d55d20005de8c73028344acab15924d8209acc0",
+    ("cube", "--dim", "5"): "dbbc38bbec807f62f6ef8621bb78f77b222f910e87a2baaa48d379046dfc3c4a",
+    ("grid", "--dims", "2x2x2x1"): "ec5cb026c34f2cc46d99959382d1ff1a78f0e6dbee7c4422c07d2c025929a9c1",
 }
 
 
@@ -716,14 +717,16 @@ def test_check_field_at_the_t_floor(grid_file, capsys):
 
 @pytest.mark.parametrize("cplx", (hypercube(5), grid_complex([3, 3, 2])), ids=("cube5", "grid332"))
 def test_check_field_at_the_t_floor_on_larger_complexes(cplx, tmp_path, capsys):
-    # U_t is ill-conditioned at the floor: d_t must come from solves against
-    # its blocks (d_t_adjoint 2e-10 and 4e-10 here); multiplying by inverse
-    # frames instead gave 1.3e-9 and 1.1e-9, over the 1e-9 threshold
+    # U_t is ill-conditioned at the floor, but only the frame checks use it:
+    # the identities of d_t and delta_t are exact and read 0.0 at any t
     path = tmp_path / "c.cxc"
     path.write_text(write_cxc(cplx))
     code, out = run(["check", "field", "--input", str(path), "--t", "1e-6"], capsys)
     assert code == 0
-    assert json.loads(out)["pass"] is True
+    report = json.loads(out)
+    assert report["pass"] is True
+    exact = [c["residual"] for c in report["checks"] if c["name"] in ("d_t_squared", "d_t_adjoint")]
+    assert exact == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("change", ("drop", "add"))
@@ -1110,12 +1113,12 @@ def test_a_negated_term_is_a_numerical_breakdown_of_check_fredholm(tmp_path, mon
     assert line.startswith("check fredholm: numerical breakdown: ")
 
 
-# -- field: class-pair blocks of the term tables -----------------------------------
+# -- field: closed-form term tables ------------------------------------------------
 
 
 def test_check_field_forms_no_dense_operator(tmp_path, monkeypatch, capsys):
-    # d_t and delta_t are class-pair blocks sliced from the term tables: no
-    # dense d or delta is scattered, and every report passes
+    # d_t and delta_t are term tables and the frames class blocks: no dense
+    # d or delta is scattered, and every report passes
     paths = []
     for name in helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES:
         cplx = helpers.fixture(name)
@@ -1154,6 +1157,39 @@ def test_a_negated_term_shows_in_field(name, q, raising, tmp_path, monkeypatch, 
             assert checks[other]["pass"]
 
 
+def _sabotaged_frame_terms(monkeypatch, change):
+    """Every reader of ``frame_terms`` gets a copy of one table with one row
+    edited by ``change(rows)``."""
+    table = deformation.frame_terms
+
+    def sabotaged(cplx, q, raising=True):
+        out = table(cplx, q, raising).copy()
+        change(out, q, raising)
+        return out
+
+    monkeypatch.setattr(deformation, "frame_terms", sabotaged)
+    monkeypatch.setattr(cli, "frame_terms", sabotaged)
+
+
+@pytest.mark.parametrize("name", ("cube3", "grid12", "tripod"))
+def test_a_wrong_exponent_or_sign_in_the_tables_shows_in_field(name, monkeypatch):
+    cplx = helpers.fixture(name)
+
+    def exponent(rows, q, raising):  # one d_t row one power of x too far
+        if raising and q == 0:
+            rows[len(rows) // 2, 2] += 1
+
+    def sign(rows, q, raising):  # one delta_t row of the facet f' negated
+        if not raising and q == 1:
+            rows[np.flatnonzero(rows[:, 2] == 1)[0], 3] *= -1
+
+    for change in (exponent, sign):
+        with monkeypatch.context() as mp:
+            _sabotaged_frame_terms(mp, change)
+            got, _ = cli._suite_field(cplx, argparse.Namespace(t_grid=None))
+        assert got["d_t_adjoint"] > 0.0, change.__name__
+
+
 # -- field: the stacked t grid against the suite one t at a time ---------------------
 
 
@@ -1161,13 +1197,14 @@ FIELD_GRIDS = (None, (1e-6, 0.3, float("inf")), (0.05, 5.0))
 
 
 def _assert_field_matches_oracle(cplx):
-    # frames and pair blocks stacked over the t's of a pass and the segment
-    # sums, bit for bit against the suite built one t at a time; the
-    # relations of path_independence within 1e-15 of whole-class products
+    # frames stacked over the t's of a pass, bit for bit against the suite
+    # built one t at a time; the relations of path_independence within 1e-15
+    # of whole-class products; the exact identities read 0.0 at every grid
     for grid in FIELD_GRIDS:
         got, _ = cli._suite_field(cplx, argparse.Namespace(t_grid=grid))
         want = helpers.oracle_field_residuals(cplx, grid)
         assert abs(got.pop("path_independence") - want.pop("path_independence")) <= 1e-15, grid
+        assert got.pop("d_t_squared") == got.pop("d_t_adjoint") == 0.0, grid
         assert got == want, grid
 
 
@@ -1191,13 +1228,34 @@ def test_check_field_matches_the_per_t_oracle_hypothesis(n, k, seed):
 
 
 @pytest.mark.parametrize("per_pass", (None, 1, 2, 3))
-def test_check_field_passes_split_the_grid(per_pass, monkeypatch):
-    # a _CHUNK that holds one, two or three t of the largest array per pass
-    # (None: one float, so every batch of products holds one product too)
+def test_check_field_passes_split_the_grid(per_pass, tmp_path, monkeypatch, capsys):
+    # a _CHUNK that holds one, two or three t of the largest stack per frame
+    # pass, and join blocks of a 64th of that; None, one float, makes one t
+    # per pass and one row per join block: the bytes of the default passes
     cplx = grid_complex([3, 3, 2])
-    per_t = max(deformation.block_floats(cplx, q) for q in range(cplx.dimension + 1))
+    per_t = max(g.cols.size * g.cols.shape[1]
+                for q in range(cplx.dimension + 1) for g in deformation._groups(cplx, q))
+    path = tmp_path / "c.cxc"
+    path.write_text(write_cxc(cplx))
+    argv = ["check", "field", "--input", str(path)]
+    whole = run(argv, capsys)
     monkeypatch.setattr(cli, "_CHUNK", per_pass * per_t if per_pass else 1)
-    _assert_field_matches_oracle(cplx)
+    assert run(argv, capsys) == whole
+
+
+def test_check_field_on_a_wide_star_stays_small(tmp_path, capsys):
+    # the 501-member vertex class of a 500-leaf star: its d_t and delta_t
+    # rows are joined with the Gram rows in blocks, never a class pair at once
+    path = tmp_path / "star500.cxc"
+    path.write_text(write_cxc(star_tree(500)))
+    tracemalloc.start()
+    try:
+        code, out = run(["check", "field", "--input", str(path)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["pass"] is True
+    assert peak < 300 << 20
 
 
 # -- sweep -------------------------------------------------------------------------

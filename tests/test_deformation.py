@@ -44,6 +44,7 @@ from oracles import (
     delta_matrix,
     dist_hyperplane_to_base,
     gram_matrix,
+    pair_blocks,
     pairing_limit,
     pairing_sweep,
     rebased,
@@ -86,6 +87,14 @@ def test_step_coefficients_trig_identity():
         step_coefficients(0.0)
     with pytest.raises(ValueError):
         step_coefficients(-1.0)
+
+
+@pytest.mark.parametrize("t", (1e-6, 1e-3))
+def test_step_coefficients_b_keeps_its_digits_at_small_t(t):
+    # 1 - exp(-t^2) cancels to a few digits near t = 0; -expm1(-t^2) does not
+    b = step_coefficients(t)[1]
+    want = -math.expm1(-t * t)
+    assert abs(b * b - want) <= 2 * math.ulp(want)
 
 
 def test_deformation_weights(grid12):
@@ -981,7 +990,7 @@ def test_pair_blocks_list_only_linked_class_pairs():
             terms = term_table(cplx, q, True)
             linked = set(zip(_class_head(hi)[terms[:, 0]].tolist(),
                              _class_head(lo)[terms[:, 1]].tolist()))
-            listed = {pair for part in deformation.pair_blocks(terms, hi, lo, (0.5,))
+            listed = {pair for part in pair_blocks(terms, hi, lo, (0.5,))
                       for pair in zip(hi[part.stacks[0]].cols[part.hi, 0].tolist(),
                                       lo[part.stacks[1]].cols[part.lo, 0].tolist())}
             assert listed == linked
@@ -993,6 +1002,64 @@ def _class_head(blocks):
     for b in blocks:
         out[b.cols] = b.cols[:, :1]
     return out
+
+
+# -- conjugated differentials in closed form ------------------------------------------
+
+
+def _frame_terms_matrix(cplx, q, t, raising):
+    """``frame_terms`` of d_t (raising) or delta_t on degree q at one t,
+    scattered dense: sign b^(+-1) x^exponent per row, rows added."""
+    rows = deformation.frame_terms(cplx, q, raising)
+    x, b = step_coefficients(t)
+    out = np.zeros((len(cplx.cubes(q + 1 if raising else q - 1)), len(cplx.cubes(q))))
+    scale = b if raising else 1 / b
+    np.add.at(out, (rows[:, 0], rows[:, 1]), rows[:, 3] * scale * x ** rows[:, 2])
+    return out
+
+
+def _assert_frame_terms_match_pair_blocks(cplx):
+    # both tables against U^-1 B U from the class-pair blocks and their
+    # solves, entry by entry, relative to the largest entry
+    for t in (0.1, 0.7, 2.0, INF):
+        for q in range(cplx.dimension):
+            for degree, raising in ((q, True), (q + 1, False)):
+                want = helpers.pair_blocks_matrix(cplx, degree, t, raising)
+                got = _frame_terms_matrix(cplx, degree, t, raising)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (t, q, raising)
+
+
+@pytest.mark.parametrize("name", helpers.FIXTURE_NAMES + helpers.MORE_FIXTURE_NAMES)
+def test_frame_terms_match_pair_blocks_on_fixtures(name):
+    _assert_frame_terms_match_pair_blocks(helpers.fixture(name))
+
+
+@pytest.mark.parametrize("make", (lambda: hypercube(5), lambda: grid_complex([3, 3, 2]),
+                                  lambda: star_tree(70), lambda: random_median_complex(12, 8, 3)),
+                         ids=("cube5", "grid332", "star70", "rm12"))
+def test_frame_terms_match_pair_blocks(make):
+    _assert_frame_terms_match_pair_blocks(make())
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 7), k=st.integers(2, 6), seed=st.integers(0, 1 << 16),
+       pick=st.integers(0, 1 << 16))
+def test_frame_terms_match_pair_blocks_hypothesis(n, k, seed, pick):
+    cplx = random_median_complex(n, k, seed)
+    _assert_frame_terms_match_pair_blocks(rebased(cplx, cplx.vertices[pick % cplx.n_vertices]))
+
+
+def test_frame_terms_are_read_only_int64_rows():
+    cplx = grid_complex([3, 3, 2])
+    for q in range(cplx.dimension):
+        for table in (deformation.frame_terms(cplx, q, True),
+                      deformation.frame_terms(cplx, q + 1, False)):
+            assert table.dtype == np.int64 and table.shape[1] == 4
+            assert not table.flags.writeable
+    # the delta_t rows: two per term of delta, exponents 0 and 1
+    delta = deformation.frame_terms(cplx, 1, False)
+    assert len(delta) == 2 * len(term_table(cplx, 1, False))
+    assert sorted(set(delta[:, 2].tolist())) == [0, 1]
 
 
 @pytest.mark.parametrize("determining", ((), (0,), (2,), (0, 1), (1, 2)))
